@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Pose2
-from .occupancy import GlobalMap, OccupancyGrid, crop
+from .occupancy import (GlobalMap, GridFormatError, OccupancyGrid,
+                        container_payload, crop, read_container)
 from .routing import RouteNetwork, astar
 
 log = logging.getLogger(__name__)
@@ -138,13 +139,11 @@ def write_heatmap(h: np.ndarray, meters_per_cell: float, path) -> None:
 def read_heatmap(path):
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:8] != b"HEATMAP1":
-        raise ValueError("not a heatmap file")
-    w, hgt, mpc = struct.unpack_from("<IId", data, 8)
-    payload = np.frombuffer(data[24:], dtype="<f4")
-    if payload.size != w * hgt:
-        raise ValueError("truncated heatmap payload")
-    return payload.reshape(w, hgt).astype(float), mpc
+    w, hgt, mpc = read_container(data, b"HEATMAP1", "<IId")
+    if not (math.isfinite(mpc) and mpc > 0):
+        raise GridFormatError(f"meters per cell {mpc} is not finite and positive", 16)
+    payload = container_payload(data, 24, w * hgt * 4)
+    return np.frombuffer(payload, dtype="<f4").reshape(w, hgt).astype(float), mpc
 
 
 GLOBAL_TRANSFORMS = ("identity", "rot90", "rot180", "rot270", "flip_x", "flip_y")

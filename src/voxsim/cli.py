@@ -12,7 +12,6 @@ import argparse
 import hashlib
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -43,13 +42,6 @@ def stage_seed(root_seed: int, stage: str) -> int:
     state between stages."""
     digest = hashlib.sha256(f"{root_seed}:{stage}".encode()).digest()
     return int.from_bytes(digest[:8], "little")
-
-
-def worker_cap() -> int:
-    try:
-        return max(1, int(os.environ.get("OCCSIM_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _sha256(path: Path) -> str:

@@ -235,6 +235,7 @@ def fuse_sequence(frames, poses, params: FusionParams, table=None) -> GlobalMap:
         table = frames[0].table
     keys = select_keyframes(poses, params.d_max)
     gmap = fuse_keyframes(frames, poses, keys, table, margin=params.margin)
-    non_keys = [i for i in range(len(frames)) if i not in set(keys)]
+    key_set = set(keys)
+    non_keys = [i for i in range(len(frames)) if i not in key_set]
     gmap = vote_inpaint(gmap, frames, poses, non_keys, params.tau_vote)
     return refine_morphology(gmap, params)

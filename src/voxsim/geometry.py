@@ -258,3 +258,17 @@ def rasterize_trajectory(waypoints, width: int, height: int, voxel_size: float) 
     x0, y0 = in_bounds[0]
     out[x0, y0] = True
     return out
+
+
+def arc_length(points: np.ndarray) -> np.ndarray:
+    """Cumulative arc length along an (N, 2) polyline, starting at 0."""
+    seg = np.linalg.norm(np.diff(points, axis=0), axis=1)
+    return np.concatenate([[0.0], np.cumsum(seg)])
+
+
+def resample_polyline(points: np.ndarray, s: np.ndarray, targets) -> np.ndarray:
+    """Linear interpolation of a polyline with cumulative arc length ``s`` at
+    arc-length ``targets``: (M, 2) for an array of targets, (2,) for a scalar."""
+    x = np.interp(targets, s, points[:, 0])
+    y = np.interp(targets, s, points[:, 1])
+    return np.stack([x, y], axis=-1)

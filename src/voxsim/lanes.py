@@ -17,6 +17,8 @@ import numpy as np
 from scipy import interpolate, ndimage
 from scipy.spatial import cKDTree
 
+from .geometry import arc_length, resample_polyline
+
 
 @dataclass
 class LaneParams:
@@ -47,21 +49,6 @@ class Lane:
         return float(np.linalg.norm(np.diff(self.points, axis=0), axis=1).sum())
 
 
-def _arc_resample(points: np.ndarray, ds: float) -> np.ndarray:
-    """Resample a polyline at (approximately) uniform arc-length spacing,
-    keeping both endpoints."""
-    seg = np.linalg.norm(np.diff(points, axis=0), axis=1)
-    s = np.concatenate([[0.0], np.cumsum(seg)])
-    total = s[-1]
-    if total <= 0:
-        return points[:1].copy()
-    n = max(int(round(total / ds)), 1)
-    targets = np.linspace(0.0, total, n + 1)
-    x = np.interp(targets, s, points[:, 0])
-    y = np.interp(targets, s, points[:, 1])
-    return np.stack([x, y], axis=1)
-
-
 def fit_centerline(segment, ds_step: float, smooth: float = None) -> np.ndarray:
     """Least-squares cubic B-spline fit of a pixel path, resampled at ds_step.
 
@@ -77,8 +64,7 @@ def fit_centerline(segment, ds_step: float, smooth: float = None) -> np.ndarray:
     pts = pts[keep]
     if smooth is None:
         smooth = len(pts) * 0.25  # absorbs ~half-cell rasterization noise
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    u = np.concatenate([[0.0], np.cumsum(seg)])
+    u = arc_length(pts)
     if u[-1] <= 0:
         return pts[:1].copy()
     u /= u[-1]
@@ -91,7 +77,12 @@ def fit_centerline(segment, ds_step: float, smooth: float = None) -> np.ndarray:
     curve = np.stack([x, y], axis=1)
     curve[0] = pts[0]
     curve[-1] = pts[-1]
-    return _arc_resample(curve, ds_step)
+    # uniform arc-length spacing close to ds_step, keeping both endpoints
+    s = arc_length(curve)
+    if s[-1] <= 0:
+        return curve[:1].copy()
+    n = max(int(round(s[-1] / ds_step)), 1)
+    return resample_polyline(curve, s, np.linspace(0.0, s[-1], n + 1))
 
 
 def normal_vectors(points: np.ndarray) -> np.ndarray:
@@ -103,14 +94,12 @@ def normal_vectors(points: np.ndarray) -> np.ndarray:
     return np.stack([-t[:, 1], t[:, 0]], axis=1)
 
 
-def estimate_width(center_px: np.ndarray, road_mask: np.ndarray, voxel_size: float) -> float:
-    """Road width in meters at a centerline: twice the median distance-transform
-    value sampled along it."""
-    dist = ndimage.distance_transform_edt(road_mask) * voxel_size
-    idx = np.floor(center_px).astype(int)
-    idx[:, 0] = np.clip(idx[:, 0], 0, road_mask.shape[0] - 1)
-    idx[:, 1] = np.clip(idx[:, 1], 0, road_mask.shape[1] - 1)
-    return 2.0 * float(np.median(dist[idx[:, 0], idx[:, 1]]))
+def estimate_width(center_px: np.ndarray, dist_m: np.ndarray) -> float:
+    """Road width in meters at a centerline: twice the median of the road
+    mask's distance transform (in meters) sampled along it."""
+    idx = np.clip(np.floor(center_px).astype(int),
+                  0, [dist_m.shape[0] - 1, dist_m.shape[1] - 1])
+    return 2.0 * float(np.median(dist_m[idx[:, 0], idx[:, 1]]))
 
 
 def _on_mask(points_m: np.ndarray, mask: np.ndarray, voxel_size: float, origin=(0.0, 0.0)) -> np.ndarray:
@@ -202,9 +191,7 @@ def extract_lanes(gmap, graph, params: LaneParams = None):
             continue
         seg_px = np.asarray(seg, dtype=float)
         center_px = fit_centerline(seg_px, params.ds_step / vox)
-        idx = np.clip(np.floor(center_px).astype(int),
-                      0, [road.shape[0] - 1, road.shape[1] - 1])
-        seg_width = 2.0 * float(np.median(dist[idx[:, 0], idx[:, 1]]))
+        seg_width = estimate_width(center_px, dist)
         center_m = (center_px + 0.5) * vox + np.asarray(origin)
         cands = offset_lanes(center_m, seg_width, params, road, vox, origin,
                              source_segment=seg_id)

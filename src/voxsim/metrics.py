@@ -10,6 +10,8 @@ import struct
 
 import numpy as np
 
+from .occupancy import container_payload, read_container
+
 
 # --- semantic-space metrics -------------------------------------------------
 
@@ -168,10 +170,6 @@ def write_features(x: np.ndarray, path) -> None:
 def read_features(path) -> np.ndarray:
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:8] != b"FEATSET1":
-        raise ValueError("not a feature file")
-    n, d = struct.unpack_from("<II", data, 8)
-    payload = np.frombuffer(data[16:], dtype="<f4")
-    if payload.size != n * d:
-        raise ValueError("truncated feature payload")
-    return payload.reshape(n, d).astype(float)
+    n, d = read_container(data, b"FEATSET1", "<II")
+    payload = container_payload(data, 16, n * d * 4)
+    return np.frombuffer(payload, dtype="<f4").reshape(n, d).astype(float)

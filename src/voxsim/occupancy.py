@@ -170,9 +170,9 @@ def overlay(background: OccupancyGrid, foreground: OccupancyGrid) -> OccupancyGr
     return OccupancyGrid(out, background.voxel_size, background.origin, background.table)
 
 
-# --- OCCG v1 container ------------------------------------------------------
+# --- binary containers (OCCG here, HEATMAP1 in agents, FEATSET1 in metrics) --
 #
-# Layout: 12-byte magic, u32 version, u64 JSON header length, JSON header
+# OCCG layout: 12-byte magic, u32 version, u64 JSON header length, JSON header
 # (dims, voxel_size, origin, semantic table, global flag), raw label payload
 # of exactly X*Y*Z bytes.
 
@@ -181,11 +181,31 @@ VERSION = 1
 
 
 class GridFormatError(ValueError):
-    """Malformed OCCG container; carries the byte offset of the failure."""
+    """Malformed binary container (OCCG, HEATMAP1 or FEATSET1); carries the
+    byte offset of the failure."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
         self.offset = offset
+
+
+def read_container(data: bytes, magic: bytes, fields: str) -> tuple:
+    """Check the magic at the start of a binary container and unpack the
+    fixed fields that follow it (``fields`` is a ``struct`` format)."""
+    if len(data) < len(magic) + struct.calcsize(fields):
+        raise GridFormatError("file shorter than fixed header", len(data))
+    if data[:len(magic)] != magic:
+        raise GridFormatError("magic mismatch", 0)
+    return struct.unpack_from(fields, data, len(magic))
+
+
+def container_payload(data: bytes, offset: int, nbytes: int) -> bytes:
+    """The payload from ``offset`` to the end of the file, which must be
+    exactly ``nbytes`` long."""
+    payload = data[offset:]
+    if len(payload) != nbytes:
+        raise GridFormatError(f"payload length {len(payload)} != expected {nbytes}", offset)
+    return payload
 
 
 def write_grid(grid: OccupancyGrid, path) -> None:
@@ -205,28 +225,35 @@ def write_grid(grid: OccupancyGrid, path) -> None:
         fh.write(np.ascontiguousarray(grid.labels, dtype=np.uint8).tobytes())
 
 
+def _parse_header(blob: bytes):
+    """Decoded and validated OCCG JSON header: (dims, voxel size, origin,
+    table, global flag). Any failure is a GridFormatError at the header."""
+    try:
+        header = json.loads(blob)
+        dims = header["dims"]
+        if not (isinstance(dims, list) and len(dims) == 3
+                and all(type(n) is int and n >= 0 for n in dims)):
+            raise ValueError(f"dims {dims!r} are not three non-negative ints")
+        vox = header["voxel_size"]
+        if not (isinstance(vox, (int, float)) and math.isfinite(vox) and vox > 0):
+            raise ValueError(f"voxel_size {vox!r} is not a finite positive number")
+        origin = Pose2(**header["origin"])
+        table = SemanticTable.from_json(header["table"])
+        return dims, vox, origin, table, bool(header.get("global"))
+    except (KeyError, TypeError, ValueError, RecursionError) as e:
+        raise GridFormatError(f"bad JSON header: {e!r}", 24) from e
+
+
 def read_grid(path) -> OccupancyGrid:
     with open(path, "rb") as fh:
         data = fh.read()
-    if len(data) < 24:
-        raise GridFormatError("file shorter than fixed header", len(data))
-    if data[:12] != MAGIC:
-        raise GridFormatError("magic mismatch", 0)
-    (version,) = struct.unpack_from("<I", data, 12)
+    version, hlen = read_container(data, MAGIC, "<IQ")
     if version != VERSION:
         raise GridFormatError(f"unknown version {version}", 12)
-    (hlen,) = struct.unpack_from("<Q", data, 16)
     if len(data) < 24 + hlen:
         raise GridFormatError("truncated JSON header", 24)
-    header = json.loads(data[24:24 + hlen])
-    X, Y, Z = header["dims"]
-    expected = X * Y * Z
-    payload = data[24 + hlen:]
-    if len(payload) != expected:
-        raise GridFormatError(
-            f"payload length {len(payload)} != expected {expected}", 24 + hlen)
-    labels = np.frombuffer(payload, dtype=np.uint8).reshape(X, Y, Z).copy()
-    origin = Pose2(**header["origin"])
-    table = SemanticTable.from_json(header["table"])
-    cls = GlobalMap if header.get("global") else OccupancyGrid
-    return cls(labels, header["voxel_size"], origin, table)
+    dims, vox, origin, table, is_global = _parse_header(data[24:24 + hlen])
+    payload = container_payload(data, 24 + hlen, dims[0] * dims[1] * dims[2])
+    labels = np.frombuffer(payload, dtype=np.uint8).reshape(dims).copy()
+    cls = GlobalMap if is_global else OccupancyGrid
+    return cls(labels, vox, origin, table)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .agents import (DEFAULT_ASSETS, Agent, ProceduralLayoutSource,
                      _route_heading, spawn_agents)
-from .geometry import Pose2
+from .geometry import Pose2, arc_length, resample_polyline
 from .occupancy import GlobalMap, OccupancyGrid, crop, overlay
 from .routing import RouteNetwork, astar, build_route_network
 
@@ -125,15 +125,10 @@ def bezier_transition(p0: np.ndarray, h0: np.ndarray, p1: np.ndarray,
     t = np.linspace(0.0, 1.0, n)[:, None]
     pts = ((1 - t) ** 3 * p0 + 3 * (1 - t) ** 2 * t * c0
            + 3 * (1 - t) * t ** 2 * c1 + t ** 3 * p1)
-    # uniform arc resample
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    s = np.concatenate([[0.0], np.cumsum(seg)])
+    s = arc_length(pts)
     if s[-1] <= 0:
         return pts[:1]
-    targets = np.arange(0.0, s[-1], ds)
-    x = np.interp(targets, s, pts[:, 0])
-    y = np.interp(targets, s, pts[:, 1])
-    return np.stack([x, y], axis=1)
+    return resample_polyline(pts, s, np.arange(0.0, s[-1], ds))
 
 
 def maybe_lane_change(agent: Agent, leader: Agent, s: float, dv: float,
@@ -168,25 +163,18 @@ def maybe_lane_change(agent: Agent, leader: Agent, s: float, dv: float,
     return True
 
 
-def _route_arclength(route: np.ndarray) -> np.ndarray:
-    seg = np.linalg.norm(np.diff(route, axis=0), axis=1)
-    return np.concatenate([[0.0], np.cumsum(seg)])
-
-
 def advance_along_route(agent: Agent, dist: float) -> None:
     """Move the agent dist meters along its route; completion deactivates it."""
     if len(agent.route) < 2:
         agent.active = agent.static
         return
-    s = _route_arclength(agent.route)
+    s = arc_length(agent.route)
     agent.route_s += dist
     if agent.route_s >= s[-1]:
         agent.position = agent.route[-1].copy()
         agent.active = False
         return
-    x = np.interp(agent.route_s, s, agent.route[:, 0])
-    y = np.interp(agent.route_s, s, agent.route[:, 1])
-    new_pos = np.array([x, y])
+    new_pos = resample_polyline(agent.route, s, agent.route_s)
     step = new_pos - agent.position
     n = np.linalg.norm(step)
     if n > 1e-9:
@@ -217,12 +205,6 @@ def _fov_contains(ego_pose: Pose2, pos: np.ndarray, fov_dims, vox: float) -> boo
     return bool(np.all(np.abs(local) <= half))
 
 
-def _path_arclengths(poses) -> np.ndarray:
-    pts = np.array([[p.x, p.y] for p in poses])
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    return np.concatenate([[0.0], np.cumsum(seg)])
-
-
 def _pose_at_offset(poses, s_path: np.ndarray, anchor_idx: int, offset: float):
     """Pose at a signed arc-length offset along the recorded path, or None
     when the path is exhausted in that direction."""
@@ -249,20 +231,18 @@ class Simulator:
         self.layout_source = layout_source or ProceduralLayoutSource(lanes)
         self.ego_speed_hook = ego_speed_hook
         self.rng = np.random.default_rng(self.params.seed)
-        self._s_path = _path_arclengths(self.ego_path)
+        self._path_pts = np.array([[p.x, p.y] for p in self.ego_path])
+        self._s_path = arc_length(self._path_pts)
 
     # -- spawning ---------------------------------------------------------
 
     def _spawn(self, anchor: Pose2, b_ego: bool):
-        try:
-            return spawn_agents(
-                anchor, b_ego, self.gmap, self.lanes, self.network,
-                self.valid_endpoints, self.assets,
-                (self.params.speed_mu, self.params.speed_sigma),
-                self.layout_source, self.rng,
-                crop_dims=self.params.fov_dims)
-        except ValueError:
-            raise
+        return spawn_agents(
+            anchor, b_ego, self.gmap, self.lanes, self.network,
+            self.valid_endpoints, self.assets,
+            (self.params.speed_mu, self.params.speed_sigma),
+            self.layout_source, self.rng,
+            crop_dims=self.params.fov_dims)
 
     def init_state(self, ego_pose_index: int = None) -> SimState:
         if ego_pose_index is None:
@@ -296,8 +276,7 @@ class Simulator:
                 or _fov_contains(ego_pose, a.position, params.fov_dims, vox)]
         state.agents = kept
         # nearest recorded pose to the current ego position anchors the respawn
-        pts = np.array([[p.x, p.y] for p in self.ego_path])
-        anchor_idx = int(np.argmin(np.linalg.norm(pts - state.ego.position, axis=1)))
+        anchor_idx = int(np.argmin(np.linalg.norm(self._path_pts - state.ego.position, axis=1)))
         spawned_any = False
         for offset in (params.d_pre, -params.d_pre):
             pose = _pose_at_offset(self.ego_path, self._s_path, anchor_idx, offset)
@@ -312,13 +291,10 @@ class Simulator:
     def agent_step(self, state: SimState) -> None:
         params = self.params
         idm = params.idm
-        snapshot = [(a, a.position.copy(), a.heading.copy(), a.speed)
-                    for a in state.agents]
-        for agent, _, _, _ in snapshot:
+        for agent in state.agents:
             if agent.static or not agent.active:
                 continue
-            others = [a for a, _, _, _ in snapshot if a is not agent]
-            leader = select_leader(agent, others, params.d_lat)
+            leader = select_leader(agent, state.agents, params.d_lat)
             if leader is None:
                 a_cmd = idm_accel(agent.speed, idm.v0, 0.0, math.inf, idm)
             else:

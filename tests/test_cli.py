@@ -1,10 +1,13 @@
 import json
+import struct
 
 import numpy as np
 
-from voxsim.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, main, stage_seed,
-                        worker_cap)
+from voxsim.agents import write_heatmap
+from voxsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main, stage_seed
+from voxsim.geometry import Pose2
 from voxsim.metrics import write_features
+from voxsim.occupancy import MAGIC, GlobalMap, default_table, write_grid
 
 
 PIPELINE_CONFIG = {
@@ -21,14 +24,6 @@ class TestStageSeed:
         assert stage_seed(42, "fuse") == stage_seed(42, "fuse")
         assert stage_seed(42, "fuse") != stage_seed(42, "topo")
         assert stage_seed(42, "fuse") != stage_seed(43, "fuse")
-
-    def test_worker_cap_env(self, monkeypatch):
-        monkeypatch.setenv("OCCSIM_THREADS", "4")
-        assert worker_cap() == 4
-        monkeypatch.setenv("OCCSIM_THREADS", "junk")
-        assert worker_cap() == 1
-        monkeypatch.setenv("OCCSIM_THREADS", "0")
-        assert worker_cap() == 1
 
 
 class TestExitCodes:
@@ -50,11 +45,51 @@ class TestExitCodes:
         assert code == EXIT_IO
 
     def test_corrupt_map_is_io_error(self, tmp_path):
-        bad = tmp_path / "bad.occg"
-        bad.write_bytes(b"garbage" * 10)
-        code = main(["topo", "--map", str(bad),
-                     "--out", str(tmp_path / "g.json")])
-        assert code == EXIT_IO
+        def occg(header, payload=b"\0" * 8):
+            blob = header if isinstance(header, bytes) else json.dumps(header).encode()
+            return MAGIC + struct.pack("<IQ", 1, len(blob)) + blob + payload
+
+        header = {"dims": [2, 2, 2], "voxel_size": 0.4,
+                  "origin": {"x": 0.0, "y": 0.0, "yaw": 0.0},
+                  "table": default_table().to_json(), "global": True}
+        maps = {
+            "garbage": b"garbage" * 10,
+            "bad JSON": occg(b"{not json"),
+            "deeply nested JSON": occg(b"[" * 100000),
+            "missing dims": occg({k: v for k, v in header.items() if k != "dims"}),
+            "negative dims": occg({**header, "dims": [-2, -2, 2]}),
+            "NaN origin": occg({**header, "origin": {"x": float("nan"), "y": 0.0, "yaw": 0.0}}),
+            "negative voxel_size": occg({**header, "voxel_size": -0.4}),
+        }
+        for name, data in maps.items():
+            bad = tmp_path / "bad.occg"
+            bad.write_bytes(data)
+            code = main(["topo", "--map", str(bad),
+                         "--out", str(tmp_path / "g.json")])
+            assert code == EXIT_IO, name
+
+        feat = tmp_path / "a.feat"
+        write_features(np.ones((4, 2)), feat)
+        feat.write_bytes(feat.read_bytes()[:12])
+        assert main(["metrics", "vendi", "--a", str(feat)]) == EXIT_IO, "FEATSET1"
+
+        # a spawnable world, so that only the layout heatmap is at fault
+        labels = np.full((50, 50, 2), default_table().road_id, dtype=np.uint8)
+        write_grid(GlobalMap(labels, 0.4, Pose2()), tmp_path / "map.occg")
+        (tmp_path / "lanes.json").write_text(json.dumps([{
+            "id": 0, "points": [[2.0, 10.0], [18.0, 10.0]],
+            "offset_index": 0, "source_segment": 0}]))
+        (tmp_path / "graph.json").write_text(json.dumps({
+            "nodes": [{"id": 0, "x": 45, "y": 25}], "edges": [],
+            "valid_endpoints": [0]}))
+        layout = tmp_path / "layout.hm"
+        write_heatmap(np.zeros((4, 4)), 0.4, layout)
+        layout.write_bytes(layout.read_bytes()[:-5])
+        code = main(["spawn", "--map", str(tmp_path / "map.occg"),
+                     "--lanes", str(tmp_path / "lanes.json"),
+                     "--graph", str(tmp_path / "graph.json"),
+                     "--layout", str(layout), "--out", str(tmp_path / "agents.json")])
+        assert code == EXIT_IO, "HEATMAP1"
 
     def test_bad_config_json(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
-from voxsim.lanes import (Lane, LaneParams, _arc_resample, estimate_width,
-                          extract_lanes, fit_centerline, load_lanes,
-                          normal_vectors, offset_lanes, resolve_overlaps,
-                          save_lanes)
+from voxsim.lanes import (Lane, LaneParams, estimate_width, extract_lanes,
+                          fit_centerline, load_lanes, normal_vectors,
+                          offset_lanes, resolve_overlaps, save_lanes)
 from voxsim.topology import extract_topology
 
 from conftest import make_map
@@ -34,8 +34,8 @@ class TestCenterlineFit:
             fit_centerline(np.zeros((5, 2)), 0.5)
 
     def test_arc_resample_spacing(self):
-        pts = np.stack([np.linspace(0, 10, 7), np.zeros(7)], axis=1)
-        out = _arc_resample(pts, 0.5)
+        pts = np.stack([np.linspace(0, 10, 11), np.zeros(11)], axis=1)
+        out = fit_centerline(pts, 0.5)
         assert len(out) == 21
         assert np.allclose(out[:, 0], np.linspace(0, 10, 21))
 
@@ -55,7 +55,7 @@ class TestNormalsAndWidth:
         plane[:, 20:47] = table.road_id  # 27 px = 10.8 m
         mask = plane == table.road_id
         center = np.stack([np.arange(10, 90, 1.0), np.full(80, 33.0)], axis=1)
-        w = estimate_width(center, mask, 0.4)
+        w = estimate_width(center, ndimage.distance_transform_edt(mask) * 0.4)
         assert w == pytest.approx(10.8, abs=0.9)
 
 

@@ -1,9 +1,14 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from voxsim.agents import read_heatmap, write_heatmap
 from voxsim.geometry import Pose2
+from voxsim.metrics import read_features, write_features
 from voxsim.occupancy import (DEFAULT_CROP_DIMS, GlobalMap, GridFormatError,
                               OccupancyGrid, SemanticTable, crop,
                               default_table, overlay, read_grid, write_grid)
@@ -100,6 +105,48 @@ class TestGridIO:
         path = tmp_path / "full.occg"
         write_grid(g, path)
         assert read_grid(path).dims == DEFAULT_CROP_DIMS
+
+
+READERS = {"g.occg": read_grid, "h.hm": read_heatmap, "f.feat": read_features}
+
+
+@pytest.fixture(scope="module")
+def containers(tmp_path_factory):
+    """Directory holding one small file of each binary container format."""
+    d = tmp_path_factory.mktemp("containers")
+    labels = np.arange(24, dtype=np.uint8).reshape(2, 3, 4)
+    write_grid(GlobalMap(labels, 0.4, Pose2(1.5, -2.0, 0.25)), d / "g.occg")
+    write_heatmap(np.linspace(-1.0, 1.0, 12).reshape(3, 4), 0.4, d / "h.hm")
+    write_features(np.arange(6.0).reshape(3, 2), d / "f.feat")
+    return d
+
+
+class TestContainers:
+    def test_writer_bytes_pinned(self, containers):
+        digests = {name: hashlib.sha256((containers / name).read_bytes()).hexdigest()
+                   for name in READERS}
+        assert digests == {
+            "g.occg": "0df2de87a297b2c16ce58904cbfd3038b4888766dc72b7e2391ed4790b92fcf0",
+            "h.hm": "fa5490f8d6520adef466c3065fce57fa5f4b478f1d0f2bb1eadef4d918e4430c",
+            "f.feat": "93970010236e39f0446a053900ad3a3d0fc81e8450ad1d29a917159a53fd6acc",
+        }
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_malformed_bytes_decode_or_raise_format_error(self, containers, data):
+        name = data.draw(st.sampled_from(sorted(READERS)))
+        blob = bytearray((containers / name).read_bytes())
+        edits = data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1),
+                                             st.integers(0, 255)), max_size=4))
+        for pos, byte in edits:
+            blob[pos] = byte
+        blob = blob[:data.draw(st.integers(0, len(blob)))]
+        path = containers / ("fuzz-" + name)
+        path.write_bytes(bytes(blob))
+        try:
+            READERS[name](path)
+        except GridFormatError:
+            pass
 
 
 class TestCrop:
