@@ -3,7 +3,7 @@
 Subcommands mirror the stages: synth, fuse, topo, lanes, spawn, simulate,
 metrics, and a pipeline command running all of them end to end with a single
 root seed. Exit codes: 0 success, 2 config error, 3 stage failure, 4 I/O
-error.
+or input format error.
 """
 
 from __future__ import annotations
@@ -354,7 +354,8 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FileNotFoundError, OSError, occupancy.GridFormatError) as e:
+    except (FileNotFoundError, OSError, occupancy.GridFormatError,
+            occupancy.InputFormatError) as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return EXIT_IO
     except Exception as e:

@@ -3,7 +3,9 @@
 Phase 1 selects spatially separated keyframes, phase 2 writes them first-wins
 into a fresh world map and sinks columns to the ground plane, phase 3 inpaints
 the remaining gaps with per-category votes from the non-keyframes, and phase 4
-cleans the result morphologically.
+cleans the result morphologically. Phase 3 counts votes only for the voxels
+phase 2 left unassigned, so its tally scales with those holes, not with the
+map.
 """
 
 from __future__ import annotations
@@ -170,17 +172,30 @@ def _mode_fill_ground(gmap: GlobalMap, table) -> None:
 def vote_inpaint(gmap: GlobalMap, frames, poses, non_keys, tau_vote: int) -> GlobalMap:
     """Pass 2: per-category indicator votes from warped non-keyframes fill the
     still-unassigned voxels; argmax wins if it reaches tau_vote, ties break
-    toward the lowest category id. Pass-1 voxels are never modified."""
+    toward the lowest category id. Pass-1 voxels are never modified.
+
+    Votes are counted only for the voxels pass 1 left unassigned: a slot map
+    sends each such hole to a row of a compact (n_holes, C) tally, so memory
+    scales with the holes, not with the map. A frame casts at most one vote
+    per (hole, category), because ``_frame_to_map_indices`` yields each map
+    cell at most once, so a plain fancy increment counts exactly.
+    """
     table = gmap.table
     out = gmap.labels.copy()
     unassigned = out == table.unassigned_id
-    if not unassigned.any() or not non_keys:
+    n_holes = int(np.count_nonzero(unassigned))
+    if not n_holes or not non_keys:
         return GlobalMap(out, gmap.voxel_size, gmap.origin, table)
 
+    hole_column = unassigned.any(axis=2)
+    slot = np.full(out.shape, -1, dtype=np.int32)  # hole -> tally row
+    slot[unassigned] = np.arange(n_holes, dtype=np.int32)
     cids = sorted(table.ids)
-    cindex = {c: i for i, c in enumerate(cids)}
-    Z = out.shape[2]
-    votes = np.zeros(out.shape + (len(cids),), dtype=np.uint16)
+    levels = np.arange(256)  # every value a uint8 label can take
+    column = np.full(256, -1, dtype=np.int16)  # label value -> tally column
+    for col, cid in enumerate(cids):
+        column[levels == cid] = col
+    votes = np.zeros((n_holes, len(cids)), dtype=np.uint16)
 
     dims = frames[non_keys[0]].dims
     for t in non_keys:
@@ -188,19 +203,16 @@ def vote_inpaint(gmap: GlobalMap, frames, poses, non_keys, tau_vote: int) -> Glo
         if hit is None:
             continue
         gx, gy, fx, fy = hit
-        src = frames[t].labels[fx, fy, :]  # (n, Z)
-        for cid in cids:
-            sel = src == cid
-            if not sel.any():
-                continue
-            n_idx, z_idx = np.nonzero(sel)
-            np.add.at(votes, (gx[n_idx], gy[n_idx], z_idx, cindex[cid]), 1)
+        sel = hole_column[gx, gy]  # cells whose column still has a hole
+        rows = slot[gx[sel], gy[sel], :]                     # (n, Z)
+        cls = column[frames[t].labels[fx[sel], fy[sel], :]]  # (n, Z)
+        ok = (rows >= 0) & (cls >= 0)
+        votes[rows[ok], cls[ok]] += 1
 
-    max_votes = votes.max(axis=3)
-    winner = np.argmax(votes, axis=3)  # first (lowest-id) argmax on ties
-    assign = unassigned & (max_votes >= tau_vote)
-    cid_arr = np.array(cids, dtype=np.uint8)
-    out[assign] = cid_arr[winner[assign]]
+    winner = np.argmax(votes, axis=1)  # first (lowest-id) argmax on ties
+    filled = np.array(cids, dtype=np.uint8)[winner]
+    filled[votes.max(axis=1) < tau_vote] = table.unassigned_id
+    out[unassigned] = filled
     return GlobalMap(out, gmap.voxel_size, gmap.origin, table)
 
 

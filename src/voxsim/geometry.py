@@ -122,10 +122,10 @@ class Trajectory:
 
 def load_trajectory(path) -> Trajectory:
     """Read a trajectory from a JSON array of {t, x, y, yaw} records."""
-    with open(path) as fh:
-        records = json.load(fh)
-    samples = tuple((r["t"], Pose2(r["x"], r["y"], r["yaw"])) for r in records)
-    return Trajectory(samples)
+    from .occupancy import load_json_input  # occupancy imports this module
+
+    return load_json_input(path, lambda records: Trajectory(tuple(
+        (r["t"], Pose2(r["x"], r["y"], r["yaw"])) for r in records)))
 
 
 def save_trajectory(traj: Trajectory, path) -> None:

@@ -18,6 +18,7 @@ from scipy import interpolate, ndimage
 from scipy.spatial import cKDTree
 
 from .geometry import arc_length, resample_polyline
+from .occupancy import load_json_input
 
 
 @dataclass
@@ -207,7 +208,6 @@ def save_lanes(lanes, path) -> None:
 
 
 def load_lanes(path):
-    with open(path) as fh:
-        obj = json.load(fh)
-    return [Lane(np.asarray(l["points"]), l["source_segment"], l["offset_index"])
-            for l in obj]
+    return load_json_input(path, lambda obj: [
+        Lane(np.asarray(l["points"]), l["source_segment"], l["offset_index"])
+        for l in obj])

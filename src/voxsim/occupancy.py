@@ -189,6 +189,21 @@ class GridFormatError(ValueError):
         self.offset = offset
 
 
+class InputFormatError(ValueError):
+    """Malformed JSON input file (road graph, lanes or trajectory)."""
+
+
+def load_json_input(path, parse):
+    """Decode the JSON file at ``path`` and build the result with ``parse``.
+    Undecodable JSON or a record ``parse`` cannot use (a missing key, a value
+    of the wrong type) is an InputFormatError naming the file."""
+    try:
+        with open(path) as fh:
+            return parse(json.load(fh))
+    except (KeyError, TypeError, ValueError, RecursionError) as e:
+        raise InputFormatError(f"malformed {path}: {e!r}") from e
+
+
 def read_container(data: bytes, magic: bytes, fields: str) -> tuple:
     """Check the magic at the start of a binary container and unpack the
     fixed fields that follow it (``fields`` is a ``struct`` format)."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import networkx as nx
 import numpy as np
 
-from .occupancy import GlobalMap
+from .occupancy import GlobalMap, load_json_input
 
 log = logging.getLogger(__name__)
 
@@ -344,8 +344,10 @@ def save_graph(g: nx.Graph, valid_endpoints, path) -> None:
 
 
 def load_graph(path):
-    with open(path) as fh:
-        obj = json.load(fh)
+    return load_json_input(path, _graph_from_json)
+
+
+def _graph_from_json(obj):
     coords = {n["id"]: (n["x"], n["y"]) for n in obj["nodes"]}
     g = nx.Graph()
     g.add_nodes_from(coords.values())

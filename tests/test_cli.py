@@ -19,6 +19,18 @@ PIPELINE_CONFIG = {
 }
 
 
+def _spawnable_world(tmp_path):
+    """map.occg, lanes.json and graph.json of a small all-road world."""
+    labels = np.full((50, 50, 2), default_table().road_id, dtype=np.uint8)
+    write_grid(GlobalMap(labels, 0.4, Pose2()), tmp_path / "map.occg")
+    (tmp_path / "lanes.json").write_text(json.dumps([{
+        "id": 0, "points": [[2.0, 10.0], [18.0, 10.0]],
+        "offset_index": 0, "source_segment": 0}]))
+    (tmp_path / "graph.json").write_text(json.dumps({
+        "nodes": [{"id": 0, "x": 45, "y": 25}], "edges": [],
+        "valid_endpoints": [0]}))
+
+
 class TestStageSeed:
     def test_deterministic_and_stage_dependent(self):
         assert stage_seed(42, "fuse") == stage_seed(42, "fuse")
@@ -74,14 +86,7 @@ class TestExitCodes:
         assert main(["metrics", "vendi", "--a", str(feat)]) == EXIT_IO, "FEATSET1"
 
         # a spawnable world, so that only the layout heatmap is at fault
-        labels = np.full((50, 50, 2), default_table().road_id, dtype=np.uint8)
-        write_grid(GlobalMap(labels, 0.4, Pose2()), tmp_path / "map.occg")
-        (tmp_path / "lanes.json").write_text(json.dumps([{
-            "id": 0, "points": [[2.0, 10.0], [18.0, 10.0]],
-            "offset_index": 0, "source_segment": 0}]))
-        (tmp_path / "graph.json").write_text(json.dumps({
-            "nodes": [{"id": 0, "x": 45, "y": 25}], "edges": [],
-            "valid_endpoints": [0]}))
+        _spawnable_world(tmp_path)
         layout = tmp_path / "layout.hm"
         write_heatmap(np.zeros((4, 4)), 0.4, layout)
         layout.write_bytes(layout.read_bytes()[:-5])
@@ -90,6 +95,38 @@ class TestExitCodes:
                      "--graph", str(tmp_path / "graph.json"),
                      "--layout", str(layout), "--out", str(tmp_path / "agents.json")])
         assert code == EXIT_IO, "HEATMAP1"
+
+    def test_malformed_json_input_is_io_error(self, tmp_path):
+        _spawnable_world(tmp_path)
+        (tmp_path / "traj.json").write_text(json.dumps(
+            [{"t": 0.0, "x": 10.0, "y": 10.0, "yaw": 0.0}]))
+        world = {"map": tmp_path / "map.occg", "lanes": tmp_path / "lanes.json",
+                 "graph": tmp_path / "graph.json", "poses": tmp_path / "traj.json"}
+        cases = [
+            ("lanes", "graph", "{not json"),
+            ("lanes", "graph", "[" * 100000),
+            ("lanes", "graph", json.dumps({"nodes": [{"id": 0}], "edges": [],
+                                           "valid_endpoints": []})),
+            ("lanes", "graph", json.dumps({"nodes": 5, "edges": [],
+                                           "valid_endpoints": []})),
+            ("spawn", "lanes", "[{}]"),
+            ("spawn", "lanes", json.dumps([{"points": "abc", "offset_index": 0,
+                                            "source_segment": 0}])),
+            ("simulate", "poses", "{bad"),
+            ("simulate", "poses", json.dumps([{"t": 0.0, "x": "a", "y": 0.0,
+                                               "yaw": 0.0}])),
+        ]
+        for command, flag, text in cases:
+            bad = tmp_path / "bad.json"
+            bad.write_text(text)
+            paths = {**world, flag: bad}
+            argv = [command, "--map", str(paths["map"]), "--graph", str(paths["graph"])]
+            if command != "lanes":
+                argv += ["--lanes", str(paths["lanes"])]
+            if command == "simulate":
+                argv += ["--poses", str(paths["poses"])]
+            argv += ["--out", str(tmp_path / "out")]
+            assert main(argv) == EXIT_IO, (command, flag, text[:40])
 
     def test_bad_config_json(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,10 +1,16 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from voxsim.fusion import (FusionParams, fuse_keyframes, fuse_sequence,
-                           refine_morphology, select_keyframes, vote_inpaint)
+from voxsim.fusion import (FusionParams, _frame_to_map_indices, fuse_keyframes,
+                           fuse_sequence, refine_morphology, select_keyframes,
+                           vote_inpaint)
 from voxsim.geometry import Pose2
-from voxsim.occupancy import GlobalMap
+from voxsim.occupancy import GlobalMap, OccupancyGrid, default_table
 from voxsim.synthworld import (WorldSpec, generate_world, sample_frames,
                                straight_trajectory)
 
@@ -130,6 +136,130 @@ class TestVoteInpaint:
         gmap.labels[3, 3, 0] = table.road_id
         out = vote_inpaint(gmap, frames, poses, list(range(len(frames))), 3)
         assert out.labels[3, 3, 0] == table.road_id
+
+
+def dense_vote_inpaint(gmap, frames, poses, non_keys, tau_vote):
+    """Reference: the dense (X, Y, Z, C) tally filled with np.add.at."""
+    table = gmap.table
+    out = gmap.labels.copy()
+    unassigned = out == table.unassigned_id
+    if not unassigned.any() or not non_keys:
+        return GlobalMap(out, gmap.voxel_size, gmap.origin, table)
+
+    cids = sorted(table.ids)
+    cindex = {c: i for i, c in enumerate(cids)}
+    votes = np.zeros(out.shape + (len(cids),), dtype=np.uint16)
+
+    dims = frames[non_keys[0]].dims
+    for t in non_keys:
+        hit = _frame_to_map_indices(gmap, poses[t], dims)
+        if hit is None:
+            continue
+        gx, gy, fx, fy = hit
+        src = frames[t].labels[fx, fy, :]  # (n, Z)
+        for cid in cids:
+            sel = src == cid
+            if not sel.any():
+                continue
+            n_idx, z_idx = np.nonzero(sel)
+            np.add.at(votes, (gx[n_idx], gy[n_idx], z_idx, cindex[cid]), 1)
+
+    max_votes = votes.max(axis=3)
+    winner = np.argmax(votes, axis=3)  # first (lowest-id) argmax on ties
+    assign = unassigned & (max_votes >= tau_vote)
+    cid_arr = np.array(cids, dtype=np.uint8)
+    out[assign] = cid_arr[winner[assign]]
+    return GlobalMap(out, gmap.voxel_size, gmap.origin, table)
+
+
+@st.composite
+def vote_worlds(draw):
+    """A small pass-1 map with 0%, some or 100% of its voxels unassigned and
+    rotated, translated, overlapping non-keyframes whose labels include the
+    unassigned id; a tie pair puts two constant frames at one pose."""
+    table = default_table()
+    vox = 0.4
+    nx, ny = draw(st.integers(4, 14)), draw(st.integers(4, 14))
+    Z = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = np.array((table.unassigned_id,) + table.ids, dtype=np.uint8)
+    labels = rng.choice(np.array(table.ids, dtype=np.uint8), size=(nx, ny, Z))
+    holes = draw(st.sampled_from(["none", "partial", "all"]))
+    if holes == "all":
+        labels[...] = table.unassigned_id
+    elif holes == "partial":
+        labels[rng.random(labels.shape) < draw(st.floats(0.05, 0.95))] = table.unassigned_id
+    gmap = GlobalMap(labels, vox, Pose2(0.0, 0.0, 0.0), table)
+
+    X, Y = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    pose_st = st.builds(Pose2, st.floats(0.0, nx * vox), st.floats(0.0, ny * vox),
+                        st.floats(-math.pi, math.pi))
+    frames, poses = [], []
+    for pose in draw(st.lists(pose_st, min_size=1, max_size=6)):
+        for _ in range(draw(st.integers(1, 3))):  # repeats overlap exactly
+            frames.append(OccupancyGrid(rng.choice(values, size=(X, Y, Z)), vox,
+                                        pose, table))
+            poses.append(pose)
+    if draw(st.booleans()):
+        pose = draw(pose_st)
+        a, b = draw(st.lists(st.sampled_from(table.ids), min_size=2, max_size=2,
+                             unique=True))
+        for cid in (a, b, b, a):
+            frames.append(OccupancyGrid(np.full((X, Y, Z), cid, dtype=np.uint8),
+                                        vox, pose, table))
+            poses.append(pose)
+    non_keys = draw(st.lists(st.sampled_from(range(len(frames))), unique=True))
+    return gmap, frames, poses, non_keys, draw(st.integers(1, 4))
+
+
+class TestVoteInpaintEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(vote_worlds())
+    def test_compact_tally_matches_dense_reference(self, world):
+        gmap, frames, poses, non_keys, tau = world
+        before = gmap.labels.copy()
+        out = vote_inpaint(gmap, frames, poses, non_keys, tau)
+        ref = dense_vote_inpaint(gmap, frames, poses, non_keys, tau)
+        assert out.labels.dtype == np.uint8
+        assert np.array_equal(out.labels, ref.labels)
+        assigned = before != gmap.table.unassigned_id
+        assert np.array_equal(out.labels[assigned], before[assigned])
+        assert np.array_equal(gmap.labels, before)
+
+    @pytest.mark.parametrize("pose", [
+        Pose2(5.0, 6.0, 0.0), Pose2(5.3, 4.1, math.pi / 2), Pose2(6.1, 5.7, 0.3),
+        Pose2(4.9, 5.2, math.pi / 4), Pose2(5.5, 5.5, 1.0), Pose2(3.7, 6.3, -2.5),
+        Pose2(0.2, 11.9, 2.9), Pose2(7.77, 2.03, -1.234),
+    ])
+    def test_frame_to_map_indices_yields_each_map_cell_at_most_once(self, pose, table):
+        # the compact tally's plain `votes[rows, cls] += 1` is exact only
+        # because one frame never maps two sources onto one map cell
+        gmap = GlobalMap(np.zeros((30, 30, 2), dtype=np.uint8), 0.4, Pose2(), table)
+        gx, gy, fx, fy = _frame_to_map_indices(gmap, pose, (20, 16, 2))
+        assert gx.size > 0
+        cells = gx * gmap.dims[1] + gy
+        assert np.unique(cells).size == cells.size
+
+    def test_tally_memory_scales_with_holes_not_map(self, table):
+        # pass 1 assigned 95% of a 150 x 150 x 16 map; the dense tally alone
+        # would take labels.size * C * 2 bytes
+        rng = np.random.default_rng(0)
+        labels = np.full((150, 150, 16), table.road_id, dtype=np.uint8)
+        labels[rng.random(labels.shape) < 0.05] = table.unassigned_id
+        gmap = GlobalMap(labels, 0.4, Pose2(), table)
+        poses = [Pose2(10.0 + 4.0 * i, 30.0, 0.2 * i) for i in range(10)]
+        frames = [OccupancyGrid(rng.choice(np.array(table.ids, dtype=np.uint8),
+                                           size=(40, 40, 16)), 0.4, p, table)
+                  for p in poses]
+        dense_bytes = labels.size * len(table.ids) * 2
+        tracemalloc.start()
+        try:
+            out = vote_inpaint(gmap, frames, poses, list(range(10)), 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (out.labels != table.unassigned_id).sum() > (labels != 0).sum()
+        assert peak < dense_bytes, (peak, dense_bytes)
 
 
 class TestMorphology:
