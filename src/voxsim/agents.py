@@ -12,7 +12,7 @@ import numpy as np
 from .geometry import Pose2
 from .occupancy import (GlobalMap, GridFormatError, OccupancyGrid,
                         container_payload, crop, read_container)
-from .routing import RouteNetwork, astar
+from .routing import RouteNetwork
 
 log = logging.getLogger(__name__)
 
@@ -289,9 +289,9 @@ def spawn_agents(anchor: Pose2, b_ego: bool, gmap: GlobalMap, lanes,
 
     The layout source proposes local positions (the anchor itself is appended
     when b_ego); each agent gets a Normal(mu, sigma) speed clamped at zero, a
-    uniform valid endpoint target, a uniform asset, an A* route over the lane
-    network, and the route tangent as initial heading. Agents that cannot
-    snap or route are discarded with a log entry.
+    uniform valid endpoint target, a uniform asset, a shortest route over the
+    lane network (``RouteNetwork.path_to``), and the route tangent as initial
+    heading. Agents that cannot snap or route are discarded with a log entry.
     """
     if not lanes:
         raise ValueError("cannot spawn without lanes")
@@ -328,7 +328,7 @@ def spawn_agents(anchor: Pose2, b_ego: bool, gmap: GlobalMap, lanes,
                                 lane_id=network.lane_of[node]))
             continue
         goal = network.nearest_node(target, math.inf)
-        found = astar(network.adjacency, network.positions, node, goal)
+        found = network.path_to(node, goal)
         if found is None:
             log.info("no route from %s to %s; agent discarded", pos, target)
             continue

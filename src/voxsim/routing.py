@@ -2,8 +2,12 @@
 
 Lanes become a weighted point graph: consecutive samples connect along each
 lane, and lane endpoints link to nearby samples of other lanes so routes can
-flow through junctions. Shortest paths use A* with the straight-line
-heuristic, which is admissible because edge weights are Euclidean lengths.
+flow through junctions. Agents route through cached goal-rooted
+shortest-path trees: the first query for a goal runs one Dijkstra from that
+goal over the whole network, and every later query toward it walks the
+tree's predecessor links (``RouteNetwork.path_to``). ``astar`` remains the
+single-pair search, with the straight-line heuristic, which is admissible
+because edge weights are Euclidean lengths.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ import heapq
 import math
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
 
@@ -19,7 +25,8 @@ class RouteNetwork:
     """Bidirectional point graph over lane samples.
 
     Nodes are integers; ``positions[i]`` is the world-meter coordinate and
-    ``lane_of[i]`` the owning lane index.
+    ``lane_of[i]`` the owning lane index. ``adjacency`` is read once, on the
+    first ``path_to`` query, so it must not change after that.
     """
 
     def __init__(self, positions, lane_of, adjacency):
@@ -27,6 +34,50 @@ class RouteNetwork:
         self.lane_of = list(lane_of)
         self.adjacency = adjacency  # node -> list of (node, weight)
         self._tree = cKDTree(self.positions) if len(self.positions) else None
+        self._reverse_csr = None
+        self._goal_trees = {}  # goal -> (dist float64, pred int32) arrays
+
+    def path_to(self, start: int, goal: int):
+        """Shortest route from start to goal as (node list, cost), or None
+        when goal is unreachable.
+
+        The first query for a goal runs one Dijkstra rooted at it over the
+        reversed edges, so ``dist[n]`` is the cost from n to the goal and
+        ``pred[n]`` the next node on that route; the arrays are cached, and
+        every query walks them from start.
+        """
+        tree = self._goal_trees.get(goal)
+        if tree is None:
+            tree = self._goal_trees[goal] = self._goal_tree(goal)
+        dist, pred = tree
+        if math.isinf(dist[start]):
+            return None
+        path = [start]
+        node = start
+        while node != goal:
+            node = int(pred[node])
+            path.append(node)
+        return path, float(dist[start])
+
+    def _goal_tree(self, goal: int):
+        if self._reverse_csr is None:
+            n = len(self.positions)
+            src, dst, w = [], [], []
+            for a, nbrs in self.adjacency.items():
+                for b, wb in nbrs:
+                    src.append(a)
+                    dst.append(b)
+                    w.append(wb)
+            # Edge a -> b is stored at (b, a). Explicit zeros stay stored:
+            # csgraph reads a stored zero as a zero-weight edge (coincident
+            # samples of two lanes), so never call eliminate_zeros here.
+            self._reverse_csr = csr_matrix(
+                (np.asarray(w, dtype=float), (np.asarray(dst, dtype=np.int64),
+                                              np.asarray(src, dtype=np.int64))),
+                shape=(n, n))
+        dist, pred = dijkstra(self._reverse_csr, indices=goal,
+                              return_predecessors=True)
+        return dist, pred.astype(np.int32, copy=False)
 
     def nearest_node(self, point, max_dist=math.inf):
         if self._tree is None:
@@ -123,7 +174,7 @@ def route_points(network: RouteNetwork, start_point, goal_point,
     t = network.nearest_node(goal_point, math.inf)
     if s is None or t is None:
         return None
-    found = astar(network.adjacency, network.positions, s, t)
+    found = network.path_to(s, t)
     if found is None:
         return None
     path, _ = found

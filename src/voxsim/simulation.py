@@ -17,7 +17,7 @@ from .agents import (DEFAULT_ASSETS, Agent, ProceduralLayoutSource,
                      _route_heading, spawn_agents)
 from .geometry import Pose2, arc_length, resample_polyline
 from .occupancy import GlobalMap, OccupancyGrid, crop, overlay
-from .routing import RouteNetwork, astar, build_route_network
+from .routing import RouteNetwork, build_route_network
 
 log = logging.getLogger(__name__)
 
@@ -108,10 +108,11 @@ def select_leader(agent: Agent, others, d_lat: float = 2.0):
             continue
         if float(rel @ agent.heading) / dist <= 0.5:
             continue
+        if dist >= best_d:
+            continue  # cannot replace the current best: skip the route test
         if _dist_point_polyline(other.position, agent.route) >= d_lat:
             continue
-        if dist < best_d:
-            best, best_d = other, dist
+        best, best_d = other, dist
     return best
 
 
@@ -135,7 +136,7 @@ def maybe_lane_change(agent: Agent, leader: Agent, s: float, dv: float,
                       network: RouteNetwork, params: SimParams) -> bool:
     """Alg trigger: s < d_lc and (closing in, or head-on leader). On success
     the route becomes a Bezier transition onto the nearest parallel lane
-    followed by an A* re-route to the original target."""
+    followed by a shortest re-route to the original target."""
     if s >= params.d_lc:
         return False
     head_on = float(agent.heading @ leader.heading) < -0.5
@@ -149,7 +150,7 @@ def maybe_lane_change(agent: Agent, leader: Agent, s: float, dv: float,
         return False
     p_adj = network.positions[adj]
     goal = network.nearest_node(agent.target, math.inf)
-    found = astar(network.adjacency, network.positions, adj, goal)
+    found = network.path_to(adj, goal)
     if found is None:
         return False
     path, _ = found

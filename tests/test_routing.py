@@ -2,6 +2,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+import voxsim.routing as routing
 from voxsim.lanes import Lane
 from voxsim.routing import (RouteNetwork, astar, build_route_network,
                             route_points)
@@ -55,6 +56,70 @@ class TestAstar:
         pos = np.array([[0.0, 0.0], [5.0, 0.0]])
         adj = {0: [], 1: []}
         assert astar(adj, pos, 0, 1) is None
+
+
+class TestPathTo:
+    def test_matches_astar_on_random_graphs(self):
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            pos, adjacency, g = random_geometric_graph(rng)
+            net = RouteNetwork(pos, [0] * len(pos), adjacency)
+            s, t = (int(v) for v in rng.integers(0, 30, size=2))
+            found = net.path_to(s, t)
+            ref = astar(adjacency, pos, s, t)
+            assert (found is None) == (ref is None)
+            if found is None:
+                continue
+            path, cost = found
+            assert path[0] == s and path[-1] == t
+            assert all(g.has_edge(a, b) for a, b in zip(path, path[1:]))
+            recomputed = sum(g.edges[a, b]["weight"]
+                             for a, b in zip(path, path[1:]))
+            assert cost == pytest.approx(recomputed, abs=1e-9)
+            assert cost == pytest.approx(ref[1], abs=1e-9)
+
+    def test_trivial_self_route(self):
+        pos = np.array([[0.0, 0.0], [1.0, 0.0]])
+        net = RouteNetwork(pos, [0, 0], {0: [(1, 1.0)], 1: [(0, 1.0)]})
+        assert net.path_to(1, 1) == ([1], 0.0)
+
+    def test_disconnected_returns_none(self):
+        pos = np.array([[0.0, 0.0], [5.0, 0.0]])
+        net = RouteNetwork(pos, [0, 1], {0: [], 1: []})
+        assert net.path_to(0, 1) is None
+
+    def test_routes_through_zero_weight_edge(self):
+        # lane b starts on lane a's last sample; with a tiny junction radius
+        # that coincident pair is the only link between the lanes
+        ax = np.arange(0.0, 5.5, 0.5)
+        a = Lane(np.stack([ax, np.zeros_like(ax)], axis=1), 0, 0)
+        b = Lane(np.stack([np.full_like(ax, 5.0), ax], axis=1), 0, 1)
+        net = build_route_network([a, b], junction_radius=0.1)
+        last_a, first_b = len(ax) - 1, len(ax)
+        assert (first_b, 0.0) in net.adjacency[last_a]
+        found = net.path_to(0, 2 * len(ax) - 1)
+        assert found is not None
+        path, cost = found
+        assert [last_a, first_b] == path[len(ax) - 1:len(ax) + 1]
+        assert cost == pytest.approx(10.0, abs=1e-9)
+
+    def test_one_tree_per_goal(self, monkeypatch):
+        calls = []
+        dijkstra = routing.dijkstra
+
+        def counting_dijkstra(*args, **kwargs):
+            calls.append(kwargs["indices"])
+            return dijkstra(*args, **kwargs)
+
+        monkeypatch.setattr(routing, "dijkstra", counting_dijkstra)
+        rng = np.random.default_rng(1)
+        pos, adjacency, _ = random_geometric_graph(rng, n=300, k=6)
+        net = RouteNetwork(pos, [0] * len(pos), adjacency)
+        goals = rng.choice(len(pos), size=5, replace=False)
+        for s in rng.integers(0, len(pos), size=200):
+            for t in goals:
+                net.path_to(int(s), int(t))
+        assert sorted(calls) == sorted(int(t) for t in goals)
 
 
 class TestRouteNetwork:

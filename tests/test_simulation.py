@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voxsim.agents import AgentAsset, Agent
 from voxsim.lanes import Lane
 from voxsim.routing import build_route_network
 from voxsim.simulation import (IdmParams, SimParams, Simulator,
-                               advance_along_route, bezier_transition,
-                               boxes_overlap, idm_accel, maybe_lane_change,
-                               select_leader, snapshot_state)
+                               _dist_point_polyline, advance_along_route,
+                               bezier_transition, boxes_overlap, idm_accel,
+                               maybe_lane_change, select_leader,
+                               snapshot_state)
 from voxsim.synthworld import (WorldSpec, generate_world, straight_trajectory)
 from voxsim.topology import extract_topology
 from voxsim.lanes import extract_lanes
@@ -100,6 +103,47 @@ class TestIdm:
         assert abs((x_l - x_f) - gap_ref) / gap_ref < 0.05
 
 
+def reference_select_leader(agent, others, d_lat=2.0):
+    """The leader search before the distance prune: every candidate in the
+    cone gets the route-distance test. Kept as the equivalence reference."""
+    best, best_d = None, math.inf
+    for other in others:
+        if other is agent:
+            continue
+        rel = other.position - agent.position
+        dist = np.linalg.norm(rel)
+        if dist <= 1e-9:
+            continue
+        if float(rel @ agent.heading) / dist <= 0.5:
+            continue
+        if _dist_point_polyline(other.position, agent.route) >= d_lat:
+            continue
+        if dist < best_d:
+            best, best_d = other, dist
+    return best
+
+
+@st.composite
+def leader_scenes(draw):
+    """An agent, a candidate list and d_lat. Integer grid coordinates give
+    many equal distances; candidates may sit on the agent, behind it, off
+    its route, or appear twice, and the agent may be in its own list."""
+    grid = st.tuples(st.integers(-8, 8), st.integers(-8, 8))
+    pos = draw(grid)
+    yaw = draw(st.one_of(st.integers(0, 7).map(lambda k: k * math.pi / 4),
+                         st.floats(-math.pi, math.pi)))
+    heading = [math.cos(yaw), math.sin(yaw)]
+    route = [pos] + draw(st.lists(grid, min_size=0, max_size=5))
+    agent = make_agent(*pos, heading, 5.0, route)
+    others = []
+    for p in draw(st.lists(st.one_of(grid, st.just(pos)), max_size=12)):
+        other = make_agent(*p, heading, 5.0, route)
+        others.extend([other] * draw(st.integers(1, 2)))
+    if draw(st.booleans()):
+        others.insert(draw(st.integers(0, len(others))), agent)
+    return agent, others, draw(st.floats(0.5, 6.0))
+
+
 class TestLeaderSelection:
     def test_ahead_on_route_selected(self):
         route = [[0.0, 0.0], [100.0, 0.0]]
@@ -137,6 +181,13 @@ class TestLeaderSelection:
         near = make_agent(10, 0, [1, 0], 5, route)
         far = make_agent(30, 0, [1, 0], 5, route)
         assert select_leader(a, [far, near]) is near
+
+    @settings(max_examples=300, deadline=None)
+    @given(leader_scenes())
+    def test_pruned_search_matches_reference(self, scene):
+        agent, others, d_lat = scene
+        assert (select_leader(agent, others, d_lat)
+                is reference_select_leader(agent, others, d_lat))
 
 
 class TestBezier:
