@@ -118,41 +118,28 @@ def _endpoints_to_world(gmap, valid_px):
             for x, y in valid_px]
 
 
-def _build_sim(map_path, lanes_path, graph_path, traj_path, params_cfg, seed,
-               layout: str = "procedural"):
+def _build_sim(map_path, lanes_path, graph_path, layout, params: SimParams,
+               ego_path=None) -> Simulator:
+    """The simulator spawn and simulate share: map, lanes and valid endpoints
+    loaded and the layout source picked. Without an ego path the map centre
+    is the one recorded pose."""
     gmap = occupancy.read_grid(map_path)
     lanes = lanes_mod.load_lanes(lanes_path)
     _, valid_px = topology.load_graph(graph_path)
-    endpoints = _endpoints_to_world(gmap, valid_px)
-    poses = load_trajectory(traj_path).poses
-    idm_cfg = params_cfg.pop("idm", {})
-    params = SimParams(idm=IdmParams(**idm_cfg), seed=seed % (2 ** 31), **params_cfg)
-    if layout != "procedural":
-        source = agents_mod.FileLayoutSource(layout)
-    else:
-        source = agents_mod.ProceduralLayoutSource(lanes)
-    return Simulator(gmap, lanes, endpoints, poses, params, layout_source=source)
+    if not valid_px:
+        raise ConfigError("graph has no valid endpoints to route toward")
+    if ego_path is None:
+        lo, hi = gmap.extent
+        ego_path = [Pose2(float((lo[0] + hi[0]) / 2), float((lo[1] + hi[1]) / 2), 0.0)]
+    source = None if layout == "procedural" else agents_mod.FileLayoutSource(layout)
+    return Simulator(gmap, lanes, _endpoints_to_world(gmap, valid_px), ego_path,
+                     params, layout_source=source)
 
 
 def run_spawn(map_path, lanes_path, graph_path, layout, seed, out_path: Path) -> dict:
-    gmap = occupancy.read_grid(map_path)
-    lanes = lanes_mod.load_lanes(lanes_path)
-    _, valid_px = topology.load_graph(graph_path)
-    endpoints = _endpoints_to_world(gmap, valid_px)
-    if not endpoints:
-        raise ConfigError("graph has no valid endpoints to route toward")
-    from .routing import build_route_network
-    network = build_route_network(lanes)
-    rng = np.random.default_rng(seed % (2 ** 31))
-    if layout != "procedural":
-        source = agents_mod.FileLayoutSource(layout)
-    else:
-        source = agents_mod.ProceduralLayoutSource(lanes)
-    lo, hi = gmap.extent
-    anchor = Pose2(float((lo[0] + hi[0]) / 2), float((lo[1] + hi[1]) / 2), 0.0)
-    spawned = agents_mod.spawn_agents(
-        anchor, True, gmap, lanes, network, endpoints,
-        agents_mod.DEFAULT_ASSETS, (8.0, 2.0), source, rng)
+    sim = _build_sim(map_path, lanes_path, graph_path, layout,
+                     SimParams(seed=seed % (2 ** 31)))
+    spawned = sim.spawn(sim.ego_path[0], True)
     out = [{"x": float(a.position[0]), "y": float(a.position[1]),
             "yaw": a.yaw, "speed": a.speed, "static": a.static,
             "is_ego": a.is_ego,
@@ -165,8 +152,11 @@ def run_spawn(map_path, lanes_path, graph_path, layout, seed, out_path: Path) ->
 
 def run_simulate(map_path, lanes_path, graph_path, traj_path, params_cfg,
                  seed, layout, out_dir: Path) -> dict:
-    sim = _build_sim(map_path, lanes_path, graph_path, traj_path,
-                     dict(params_cfg), seed, layout)
+    params_cfg = dict(params_cfg)
+    idm = IdmParams(**params_cfg.pop("idm", {}))
+    params = SimParams(idm=idm, seed=seed % (2 ** 31), **params_cfg)
+    sim = _build_sim(map_path, lanes_path, graph_path, layout, params,
+                     load_trajectory(traj_path).poses)
     frames, logbook = sim.run(ego_pose_index=0)
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, f in enumerate(frames):
@@ -349,8 +339,6 @@ def main(argv=None) -> int:
         elif args.command == "pipeline":
             result = run_pipeline(_load_json(args.config), args.seed,
                                   Path(args.out_dir))
-        else:  # pragma: no cover
-            return EXIT_CONFIG
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

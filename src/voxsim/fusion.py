@@ -102,7 +102,7 @@ def _frame_to_map_indices(gmap: GlobalMap, pose: Pose2, dims):
     return GX[ok], GY[ok], fx[ok], fy[ok]
 
 
-def fuse_keyframes(frames, poses, keys, table, voxel_size=None, margin: float = 2.0) -> GlobalMap:
+def fuse_keyframes(frames, poses, keys, table, margin: float = 2.0) -> GlobalMap:
     """Pass 1: warp each keyframe into the world map, writing only voxels that
     are still unassigned (first-wins), then sink every column so its lowest
     ground-role voxel sits at z=0 and mode-fill unassigned z=0 cells."""
@@ -110,7 +110,7 @@ def fuse_keyframes(frames, poses, keys, table, voxel_size=None, margin: float = 
         raise ValueError("frames and poses must pair up")
     if not keys:
         raise ValueError("empty keyframe set")
-    vox = voxel_size if voxel_size is not None else frames[keys[0]].voxel_size
+    vox = frames[keys[0]].voxel_size
     dims = frames[keys[0]].dims
     lo, (nx, ny) = _map_extent([poses[k] for k in keys], dims, vox, margin)
     labels = np.full((nx, ny, dims[2]), table.unassigned_id, dtype=np.uint8)

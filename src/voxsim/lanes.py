@@ -19,6 +19,7 @@ from scipy.spatial import cKDTree
 
 from .geometry import arc_length, resample_polyline
 from .occupancy import load_json_input
+from .topology import graph_segments
 
 
 @dataclass
@@ -44,10 +45,6 @@ class Lane:
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
-
-    @property
-    def length(self) -> float:
-        return float(np.linalg.norm(np.diff(self.points, axis=0), axis=1).sum())
 
 
 def fit_centerline(segment, ds_step: float, smooth: float = None) -> np.ndarray:
@@ -177,8 +174,6 @@ def resolve_overlaps(candidates, params: LaneParams):
 def extract_lanes(gmap, graph, params: LaneParams = None):
     """Alg-style two-phase extraction over all graph segments of a fused map.
     Lane points come out in world meters."""
-    from .topology import graph_segments
-
     if params is None:
         params = LaneParams()
     vox = gmap.voxel_size

@@ -71,11 +71,6 @@ class SemanticTable:
         entries = tuple((e["id"], e["name"], e["role"]) for e in obj["entries"])
         return cls(entries=entries, unassigned_id=obj["unassigned_id"])
 
-    @classmethod
-    def load(cls, path) -> "SemanticTable":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
-
 
 def default_table() -> SemanticTable:
     """Minimal six-category table used by the test worlds and as CLI default."""

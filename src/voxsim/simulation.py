@@ -237,7 +237,8 @@ class Simulator:
 
     # -- spawning ---------------------------------------------------------
 
-    def _spawn(self, anchor: Pose2, b_ego: bool):
+    def spawn(self, anchor: Pose2, b_ego: bool):
+        """Agents spawned around one anchor pose (plus the ego when b_ego)."""
         return spawn_agents(
             anchor, b_ego, self.gmap, self.lanes, self.network,
             self.valid_endpoints, self.assets,
@@ -245,18 +246,24 @@ class Simulator:
             self.layout_source, self.rng,
             crop_dims=self.params.fov_dims)
 
+    def _spawn_ahead_and_behind(self, anchor_idx: int) -> list:
+        """Agents spawned around the recorded poses d_pre ahead of and behind
+        the anchor index; a direction where the path is exhausted is skipped."""
+        poses = [_pose_at_offset(self.ego_path, self._s_path, anchor_idx, offset)
+                 for offset in (self.params.d_pre, -self.params.d_pre)]
+        poses = [pose for pose in poses if pose is not None]
+        if not poses:
+            log.info("recorded ego path exhausted; no spawn anchors")
+        return [a for pose in poses for a in self.spawn(pose, b_ego=False)]
+
     def init_state(self, ego_pose_index: int = None) -> SimState:
         if ego_pose_index is None:
             ego_pose_index = int(self.rng.integers(0, len(self.ego_path)))
-        anchor = self.ego_path[ego_pose_index]
-        agents = self._spawn(anchor, b_ego=True)
+        agents = self.spawn(self.ego_path[ego_pose_index], b_ego=True)
         ego = next((a for a in agents if a.is_ego), None)
         if ego is None:
             raise RuntimeError("ego could not be snapped onto the lane network")
-        for offset in (self.params.d_pre, -self.params.d_pre):
-            pose = _pose_at_offset(self.ego_path, self._s_path, ego_pose_index, offset)
-            if pose is not None:
-                agents.extend(self._spawn(pose, b_ego=False))
+        agents.extend(self._spawn_ahead_and_behind(ego_pose_index))
         return SimState(agents=agents, ego=ego, ego_path=self.ego_path)
 
     # -- per-step phases --------------------------------------------------
@@ -278,15 +285,7 @@ class Simulator:
         state.agents = kept
         # nearest recorded pose to the current ego position anchors the respawn
         anchor_idx = int(np.argmin(np.linalg.norm(self._path_pts - state.ego.position, axis=1)))
-        spawned_any = False
-        for offset in (params.d_pre, -params.d_pre):
-            pose = _pose_at_offset(self.ego_path, self._s_path, anchor_idx, offset)
-            if pose is None:
-                continue
-            state.agents.extend(self._spawn(pose, b_ego=False))
-            spawned_any = True
-        if not spawned_any:
-            log.info("recorded ego path exhausted; no respawn anchors")
+        state.agents.extend(self._spawn_ahead_and_behind(anchor_idx))
         state.delta_d_ego = 0.0
 
     def agent_step(self, state: SimState) -> None:

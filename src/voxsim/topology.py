@@ -8,7 +8,6 @@ contraction -> dual-probe endpoint filtering against the 3D map.
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import dataclass
 
@@ -16,8 +15,6 @@ import networkx as nx
 import numpy as np
 
 from .occupancy import GlobalMap, load_json_input
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -114,24 +111,29 @@ def build_graph(skeleton: np.ndarray) -> nx.Graph:
     return g
 
 
-def _leaf_spur(g: nx.Graph, leaf):
-    """Path from a leaf to its nearest junction (deg > 2) and its total weight.
-    Returns (path, weight, junction) or None for isolated chains."""
-    path = [leaf]
-    weight = 0.0
-    prev, node = None, leaf
-    while True:
-        nbrs = [n for n in g.neighbors(node) if n != prev]
-        if g.degree(node) > 2:
-            return path[:-1], weight, node
-        if not nbrs:
-            return None
-        nxt = nbrs[0]
-        weight += g.edges[node, nxt]["weight"]
-        prev, node = node, nxt
+def _chain(g: nx.Graph, prev, node) -> list:
+    """Walk from the edge (prev, node) through degree-2 nodes. The path starts
+    at prev and ends at the first node of another degree, or back at prev
+    when the walk closes a cycle."""
+    path = [prev, node]
+    while g.degree(node) == 2 and node != path[0]:
+        prev, node = node, next(n for n in g.neighbors(node) if n != prev)
         path.append(node)
-        if weight > 1e6:  # defensive; graphs here are finite
-            return None
+    return path
+
+
+def _leaf_chain(g: nx.Graph, leaf) -> list:
+    return _chain(g, leaf, next(iter(g.neighbors(leaf))))
+
+
+def _leaf_spur(g: nx.Graph, leaf):
+    """Path from a leaf to its nearest junction (deg > 2), junction excluded,
+    and its total weight; None when the chain ends at another leaf."""
+    path = _leaf_chain(g, leaf)
+    if g.degree(path[-1]) <= 2:
+        return None
+    weight = sum(g.edges[u, v]["weight"] for u, v in zip(path, path[1:]))
+    return path[:-1], weight
 
 
 def _prune_spurs(g: nx.Graph, tau_prune: float) -> bool:
@@ -142,7 +144,7 @@ def _prune_spurs(g: nx.Graph, tau_prune: float) -> bool:
         spur = _leaf_spur(g, leaf)
         if spur is None:
             continue
-        path, weight, _junction = spur
+        path, weight = spur
         if weight < tau_prune:
             g.remove_nodes_from(path)
             removed = True
@@ -186,20 +188,10 @@ def clean_graph(g: nx.Graph, tau_prune_px: float, w_lane_px: float) -> nx.Graph:
 def _outward_direction(g: nx.Graph, leaf, min_len: float = 3.0):
     """Unit direction pointing out of the graph at a leaf, estimated from the
     last segment of at least min_len pixels leading into it."""
-    path = [leaf]
-    prev, node = None, leaf
-    while math.dist(path[0], node) < min_len or node is leaf:
-        nbrs = [n for n in g.neighbors(node) if n != prev]
-        if not nbrs or g.degree(node) > 2:
-            break
-        prev, node = node, nbrs[0]
-        path.append(node)
-    anchor = path[-1]
-    if anchor == leaf:
-        return None
+    path = _leaf_chain(g, leaf)
+    anchor = next((n for n in path[1:] if math.dist(leaf, n) >= min_len), path[-1])
     d = np.array(leaf, dtype=float) - np.array(anchor, dtype=float)
-    n = np.linalg.norm(d)
-    return d / n if n > 0 else None
+    return d / np.linalg.norm(d)
 
 
 def obstacle_volume(gmap: GlobalMap) -> np.ndarray:
@@ -256,9 +248,6 @@ def filter_endpoints(g: nx.Graph, gmap: GlobalMap, params: TopologyParams):
     valid = []
     for leaf in [n for n in g.nodes if g.degree(n) == 1]:
         d = _outward_direction(g, leaf)
-        if d is None:
-            log.info("skipping isolated leaf %s with no parent segment", leaf)
-            continue
         probe = np.array(leaf, dtype=float) + 1.5 * w_lane_px * d
         px, py = int(math.floor(probe[0])), int(math.floor(probe[1]))
         on_road = (0 <= px < road.shape[0] and 0 <= py < road.shape[1]
@@ -290,43 +279,20 @@ def extract_topology(gmap: GlobalMap, params: TopologyParams = None):
 def graph_segments(g: nx.Graph):
     """Maximal chains of degree-2 nodes between junction/leaf anchors, as
     ordered pixel paths. Isolated cycles are returned as closed paths."""
-    segs = []
-    visited_edges = set()
-
-    def edge_key(u, v):
-        return (u, v) if u <= v else (v, u)
-
-    anchors = [n for n in g.nodes if g.degree(n) != 2]
-    for a in anchors:
-        for nbr in g.neighbors(a):
-            if edge_key(a, nbr) in visited_edges:
-                continue
-            path = [a, nbr]
-            visited_edges.add(edge_key(a, nbr))
-            prev, node = a, nbr
-            while g.degree(node) == 2:
-                nxt = next(n for n in g.neighbors(node) if n != prev)
-                if edge_key(node, nxt) in visited_edges:
-                    break
-                visited_edges.add(edge_key(node, nxt))
-                path.append(nxt)
-                prev, node = node, nxt
-            segs.append(path)
-    # pure cycles with no anchor
+    starts = [(a, n) for a in g.nodes if g.degree(a) != 2 for n in g.neighbors(a)]
+    # pure cycles with no anchor start at their component's first node
     for comp in nx.connected_components(g):
-        sub = [n for n in comp]
-        if all(g.degree(n) == 2 for n in sub):
-            start = sub[0]
-            path = [start]
-            prev, node = None, start
-            while True:
-                nxt = next(n for n in g.neighbors(node) if n != prev)
-                if nxt == start:
-                    path.append(start)
-                    break
-                path.append(nxt)
-                prev, node = node, nxt
-            segs.append(path)
+        start = next(iter(comp))
+        if all(g.degree(n) == 2 for n in comp):
+            starts.append((start, next(iter(g.neighbors(start)))))
+    segs = []
+    seen = set()
+    for prev, node in starts:
+        if frozenset((prev, node)) in seen:
+            continue
+        path = _chain(g, prev, node)
+        seen.update(map(frozenset, zip(path, path[1:])))
+        segs.append(path)
     return segs
 
 

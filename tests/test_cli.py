@@ -19,7 +19,7 @@ PIPELINE_CONFIG = {
 }
 
 
-def _spawnable_world(tmp_path):
+def _spawnable_world(tmp_path, valid_endpoints=(0,)):
     """map.occg, lanes.json and graph.json of a small all-road world."""
     labels = np.full((50, 50, 2), default_table().road_id, dtype=np.uint8)
     write_grid(GlobalMap(labels, 0.4, Pose2()), tmp_path / "map.occg")
@@ -28,7 +28,7 @@ def _spawnable_world(tmp_path):
         "offset_index": 0, "source_segment": 0}]))
     (tmp_path / "graph.json").write_text(json.dumps({
         "nodes": [{"id": 0, "x": 45, "y": 25}], "edges": [],
-        "valid_endpoints": [0]}))
+        "valid_endpoints": list(valid_endpoints)}))
 
 
 class TestStageSeed:
@@ -141,6 +141,17 @@ class TestExitCodes:
                      "--poses", str(tmp_path / "traj.json"),
                      "--out", str(tmp_path / "map.occg")])
         assert code == EXIT_CONFIG
+
+    def test_no_valid_endpoints_is_config_error(self, tmp_path):
+        _spawnable_world(tmp_path, valid_endpoints=())
+        (tmp_path / "traj.json").write_text(json.dumps(
+            [{"t": 0.0, "x": 10.0, "y": 10.0, "yaw": 0.0}]))
+        world = ["--map", str(tmp_path / "map.occg"),
+                 "--lanes", str(tmp_path / "lanes.json"),
+                 "--graph", str(tmp_path / "graph.json")]
+        assert main(["spawn", *world, "--out", str(tmp_path / "agents.json")]) == EXIT_CONFIG
+        assert main(["simulate", *world, "--poses", str(tmp_path / "traj.json"),
+                     "--out", str(tmp_path / "rollout")]) == EXIT_CONFIG
 
 
 class TestPipeline:

@@ -3,6 +3,8 @@ import math
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voxsim.topology import (TopologyParams, build_graph, clean_graph,
                              extract_topology, filter_endpoints,
@@ -197,3 +199,78 @@ class TestSegmentsAndIO:
         assert set(g2.nodes) == set(g.nodes)
         assert {frozenset(e) for e in g2.edges} == {frozenset(e) for e in g.edges}
         assert valid2 == valid
+
+
+def _check_segments(g, segs):
+    """Every edge in exactly one segment, degree-2 interiors, and each
+    segment between non-degree-2 anchors or closed on itself."""
+    covered = [frozenset(e) for seg in segs for e in zip(seg, seg[1:])]
+    assert len(covered) == len(set(covered))
+    assert set(covered) == {frozenset(e) for e in g.edges}
+    for seg in segs:
+        assert len(seg) >= 2
+        assert all(g.degree(n) == 2 for n in seg[1:-1])
+        ends_at_anchors = g.degree(seg[0]) != 2 and g.degree(seg[-1]) != 2
+        assert ends_at_anchors or seg[0] == seg[-1]
+
+
+@st.composite
+def road_masks(draw):
+    """Unions of random bars and a hollow ring: junctions, spurs, loops."""
+    n = draw(st.integers(16, 48))
+    mask = np.zeros((n, n), dtype=bool)
+    for _ in range(draw(st.integers(1, 6))):
+        x, y = draw(st.integers(0, n - 3)), draw(st.integers(0, n - 3))
+        long_, thick = draw(st.integers(2, n)), draw(st.integers(2, 7))
+        if draw(st.booleans()):
+            mask[x:x + long_, y:y + thick] = True
+        else:
+            mask[x:x + thick, y:y + long_] = True
+    if draw(st.booleans()):
+        gx, gy = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+        r = np.hypot(gx - n / 2, gy - n / 2)
+        radius = draw(st.floats(3.0, n / 2 - 2))
+        mask |= np.abs(r - radius) <= 1.5
+    return mask
+
+
+class TestGraphSegments:
+    @settings(max_examples=150, deadline=None)
+    @given(road_masks(), st.floats(1.0, 12.0), st.floats(1.0, 10.0))
+    def test_segments_partition_skeleton_edges(self, mask, tau_prune, w_lane):
+        g = build_graph(skeletonize(mask))
+        _check_segments(g, graph_segments(g))
+        cleaned = clean_graph(g, tau_prune, w_lane)
+        _check_segments(cleaned, graph_segments(cleaned))
+
+    def test_loop_through_one_junction(self):
+        g = nx.Graph()
+        nx.add_path(g, [(0, 0), (1, 0), (2, 0)])               # tail to a leaf
+        nx.add_path(g, [(0, 0), (0, 1), (-1, 1), (-1, 0), (0, 0)])
+        segs = graph_segments(g)
+        _check_segments(g, segs)
+        assert sorted(len(s) for s in segs) == [3, 5]
+        loop = next(s for s in segs if len(s) == 5)
+        assert loop[0] == loop[-1] == (0, 0)
+
+    def test_anchor_free_cycle_component(self):
+        g = nx.Graph()
+        nx.add_cycle(g, [(0, 0), (0, 1), (1, 1), (1, 0)])
+        nx.add_path(g, [(5, 5), (5, 6), (5, 7)])
+        segs = graph_segments(g)
+        _check_segments(g, segs)
+        cycle = next(s for s in segs if (0, 0) in s)
+        assert len(cycle) == 5 and cycle[0] == cycle[-1]
+        assert set(cycle) == {(0, 0), (0, 1), (1, 1), (1, 0)}
+
+    def test_single_edge_between_junctions(self):
+        g = nx.Graph()
+        g.add_edge((0, 0), (1, 0))
+        for leaf in ((-1, 1), (-1, -1)):
+            g.add_edge((0, 0), leaf)
+        for leaf in ((2, 1), (2, -1)):
+            g.add_edge((1, 0), leaf)
+        segs = graph_segments(g)
+        _check_segments(g, segs)
+        assert len(segs) == 5
+        assert sum(set(s) == {(0, 0), (1, 0)} for s in segs) == 1
