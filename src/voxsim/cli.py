@@ -44,6 +44,15 @@ def stage_seed(root_seed: int, stage: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+def _from_config(make, cfg, **fixed):
+    """make(**cfg, **fixed) for a params or spec class, with an unknown key
+    or an out-of-range value raised as a ConfigError."""
+    try:
+        return make(**cfg, **fixed)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{make.__name__}: {e}") from e
+
+
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -55,7 +64,7 @@ def _sha256(path: Path) -> str:
 # --- stage implementations --------------------------------------------------
 
 def run_synth(cfg: dict, seed: int, out_dir: Path) -> dict:
-    spec = synthworld.WorldSpec.from_json({**cfg.get("world", {}), "seed": seed % (2 ** 31)})
+    spec = _from_config(synthworld.WorldSpec, {**cfg.get("world", {}), "seed": seed % (2 ** 31)})
     world = synthworld.generate_world(spec)
     traj_cfg = cfg.get("trajectory", {})
     if "path" in traj_cfg:
@@ -89,7 +98,7 @@ def _load_frames(frames_dir: Path):
 def run_fuse(frames_dir, traj_path, params_cfg: dict, out_path: Path) -> dict:
     frames = _load_frames(frames_dir)
     poses = load_trajectory(traj_path).poses
-    params = fusion_mod.FusionParams(**params_cfg)
+    params = _from_config(fusion_mod.FusionParams, params_cfg)
     gmap = fusion_mod.fuse_sequence(frames, poses, params)
     occupancy.write_grid(gmap, out_path)
     return {"map": str(out_path)}
@@ -97,7 +106,7 @@ def run_fuse(frames_dir, traj_path, params_cfg: dict, out_path: Path) -> dict:
 
 def run_topo(map_path, params_cfg: dict, out_path: Path) -> dict:
     gmap = occupancy.read_grid(map_path)
-    params = topology.TopologyParams(**params_cfg)
+    params = _from_config(topology.TopologyParams, params_cfg)
     g, valid = topology.extract_topology(gmap, params)
     topology.save_graph(g, valid, out_path)
     return {"graph": str(out_path)}
@@ -106,7 +115,7 @@ def run_topo(map_path, params_cfg: dict, out_path: Path) -> dict:
 def run_lanes(map_path, graph_path, params_cfg: dict, out_path: Path) -> dict:
     gmap = occupancy.read_grid(map_path)
     g, _ = topology.load_graph(graph_path)
-    params = lanes_mod.LaneParams(**params_cfg)
+    params = _from_config(lanes_mod.LaneParams, params_cfg)
     lanes = lanes_mod.extract_lanes(gmap, g, params)
     lanes_mod.save_lanes(lanes, out_path)
     return {"lanes": str(out_path)}
@@ -153,8 +162,8 @@ def run_spawn(map_path, lanes_path, graph_path, layout, seed, out_path: Path) ->
 def run_simulate(map_path, lanes_path, graph_path, traj_path, params_cfg,
                  seed, layout, out_dir: Path) -> dict:
     params_cfg = dict(params_cfg)
-    idm = IdmParams(**params_cfg.pop("idm", {}))
-    params = SimParams(idm=idm, seed=seed % (2 ** 31), **params_cfg)
+    idm = _from_config(IdmParams, params_cfg.pop("idm", {}))
+    params = _from_config(SimParams, params_cfg, idm=idm, seed=seed % (2 ** 31))
     sim = _build_sim(map_path, lanes_path, graph_path, layout, params,
                      load_trajectory(traj_path).poses)
     frames, logbook = sim.run(ego_pose_index=0)
@@ -309,7 +318,7 @@ def _load_json(path, default=None):
             return json.load(fh)
     except FileNotFoundError as e:
         raise ConfigError(str(e))
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as e:
         raise ConfigError(f"bad JSON in {path}: {e}")
 
 

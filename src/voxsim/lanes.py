@@ -2,9 +2,9 @@
 
 Phase 1 smooths each long-enough segment with a cubic B-spline, estimates the
 local road width, and offsets parallel candidates along the normals. Phase 2
-cuts candidates where they run within epsilon of another lane, keeps the
-longest surviving run, re-splines it, and drops anything shorter than five
-samples.
+cuts candidates where they run closer than epsilon to another lane, found
+with one KD-tree over all candidate samples, keeps the longest surviving
+run, re-splines it, and drops anything shorter than five samples.
 """
 
 from __future__ import annotations
@@ -131,35 +131,35 @@ def offset_lanes(center: np.ndarray, seg_width: float, params: LaneParams,
 
 
 def _longest_run(mask: np.ndarray):
-    """Start/stop (inclusive/exclusive) of the longest True run."""
-    best = (0, 0)
-    start = None
-    for i, v in enumerate(mask):
-        if v and start is None:
-            start = i
-        if (not v or i == len(mask) - 1) and start is not None:
-            stop = i + 1 if v else i
-            if stop - start > best[1] - best[0]:
-                best = (start, stop)
-            start = None
-    return best
+    """Start/stop (inclusive/exclusive) of the longest True run; the first
+    one among equally long runs, (0, 0) when there is none."""
+    step = np.diff(np.concatenate(([0], mask.astype(np.int8), [0])))
+    starts, stops = np.flatnonzero(step == 1), np.flatnonzero(step == -1)
+    if not len(starts):
+        return 0, 0
+    k = int(np.argmax(stops - starts))
+    return int(starts[k]), int(stops[k])
 
 
 def resolve_overlaps(candidates, params: LaneParams):
-    """Cut every lane at samples lying within epsilon of any other lane, keep
-    its longest contiguous run, re-spline it, and drop short remainders."""
+    """Cut every lane at samples lying closer than epsilon to any other
+    lane, keep its longest contiguous run, re-spline it, and drop short
+    remainders."""
     if not candidates:
         return []
-    trees = [cKDTree(l.points) for l in candidates]
+    pts = np.concatenate([l.points for l in candidates])
+    sizes = [len(l.points) for l in candidates]
+    lane_of = np.repeat(np.arange(len(candidates)), sizes)
+    a, b = cKDTree(pts).query_pairs(params.epsilon, output_type="ndarray").T
+    d = pts[a] - pts[b]
+    # query_pairs keeps pairs at exactly epsilon; the cut is strict
+    close = (d * d).sum(axis=1) < params.epsilon * params.epsilon
+    hit = close & (lane_of[a] != lane_of[b])
+    conflict = np.zeros(len(pts), dtype=bool)
+    conflict[a[hit]] = conflict[b[hit]] = True
     final = []
-    for i, lane in enumerate(candidates):
-        conflict = np.zeros(len(lane.points), dtype=bool)
-        for j, tree in enumerate(trees):
-            if j == i:
-                continue
-            d, _ = tree.query(lane.points, distance_upper_bound=params.epsilon)
-            conflict |= np.isfinite(d)
-        start, stop = _longest_run(~conflict)
+    for lane, cut in zip(candidates, np.split(conflict, np.cumsum(sizes)[:-1])):
+        start, stop = _longest_run(~cut)
         kept = lane.points[start:stop]
         if len(kept) < params.min_lane_samples:
             continue

@@ -125,14 +125,14 @@ def build_route_network(lanes, junction_radius: float = 4.0) -> RouteNetwork:
         for a, b in zip(ids, ids[1:]):
             connect(a, b)
 
-    if positions:
-        tree = cKDTree(np.asarray(positions))
+    network = RouteNetwork(positions, lane_of, adjacency)
+    if network._tree is not None:
         for li, ids in enumerate(lane_nodes):
             for end in (ids[0], ids[-1]):
-                for j in tree.query_ball_point(positions[end], junction_radius):
+                for j in network._tree.query_ball_point(positions[end], junction_radius):
                     if lane_of[j] != li:
                         connect(end, int(j))
-    return RouteNetwork(positions, lane_of, adjacency)
+    return network
 
 
 def astar(adjacency, positions, start: int, goal: int):

@@ -37,6 +37,7 @@ class WorldSpec:
     seed: int = 0
 
     def __post_init__(self):
+        self.blocks = tuple(self.blocks)
         if self.extent <= 0 or self.road_width <= 0 or self.voxel_size <= 0:
             raise ValueError("infeasible world spec")
         if self.recipe not in ("straight", "curve", "plus", "grid"):
@@ -46,9 +47,6 @@ class WorldSpec:
 
     @classmethod
     def from_json(cls, obj) -> "WorldSpec":
-        obj = dict(obj)
-        if "blocks" in obj:
-            obj["blocks"] = tuple(obj["blocks"])
         return cls(**obj)
 
 

@@ -1,8 +1,9 @@
 """Road-skeleton graph extraction and valid-endpoint filtering.
 
 Pipeline: binary road mask -> Zhang-Suen thinning (+ 2x2 corner clearing) ->
-8-connected pixel graph -> triangle breaking, spur pruning and junction
-contraction -> dual-probe endpoint filtering against the 3D map.
+8-connected pixel graph without the triangle-closing diagonals -> spur
+pruning and junction contraction -> dual-probe endpoint filtering against
+the 3D map, which counts obstacle voxels only inside each probe box.
 """
 
 from __future__ import annotations
@@ -86,28 +87,28 @@ def skeletonize(mask: np.ndarray) -> np.ndarray:
     return skel.astype(bool)
 
 
-def build_graph(skeleton: np.ndarray) -> nx.Graph:
-    """Pixel graph of the skeleton: a node per pixel, an edge per 8-neighbor
-    pair weighted by Euclidean distance, and the longest edge of every
-    3-clique removed (ties: lexicographically largest endpoint pair)."""
-    g = nx.Graph()
-    xs, ys = np.nonzero(np.asarray(skeleton, dtype=bool))
-    pixels = set(zip(xs.tolist(), ys.tolist()))
-    g.add_nodes_from(pixels)
-    for (x, y) in pixels:
-        for dx, dy in ((1, 0), (0, 1), (1, 1), (1, -1)):
-            v = (x + dx, y + dy)
-            if v in pixels:
-                g.add_edge((x, y), v, weight=math.hypot(dx, dy))
+_STEPS = ((1, 0), (0, 1), (1, 1), (1, -1))  # forward 8-neighbours, in edge order
 
-    for tri in [c for c in nx.enumerate_all_cliques(g) if len(c) == 3]:
-        edges = [tuple(sorted((tri[i], tri[j])))
-                 for i, j in ((0, 1), (0, 2), (1, 2))]
-        edges = [e for e in edges if g.has_edge(*e)]
-        if len(edges) < 3:
-            continue  # already opened by an earlier removal
-        longest = max(edges, key=lambda e: (g.edges[e]["weight"], e))
-        g.remove_edge(*longest)
+
+def build_graph(skeleton: np.ndarray) -> nx.Graph:
+    """Pixel graph of the skeleton: a node per pixel and an edge per
+    8-neighbor pair, weighted by Euclidean distance and added pixel by pixel
+    in ``_STEPS`` order, except each diagonal that closes a triangle. Every
+    3-clique of an 8-connected pixel graph lies in one 2x2 block, where its
+    diagonal is the unique longest edge, so a diagonal is left out exactly
+    when a pixel beside both of its ends is set."""
+    g = nx.Graph()
+    sk = np.pad(np.asarray(skeleton, dtype=bool), 1)
+    xs, ys = np.nonzero(sk[1:-1, 1:-1])
+    g.add_nodes_from(set(zip(xs.tolist(), ys.tolist())))
+    nodes = list(g)
+    x, y = np.array(nodes, dtype=int).reshape(-1, 2).T + 1  # padded coordinates
+    right, up, down = sk[x + 1, y], sk[x, y + 1], sk[x, y - 1]
+    keep = np.stack([right, up, sk[x + 1, y + 1] & ~(right | up),
+                     sk[x + 1, y - 1] & ~(right | down)], axis=1)
+    for r, k in zip(*np.nonzero(keep)):
+        (px, py), (dx, dy) = nodes[r], _STEPS[k]
+        g.add_edge((px, py), (px + dx, py + dy), weight=math.hypot(dx, dy))
     return g
 
 
@@ -194,22 +195,15 @@ def _outward_direction(g: nx.Graph, leaf, min_len: float = 3.0):
     return d / np.linalg.norm(d)
 
 
-def obstacle_volume(gmap: GlobalMap) -> np.ndarray:
-    """Boolean volume of above-ground voxels that are neither road, sidewalk
-    nor unassigned."""
+def _box_obstacle_count(gmap: GlobalMap, origin_px, direction, length_px, width_px):
+    """Count above-ground obstacle voxels inside an oriented box extending
+    from origin along direction. A label is an obstacle unless it is road,
+    sidewalk, a free-role category or unassigned."""
     t = gmap.table
-    above = gmap.labels[:, :, 1:]
-    keep_out = np.isin(above, [t.road_id, t.sidewalk_id, t.unassigned_id])
-    free_ids = [e[0] for e in t.entries if e[2] == "free"]
-    if free_ids:
-        keep_out |= np.isin(above, free_ids)
-    return ~keep_out
-
-
-def _box_obstacle_count(obstacles: np.ndarray, origin_px, direction, length_px, width_px):
-    """Count obstacle voxels inside an oriented box extending from origin
-    along direction."""
-    X, Y = obstacles.shape[0], obstacles.shape[1]
+    free = [t.road_id, t.sidewalk_id, t.unassigned_id]
+    free += [e[0] for e in t.entries if e[2] == "free"]
+    is_obstacle = ~np.isin(np.arange(256), free)  # per uint8 label value
+    X, Y = gmap.labels.shape[:2]
     d = np.asarray(direction, dtype=float)
     n = np.array([-d[1], d[0]])
     o = np.asarray(origin_px, dtype=float)
@@ -221,17 +215,12 @@ def _box_obstacle_count(obstacles: np.ndarray, origin_px, direction, length_px, 
     x0, y0 = np.maximum(np.floor(corners.min(axis=0)).astype(int), 0)
     x1 = min(int(math.ceil(corners[:, 0].max())) + 1, X)
     y1 = min(int(math.ceil(corners[:, 1].max())) + 1, Y)
-    if x1 <= x0 or y1 <= y0:
-        return 0
     gx, gy = np.meshgrid(np.arange(x0, x1), np.arange(y0, y1), indexing="ij")
     rel = np.stack([gx - o[0], gy - o[1]], axis=-1)
     lon = rel @ d
     lat = rel @ n
     inside = (lon >= 0) & (lon <= length_px) & (np.abs(lat) <= width_px / 2)
-    if not inside.any():
-        return 0
-    cols = obstacles[gx[inside], gy[inside], :]
-    return int(cols.sum())
+    return int(is_obstacle[gmap.labels[gx[inside], gy[inside], 1:]].sum())
 
 
 def filter_endpoints(g: nx.Graph, gmap: GlobalMap, params: TopologyParams):
@@ -243,7 +232,6 @@ def filter_endpoints(g: nx.Graph, gmap: GlobalMap, params: TopologyParams):
     """
     vox = gmap.voxel_size
     road = gmap.labels[:, :, 0] == gmap.table.road_id
-    obstacles = obstacle_volume(gmap)
     w_lane_px = params.w_lane / vox
     valid = []
     for leaf in [n for n in g.nodes if g.degree(n) == 1]:
@@ -255,8 +243,7 @@ def filter_endpoints(g: nx.Graph, gmap: GlobalMap, params: TopologyParams):
         if on_road:
             continue  # internal fragmentation, not a real frontier
         count = _box_obstacle_count(
-            obstacles, leaf, d,
-            params.probe_length / vox, params.probe_width / vox)
+            gmap, leaf, d, params.probe_length / vox, params.probe_width / vox)
         if count < params.tau_obs:
             valid.append(leaf)
     return valid

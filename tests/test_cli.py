@@ -2,6 +2,7 @@ import json
 import struct
 
 import numpy as np
+import pytest
 
 from voxsim.agents import write_heatmap
 from voxsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main, stage_seed
@@ -134,6 +135,33 @@ class TestExitCodes:
         code = main(["pipeline", "--config", str(cfg),
                      "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command, flag, text", [
+        ("simulate", "--params", json.dumps({"dt": -1})),
+        ("simulate", "--params", json.dumps({"bogus": 1})),
+        ("simulate", "--params", json.dumps({"idm": {"v0": -1}})),
+        ("topo", "--params", json.dumps({"w_lane": -1})),
+        ("topo", "--params", "[" * 100000),
+        ("topo", "--params", b'{"w_lane": "\xff\xfe"}'),
+        ("lanes", "--params", json.dumps({"epsilon": 9.0})),
+        ("synth", "--spec", json.dumps({"world": {"recipe": "bogus"}})),
+        ("synth", "--spec", json.dumps({"world": {"bogus": 1}})),
+    ], ids=["dt", "sim-key", "idm", "w_lane", "nested", "not-utf8", "epsilon",
+            "recipe", "world-key"])
+    def test_bad_params_is_config_error(self, tmp_path, command, flag, text):
+        _spawnable_world(tmp_path)
+        (tmp_path / "traj.json").write_text(json.dumps(
+            [{"t": 0.0, "x": 10.0, "y": 10.0, "yaw": 0.0}]))
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text if isinstance(text, bytes) else text.encode())
+        inputs = {"topo": ["--map"], "lanes": ["--map", "--graph"], "synth": [],
+                  "simulate": ["--map", "--lanes", "--graph", "--poses"]}[command]
+        files = {"--map": "map.occg", "--lanes": "lanes.json",
+                 "--graph": "graph.json", "--poses": "traj.json"}
+        argv = [command, flag, str(bad), "--out", str(tmp_path / "out")]
+        for opt in inputs:
+            argv += [opt, str(tmp_path / files[opt])]
+        assert main(argv) == EXIT_CONFIG
 
     def test_empty_frames_dir_is_config_error(self, tmp_path):
         (tmp_path / "frames").mkdir()

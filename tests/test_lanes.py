@@ -1,13 +1,80 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
+from scipy.spatial import cKDTree
 
-from voxsim.lanes import (Lane, LaneParams, estimate_width, extract_lanes,
-                          fit_centerline, load_lanes, normal_vectors,
-                          offset_lanes, resolve_overlaps, save_lanes)
+from voxsim.lanes import (Lane, LaneParams, _longest_run, estimate_width,
+                          extract_lanes, fit_centerline, load_lanes,
+                          normal_vectors, offset_lanes, resolve_overlaps,
+                          save_lanes)
 from voxsim.topology import extract_topology
 
 from conftest import make_map
+
+
+def reference_longest_run(mask):
+    """Reference: a loop over the mask; the first of equal runs wins."""
+    best = (0, 0)
+    start = None
+    for i, v in enumerate(mask):
+        if v and start is None:
+            start = i
+        if (not v or i == len(mask) - 1) and start is not None:
+            stop = i + 1 if v else i
+            if stop - start > best[1] - best[0]:
+                best = (start, stop)
+            start = None
+    return best
+
+
+def reference_resolve_overlaps(candidates, params):
+    """Reference: one KD-tree per lane, each lane queried against every other
+    lane's tree (a sample exactly epsilon away is not a conflict)."""
+    if not candidates:
+        return []
+    trees = [cKDTree(l.points) for l in candidates]
+    final = []
+    for i, lane in enumerate(candidates):
+        conflict = np.zeros(len(lane.points), dtype=bool)
+        for j, tree in enumerate(trees):
+            if j == i:
+                continue
+            d, _ = tree.query(lane.points, distance_upper_bound=params.epsilon)
+            conflict |= np.isfinite(d)
+        start, stop = reference_longest_run(~conflict)
+        kept = lane.points[start:stop]
+        if len(kept) < params.min_lane_samples:
+            continue
+        if len(kept) >= 10:
+            kept = fit_centerline(kept, params.ds_step, smooth=len(kept) * 0.01)
+        if len(kept) < params.min_lane_samples:
+            continue
+        final.append(Lane(kept, lane.source_segment, lane.offset_index))
+    return final
+
+
+@st.composite
+def lane_sets(draw):
+    """Monotone lanes on a grid of pitch `step`: samples of two lanes are
+    often exactly epsilon apart (pitch 0.5 or 1.0) or within rounding of it
+    (pitch 0.9); some lanes coincide with another."""
+    step = draw(st.sampled_from([0.5, 0.9, 1.0]))
+    lanes = []
+    for k in range(draw(st.integers(1, 5))):
+        n = draw(st.integers(2, 30))
+        x0, y0 = draw(st.integers(-10, 10)), draw(st.integers(-10, 10))
+        dy = draw(st.lists(st.integers(-1, 1), min_size=n - 1, max_size=n - 1))
+        along = np.arange(n) + x0
+        across = np.concatenate([[0], np.cumsum(dy)]) + y0
+        pts = np.stack([along, across] if draw(st.booleans()) else [across, along], axis=1)
+        lanes.append(Lane(pts * step, k, draw(st.integers(0, 2))))
+    if draw(st.booleans()):
+        lanes.append(Lane(lanes[0].points.copy(), len(lanes), 0))
+    params = LaneParams(epsilon=draw(st.sampled_from([0.5, 0.9, 1.0])),
+                        min_lane_samples=draw(st.integers(1, 6)))
+    return lanes, params
 
 
 class TestCenterlineFit:
@@ -105,7 +172,7 @@ class TestOverlapResolution:
         assert len(out) == 2
         out_a = next(l for l in out if l.source_segment == 0)
         out_b = next(l for l in out if l.source_segment == 1)
-        # A's conflicts: |x - 12| <= 0.9 -> samples 11.5..12.5 cut; the longest
+        # A's conflicts: |x - 12| < 0.9 -> samples 11.5..12.5 cut; the longest
         # run is x in [0, 11.0]; B symmetric with runs of equal length keeps
         # the first, y in [-10, -1.0]
         assert out_a.points[:, 0].min() == pytest.approx(0.0, abs=1e-6)
@@ -130,6 +197,30 @@ class TestOverlapResolution:
         got_a = next(l for l in out if l.source_segment == 0)
         assert got_a.points[0] == pytest.approx([0.0, 0.0])
         assert got_a.points[-1] == pytest.approx([9.5, 0.0])
+
+    def test_samples_exactly_epsilon_apart_are_not_cut(self):
+        # nearest samples (0, 0) and (0.9, 0): 0.9 m is not closer than epsilon
+        a = Lane(np.stack([np.linspace(-20.0, 0.0, 41), np.zeros(41)], axis=1), 0, 0)
+        b = Lane(np.stack([np.linspace(0.9, 20.9, 41), np.zeros(41)], axis=1), 1, 0)
+        out = resolve_overlaps([a, b], LaneParams(epsilon=0.9))
+        assert [l.source_segment for l in out] == [0, 1]
+        assert out[0].points[-1] == pytest.approx([0.0, 0.0])
+        assert out[1].points[0] == pytest.approx([0.9, 0.0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(lane_sets())
+    def test_matches_reference(self, case):
+        lanes, params = case
+        got, ref = resolve_overlaps(lanes, params), reference_resolve_overlaps(lanes, params)
+        assert len(got) == len(ref)
+        for g, r in zip(got, ref):
+            assert np.array_equal(g.points, r.points)
+            assert (g.source_segment, g.offset_index) == (r.source_segment, r.offset_index)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.booleans(), max_size=40))
+    def test_longest_run_matches_reference(self, mask):
+        assert _longest_run(np.array(mask, dtype=bool)) == reference_longest_run(mask)
 
 
 class TestExtractLanes:

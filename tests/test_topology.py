@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import networkx as nx
@@ -6,13 +7,109 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voxsim.topology import (TopologyParams, build_graph, clean_graph,
+from voxsim.geometry import Pose2
+from voxsim.occupancy import GlobalMap, SemanticTable
+from voxsim.topology import (TopologyParams, _box_obstacle_count,
+                             build_graph, clean_graph,
                              extract_topology, filter_endpoints,
                              graph_segments, load_graph, save_graph,
                              skeletonize, zhang_suen_thin)
 from voxsim.synthworld import WorldSpec, generate_world
 
 from conftest import make_map
+
+
+def reference_build_graph(skeleton):
+    """Reference: every forward 8-neighbour edge added pixel by pixel, then
+    the longest edge of each 3-clique removed."""
+    g = nx.Graph()
+    xs, ys = np.nonzero(np.asarray(skeleton, dtype=bool))
+    pixels = set(zip(xs.tolist(), ys.tolist()))
+    g.add_nodes_from(pixels)
+    for (x, y) in pixels:
+        for dx, dy in ((1, 0), (0, 1), (1, 1), (1, -1)):
+            v = (x + dx, y + dy)
+            if v in pixels:
+                g.add_edge((x, y), v, weight=math.hypot(dx, dy))
+
+    for tri in [c for c in nx.enumerate_all_cliques(g) if len(c) == 3]:
+        edges = [tuple(sorted((tri[i], tri[j])))
+                 for i, j in ((0, 1), (0, 2), (1, 2))]
+        edges = [e for e in edges if g.has_edge(*e)]
+        if len(edges) < 3:
+            continue  # already opened by an earlier removal
+        longest = max(edges, key=lambda e: (g.edges[e]["weight"], e))
+        g.remove_edge(*longest)
+    return g
+
+
+def reference_obstacle_count(gmap, origin_px, direction, length_px, width_px):
+    """Reference: a whole-map boolean obstacle volume from two np.isin passes,
+    summed over the oriented probe box."""
+    t = gmap.table
+    above = gmap.labels[:, :, 1:]
+    keep_out = np.isin(above, [t.road_id, t.sidewalk_id, t.unassigned_id])
+    free_ids = [e[0] for e in t.entries if e[2] == "free"]
+    if free_ids:
+        keep_out |= np.isin(above, free_ids)
+    obstacles = ~keep_out
+
+    X, Y = obstacles.shape[0], obstacles.shape[1]
+    d = np.asarray(direction, dtype=float)
+    n = np.array([-d[1], d[0]])
+    o = np.asarray(origin_px, dtype=float)
+    corners = np.array([
+        o + n * width_px / 2, o - n * width_px / 2,
+        o + d * length_px + n * width_px / 2, o + d * length_px - n * width_px / 2,
+    ])
+    x0, y0 = np.maximum(np.floor(corners.min(axis=0)).astype(int), 0)
+    x1 = min(int(math.ceil(corners[:, 0].max())) + 1, X)
+    y1 = min(int(math.ceil(corners[:, 1].max())) + 1, Y)
+    if x1 <= x0 or y1 <= y0:
+        return 0
+    gx, gy = np.meshgrid(np.arange(x0, x1), np.arange(y0, y1), indexing="ij")
+    rel = np.stack([gx - o[0], gy - o[1]], axis=-1)
+    lon = rel @ d
+    lat = rel @ n
+    inside = (lon >= 0) & (lon <= length_px) & (np.abs(lat) <= width_px / 2)
+    if not inside.any():
+        return 0
+    return int(obstacles[gx[inside], gy[inside], :].sum())
+
+
+@st.composite
+def pixel_masks(draw):
+    """Random masks as they are, thinned without corner clearing (which
+    leaves full 2x2 blocks) or fully skeletonized."""
+    shape = draw(st.tuples(st.integers(1, 24), st.integers(1, 24)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mask = rng.random(shape) < draw(st.floats(0.0, 1.0))
+    form = draw(st.sampled_from(["raw", "thin", "skeleton"]))
+    if form == "thin":
+        return zhang_suen_thin(mask)
+    return skeletonize(mask) if form == "skeleton" else mask
+
+
+@st.composite
+def probe_worlds(draw):
+    """A label volume over a random table whose values include ids outside
+    the table (and table ids above 255 that no uint8 label can hold), plus
+    a random probe box."""
+    ids = draw(st.lists(st.integers(0, 300), min_size=7, max_size=7, unique=True))
+    roles = ["road", "sidewalk", "vehicle", "ground", "obstacle",
+             draw(st.sampled_from(["free", "other", "ground"]))]
+    table = SemanticTable(tuple((i, r, r) for i, r in zip(ids, roles)),
+                          unassigned_id=ids[6])
+    values = [i for i in ids if i < 256] + draw(
+        st.lists(st.integers(0, 255), min_size=1, max_size=4))
+    dims = (draw(st.integers(1, 20)), draw(st.integers(1, 20)), draw(st.integers(1, 5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    labels = rng.choice(np.array(values, dtype=np.uint8), size=dims)
+    gmap = GlobalMap(labels, 0.4, Pose2(), table)
+    origin = (draw(st.floats(-5.0, 25.0)), draw(st.floats(-5.0, 25.0)))
+    angle = draw(st.floats(0.0, 2 * math.pi))
+    box = (draw(st.floats(0.5, 30.0)), draw(st.floats(0.5, 12.0)))
+    return gmap, origin, (math.cos(angle), math.sin(angle)), box
 
 
 class TestThinning:
@@ -71,6 +168,21 @@ class TestBuildGraph:
         g = build_graph(skel)
         assert g.number_of_edges() == 2
         assert not g.has_edge((1, 1), (2, 2))
+
+    def test_full_block_is_four_cycle(self):
+        skel = np.zeros((4, 4), dtype=bool)
+        skel[1:3, 1:3] = True
+        g = build_graph(skel)
+        assert sorted(map(sorted, g.edges)) == [
+            [(1, 1), (1, 2)], [(1, 1), (2, 1)], [(1, 2), (2, 2)], [(2, 1), (2, 2)]]
+        assert all(w == 1.0 for _, _, w in g.edges(data="weight"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(pixel_masks())
+    def test_matches_reference_build(self, skel):
+        g, ref = build_graph(skel), reference_build_graph(skel)
+        assert list(g.nodes) == list(ref.nodes)
+        assert list(g.edges(data="weight")) == list(ref.edges(data="weight"))
 
 
 class TestCleanGraph:
@@ -166,6 +278,13 @@ class TestEndpointFiltering:
         valid = filter_endpoints(g, gmap, params)
         assert plane_leaf not in valid
 
+    @settings(max_examples=300, deadline=None)
+    @given(probe_worlds())
+    def test_box_count_matches_reference_volume(self, world):
+        gmap, origin, direction, (length, width) = world
+        got = _box_obstacle_count(gmap, origin, direction, length, width)
+        assert got == reference_obstacle_count(gmap, origin, direction, length, width)
+
 
 class TestPlusWorld:
     def test_single_junction_four_endpoints(self):
@@ -199,6 +318,19 @@ class TestSegmentsAndIO:
         assert set(g2.nodes) == set(g.nodes)
         assert {frozenset(e) for e in g2.edges} == {frozenset(e) for e in g.edges}
         assert valid2 == valid
+
+    # graph.json holds integer pixels and math.dist weights only, so its bytes
+    # pin the node set, the edge order and the valid endpoints exactly
+    @pytest.mark.parametrize("spec, sha256", [
+        (dict(recipe="plus", extent=120.0, road_width=9.6),
+         "6a02d49e78a52562b8ad1dc8fbc2a9e1eb6a9d5d6c7f4dd266da9d009464914c"),
+        (dict(recipe="grid", extent=120.0, blocks=(3, 3), road_width=9.6),
+         "99b6449cd91c273dbff853643ac9332e8fcb4c0cfe03bdd171c2d05ea2285388"),
+    ], ids=["plus", "grid3x3"])
+    def test_graph_json_bytes_pinned(self, tmp_path, spec, sha256):
+        g, valid = extract_topology(generate_world(WorldSpec(**spec)))
+        save_graph(g, valid, tmp_path / "graph.json")
+        assert hashlib.sha256((tmp_path / "graph.json").read_bytes()).hexdigest() == sha256
 
 
 def _check_segments(g, segs):
