@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Pose2
+from .geometry import Pose2, arc_length
 from .occupancy import (GlobalMap, GridFormatError, OccupancyGrid,
                         container_payload, crop, read_container)
 from .routing import RouteNetwork
@@ -69,6 +69,8 @@ class Agent:
     lc_cooldown: int = 0
     active: bool = True
     is_ego: bool = False
+    route_arc: np.ndarray = field(init=False, repr=False)
+    route_segments: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         self.position = np.asarray(self.position, dtype=float)
@@ -76,7 +78,19 @@ class Agent:
         n = np.linalg.norm(self.heading)
         if n > 0:
             self.heading = self.heading / n
-        self.route = np.asarray(self.route, dtype=float)
+        self.set_route(self.route)
+
+    def set_route(self, route) -> None:
+        """Assign a route and cache its geometry: the cumulative arc length
+        ``route_arc`` and ``route_segments``, the segment starts, vectors
+        and squared lengths (1 for a zero-length segment)."""
+        self.route = np.asarray(route, dtype=float)
+        self.route_arc = arc_length(self.route)
+        a = self.route[:-1]
+        ab = self.route[1:] - a
+        denom = (ab * ab).sum(axis=1)
+        denom[denom == 0] = 1.0
+        self.route_segments = (a, ab, denom)
 
     @property
     def yaw(self) -> float:

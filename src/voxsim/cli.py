@@ -53,6 +53,16 @@ def _from_config(make, cfg, **fixed):
         raise ConfigError(f"{make.__name__}: {e}") from e
 
 
+def _section(cfg: dict, key: str) -> dict:
+    """The ``key`` section of a config, {} when absent; a section that is
+    not a JSON object is a ConfigError."""
+    section = cfg.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {key!r} must be a JSON object, "
+                          f"not {type(section).__name__}")
+    return section
+
+
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -64,9 +74,10 @@ def _sha256(path: Path) -> str:
 # --- stage implementations --------------------------------------------------
 
 def run_synth(cfg: dict, seed: int, out_dir: Path) -> dict:
-    spec = _from_config(synthworld.WorldSpec, {**cfg.get("world", {}), "seed": seed % (2 ** 31)})
+    spec = _from_config(synthworld.WorldSpec,
+                        {**_section(cfg, "world"), "seed": seed % (2 ** 31)})
+    traj_cfg = _section(cfg, "trajectory")
     world = synthworld.generate_world(spec)
-    traj_cfg = cfg.get("trajectory", {})
     if "path" in traj_cfg:
         traj = load_trajectory(traj_cfg["path"])
         poses = traj.poses
@@ -161,8 +172,8 @@ def run_spawn(map_path, lanes_path, graph_path, layout, seed, out_path: Path) ->
 
 def run_simulate(map_path, lanes_path, graph_path, traj_path, params_cfg,
                  seed, layout, out_dir: Path) -> dict:
-    params_cfg = dict(params_cfg)
-    idm = _from_config(IdmParams, params_cfg.pop("idm", {}))
+    idm = _from_config(IdmParams, _section(params_cfg, "idm"))
+    params_cfg = {k: v for k, v in params_cfg.items() if k != "idm"}
     params = _from_config(SimParams, params_cfg, idm=idm, seed=seed % (2 ** 31))
     sim = _build_sim(map_path, lanes_path, graph_path, layout, params,
                      load_trajectory(traj_path).poses)
@@ -209,6 +220,8 @@ def run_metrics(args) -> dict:
 # --- pipeline ---------------------------------------------------------------
 
 def run_pipeline(config: dict, root_seed: int, out_dir: Path) -> dict:
+    synth_cfg, fuse_cfg, topo_cfg, lanes_cfg, sim_cfg = (
+        _section(config, stage) for stage in ("synth", "fuse", "topo", "lanes", "simulate"))
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {"seed": root_seed, "stages": []}
     artifacts = {}
@@ -229,18 +242,18 @@ def run_pipeline(config: dict, root_seed: int, out_dir: Path) -> dict:
         manifest["stages"].append(entry)
         artifacts.update(produced)
 
-    record("synth", run_synth(config.get("synth", {}), stage_seed(root_seed, "synth"), out_dir))
+    record("synth", run_synth(synth_cfg, stage_seed(root_seed, "synth"), out_dir))
     record("fuse", run_fuse(artifacts["frames"], artifacts["trajectory"],
-                            config.get("fuse", {}), out_dir / "map.occg"))
-    record("topo", run_topo(artifacts["map"], config.get("topo", {}), out_dir / "graph.json"))
+                            fuse_cfg, out_dir / "map.occg"))
+    record("topo", run_topo(artifacts["map"], topo_cfg, out_dir / "graph.json"))
     record("lanes", run_lanes(artifacts["map"], artifacts["graph"],
-                              config.get("lanes", {}), out_dir / "lanes.json"))
+                              lanes_cfg, out_dir / "lanes.json"))
     record("spawn", run_spawn(artifacts["map"], artifacts["lanes"], artifacts["graph"],
                               "procedural", stage_seed(root_seed, "spawn"),
                               out_dir / "agents.json"))
     record("simulate", run_simulate(artifacts["map"], artifacts["lanes"],
                                     artifacts["graph"], artifacts["trajectory"],
-                                    config.get("simulate", {}),
+                                    sim_cfg,
                                     stage_seed(root_seed, "simulate"),
                                     "procedural", out_dir / "rollout"))
     manifest_path = out_dir / "pipeline_manifest.json"
@@ -310,16 +323,21 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _load_json(path, default=None):
+def _load_json(path) -> dict:
+    """The JSON object in a config file, {} without a file. A missing file,
+    undecodable JSON or a top level that is not an object is a ConfigError."""
     if path is None:
-        return default if default is not None else {}
+        return {}
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except FileNotFoundError as e:
         raise ConfigError(str(e))
     except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as e:
         raise ConfigError(f"bad JSON in {path}: {e}")
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path} must hold a JSON object, not {type(cfg).__name__}")
+    return cfg
 
 
 def main(argv=None) -> int:

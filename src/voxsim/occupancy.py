@@ -139,20 +139,26 @@ def crop(gmap: GlobalMap, pose: Pose2, out_dims=DEFAULT_CROP_DIMS) -> OccupancyG
     if X <= 0 or Y <= 0 or Z <= 0:
         raise ValueError("crop dims must be positive")
     vox = gmap.voxel_size
+    GX, GY, GZ = gmap.dims
     # Crop cell centers in the ego frame, ego at the crop center.
-    xs = (np.arange(X) + 0.5 - X / 2.0) * vox
-    ys = (np.arange(Y) + 0.5 - Y / 2.0) * vox
-    lx, ly = np.meshgrid(xs, ys, indexing="ij")
+    lx = ((np.arange(X) + 0.5 - X / 2.0) * vox)[:, None]
+    ly = ((np.arange(Y) + 0.5 - Y / 2.0) * vox)[None, :]
     c, s = math.cos(pose.yaw), math.sin(pose.yaw)
     wx = pose.x + c * lx - s * ly
     wy = pose.y + s * lx + c * ly
-    ix = np.floor((wx - gmap.origin.x) / vox).astype(np.int64)
-    iy = np.floor((wy - gmap.origin.y) / vox).astype(np.int64)
-    inside = (ix >= 0) & (ix < gmap.dims[0]) & (iy >= 0) & (iy < gmap.dims[1])
-    out = np.full((X, Y, Z), gmap.table.unassigned_id, dtype=np.uint8)
-    zcount = min(Z, gmap.dims[2])
-    out[inside, :zcount] = gmap.labels[ix[inside], iy[inside], :zcount]
-    return OccupancyGrid(out, vox, pose, gmap.table)
+    ix = np.floor((wx - gmap.origin.x) / vox).astype(np.int64).ravel()
+    iy = np.floor((wy - gmap.origin.y) / vox).astype(np.int64).ravel()
+    inside = (ix >= 0) & (ix < GX) & (iy >= 0) & (iy < GY)
+    out = np.full((X * Y, Z), gmap.table.unassigned_id, dtype=np.uint8)
+    if inside.any():
+        # One flat row per footprint cell, each a whole z column of the map;
+        # cells off the map read row 0 and are reset afterwards.
+        rows = np.where(inside, ix * GY + iy, 0)
+        zcount = min(Z, GZ)
+        columns = gmap.labels.reshape(GX * GY, GZ)
+        out[:, :zcount] = columns.take(rows, axis=0)[:, :zcount]
+        out[~inside] = gmap.table.unassigned_id
+    return OccupancyGrid(out.reshape(X, Y, Z), vox, pose, gmap.table)
 
 
 def overlay(background: OccupancyGrid, foreground: OccupancyGrid) -> OccupancyGrid:

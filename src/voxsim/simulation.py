@@ -16,7 +16,7 @@ import numpy as np
 from .agents import (DEFAULT_ASSETS, Agent, ProceduralLayoutSource,
                      _route_heading, spawn_agents)
 from .geometry import Pose2, arc_length, resample_polyline
-from .occupancy import GlobalMap, OccupancyGrid, crop, overlay
+from .occupancy import GlobalMap, OccupancyGrid, crop
 from .routing import RouteNetwork, build_route_network
 
 log = logging.getLogger(__name__)
@@ -80,40 +80,37 @@ def idm_accel(v: float, v0: float, dv: float, s: float, idm: IdmParams) -> float
     return float(np.clip(a, -idm.b_emergency, idm.a_max))
 
 
-def _dist_point_polyline(p: np.ndarray, poly: np.ndarray) -> float:
-    """Minimum distance from a point to a polyline."""
-    if len(poly) == 1:
-        return float(np.linalg.norm(p - poly[0]))
-    a = poly[:-1]
-    b = poly[1:]
-    ab = b - a
+def _route_distance(agent: Agent, p: np.ndarray) -> float:
+    """Minimum distance from a point to the agent's route, read from the
+    segment arrays cached when the route was assigned."""
+    if len(agent.route) == 1:
+        return float(np.linalg.norm(p - agent.route[0]))
+    a, ab, denom = agent.route_segments
     ap = p - a
-    denom = (ab * ab).sum(axis=1)
-    denom[denom == 0] = 1.0
     t = np.clip((ap * ab).sum(axis=1) / denom, 0.0, 1.0)
     proj = a + t[:, None] * ab
     return float(np.linalg.norm(proj - p, axis=1).min())
 
 
+def _positions(agents) -> np.ndarray:
+    return np.array([a.position for a in agents], dtype=float).reshape(-1, 2)
+
+
 def select_leader(agent: Agent, others, d_lat: float = 2.0):
     """Nearest other agent within the forward cone (normalized dot > 0.5)
-    that also lies within d_lat of the agent's planned route."""
-    best, best_d = None, math.inf
-    for other in others:
-        if other is agent:
-            continue
-        rel = other.position - agent.position
-        dist = np.linalg.norm(rel)
-        if dist <= 1e-9:
-            continue
-        if float(rel @ agent.heading) / dist <= 0.5:
-            continue
-        if dist >= best_d:
-            continue  # cannot replace the current best: skip the route test
-        if _dist_point_polyline(other.position, agent.route) >= d_lat:
-            continue
-        best, best_d = other, dist
-    return best
+    that also lies within d_lat of the agent's planned route; of equally
+    near ones, the first in ``others``."""
+    others = [o for o in others if o is not agent]
+    rel = _positions(others) - agent.position
+    # Row-wise vecdot gives the same bits as the 1-D norm and dot product of
+    # each row; norm(axis=1) and a matrix product do not.
+    dist = np.sqrt(np.vecdot(rel, rel))
+    apart = np.flatnonzero(dist > 1e-9)
+    cone = apart[np.vecdot(rel[apart], agent.heading) / dist[apart] > 0.5]
+    for i in cone[np.argsort(dist[cone], kind="stable")]:
+        if _route_distance(agent, others[i].position) < d_lat:
+            return others[i]
+    return None
 
 
 def bezier_transition(p0: np.ndarray, h0: np.ndarray, p1: np.ndarray,
@@ -157,7 +154,7 @@ def maybe_lane_change(agent: Agent, leader: Agent, s: float, dv: float,
     tail = network.positions[path]
     h1 = _route_heading(tail)
     bez = bezier_transition(agent.position, agent.heading, p_adj, h1)
-    agent.route = np.concatenate([bez, tail])
+    agent.set_route(np.concatenate([bez, tail]))
     agent.route_s = 0.0
     agent.lane_id = network.lane_of[adj]
     agent.lc_cooldown = params.lc_cooldown_steps
@@ -169,7 +166,7 @@ def advance_along_route(agent: Agent, dist: float) -> None:
     if len(agent.route) < 2:
         agent.active = agent.static
         return
-    s = arc_length(agent.route)
+    s = agent.route_arc
     agent.route_s += dist
     if agent.route_s >= s[-1]:
         agent.position = agent.route[-1].copy()
@@ -199,11 +196,12 @@ class SimState:
     step_index: int = 0
 
 
-def _fov_contains(ego_pose: Pose2, pos: np.ndarray, fov_dims, vox: float) -> bool:
-    inv = ego_pose.inverse()
-    local = inv.transform_point(pos)
+def _in_fov(ego_pose: Pose2, positions: np.ndarray, fov_dims, vox: float):
+    """Ego-frame coordinates of world ``positions`` (n, 2), and which of
+    them lie inside the crop footprint."""
+    local = ego_pose.inverse().transform_point(positions)
     half = np.array([fov_dims[0], fov_dims[1]]) * vox / 2.0
-    return bool(np.all(np.abs(local) <= half))
+    return local, np.all(np.abs(local) <= half, axis=1)
 
 
 def _pose_at_offset(poses, s_path: np.ndarray, anchor_idx: int, offset: float):
@@ -277,12 +275,10 @@ class Simulator:
         state.delta_d_ego += state.ego.speed * params.dt
         if state.delta_d_ego < params.d_roll:
             return
-        ego_pose = self.ego_pose(state)
-        vox = self.gmap.voxel_size
-        kept = [a for a in state.agents
-                if a is state.ego
-                or _fov_contains(ego_pose, a.position, params.fov_dims, vox)]
-        state.agents = kept
+        _, inside = _in_fov(self.ego_pose(state), _positions(state.agents),
+                            params.fov_dims, self.gmap.voxel_size)
+        state.agents = [a for a, ok in zip(state.agents, inside)
+                        if ok or a is state.ego]
         # nearest recorded pose to the current ego position anchors the respawn
         anchor_idx = int(np.argmin(np.linalg.norm(self._path_pts - state.ego.position, axis=1)))
         state.agents.extend(self._spawn_ahead_and_behind(anchor_idx))
@@ -316,16 +312,19 @@ class Simulator:
             advance_along_route(agent, agent.speed * params.dt)
 
     def render(self, state: SimState) -> OccupancyGrid:
+        """The map crop around the ego with every agent in view stamped
+        into it as vehicle voxels (the vehicle id is never the unassigned
+        id, so this is the crop overlaid with a volume of agent boxes)."""
         ego_pose = self.ego_pose(state)
-        background = crop(self.gmap, ego_pose, self.params.fov_dims)
-        fg = np.full(background.dims, self.gmap.table.unassigned_id, dtype=np.uint8)
+        frame = crop(self.gmap, ego_pose, self.params.fov_dims)
         vox = self.gmap.voxel_size
-        for agent in state.agents:
-            if not _fov_contains(ego_pose, agent.position, self.params.fov_dims, vox):
-                continue
-            _stamp_box(fg, background.origin, agent, vox, self.gmap.table.vehicle_id)
-        foreground = OccupancyGrid(fg, vox, background.origin, self.gmap.table)
-        return overlay(background, foreground)
+        local, inside = _in_fov(ego_pose, _positions(state.agents),
+                                self.params.fov_dims, vox)
+        for agent, p, ok in zip(state.agents, local, inside):
+            if ok:
+                _stamp_box(frame.labels, p, agent.yaw - ego_pose.yaw, agent.asset,
+                           vox, self.gmap.table.vehicle_id)
+        return frame
 
     def step(self, state: SimState) -> OccupancyGrid:
         self.rolling_update(state)
@@ -346,14 +345,13 @@ class Simulator:
         return frames, logbook
 
 
-def _stamp_box(fg: np.ndarray, ego_pose: Pose2, agent: Agent, vox: float,
-               vehicle_id: int) -> None:
-    """Rasterize an agent's oriented asset box into an ego-frame crop volume."""
-    X, Y, Z = fg.shape
-    inv = ego_pose.inverse()
-    center = inv.transform_point(agent.position) + np.array([X, Y]) * vox / 2.0
-    yaw = agent.yaw - ego_pose.yaw
-    L, W = agent.asset.length, agent.asset.width
+def _stamp_box(labels: np.ndarray, local: np.ndarray, yaw: float, asset,
+               vox: float, vehicle_id: int) -> None:
+    """Rasterize an asset box at ego-frame position ``local`` and ego-frame
+    ``yaw`` into an ego-centred crop volume."""
+    X, Y, Z = labels.shape
+    center = local + np.array([X, Y]) * vox / 2.0
+    L, W = asset.length, asset.width
     half_diag = math.hypot(L, W) / 2.0
     x0 = max(int((center[0] - half_diag) / vox) - 1, 0)
     x1 = min(int((center[0] + half_diag) / vox) + 2, X)
@@ -361,17 +359,14 @@ def _stamp_box(fg: np.ndarray, ego_pose: Pose2, agent: Agent, vox: float,
     y1 = min(int((center[1] + half_diag) / vox) + 2, Y)
     if x1 <= x0 or y1 <= y0:
         return
-    gx, gy = np.meshgrid(np.arange(x0, x1), np.arange(y0, y1), indexing="ij")
-    cx = (gx + 0.5) * vox - center[0]
-    cy = (gy + 0.5) * vox - center[1]
+    cx = (np.arange(x0, x1)[:, None] + 0.5) * vox - center[0]
+    cy = (np.arange(y0, y1)[None, :] + 0.5) * vox - center[1]
     c, s = math.cos(-yaw), math.sin(-yaw)
     lon = c * cx - s * cy
     lat = s * cx + c * cy
     inside = (np.abs(lon) <= L / 2.0) & (np.abs(lat) <= W / 2.0)
-    z1 = min(int(math.ceil(agent.asset.height / vox)), Z)
-    sub = fg[x0:x1, y0:y1, :z1]
-    sub[inside] = vehicle_id
-    fg[x0:x1, y0:y1, :z1] = sub
+    z1 = min(int(math.ceil(asset.height / vox)), Z)
+    labels[x0:x1, y0:y1, :z1][inside] = vehicle_id
 
 
 def snapshot_state(state: SimState):

@@ -146,8 +146,27 @@ class TestExitCodes:
         ("lanes", "--params", json.dumps({"epsilon": 9.0})),
         ("synth", "--spec", json.dumps({"world": {"recipe": "bogus"}})),
         ("synth", "--spec", json.dumps({"world": {"bogus": 1}})),
+        # valid JSON that is not an object, at the top or as a section
+        ("simulate", "--params", "[1]"),
+        ("simulate", "--params", json.dumps({"idm": [1]})),
+        ("synth", "--spec", "[1]"),
+        ("synth", "--spec", json.dumps({"world": [1]})),
+        ("synth", "--spec", json.dumps({"trajectory": [1]})),
+        ("fuse", "--params", "[1]"),
+        ("topo", "--params", "[1]"),
+        ("lanes", "--params", "[1]"),
+        ("pipeline", "--config", "[1]"),
+        ("pipeline", "--config", json.dumps({"synth": [1]})),
+        ("pipeline", "--config", json.dumps({"fuse": [1]})),
+        ("pipeline", "--config", json.dumps({"topo": [1]})),
+        ("pipeline", "--config", json.dumps({"lanes": [1]})),
+        ("pipeline", "--config", json.dumps({"simulate": [1]})),
     ], ids=["dt", "sim-key", "idm", "w_lane", "nested", "not-utf8", "epsilon",
-            "recipe", "world-key"])
+            "recipe", "world-key", "simulate-list", "idm-list", "synth-list",
+            "world-list", "trajectory-list", "fuse-list", "topo-list",
+            "lanes-list", "pipeline-list", "pipeline-synth-list",
+            "pipeline-fuse-list", "pipeline-topo-list", "pipeline-lanes-list",
+            "pipeline-simulate-list"])
     def test_bad_params_is_config_error(self, tmp_path, command, flag, text):
         _spawnable_world(tmp_path)
         (tmp_path / "traj.json").write_text(json.dumps(
@@ -155,10 +174,13 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_bytes(text if isinstance(text, bytes) else text.encode())
         inputs = {"topo": ["--map"], "lanes": ["--map", "--graph"], "synth": [],
-                  "simulate": ["--map", "--lanes", "--graph", "--poses"]}[command]
+                  "simulate": ["--map", "--lanes", "--graph", "--poses"],
+                  "fuse": ["--frames", "--poses"], "pipeline": []}[command]
         files = {"--map": "map.occg", "--lanes": "lanes.json",
-                 "--graph": "graph.json", "--poses": "traj.json"}
-        argv = [command, flag, str(bad), "--out", str(tmp_path / "out")]
+                 "--graph": "graph.json", "--poses": "traj.json",
+                 "--frames": "frames"}
+        out_flag = "--out-dir" if command == "pipeline" else "--out"
+        argv = [command, flag, str(bad), out_flag, str(tmp_path / "out")]
         for opt in inputs:
             argv += [opt, str(tmp_path / files[opt])]
         assert main(argv) == EXIT_CONFIG

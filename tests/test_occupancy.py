@@ -149,6 +149,26 @@ class TestContainers:
             pass
 
 
+def reference_crop_labels(gmap, pose, out_dims):
+    """Crop labels by the two-index gather ``labels[ix, iy, :z]`` over the
+    footprint cells inside the map. Kept as the equivalence reference."""
+    X, Y, Z = out_dims
+    vox = gmap.voxel_size
+    xs = (np.arange(X) + 0.5 - X / 2.0) * vox
+    ys = (np.arange(Y) + 0.5 - Y / 2.0) * vox
+    lx, ly = np.meshgrid(xs, ys, indexing="ij")
+    c, s = math.cos(pose.yaw), math.sin(pose.yaw)
+    wx = pose.x + c * lx - s * ly
+    wy = pose.y + s * lx + c * ly
+    ix = np.floor((wx - gmap.origin.x) / vox).astype(np.int64)
+    iy = np.floor((wy - gmap.origin.y) / vox).astype(np.int64)
+    inside = (ix >= 0) & (ix < gmap.dims[0]) & (iy >= 0) & (iy < gmap.dims[1])
+    out = np.full((X, Y, Z), gmap.table.unassigned_id, dtype=np.uint8)
+    zcount = min(Z, gmap.dims[2])
+    out[inside, :zcount] = gmap.labels[ix[inside], iy[inside], :zcount]
+    return out
+
+
 class TestCrop:
     def test_axis_aligned_crop_is_slice(self):
         rng = np.random.default_rng(1)
@@ -172,6 +192,27 @@ class TestCrop:
         straight = crop(gmap, center, (40, 40, 2)).labels
         rotated = crop(gmap, Pose2(center.x, center.y, math.pi / 2), (40, 40, 2)).labels
         assert np.array_equal(rotated, np.rot90(straight, k=-1, axes=(0, 1)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_two_index_gather(self, data):
+        # maps of 1-12 cells a side and 1-6 high, anywhere; poses on, partly
+        # off or wholly off the map; crops lower or higher than the map
+        dims = data.draw(st.tuples(st.integers(1, 12), st.integers(1, 12),
+                                   st.integers(1, 6)))
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        labels = np.random.default_rng(seed).integers(0, 7, size=dims).astype(np.uint8)
+        vox = data.draw(st.sampled_from([0.4, 0.5, 1.0]))
+        coord = st.floats(-20.0, 20.0, allow_nan=False)
+        gmap = GlobalMap(labels, vox, Pose2(data.draw(coord), data.draw(coord), 0.0))
+        pose = Pose2(data.draw(coord), data.draw(coord),
+                     data.draw(st.floats(-math.pi, math.pi)))
+        out_dims = data.draw(st.tuples(st.integers(1, 10), st.integers(1, 10),
+                                       st.integers(1, 8)))
+        out = crop(gmap, pose, out_dims)
+        assert out.labels.shape == out_dims
+        assert np.array_equal(out.labels, reference_crop_labels(gmap, pose, out_dims))
+        assert (out.voxel_size, out.origin, out.table) == (vox, pose, gmap.table)
 
     def test_world_to_index(self):
         gmap = GlobalMap(np.zeros((10, 10, 2), dtype=np.uint8), 0.5,

@@ -1,18 +1,21 @@
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from voxsim.agents import AgentAsset, Agent
+from voxsim.geometry import Pose2, arc_length, resample_polyline
 from voxsim.lanes import Lane
+from voxsim.occupancy import GlobalMap, OccupancyGrid, crop, overlay
 from voxsim.routing import build_route_network
-from voxsim.simulation import (IdmParams, SimParams, Simulator,
-                               _dist_point_polyline, advance_along_route,
-                               bezier_transition, boxes_overlap, idm_accel,
-                               maybe_lane_change, select_leader,
-                               snapshot_state)
+from voxsim.simulation import (IdmParams, SimParams, SimState, Simulator,
+                               advance_along_route, bezier_transition,
+                               boxes_overlap, idm_accel, maybe_lane_change,
+                               select_leader, snapshot_state)
 from voxsim.synthworld import (WorldSpec, generate_world, straight_trajectory)
 from voxsim.topology import extract_topology
 from voxsim.lanes import extract_lanes
@@ -103,9 +106,25 @@ class TestIdm:
         assert abs((x_l - x_f) - gap_ref) / gap_ref < 0.05
 
 
+def reference_dist_point_polyline(p, poly):
+    """Minimum distance from a point to a polyline, from the polyline itself."""
+    if len(poly) == 1:
+        return float(np.linalg.norm(p - poly[0]))
+    a = poly[:-1]
+    b = poly[1:]
+    ab = b - a
+    ap = p - a
+    denom = (ab * ab).sum(axis=1)
+    denom[denom == 0] = 1.0
+    t = np.clip((ap * ab).sum(axis=1) / denom, 0.0, 1.0)
+    proj = a + t[:, None] * ab
+    return float(np.linalg.norm(proj - p, axis=1).min())
+
+
 def reference_select_leader(agent, others, d_lat=2.0):
-    """The leader search before the distance prune: every candidate in the
-    cone gets the route-distance test. Kept as the equivalence reference."""
+    """The per-candidate leader search: every candidate in the cone gets the
+    route-distance test, and a strictly nearer one replaces the best. Kept
+    as the equivalence reference."""
     best, best_d = None, math.inf
     for other in others:
         if other is agent:
@@ -116,32 +135,75 @@ def reference_select_leader(agent, others, d_lat=2.0):
             continue
         if float(rel @ agent.heading) / dist <= 0.5:
             continue
-        if _dist_point_polyline(other.position, agent.route) >= d_lat:
+        if reference_dist_point_polyline(other.position, agent.route) >= d_lat:
             continue
         if dist < best_d:
             best, best_d = other, dist
     return best
 
 
+def on_cone_edge(pos, yaw, side, t):
+    """The point t meters from pos on one edge of the 60-degree leader cone:
+    the cone test there is decided by the last bits of the dot product."""
+    return pos + t * np.array([math.cos(yaw + side * math.pi / 3),
+                               math.sin(yaw + side * math.pi / 3)])
+
+
 @st.composite
 def leader_scenes(draw):
     """An agent, a candidate list and d_lat. Integer grid coordinates give
-    many equal distances; candidates may sit on the agent, behind it, off
-    its route, or appear twice, and the agent may be in its own list."""
-    grid = st.tuples(st.integers(-8, 8), st.integers(-8, 8))
-    pos = draw(grid)
+    many equal distances. Non-integer offsets, also drawn with their
+    coordinates swapped or one negated, give distances that are equal in
+    exact arithmetic but may round apart, and candidates on the cone's edges
+    sit where the cone test turns on the last bit, so a norm or dot product
+    one ulp off the reference changes the pick. Candidates may sit on the
+    agent, behind it, off its route, or appear twice; the agent may be in
+    its own list, and its route may be the single point it stands on."""
+    coord = st.one_of(st.integers(-8, 8),
+                      st.integers(-56, 56).map(lambda k: k / 7),  # full mantissas
+                      st.floats(-8, 8, allow_nan=False, allow_infinity=False))
+    point = st.tuples(coord, coord)
+    pos = np.array(draw(point), dtype=float)
     yaw = draw(st.one_of(st.integers(0, 7).map(lambda k: k * math.pi / 4),
                          st.floats(-math.pi, math.pi)))
     heading = [math.cos(yaw), math.sin(yaw)]
-    route = [pos] + draw(st.lists(grid, min_size=0, max_size=5))
+    spots = []
+    for dx, dy in draw(st.lists(point, max_size=8)):
+        variants = [(dx, dy), (dy, dx), (dx, -dy), (-dy, dx)]
+        spots += [pos + v for v in variants[:draw(st.integers(1, 4))]]
+    for t in draw(st.lists(st.floats(0.5, 8.0), max_size=3)):
+        spots.append(on_cone_edge(pos, yaw, draw(st.sampled_from((-1, 1))), t))
+    # the route may pass through candidates, so that more of them pass its test
+    waypoint = st.one_of(point, st.sampled_from(spots)) if spots else point
+    route = [pos] + draw(st.one_of(st.just([]), st.lists(waypoint, max_size=5)))
     agent = make_agent(*pos, heading, 5.0, route)
+    spots += [pos] * draw(st.integers(0, 1))
     others = []
-    for p in draw(st.lists(st.one_of(grid, st.just(pos)), max_size=12)):
+    for p in draw(st.permutations(spots)):
         other = make_agent(*p, heading, 5.0, route)
         others.extend([other] * draw(st.integers(1, 2)))
     if draw(st.booleans()):
         others.insert(draw(st.integers(0, len(others))), agent)
     return agent, others, draw(st.floats(0.5, 6.0))
+
+
+def _scene(yaw, spots, route, d_lat):
+    heading = [math.cos(yaw), math.sin(yaw)]
+    agent = make_agent(0.0, 0.0, heading, 5.0, route)
+    return agent, [make_agent(*p, heading, 5.0, route) for p in spots], d_lat
+
+
+# (1/7, 4/7) is one ulp nearer the origin than (4/7, 1/7) by the 1-D norm;
+# a row-wise sum of squares calls them equal and keeps the first.
+ULP_NEARER = _scene(math.pi / 4, [(4 / 7, 1 / 7), (1 / 7, 4 / 7)],
+                    [(0.0, 0.0), (4 / 7, 1 / 7), (1 / 7, 4 / 7)], 1.0)
+# The 1-D dot product puts the first of these inside the cone, a matrix
+# product over both rows puts it outside.
+ULP_IN_CONE = _scene(
+    math.pi / 4,
+    [on_cone_edge(np.zeros(2), math.pi / 4, 1, t)
+     for t in (4.3615759548598705, 6.501375540963485)],
+    [(0.0, 0.0), on_cone_edge(np.zeros(2), math.pi / 4, 1, 8.0)], 1.0)
 
 
 class TestLeaderSelection:
@@ -184,6 +246,8 @@ class TestLeaderSelection:
 
     @settings(max_examples=300, deadline=None)
     @given(leader_scenes())
+    @example(ULP_NEARER)
+    @example(ULP_IN_CONE)
     def test_pruned_search_matches_reference(self, scene):
         agent, others, d_lat = scene
         assert (select_leader(agent, others, d_lat)
@@ -300,6 +364,113 @@ class TestSimulator:
         json.dumps(snapshot_state(state))
 
 
+def reference_stamp_box(fg, ego_pose, agent, vox, vehicle_id):
+    """An agent's oriented asset box rasterized into a separate foreground
+    volume, each cell tested on a meshgrid of the box's bounding cells."""
+    X, Y, Z = fg.shape
+    inv = ego_pose.inverse()
+    center = inv.transform_point(agent.position) + np.array([X, Y]) * vox / 2.0
+    yaw = agent.yaw - ego_pose.yaw
+    L, W = agent.asset.length, agent.asset.width
+    half_diag = math.hypot(L, W) / 2.0
+    x0 = max(int((center[0] - half_diag) / vox) - 1, 0)
+    x1 = min(int((center[0] + half_diag) / vox) + 2, X)
+    y0 = max(int((center[1] - half_diag) / vox) - 1, 0)
+    y1 = min(int((center[1] + half_diag) / vox) + 2, Y)
+    if x1 <= x0 or y1 <= y0:
+        return
+    gx, gy = np.meshgrid(np.arange(x0, x1), np.arange(y0, y1), indexing="ij")
+    cx = (gx + 0.5) * vox - center[0]
+    cy = (gy + 0.5) * vox - center[1]
+    c, s = math.cos(-yaw), math.sin(-yaw)
+    lon = c * cx - s * cy
+    lat = s * cx + c * cy
+    inside = (np.abs(lon) <= L / 2.0) & (np.abs(lat) <= W / 2.0)
+    z1 = min(int(math.ceil(agent.asset.height / vox)), Z)
+    sub = fg[x0:x1, y0:y1, :z1]
+    sub[inside] = vehicle_id
+    fg[x0:x1, y0:y1, :z1] = sub
+
+
+def reference_render(sim, state):
+    """The frame as a foreground volume of agent boxes, each agent tested
+    against the field of view on its own, laid over the crop with
+    ``overlay``. Kept as the equivalence reference."""
+    ego_pose = sim.ego_pose(state)
+    background = crop(sim.gmap, ego_pose, sim.params.fov_dims)
+    fg = np.full(background.dims, sim.gmap.table.unassigned_id, dtype=np.uint8)
+    vox = sim.gmap.voxel_size
+    half = np.array(sim.params.fov_dims[:2]) * vox / 2.0
+    for agent in state.agents:
+        local = ego_pose.inverse().transform_point(agent.position)
+        if np.all(np.abs(local) <= half):
+            reference_stamp_box(fg, background.origin, agent, vox,
+                                sim.gmap.table.vehicle_id)
+    return overlay(background, OccupancyGrid(fg, vox, background.origin, sim.gmap.table))
+
+
+class TestRender:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_foreground_overlay(self, data):
+        # a random map, a small field of view, and agents in, at the edge of
+        # and outside it, some boxes larger than the view
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        vox = data.draw(st.sampled_from([0.4, 0.5]))
+        gmap = GlobalMap(rng.integers(0, 7, size=(40, 40, 6)).astype(np.uint8), vox)
+        fov = data.draw(st.tuples(st.integers(2, 40), st.integers(2, 40),
+                                  st.integers(1, 8)))
+        sim = Simulator(gmap, [], [], [Pose2()], SimParams(fov_dims=fov))
+        coord = st.floats(-5.0, 25.0, allow_nan=False)
+        yaw = st.floats(-math.pi, math.pi)
+        size = st.floats(0.3, 6.0)
+        agents = []
+        for _ in range(data.draw(st.integers(1, 8))):
+            h = data.draw(yaw)
+            agents.append(Agent([data.draw(coord), data.draw(coord)],
+                                [math.cos(h), math.sin(h)], 0.0, [[0.0, 0.0]],
+                                [0.0, 0.0], AgentAsset(data.draw(size), data.draw(size),
+                                                       data.draw(size))))
+        state = SimState(agents=agents, ego=agents[0], ego_path=[])
+        frame = sim.render(state)
+        expect = reference_render(sim, state)
+        assert np.array_equal(frame.labels, expect.labels)
+        assert (frame.voxel_size, frame.origin) == (expect.voxel_size, expect.origin)
+
+
+@pytest.fixture(scope="module")
+def small_city():
+    """A 240 m, 3x3-block grid world: map, lanes, valid endpoints, ego path."""
+    spec = WorldSpec(recipe="grid", extent=240.0, blocks=(3, 3))
+    world = generate_world(spec)
+    g, valid = extract_topology(world)
+    endpoints = [((x + 0.5) * 0.4, (y + 0.5) * 0.4) for x, y in valid]
+    return world, extract_lanes(world, g), endpoints, straight_trajectory(spec)
+
+
+class TestPinnedRollouts:
+    """Rollouts hashed byte for byte: every snapshot_state entry (JSON, keys
+    sorted) and every rendered frame. The digests were recorded with the
+    per-agent loops that the reference functions in these tests keep, so
+    any change to the simulator's arithmetic moves them."""
+
+    @pytest.mark.parametrize("seed, start, digest", [
+        (3, 1, "1c8ffab8391cc0010367410c42ae36ca4a72c99347cc2dd518f93323fdb8cff0"),
+        (3, 34, "8b00ac96d61d155c8e8f653c3a8c6f37df61593e3c90f20c1e6725f257110433"),
+        (11, 1, "5d9995e78d59f6782d3fad8f97962d05959ae44e28a4386c902b8c3e295c7703"),
+        (11, 34, "bdd0e4f5548605006dddeb51d4481724713f17d1b936145fbfd84f11ceb4d04a"),
+    ], ids=["seed3-edge", "seed3-interior", "seed11-edge", "seed11-interior"])
+    def test_rollout_bytes(self, small_city, seed, start, digest):
+        world, lanes, endpoints, path = small_city
+        sim = Simulator(world, lanes, endpoints, path, SimParams(horizon=12, seed=seed))
+        frames, logbook = sim.run(ego_pose_index=start)
+        h = hashlib.sha256()
+        for frame, entry in zip(frames, logbook):
+            h.update(json.dumps(entry, sort_keys=True).encode())
+            h.update(frame.labels.tobytes())
+        assert h.hexdigest() == digest
+
+
 class TestLaneChange:
     def _two_lane_net(self):
         ax = np.arange(0.0, 100.0, 0.5)
@@ -332,6 +503,20 @@ class TestLaneChange:
         lead = make_agent(20, 0, [-1, 0], 8, [[20.0, 0.0], [0.0, 0.0]], lane_id=0)
         assert not maybe_lane_change(a, lead, s=10.0, dv=16.0, network=net,
                                      params=SimParams())
+
+    def test_advance_follows_the_new_route(self):
+        net = self._two_lane_net()
+        a = make_agent(10, 0, [1, 0], 8, [[10.0, 0.0], [99.5, 0.0]], lane_id=0)
+        advance_along_route(a, 2.0)   # reads the first route's geometry
+        lead = make_agent(20, 0, [-1, 0], 8, [[20.0, 0.0], [0.0, 0.0]], lane_id=0)
+        assert maybe_lane_change(a, lead, s=8.0, dv=16.0, network=net,
+                                 params=SimParams())
+        route = a.route.copy()
+        advance_along_route(a, 3.0)
+        expect = resample_polyline(route, arc_length(route), 3.0)
+        assert np.array_equal(a.position, expect)
+        # on the old route the same arc length is elsewhere
+        assert not np.allclose(expect, [13.0, 0.0])
 
     def test_receding_same_direction_no_trigger(self):
         net = self._two_lane_net()
