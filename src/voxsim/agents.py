@@ -1,4 +1,12 @@
-"""Layout heatmaps, augmentation, and spatially-conditioned agent spawning."""
+"""Layout heatmaps, augmentation, and spatially-conditioned agent spawning.
+
+Spawning asks a layout source for vehicle positions around an anchor pose.
+A layout source has one method, ``sample(anchor, half, rng)``: it receives
+the anchor pose and the half-extent (x, y) in meters of the anchor's
+footprint, and returns an ``AgentLayout`` in the footprint frame, origin at
+its corner. ``FileLayoutSource`` proposes the layout decoded from a heatmap
+file; ``ProceduralLayoutSource`` draws lane samples of the route network.
+"""
 
 from __future__ import annotations
 
@@ -10,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Pose2, arc_length
-from .occupancy import (GlobalMap, GridFormatError, OccupancyGrid,
-                        container_payload, crop, read_container)
+from .occupancy import (GridFormatError, OccupancyGrid, container_payload,
+                        read_container)
 from .routing import RouteNetwork
 
 log = logging.getLogger(__name__)
@@ -20,6 +28,9 @@ HEATMAP_SIZE = 200
 KERNEL_RADIUS = 3          # cells; also the NMS suppression radius
 KERNEL_SIGMA = 1.0         # unit-sigma Gaussian, truncated at the radius
 MAX_VEHICLES = 10
+MIN_SPACING = 8.0          # meters between procedurally proposed vehicles
+P_STATIC = 0.2             # share of procedurally proposed vehicles parked
+SNAP_DIST = 5.0            # meters from a proposal to its lane sample
 
 
 @dataclass
@@ -160,39 +171,26 @@ def read_heatmap(path):
     return np.frombuffer(payload, dtype="<f4").reshape(w, hgt).astype(float), mpc
 
 
-GLOBAL_TRANSFORMS = ("identity", "rot90", "rot180", "rot270", "flip_x", "flip_y")
+# Each global transform once, as an operation on the two leading (x, y) axes.
+_TRANSFORMS = {
+    "identity": lambda a: a,
+    "rot90": lambda a: np.rot90(a, k=3, axes=(0, 1)),
+    "rot180": lambda a: np.rot90(a, k=2, axes=(0, 1)),
+    "rot270": lambda a: np.rot90(a, k=1, axes=(0, 1)),
+    "flip_x": lambda a: a[::-1],
+    "flip_y": lambda a: a[:, ::-1],
+}
+GLOBAL_TRANSFORMS = tuple(_TRANSFORMS)
 
 
-def _transform_cell(t: str, cx: float, cy: float, w: int, h: int):
-    if t == "identity":
-        return cx, cy
-    if t == "rot90":
-        return cy, w - 1 - cx
-    if t == "rot180":
-        return w - 1 - cx, h - 1 - cy
-    if t == "rot270":
-        return h - 1 - cy, cx
-    if t == "flip_x":
-        return w - 1 - cx, cy
-    if t == "flip_y":
-        return cx, h - 1 - cy
-    raise ValueError(t)
-
-
-def _transform_volume(t: str, labels: np.ndarray) -> np.ndarray:
-    if t == "identity":
-        return labels.copy()
-    if t == "rot90":
-        return np.rot90(labels, k=3, axes=(0, 1)).copy()
-    if t == "rot180":
-        return np.rot90(labels, k=2, axes=(0, 1)).copy()
-    if t == "rot270":
-        return np.rot90(labels, k=1, axes=(0, 1)).copy()
-    if t == "flip_x":
-        return labels[::-1, :, :].copy()
-    if t == "flip_y":
-        return labels[:, ::-1, :].copy()
-    raise ValueError(t)
+def _transform_cell(t: str, cx: int, cy: int, w: int, h: int):
+    """Where cell (cx, cy) of a w x h plane lands under transform t: the
+    transform is applied to a plane of flat cell indices."""
+    if not (0 <= cx < w and 0 <= cy < h):
+        raise ValueError(f"cell ({cx}, {cy}) outside the {w}x{h} plane")
+    moved = _TRANSFORMS[t](np.arange(w * h).reshape(w, h))
+    tx, ty = np.argwhere(moved == cx * h + cy)[0]
+    return int(tx), int(ty)
 
 
 def augment(layout: AgentLayout, grid: OccupancyGrid, seed: int,
@@ -227,7 +225,7 @@ def augment(layout: AgentLayout, grid: OccupancyGrid, seed: int,
 
     if transform is None:
         transform = GLOBAL_TRANSFORMS[rng.integers(0, len(GLOBAL_TRANSFORMS))]
-    new_labels = _transform_volume(transform, grid.labels)
+    new_labels = _TRANSFORMS[transform](grid.labels).copy()
     final_entries = []
     for e in out_entries:
         cx = int(math.floor(e.x / vox))
@@ -239,46 +237,42 @@ def augment(layout: AgentLayout, grid: OccupancyGrid, seed: int,
 
 
 class FileLayoutSource:
-    """Layout source backed by an externally generated heatmap file."""
+    """Layout source backed by an externally generated heatmap file; the
+    layout is decoded once and proposed around every anchor."""
 
-    def __init__(self, path, peak_threshold: float = 0.5):
-        self.heatmap, self.meters_per_cell = read_heatmap(path)
-        self.peak_threshold = peak_threshold
+    def __init__(self, path):
+        self.layout = decode_heatmap(*read_heatmap(path))
 
-    def sample(self, local_grid: OccupancyGrid, rng) -> AgentLayout:
-        return decode_heatmap(self.heatmap, self.meters_per_cell, self.peak_threshold)
+    def sample(self, anchor: Pose2, half, rng) -> AgentLayout:
+        return self.layout
 
 
 class ProceduralLayoutSource:
-    """Uniform stand-in for the learned layout generator: up to 10 vehicles at
-    random lane points with 8 m minimum spacing, 20% static."""
+    """Uniform stand-in for the learned layout generator: up to MAX_VEHICLES
+    vehicles at random route-network samples inside 90% of the footprint,
+    MIN_SPACING apart, each static with probability P_STATIC. An empty
+    network proposes nothing."""
 
-    def __init__(self, lanes, min_spacing: float = 8.0, p_static: float = 0.2,
-                 max_vehicles: int = MAX_VEHICLES):
-        self.lane_points = (np.concatenate([l.points for l in lanes])
-                            if lanes else np.zeros((0, 2)))
-        self.min_spacing = min_spacing
-        self.p_static = p_static
-        self.max_vehicles = max_vehicles
+    def __init__(self, network: RouteNetwork):
+        self.network = network
 
-    def sample(self, local_grid: OccupancyGrid, rng) -> AgentLayout:
-        anchor = local_grid.origin
-        dims = local_grid.dims
-        vox = local_grid.voxel_size
-        half = np.array([dims[0], dims[1]]) * vox / 2.0
+    def sample(self, anchor: Pose2, half, rng) -> AgentLayout:
+        inner = half * 0.9
+        # The box |local| < inner lies in the ball of its half-diagonal; the
+        # slack covers rounding in the frame transform.
+        near = self.network.nodes_within(anchor.position, math.hypot(*inner) + 1e-3)
+        cands = self.network.positions[near]
         inv = anchor.inverse()
-        local = inv.transform_point(self.lane_points) if len(self.lane_points) else np.zeros((0, 2))
-        inside = np.all(np.abs(local) < half * 0.9, axis=1)
-        pool = self.lane_points[inside]
-        k = int(rng.integers(0, self.max_vehicles + 1))
+        pool = cands[np.all(np.abs(inv.transform_point(cands)) < inner, axis=1)]
+        k = int(rng.integers(0, MAX_VEHICLES + 1))
         chosen = []
         order = rng.permutation(len(pool))
         for i in order:
             if len(chosen) >= k:
                 break
             p = pool[i]
-            if all(np.linalg.norm(p - q) >= self.min_spacing for q, _ in chosen):
-                chosen.append((p, rng.random() < self.p_static))
+            if all(np.linalg.norm(p - q) >= MIN_SPACING for q, _ in chosen):
+                chosen.append((p, rng.random() < P_STATIC))
         entries = []
         for p, static in chosen:
             lp = inv.transform_point(p) + half  # local frame, corner origin
@@ -295,28 +289,26 @@ def _route_heading(route: np.ndarray) -> np.ndarray:
     return np.array([1.0, 0.0])
 
 
-def spawn_agents(anchor: Pose2, b_ego: bool, gmap: GlobalMap, lanes,
-                 network: RouteNetwork, valid_endpoints_m, assets,
-                 speed_dist, layout_source, rng,
-                 crop_dims=(200, 200, 16), snap_dist: float = 5.0):
+def spawn_agents(anchor: Pose2, b_ego: bool, half, network: RouteNetwork,
+                 valid_endpoints_m, speed_dist, layout_source, rng):
     """Spawn agents around an anchor pose.
 
-    The layout source proposes local positions (the anchor itself is appended
+    ``half`` is the half-extent (x, y) in meters of the anchor's footprint.
+    The layout source's ``sample(anchor, half, rng)`` proposes positions in
+    the footprint frame, origin at its corner (the anchor itself is appended
     when b_ego); each agent gets a Normal(mu, sigma) speed clamped at zero, a
     uniform valid endpoint target, a uniform asset, a shortest route over the
     lane network (``RouteNetwork.path_to``), and the route tangent as initial
-    heading. Agents that cannot snap or route are discarded with a log entry.
+    heading. Agents farther than SNAP_DIST from the network or without a
+    route are discarded with a log entry.
     """
-    if not lanes:
+    if len(network.positions) == 0:
         raise ValueError("cannot spawn without lanes")
     if len(valid_endpoints_m) == 0:
         raise ValueError("cannot spawn without valid endpoints")
     mu_v, sigma_v = speed_dist
-    local_grid = crop(gmap, anchor, crop_dims)
-    layout = layout_source.sample(local_grid, rng)
+    layout = layout_source.sample(anchor, half, rng)
 
-    dims = local_grid.dims
-    half = np.array([dims[0], dims[1]]) * local_grid.voxel_size / 2.0
     world_positions = []
     for e in layout.entries:
         local = np.array([e.x, e.y]) - half
@@ -329,8 +321,8 @@ def spawn_agents(anchor: Pose2, b_ego: bool, gmap: GlobalMap, lanes,
     for pos, static, is_ego in world_positions:
         speed = max(0.0, rng.normal(mu_v, sigma_v))
         target = endpoints[rng.integers(0, len(endpoints))]
-        asset = assets[rng.integers(0, len(assets))]
-        node = network.nearest_node(pos, snap_dist)
+        asset = DEFAULT_ASSETS[rng.integers(0, len(DEFAULT_ASSETS))]
+        node = network.nearest_node(pos, SNAP_DIST)
         if node is None:
             log.info("agent at %s too far from any lane; discarded", pos)
             continue

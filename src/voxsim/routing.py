@@ -30,7 +30,7 @@ class RouteNetwork:
     """
 
     def __init__(self, positions, lane_of, adjacency):
-        self.positions = np.asarray(positions, dtype=float)
+        self.positions = np.asarray(positions, dtype=float).reshape(-1, 2)
         self.lane_of = list(lane_of)
         self.adjacency = adjacency  # node -> list of (node, weight)
         self._tree = cKDTree(self.positions) if len(self.positions) else None
@@ -84,6 +84,13 @@ class RouteNetwork:
             return None
         d, i = self._tree.query(np.asarray(point, dtype=float))
         return int(i) if d <= max_dist else None
+
+    def nodes_within(self, point, radius) -> np.ndarray:
+        """Nodes within radius of point, in ascending order."""
+        if self._tree is None:
+            return np.zeros(0, dtype=np.intp)
+        return np.asarray(self._tree.query_ball_point(point, radius, return_sorted=True),
+                          dtype=np.intp)
 
     def nearest_node_on_other_lane(self, point, exclude_lane, max_dist):
         if self._tree is None:

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agents import (DEFAULT_ASSETS, Agent, ProceduralLayoutSource,
-                     _route_heading, spawn_agents)
+from .agents import Agent, ProceduralLayoutSource, _route_heading, spawn_agents
 from .geometry import Pose2, arc_length, resample_polyline
 from .occupancy import GlobalMap, OccupancyGrid, crop
 from .routing import RouteNetwork, build_route_network
@@ -196,11 +195,10 @@ class SimState:
     step_index: int = 0
 
 
-def _in_fov(ego_pose: Pose2, positions: np.ndarray, fov_dims, vox: float):
+def _in_fov(ego_pose: Pose2, positions: np.ndarray, half: np.ndarray):
     """Ego-frame coordinates of world ``positions`` (n, 2), and which of
-    them lie inside the crop footprint."""
+    them lie inside the footprint of half-extent ``half``."""
     local = ego_pose.inverse().transform_point(positions)
-    half = np.array([fov_dims[0], fov_dims[1]]) * vox / 2.0
     return local, np.all(np.abs(local) <= half, axis=1)
 
 
@@ -218,16 +216,15 @@ class Simulator:
     """Owns the world artifacts and runs the closed-loop engine."""
 
     def __init__(self, gmap: GlobalMap, lanes, valid_endpoints_m, ego_path,
-                 params: SimParams = None, layout_source=None, assets=DEFAULT_ASSETS,
-                 ego_speed_hook=None):
+                 params: SimParams = None, layout_source=None, ego_speed_hook=None):
         self.gmap = gmap
-        self.lanes = lanes
         self.network = build_route_network(lanes)
         self.valid_endpoints = np.asarray(valid_endpoints_m, dtype=float)
         self.ego_path = list(ego_path)
         self.params = params or SimParams()
-        self.assets = assets
-        self.layout_source = layout_source or ProceduralLayoutSource(lanes)
+        # half-extent (x, y) in meters of the footprint spawned into and rendered
+        self._half = np.array(self.params.fov_dims[:2]) * gmap.voxel_size / 2.0
+        self.layout_source = layout_source or ProceduralLayoutSource(self.network)
         self.ego_speed_hook = ego_speed_hook
         self.rng = np.random.default_rng(self.params.seed)
         self._path_pts = np.array([[p.x, p.y] for p in self.ego_path])
@@ -238,11 +235,9 @@ class Simulator:
     def spawn(self, anchor: Pose2, b_ego: bool):
         """Agents spawned around one anchor pose (plus the ego when b_ego)."""
         return spawn_agents(
-            anchor, b_ego, self.gmap, self.lanes, self.network,
-            self.valid_endpoints, self.assets,
+            anchor, b_ego, self._half, self.network, self.valid_endpoints,
             (self.params.speed_mu, self.params.speed_sigma),
-            self.layout_source, self.rng,
-            crop_dims=self.params.fov_dims)
+            self.layout_source, self.rng)
 
     def _spawn_ahead_and_behind(self, anchor_idx: int) -> list:
         """Agents spawned around the recorded poses d_pre ahead of and behind
@@ -275,8 +270,7 @@ class Simulator:
         state.delta_d_ego += state.ego.speed * params.dt
         if state.delta_d_ego < params.d_roll:
             return
-        _, inside = _in_fov(self.ego_pose(state), _positions(state.agents),
-                            params.fov_dims, self.gmap.voxel_size)
+        _, inside = _in_fov(self.ego_pose(state), _positions(state.agents), self._half)
         state.agents = [a for a, ok in zip(state.agents, inside)
                         if ok or a is state.ego]
         # nearest recorded pose to the current ego position anchors the respawn
@@ -318,8 +312,7 @@ class Simulator:
         ego_pose = self.ego_pose(state)
         frame = crop(self.gmap, ego_pose, self.params.fov_dims)
         vox = self.gmap.voxel_size
-        local, inside = _in_fov(ego_pose, _positions(state.agents),
-                                self.params.fov_dims, vox)
+        local, inside = _in_fov(ego_pose, _positions(state.agents), self._half)
         for agent, p, ok in zip(state.agents, local, inside):
             if ok:
                 _stamp_box(frame.labels, p, agent.yaw - ego_pose.yaw, agent.asset,

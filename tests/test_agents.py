@@ -1,13 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from voxsim.agents import (DEFAULT_ASSETS, AgentAsset, AgentLayout,
-                           GLOBAL_TRANSFORMS, LayoutEntry,
-                           ProceduralLayoutSource, _transform_cell,
-                           augment, decode_heatmap, encode_heatmap,
-                           read_heatmap, spawn_agents, write_heatmap)
+from voxsim.agents import (AgentAsset, AgentLayout, GLOBAL_TRANSFORMS,
+                           LayoutEntry, ProceduralLayoutSource,
+                           _transform_cell, augment, decode_heatmap,
+                           encode_heatmap, read_heatmap, spawn_agents,
+                           write_heatmap)
 from voxsim.geometry import Pose2
 from voxsim.lanes import Lane
+from voxsim.occupancy import OccupancyGrid
 from voxsim.routing import build_route_network
 
 from conftest import make_map
@@ -72,17 +76,20 @@ class TestAugment:
                          perturb=False)
         assert len(out) == 10
 
-    def test_shared_transform_grid_and_layout(self, table):
+    @pytest.mark.parametrize("shape", [(200, 200), (200, 120)])
+    def test_shared_transform_grid_and_layout(self, table, shape):
         rng = np.random.default_rng(3)
-        plane = rng.integers(1, 7, size=(200, 200)).astype(np.uint8)
+        plane = rng.integers(1, 7, size=shape).astype(np.uint8)
         grid = make_map(plane, table, z_dim=2, free_above=False)
-        cells = [(30, 40, False), (120, 60, True), (70, 150, False)]
+        cells = [(30, 40, False), (120, 60, True), (70, 110, False),
+                 (0, 0, True), (199, 0, False), (0, shape[1] - 1, True)]
         layout = centered_layout(cells)
         for t in GLOBAL_TRANSFORMS:
             out, new_grid = augment(layout, grid, seed=0, transform=t,
                                     perturb=False)
             for (cx, cy, static), e in zip(cells, out.entries):
-                tx, ty = _transform_cell(t, cx, cy, 200, 200)
+                tx, ty = _transform_cell(t, cx, cy, *shape)
+                assert (tx, ty) == reference_transform_cell(t, cx, cy, *shape)
                 assert (round(e.x / 0.4 - 0.5), round(e.y / 0.4 - 0.5)) == (tx, ty)
                 assert e.static == static
                 # the label under the vehicle follows it through the transform
@@ -123,25 +130,23 @@ class TestAugment:
 
 
 class TestSpawn:
-    def _world(self, table):
-        plane = np.full((250, 80), 4, dtype=np.uint8)
-        plane[:, 28:52] = table.road_id
-        gmap = make_map(plane, table)
+    HALF = np.array([150, 150]) * 0.4 / 2.0  # a 150 x 150 footprint at 0.4 m
+
+    def _world(self):
         ax = np.arange(2.0, 98.0, 0.5)
         lanes = [Lane(np.stack([ax, np.full_like(ax, 14.2)], axis=1), 0, 0),
                  Lane(np.stack([ax, np.full_like(ax, 17.8)], axis=1), 0, 1)]
         network = build_route_network(lanes)
         endpoints = [(2.0, 16.0), (97.5, 16.0)]
-        return gmap, lanes, network, endpoints
+        return network, endpoints
 
-    def test_ego_present_and_routed(self, table):
-        gmap, lanes, network, endpoints = self._world(table)
+    def test_ego_present_and_routed(self):
+        network, endpoints = self._world()
         rng = np.random.default_rng(0)
-        source = ProceduralLayoutSource(lanes)
+        source = ProceduralLayoutSource(network)
         anchor = Pose2(50.0, 16.0, 0.0)
-        agents = spawn_agents(anchor, True, gmap, lanes, network, endpoints,
-                              DEFAULT_ASSETS, (8.0, 2.0), source, rng,
-                              crop_dims=(150, 150, 16))
+        agents = spawn_agents(anchor, True, self.HALF, network, endpoints,
+                              (8.0, 2.0), source, rng)
         egos = [a for a in agents if a.is_ego]
         assert len(egos) == 1
         ego = egos[0]
@@ -158,30 +163,27 @@ class TestSpawn:
                         for e in endpoints)
                 assert d < 5.0
 
-    def test_unsnappable_anchor_discards_ego(self, table):
-        gmap, lanes, network, endpoints = self._world(table)
+    def test_unsnappable_anchor_discards_ego(self):
+        network, endpoints = self._world()
         rng = np.random.default_rng(0)
-        source = ProceduralLayoutSource([])  # proposes nothing
-        agents = spawn_agents(Pose2(50.0, 70.0, 0.0), True, gmap, lanes,
-                              network, endpoints, DEFAULT_ASSETS, (8.0, 2.0),
-                              source, rng)
+        source = ProceduralLayoutSource(build_route_network([]))  # proposes nothing
+        agents = spawn_agents(Pose2(50.0, 70.0, 0.0), True, self.HALF, network,
+                              endpoints, (8.0, 2.0), source, rng)
         assert agents == []
 
-    def test_no_lanes_rejected(self, table):
-        gmap, lanes, network, endpoints = self._world(table)
+    def test_no_lanes_rejected(self):
+        _, endpoints = self._world()
+        empty = build_route_network([])
         with pytest.raises(ValueError):
-            spawn_agents(Pose2(), True, gmap, [], network, endpoints,
-                         DEFAULT_ASSETS, (8.0, 2.0),
-                         ProceduralLayoutSource([]), np.random.default_rng(0))
+            spawn_agents(Pose2(), True, self.HALF, empty, endpoints, (8.0, 2.0),
+                         ProceduralLayoutSource(empty), np.random.default_rng(0))
 
-    def test_procedural_source_spacing_and_cap(self, table):
-        gmap, lanes, network, endpoints = self._world(table)
-        source = ProceduralLayoutSource(lanes)
-        local = make_map(np.full((150, 150), table.road_id, dtype=np.uint8),
-                         table, z_dim=4)
-        local.origin = Pose2(50.0, 16.0, 0.0)
+    def test_procedural_source_spacing_and_cap(self):
+        network, endpoints = self._world()
+        source = ProceduralLayoutSource(network)
         for seed in range(20):
-            layout = source.sample(local, np.random.default_rng(seed))
+            layout = source.sample(Pose2(50.0, 16.0, 0.0), self.HALF,
+                                   np.random.default_rng(seed))
             assert len(layout) <= 10
             pts = np.array([[e.x, e.y] for e in layout.entries])
             for i in range(len(pts)):
@@ -191,3 +193,92 @@ class TestSpawn:
     def test_asset_validation(self):
         with pytest.raises(ValueError):
             AgentAsset(0.0, 1.0, 1.0)
+
+
+def reference_transform_cell(t, cx, cy, w, h):
+    """The six transforms as closed-form cell mappings."""
+    return {"identity": (cx, cy), "rot90": (cy, w - 1 - cx),
+            "rot180": (w - 1 - cx, h - 1 - cy), "rot270": (h - 1 - cy, cx),
+            "flip_x": (w - 1 - cx, cy), "flip_y": (cx, h - 1 - cy)}[t]
+
+
+def test_transform_cell_outside_plane_rejected():
+    with pytest.raises(ValueError):
+        _transform_cell("rot90", 200, 0, 200, 120)
+
+
+def reference_sample(lanes, local_grid, rng):
+    """The procedural layout as drawn from a crop around the anchor: every
+    lane point transformed into the crop frame, the ones inside 90% of the
+    crop pooled. Kept as the equivalence reference."""
+    lane_points = (np.concatenate([l.points for l in lanes])
+                   if lanes else np.zeros((0, 2)))
+    anchor = local_grid.origin
+    dims = local_grid.dims
+    vox = local_grid.voxel_size
+    half = np.array([dims[0], dims[1]]) * vox / 2.0
+    inv = anchor.inverse()
+    local = inv.transform_point(lane_points) if len(lane_points) else np.zeros((0, 2))
+    inside = np.all(np.abs(local) < half * 0.9, axis=1)
+    pool = lane_points[inside]
+    k = int(rng.integers(0, 10 + 1))
+    chosen = []
+    order = rng.permutation(len(pool))
+    for i in order:
+        if len(chosen) >= k:
+            break
+        p = pool[i]
+        if all(np.linalg.norm(p - q) >= 8.0 for q, _ in chosen):
+            chosen.append((p, rng.random() < 0.2))
+    entries = []
+    for p, static in chosen:
+        lp = inv.transform_point(p) + half  # local frame, corner origin
+        entries.append(LayoutEntry(float(lp[0]), float(lp[1]), static))
+    return AgentLayout(entries)
+
+
+@st.composite
+def sample_scenes(draw):
+    """An anchor pose (near, at and beyond the edge of the lanes' 100 m
+    square), a footprint, and lanes: random polylines, and one whose samples
+    sit on the 0.9 * half boundary of the anchor's footprint or one ulp to
+    either side of it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    vox = draw(st.sampled_from([0.4, 0.5]))
+    dims = (draw(st.integers(4, 250)), draw(st.integers(4, 250)), 1)
+    quarter_turn = st.sampled_from([0.0, math.pi / 2, math.pi, -math.pi / 2])
+    yaw = draw(st.one_of(quarter_turn, st.floats(-math.pi, math.pi)))
+    coord = st.one_of(st.integers(-60, 160).map(lambda v: v / 4.0),
+                      st.floats(-60.0, 160.0))
+    anchor = Pose2(draw(coord), draw(coord), yaw)
+    lanes = []
+    for _ in range(draw(st.integers(0, 4))):
+        start = rng.uniform(0.0, 100.0, 2)
+        heading = rng.uniform(-math.pi, math.pi)
+        steps = np.arange(rng.integers(2, 160))[:, None] * 0.5
+        pts = start + steps * [math.cos(heading), math.sin(heading)]
+        lanes.append(Lane(pts, 0, len(lanes)))
+    if draw(st.booleans()):
+        inner = np.array(dims[:2]) * vox / 2.0 * 0.9
+        t = rng.uniform(-1.0, 1.0, (40, 1)) * inner
+        edge = np.concatenate([
+            np.hstack([np.full_like(t[:, :1], inner[0]), t[:, 1:]]),
+            np.hstack([t[:, :1], np.full_like(t[:, :1], -inner[1])]),
+            [inner, -inner, [inner[0], -inner[1]]]])
+        ulps = rng.integers(-1, 2, edge.shape)
+        edge = np.where(ulps == 0, edge, np.nextafter(edge, np.copysign(np.inf, ulps)))
+        lanes.append(Lane(anchor.transform_point(edge), 0, len(lanes)))
+    return anchor, vox, dims, lanes
+
+
+@settings(max_examples=300, deadline=None)
+@given(sample_scenes(), st.integers(0, 2 ** 32 - 1))
+def test_procedural_sample_matches_reference(scene, seed):
+    anchor, vox, dims, lanes = scene
+    local_grid = OccupancyGrid(np.zeros(dims, dtype=np.uint8), vox, anchor)
+    expect_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    expect = reference_sample(lanes, local_grid, expect_rng)
+    half = np.array(dims[:2]) * vox / 2.0
+    got = ProceduralLayoutSource(build_route_network(lanes)).sample(anchor, half, got_rng)
+    assert got.entries == expect.entries
+    assert got_rng.random() == expect_rng.random()   # same number of draws

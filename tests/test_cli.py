@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from voxsim.agents import write_heatmap
+from voxsim.agents import AgentLayout, LayoutEntry, encode_heatmap, write_heatmap
 from voxsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main, stage_seed
 from voxsim.geometry import Pose2
 from voxsim.metrics import write_features
@@ -20,12 +20,14 @@ PIPELINE_CONFIG = {
 }
 
 
-def _spawnable_world(tmp_path, valid_endpoints=(0,)):
-    """map.occg, lanes.json and graph.json of a small all-road world."""
+def _spawnable_world(tmp_path, valid_endpoints=(0,),
+                     lane_points=((2.0, 10.0), (18.0, 10.0))):
+    """map.occg, lanes.json and graph.json of a small all-road world: a
+    20 m square map and one lane along y = 10 m."""
     labels = np.full((50, 50, 2), default_table().road_id, dtype=np.uint8)
     write_grid(GlobalMap(labels, 0.4, Pose2()), tmp_path / "map.occg")
     (tmp_path / "lanes.json").write_text(json.dumps([{
-        "id": 0, "points": [[2.0, 10.0], [18.0, 10.0]],
+        "id": 0, "points": [list(p) for p in lane_points],
         "offset_index": 0, "source_segment": 0}]))
     (tmp_path / "graph.json").write_text(json.dumps({
         "nodes": [{"id": 0, "x": 45, "y": 25}], "edges": [],
@@ -202,6 +204,37 @@ class TestExitCodes:
         assert main(["spawn", *world, "--out", str(tmp_path / "agents.json")]) == EXIT_CONFIG
         assert main(["simulate", *world, "--poses", str(tmp_path / "traj.json"),
                      "--out", str(tmp_path / "rollout")]) == EXIT_CONFIG
+
+
+class TestSpawnFromLayout:
+    # (cell x, cell y, static) of a 200 x 200 heatmap at 0.4 m per cell,
+    # centred on the map centre (10, 10): cell (c, c') lies at world
+    # (0.4 c - 29.8, 0.4 c' - 29.8)
+    SNAPPABLE = [(80, 99, False), (95, 100, False), (110, 99, True),
+                 (88, 105, True)]
+    OFF_ROAD = [(100, 150, False), (30, 99, True)]   # > 5 m from the lane
+
+    def test_valid_heatmap(self, tmp_path):
+        _spawnable_world(tmp_path,
+                         lane_points=[(x, 10.0) for x in np.arange(2.0, 18.5, 0.5)])
+        layout = tmp_path / "layout.hm"
+        cells = self.SNAPPABLE + self.OFF_ROAD
+        write_heatmap(encode_heatmap(AgentLayout(
+            [LayoutEntry((cx + 0.5) * 0.4, (cy + 0.5) * 0.4, static)
+             for cx, cy, static in cells]), 0.4), 0.4, layout)
+        world = ["--map", str(tmp_path / "map.occg"),
+                 "--lanes", str(tmp_path / "lanes.json"),
+                 "--graph", str(tmp_path / "graph.json"), "--layout", str(layout)]
+        outs = [tmp_path / "a.json", tmp_path / "b.json"]
+        for out in outs:
+            assert main(["spawn", *world, "--seed", "3", "--out", str(out)]) == EXIT_OK
+        agents = json.loads(outs[0].read_text())
+        assert len(agents) == len(self.SNAPPABLE) + 1
+        assert sum(a["is_ego"] for a in agents) == 1
+        static = [a for a in agents if a["static"]]
+        assert len(static) == sum(s for _, _, s in self.SNAPPABLE)
+        assert all(a["speed"] == 0.0 for a in static)
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 class TestPipeline:
