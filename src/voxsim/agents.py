@@ -298,7 +298,7 @@ def spawn_agents(anchor: Pose2, b_ego: bool, half, network: RouteNetwork,
     the footprint frame, origin at its corner (the anchor itself is appended
     when b_ego); each agent gets a Normal(mu, sigma) speed clamped at zero, a
     uniform valid endpoint target, a uniform asset, a shortest route over the
-    lane network (``RouteNetwork.path_to``), and the route tangent as initial
+    lane network (``RouteNetwork.route_to``), and the route tangent as initial
     heading. Agents farther than SNAP_DIST from the network or without a
     route are discarded with a log entry.
     """
@@ -333,13 +333,10 @@ def spawn_agents(anchor: Pose2, b_ego: bool, half, network: RouteNetwork,
                                 target, asset, static=True,
                                 lane_id=network.lane_of[node]))
             continue
-        goal = network.nearest_node(target, math.inf)
-        found = network.path_to(node, goal)
-        if found is None:
+        route = network.route_to(node, target)
+        if route is None:
             log.info("no route from %s to %s; agent discarded", pos, target)
             continue
-        path, _ = found
-        route = network.positions[path]
         heading = _route_heading(route)
         agents.append(Agent(route[0].copy(), heading, speed, route, target,
                             asset, lane_id=network.lane_of[node], is_ego=is_ego))

@@ -63,6 +63,17 @@ def _section(cfg: dict, key: str) -> dict:
     return section
 
 
+def _config_value(cfg: dict, key: str, default, valid, expect: str):
+    """cfg[key] (``default`` when absent), a ConfigError unless valid."""
+    value = cfg.get(key, default)
+    try:
+        if valid(value):
+            return value
+    except TypeError:
+        pass
+    raise ConfigError(f"{key} {value!r} must be {expect}")
+
+
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -77,17 +88,22 @@ def run_synth(cfg: dict, seed: int, out_dir: Path) -> dict:
     spec = _from_config(synthworld.WorldSpec,
                         {**_section(cfg, "world"), "seed": seed % (2 ** 31)})
     traj_cfg = _section(cfg, "trajectory")
+    crop_dims = _config_value(cfg, "crop_dims", occupancy.DEFAULT_CROP_DIMS,
+                              occupancy.positive_dims, "three positive ints")
+    noise = _config_value(cfg, "noise", 0.0, lambda v: 0 <= v <= 1, "a number in [0, 1]")
+    step = _config_value(traj_cfg, "step", 3.0 if spec.recipe == "curve" else 3.2,
+                         lambda v: v > 0, "a positive number")
+    path = _config_value(traj_cfg, "path", None,
+                         lambda v: v is None or isinstance(v, str), "a file path")
     world = synthworld.generate_world(spec)
-    if "path" in traj_cfg:
-        traj = load_trajectory(traj_cfg["path"])
-        poses = traj.poses
+    if path is not None:
+        poses = load_trajectory(path).poses
     elif spec.recipe == "curve":
-        poses = synthworld.curve_trajectory(spec, step=traj_cfg.get("step", 3.0))
+        poses = synthworld.curve_trajectory(spec, step=step)
     else:
-        poses = synthworld.straight_trajectory(spec, step=traj_cfg.get("step", 3.2))
-    frames = synthworld.sample_frames(world, poses,
-                                      crop_dims=tuple(cfg.get("crop_dims", occupancy.DEFAULT_CROP_DIMS)),
-                                      noise=cfg.get("noise", 0.0), seed=seed % (2 ** 31))
+        poses = synthworld.straight_trajectory(spec, step=step)
+    frames = synthworld.sample_frames(world, poses, crop_dims=tuple(crop_dims),
+                                      noise=noise, seed=seed % (2 ** 31))
     frames_dir = out_dir / "frames"
     frames_dir.mkdir(parents=True, exist_ok=True)
     for i, f in enumerate(frames):
@@ -133,9 +149,8 @@ def run_lanes(map_path, graph_path, params_cfg: dict, out_path: Path) -> dict:
 
 
 def _endpoints_to_world(gmap, valid_px):
-    vox = gmap.voxel_size
-    return [((x + 0.5) * vox + gmap.origin.x, (y + 0.5) * vox + gmap.origin.y)
-            for x, y in valid_px]
+    """World (x, y) of the centres of the endpoint pixels, as a list of pairs."""
+    return [gmap.cell_center(x, y) for x, y in valid_px]
 
 
 def _build_sim(map_path, lanes_path, graph_path, layout, params: SimParams,

@@ -83,19 +83,15 @@ def _frame_to_map_indices(gmap: GlobalMap, pose: Pose2, dims):
     vox = gmap.voxel_size
     X, Y = dims[0], dims[1]
     lo, hi = _frame_footprint(pose, dims, vox)
-    g0 = np.maximum(gmap.world_to_index(lo), 0)
-    g1 = np.minimum(gmap.world_to_index(hi) + 1, np.array(gmap.dims[:2]))
+    g0 = np.maximum(gmap.cell_of(*lo), 0)
+    g1 = np.minimum(np.add(gmap.cell_of(*hi), 1), gmap.dims[:2])
     if np.any(g1 <= g0):
         return None
     gx = np.arange(g0[0], g1[0])
     gy = np.arange(g0[1], g1[1])
     GX, GY = np.meshgrid(gx, gy, indexing="ij")
-    wx = gmap.origin.x + (GX + 0.5) * vox
-    wy = gmap.origin.y + (GY + 0.5) * vox
-    inv = pose.inverse()
-    c, s = math.cos(inv.yaw), math.sin(inv.yaw)
-    lx = inv.x + c * wx - s * wy
-    ly = inv.y + s * wx + c * wy
+    wx, wy = gmap.cell_center(GX, GY)  # bound, as in crop: freed early, peak RSS rose
+    lx, ly = pose.inverse().transform_xy(wx, wy)
     fx = np.floor(lx / vox + X / 2.0).astype(np.int64)
     fy = np.floor(ly / vox + Y / 2.0).astype(np.int64)
     ok = (fx >= 0) & (fx < X) & (fy >= 0) & (fy < Y)

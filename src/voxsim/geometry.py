@@ -1,4 +1,5 @@
-"""Planar rigid-body math and grid warping primitives.
+"""Planar rigid-body math (one shared rotation, ``Pose2.transform_xy``) and grid
+warping primitives.
 
 Everything here is pure: poses, twists, masks and warps are computed from
 immutable inputs, so callers are free to parallelise across frames.
@@ -34,25 +35,22 @@ class Pose2:
             raise ValueError("pose components must be finite")
         object.__setattr__(self, "yaw", normalize_angle(self.yaw))
 
-    def compose(self, other: "Pose2") -> "Pose2":
+    def transform_xy(self, x, y):
+        """Points (x, y) of this pose's frame in the parent frame; floats or
+        arrays that broadcast together, as is each returned coordinate."""
         c, s = math.cos(self.yaw), math.sin(self.yaw)
-        return Pose2(
-            self.x + c * other.x - s * other.y,
-            self.y + s * other.x + c * other.y,
-            self.yaw + other.yaw,
-        )
+        return self.x + c * x - s * y, self.y + s * x + c * y
+
+    def compose(self, other: "Pose2") -> "Pose2":
+        return Pose2(*self.transform_xy(other.x, other.y), self.yaw + other.yaw)
 
     def inverse(self) -> "Pose2":
         c, s = math.cos(self.yaw), math.sin(self.yaw)
         return Pose2(-(c * self.x + s * self.y), -(-s * self.x + c * self.y), -self.yaw)
 
     def transform_point(self, p) -> np.ndarray:
-        c, s = math.cos(self.yaw), math.sin(self.yaw)
         p = np.asarray(p, dtype=float)
-        return np.stack(
-            [self.x + c * p[..., 0] - s * p[..., 1], self.y + s * p[..., 0] + c * p[..., 1]],
-            axis=-1,
-        )
+        return np.stack(self.transform_xy(p[..., 0], p[..., 1]), axis=-1)
 
     @property
     def position(self) -> np.ndarray:
@@ -103,7 +101,6 @@ class Trajectory:
     """Timestamped pose sequence; timestamps strictly increasing."""
 
     samples: tuple  # of (time, Pose2)
-    horizon: int = 0
 
     def __post_init__(self):
         if len(self.samples) < 1:
@@ -140,14 +137,11 @@ def _dest_source_coords(transform: Pose2, width: int, height: int, voxel_size: f
     ``transform`` maps source coordinates into the destination frame, so each
     destination cell samples the source at the inverse-transformed location.
     """
-    inv = transform.inverse()
     xs = (np.arange(width) + 0.5) * voxel_size
     ys = (np.arange(height) + 0.5) * voxel_size
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    c, s = math.cos(inv.yaw), math.sin(inv.yaw)
-    sx = (inv.x + c * gx - s * gy) / voxel_size
-    sy = (inv.y + s * gx + c * gy) / voxel_size
-    return sx, sy
+    sx, sy = transform.inverse().transform_xy(gx, gy)
+    return sx / voxel_size, sy / voxel_size
 
 
 def warp_grid(src: np.ndarray, transform: Pose2, voxel_size: float,

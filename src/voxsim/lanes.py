@@ -188,7 +188,7 @@ def extract_lanes(gmap, graph, params: LaneParams = None):
         seg_px = np.asarray(seg, dtype=float)
         center_px = fit_centerline(seg_px, params.ds_step / vox)
         seg_width = estimate_width(center_px, dist)
-        center_m = (center_px + 0.5) * vox + np.asarray(origin)
+        center_m = np.stack(gmap.cell_center(*center_px.T), axis=1)
         cands = offset_lanes(center_m, seg_width, params, road, vox, origin,
                              source_segment=seg_id)
         candidates.extend(cands)

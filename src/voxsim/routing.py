@@ -5,7 +5,8 @@ lane, and lane endpoints link to nearby samples of other lanes so routes can
 flow through junctions. Agents route through cached goal-rooted
 shortest-path trees: the first query for a goal runs one Dijkstra from that
 goal over the whole network, and every later query toward it walks the
-tree's predecessor links (``RouteNetwork.path_to``). ``astar`` remains the
+tree's predecessor links (``RouteNetwork.path_to``); ``route_to`` routes to
+the node nearest a target point. ``astar`` remains the
 single-pair search, with the straight-line heuristic, which is admissible
 because edge weights are Euclidean lengths.
 """
@@ -58,6 +59,12 @@ class RouteNetwork:
             node = int(pred[node])
             path.append(node)
         return path, float(dist[start])
+
+    def route_to(self, start: int, target_point):
+        """World-meter (N, 2) shortest route from node start to the node
+        nearest ``target_point``; None when that node is unreachable."""
+        found = self.path_to(start, self.nearest_node(target_point))
+        return None if found is None else self.positions[found[0]]
 
     def _goal_tree(self, goal: int):
         if self._reverse_csr is None:
@@ -178,11 +185,4 @@ def route_points(network: RouteNetwork, start_point, goal_point,
     """World-meter polyline of the shortest route between two points snapped
     onto the network; None when either snap or the search fails."""
     s = network.nearest_node(start_point, snap_dist)
-    t = network.nearest_node(goal_point, math.inf)
-    if s is None or t is None:
-        return None
-    found = network.path_to(s, t)
-    if found is None:
-        return None
-    path, _ = found
-    return network.positions[path]
+    return None if s is None else network.route_to(s, goal_point)

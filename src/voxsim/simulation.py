@@ -15,7 +15,7 @@ import numpy as np
 
 from .agents import Agent, ProceduralLayoutSource, _route_heading, spawn_agents
 from .geometry import Pose2, arc_length, resample_polyline
-from .occupancy import GlobalMap, OccupancyGrid, crop
+from .occupancy import GlobalMap, OccupancyGrid, crop, positive_dims
 from .routing import RouteNetwork, build_route_network
 
 log = logging.getLogger(__name__)
@@ -57,6 +57,8 @@ class SimParams:
             raise ValueError("dt must be positive and horizon >= 1")
         if min(self.d_roll, self.d_pre, self.d_lc, self.d_lat) <= 0:
             raise ValueError("distances must be positive")
+        if not positive_dims(self.fov_dims):
+            raise ValueError(f"fov_dims {self.fov_dims!r} must be three positive ints")
 
 
 def idm_accel(v: float, v0: float, dv: float, s: float, idm: IdmParams) -> float:
@@ -145,12 +147,9 @@ def maybe_lane_change(agent: Agent, leader: Agent, s: float, dv: float,
     if adj is None:
         return False
     p_adj = network.positions[adj]
-    goal = network.nearest_node(agent.target, math.inf)
-    found = network.path_to(adj, goal)
-    if found is None:
+    tail = network.route_to(adj, agent.target)
+    if tail is None:
         return False
-    path, _ = found
-    tail = network.positions[path]
     h1 = _route_heading(tail)
     bez = bezier_transition(agent.position, agent.heading, p_adj, h1)
     agent.set_route(np.concatenate([bez, tail]))
@@ -190,7 +189,6 @@ def advance_along_route(agent: Agent, dist: float) -> None:
 class SimState:
     agents: list
     ego: Agent
-    ego_path: list                 # recorded Pose2 sequence the map was built from
     delta_d_ego: float = 0.0
     step_index: int = 0
 
@@ -257,7 +255,7 @@ class Simulator:
         if ego is None:
             raise RuntimeError("ego could not be snapped onto the lane network")
         agents.extend(self._spawn_ahead_and_behind(ego_pose_index))
-        return SimState(agents=agents, ego=ego, ego_path=self.ego_path)
+        return SimState(agents=agents, ego=ego)
 
     # -- per-step phases --------------------------------------------------
 
@@ -312,11 +310,12 @@ class Simulator:
         ego_pose = self.ego_pose(state)
         frame = crop(self.gmap, ego_pose, self.params.fov_dims)
         vox = self.gmap.voxel_size
+        vehicle_id = self.gmap.table.vehicle_id
         local, inside = _in_fov(ego_pose, _positions(state.agents), self._half)
         for agent, p, ok in zip(state.agents, local, inside):
             if ok:
                 _stamp_box(frame.labels, p, agent.yaw - ego_pose.yaw, agent.asset,
-                           vox, self.gmap.table.vehicle_id)
+                           vox, vehicle_id)
         return frame
 
     def step(self, state: SimState) -> OccupancyGrid:

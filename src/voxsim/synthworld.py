@@ -26,7 +26,6 @@ class WorldSpec:
     recipe: str = "straight"          # straight | curve | plus | grid
     extent: float = 120.0             # meters, square world side
     road_width: float = 10.8          # meters
-    lane_width: float = 3.6
     sidewalk_width: float = 2.0
     voxel_size: float = DEFAULT_VOXEL_SIZE
     z_dim: int = 16
@@ -40,6 +39,8 @@ class WorldSpec:
         self.blocks = tuple(self.blocks)
         if self.extent <= 0 or self.road_width <= 0 or self.voxel_size <= 0:
             raise ValueError("infeasible world spec")
+        if type(self.z_dim) is not int or self.z_dim < 1:
+            raise ValueError(f"z_dim {self.z_dim!r} must be a positive int")
         if self.recipe not in ("straight", "curve", "plus", "grid"):
             raise ValueError(f"unknown recipe {self.recipe!r}")
         if self.recipe == "curve" and self.radius <= self.road_width:
@@ -86,19 +87,19 @@ def generate_world(spec: WorldSpec, table: SemanticTable = None) -> GlobalMap:
     sidewalk = (~road) & (d <= spec.road_width / 2.0 + spec.sidewalk_width)
 
     labels = np.full((n, n, spec.z_dim), table.unassigned_id, dtype=np.uint8)
-    ground = np.full((n, n), next(i for i, _, r in table.entries if r == "ground"),
+    ground = np.full((n, n), table.ids_for("ground")[0],
                      dtype=np.uint8)
     ground[road] = table.road_id
     ground[sidewalk] = table.sidewalk_id
     labels[:, :, 0] = ground
-    free_id = next(i for i, _, r in table.entries if r == "free")
+    free_id = table.ids_for("free")[0]
     labels[:, :, 1:] = free_id
 
     if spec.obstacle_density > 0:
         rng = np.random.default_rng(spec.seed)
         off_road_area = float((~road & ~sidewalk).sum()) * vox * vox
         count = int(round(spec.obstacle_density * off_road_area / 100.0))
-        obstacle_id = next(i for i, _, r in table.entries if r == "obstacle")
+        obstacle_id = table.ids_for("obstacle")[0]
         zmax = min(int(math.ceil(spec.obstacle_height / vox)) + 1, spec.z_dim)
         placed = 0
         while placed < count:

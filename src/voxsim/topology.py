@@ -177,7 +177,8 @@ def _contract_junctions(g: nx.Graph, radius: float) -> bool:
 
 
 def clean_graph(g: nx.Graph, tau_prune_px: float, w_lane_px: float) -> nx.Graph:
-    """Iterate spur pruning and junction contraction to a joint fixpoint."""
+    """Iterate spur pruning and junction contraction to a joint fixpoint on a
+    copy, whose neighbour order (not build_graph's) sets the segment order."""
     g = g.copy()
     while True:
         pruned = _prune_spurs(g, tau_prune_px)
@@ -200,8 +201,7 @@ def _box_obstacle_count(gmap: GlobalMap, origin_px, direction, length_px, width_
     from origin along direction. A label is an obstacle unless it is road,
     sidewalk, a free-role category or unassigned."""
     t = gmap.table
-    free = [t.road_id, t.sidewalk_id, t.unassigned_id]
-    free += [e[0] for e in t.entries if e[2] == "free"]
+    free = (t.unassigned_id, *t.ids_for("road", "sidewalk", "free"))
     is_obstacle = ~np.isin(np.arange(256), free)  # per uint8 label value
     X, Y = gmap.labels.shape[:2]
     d = np.asarray(direction, dtype=float)

@@ -271,7 +271,7 @@ class TestCriterion6:
         a.is_ego = True
         b = routed_agent(90.0, y_low, west, 3.0)   # oncoming, same lane
         b.lc_cooldown = 10 ** 9                    # committed driver
-        state = SimState(agents=[a, b], ego=a, ego_path=poses)
+        state = SimState(agents=[a, b], ego=a)
 
         overlaps = 0
         lane_changes = 0

@@ -6,9 +6,10 @@ import pytest
 
 from voxsim.agents import AgentLayout, LayoutEntry, encode_heatmap, write_heatmap
 from voxsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main, stage_seed
-from voxsim.geometry import Pose2
-from voxsim.metrics import write_features
-from voxsim.occupancy import MAGIC, GlobalMap, default_table, write_grid
+from voxsim.geometry import Pose2, load_trajectory
+from voxsim.metrics import fid, kid, mmd, read_features, write_features
+from voxsim.occupancy import MAGIC, GlobalMap, default_table, read_grid, write_grid
+from voxsim.synthworld import WorldSpec, curve_trajectory
 
 
 PIPELINE_CONFIG = {
@@ -163,12 +164,26 @@ class TestExitCodes:
         ("pipeline", "--config", json.dumps({"topo": [1]})),
         ("pipeline", "--config", json.dumps({"lanes": [1]})),
         ("pipeline", "--config", json.dumps({"simulate": [1]})),
+        # values that used to get past the boundary and fail in the stage
+        ("simulate", "--params", json.dumps({"fov_dims": [0, 0, 16]})),
+        ("simulate", "--params", json.dumps({"fov_dims": [-10, 200, 16]})),
+        ("synth", "--spec", json.dumps({"crop_dims": [0, 0, 16]})),
+        ("synth", "--spec", json.dumps({"crop_dims": "abc"})),
+        ("synth", "--spec", json.dumps({"noise": "x"})),
+        ("synth", "--spec", json.dumps({"noise": -1})),
+        ("synth", "--spec", json.dumps({"trajectory": {"step": 0}})),
+        ("synth", "--spec", json.dumps({"trajectory": {"step": "a"}})),
+        ("synth", "--spec", json.dumps({"world": {"z_dim": 0}})),
+        ("synth", "--spec", json.dumps({"trajectory": {"path": 5}})),
+        ("synth", "--spec", json.dumps({"world": {"lane_width": 3.6}})),
     ], ids=["dt", "sim-key", "idm", "w_lane", "nested", "not-utf8", "epsilon",
             "recipe", "world-key", "simulate-list", "idm-list", "synth-list",
             "world-list", "trajectory-list", "fuse-list", "topo-list",
             "lanes-list", "pipeline-list", "pipeline-synth-list",
             "pipeline-fuse-list", "pipeline-topo-list", "pipeline-lanes-list",
-            "pipeline-simulate-list"])
+            "pipeline-simulate-list", "fov-zero", "fov-negative", "crop-zero",
+            "crop-str", "noise-str", "noise-negative", "step-zero", "step-str",
+            "z_dim-zero", "path-int", "world-lane_width"])
     def test_bad_params_is_config_error(self, tmp_path, command, flag, text):
         _spawnable_world(tmp_path)
         (tmp_path / "traj.json").write_text(json.dumps(
@@ -204,6 +219,54 @@ class TestExitCodes:
         assert main(["spawn", *world, "--out", str(tmp_path / "agents.json")]) == EXIT_CONFIG
         assert main(["simulate", *world, "--poses", str(tmp_path / "traj.json"),
                      "--out", str(tmp_path / "rollout")]) == EXIT_CONFIG
+
+
+def _fid_report(x, y):
+    value, flagged = fid(x, y)
+    return {"value": value, "singular_covariance": flagged}
+
+
+class TestMetricsCommand:
+    @pytest.mark.parametrize("args, library, n_a", [
+        (["mmd"], lambda x, y: {"value": mmd(x, y)}, 12),
+        (["mmd", "--kernel", "polynomial"],
+         lambda x, y: {"value": mmd(x, y, kernel="polynomial")}, 12),
+        (["mmd", "--sigma", "2.5"], lambda x, y: {"value": mmd(x, y, sigma=2.5)}, 12),
+        (["kid"], lambda x, y: {"value": kid(x, y)}, 12),
+        (["fid"], _fid_report, 12),
+        (["fid"], _fid_report, 3),     # 3 samples of 4 features: singular covariance
+    ], ids=["mmd", "mmd-polynomial", "mmd-sigma", "kid", "fid", "fid-singular"])
+    def test_reports_the_library_value(self, tmp_path, capsys, args, library, n_a):
+        rng = np.random.default_rng(5)
+        a, b = tmp_path / "a.feat", tmp_path / "b.feat"
+        write_features(rng.normal(size=(n_a, 4)), a)
+        write_features(rng.normal(0.5, 1.0, size=(9, 4)), b)
+        assert main(["metrics", args[0], "--a", str(a), "--b", str(b), *args[1:]]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report == {"metric": args[0], **library(read_features(a), read_features(b))}
+        if args[0] == "fid":
+            assert report["singular_covariance"] == (n_a == 3)
+
+
+class TestSynth:
+    WORLD = {"recipe": "curve", "extent": 60.0, "radius": 20.0, "road_width": 6.0}
+
+    @pytest.mark.parametrize("trajectory, step", [({}, 3.0), ({"step": 5.0}, 5.0)],
+                             ids=["default-step", "step"])
+    def test_curve_recipe_samples_the_arc(self, tmp_path, capsys, trajectory, step):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"world": self.WORLD, "trajectory": trajectory,
+                                    "crop_dims": [40, 40, 4]}))
+        out = tmp_path / "out"
+        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == EXIT_OK
+        expect = curve_trajectory(WorldSpec(**self.WORLD), step=step)
+        poses = load_trajectory(out / "trajectory.json").poses
+        assert np.allclose([(p.x, p.y, p.yaw) for p in poses],
+                           [(p.x, p.y, p.yaw) for p in expect], rtol=0, atol=1e-12)
+        frames = sorted((out / "frames").glob("frame_*.occg"))
+        assert len(frames) == len(expect)
+        first = read_grid(frames[0])
+        assert first.dims == (40, 40, 4) and first.origin == expect[0]
 
 
 class TestSpawnFromLayout:

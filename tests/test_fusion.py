@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -312,6 +313,22 @@ class TestFuseSequence:
         assigned = sub != world.table.unassigned_id
         assert assigned.sum() > 100_000
         assert np.array_equal(sub[assigned], truth[assigned])
+
+    # Fused labels of a short noisy sequence of rotated poses off the voxel
+    # lattice (4 keyframes; the vote pass fills about 5 400 voxels), hashed.
+    # The vote reference above shares _frame_to_map_indices with the code
+    # under test, so an index error there (a footprint cell dropped at the
+    # edge, a frame index shifted) could pass it unseen; these bytes move.
+    def test_rotated_noisy_bytes_pinned(self):
+        spec = WorldSpec(recipe="plus", extent=60.0, road_width=6.0)
+        poses = [Pose2(12.13 + 2.9 * i, 30.07 + 0.37 * i, 0.11 * i - 0.3)
+                 for i in range(12)]
+        frames = sample_frames(generate_world(spec), poses, crop_dims=(80, 80, 8),
+                               noise=0.05, seed=3)
+        fused = fuse_sequence(frames, poses, FusionParams(d_max=8.0, tau_vote=2))
+        assert fused.dims == (182, 125, 8)
+        assert hashlib.sha256(fused.labels.tobytes()).hexdigest() == (
+            "be22518bf3a78bae53b5705e91f29756be9d28293161a9ae81cf6413d92e658a")
 
     def test_params_validation(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -44,6 +45,17 @@ class TestPose2:
         pt = p.transform_point([3.0, -1.0])
         q = p.compose(Pose2(3.0, -1.0, 0.0))
         assert np.allclose(pt, [q.x, q.y])
+
+    def test_transform_xy_broadcasts(self):
+        p = Pose2(1.0, 2.0, 0.5)
+        xs = np.array([[3.0], [0.0], [-2.5]])
+        ys = np.array([-1.0, 4.0])
+        wx, wy = p.transform_xy(xs, ys)
+        assert wx.shape == wy.shape == (3, 2)
+        pts = np.stack(np.broadcast_arrays(xs, ys), axis=-1)
+        assert np.array_equal(np.stack([wx, wy], axis=-1), p.transform_point(pts))
+        q = p.compose(Pose2(3.0, -1.0, 0.25))
+        assert p.transform_xy(3.0, -1.0) == (q.x, q.y)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
@@ -137,6 +149,21 @@ class TestWarpGrid:
         assert w[4, 4] == pytest.approx(0.5)
         assert w[5, 4] == pytest.approx(0.5)
 
+    # Warps under a rotated, translated transform, hashed: nearest and
+    # bilinear, on 2-D and 3-D grids. The inverse rotation comes from
+    # Pose2.transform_xy, so a change to it shows here bit for bit.
+    def test_rotated_bytes_pinned(self):
+        rng = np.random.default_rng(11)
+        grids = (rng.integers(0, 7, size=(31, 23)).astype(np.uint8),
+                 rng.random((31, 23, 3)))
+        t = Pose2(0.37, -0.52, 0.61)
+        h = hashlib.sha256()
+        for mode in ("nearest", "bilinear"):
+            for src in grids:
+                h.update(warp_grid(src, t, 0.4, mode=mode).tobytes())
+        assert h.hexdigest() == (
+            "26fa31085c29e7c4bf0ae5626f6aab808dd9ff328a196a9fe05b7325e23eff39")
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             warp_grid(np.ones((4, 4)), Pose2(), 1.0, mode="cubic")
@@ -164,6 +191,11 @@ class TestMasks:
                 src = inv.transform_point([(i + 0.5) * vox, (j + 0.5) * vox])
                 expect = (0 <= src[0] / vox < 16) and (0 <= src[1] / vox < 12)
                 assert m[i, j] == expect
+
+    def test_visibility_rotated_bytes_pinned(self):
+        mask = visibility_mask(Pose2(0.37, -0.52, 0.61), 31, 23, 0.4)
+        assert hashlib.sha256(mask.tobytes()).hexdigest() == (
+            "5136180788cafcddc2e0d6bfff94fbf136a54ffb673de23ba3b415b738fb58ee")
 
     def test_random_mask_reproducible(self):
         a = random_mask(100, 80, 0.3, seed=7)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from voxsim.lanes import (Lane, LaneParams, _longest_run, estimate_width,
                           extract_lanes, fit_centerline, load_lanes,
                           normal_vectors, offset_lanes, resolve_overlaps,
                           save_lanes)
+from voxsim.synthworld import WorldSpec, generate_world
 from voxsim.topology import extract_topology
 
 from conftest import make_map
@@ -238,6 +241,21 @@ class TestExtractLanes:
             assert road[idx[:, 0], idx[:, 1]].all()
         ys = sorted(float(np.median(l.points[:, 1])) for l in lanes)
         assert ys[1] - ys[0] == pytest.approx(3.6, abs=0.2)
+
+    # Lane points of a plus world, hashed: they follow the cell centres of
+    # GlobalMap.cell_center and the neighbour order of the cleaned graph
+    # (cleaning the build_graph output in place, without clean_graph's copy,
+    # reorders the segments and moves these bytes).
+    def test_plus_world_bytes_pinned(self):
+        world = generate_world(WorldSpec(recipe="plus", extent=80.0, road_width=10.8))
+        g, _ = extract_topology(world)
+        lanes = extract_lanes(world, g)
+        assert len(lanes) == 8
+        h = hashlib.sha256()
+        for lane in lanes:
+            h.update(lane.points.tobytes())
+        assert h.hexdigest() == (
+            "7f65df442e06a679e2de008488cf238c3dd75daee7af1e98e0bee6e7a74ba8fc")
 
     def test_save_load_round_trip(self, tmp_path):
         ax = np.arange(0.0, 10.0, 0.5)

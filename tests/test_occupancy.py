@@ -42,6 +42,18 @@ class TestSemanticTable:
         back = SemanticTable.from_json(t.to_json())
         assert back == t
 
+    def test_ids_for_roles_in_table_order(self):
+        t = SemanticTable(entries=((9, "lane", "road"), (4, "kerb", "sidewalk"),
+                                   (7, "car", "vehicle"), (2, "grass", "ground"),
+                                   (5, "air", "free"), (3, "sky", "free")))
+        assert t.ids_for("free") == (5, 3)
+        assert t.ids_for("free", "road") == (9, 5, 3)
+        assert t.ids_for("obstacle") == ()
+        assert t.ids_for() == ()
+        assert (t.road_id, t.sidewalk_id, t.vehicle_id) == (9, 4, 7)
+        assert t.ground_ids == (9, 4, 2)
+        assert t.ids == (9, 4, 7, 2, 5, 3)
+
 
 class TestGridIO:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -214,11 +226,40 @@ class TestCrop:
         assert np.array_equal(out.labels, reference_crop_labels(gmap, pose, out_dims))
         assert (out.voxel_size, out.origin, out.table) == (vox, pose, gmap.table)
 
-    def test_world_to_index(self):
+    def test_cell_of(self):
         gmap = GlobalMap(np.zeros((10, 10, 2), dtype=np.uint8), 0.5,
                          Pose2(-2.0, 3.0, 0.0))
-        assert np.array_equal(gmap.world_to_index([-2.0, 3.0]), [0, 0])
-        assert np.array_equal(gmap.world_to_index([-1.74, 3.76]), [0, 1])
+        assert gmap.cell_of(-2.0, 3.0) == (0, 0)
+        assert gmap.cell_of(-1.74, 3.76) == (0, 1)
+
+    def test_cell_of_and_cell_center_broadcast(self):
+        gmap = GlobalMap(np.zeros((10, 10, 2), dtype=np.uint8), 0.5,
+                         Pose2(-2.0, 3.0, 0.0))
+        ix, iy = gmap.cell_of(np.array([[-2.0], [-2.6], [3.1]]),
+                              np.array([3.0, 3.76, 2.9]))
+        assert (ix.shape, iy.shape) == ((3, 1), (3,)) and ix.dtype == np.int64
+        assert ix[:, 0].tolist() == [0, -2, 10]      # unclipped off the map
+        assert iy.tolist() == [0, 1, -1]
+        cx, cy = gmap.cell_center(np.arange(3)[:, None], np.arange(2)[None, :])
+        assert np.broadcast(cx, cy).shape == (3, 2)
+        assert cx[:, 0].tolist() == [-1.75, -1.25, -0.75]
+        assert cy[0].tolist() == [3.25, 3.75]
+        assert gmap.cell_of(*gmap.cell_center(7, 4)) == (7, 4)
+        assert gmap.cell_center(1, 2) == (-1.25, 4.25)   # floats for scalars
+
+    # Crop labels at rotated poses off the voxel lattice, hashed: the crop
+    # shares its rotation with Pose2.transform_xy and its cell lookup with
+    # GlobalMap.cell_of, so a change to either shows here bit for bit.
+    def test_rotated_off_lattice_bytes_pinned(self):
+        rng = np.random.default_rng(7)
+        labels = rng.integers(0, 7, size=(60, 50, 4)).astype(np.uint8)
+        gmap = GlobalMap(labels, 0.4, Pose2(-3.3, 2.1, 0.0))
+        h = hashlib.sha256()
+        for x, y, yaw in [(5.13, 9.71, 0.3), (11.0, 4.2, -2.5), (-1.7, 14.9, math.pi / 3),
+                          (20.2, 20.2, 1e-3), (7.77, 8.88, math.pi)]:
+            h.update(crop(gmap, Pose2(x, y, yaw), (37, 29, 5)).labels.tobytes())
+        assert h.hexdigest() == (
+            "b362942391deeac8b9cc2e4492e8c66f2a3c86ded2a7c406ef6c04a9acde1cd1")
 
 
 class TestOverlay:

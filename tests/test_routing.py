@@ -159,6 +159,21 @@ class TestRouteNetwork:
         assert np.linalg.norm(pts[0] - [0.5, 0.0]) < 1.0
         assert np.linalg.norm(pts[-1] - [19.0, 3.6]) < 1.0
 
+    def test_route_to_nearest_node_of_target(self):
+        net = build_route_network(self._two_lanes())
+        start = net.nearest_node([0.5, 0.0])
+        goal = net.nearest_node([19.0, 3.6])
+        path, _ = net.path_to(start, goal)
+        route = net.route_to(start, [19.0, 3.6])
+        assert np.array_equal(route, net.positions[path])
+        # a target nearest an unreachable node gives no route
+        split = RouteNetwork([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0]], [0, 0, 1],
+                             {0: [(1, 1.0)], 1: [(0, 1.0)], 2: []})
+        assert np.array_equal(split.route_to(0, [1.2, 0.3]), [[0.0, 0.0], [1.0, 0.0]])
+        # the target snaps to its nearest node at any distance
+        assert np.array_equal(split.route_to(0, [1.2, 50.0]), [[0.0, 0.0], [1.0, 0.0]])
+        assert split.route_to(0, [9.0, 0.0]) is None
+
     def test_empty_network(self):
         net = RouteNetwork(np.zeros((0, 2)), [], {})
         assert net.nearest_node([0, 0]) is None

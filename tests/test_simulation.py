@@ -431,7 +431,7 @@ class TestRender:
                                 [math.cos(h), math.sin(h)], 0.0, [[0.0, 0.0]],
                                 [0.0, 0.0], AgentAsset(data.draw(size), data.draw(size),
                                                        data.draw(size))))
-        state = SimState(agents=agents, ego=agents[0], ego_path=[])
+        state = SimState(agents=agents, ego=agents[0])
         frame = sim.render(state)
         expect = reference_render(sim, state)
         assert np.array_equal(frame.labels, expect.labels)
