@@ -53,8 +53,10 @@ class SimParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dt <= 0 or self.horizon < 1:
-            raise ValueError("dt must be positive and horizon >= 1")
+        if self.dt <= 0 or type(self.horizon) is not int or self.horizon < 1:
+            raise ValueError("dt must be positive and horizon an int >= 1")
+        if self.speed_sigma < 0:
+            raise ValueError(f"speed_sigma {self.speed_sigma!r} must be >= 0")
         if min(self.d_roll, self.d_pre, self.d_lc, self.d_lat) <= 0:
             raise ValueError("distances must be positive")
         if not positive_dims(self.fov_dims):

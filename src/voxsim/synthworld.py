@@ -39,8 +39,12 @@ class WorldSpec:
         self.blocks = tuple(self.blocks)
         if self.extent <= 0 or self.road_width <= 0 or self.voxel_size <= 0:
             raise ValueError("infeasible world spec")
+        if round(self.extent / self.voxel_size) < 1:
+            raise ValueError(f"voxel_size {self.voxel_size!r} leaves the world no cells")
         if type(self.z_dim) is not int or self.z_dim < 1:
             raise ValueError(f"z_dim {self.z_dim!r} must be a positive int")
+        if len(self.blocks) != 2 or not all(type(n) is int and n > 0 for n in self.blocks):
+            raise ValueError(f"blocks {self.blocks!r} must be two positive ints")
         if self.recipe not in ("straight", "curve", "plus", "grid"):
             raise ValueError(f"unknown recipe {self.recipe!r}")
         if self.recipe == "curve" and self.radius <= self.road_width:

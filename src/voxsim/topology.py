@@ -33,58 +33,58 @@ class TopologyParams:
             raise ValueError("tau_obs must be positive")
 
 
-def _neighbor_stack(img: np.ndarray):
-    """P2..P9 neighborhoods (clockwise from north) with zero padding."""
-    p = np.pad(img, 1)
-    # axis 0 = x, axis 1 = y; "north" = y+1
-    p2 = p[1:-1, 2:]
-    p3 = p[2:, 2:]
-    p4 = p[2:, 1:-1]
-    p5 = p[2:, :-2]
-    p6 = p[1:-1, :-2]
-    p7 = p[:-2, :-2]
-    p8 = p[:-2, 1:-1]
-    p9 = p[:-2, 2:]
-    return [p2, p3, p4, p5, p6, p7, p8, p9]
+def _kill_tables():
+    """Each phase's 256-entry kill table, indexed by the 8-neighbour code whose
+    bit i is P(i+2), clockwise from north (y+1): 2 <= B <= 6, A == 1 and the
+    phase's two products zero."""
+    p = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    b, a = p.sum(axis=1), ((p == 0) & (np.roll(p, -1, axis=1) == 1)).sum(axis=1)
+    p2, p4, p6, p8 = p[:, 0], p[:, 2], p[:, 4], p[:, 6]
+    base = (b >= 2) & (b <= 6) & (a == 1)
+    return (base & (p2 * p4 * p6 == 0) & (p4 * p6 * p8 == 0),
+            base & (p2 * p4 * p8 == 0) & (p2 * p6 * p8 == 0))
+
+
+_KILL = _kill_tables()
 
 
 def zhang_suen_thin(mask: np.ndarray) -> np.ndarray:
-    """Iterative Zhang-Suen thinning of a binary image to a 1-pixel skeleton."""
-    img = mask.astype(np.uint8).copy()
+    """Iterative Zhang-Suen thinning of a binary image to a 1-pixel skeleton.
+    A kill needs A == 1, so a background neighbour: each sub-iteration looks
+    up only border pixels, all against its starting state; the next border
+    is the survivors and the killed pixels' foreground neighbours."""
+    padded = np.zeros(np.add(np.shape(mask), 2), dtype=bool)
+    padded[1:-1, 1:-1] = mask
+    img = padded.reshape(-1)  # writes through: padded is C-contiguous
+    w = padded.shape[1]
+    offsets = np.array([1, w + 1, w, w - 1, -1, -w - 1, -w, 1 - w])  # P2..P9
+    fg = np.flatnonzero(img)
+    border = fg[~np.logical_and.reduce([img[fg + o] for o in offsets])]
+    mark = np.zeros_like(img)
     changed = True
     while changed:
         changed = False
         for phase in (0, 1):
-            nb = _neighbor_stack(img)
-            B = sum(n.astype(np.int32) for n in nb)
-            ring = nb + [nb[0]]
-            A = sum(((ring[i] == 0) & (ring[i + 1] == 1)).astype(np.int32)
-                    for i in range(8))
-            p2, p4, p6, p8 = nb[0], nb[2], nb[4], nb[6]
-            if phase == 0:
-                c1 = (p2 * p4 * p6) == 0
-                c2 = (p4 * p6 * p8) == 0
-            else:
-                c1 = (p2 * p4 * p8) == 0
-                c2 = (p2 * p6 * p8) == 0
-            kill = (img == 1) & (B >= 2) & (B <= 6) & (A == 1) & c1 & c2
-            if kill.any():
-                img[kill] = 0
+            nb = img[border[:, None] + offsets]
+            code = np.packbits(nb, axis=1, bitorder="little")[:, 0]
+            killed = border[_KILL[phase][code]]
+            if killed.size:
+                img[killed] = False
                 changed = True
-    return img.astype(bool)
+                near = np.append(border, killed[:, None] + offsets)
+                mark[near[img[near]]] = True
+                border = np.flatnonzero(mark)
+                mark[border] = False
+    return padded[1:-1, 1:-1].copy()
 
 
 def skeletonize(mask: np.ndarray) -> np.ndarray:
     """Thin a road mask, then clear the (x+1, y+1) pixel of every fully-filled
     2x2 block so the skeleton is strictly single-pixel under 8-connectivity."""
-    mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
-        return np.zeros_like(mask)
-    skel = zhang_suen_thin(mask).astype(np.uint8)
-    full = (skel[:-1, :-1] & skel[1:, :-1] & skel[:-1, 1:] & skel[1:, 1:]) == 1
-    xs, ys = np.nonzero(full)
-    skel[xs + 1, ys + 1] = 0
-    return skel.astype(bool)
+    skel = zhang_suen_thin(mask)
+    full = skel[:-1, :-1] & skel[1:, :-1] & skel[:-1, 1:] & skel[1:, 1:]
+    skel[1:, 1:][full] = False
+    return skel
 
 
 _STEPS = ((1, 0), (0, 1), (1, 1), (1, -1))  # forward 8-neighbours, in edge order

@@ -176,6 +176,11 @@ class TestExitCodes:
         ("synth", "--spec", json.dumps({"world": {"z_dim": 0}})),
         ("synth", "--spec", json.dumps({"trajectory": {"path": 5}})),
         ("synth", "--spec", json.dumps({"world": {"lane_width": 3.6}})),
+        ("synth", "--spec", json.dumps({"world": {"recipe": "grid", "blocks": [0, 0]}})),
+        ("synth", "--spec", json.dumps({"world": {"recipe": "grid", "blocks": "ab"}})),
+        ("synth", "--spec", json.dumps({"world": {"voxel_size": 500.0}})),
+        ("simulate", "--params", json.dumps({"horizon": 2.5})),
+        ("simulate", "--params", json.dumps({"speed_sigma": -1})),
     ], ids=["dt", "sim-key", "idm", "w_lane", "nested", "not-utf8", "epsilon",
             "recipe", "world-key", "simulate-list", "idm-list", "synth-list",
             "world-list", "trajectory-list", "fuse-list", "topo-list",
@@ -183,7 +188,9 @@ class TestExitCodes:
             "pipeline-fuse-list", "pipeline-topo-list", "pipeline-lanes-list",
             "pipeline-simulate-list", "fov-zero", "fov-negative", "crop-zero",
             "crop-str", "noise-str", "noise-negative", "step-zero", "step-str",
-            "z_dim-zero", "path-int", "world-lane_width"])
+            "z_dim-zero", "path-int", "world-lane_width", "blocks-zero",
+            "blocks-str", "voxel-too-large", "horizon-float",
+            "speed_sigma-negative"])
     def test_bad_params_is_config_error(self, tmp_path, command, flag, text):
         _spawnable_world(tmp_path)
         (tmp_path / "traj.json").write_text(json.dumps(

@@ -19,6 +19,48 @@ from voxsim.synthworld import WorldSpec, generate_world
 from conftest import make_map
 
 
+def reference_neighbor_stack(img: np.ndarray):
+    """P2..P9 neighborhoods (clockwise from north) with zero padding."""
+    p = np.pad(img, 1)
+    # axis 0 = x, axis 1 = y; "north" = y+1
+    p2 = p[1:-1, 2:]
+    p3 = p[2:, 2:]
+    p4 = p[2:, 1:-1]
+    p5 = p[2:, :-2]
+    p6 = p[1:-1, :-2]
+    p7 = p[:-2, :-2]
+    p8 = p[:-2, 1:-1]
+    p9 = p[:-2, 2:]
+    return [p2, p3, p4, p5, p6, p7, p8, p9]
+
+
+def reference_zhang_suen_thin(mask: np.ndarray) -> np.ndarray:
+    """Reference: every sub-iteration evaluates the Zhang-Suen tests on
+    whole-map shifted views."""
+    img = mask.astype(np.uint8).copy()
+    changed = True
+    while changed:
+        changed = False
+        for phase in (0, 1):
+            nb = reference_neighbor_stack(img)
+            B = sum(n.astype(np.int32) for n in nb)
+            ring = nb + [nb[0]]
+            A = sum(((ring[i] == 0) & (ring[i + 1] == 1)).astype(np.int32)
+                    for i in range(8))
+            p2, p4, p6, p8 = nb[0], nb[2], nb[4], nb[6]
+            if phase == 0:
+                c1 = (p2 * p4 * p6) == 0
+                c2 = (p4 * p6 * p8) == 0
+            else:
+                c1 = (p2 * p4 * p8) == 0
+                c2 = (p2 * p6 * p8) == 0
+            kill = (img == 1) & (B >= 2) & (B <= 6) & (A == 1) & c1 & c2
+            if kill.any():
+                img[kill] = 0
+                changed = True
+    return img.astype(bool)
+
+
 def reference_build_graph(skeleton):
     """Reference: every forward 8-neighbour edge added pixel by pixel, then
     the longest edge of each 3-clique removed."""
@@ -75,6 +117,19 @@ def reference_obstacle_count(gmap, origin_px, direction, length_px, width_px):
     if not inside.any():
         return 0
     return int(obstacles[gx[inside], gy[inside], :].sum())
+
+
+@st.composite
+def thin_masks(draw):
+    """Random masks up to 40x40, single rows and columns included, from
+    empty to full, passed as they are or as non-contiguous views."""
+    side = st.integers(1, 40)
+    shape = draw(st.one_of(st.tuples(side, side), st.tuples(st.just(1), side),
+                           st.tuples(side, st.just(1))))
+    fill = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    mask = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).random(shape) < fill
+    view = draw(st.sampled_from(["as is", "rot90", "reversed"]))
+    return {"as is": mask, "rot90": np.rot90(mask), "reversed": mask[::-1]}[view]
 
 
 @st.composite
@@ -144,6 +199,22 @@ class TestThinning:
         skel = skeletonize(mask)
         full = skel[:-1, :-1] & skel[1:, :-1] & skel[:-1, 1:] & skel[1:, 1:]
         assert not full.any()
+
+    @settings(max_examples=300, deadline=None)
+    @given(thin_masks())
+    def test_matches_reference_thinning(self, mask):
+        before = mask.copy()
+        assert np.array_equal(zhang_suen_thin(mask), reference_zhang_suen_thin(mask))
+        assert np.array_equal(mask, before)
+
+    def test_grid_world_matches_reference_in_every_dihedral_transform(self):
+        gmap = generate_world(WorldSpec(recipe="grid", extent=120.0, blocks=(3, 3),
+                                        road_width=9.6))
+        road = gmap.labels[:, :, 0] == gmap.table.road_id
+        for k in range(4):
+            for view in (np.rot90(road, k), np.rot90(road, k)[::-1]):
+                assert np.array_equal(zhang_suen_thin(view),
+                                      reference_zhang_suen_thin(view)), k
 
 
 class TestBuildGraph:
