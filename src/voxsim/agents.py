@@ -328,10 +328,10 @@ def spawn_agents(anchor: Pose2, b_ego: bool, half, network: RouteNetwork,
             continue
         if static:
             snap = network.positions[node]
-            heading = _tangent_at(network, node)
+            heading = network.tangent_at(node)
             agents.append(Agent(snap, heading, 0.0, np.asarray([snap]),
                                 target, asset, static=True,
-                                lane_id=network.lane_of[node]))
+                                lane_id=int(network.lane_of[node])))
             continue
         route = network.route_to(node, target)
         if route is None:
@@ -339,15 +339,6 @@ def spawn_agents(anchor: Pose2, b_ego: bool, half, network: RouteNetwork,
             continue
         heading = _route_heading(route)
         agents.append(Agent(route[0].copy(), heading, speed, route, target,
-                            asset, lane_id=network.lane_of[node], is_ego=is_ego))
+                            asset, lane_id=int(network.lane_of[node]), is_ego=is_ego))
     return agents
 
-
-def _tangent_at(network: RouteNetwork, node: int) -> np.ndarray:
-    for nbr, _ in network.adjacency.get(node, ()):
-        if network.lane_of[nbr] == network.lane_of[node]:
-            d = network.positions[nbr] - network.positions[node]
-            n = np.linalg.norm(d)
-            if n > 0:
-                return d / n
-    return np.array([1.0, 0.0])

@@ -35,6 +35,11 @@ class LaneParams:
             raise ValueError("lane parameters must be positive")
         if self.epsilon >= self.w_lane:
             raise ValueError("epsilon must be smaller than the lane width")
+        # fit_centerline needs 10 points; a lane needs a sample to route on
+        if type(self.min_segment_pts) is not int or self.min_segment_pts < 10:
+            raise ValueError(f"min_segment_pts {self.min_segment_pts!r} must be an int >= 10")
+        if type(self.min_lane_samples) is not int or self.min_lane_samples < 1:
+            raise ValueError(f"min_lane_samples {self.min_lane_samples!r} must be an int >= 1")
 
 
 @dataclass
@@ -202,7 +207,14 @@ def save_lanes(lanes, path) -> None:
         json.dump(obj, fh)
 
 
+def _lane_points(points) -> np.ndarray:
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 1 or not np.isfinite(pts).all():
+        raise ValueError(f"lane points must be a finite (N >= 1, 2) array, not shape {pts.shape}")
+    return pts
+
+
 def load_lanes(path):
     return load_json_input(path, lambda obj: [
-        Lane(np.asarray(l["points"]), l["source_segment"], l["offset_index"])
+        Lane(_lane_points(l["points"]), l["source_segment"], l["offset_index"])
         for l in obj])

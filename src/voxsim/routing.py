@@ -2,13 +2,14 @@
 
 Lanes become a weighted point graph: consecutive samples connect along each
 lane, and lane endpoints link to nearby samples of other lanes so routes can
-flow through junctions. Agents route through cached goal-rooted
-shortest-path trees: the first query for a goal runs one Dijkstra from that
-goal over the whole network, and every later query toward it walks the
-tree's predecessor links (``RouteNetwork.path_to``); ``route_to`` routes to
-the node nearest a target point. ``astar`` remains the
-single-pair search, with the straight-line heuristic, which is admissible
-because edge weights are Euclidean lengths.
+flow through junctions. The graph is one symmetric CSR matrix of edge
+lengths, built from edge arrays. Agents route through cached goal-rooted
+shortest-path trees on that matrix: the first query for a goal runs one
+Dijkstra from that goal over the whole network, and every later query toward
+it walks the tree's predecessor links (``RouteNetwork.path_to``);
+``route_to`` routes to the node nearest a target point. ``astar`` remains the
+single-pair search over the same matrix, with the straight-line heuristic,
+which is admissible because edge weights are Euclidean lengths.
 """
 
 from __future__ import annotations
@@ -26,30 +27,58 @@ class RouteNetwork:
     """Bidirectional point graph over lane samples.
 
     Nodes are integers; ``positions[i]`` is the world-meter coordinate and
-    ``lane_of[i]`` the owning lane index. ``adjacency`` is read once, on the
-    first ``path_to`` query, so it must not change after that.
+    ``lane_of[i]`` the owning lane index. ``edges`` lists each undirected
+    node pair once; ``graph`` holds it as a symmetric CSR matrix whose
+    entries are the edge lengths.
     """
 
-    def __init__(self, positions, lane_of, adjacency):
+    def __init__(self, positions, lane_of, edges):
         self.positions = np.asarray(positions, dtype=float).reshape(-1, 2)
-        self.lane_of = list(lane_of)
-        self.adjacency = adjacency  # node -> list of (node, weight)
-        self._tree = cKDTree(self.positions) if len(self.positions) else None
-        self._reverse_csr = None
+        self.lane_of = np.asarray(lane_of, dtype=np.intp)
+        a, b = np.asarray(edges, dtype=np.intp).reshape(-1, 2).T
+        # math.dist, not np.hypot: the two can differ in the last bit
+        pts = self.positions.tolist()
+        w = [math.dist(pts[i], pts[j]) for i, j in zip(a.tolist(), b.tolist())]
+        # Explicit zeros stay stored: csgraph reads a stored zero as a
+        # zero-weight edge (coincident samples of two lanes), so never call
+        # eliminate_zeros here.
+        n = len(self.positions)
+        self.graph = csr_matrix((np.asarray(w + w, dtype=float),
+                                 (np.concatenate([a, b]), np.concatenate([b, a]))),
+                                shape=(n, n))
+        self._tree = cKDTree(self.positions) if n else None
         self._goal_trees = {}  # goal -> (dist float64, pred int32) arrays
+
+    def neighbors(self, node: int):
+        """(neighbour, edge length) pairs of node, in ascending node order."""
+        lo, hi = self.graph.indptr[node], self.graph.indptr[node + 1]
+        return list(zip(self.graph.indices[lo:hi].tolist(),
+                        self.graph.data[lo:hi].tolist()))
+
+    def tangent_at(self, node: int) -> np.ndarray:
+        """Unit direction from node to its first distinct same-lane
+        neighbour; +x when there is none."""
+        for nbr, _ in self.neighbors(node):
+            if self.lane_of[nbr] == self.lane_of[node]:
+                d = self.positions[nbr] - self.positions[node]
+                n = np.linalg.norm(d)
+                if n > 0:
+                    return d / n
+        return np.array([1.0, 0.0])
 
     def path_to(self, start: int, goal: int):
         """Shortest route from start to goal as (node list, cost), or None
         when goal is unreachable.
 
-        The first query for a goal runs one Dijkstra rooted at it over the
-        reversed edges, so ``dist[n]`` is the cost from n to the goal and
+        The first query for a goal runs one Dijkstra rooted at it; the graph
+        is symmetric, so ``dist[n]`` is the cost from n to the goal and
         ``pred[n]`` the next node on that route; the arrays are cached, and
         every query walks them from start.
         """
         tree = self._goal_trees.get(goal)
         if tree is None:
-            tree = self._goal_trees[goal] = self._goal_tree(goal)
+            dist, pred = dijkstra(self.graph, indices=goal, return_predecessors=True)
+            tree = self._goal_trees[goal] = dist, pred.astype(np.int32, copy=False)
         dist, pred = tree
         if math.isinf(dist[start]):
             return None
@@ -65,26 +94,6 @@ class RouteNetwork:
         nearest ``target_point``; None when that node is unreachable."""
         found = self.path_to(start, self.nearest_node(target_point))
         return None if found is None else self.positions[found[0]]
-
-    def _goal_tree(self, goal: int):
-        if self._reverse_csr is None:
-            n = len(self.positions)
-            src, dst, w = [], [], []
-            for a, nbrs in self.adjacency.items():
-                for b, wb in nbrs:
-                    src.append(a)
-                    dst.append(b)
-                    w.append(wb)
-            # Edge a -> b is stored at (b, a). Explicit zeros stay stored:
-            # csgraph reads a stored zero as a zero-weight edge (coincident
-            # samples of two lanes), so never call eliminate_zeros here.
-            self._reverse_csr = csr_matrix(
-                (np.asarray(w, dtype=float), (np.asarray(dst, dtype=np.int64),
-                                              np.asarray(src, dtype=np.int64))),
-                shape=(n, n))
-        dist, pred = dijkstra(self._reverse_csr, indices=goal,
-                              return_predecessors=True)
-        return dist, pred.astype(np.int32, copy=False)
 
     def nearest_node(self, point, max_dist=math.inf):
         if self._tree is None:
@@ -116,42 +125,31 @@ class RouteNetwork:
 def build_route_network(lanes, junction_radius: float = 4.0) -> RouteNetwork:
     """Connect consecutive samples within each lane and stitch lane endpoints
     to nearby samples of other lanes within junction_radius."""
-    positions = []
-    lane_of = []
-    lane_nodes = []
-    for li, lane in enumerate(lanes):
-        ids = []
-        for p in lane.points:
-            ids.append(len(positions))
-            positions.append(p)
-            lane_of.append(li)
-        lane_nodes.append(ids)
-
-    adjacency = {i: [] for i in range(len(positions))}
-
-    def connect(a, b):
-        w = math.dist(positions[a], positions[b])
-        if all(nb != b for nb, _ in adjacency[a]):
-            adjacency[a].append((b, w))
-            adjacency[b].append((a, w))
-
-    for ids in lane_nodes:
-        for a, b in zip(ids, ids[1:]):
-            connect(a, b)
-
-    network = RouteNetwork(positions, lane_of, adjacency)
-    if network._tree is not None:
-        for li, ids in enumerate(lane_nodes):
-            for end in (ids[0], ids[-1]):
-                for j in network._tree.query_ball_point(positions[end], junction_radius):
-                    if lane_of[j] != li:
-                        connect(end, int(j))
-    return network
+    if not lanes:
+        return RouteNetwork(np.zeros((0, 2)), [], [])
+    sizes = np.array([len(lane.points) for lane in lanes])
+    if sizes.min() < 1:
+        raise ValueError("every lane needs at least one sample")
+    positions = np.concatenate([lane.points for lane in lanes])
+    lane_of = np.repeat(np.arange(len(lanes)), sizes)
+    along = np.flatnonzero(lane_of[1:] == lane_of[:-1])
+    first = np.cumsum(sizes) - sizes
+    ends = np.stack([first, first + sizes - 1], axis=1).ravel()
+    near = cKDTree(positions).query_ball_point(positions[ends], junction_radius)
+    hits = np.concatenate(near)
+    origin = np.repeat(ends, [len(js) for js in near])
+    cross = lane_of[hits] != lane_of[origin]
+    # Two lane ends can find each other; a junction pair never joins
+    # samples of one lane, so it cannot repeat an along-lane pair.
+    junctions = np.unique(np.sort(np.stack([origin[cross], hits[cross]], axis=1), axis=1),
+                          axis=0)
+    edges = np.concatenate([np.stack([along, along + 1], axis=1), junctions])
+    return RouteNetwork(positions, lane_of, edges)
 
 
-def astar(adjacency, positions, start: int, goal: int):
+def astar(network: RouteNetwork, start: int, goal: int):
     """A* shortest path by total edge weight; returns (node list, cost) or None."""
-    positions = np.asarray(positions, dtype=float)
+    positions = network.positions
 
     def h(n):
         return math.dist(positions[n], positions[goal])
@@ -171,7 +169,7 @@ def astar(adjacency, positions, start: int, goal: int):
                 node = parent[node]
             return path[::-1], g
         closed.add(node)
-        for nbr, w in adjacency.get(node, ()):
+        for nbr, w in network.neighbors(node):
             ng = g + w
             if ng < g_cost.get(nbr, math.inf):
                 g_cost[nbr] = ng

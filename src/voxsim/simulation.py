@@ -156,7 +156,7 @@ def maybe_lane_change(agent: Agent, leader: Agent, s: float, dv: float,
     bez = bezier_transition(agent.position, agent.heading, p_adj, h1)
     agent.set_route(np.concatenate([bez, tail]))
     agent.route_s = 0.0
-    agent.lane_id = network.lane_of[adj]
+    agent.lane_id = int(network.lane_of[adj])
     agent.lc_cooldown = params.lc_cooldown_steps
     return True
 

@@ -55,6 +55,12 @@ class WorldSpec:
         return cls(**obj)
 
 
+def _road_lines(extent: float, count: int) -> list:
+    """Coordinates of the grid recipe's ``count`` evenly spaced road
+    centerlines along one axis."""
+    return [extent * (j + 1) / (count + 1) for j in range(count)]
+
+
 def _signed_distance_field(spec: WorldSpec, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
     """Distance (meters) from each cell center to the road centerline set."""
     e = spec.extent
@@ -70,8 +76,8 @@ def _signed_distance_field(spec: WorldSpec, gx: np.ndarray, gy: np.ndarray) -> n
         return arc
     if spec.recipe == "grid":
         nx, ny = spec.blocks
-        dists = [np.abs(gy - e * (j + 1) / (ny + 1)) for j in range(ny)]
-        dists += [np.abs(gx - e * (i + 1) / (nx + 1)) for i in range(nx)]
+        dists = [np.abs(gy - y) for y in _road_lines(e, ny)]
+        dists += [np.abs(gx - x) for x in _road_lines(e, nx)]
         return np.minimum.reduce(dists)
     raise AssertionError(spec.recipe)
 
@@ -142,9 +148,14 @@ def sample_frames(world: GlobalMap, trajectory, crop_dims=DEFAULT_CROP_DIMS,
 
 
 def straight_trajectory(spec: WorldSpec, step: float = 3.2, margin: float = 12.0):
-    """Axis-aligned poses along the straight recipe's centerline at voxel-
-    aligned spacing (exact nearest-neighbor round trips)."""
+    """Axis-aligned poses along the centerline y = extent/2 at voxel-aligned
+    spacing (exact nearest-neighbor round trips). A grid with an even number
+    of road rows runs no road there, so it uses the first of the two rows
+    nearest that line."""
     y = spec.extent / 2.0
+    rows = spec.blocks[1]
+    if spec.recipe == "grid" and rows % 2 == 0:
+        y = _road_lines(spec.extent, rows)[rows // 2 - 1]
     xs = np.arange(margin, spec.extent - margin, step)
     return [Pose2(float(x), y, 0.0) for x in xs]
 

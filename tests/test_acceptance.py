@@ -192,9 +192,9 @@ class TestCriterion5:
         checked = 0
         worst = 0.0
         for _ in range(100):
-            pos, adjacency, g = random_geometric_graph(rng)
+            net, g = random_geometric_graph(rng)
             s, t = (int(v) for v in rng.integers(0, 30, size=2))
-            found = astar(adjacency, pos, s, t)
+            found = astar(net, s, t)
             if not nx.has_path(g, s, t):
                 assert found is None
                 continue
@@ -258,7 +258,7 @@ class TestCriterion6:
             from voxsim.agents import DEFAULT_ASSETS, Agent, _route_heading
             node = net.nearest_node([x, y])
             gnode = net.nearest_node(goal, math.inf)
-            path, _ = astar(net.adjacency, net.positions, node, gnode)
+            path, _ = astar(net, node, gnode)
             route = net.positions[path]
             return Agent(route[0].copy(), _route_heading(route), speed, route,
                          np.asarray(goal, dtype=float), DEFAULT_ASSETS[0],

@@ -116,6 +116,13 @@ class TestExitCodes:
             ("spawn", "lanes", "[{}]"),
             ("spawn", "lanes", json.dumps([{"points": "abc", "offset_index": 0,
                                             "source_segment": 0}])),
+            # lane points that are not a finite (N >= 1, 2) array
+            ("spawn", "lanes", json.dumps([{"points": [], "offset_index": 0,
+                                            "source_segment": 0}])),
+            ("spawn", "lanes", json.dumps([{"points": [[1.0, 2.0, 3.0]],
+                                            "offset_index": 0, "source_segment": 0}])),
+            ("spawn", "lanes", json.dumps([{"points": [[1.0, float("nan")]],
+                                            "offset_index": 0, "source_segment": 0}])),
             ("simulate", "poses", "{bad"),
             ("simulate", "poses", json.dumps([{"t": 0.0, "x": "a", "y": 0.0,
                                                "yaw": 0.0}])),
@@ -181,6 +188,9 @@ class TestExitCodes:
         ("synth", "--spec", json.dumps({"world": {"voxel_size": 500.0}})),
         ("simulate", "--params", json.dumps({"horizon": 2.5})),
         ("simulate", "--params", json.dumps({"speed_sigma": -1})),
+        ("lanes", "--params", json.dumps({"min_segment_pts": "x"})),
+        ("lanes", "--params", json.dumps({"min_segment_pts": 9})),
+        ("lanes", "--params", json.dumps({"min_lane_samples": 0})),
     ], ids=["dt", "sim-key", "idm", "w_lane", "nested", "not-utf8", "epsilon",
             "recipe", "world-key", "simulate-list", "idm-list", "synth-list",
             "world-list", "trajectory-list", "fuse-list", "topo-list",
@@ -190,7 +200,8 @@ class TestExitCodes:
             "crop-str", "noise-str", "noise-negative", "step-zero", "step-str",
             "z_dim-zero", "path-int", "world-lane_width", "blocks-zero",
             "blocks-str", "voxel-too-large", "horizon-float",
-            "speed_sigma-negative"])
+            "speed_sigma-negative", "min_segment_pts-str", "min_segment_pts-small",
+            "min_lane_samples-zero"])
     def test_bad_params_is_config_error(self, tmp_path, command, flag, text):
         _spawnable_world(tmp_path)
         (tmp_path / "traj.json").write_text(json.dumps(
@@ -324,6 +335,15 @@ class TestPipeline:
         assert (out_dir / "map.occg").exists()
         assert (out_dir / "lanes.json").exists()
         assert (out_dir / "rollout" / "run_manifest.json").exists()
+
+    def test_even_block_grid(self, tmp_path, capsys):
+        # two road rows, so none runs along y = extent/2: the ego path must
+        # follow a road row to snap onto the lane network
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"synth": {"world": {"recipe": "grid", "extent": 160.0, "blocks": [2, 2]}}}))
+        assert main(["pipeline", "--config", str(cfg), "--seed", "7",
+                     "--out-dir", str(tmp_path / "out")]) == EXIT_OK
 
     def test_stage_chaining_via_subcommands(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"

@@ -1,6 +1,12 @@
+import math
+
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.spatial import cKDTree
 
 import voxsim.routing as routing
 from voxsim.lanes import Lane
@@ -12,27 +18,93 @@ def random_geometric_graph(rng, n=30, k=4):
     """Random positions with k-nearest Euclidean edges (metric weights, so the
     straight-line heuristic is admissible)."""
     pos = rng.uniform(0, 100, size=(n, 2))
-    adjacency = {i: [] for i in range(n)}
     g = nx.Graph()
     g.add_nodes_from(range(n))
     for i in range(n):
         d = np.linalg.norm(pos - pos[i], axis=1)
         for j in np.argsort(d)[1:k + 1]:
-            w = float(d[j])
-            if all(nb != j for nb, _ in adjacency[i]):
-                adjacency[i].append((int(j), w))
-                adjacency[int(j)].append((i, w))
-                g.add_edge(i, int(j), weight=w)
-    return pos, adjacency, g
+            g.add_edge(i, int(j), weight=float(d[j]))
+    return RouteNetwork(pos, [0] * n, list(g.edges)), g
+
+
+def reference_build_route_network(lanes, junction_radius=4.0):
+    """The dict-of-lists builder the CSR one replaced: (positions, lane_of,
+    adjacency), adjacency mapping node -> [(node, weight)] in insertion
+    order."""
+    positions, lane_of, lane_nodes = [], [], []
+    for li, lane in enumerate(lanes):
+        ids = []
+        for p in lane.points:
+            ids.append(len(positions))
+            positions.append(p)
+            lane_of.append(li)
+        lane_nodes.append(ids)
+    adjacency = {i: [] for i in range(len(positions))}
+
+    def connect(a, b):
+        w = math.dist(positions[a], positions[b])
+        if all(nb != b for nb, _ in adjacency[a]):
+            adjacency[a].append((b, w))
+            adjacency[b].append((a, w))
+
+    for ids in lane_nodes:
+        for a, b in zip(ids, ids[1:]):
+            connect(a, b)
+    if positions:
+        tree = cKDTree(np.asarray(positions, dtype=float).reshape(-1, 2))
+        for li, ids in enumerate(lane_nodes):
+            for end in (ids[0], ids[-1]):
+                for j in tree.query_ball_point(positions[end], junction_radius):
+                    if lane_of[j] != li:
+                        connect(end, int(j))
+    return positions, lane_of, adjacency
+
+
+def reference_reverse_csr(n, adjacency):
+    """The CSR the goal trees used to build from the dict: edge a -> b
+    stored at (b, a), explicit zeros kept."""
+    src, dst, w = [], [], []
+    for a, nbrs in adjacency.items():
+        for b, wb in nbrs:
+            src.append(a)
+            dst.append(b)
+            w.append(wb)
+    return csr_matrix((np.asarray(w, dtype=float),
+                       (np.asarray(dst, dtype=np.int64), np.asarray(src, dtype=np.int64))),
+                      shape=(n, n))
+
+
+def reference_tangent_at(positions, lane_of, adjacency, node):
+    for nbr, _ in adjacency.get(node, ()):
+        if lane_of[nbr] == lane_of[node]:
+            d = np.asarray(positions[nbr]) - np.asarray(positions[node])
+            n = np.linalg.norm(d)
+            if n > 0:
+                return d / n
+    return np.array([1.0, 0.0])
+
+
+@st.composite
+def lane_sets(draw):
+    """Lanes of 1-8 samples on a 0.5 m lattice in a 6 m box, so samples of
+    different lanes coincide (zero-length edges) and lane ends fall inside
+    the junction radius of each other; plus the radius."""
+    lanes = []
+    for k in range(draw(st.integers(0, 6))):
+        n = draw(st.integers(1, 8))
+        cells = draw(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)),
+                              min_size=n, max_size=n))
+        lanes.append(Lane(np.asarray(cells, dtype=float) * 0.5, k, 0))
+    return lanes, draw(st.sampled_from([0.0, 0.5, 1.0, 2.5, 4.0]))
 
 
 class TestAstar:
     def test_matches_dijkstra_on_random_graphs(self):
         rng = np.random.default_rng(0)
         for trial in range(100):
-            pos, adjacency, g = random_geometric_graph(rng)
+            net, g = random_geometric_graph(rng)
             s, t = rng.integers(0, 30, size=2)
-            found = astar(adjacency, pos, int(s), int(t))
+            found = astar(net, int(s), int(t))
             if not nx.has_path(g, int(s), int(t)):
                 assert found is None
                 continue
@@ -47,26 +119,23 @@ class TestAstar:
             assert cost == pytest.approx(ref, abs=1e-9)
 
     def test_trivial_self_route(self):
-        pos = np.array([[0.0, 0.0], [1.0, 0.0]])
-        adj = {0: [(1, 1.0)], 1: [(0, 1.0)]}
-        path, cost = astar(adj, pos, 0, 0)
+        net = RouteNetwork([[0.0, 0.0], [1.0, 0.0]], [0, 0], [(0, 1)])
+        path, cost = astar(net, 0, 0)
         assert path == [0] and cost == 0.0
 
     def test_disconnected_returns_none(self):
-        pos = np.array([[0.0, 0.0], [5.0, 0.0]])
-        adj = {0: [], 1: []}
-        assert astar(adj, pos, 0, 1) is None
+        net = RouteNetwork([[0.0, 0.0], [5.0, 0.0]], [0, 1], [])
+        assert astar(net, 0, 1) is None
 
 
 class TestPathTo:
     def test_matches_astar_on_random_graphs(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
-            pos, adjacency, g = random_geometric_graph(rng)
-            net = RouteNetwork(pos, [0] * len(pos), adjacency)
+            net, g = random_geometric_graph(rng)
             s, t = (int(v) for v in rng.integers(0, 30, size=2))
             found = net.path_to(s, t)
-            ref = astar(adjacency, pos, s, t)
+            ref = astar(net, s, t)
             assert (found is None) == (ref is None)
             if found is None:
                 continue
@@ -79,13 +148,11 @@ class TestPathTo:
             assert cost == pytest.approx(ref[1], abs=1e-9)
 
     def test_trivial_self_route(self):
-        pos = np.array([[0.0, 0.0], [1.0, 0.0]])
-        net = RouteNetwork(pos, [0, 0], {0: [(1, 1.0)], 1: [(0, 1.0)]})
+        net = RouteNetwork([[0.0, 0.0], [1.0, 0.0]], [0, 0], [(0, 1)])
         assert net.path_to(1, 1) == ([1], 0.0)
 
     def test_disconnected_returns_none(self):
-        pos = np.array([[0.0, 0.0], [5.0, 0.0]])
-        net = RouteNetwork(pos, [0, 1], {0: [], 1: []})
+        net = RouteNetwork([[0.0, 0.0], [5.0, 0.0]], [0, 1], [])
         assert net.path_to(0, 1) is None
 
     def test_routes_through_zero_weight_edge(self):
@@ -96,7 +163,7 @@ class TestPathTo:
         b = Lane(np.stack([np.full_like(ax, 5.0), ax], axis=1), 0, 1)
         net = build_route_network([a, b], junction_radius=0.1)
         last_a, first_b = len(ax) - 1, len(ax)
-        assert (first_b, 0.0) in net.adjacency[last_a]
+        assert (first_b, 0.0) in net.neighbors(last_a)
         found = net.path_to(0, 2 * len(ax) - 1)
         assert found is not None
         path, cost = found
@@ -113,10 +180,9 @@ class TestPathTo:
 
         monkeypatch.setattr(routing, "dijkstra", counting_dijkstra)
         rng = np.random.default_rng(1)
-        pos, adjacency, _ = random_geometric_graph(rng, n=300, k=6)
-        net = RouteNetwork(pos, [0] * len(pos), adjacency)
-        goals = rng.choice(len(pos), size=5, replace=False)
-        for s in rng.integers(0, len(pos), size=200):
+        net, _ = random_geometric_graph(rng, n=300, k=6)
+        goals = rng.choice(300, size=5, replace=False)
+        for s in rng.integers(0, 300, size=200):
             for t in goals:
                 net.path_to(int(s), int(t))
         assert sorted(calls) == sorted(int(t) for t in goals)
@@ -133,12 +199,12 @@ class TestRouteNetwork:
         net = build_route_network(self._two_lanes())
         n_per_lane = 40
         for i in range(n_per_lane - 1):
-            assert any(nb == i + 1 for nb, _ in net.adjacency[i])
+            assert any(nb == i + 1 for nb, _ in net.neighbors(i))
 
     def test_endpoints_stitched_across_lanes(self):
         net = build_route_network(self._two_lanes())
         # lane 0's first node links to nearby lane-1 samples (3.6 m < 4 m)
-        assert any(net.lane_of[nb] == 1 for nb, _ in net.adjacency[0])
+        assert any(net.lane_of[nb] == 1 for nb, _ in net.neighbors(0))
 
     def test_nearest_node_respects_max_dist(self):
         net = build_route_network(self._two_lanes())
@@ -168,12 +234,33 @@ class TestRouteNetwork:
         assert np.array_equal(route, net.positions[path])
         # a target nearest an unreachable node gives no route
         split = RouteNetwork([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0]], [0, 0, 1],
-                             {0: [(1, 1.0)], 1: [(0, 1.0)], 2: []})
+                             [(0, 1)])
         assert np.array_equal(split.route_to(0, [1.2, 0.3]), [[0.0, 0.0], [1.0, 0.0]])
         # the target snaps to its nearest node at any distance
         assert np.array_equal(split.route_to(0, [1.2, 50.0]), [[0.0, 0.0], [1.0, 0.0]])
         assert split.route_to(0, [9.0, 0.0]) is None
 
     def test_empty_network(self):
-        net = RouteNetwork(np.zeros((0, 2)), [], {})
+        net = RouteNetwork(np.zeros((0, 2)), [], [])
         assert net.nearest_node([0, 0]) is None
+
+
+class TestBuildMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(lane_sets())
+    def test_graph_and_tangents_match_dict_builder(self, case):
+        lanes, radius = case
+        net = build_route_network(lanes, junction_radius=radius)
+        positions, lane_of, adjacency = reference_build_route_network(lanes, radius)
+        ref = reference_reverse_csr(len(positions), adjacency)
+        for field in ("indptr", "indices", "data"):
+            got, want = getattr(net.graph, field), getattr(ref, field)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
+        assert net.lane_of.tolist() == lane_of
+        for node in range(len(positions)):
+            want = reference_tangent_at(positions, lane_of, adjacency, node)
+            assert net.tangent_at(node).tobytes() == want.tobytes()
+
+    def test_empty_lane_rejected(self):
+        with pytest.raises(ValueError):
+            build_route_network([Lane(np.zeros((0, 2)))])

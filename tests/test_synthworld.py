@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from voxsim.geometry import Pose2
+from voxsim.occupancy import default_table
 from voxsim.synthworld import (WorldSpec, curve_trajectory, generate_world,
                                sample_frames, straight_trajectory)
 
@@ -77,6 +78,16 @@ class TestTrajectories:
         for p in poses:
             assert p.y == 40.0 and p.yaw == 0.0
             assert (p.x / 0.4) == pytest.approx(round(p.x / 0.4))
+
+    @pytest.mark.parametrize("blocks, y", [((3, 3), 120.0), ((2, 2), 80.0), ((3, 4), 96.0)])
+    def test_grid_poses_follow_the_middle_road_row(self, blocks, y):
+        # 240 m: an odd row count keeps extent/2; an even one takes the
+        # first of the two middle rows (240 / 3 and 2 * 240 / 5)
+        spec = WorldSpec(recipe="grid", extent=240.0, blocks=blocks)
+        poses = straight_trajectory(spec, step=3.2)
+        assert {p.y for p in poses} == {y}
+        road = generate_world(spec).labels[:, int(y / 0.4), 0] == default_table().road_id
+        assert road.all()
 
     def test_curve_poses_on_arc(self):
         spec = WorldSpec(recipe="curve", extent=120.0, radius=40.0)
