@@ -156,16 +156,6 @@ def crop(gmap: GlobalMap, pose: Pose2, out_dims=DEFAULT_CROP_DIMS) -> OccupancyG
     return OccupancyGrid(out.reshape(X, Y, Z), vox, pose, gmap.table)
 
 
-def overlay(background: OccupancyGrid, foreground: OccupancyGrid) -> OccupancyGrid:
-    """Foreground label wins wherever it is assigned; background elsewhere."""
-    if background.dims != foreground.dims or background.voxel_size != foreground.voxel_size:
-        raise ValueError("overlay requires identical dims and voxel size")
-    out = background.labels.copy()
-    sel = foreground.labels != foreground.table.unassigned_id
-    out[sel] = foreground.labels[sel]
-    return OccupancyGrid(out, background.voxel_size, background.origin, background.table)
-
-
 # --- binary containers (OCCG here, HEATMAP1 in agents, FEATSET1 in metrics) --
 #
 # OCCG layout: 12-byte magic, u32 version, u64 JSON header length, JSON header

@@ -4,18 +4,63 @@ Pipeline: binary road mask -> Zhang-Suen thinning (+ 2x2 corner clearing) ->
 8-connected pixel graph without the triangle-closing diagonals -> spur
 pruning and junction contraction -> dual-probe endpoint filtering against
 the 3D map, which counts obstacle voxels only inside each probe box.
+
+The graph is a ``PixelGraph``: node -> {neighbour: weight}, both levels in
+insertion order, which decides segment and lane order. Four rules fix it:
+1. nodes go in in the iteration order of the set of skeleton pixels;
+2. ``clean_graph`` works on a copy that re-inserts every edge in ``edges()``
+   order (a dict copy would keep ``build_graph``'s neighbour order);
+3. a merged junction's edges go in in the order of
+   ``set(iter(g[u])) | set(iter(g[v]))``: ``set(g[u])`` presizes its table
+   from the dict and iterates differently once a node has many neighbours;
+4. ``graph_segments`` walks from every anchor (a node not of degree 2)
+   first, then from each pure cycle's first node toward its first neighbour.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from .occupancy import GlobalMap, load_json_input
+
+
+class PixelGraph(dict):
+    """Undirected weighted graph: node -> {neighbour: weight}, both levels
+    in insertion order. Nodes are pixel coordinate tuples."""
+
+    @property
+    def nodes(self):
+        return self.keys()
+
+    def degree(self, n) -> int:
+        return len(self[n])
+
+    def number_of_nodes(self) -> int:
+        return len(self)
+
+    def add_edge(self, u, v, w: float) -> None:
+        self.setdefault(u, {})[v] = w
+        self.setdefault(v, {})[u] = w
+
+    def remove_nodes(self, nodes) -> None:
+        for n in nodes:
+            for m in self.pop(n):
+                del self[m][n]
+
+    def edges(self):
+        """Each edge once as (u, v, w): u in node order, v in u's order,
+        skipping a v that was already passed as u."""
+        passed = set()
+        for u, nbrs in self.items():
+            for v, w in nbrs.items():
+                if v not in passed:
+                    yield u, v, w
+            passed.add(u)
 
 
 @dataclass
@@ -90,17 +135,16 @@ def skeletonize(mask: np.ndarray) -> np.ndarray:
 _STEPS = ((1, 0), (0, 1), (1, 1), (1, -1))  # forward 8-neighbours, in edge order
 
 
-def build_graph(skeleton: np.ndarray) -> nx.Graph:
+def build_graph(skeleton: np.ndarray) -> PixelGraph:
     """Pixel graph of the skeleton: a node per pixel and an edge per
     8-neighbor pair, weighted by Euclidean distance and added pixel by pixel
     in ``_STEPS`` order, except each diagonal that closes a triangle. Every
     3-clique of an 8-connected pixel graph lies in one 2x2 block, where its
     diagonal is the unique longest edge, so a diagonal is left out exactly
     when a pixel beside both of its ends is set."""
-    g = nx.Graph()
     sk = np.pad(np.asarray(skeleton, dtype=bool), 1)
     xs, ys = np.nonzero(sk[1:-1, 1:-1])
-    g.add_nodes_from(set(zip(xs.tolist(), ys.tolist())))
+    g = PixelGraph((n, {}) for n in set(zip(xs.tolist(), ys.tolist())))
     nodes = list(g)
     x, y = np.array(nodes, dtype=int).reshape(-1, 2).T + 1  # padded coordinates
     right, up, down = sk[x + 1, y], sk[x, y + 1], sk[x, y - 1]
@@ -108,54 +152,39 @@ def build_graph(skeleton: np.ndarray) -> nx.Graph:
                      sk[x + 1, y - 1] & ~(right | down)], axis=1)
     for r, k in zip(*np.nonzero(keep)):
         (px, py), (dx, dy) = nodes[r], _STEPS[k]
-        g.add_edge((px, py), (px + dx, py + dy), weight=math.hypot(dx, dy))
+        g.add_edge((px, py), (px + dx, py + dy), math.hypot(dx, dy))
     return g
 
 
-def _chain(g: nx.Graph, prev, node) -> list:
+def _chain(g: PixelGraph, prev, node) -> list:
     """Walk from the edge (prev, node) through degree-2 nodes. The path starts
     at prev and ends at the first node of another degree, or back at prev
     when the walk closes a cycle."""
     path = [prev, node]
-    while g.degree(node) == 2 and node != path[0]:
-        prev, node = node, next(n for n in g.neighbors(node) if n != prev)
+    while len(g[node]) == 2 and node != path[0]:
+        prev, node = node, next(n for n in g[node] if n != prev)
         path.append(node)
     return path
 
 
-def _leaf_chain(g: nx.Graph, leaf) -> list:
-    return _chain(g, leaf, next(iter(g.neighbors(leaf))))
-
-
-def _leaf_spur(g: nx.Graph, leaf):
-    """Path from a leaf to its nearest junction (deg > 2), junction excluded,
-    and its total weight; None when the chain ends at another leaf."""
-    path = _leaf_chain(g, leaf)
-    if g.degree(path[-1]) <= 2:
-        return None
-    weight = sum(g.edges[u, v]["weight"] for u, v in zip(path, path[1:]))
-    return path[:-1], weight
-
-
-def _prune_spurs(g: nx.Graph, tau_prune: float) -> bool:
+def _prune_spurs(g: PixelGraph, tau_prune: float) -> bool:
+    """Remove each leaf's chain up to its junction (deg > 2), junction kept,
+    when the chain is shorter than tau_prune."""
     removed = False
-    for leaf in [n for n in g.nodes if g.degree(n) == 1]:
-        if leaf not in g or g.degree(leaf) != 1:
+    for leaf in [n for n in g if len(g[n]) == 1]:
+        if leaf not in g or len(g[leaf]) != 1:
             continue
-        spur = _leaf_spur(g, leaf)
-        if spur is None:
-            continue
-        path, weight = spur
-        if weight < tau_prune:
-            g.remove_nodes_from(path)
+        path = _chain(g, leaf, next(iter(g[leaf])))
+        if len(g[path[-1]]) > 2 and sum(g[u][v] for u, v in zip(path, path[1:])) < tau_prune:
+            g.remove_nodes(path[:-1])
             removed = True
     return removed
 
 
-def _contract_junctions(g: nx.Graph, radius: float) -> bool:
+def _contract_junctions(g: PixelGraph, radius: float) -> bool:
     """Merge the closest junction pair within radius into a centroid node.
     Returns True when a contraction happened."""
-    junctions = [n for n in g.nodes if g.degree(n) > 2]
+    junctions = [n for n in g if len(g[n]) > 2]
     best = None
     for i, u in enumerate(junctions):
         for v in junctions[i + 1:]:
@@ -166,20 +195,22 @@ def _contract_junctions(g: nx.Graph, radius: float) -> bool:
         return False
     _, u, v = best
     merged = ((u[0] + v[0]) / 2.0, (u[1] + v[1]) / 2.0)
-    nbrs = (set(g.neighbors(u)) | set(g.neighbors(v))) - {u, v}
-    g.remove_nodes_from([u, v])
+    nbrs = (set(iter(g[u])) | set(iter(g[v]))) - {u, v}  # order rule 3
+    g.remove_nodes([u, v])
     if merged in g:
         merged = (merged[0] + 1e-6, merged[1])
-    g.add_node(merged)
     for n in nbrs:
-        g.add_edge(merged, n, weight=math.dist(merged, n))
+        g.add_edge(merged, n, math.dist(merged, n))
     return True
 
 
-def clean_graph(g: nx.Graph, tau_prune_px: float, w_lane_px: float) -> nx.Graph:
+def clean_graph(g: PixelGraph, tau_prune_px: float, w_lane_px: float) -> PixelGraph:
     """Iterate spur pruning and junction contraction to a joint fixpoint on a
-    copy, whose neighbour order (not build_graph's) sets the segment order."""
-    g = g.copy()
+    copy, whose neighbour order (not build_graph's) sets the segment order
+    (order rule 2)."""
+    g, src = PixelGraph((n, {}) for n in g), g
+    for u, v, w in src.edges():
+        g.add_edge(u, v, w)
     while True:
         pruned = _prune_spurs(g, tau_prune_px)
         contracted = _contract_junctions(g, 2.0 * w_lane_px)
@@ -187,10 +218,10 @@ def clean_graph(g: nx.Graph, tau_prune_px: float, w_lane_px: float) -> nx.Graph:
             return g
 
 
-def _outward_direction(g: nx.Graph, leaf, min_len: float = 3.0):
+def _outward_direction(g: PixelGraph, leaf, min_len: float = 3.0):
     """Unit direction pointing out of the graph at a leaf, estimated from the
     last segment of at least min_len pixels leading into it."""
-    path = _leaf_chain(g, leaf)
+    path = _chain(g, leaf, next(iter(g[leaf])))
     anchor = next((n for n in path[1:] if math.dist(leaf, n) >= min_len), path[-1])
     d = np.array(leaf, dtype=float) - np.array(anchor, dtype=float)
     return d / np.linalg.norm(d)
@@ -223,7 +254,7 @@ def _box_obstacle_count(gmap: GlobalMap, origin_px, direction, length_px, width_
     return int(is_obstacle[gmap.labels[gx[inside], gy[inside], 1:]].sum())
 
 
-def filter_endpoints(g: nx.Graph, gmap: GlobalMap, params: TopologyParams):
+def filter_endpoints(g: PixelGraph, gmap: GlobalMap, params: TopologyParams):
     """Dual-probe endpoint filtering.
 
     A leaf survives when the topology probe 1.5*w_lane beyond it leaves the
@@ -234,7 +265,7 @@ def filter_endpoints(g: nx.Graph, gmap: GlobalMap, params: TopologyParams):
     road = gmap.labels[:, :, 0] == gmap.table.road_id
     w_lane_px = params.w_lane / vox
     valid = []
-    for leaf in [n for n in g.nodes if g.degree(n) == 1]:
+    for leaf in [n for n in g if len(g[n]) == 1]:
         d = _outward_direction(g, leaf)
         probe = np.array(leaf, dtype=float) + 1.5 * w_lane_px * d
         px, py = int(math.floor(probe[0])), int(math.floor(probe[1]))
@@ -263,15 +294,12 @@ def extract_topology(gmap: GlobalMap, params: TopologyParams = None):
     return g, valid
 
 
-def graph_segments(g: nx.Graph):
+def graph_segments(g: PixelGraph):
     """Maximal chains of degree-2 nodes between junction/leaf anchors, as
     ordered pixel paths. Isolated cycles are returned as closed paths."""
-    starts = [(a, n) for a in g.nodes if g.degree(a) != 2 for n in g.neighbors(a)]
-    # pure cycles with no anchor start at their component's first node
-    for comp in nx.connected_components(g):
-        start = next(iter(comp))
-        if all(g.degree(n) == 2 for n in comp):
-            starts.append((start, next(iter(g.neighbors(start)))))
+    starts = [(a, n) for a in g if len(g[a]) != 2 for n in g[a]]
+    # then the edges left, those of pure cycles, from each one's first node
+    starts += [(a, next(iter(g[a]))) for a in g if len(g[a]) == 2]
     segs = []
     seen = set()
     for prev, node in starts:
@@ -283,13 +311,13 @@ def graph_segments(g: nx.Graph):
     return segs
 
 
-def save_graph(g: nx.Graph, valid_endpoints, path) -> None:
-    nodes = sorted(g.nodes)
+def save_graph(g: PixelGraph, valid_endpoints, path) -> None:
+    nodes = sorted(g)
     index = {n: i for i, n in enumerate(nodes)}
     obj = {
         "nodes": [{"id": i, "x": n[0], "y": n[1]} for n, i in index.items()],
-        "edges": [{"u": index[u], "v": index[v], "weight": d["weight"]}
-                  for u, v, d in g.edges(data=True)],
+        "edges": [{"u": index[u], "v": index[v], "weight": w}
+                  for u, v, w in g.edges()],
         "valid_endpoints": [index[n] for n in valid_endpoints],
     }
     with open(path, "w") as fh:
@@ -300,11 +328,22 @@ def load_graph(path):
     return load_json_input(path, _graph_from_json)
 
 
+def _finite(v):
+    # abs() of a string, list, object or null raises TypeError
+    if isinstance(v, bool) or not abs(v) <= sys.float_info.max:
+        raise ValueError(f"not a number that a finite float holds: {v!r}")
+    return v
+
+
 def _graph_from_json(obj):
-    coords = {n["id"]: (n["x"], n["y"]) for n in obj["nodes"]}
-    g = nx.Graph()
-    g.add_nodes_from(coords.values())
+    coords = {n["id"]: (_finite(n["x"]), _finite(n["y"])) for n in obj["nodes"]}
+    if len(coords) != len(obj["nodes"]):
+        raise ValueError("repeated node id")
+    g = PixelGraph((c, {}) for c in coords.values())
     for e in obj["edges"]:
-        g.add_edge(coords[e["u"]], coords[e["v"]], weight=e["weight"])
+        u, v = coords[e["u"]], coords[e["v"]]
+        if u == v:
+            raise ValueError(f"self-loop edge at {u}")
+        g.add_edge(u, v, _finite(e["weight"]))
     valid = [coords[i] for i in obj["valid_endpoints"]]
     return g, valid

@@ -1,9 +1,14 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import voxsim
 from voxsim.agents import AgentLayout, LayoutEntry, encode_heatmap, write_heatmap
 from voxsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main, stage_seed
 from voxsim.geometry import Pose2, load_trajectory
@@ -33,6 +38,22 @@ def _spawnable_world(tmp_path, valid_endpoints=(0,),
     (tmp_path / "graph.json").write_text(json.dumps({
         "nodes": [{"id": 0, "x": 45, "y": 25}], "edges": [],
         "valid_endpoints": list(valid_endpoints)}))
+
+
+def _graph_json(x=45, weight=1.0, v=1, extra_nodes=()):
+    """graph.json text of a graph with nodes 0 and 1, then extra_nodes, and
+    one edge, from node 0 to node v."""
+    return json.dumps({"nodes": [{"id": 0, "x": x, "y": 25}, {"id": 1, "x": 46, "y": 25},
+                                 *extra_nodes],
+                       "edges": [{"u": 0, "v": v, "weight": weight}],
+                       "valid_endpoints": [0]})
+
+
+def test_cli_import_leaves_networkx_out():
+    src = str(Path(voxsim.__file__).resolve().parents[1])
+    code = "import voxsim.cli, sys; assert 'networkx' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, cwd=src,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 class TestStageSeed:
@@ -113,6 +134,16 @@ class TestExitCodes:
                                            "valid_endpoints": []})),
             ("lanes", "graph", json.dumps({"nodes": 5, "edges": [],
                                            "valid_endpoints": []})),
+            # graph coordinates and weights that are not finite numbers, an
+            # edge from a node to itself and a repeated node id
+            ("lanes", "graph", _graph_json(x="a")),
+            ("spawn", "graph", _graph_json(x="a")),
+            ("lanes", "graph", _graph_json(x=True)),
+            ("lanes", "graph", _graph_json(weight="w")),
+            ("lanes", "graph", _graph_json(weight=float("nan"))),
+            ("spawn", "graph", _graph_json(x=10 ** 400)),
+            ("lanes", "graph", _graph_json(v=0)),
+            ("spawn", "graph", _graph_json(extra_nodes=[{"id": 0, "x": 47, "y": 25}])),
             ("spawn", "lanes", "[{}]"),
             ("spawn", "lanes", json.dumps([{"points": "abc", "offset_index": 0,
                                             "source_segment": 0}])),

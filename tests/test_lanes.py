@@ -243,8 +243,9 @@ class TestExtractLanes:
         assert ys[1] - ys[0] == pytest.approx(3.6, abs=0.2)
 
     # Lane points of a plus world, hashed: they follow the cell centres of
-    # GlobalMap.cell_center and the neighbour order of the cleaned graph
-    # (cleaning the build_graph output in place, without clean_graph's copy,
+    # GlobalMap.cell_center and the neighbour order of the cleaned graph,
+    # which clean_graph sets by re-inserting every edge in edges() order
+    # (cleaning build_graph's output in place, or a plain dict copy of it,
     # reorders the segments and moves these bytes).
     def test_plus_world_bytes_pinned(self):
         world = generate_world(WorldSpec(recipe="plus", extent=80.0, road_width=10.8))

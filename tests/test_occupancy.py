@@ -11,7 +11,7 @@ from voxsim.geometry import Pose2
 from voxsim.metrics import read_features, write_features
 from voxsim.occupancy import (DEFAULT_CROP_DIMS, GlobalMap, GridFormatError,
                               OccupancyGrid, SemanticTable, crop,
-                              default_table, overlay, read_grid, write_grid)
+                              default_table, read_grid, write_grid)
 
 
 class TestSemanticTable:
@@ -261,18 +261,3 @@ class TestCrop:
         assert h.hexdigest() == (
             "b362942391deeac8b9cc2e4492e8c66f2a3c86ded2a7c406ef6c04a9acde1cd1")
 
-
-class TestOverlay:
-    def test_foreground_wins_where_assigned(self):
-        bg = OccupancyGrid(np.full((4, 4, 2), 1, dtype=np.uint8))
-        fg_labels = np.zeros((4, 4, 2), dtype=np.uint8)
-        fg_labels[1, 1, 0] = 3
-        fg = OccupancyGrid(fg_labels)
-        out = overlay(bg, fg)
-        assert out.labels[1, 1, 0] == 3
-        assert out.labels[0, 0, 0] == 1
-
-    def test_dims_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            overlay(OccupancyGrid(np.zeros((4, 4, 2), dtype=np.uint8)),
-                    OccupancyGrid(np.zeros((5, 4, 2), dtype=np.uint8)))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from voxsim.agents import AgentAsset, Agent
 from voxsim.geometry import Pose2, arc_length, resample_polyline
 from voxsim.lanes import Lane
-from voxsim.occupancy import GlobalMap, OccupancyGrid, crop, overlay
+from voxsim.occupancy import GlobalMap, OccupancyGrid, crop
 from voxsim.routing import build_route_network
 from voxsim.simulation import (IdmParams, SimParams, SimState, Simulator,
                                advance_along_route, bezier_transition,
@@ -392,10 +392,36 @@ def reference_stamp_box(fg, ego_pose, agent, vox, vehicle_id):
     fg[x0:x1, y0:y1, :z1] = sub
 
 
+def reference_overlay(background: OccupancyGrid, foreground: OccupancyGrid) -> OccupancyGrid:
+    """Foreground label wins wherever it is assigned; background elsewhere."""
+    if background.dims != foreground.dims or background.voxel_size != foreground.voxel_size:
+        raise ValueError("overlay requires identical dims and voxel size")
+    out = background.labels.copy()
+    sel = foreground.labels != foreground.table.unassigned_id
+    out[sel] = foreground.labels[sel]
+    return OccupancyGrid(out, background.voxel_size, background.origin, background.table)
+
+
+class TestOverlay:
+    def test_foreground_wins_where_assigned(self):
+        bg = OccupancyGrid(np.full((4, 4, 2), 1, dtype=np.uint8))
+        fg_labels = np.zeros((4, 4, 2), dtype=np.uint8)
+        fg_labels[1, 1, 0] = 3
+        fg = OccupancyGrid(fg_labels)
+        out = reference_overlay(bg, fg)
+        assert out.labels[1, 1, 0] == 3
+        assert out.labels[0, 0, 0] == 1
+
+    def test_dims_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            reference_overlay(OccupancyGrid(np.zeros((4, 4, 2), dtype=np.uint8)),
+                              OccupancyGrid(np.zeros((5, 4, 2), dtype=np.uint8)))
+
+
 def reference_render(sim, state):
     """The frame as a foreground volume of agent boxes, each agent tested
     against the field of view on its own, laid over the crop with
-    ``overlay``. Kept as the equivalence reference."""
+    ``reference_overlay``. Kept as the equivalence reference."""
     ego_pose = sim.ego_pose(state)
     background = crop(sim.gmap, ego_pose, sim.params.fov_dims)
     fg = np.full(background.dims, sim.gmap.table.unassigned_id, dtype=np.uint8)
@@ -406,7 +432,8 @@ def reference_render(sim, state):
         if np.all(np.abs(local) <= half):
             reference_stamp_box(fg, background.origin, agent, vox,
                                 sim.gmap.table.vehicle_id)
-    return overlay(background, OccupancyGrid(fg, vox, background.origin, sim.gmap.table))
+    return reference_overlay(background,
+                             OccupancyGrid(fg, vox, background.origin, sim.gmap.table))
 
 
 class TestRender:

@@ -1,5 +1,8 @@
 import hashlib
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -8,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voxsim.geometry import Pose2
-from voxsim.occupancy import GlobalMap, SemanticTable
-from voxsim.topology import (TopologyParams, _box_obstacle_count,
+from voxsim.occupancy import GlobalMap, SemanticTable, default_table
+from voxsim.topology import (PixelGraph, TopologyParams, _box_obstacle_count,
                              build_graph, clean_graph,
                              extract_topology, filter_endpoints,
                              graph_segments, load_graph, save_graph,
@@ -83,6 +86,142 @@ def reference_build_graph(skeleton):
         longest = max(edges, key=lambda e: (g.edges[e]["weight"], e))
         g.remove_edge(*longest)
     return g
+
+
+# The networkx pipeline that PixelGraph replaced, kept as the equivalence
+# reference: spur pruning and junction contraction on an ``nx.Graph`` copy,
+# chain walks over ``g.neighbors``, and pure cycles from
+# ``nx.connected_components``.
+
+def reference_chain(g, prev, node):
+    path = [prev, node]
+    while g.degree(node) == 2 and node != path[0]:
+        prev, node = node, next(n for n in g.neighbors(node) if n != prev)
+        path.append(node)
+    return path
+
+
+def reference_leaf_chain(g, leaf):
+    return reference_chain(g, leaf, next(iter(g.neighbors(leaf))))
+
+
+def reference_prune_spurs(g, tau_prune):
+    removed = False
+    for leaf in [n for n in g.nodes if g.degree(n) == 1]:
+        if leaf not in g or g.degree(leaf) != 1:
+            continue
+        path = reference_leaf_chain(g, leaf)
+        if g.degree(path[-1]) <= 2:
+            continue
+        weight = sum(g.edges[u, v]["weight"] for u, v in zip(path, path[1:]))
+        if weight < tau_prune:
+            g.remove_nodes_from(path[:-1])
+            removed = True
+    return removed
+
+
+def reference_contract_junctions(g, radius):
+    junctions = [n for n in g.nodes if g.degree(n) > 2]
+    best = None
+    for i, u in enumerate(junctions):
+        for v in junctions[i + 1:]:
+            d = math.dist(u, v)
+            if d < radius and (best is None or d < best[0]):
+                best = (d, u, v)
+    if best is None:
+        return False
+    _, u, v = best
+    merged = ((u[0] + v[0]) / 2.0, (u[1] + v[1]) / 2.0)
+    nbrs = (set(g.neighbors(u)) | set(g.neighbors(v))) - {u, v}
+    g.remove_nodes_from([u, v])
+    if merged in g:
+        merged = (merged[0] + 1e-6, merged[1])
+    g.add_node(merged)
+    for n in nbrs:
+        g.add_edge(merged, n, weight=math.dist(merged, n))
+    return True
+
+
+def reference_clean_graph(g, tau_prune_px, w_lane_px):
+    g = g.copy()
+    while True:
+        pruned = reference_prune_spurs(g, tau_prune_px)
+        contracted = reference_contract_junctions(g, 2.0 * w_lane_px)
+        if not pruned and not contracted:
+            return g
+
+
+def reference_filter_endpoints(g, gmap, params):
+    vox = gmap.voxel_size
+    road = gmap.labels[:, :, 0] == gmap.table.road_id
+    valid = []
+    for leaf in [n for n in g.nodes if g.degree(n) == 1]:
+        path = reference_leaf_chain(g, leaf)
+        anchor = next((n for n in path[1:] if math.dist(leaf, n) >= 3.0), path[-1])
+        d = np.array(leaf, dtype=float) - np.array(anchor, dtype=float)
+        d = d / np.linalg.norm(d)
+        probe = np.array(leaf, dtype=float) + 1.5 * (params.w_lane / vox) * d
+        px, py = int(math.floor(probe[0])), int(math.floor(probe[1]))
+        if 0 <= px < road.shape[0] and 0 <= py < road.shape[1] and road[px, py]:
+            continue
+        count = _box_obstacle_count(
+            gmap, leaf, d, params.probe_length / vox, params.probe_width / vox)
+        if count < params.tau_obs:
+            valid.append(leaf)
+    return valid
+
+
+def reference_graph_segments(g):
+    starts = [(a, n) for a in g.nodes if g.degree(a) != 2 for n in g.neighbors(a)]
+    for comp in nx.connected_components(g):
+        start = next(iter(comp))
+        if all(g.degree(n) == 2 for n in comp):
+            starts.append((start, next(iter(g.neighbors(start)))))
+    segs = []
+    seen = set()
+    for prev, node in starts:
+        if frozenset((prev, node)) in seen:
+            continue
+        path = reference_chain(g, prev, node)
+        seen.update(map(frozenset, zip(path, path[1:])))
+        segs.append(path)
+    return segs
+
+
+def reference_save_graph(g, valid_endpoints, path):
+    nodes = sorted(g.nodes)
+    index = {n: i for i, n in enumerate(nodes)}
+    obj = {
+        "nodes": [{"id": i, "x": n[0], "y": n[1]} for n, i in index.items()],
+        "edges": [{"u": index[u], "v": index[v], "weight": d["weight"]}
+                  for u, v, d in g.edges(data=True)],
+        "valid_endpoints": [index[n] for n in valid_endpoints],
+    }
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+
+
+def graph_of(*paths):
+    """A PixelGraph with an edge, weighted by its length, between the
+    consecutive nodes of each path."""
+    g = PixelGraph()
+    for path in paths:
+        for u, v in zip(path, path[1:]):
+            g.add_edge(u, v, math.dist(u, v))
+    return g
+
+
+def _edge_set(g):
+    return {frozenset((u, v)) for u, v, _ in g.edges()}
+
+
+def assert_same_graph(g, ref):
+    """Same node order, same neighbour order and weights at every node and
+    the same edges() order as the networkx graph ref."""
+    assert list(g) == list(ref.nodes)
+    for n in g:
+        assert list(g[n].items()) == [(m, d["weight"]) for m, d in ref.adj[n].items()]
+    assert list(g.edges()) == list(ref.edges(data="weight"))
 
 
 def reference_obstacle_count(gmap, origin_px, direction, length_px, width_px):
@@ -223,51 +362,42 @@ class TestBuildGraph:
         skel[2:8, 4] = True
         g = build_graph(skel)
         assert g.number_of_nodes() == 6
-        assert g.number_of_edges() == 5
-        assert all(d["weight"] == 1.0 for _, _, d in g.edges(data=True))
+        assert len(list(g.edges())) == 5
+        assert all(w == 1.0 for _, _, w in g.edges())
 
     def test_diagonal_weight(self):
         skel = np.zeros((5, 5), dtype=bool)
         skel[1, 1] = skel[2, 2] = True
         g = build_graph(skel)
-        assert g.edges[(1, 1), (2, 2)]["weight"] == pytest.approx(math.sqrt(2))
+        assert g[(1, 1)][(2, 2)] == pytest.approx(math.sqrt(2))
 
     def test_triangle_longest_edge_removed(self):
         # right triangle: two unit edges plus a sqrt(2) hypotenuse
         skel = np.zeros((5, 5), dtype=bool)
         skel[1, 1] = skel[1, 2] = skel[2, 2] = True
         g = build_graph(skel)
-        assert g.number_of_edges() == 2
-        assert not g.has_edge((1, 1), (2, 2))
+        assert len(list(g.edges())) == 2
+        assert (2, 2) not in g[(1, 1)]
 
     def test_full_block_is_four_cycle(self):
         skel = np.zeros((4, 4), dtype=bool)
         skel[1:3, 1:3] = True
         g = build_graph(skel)
-        assert sorted(map(sorted, g.edges)) == [
+        assert sorted(sorted((u, v)) for u, v, _ in g.edges()) == [
             [(1, 1), (1, 2)], [(1, 1), (2, 1)], [(1, 2), (2, 2)], [(2, 1), (2, 2)]]
-        assert all(w == 1.0 for _, _, w in g.edges(data="weight"))
+        assert all(w == 1.0 for _, _, w in g.edges())
 
     @settings(max_examples=300, deadline=None)
     @given(pixel_masks())
     def test_matches_reference_build(self, skel):
         g, ref = build_graph(skel), reference_build_graph(skel)
-        assert list(g.nodes) == list(ref.nodes)
-        assert list(g.edges(data="weight")) == list(ref.edges(data="weight"))
+        assert_same_graph(g, ref)
 
 
 class TestCleanGraph:
     def _trunk_with_spur(self, spur_len):
-        g = nx.Graph()
-        trunk = [(x, 10) for x in range(0, 40)]
-        for a, b in zip(trunk, trunk[1:]):
-            g.add_edge(a, b, weight=1.0)
-        spur = [(20, 10 + i) for i in range(1, spur_len + 1)]
-        prev = (20, 10)
-        for node in spur:
-            g.add_edge(prev, node, weight=1.0)
-            prev = node
-        return g
+        return graph_of([(x, 10) for x in range(0, 40)],
+                        [(20, 10 + i) for i in range(spur_len + 1)])
 
     def test_short_spur_pruned(self):
         g = clean_graph(self._trunk_with_spur(3), tau_prune_px=5.0, w_lane_px=9.0)
@@ -278,17 +408,11 @@ class TestCleanGraph:
         assert any(n[1] > 10 for n in g.nodes)
 
     def test_close_junctions_contracted(self):
-        g = nx.Graph()
         # two degree-3 nodes 2 px apart, each with three long arms
         j1, j2 = (20, 20), (22, 20)
-        g.add_edge(j1, j2, weight=2.0)
-        for j, deltas in ((j1, [(-1, 0), (0, 1)]), (j2, [(1, 0), (0, -1)])):
-            for dx, dy in deltas:
-                prev = j
-                for i in range(1, 15):
-                    node = (j[0] + dx * i, j[1] + dy * i)
-                    g.add_edge(prev, node, weight=1.0)
-                    prev = node
+        arms = [[(j[0] + dx * i, j[1] + dy * i) for i in range(15)]
+                for j, (dx, dy) in ((j1, (-1, 0)), (j1, (0, 1)), (j2, (1, 0)), (j2, (0, -1)))]
+        g = graph_of([j1, j2], *arms)
         cleaned = clean_graph(g, tau_prune_px=5.0, w_lane_px=9.0)
         junctions = [n for n in cleaned.nodes if cleaned.degree(n) > 2]
         assert len(junctions) == 1
@@ -387,7 +511,7 @@ class TestSegmentsAndIO:
         save_graph(g, valid, path)
         g2, valid2 = load_graph(path)
         assert set(g2.nodes) == set(g.nodes)
-        assert {frozenset(e) for e in g2.edges} == {frozenset(e) for e in g.edges}
+        assert _edge_set(g2) == _edge_set(g)
         assert valid2 == valid
 
     # graph.json holds integer pixels and math.dist weights only, so its bytes
@@ -409,7 +533,7 @@ def _check_segments(g, segs):
     segment between non-degree-2 anchors or closed on itself."""
     covered = [frozenset(e) for seg in segs for e in zip(seg, seg[1:])]
     assert len(covered) == len(set(covered))
-    assert set(covered) == {frozenset(e) for e in g.edges}
+    assert set(covered) == _edge_set(g)
     for seg in segs:
         assert len(seg) >= 2
         assert all(g.degree(n) == 2 for n in seg[1:-1])
@@ -437,6 +561,67 @@ def road_masks(draw):
     return mask
 
 
+@st.composite
+def noise_masks(draw):
+    """Dense random masks. Their skeletons hold junctions that merge more
+    than once, into nodes of five or more neighbours, whose neighbour sets
+    iterate in another order when built presized from a dict."""
+    n = draw(st.integers(16, 48))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return rng.random((n, n)) < draw(st.floats(0.3, 0.7))
+
+
+def _ring(cycle):
+    """A closed path's nodes up to rotation and direction."""
+    ring = cycle[:-1]
+    i = ring.index(min(ring))
+    ring = ring[i:] + ring[:i]
+    return min(ring, ring[:1] + ring[:0:-1])
+
+
+def assert_same_segments(g, segs, ref):
+    """Equal segment lists, except that a pure cycle (every node of degree
+    2) may start at another node or run the other way."""
+    assert len(segs) == len(ref)
+    for s, r in zip(segs, ref):
+        if all(len(g[n]) == 2 for n in s):
+            assert _ring(s) == _ring(r)
+        else:
+            assert s == r
+
+
+def _saved_bytes(save, g, valid):
+    with tempfile.TemporaryDirectory() as d:
+        save(g, valid, Path(d) / "graph.json")
+        return (Path(d) / "graph.json").read_bytes()
+
+
+class TestMatchesNetworkxReference:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(road_masks(), noise_masks()), st.floats(1.0, 12.0),
+           st.floats(1.0, 10.0))
+    def test_graph_segments_endpoints_and_bytes(self, mask, tau_prune, w_lane):
+        skel = skeletonize(mask)
+        g, ref = build_graph(skel), reference_build_graph(skel)
+        assert_same_graph(g, ref)
+        assert_same_segments(g, graph_segments(g), reference_graph_segments(ref))
+
+        cleaned = clean_graph(g, tau_prune, w_lane)
+        ref_cleaned = reference_clean_graph(ref, tau_prune, w_lane)
+        assert_same_graph(cleaned, ref_cleaned)
+        assert_same_segments(cleaned, graph_segments(cleaned),
+                             reference_graph_segments(ref_cleaned))
+
+        table = default_table()
+        gmap = make_map(np.where(mask, table.road_id, 4), table)
+        vox = gmap.voxel_size
+        params = TopologyParams(w_lane=w_lane * vox, tau_prune=tau_prune * vox)
+        valid = filter_endpoints(cleaned, gmap, params)
+        assert valid == reference_filter_endpoints(ref_cleaned, gmap, params)
+        assert (_saved_bytes(save_graph, cleaned, valid)
+                == _saved_bytes(reference_save_graph, ref_cleaned, valid))
+
+
 class TestGraphSegments:
     @settings(max_examples=150, deadline=None)
     @given(road_masks(), st.floats(1.0, 12.0), st.floats(1.0, 10.0))
@@ -447,9 +632,8 @@ class TestGraphSegments:
         _check_segments(cleaned, graph_segments(cleaned))
 
     def test_loop_through_one_junction(self):
-        g = nx.Graph()
-        nx.add_path(g, [(0, 0), (1, 0), (2, 0)])               # tail to a leaf
-        nx.add_path(g, [(0, 0), (0, 1), (-1, 1), (-1, 0), (0, 0)])
+        g = graph_of([(0, 0), (1, 0), (2, 0)],                  # tail to a leaf
+                     [(0, 0), (0, 1), (-1, 1), (-1, 0), (0, 0)])
         segs = graph_segments(g)
         _check_segments(g, segs)
         assert sorted(len(s) for s in segs) == [3, 5]
@@ -457,22 +641,18 @@ class TestGraphSegments:
         assert loop[0] == loop[-1] == (0, 0)
 
     def test_anchor_free_cycle_component(self):
-        g = nx.Graph()
-        nx.add_cycle(g, [(0, 0), (0, 1), (1, 1), (1, 0)])
-        nx.add_path(g, [(5, 5), (5, 6), (5, 7)])
+        g = graph_of([(0, 0), (0, 1), (1, 1), (1, 0), (0, 0)],
+                     [(5, 5), (5, 6), (5, 7)])
         segs = graph_segments(g)
         _check_segments(g, segs)
-        cycle = next(s for s in segs if (0, 0) in s)
-        assert len(cycle) == 5 and cycle[0] == cycle[-1]
-        assert set(cycle) == {(0, 0), (0, 1), (1, 1), (1, 0)}
+        # anchors first; the cycle starts at its first node, toward that
+        # node's first neighbour
+        assert segs == [[(5, 5), (5, 6), (5, 7)],
+                        [(0, 0), (0, 1), (1, 1), (1, 0), (0, 0)]]
 
     def test_single_edge_between_junctions(self):
-        g = nx.Graph()
-        g.add_edge((0, 0), (1, 0))
-        for leaf in ((-1, 1), (-1, -1)):
-            g.add_edge((0, 0), leaf)
-        for leaf in ((2, 1), (2, -1)):
-            g.add_edge((1, 0), leaf)
+        g = graph_of([(0, 0), (1, 0)], [(0, 0), (-1, 1)], [(0, 0), (-1, -1)],
+                     [(1, 0), (2, 1)], [(1, 0), (2, -1)])
         segs = graph_segments(g)
         _check_segments(g, segs)
         assert len(segs) == 5
