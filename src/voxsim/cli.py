@@ -95,7 +95,10 @@ def run_synth(cfg: dict, seed: int, out_dir: Path) -> dict:
                          lambda v: v > 0, "a positive number")
     path = _config_value(traj_cfg, "path", None,
                          lambda v: v is None or isinstance(v, str), "a file path")
-    world = synthworld.generate_world(spec)
+    try:
+        world = synthworld.generate_world(spec)
+    except ValueError as e:  # a spec no world can be built from
+        raise ConfigError(f"world: {e}") from e
     if path is not None:
         poses = load_trajectory(path).poses
     elif spec.recipe == "curve":

@@ -90,8 +90,7 @@ def _frame_to_map_indices(gmap: GlobalMap, pose: Pose2, dims):
     gx = np.arange(g0[0], g1[0])
     gy = np.arange(g0[1], g1[1])
     GX, GY = np.meshgrid(gx, gy, indexing="ij")
-    wx, wy = gmap.cell_center(GX, GY)  # bound, as in crop: freed early, peak RSS rose
-    lx, ly = pose.inverse().transform_xy(wx, wy)
+    lx, ly = pose.inverse().transform_xy(*gmap.cell_center(GX, GY))
     fx = np.floor(lx / vox + X / 2.0).astype(np.int64)
     fy = np.floor(ly / vox + Y / 2.0).astype(np.int64)
     ok = (fx >= 0) & (fx < X) & (fy >= 0) & (fy < Y)
@@ -129,20 +128,21 @@ def fuse_keyframes(frames, poses, keys, table, margin: float = 2.0) -> GlobalMap
 
 
 def _sink_columns(gmap: GlobalMap, table) -> None:
-    """Shift each (x, y) column down so its lowest ground-role voxel is at z=0."""
+    """Shift each (x, y) column down so its lowest ground-role voxel is at z=0,
+    in place, one z plane at a time. Plane z reads plane z + dz >= z, which
+    no earlier plane has overwritten; the dz top planes of a column become
+    unassigned."""
     labels = gmap.labels
-    ground = np.isin(labels, table.ground_ids)
-    has_ground = ground.any(axis=2)
-    dz = np.where(has_ground, ground.argmax(axis=2), 0)
-    Z = labels.shape[2]
-    shift = dz[:, :, None]
-    zidx = np.arange(Z)[None, None, :] + shift
-    src_valid = zidx < Z
-    zidx = np.minimum(zidx, Z - 1)
-    xi = np.arange(labels.shape[0])[:, None, None]
-    yi = np.arange(labels.shape[1])[None, :, None]
-    sunk = np.where(src_valid, labels[xi, yi, zidx], table.unassigned_id)
-    gmap.labels = sunk.astype(np.uint8)
+    X, Y, Z = labels.shape
+    dz = np.zeros((X, Y), dtype=np.intp)  # lowest ground z of each column, 0 if none
+    for z in reversed(range(Z)):
+        dz[np.isin(labels[:, :, z], table.ground_ids)] = z
+    if not dz.any():
+        return
+    for z in range(Z):
+        src = dz + z
+        plane = np.take_along_axis(labels, np.minimum(src, Z - 1)[:, :, None], axis=2)
+        labels[:, :, z] = np.where(src < Z, plane[:, :, 0], table.unassigned_id)
 
 
 def _mode_fill_ground(gmap: GlobalMap, table) -> None:

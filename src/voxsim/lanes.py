@@ -97,12 +97,19 @@ def normal_vectors(points: np.ndarray) -> np.ndarray:
     return np.stack([-t[:, 1], t[:, 0]], axis=1)
 
 
-def estimate_width(center_px: np.ndarray, dist_m: np.ndarray) -> float:
-    """Road width in meters at a centerline: twice the median of the road
-    mask's distance transform (in meters) sampled along it."""
-    idx = np.clip(np.floor(center_px).astype(int),
-                  0, [dist_m.shape[0] - 1, dist_m.shape[1] - 1])
-    return 2.0 * float(np.median(dist_m[idx[:, 0], idx[:, 1]]))
+def estimate_width(center_px: np.ndarray, nearest: np.ndarray, voxel_size: float) -> float:
+    """Road width in meters at a centerline: twice the median distance from
+    the road cells under it to their nearest off-road cell. ``nearest`` is
+    the road mask's (2, X, Y) feature transform
+    (``distance_transform_edt(road, return_distances=False,
+    return_indices=True)``); the distances are taken only at the centerline
+    cells, with scipy's own float steps, so they equal its dense distance
+    map there bit for bit."""
+    ix, iy = np.clip(np.floor(center_px).astype(int),
+                     0, [nearest.shape[1] - 1, nearest.shape[2] - 1]).T
+    d = (nearest[:, ix, iy] - np.stack([ix, iy])).astype(np.float64)
+    d = np.sqrt(np.add.reduce(d * d, axis=0)) * voxel_size
+    return 2.0 * float(np.median(d))
 
 
 def _on_mask(points_m: np.ndarray, mask: np.ndarray, voxel_size: float, origin=(0.0, 0.0)) -> np.ndarray:
@@ -184,7 +191,8 @@ def extract_lanes(gmap, graph, params: LaneParams = None):
     vox = gmap.voxel_size
     road = gmap.labels[:, :, 0] == gmap.table.road_id
     origin = (gmap.origin.x, gmap.origin.y)
-    dist = ndimage.distance_transform_edt(road) * vox
+    nearest = ndimage.distance_transform_edt(road, return_distances=False,
+                                             return_indices=True)
 
     candidates = []
     for seg_id, seg in enumerate(graph_segments(graph)):
@@ -192,7 +200,7 @@ def extract_lanes(gmap, graph, params: LaneParams = None):
             continue
         seg_px = np.asarray(seg, dtype=float)
         center_px = fit_centerline(seg_px, params.ds_step / vox)
-        seg_width = estimate_width(center_px, dist)
+        seg_width = estimate_width(center_px, nearest, vox)
         center_m = np.stack(gmap.cell_center(*center_px.T), axis=1)
         cands = offset_lanes(center_m, seg_width, params, road, vox, origin,
                              source_segment=seg_id)

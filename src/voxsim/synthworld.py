@@ -13,6 +13,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
 from .geometry import Pose2
 from .occupancy import (DEFAULT_CROP_DIMS, DEFAULT_VOXEL_SIZE, GlobalMap,
@@ -37,8 +38,18 @@ class WorldSpec:
 
     def __post_init__(self):
         self.blocks = tuple(self.blocks)
+        values = (self.extent, self.road_width, self.sidewalk_width, self.voxel_size,
+                  self.radius, self.obstacle_density, self.obstacle_height)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"world spec values {values!r} must be finite")
         if self.extent <= 0 or self.road_width <= 0 or self.voxel_size <= 0:
             raise ValueError("infeasible world spec")
+        if not math.isfinite(self.extent / self.voxel_size):
+            raise ValueError(f"voxel_size {self.voxel_size!r} gives no finite cell count")
+        if self.sidewalk_width < 0 or self.obstacle_density < 0:
+            raise ValueError("sidewalk_width and obstacle_density must be >= 0")
+        if self.obstacle_height <= 0:
+            raise ValueError(f"obstacle_height {self.obstacle_height!r} must be positive")
         if round(self.extent / self.voxel_size) < 1:
             raise ValueError(f"voxel_size {self.voxel_size!r} leaves the world no cells")
         if type(self.z_dim) is not int or self.z_dim < 1:
@@ -61,25 +72,29 @@ def _road_lines(extent: float, count: int) -> list:
     return [extent * (j + 1) / (count + 1) for j in range(count)]
 
 
-def _signed_distance_field(spec: WorldSpec, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
-    """Distance (meters) from each cell center to the road centerline set."""
+def _centerline_distances(spec: WorldSpec, xs: np.ndarray):
+    """Distance (meters) from the cell centers to the road centerline set,
+    as two terms that broadcast to the (n, n) grid and whose minimum is that
+    distance. For the straight, plus and grid recipes they are the 1-D
+    distances to the lines across each axis, shaped (n, 1) and (1, n), so
+    ``min(dx, dy) <= r`` is ``(dx <= r) | (dy <= r)`` and no (n, n) float
+    array is made. For the curve recipe they are the (n, n) arc distance
+    and inf."""
     e = spec.extent
-    if spec.recipe == "straight":
-        return np.abs(gy - e / 2.0)
-    if spec.recipe == "plus":
-        return np.minimum(np.abs(gy - e / 2.0), np.abs(gx - e / 2.0))
     if spec.recipe == "curve":
         # quarter arc centered at the world corner, plus straight run-ins
-        cx, cy = e / 2.0, e / 2.0
-        r = np.hypot(gx - cx, gy - cy)
-        arc = np.abs(r - spec.radius)
-        return arc
-    if spec.recipe == "grid":
-        nx, ny = spec.blocks
-        dists = [np.abs(gy - y) for y in _road_lines(e, ny)]
-        dists += [np.abs(gx - x) for x in _road_lines(e, nx)]
-        return np.minimum.reduce(dists)
-    raise AssertionError(spec.recipe)
+        r = np.hypot((xs - e / 2.0)[:, None], (xs - e / 2.0)[None, :])
+        return np.abs(r - spec.radius, out=r), np.inf
+    lines_x, lines_y = {
+        "straight": ([], [e / 2.0]),
+        "plus": ([e / 2.0], [e / 2.0]),
+        "grid": (_road_lines(e, spec.blocks[0]), _road_lines(e, spec.blocks[1])),
+    }[spec.recipe]
+    dx, dy = np.full(len(xs), np.inf), np.full(len(xs), np.inf)
+    for d, lines in ((dx, lines_x), (dy, lines_y)):
+        for c in lines:
+            np.minimum(d, np.abs(xs - c), out=d)
+    return dx[:, None], dy[None, :]
 
 
 def generate_world(spec: WorldSpec, table: SemanticTable = None) -> GlobalMap:
@@ -90,20 +105,18 @@ def generate_world(spec: WorldSpec, table: SemanticTable = None) -> GlobalMap:
     vox = spec.voxel_size
     n = int(round(spec.extent / vox))
     xs = (np.arange(n) + 0.5) * vox
-    gx, gy = np.meshgrid(xs, xs, indexing="ij")
-    d = _signed_distance_field(spec, gx, gy)
+    dx, dy = _centerline_distances(spec, xs)
+    half_road = spec.road_width / 2.0
+    outer = half_road + spec.sidewalk_width
+    road = (dx <= half_road) | (dy <= half_road)
+    sidewalk = ~road & ((dx <= outer) | (dy <= outer))
+    del dx, dy  # the curve's (n, n) distances go before the labels come
 
-    road = d <= spec.road_width / 2.0
-    sidewalk = (~road) & (d <= spec.road_width / 2.0 + spec.sidewalk_width)
-
-    labels = np.full((n, n, spec.z_dim), table.unassigned_id, dtype=np.uint8)
-    ground = np.full((n, n), table.ids_for("ground")[0],
-                     dtype=np.uint8)
+    labels = np.full((n, n, spec.z_dim), table.ids_for("free")[0], dtype=np.uint8)
+    ground = labels[:, :, 0]
+    ground[...] = table.ids_for("ground")[0]
     ground[road] = table.road_id
     ground[sidewalk] = table.sidewalk_id
-    labels[:, :, 0] = ground
-    free_id = table.ids_for("free")[0]
-    labels[:, :, 1:] = free_id
 
     if spec.obstacle_density > 0:
         rng = np.random.default_rng(spec.seed)
@@ -111,10 +124,17 @@ def generate_world(spec: WorldSpec, table: SemanticTable = None) -> GlobalMap:
         count = int(round(spec.obstacle_density * off_road_area / 100.0))
         obstacle_id = table.ids_for("obstacle")[0]
         zmax = min(int(math.ceil(spec.obstacle_height / vox)) + 1, spec.z_dim)
+        half = int(round(1.0 / vox))
+        # the loop below redraws until a footprint misses the road: without
+        # one clear footprint (max over its window, clipped at the edges) it
+        # would never end
+        if count and half and ndimage.maximum_filter(
+                road | sidewalk, size=2 * half, mode="constant").all():
+            raise ValueError(f"no {2 * half}x{2 * half}-cell obstacle footprint "
+                             f"fits off road in a {n}x{n}-cell world")
         placed = 0
         while placed < count:
             cx, cy = rng.integers(0, n, size=2)
-            half = int(round(1.0 / vox))
             x0, x1 = max(cx - half, 0), min(cx + half, n)
             y0, y1 = max(cy - half, 0), min(cy + half, n)
             patch = road[x0:x1, y0:y1] | sidewalk[x0:x1, y0:y1]
@@ -129,7 +149,8 @@ def generate_world(spec: WorldSpec, table: SemanticTable = None) -> GlobalMap:
 def sample_frames(world: GlobalMap, trajectory, crop_dims=DEFAULT_CROP_DIMS,
                   noise: float = 0.0, seed: int = 0):
     """Ego-centric crops of the world along a trajectory, with optional
-    per-voxel label-flip noise."""
+    label-flip noise: each voxel independently, with probability ``noise``,
+    takes a category id drawn uniformly from the table (possibly its own)."""
     poses = trajectory.poses if hasattr(trajectory, "poses") else list(trajectory)
     rng = np.random.default_rng(seed)
     lo, hi = world.extent
@@ -140,9 +161,12 @@ def sample_frames(world: GlobalMap, trajectory, crop_dims=DEFAULT_CROP_DIMS,
             log.warning("pose (%.1f, %.1f) outside world extent", pose.x, pose.y)
         frame = crop(world, pose, crop_dims)
         if noise > 0:
-            flip = rng.random(frame.labels.shape) < noise
-            repl = ids[rng.integers(0, len(ids), size=frame.labels.shape)]
-            frame.labels[flip] = repl[flip]
+            # i.i.d. Bernoulli(noise) flips: a binomial count, then a uniform
+            # subset of that size, each redrawn uniformly from the table
+            size = frame.labels.size
+            flips = rng.choice(size, rng.binomial(size, noise), replace=False,
+                               shuffle=False)
+            np.put(frame.labels, flips, ids[rng.integers(0, len(ids), size=len(flips))])
         frames.append(frame)
     return frames
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import struct
 import subprocess
@@ -24,6 +25,10 @@ PIPELINE_CONFIG = {
     },
     "simulate": {"horizon": 3},
 }
+
+
+# every 2 m obstacle footprint in this world touches road or sidewalk
+NO_OBSTACLE_FITS = {"recipe": "straight", "extent": 16.0, "obstacle_density": 10.0}
 
 
 def _spawnable_world(tmp_path, valid_endpoints=(0,),
@@ -54,6 +59,18 @@ def test_cli_import_leaves_networkx_out():
     code = "import voxsim.cli, sys; assert 'networkx' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True, cwd=src,
                    env={**os.environ, "PYTHONPATH": src})
+
+
+def test_synth_without_room_for_obstacles_exits_2(tmp_path):
+    # the obstacle loop redraws until a footprint misses the road, so a
+    # world with no such footprint used to hang here
+    src = str(Path(voxsim.__file__).resolve().parents[1])
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"world": NO_OBSTACLE_FITS}))
+    proc = subprocess.run([sys.executable, "-m", "voxsim.cli", "synth", "--spec", str(spec),
+                           "--out", str(tmp_path / "out")], capture_output=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
 
 
 class TestStageSeed:
@@ -222,6 +239,15 @@ class TestExitCodes:
         ("lanes", "--params", json.dumps({"min_segment_pts": "x"})),
         ("lanes", "--params", json.dumps({"min_segment_pts": 9})),
         ("lanes", "--params", json.dumps({"min_lane_samples": 0})),
+        ("synth", "--spec", json.dumps({"world": {"extent": math.inf}})),
+        ("synth", "--spec", json.dumps({"world": {"radius": math.nan}})),
+        ("synth", "--spec", json.dumps({"world": {"voxel_size": 1e-320}})),
+        ("synth", "--spec", json.dumps({"world": {"sidewalk_width": -1.0}})),
+        ("synth", "--spec", json.dumps({"world": {"obstacle_density": -1.0}})),
+        ("synth", "--spec", json.dumps({"world": {"obstacle_density": 0.5,
+                                                  "obstacle_height": -2.0}})),
+        ("synth", "--spec", json.dumps({"world": NO_OBSTACLE_FITS})),
+        ("pipeline", "--config", json.dumps({"synth": {"world": NO_OBSTACLE_FITS}})),
     ], ids=["dt", "sim-key", "idm", "w_lane", "nested", "not-utf8", "epsilon",
             "recipe", "world-key", "simulate-list", "idm-list", "synth-list",
             "world-list", "trajectory-list", "fuse-list", "topo-list",
@@ -232,7 +258,9 @@ class TestExitCodes:
             "z_dim-zero", "path-int", "world-lane_width", "blocks-zero",
             "blocks-str", "voxel-too-large", "horizon-float",
             "speed_sigma-negative", "min_segment_pts-str", "min_segment_pts-small",
-            "min_lane_samples-zero"])
+            "min_lane_samples-zero", "extent-inf", "radius-nan", "voxel-tiny",
+            "sidewalk-negative", "density-negative", "obstacle_height-negative",
+            "no-obstacle-fits", "pipeline-no-obstacle-fits"])
     def test_bad_params_is_config_error(self, tmp_path, command, flag, text):
         _spawnable_world(tmp_path)
         (tmp_path / "traj.json").write_text(json.dumps(

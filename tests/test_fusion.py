@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voxsim.fusion import (FusionParams, _frame_to_map_indices, fuse_keyframes,
-                           fuse_sequence, refine_morphology, select_keyframes,
-                           vote_inpaint)
+from voxsim.fusion import (FusionParams, _frame_to_map_indices, _sink_columns,
+                           fuse_keyframes, fuse_sequence, refine_morphology,
+                           select_keyframes, vote_inpaint)
 from voxsim.geometry import Pose2
 from voxsim.occupancy import GlobalMap, OccupancyGrid, default_table
 from voxsim.synthworld import (WorldSpec, generate_world, sample_frames,
@@ -53,13 +53,58 @@ class TestFirstWins:
         assert (core == table.road_id).all()
 
 
+def reference_sink_columns(labels, table):
+    """Sunk copy of a label volume from one fancy gather over (X, Y, Z)
+    int64 source indices: the reference for _sink_columns' plane loop."""
+    ground = np.isin(labels, table.ground_ids)
+    dz = np.where(ground.any(axis=2), ground.argmax(axis=2), 0)
+    Z = labels.shape[2]
+    zidx = np.arange(Z)[None, None, :] + dz[:, :, None]
+    xi = np.arange(labels.shape[0])[:, None, None]
+    yi = np.arange(labels.shape[1])[None, :, None]
+    return np.where(zidx < Z, labels[xi, yi, np.minimum(zidx, Z - 1)],
+                    table.unassigned_id).astype(np.uint8)
+
+
 class TestColumnSinking:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_gather_reference(self, data):
+        table = default_table()
+        shape = tuple(data.draw(st.integers(1, 9)) for _ in range(3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        # values include the unassigned id; a low ground share leaves
+        # columns without any ground voxel
+        values = np.array((table.unassigned_id,) + table.ids, dtype=np.uint8)
+        labels = rng.choice(values, size=shape)
+        keep = rng.random(shape) < data.draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+        labels[~keep & np.isin(labels, table.ground_ids)] = table.ids_for("free")[0]
+        gmap = GlobalMap(labels.copy(), 0.4, Pose2(), table)
+        _sink_columns(gmap, table)
+        assert gmap.labels.dtype == np.uint8
+        assert np.array_equal(gmap.labels, reference_sink_columns(labels, table))
+
+    def test_keyframe_pass_memory_scales_with_the_map(self):
+        # 3x3 grid at 400 m, CLI crops: the (X, Y, Z) int64 sink indices took
+        # the pass to 20x the fused map's bytes, the plane loop to 3.1x
+        spec = WorldSpec(recipe="grid", extent=400.0, blocks=(3, 3))
+        world = generate_world(spec)
+        poses = straight_trajectory(spec)
+        poses = [poses[k] for k in select_keyframes(poses, FusionParams().d_max)]
+        frames = sample_frames(world, poses)
+        tracemalloc.start()
+        try:
+            gmap = fuse_keyframes(frames, poses, list(range(len(poses))), world.table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * gmap.labels.nbytes, peak / gmap.labels.nbytes
+
     def test_elevated_ground_sinks_to_zero(self, table):
         labels = np.zeros((4, 4, 8), dtype=np.uint8)
         labels[:, :, 2] = table.road_id       # ground floating at z=2
         labels[:, :, 3] = 6                   # free above
         gmap = GlobalMap(labels.copy(), 0.4, Pose2(), table)
-        from voxsim.fusion import _sink_columns
         _sink_columns(gmap, table)
         assert (gmap.labels[:, :, 0] == table.road_id).all()
         assert (gmap.labels[:, :, 1] == 6).all()
@@ -70,7 +115,6 @@ class TestColumnSinking:
         labels = np.zeros((2, 2, 4), dtype=np.uint8)
         labels[:, :, 3] = 5  # obstacle only
         gmap = GlobalMap(labels.copy(), 0.4, Pose2(), table)
-        from voxsim.fusion import _sink_columns
         _sink_columns(gmap, table)
         assert np.array_equal(gmap.labels, labels)
 
@@ -328,7 +372,7 @@ class TestFuseSequence:
         fused = fuse_sequence(frames, poses, FusionParams(d_max=8.0, tau_vote=2))
         assert fused.dims == (182, 125, 8)
         assert hashlib.sha256(fused.labels.tobytes()).hexdigest() == (
-            "be22518bf3a78bae53b5705e91f29756be9d28293161a9ae81cf6413d92e658a")
+            "4e96d995e263bbbbeba0f01776e4f7335d9c6760889f905decc8534388bdde17")
 
     def test_params_validation(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,14 @@ def reference_longest_run(mask):
                 best = (start, stop)
             start = None
     return best
+
+
+def reference_estimate_width(center_px, dist_m):
+    """Twice the median of a dense distance map (meters) read under the
+    centerline: the reference for estimate_width's sparse distances."""
+    idx = np.clip(np.floor(center_px).astype(int),
+                  0, [dist_m.shape[0] - 1, dist_m.shape[1] - 1])
+    return 2.0 * float(np.median(dist_m[idx[:, 0], idx[:, 1]]))
 
 
 def reference_resolve_overlaps(candidates, params):
@@ -125,8 +134,22 @@ class TestNormalsAndWidth:
         plane[:, 20:47] = table.road_id  # 27 px = 10.8 m
         mask = plane == table.road_id
         center = np.stack([np.arange(10, 90, 1.0), np.full(80, 33.0)], axis=1)
-        w = estimate_width(center, ndimage.distance_transform_edt(mask) * 0.4)
+        w = estimate_width(center, ndimage.distance_transform_edt(
+            mask, return_distances=False, return_indices=True), 0.4)
         assert w == pytest.approx(10.8, abs=0.9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_width_matches_dense_distance_reference(self, data):
+        nx, ny = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 40))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        mask = rng.random((nx, ny)) < data.draw(st.sampled_from([0.0, 0.3, 0.8, 0.97, 1.0]))
+        vox = data.draw(st.sampled_from([0.25, 0.4, 0.7]))
+        center = rng.uniform(-3.0, max(nx, ny) + 3.0, size=(data.draw(st.integers(1, 60)), 2))
+        nearest = ndimage.distance_transform_edt(mask, return_distances=False,
+                                                 return_indices=True)
+        dense = ndimage.distance_transform_edt(mask) * vox
+        assert estimate_width(center, nearest, vox) == reference_estimate_width(center, dense)
 
 
 class TestOffsets:
@@ -257,6 +280,22 @@ class TestExtractLanes:
             h.update(lane.points.tobytes())
         assert h.hexdigest() == (
             "7f65df442e06a679e2de008488cf238c3dd75daee7af1e98e0bee6e7a74ba8fc")
+
+    def test_peak_memory_scales_with_the_road_plane(self):
+        # 3x3 grid at 400 m (10^6 ground cells): a dense float64 distance
+        # map and its transients peaked at 34 bytes a cell, the feature
+        # transform sampled under the centerlines at 11
+        world = generate_world(WorldSpec(recipe="grid", extent=400.0, blocks=(3, 3)))
+        g, _ = extract_topology(world)
+        cells = world.dims[0] * world.dims[1]
+        tracemalloc.start()
+        try:
+            lanes = extract_lanes(world, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(lanes) > 0
+        assert peak < 14 * cells, peak / cells
 
     def test_save_load_round_trip(self, tmp_path):
         ax = np.arange(0.0, 10.0, 0.5)
