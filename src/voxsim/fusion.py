@@ -3,9 +3,11 @@
 Phase 1 selects spatially separated keyframes, phase 2 writes them first-wins
 into a fresh world map and sinks columns to the ground plane, phase 3 inpaints
 the remaining gaps with per-category votes from the non-keyframes, and phase 4
-cleans the result morphologically. Phase 3 counts votes only for the voxels
-phase 2 left unassigned, so its tally scales with those holes, not with the
-map.
+cleans the result morphologically. Both warping passes pull back only the map
+columns that can still change: phase 2 skips columns an earlier keyframe has
+filled, and phase 3 visits only columns that hold a hole and counts votes
+only for the voxels phase 2 left unassigned. Per-frame work and the tally
+scale with those holes, not with each frame's footprint or the map.
 """
 
 from __future__ import annotations
@@ -74,11 +76,17 @@ def _map_extent(poses, dims, vox: float, margin: float):
     return lo, (nx, ny)
 
 
-def _frame_to_map_indices(gmap: GlobalMap, pose: Pose2, dims):
-    """For every global cell inside the frame's footprint: (gx, gy, fx, fy).
+def _frame_to_map_indices(gmap: GlobalMap, pose: Pose2, dims, columns):
+    """(gx, gy, fx, fy) for every global cell inside the frame's footprint
+    whose column is set in the (X, Y) bool mask ``columns``; None when the
+    footprint misses the map.
 
     Gather formulation: global cell centers are pulled back through the ego
-    pose into frame indices, the exact inverse of the crop sampling.
+    pose into frame indices, the exact inverse of the crop sampling. Only the
+    masked cells of the footprint's box are pulled back, in row-major order,
+    and each cell's float pull-back does not depend on which others are
+    pulled back with it, so the result is the masked subset of the whole
+    footprint's, bit for bit. Each map cell appears at most once.
     """
     vox = gmap.voxel_size
     X, Y = dims[0], dims[1]
@@ -87,20 +95,24 @@ def _frame_to_map_indices(gmap: GlobalMap, pose: Pose2, dims):
     g1 = np.minimum(np.add(gmap.cell_of(*hi), 1), gmap.dims[:2])
     if np.any(g1 <= g0):
         return None
-    gx = np.arange(g0[0], g1[0])
-    gy = np.arange(g0[1], g1[1])
-    GX, GY = np.meshgrid(gx, gy, indexing="ij")
-    lx, ly = pose.inverse().transform_xy(*gmap.cell_center(GX, GY))
+    gx, gy = np.nonzero(columns[g0[0]:g1[0], g0[1]:g1[1]])
+    gx += g0[0]
+    gy += g0[1]
+    lx, ly = pose.inverse().transform_xy(*gmap.cell_center(gx, gy))
     fx = np.floor(lx / vox + X / 2.0).astype(np.int64)
     fy = np.floor(ly / vox + Y / 2.0).astype(np.int64)
     ok = (fx >= 0) & (fx < X) & (fy >= 0) & (fy < Y)
-    return GX[ok], GY[ok], fx[ok], fy[ok]
+    return gx[ok], gy[ok], fx[ok], fy[ok]
 
 
 def fuse_keyframes(frames, poses, keys, table, margin: float = 2.0) -> GlobalMap:
     """Pass 1: warp each keyframe into the world map, writing only voxels that
     are still unassigned (first-wins), then sink every column so its lowest
-    ground-role voxel sits at z=0 and mode-fill unassigned z=0 cells."""
+    ground-role voxel sits at z=0 and mode-fill unassigned z=0 cells.
+
+    First-wins never changes a column without an unassigned voxel, so each
+    keyframe visits only the columns still open, and a column closes once
+    it is filled."""
     if len(frames) != len(poses):
         raise ValueError("frames and poses must pair up")
     if not keys:
@@ -110,9 +122,10 @@ def fuse_keyframes(frames, poses, keys, table, margin: float = 2.0) -> GlobalMap
     lo, (nx, ny) = _map_extent([poses[k] for k in keys], dims, vox, margin)
     labels = np.full((nx, ny, dims[2]), table.unassigned_id, dtype=np.uint8)
     gmap = GlobalMap(labels, vox, Pose2(lo[0], lo[1], 0.0), table)
+    open_columns = np.ones((nx, ny), dtype=bool)  # still hold an unassigned voxel
 
     for k in keys:
-        hit = _frame_to_map_indices(gmap, poses[k], dims)
+        hit = _frame_to_map_indices(gmap, poses[k], dims, open_columns)
         if hit is None:
             continue
         gx, gy, fx, fy = hit
@@ -121,6 +134,7 @@ def fuse_keyframes(frames, poses, keys, table, margin: float = 2.0) -> GlobalMap
         unset = dst == table.unassigned_id
         dst[unset] = src[unset]
         gmap.labels[gx, gy, :] = dst
+        open_columns[gx, gy] = (dst == table.unassigned_id).any(axis=1)
 
     _sink_columns(gmap, table)
     _mode_fill_ground(gmap, table)
@@ -170,11 +184,16 @@ def vote_inpaint(gmap: GlobalMap, frames, poses, non_keys, tau_vote: int) -> Glo
     still-unassigned voxels; argmax wins if it reaches tau_vote, ties break
     toward the lowest category id. Pass-1 voxels are never modified.
 
-    Votes are counted only for the voxels pass 1 left unassigned: a slot map
-    sends each such hole to a row of a compact (n_holes, C) tally, so memory
-    scales with the holes, not with the map. A frame casts at most one vote
-    per (hole, category), because ``_frame_to_map_indices`` yields each map
-    cell at most once, so a plain fancy increment counts exactly.
+    Each non-keyframe pulls back only the map columns that hold a hole, so
+    its cost scales with the hole columns inside its footprint. Votes are
+    counted only for the voxels pass 1 left unassigned: a row table sends
+    each (hole column, z) to a row of a compact (n_holes, C) tally, or to -1
+    on a pass-1 voxel, so memory scales with the holes, not with the map. A
+    frame casts at most one vote per hole, because ``_frame_to_map_indices``
+    yields each map cell at most once, so a plain fancy increment counts
+    exactly and no count exceeds ``len(non_keys)``: the tally takes the
+    smallest unsigned dtype that holds that (uint8 up to 255 frames, uint16
+    up to 65 535), so it never wraps.
     """
     table = gmap.table
     out = gmap.labels.copy()
@@ -184,30 +203,33 @@ def vote_inpaint(gmap: GlobalMap, frames, poses, non_keys, tau_vote: int) -> Glo
         return GlobalMap(out, gmap.voxel_size, gmap.origin, table)
 
     hole_column = unassigned.any(axis=2)
-    slot = np.full(out.shape, -1, dtype=np.int32)  # hole -> tally row
-    slot[unassigned] = np.arange(n_holes, dtype=np.int32)
+    column_row = np.full(hole_column.shape, -1, dtype=np.int32)  # (x, y) -> slot row
+    column_row[hole_column] = np.arange(np.count_nonzero(hole_column), dtype=np.int32)
+    column_holes = unassigned[hole_column]                # (hole columns, Z)
+    slot = np.full(column_holes.shape, -1, dtype=np.int32)  # hole -> tally row
+    slot[column_holes] = np.arange(n_holes, dtype=np.int32)
     cids = sorted(table.ids)
     levels = np.arange(256)  # every value a uint8 label can take
     column = np.full(256, -1, dtype=np.int16)  # label value -> tally column
     for col, cid in enumerate(cids):
         column[levels == cid] = col
-    votes = np.zeros((n_holes, len(cids)), dtype=np.uint16)
+    votes = np.zeros((n_holes, len(cids)), dtype=np.min_scalar_type(len(non_keys)))
 
     dims = frames[non_keys[0]].dims
     for t in non_keys:
-        hit = _frame_to_map_indices(gmap, poses[t], dims)
+        hit = _frame_to_map_indices(gmap, poses[t], dims, hole_column)
         if hit is None:
             continue
         gx, gy, fx, fy = hit
-        sel = hole_column[gx, gy]  # cells whose column still has a hole
-        rows = slot[gx[sel], gy[sel], :]                     # (n, Z)
-        cls = column[frames[t].labels[fx[sel], fy[sel], :]]  # (n, Z)
+        rows = slot[column_row[gx, gy], :]           # (n, Z)
+        cls = column[frames[t].labels[fx, fy, :]]    # (n, Z)
         ok = (rows >= 0) & (cls >= 0)
         votes[rows[ok], cls[ok]] += 1
 
-    winner = np.argmax(votes, axis=1)  # first (lowest-id) argmax on ties
-    filled = np.array(cids, dtype=np.uint8)[winner]
-    filled[votes.max(axis=1) < tau_vote] = table.unassigned_id
+    keep = votes.max(axis=1) >= tau_vote
+    filled = np.full(n_holes, table.unassigned_id, dtype=np.uint8)
+    # first (lowest-id) argmax on ties
+    filled[keep] = np.array(cids, dtype=np.uint8)[np.argmax(votes[keep], axis=1)]
     out[unassigned] = filled
     return GlobalMap(out, gmap.voxel_size, gmap.origin, table)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -29,25 +30,32 @@ class RouteNetwork:
     Nodes are integers; ``positions[i]`` is the world-meter coordinate and
     ``lane_of[i]`` the owning lane index. ``edges`` lists each undirected
     node pair once; ``graph`` holds it as a symmetric CSR matrix whose
-    entries are the edge lengths.
+    entries are the edge lengths. ``_tree``, the KD-tree over ``positions``
+    that the nearest-node queries use, is built on first use, unless
+    ``build_route_network`` hands over the one its junction stitch built.
     """
 
     def __init__(self, positions, lane_of, edges):
         self.positions = np.asarray(positions, dtype=float).reshape(-1, 2)
         self.lane_of = np.asarray(lane_of, dtype=np.intp)
         a, b = np.asarray(edges, dtype=np.intp).reshape(-1, 2).T
-        # math.dist, not np.hypot: the two can differ in the last bit
-        pts = self.positions.tolist()
-        w = [math.dist(pts[i], pts[j]) for i, j in zip(a.tolist(), b.tolist())]
+        # math.hypot, not np.hypot: the two can differ in the last bit.
+        # math.hypot of the float64 differences is math.dist of the points.
+        x, y = self.positions.T
+        w = np.fromiter(map(math.hypot, (x[a] - x[b]).tolist(), (y[a] - y[b]).tolist()),
+                        dtype=float, count=len(a))
         # Explicit zeros stay stored: csgraph reads a stored zero as a
         # zero-weight edge (coincident samples of two lanes), so never call
         # eliminate_zeros here.
         n = len(self.positions)
-        self.graph = csr_matrix((np.asarray(w + w, dtype=float),
+        self.graph = csr_matrix((np.concatenate([w, w]),
                                  (np.concatenate([a, b]), np.concatenate([b, a]))),
                                 shape=(n, n))
-        self._tree = cKDTree(self.positions) if n else None
         self._goal_trees = {}  # goal -> (dist float64, pred int32) arrays
+
+    @cached_property
+    def _tree(self):
+        return cKDTree(self.positions) if len(self.positions) else None
 
     def neighbors(self, node: int):
         """(neighbour, edge length) pairs of node, in ascending node order."""
@@ -135,7 +143,8 @@ def build_route_network(lanes, junction_radius: float = 4.0) -> RouteNetwork:
     along = np.flatnonzero(lane_of[1:] == lane_of[:-1])
     first = np.cumsum(sizes) - sizes
     ends = np.stack([first, first + sizes - 1], axis=1).ravel()
-    near = cKDTree(positions).query_ball_point(positions[ends], junction_radius)
+    tree = cKDTree(positions)
+    near = tree.query_ball_point(positions[ends], junction_radius)
     hits = np.concatenate(near)
     origin = np.repeat(ends, [len(js) for js in near])
     cross = lane_of[hits] != lane_of[origin]
@@ -144,7 +153,9 @@ def build_route_network(lanes, junction_radius: float = 4.0) -> RouteNetwork:
     junctions = np.unique(np.sort(np.stack([origin[cross], hits[cross]], axis=1), axis=1),
                           axis=0)
     edges = np.concatenate([np.stack([along, along + 1], axis=1), junctions])
-    return RouteNetwork(positions, lane_of, edges)
+    network = RouteNetwork(positions, lane_of, edges)
+    network._tree = tree  # the nearest-node queries reuse the stitch's tree
+    return network
 
 
 def astar(network: RouteNetwork, start: int, goal: int):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voxsim.fusion import (FusionParams, _frame_to_map_indices, _sink_columns,
+from voxsim.fusion import (FusionParams, _frame_footprint, _frame_to_map_indices,
+                           _map_extent, _mode_fill_ground, _sink_columns,
                            fuse_keyframes, fuse_sequence, refine_morphology,
                            select_keyframes, vote_inpaint)
 from voxsim.geometry import Pose2
@@ -39,7 +40,116 @@ class TestSelectKeyframes:
             select_keyframes([], 10.0)
 
 
+def reference_frame_to_map_indices(gmap, pose, dims):
+    """For every global cell inside the frame's footprint: (gx, gy, fx, fy).
+
+    The full-footprint pull-back, kept apart from the masked helper under
+    test so the references below do not share its indexing."""
+    vox = gmap.voxel_size
+    X, Y = dims[0], dims[1]
+    lo, hi = _frame_footprint(pose, dims, vox)
+    g0 = np.maximum(gmap.cell_of(*lo), 0)
+    g1 = np.minimum(np.add(gmap.cell_of(*hi), 1), gmap.dims[:2])
+    if np.any(g1 <= g0):
+        return None
+    gx = np.arange(g0[0], g1[0])
+    gy = np.arange(g0[1], g1[1])
+    GX, GY = np.meshgrid(gx, gy, indexing="ij")
+    lx, ly = pose.inverse().transform_xy(*gmap.cell_center(GX, GY))
+    fx = np.floor(lx / vox + X / 2.0).astype(np.int64)
+    fy = np.floor(ly / vox + Y / 2.0).astype(np.int64)
+    ok = (fx >= 0) & (fx < X) & (fy >= 0) & (fy < Y)
+    return GX[ok], GY[ok], fx[ok], fy[ok]
+
+
+def reference_fuse_keyframes(frames, poses, keys, table, margin=2.0):
+    """Reference first-wins pass: every keyframe rewrites its whole footprint."""
+    vox = frames[keys[0]].voxel_size
+    dims = frames[keys[0]].dims
+    lo, (nx, ny) = _map_extent([poses[k] for k in keys], dims, vox, margin)
+    labels = np.full((nx, ny, dims[2]), table.unassigned_id, dtype=np.uint8)
+    gmap = GlobalMap(labels, vox, Pose2(lo[0], lo[1], 0.0), table)
+
+    for k in keys:
+        hit = reference_frame_to_map_indices(gmap, poses[k], dims)
+        if hit is None:
+            continue
+        gx, gy, fx, fy = hit
+        src = frames[k].labels[fx, fy, :]          # (n, Z)
+        dst = gmap.labels[gx, gy, :]
+        unset = dst == table.unassigned_id
+        dst[unset] = src[unset]
+        gmap.labels[gx, gy, :] = dst
+
+    _sink_columns(gmap, table)
+    _mode_fill_ground(gmap, table)
+    return gmap
+
+
+VOX = 0.4
+pose_in_box = st.builds(Pose2, st.floats(0.0, 6.0), st.floats(0.0, 6.0),
+                        st.floats(-math.pi, math.pi))
+
+
+class TestMaskedPullBack:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_masked_cells_of_the_full_footprint(self, data):
+        # the masked helper returns exactly the reference's cells whose
+        # column is set, in the same order and with the same frame indices
+        table = default_table()
+        nx, ny = data.draw(st.integers(1, 16)), data.draw(st.integers(1, 16))
+        gmap = GlobalMap(np.zeros((nx, ny, 1), dtype=np.uint8), VOX,
+                         Pose2(data.draw(st.floats(-2.0, 2.0)),
+                               data.draw(st.floats(-2.0, 2.0)), 0.0), table)
+        dims = (data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12)), 1)
+        pose = data.draw(pose_in_box)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        columns = rng.random((nx, ny)) < data.draw(st.sampled_from([0.0, 0.3, 0.9, 1.0]))
+        ref = reference_frame_to_map_indices(gmap, pose, dims)
+        got = _frame_to_map_indices(gmap, pose, dims, columns)
+        if ref is None:
+            assert got is None
+            return
+        sel = columns[ref[0], ref[1]]
+        assert len(got) == 4
+        for a, b in zip(got, ref):
+            assert a.dtype == np.int64
+            assert np.array_equal(a, b[sel])
+
+
+@st.composite
+def keyframe_sets(draw):
+    """Rotated, overlapping keyframes whose labels include the unassigned id;
+    a negative margin clips footprints at the map's edge."""
+    table = default_table()
+    values = np.array((table.unassigned_id,) + table.ids, dtype=np.uint8)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    X, Y, Z = draw(st.integers(2, 10)), draw(st.integers(2, 10)), draw(st.integers(1, 4))
+    share = draw(st.sampled_from([0.0, 0.2, 0.8]))  # unassigned share per frame
+    frames, poses = [], []
+    for pose in draw(st.lists(pose_in_box, min_size=1, max_size=5)):
+        for _ in range(draw(st.integers(1, 2))):  # repeats overlap exactly
+            labels = rng.choice(values[1:], size=(X, Y, Z))
+            labels[rng.random(labels.shape) < share] = table.unassigned_id
+            frames.append(OccupancyGrid(labels, VOX, pose, table))
+            poses.append(pose)
+    keys = draw(st.permutations(range(len(frames))))
+    return frames, poses, list(keys), draw(st.floats(-0.3, 1.0))
+
+
 class TestFirstWins:
+    @settings(max_examples=300, deadline=None)
+    @given(keyframe_sets())
+    def test_matches_full_footprint_reference(self, world):
+        frames, poses, keys, margin = world
+        table = frames[0].table
+        got = fuse_keyframes(frames, poses, keys, table, margin=margin)
+        ref = reference_fuse_keyframes(frames, poses, keys, table, margin=margin)
+        assert (got.origin.x, got.origin.y) == (ref.origin.x, ref.origin.y)
+        assert got.labels.dtype == np.uint8
+        assert np.array_equal(got.labels, ref.labels)
+
     def test_earlier_keyframe_wins_conflicts(self, table):
         # two identical-pose frames with different labels: first keyframe wins
         f1 = make_map(np.full((20, 20), table.road_id, dtype=np.uint8), table,
@@ -176,6 +286,15 @@ class TestVoteInpaint:
         out = vote_inpaint(gmap, frames, poses, list(range(len(frames))), 3)
         assert (out.labels[:, :, 0] == table.road_id).all()
 
+    def test_tally_counts_past_255_votes(self, table):
+        # 300 non-keyframes take a uint16 tally; a uint8 one would wrap at 256.
+        # The tally takes np.min_scalar_type(len(non_keys)) and one frame casts
+        # at most one vote per hole, so 65 536 frames would likewise switch to
+        # uint32; building that many frames is left untested.
+        gmap, frames, poses = self._map_and_frames(table, [(table.road_id, 300)])
+        out = vote_inpaint(gmap, frames, poses, list(range(len(frames))), 260)
+        assert (out.labels[:, :, 0] == table.road_id).all()
+
     def test_pass1_voxels_never_modified(self, table):
         gmap, frames, poses = self._map_and_frames(table, [(table.sidewalk_id, 5)])
         gmap.labels[3, 3, 0] = table.road_id
@@ -197,7 +316,7 @@ def dense_vote_inpaint(gmap, frames, poses, non_keys, tau_vote):
 
     dims = frames[non_keys[0]].dims
     for t in non_keys:
-        hit = _frame_to_map_indices(gmap, poses[t], dims)
+        hit = reference_frame_to_map_indices(gmap, poses[t], dims)
         if hit is None:
             continue
         gx, gy, fx, fy = hit
@@ -280,7 +399,8 @@ class TestVoteInpaintEquivalence:
         # the compact tally's plain `votes[rows, cls] += 1` is exact only
         # because one frame never maps two sources onto one map cell
         gmap = GlobalMap(np.zeros((30, 30, 2), dtype=np.uint8), 0.4, Pose2(), table)
-        gx, gy, fx, fy = _frame_to_map_indices(gmap, pose, (20, 16, 2))
+        gx, gy, fx, fy = _frame_to_map_indices(gmap, pose, (20, 16, 2),
+                                               np.ones(gmap.dims[:2], dtype=bool))
         assert gx.size > 0
         cells = gx * gmap.dims[1] + gy
         assert np.unique(cells).size == cells.size
@@ -360,9 +480,10 @@ class TestFuseSequence:
 
     # Fused labels of a short noisy sequence of rotated poses off the voxel
     # lattice (4 keyframes; the vote pass fills about 5 400 voxels), hashed.
-    # The vote reference above shares _frame_to_map_indices with the code
-    # under test, so an index error there (a footprint cell dropped at the
-    # edge, a frame index shifted) could pass it unseen; these bytes move.
+    # The references above pull back whole footprints through their own copy
+    # of the gather, apart from the masked _frame_to_map_indices under test;
+    # these bytes also pin that copy, so an index error common to both (a
+    # footprint cell dropped at the edge, a frame index shifted) moves them.
     def test_rotated_noisy_bytes_pinned(self):
         spec = WorldSpec(recipe="plus", extent=60.0, road_width=6.0)
         poses = [Pose2(12.13 + 2.9 * i, 30.07 + 0.37 * i, 0.11 * i - 0.3)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import networkx as nx
@@ -243,6 +244,59 @@ class TestRouteNetwork:
     def test_empty_network(self):
         net = RouteNetwork(np.zeros((0, 2)), [], [])
         assert net.nearest_node([0, 0]) is None
+
+
+def grid_lanes(blocks=3, spacing=24.0, offset=1.8, ds=0.5):
+    """Two opposing lanes, offset either side of each street centerline, on
+    a blocks x blocks street grid."""
+    ax = np.arange(0.0, blocks * spacing + ds / 2, ds)
+    lanes = []
+    for k in range(blocks + 1):
+        c = k * spacing
+        for side in (-offset, offset):
+            line = ax if side > 0 else ax[::-1]
+            lanes.append(Lane(np.stack([line, np.full_like(line, c + side)], axis=1)))
+            lanes.append(Lane(np.stack([np.full_like(line, c + side), line], axis=1)))
+    return lanes
+
+
+class TestOneKDTree:
+    def test_one_tree_per_network(self, monkeypatch):
+        built = []
+        tree_class = routing.cKDTree
+
+        def counting_tree(*args, **kwargs):
+            built.append(1)
+            return tree_class(*args, **kwargs)
+
+        monkeypatch.setattr(routing, "cKDTree", counting_tree)
+        for lanes in (grid_lanes(), grid_lanes(blocks=1)):
+            built.clear()
+            net = build_route_network(lanes)
+            net.nearest_node([10.0, 10.0])
+            net.nodes_within([10.0, 10.0], 5.0)
+            net.nearest_node_on_other_lane([10.0, 1.8], 0, 8.0)
+            assert len(built) == 1
+            assert np.array_equal(net._tree.data, net.positions)
+
+    def test_grid_world_graph_and_routes_pinned(self):
+        # graph bytes and query answers on a 3x3 street grid, as before the
+        # junction stitch's tree was handed over to the network
+        net = build_route_network(grid_lanes())
+        rng = np.random.default_rng(4)
+        h = hashlib.sha256()
+        for field in (net.graph.indptr, net.graph.indices, net.graph.data):
+            h.update(field.tobytes())
+        for point in rng.uniform(-5.0, 77.0, size=(40, 2)):
+            start = net.nearest_node(point)
+            h.update(net.nodes_within(point, 3.0).tobytes())
+            h.update(str(net.nearest_node_on_other_lane(point, net.lane_of[start],
+                                                        6.0)).encode())
+            route = net.route_to(start, point[::-1])
+            h.update(b"none" if route is None else route.tobytes())
+        assert len(net.positions) == 2320
+        assert h.hexdigest() == (
+            "13106497907ed1799b5f1f3206cb85d2fd4ac3347a6e5e578ce6f368f5a748d7")
 
 
 class TestBuildMatchesReference:
