@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Pose2, arc_length
-from .occupancy import (GridFormatError, OccupancyGrid, container_payload,
-                        read_container)
+from .occupancy import (POSITIVE, GridFormatError, OccupancyGrid, Settings,
+                        container_floats, read_container, setting)
 from .routing import RouteNetwork
 
 log = logging.getLogger(__name__)
@@ -49,14 +49,10 @@ class AgentLayout:
 
 
 @dataclass
-class AgentAsset:
-    length: float = 4.5
-    width: float = 1.9
-    height: float = 1.6
-
-    def __post_init__(self):
-        if min(self.length, self.width, self.height) <= 0:
-            raise ValueError("asset dims must be positive")
+class AgentAsset(Settings):
+    length: float = setting(4.5, POSITIVE)
+    width: float = setting(1.9, POSITIVE)
+    height: float = setting(1.6, POSITIVE)
 
 
 DEFAULT_ASSETS = (
@@ -167,8 +163,7 @@ def read_heatmap(path):
     w, hgt, mpc = read_container(data, b"HEATMAP1", "<IId")
     if not (math.isfinite(mpc) and mpc > 0):
         raise GridFormatError(f"meters per cell {mpc} is not finite and positive", 16)
-    payload = container_payload(data, 24, w * hgt * 4)
-    return np.frombuffer(payload, dtype="<f4").reshape(w, hgt).astype(float), mpc
+    return container_floats(data, 24, (w, hgt)), mpc
 
 
 # Each global transform once, as an operation on the two leading (x, y) axes.

@@ -63,15 +63,12 @@ def _section(cfg: dict, key: str) -> dict:
     return section
 
 
-def _config_value(cfg: dict, key: str, default, valid, expect: str):
-    """cfg[key] (``default`` when absent), a ConfigError unless valid."""
-    value = cfg.get(key, default)
+def _config_value(cfg: dict, key: str, default, rule: occupancy.Rule):
+    """cfg[key] (``default`` when absent), a ConfigError unless it passes ``rule``."""
     try:
-        if valid(value):
-            return value
-    except TypeError:
-        pass
-    raise ConfigError(f"{key} {value!r} must be {expect}")
+        return rule.check(key, cfg.get(key, default))
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
 
 
 def _sha256(path: Path) -> str:
@@ -88,13 +85,13 @@ def run_synth(cfg: dict, seed: int, out_dir: Path) -> dict:
     spec = _from_config(synthworld.WorldSpec,
                         {**_section(cfg, "world"), "seed": seed % (2 ** 31)})
     traj_cfg = _section(cfg, "trajectory")
-    crop_dims = _config_value(cfg, "crop_dims", occupancy.DEFAULT_CROP_DIMS,
-                              occupancy.positive_dims, "three positive ints")
-    noise = _config_value(cfg, "noise", 0.0, lambda v: 0 <= v <= 1, "a number in [0, 1]")
+    crop_dims = _config_value(cfg, "crop_dims", occupancy.DEFAULT_CROP_DIMS, occupancy.DIMS)
+    noise = _config_value(cfg, "noise", 0.0, occupancy.Rule(
+        lambda v: occupancy.NONNEGATIVE.ok(v) and v <= 1, "a number in [0, 1]"))
     step = _config_value(traj_cfg, "step", 3.0 if spec.recipe == "curve" else 3.2,
-                         lambda v: v > 0, "a positive number")
-    path = _config_value(traj_cfg, "path", None,
-                         lambda v: v is None or isinstance(v, str), "a file path")
+                         occupancy.POSITIVE)
+    path = _config_value(traj_cfg, "path", None, occupancy.Rule(
+        lambda v: v is None or isinstance(v, str), "a file path"))
     try:
         world = synthworld.generate_world(spec)
     except ValueError as e:  # a spec no world can be built from
@@ -206,6 +203,7 @@ def run_simulate(map_path, lanes_path, graph_path, traj_path, params_cfg,
 
 
 def run_metrics(args) -> dict:
+    sigma = _config_value(vars(args), "sigma", None, occupancy.POSITIVE)
     a = metrics_mod.read_features(args.a)
     report = {"metric": args.metric}
     if args.metric == "vendi":
@@ -215,8 +213,7 @@ def run_metrics(args) -> dict:
             raise ConfigError(f"{args.metric} needs --b")
         b = metrics_mod.read_features(args.b)
         if args.metric == "mmd":
-            report["value"] = metrics_mod.mmd(a, b, kernel=args.kernel,
-                                              sigma=args.sigma)
+            report["value"] = metrics_mod.mmd(a, b, kernel=args.kernel, sigma=sigma)
         elif args.metric == "kid":
             report["value"] = metrics_mod.kid(a, b)
         else:

@@ -19,19 +19,15 @@ import numpy as np
 from scipy import ndimage
 
 from .geometry import Pose2
-from .occupancy import GlobalMap
+from .occupancy import NONNEGATIVE, POSITIVE, GlobalMap, Settings, at_least, setting
 
 
 @dataclass
-class FusionParams:
-    d_max: float = 10.0        # keyframe spacing, meters
-    tau_vote: int = 3          # minimum vote count for inpainting
-    min_area: float = 2.0      # road components below this (m^2) are dropped
-    margin: float = 2.0        # world-map padding around frame footprints, meters
-
-    def __post_init__(self):
-        if self.d_max <= 0 or self.tau_vote < 1 or self.min_area < 0:
-            raise ValueError("invalid fusion parameters")
+class FusionParams(Settings):
+    d_max: float = setting(10.0, POSITIVE)       # keyframe spacing, meters
+    tau_vote: int = setting(3, at_least(1))      # minimum vote count for inpainting
+    min_area: float = setting(2.0, NONNEGATIVE)  # road components below this (m^2) are dropped
+    margin: float = setting(2.0, NONNEGATIVE)    # world-map padding around footprints, meters
 
 
 def select_keyframes(poses, d_max: float):
@@ -259,10 +255,9 @@ def refine_morphology(gmap: GlobalMap, params: FusionParams) -> GlobalMap:
     return GlobalMap(out, gmap.voxel_size, gmap.origin, table)
 
 
-def fuse_sequence(frames, poses, params: FusionParams, table=None) -> GlobalMap:
-    """Full Phase 1-4 pipeline over an ego-centric frame sequence."""
-    if table is None:
-        table = frames[0].table
+def fuse_sequence(frames, poses, params: FusionParams) -> GlobalMap:
+    """Phases 1-4 over an ego-centric frame sequence, in the first frame's table."""
+    table = frames[0].table
     keys = select_keyframes(poses, params.d_max)
     gmap = fuse_keyframes(frames, poses, keys, table, margin=params.margin)
     key_set = set(keys)

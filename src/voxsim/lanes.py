@@ -18,28 +18,23 @@ from scipy import interpolate, ndimage
 from scipy.spatial import cKDTree
 
 from .geometry import arc_length, resample_polyline
-from .occupancy import load_json_input
+from .occupancy import POSITIVE, Settings, at_least, load_json_input, setting
 from .topology import graph_segments
 
 
 @dataclass
-class LaneParams:
-    w_lane: float = 3.6
-    epsilon: float = 0.9       # conflict distance, meters
-    ds_step: float = 0.5       # resampling step, meters
-    min_segment_pts: int = 10
-    min_lane_samples: int = 5
+class LaneParams(Settings):
+    w_lane: float = setting(3.6, POSITIVE)
+    epsilon: float = setting(0.9, POSITIVE)        # conflict distance, meters
+    ds_step: float = setting(0.5, POSITIVE)        # resampling step, meters
+    # fit_centerline needs 10 points; a lane needs a sample to route on
+    min_segment_pts: int = setting(10, at_least(10))
+    min_lane_samples: int = setting(5, at_least(1))
 
     def __post_init__(self):
-        if min(self.w_lane, self.epsilon, self.ds_step) <= 0:
-            raise ValueError("lane parameters must be positive")
+        super().__post_init__()
         if self.epsilon >= self.w_lane:
             raise ValueError("epsilon must be smaller than the lane width")
-        # fit_centerline needs 10 points; a lane needs a sample to route on
-        if type(self.min_segment_pts) is not int or self.min_segment_pts < 10:
-            raise ValueError(f"min_segment_pts {self.min_segment_pts!r} must be an int >= 10")
-        if type(self.min_lane_samples) is not int or self.min_lane_samples < 1:
-            raise ValueError(f"min_lane_samples {self.min_lane_samples!r} must be an int >= 1")
 
 
 @dataclass

@@ -10,7 +10,7 @@ import struct
 
 import numpy as np
 
-from .occupancy import container_payload, read_container
+from .occupancy import container_floats, read_container
 
 
 # --- semantic-space metrics -------------------------------------------------
@@ -171,5 +171,4 @@ def read_features(path) -> np.ndarray:
     with open(path, "rb") as fh:
         data = fh.read()
     n, d = read_container(data, b"FEATSET1", "<II")
-    payload = container_payload(data, 16, n * d * 4)
-    return np.frombuffer(payload, dtype="<f4").reshape(n, d).astype(float)
+    return container_floats(data, 16, (n, d))

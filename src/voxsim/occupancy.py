@@ -1,11 +1,14 @@
-"""Semantic occupancy volumes, the category table (role lookup: ``ids_for``),
-world-to-cell conversion (``GlobalMap.cell_of``/``cell_center``) and OCCG I/O."""
+"""Semantic occupancy volumes, the category table (``ids_for``), world-to-cell
+conversion (``GlobalMap.cell_of``/``cell_center``), setting rules and OCCG I/O."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import numbers
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,10 +79,51 @@ DEFAULT_VOXEL_SIZE = 0.4
 DEFAULT_CROP_DIMS = (200, 200, 16)
 
 
-def positive_dims(dims) -> bool:
-    """Whether ``dims`` is a list or tuple of three positive ints."""
-    return (isinstance(dims, (list, tuple)) and len(dims) == 3
-            and all(type(n) is int and n > 0 for n in dims))
+def positive_dims(dims, n=3) -> bool:
+    """Whether ``dims`` is a list or tuple of ``n`` positive ints."""
+    return (isinstance(dims, (list, tuple)) and len(dims) == n
+            and all(type(k) is int and k > 0 for k in dims))
+
+
+# --- settings: each params field states its range once ----------------------
+
+@dataclass(frozen=True)
+class Rule:
+    """What a valid setting is: a test and its wording."""
+
+    ok: Callable[[object], bool]
+    text: str
+
+    def check(self, name: str, value):
+        if not self.ok(value):
+            raise ValueError(f"{name} {value!r} must be {self.text}")
+        return value
+
+
+def at_least(n: int) -> Rule:
+    """An int count of at least ``n``."""
+    return Rule(lambda v: type(v) is int and v >= n, f"an int >= {n}")
+
+
+FINITE = Rule(lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
+              and math.isfinite(v), "a finite number")
+POSITIVE = Rule(lambda v: FINITE.ok(v) and v > 0, "a finite number > 0")
+NONNEGATIVE = Rule(lambda v: FINITE.ok(v) and v >= 0, "a finite number >= 0")
+DIMS = Rule(positive_dims, "three positive ints")
+
+
+def setting(default, rule: Rule):
+    """A dataclass field with ``default`` whose values must pass ``rule``."""
+    return field(default=default, metadata={"rule": rule})
+
+
+class Settings:
+    """Base of the params dataclasses: construction checks every ``setting``."""
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            if "rule" in f.metadata:
+                f.metadata["rule"].check(f.name, getattr(self, f.name))
 
 
 @dataclass
@@ -95,8 +139,7 @@ class OccupancyGrid:
         self.labels = np.asarray(self.labels, dtype=np.uint8)
         if self.labels.ndim != 3:
             raise ValueError("labels must be a 3D volume")
-        if self.voxel_size <= 0:
-            raise ValueError("voxel_size must be positive")
+        POSITIVE.check("voxel_size", self.voxel_size)
 
     @property
     def dims(self):
@@ -131,9 +174,7 @@ def crop(gmap: GlobalMap, pose: Pose2, out_dims=DEFAULT_CROP_DIMS) -> OccupancyG
 
     Voxels sampled outside the map extent come back as the unassigned id.
     """
-    X, Y, Z = out_dims
-    if X <= 0 or Y <= 0 or Z <= 0:
-        raise ValueError("crop dims must be positive")
+    X, Y, Z = DIMS.check("out_dims", out_dims)
     vox = gmap.voxel_size
     GX, GY, GZ = gmap.dims
     # Crop cell centers in the ego frame, ego at the crop center.
@@ -210,6 +251,15 @@ def container_payload(data: bytes, offset: int, nbytes: int) -> bytes:
     return payload
 
 
+def container_floats(data: bytes, offset: int, shape: tuple) -> np.ndarray:
+    """The float32 payload from ``offset`` as floats of ``shape``, all finite."""
+    payload = container_payload(data, offset, 4 * math.prod(shape))
+    values = np.frombuffer(payload, dtype="<f4").reshape(shape)
+    if not np.isfinite(values).all():
+        raise GridFormatError("payload holds a value that is not finite", offset)
+    return values.astype(float)
+
+
 def write_grid(grid: OccupancyGrid, path) -> None:
     header = {
         "dims": list(grid.dims),
@@ -237,8 +287,7 @@ def _parse_header(blob: bytes):
                 and all(type(n) is int and n >= 0 for n in dims)):
             raise ValueError(f"dims {dims!r} are not three non-negative ints")
         vox = header["voxel_size"]
-        if not (isinstance(vox, (int, float)) and math.isfinite(vox) and vox > 0):
-            raise ValueError(f"voxel_size {vox!r} is not a finite positive number")
+        POSITIVE.check("voxel_size", vox)
         origin = Pose2(**header["origin"])
         table = SemanticTable.from_json(header["table"])
         return dims, vox, origin, table, bool(header.get("global"))

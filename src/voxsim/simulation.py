@@ -15,52 +15,38 @@ import numpy as np
 
 from .agents import Agent, ProceduralLayoutSource, _route_heading, spawn_agents
 from .geometry import Pose2, arc_length, resample_polyline
-from .occupancy import GlobalMap, OccupancyGrid, crop, positive_dims
+from .occupancy import (DIMS, FINITE, NONNEGATIVE, POSITIVE, GlobalMap, OccupancyGrid,
+                        Settings, at_least, crop, setting)
 from .routing import RouteNetwork, build_route_network
 
 log = logging.getLogger(__name__)
 
 
 @dataclass
-class IdmParams:
-    v0: float = 12.0           # desired speed, m/s
-    a_max: float = 1.5
-    b_comfort: float = 2.0
-    s0: float = 2.0            # jam gap, meters
-    t_headway: float = 1.5
-    delta: float = 4.0
-    b_emergency: float = 6.0
-
-    def __post_init__(self):
-        if min(self.v0, self.a_max, self.b_comfort, self.s0,
-               self.t_headway, self.delta, self.b_emergency) <= 0:
-            raise ValueError("IDM parameters must be positive")
+class IdmParams(Settings):
+    v0: float = setting(12.0, POSITIVE)            # desired speed, m/s
+    a_max: float = setting(1.5, POSITIVE)
+    b_comfort: float = setting(2.0, POSITIVE)
+    s0: float = setting(2.0, POSITIVE)             # jam gap, meters
+    t_headway: float = setting(1.5, POSITIVE)
+    delta: float = setting(4.0, POSITIVE)
+    b_emergency: float = setting(6.0, POSITIVE)
 
 
 @dataclass
-class SimParams:
-    dt: float = 0.5
-    horizon: int = 20
-    d_roll: float = 10.0
-    d_pre: float = 30.0
-    d_lc: float = 15.0         # lane-change trigger distance
-    d_lat: float = 2.0         # lateral route-blocking tolerance
-    fov_dims: tuple = (200, 200, 16)
+class SimParams(Settings):
+    dt: float = setting(0.5, POSITIVE)
+    horizon: int = setting(20, at_least(1))
+    d_roll: float = setting(10.0, POSITIVE)
+    d_pre: float = setting(30.0, POSITIVE)
+    d_lc: float = setting(15.0, POSITIVE)          # lane-change trigger distance
+    d_lat: float = setting(2.0, POSITIVE)          # lateral route-blocking tolerance
+    fov_dims: tuple = setting((200, 200, 16), DIMS)
     idm: IdmParams = field(default_factory=IdmParams)
-    speed_mu: float = 8.0
-    speed_sigma: float = 2.0
-    lc_cooldown_steps: int = 20
+    speed_mu: float = setting(8.0, FINITE)
+    speed_sigma: float = setting(2.0, NONNEGATIVE)
+    lc_cooldown_steps: int = setting(20, at_least(0))
     seed: int = 0
-
-    def __post_init__(self):
-        if self.dt <= 0 or type(self.horizon) is not int or self.horizon < 1:
-            raise ValueError("dt must be positive and horizon an int >= 1")
-        if self.speed_sigma < 0:
-            raise ValueError(f"speed_sigma {self.speed_sigma!r} must be >= 0")
-        if min(self.d_roll, self.d_pre, self.d_lc, self.d_lat) <= 0:
-            raise ValueError("distances must be positive")
-        if not positive_dims(self.fov_dims):
-            raise ValueError(f"fov_dims {self.fov_dims!r} must be three positive ints")
 
 
 def idm_accel(v: float, v0: float, dv: float, s: float, idm: IdmParams) -> float:

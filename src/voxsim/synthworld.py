@@ -16,48 +16,38 @@ import numpy as np
 from scipy import ndimage
 
 from .geometry import Pose2
-from .occupancy import (DEFAULT_CROP_DIMS, DEFAULT_VOXEL_SIZE, GlobalMap,
-                        SemanticTable, crop, default_table)
+from .occupancy import (DEFAULT_CROP_DIMS, DEFAULT_VOXEL_SIZE, FINITE, NONNEGATIVE,
+                        POSITIVE, GlobalMap, Rule, Settings, at_least, crop,
+                        default_table, positive_dims, setting)
 
 log = logging.getLogger(__name__)
 
+BLOCKS = Rule(lambda v: positive_dims(v, 2), "two positive ints")
+RECIPE = Rule(lambda v: v in ("straight", "curve", "plus", "grid"),
+              "one of straight, curve, plus, grid")
+
 
 @dataclass
-class WorldSpec:
-    recipe: str = "straight"          # straight | curve | plus | grid
-    extent: float = 120.0             # meters, square world side
-    road_width: float = 10.8          # meters
-    sidewalk_width: float = 2.0
-    voxel_size: float = DEFAULT_VOXEL_SIZE
-    z_dim: int = 16
-    radius: float = 40.0              # curve recipe
-    blocks: tuple = (2, 2)            # grid recipe
-    obstacle_density: float = 0.0     # obstacles per 100 m^2 of off-road area
-    obstacle_height: float = 2.0
+class WorldSpec(Settings):
+    recipe: str = setting("straight", RECIPE)
+    extent: float = setting(120.0, POSITIVE)           # meters, square world side
+    road_width: float = setting(10.8, POSITIVE)        # meters
+    sidewalk_width: float = setting(2.0, NONNEGATIVE)
+    voxel_size: float = setting(DEFAULT_VOXEL_SIZE, POSITIVE)
+    z_dim: int = setting(16, at_least(1))
+    radius: float = setting(40.0, FINITE)              # curve recipe
+    blocks: tuple = setting((2, 2), BLOCKS)            # grid recipe
+    obstacle_density: float = setting(0.0, NONNEGATIVE)  # per 100 m^2 of off-road area
+    obstacle_height: float = setting(2.0, POSITIVE)
     seed: int = 0
 
     def __post_init__(self):
-        self.blocks = tuple(self.blocks)
-        values = (self.extent, self.road_width, self.sidewalk_width, self.voxel_size,
-                  self.radius, self.obstacle_density, self.obstacle_height)
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError(f"world spec values {values!r} must be finite")
-        if self.extent <= 0 or self.road_width <= 0 or self.voxel_size <= 0:
-            raise ValueError("infeasible world spec")
-        if not math.isfinite(self.extent / self.voxel_size):
-            raise ValueError(f"voxel_size {self.voxel_size!r} gives no finite cell count")
-        if self.sidewalk_width < 0 or self.obstacle_density < 0:
-            raise ValueError("sidewalk_width and obstacle_density must be >= 0")
-        if self.obstacle_height <= 0:
-            raise ValueError(f"obstacle_height {self.obstacle_height!r} must be positive")
-        if round(self.extent / self.voxel_size) < 1:
-            raise ValueError(f"voxel_size {self.voxel_size!r} leaves the world no cells")
-        if type(self.z_dim) is not int or self.z_dim < 1:
-            raise ValueError(f"z_dim {self.z_dim!r} must be a positive int")
-        if len(self.blocks) != 2 or not all(type(n) is int and n > 0 for n in self.blocks):
-            raise ValueError(f"blocks {self.blocks!r} must be two positive ints")
-        if self.recipe not in ("straight", "curve", "plus", "grid"):
-            raise ValueError(f"unknown recipe {self.recipe!r}")
+        if isinstance(self.blocks, list):
+            self.blocks = tuple(self.blocks)
+        super().__post_init__()
+        cells = self.extent / self.voxel_size
+        if not (math.isfinite(cells) and round(cells) >= 1):
+            raise ValueError(f"voxel_size {self.voxel_size!r} gives no finite cell count >= 1")
         if self.recipe == "curve" and self.radius <= self.road_width:
             raise ValueError("curve radius must exceed the road width")
 
@@ -97,11 +87,10 @@ def _centerline_distances(spec: WorldSpec, xs: np.ndarray):
     return dx[:, None], dy[None, :]
 
 
-def generate_world(spec: WorldSpec, table: SemanticTable = None) -> GlobalMap:
-    """Deterministic ground-truth world: road at z=0 flanked by sidewalks,
-    free space above, and optional box obstacles off-road."""
-    if table is None:
-        table = default_table()
+def generate_world(spec: WorldSpec) -> GlobalMap:
+    """Deterministic ground-truth world in the default table: road at z=0
+    flanked by sidewalks, free space above, and optional box obstacles off-road."""
+    table = default_table()
     vox = spec.voxel_size
     n = int(round(spec.extent / vox))
     xs = (np.arange(n) + 0.5) * vox

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .occupancy import GlobalMap, load_json_input
+from .occupancy import POSITIVE, GlobalMap, Settings, load_json_input, setting
 
 
 class PixelGraph(dict):
@@ -64,18 +64,12 @@ class PixelGraph(dict):
 
 
 @dataclass
-class TopologyParams:
-    w_lane: float = 3.6        # meters
-    tau_prune: float = 5.0     # meters, spur threshold
-    tau_obs: int = 20          # obstacle voxels tolerated in the probe box
-    probe_length: float = 15.0  # meters, semantic probe box
-    probe_width: float = 3.6    # meters
-
-    def __post_init__(self):
-        if min(self.w_lane, self.tau_prune, self.probe_length, self.probe_width) <= 0:
-            raise ValueError("topology parameters must be positive")
-        if self.tau_obs <= 0:
-            raise ValueError("tau_obs must be positive")
+class TopologyParams(Settings):
+    w_lane: float = setting(3.6, POSITIVE)         # meters
+    tau_prune: float = setting(5.0, POSITIVE)      # meters, spur threshold
+    tau_obs: int = setting(20, POSITIVE)           # obstacle voxels tolerated in the probe box
+    probe_length: float = setting(15.0, POSITIVE)  # meters, semantic probe box
+    probe_width: float = setting(3.6, POSITIVE)    # meters
 
 
 def _kill_tables():

@@ -14,7 +14,8 @@ from voxsim.agents import AgentLayout, LayoutEntry, encode_heatmap, write_heatma
 from voxsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main, stage_seed
 from voxsim.geometry import Pose2, load_trajectory
 from voxsim.metrics import fid, kid, mmd, read_features, write_features
-from voxsim.occupancy import MAGIC, GlobalMap, default_table, read_grid, write_grid
+from voxsim.occupancy import (MAGIC, GlobalMap, OccupancyGrid, default_table, read_grid,
+                              write_grid)
 from voxsim.synthworld import WorldSpec, curve_trajectory
 
 
@@ -24,6 +25,21 @@ PIPELINE_CONFIG = {
         "crop_dims": [120, 120, 16],
     },
     "simulate": {"horizon": 3},
+}
+
+
+# sha256 of every PIPELINE_CONFIG artifact at seed 7, by (stage, artifact)
+PIPELINE_HASHES = {
+    ("synth", "world"): "03f6cdcc328b2073ac8780dff609e4fb941ccbae71dcb46ba0c9d0cd11959a63",
+    ("synth", "frames"): "6c18788bfe06a45a98db2b9bcd8339f83e0189be3dd73318c32a3f313e75c9af",
+    ("synth", "trajectory"): "aa94d6850fb97452e562d0322137b1bc1b8fe6975c0b4b1e7b94958a3169a173",
+    ("fuse", "map"): "5aeb971a241ec87d964fc766e2f5690368f903f65be4aa806671752b8a62b385",
+    ("topo", "graph"): "73359b0bef4b63f57d2c09d71209593aac0753972dd1da97515ba1f1521b3d43",
+    ("lanes", "lanes"): "9c2a79e88d6a83e99f4d0a32a492c6728b31c3078275be2e0048a49807e9c88a",
+    ("spawn", "agents"): "b4fb5d7a088c4109cfc7693f639d0b699ae09887b130a825fa71b400ddf45a1e",
+    ("simulate", "frames"): "4fd8a73212b7e4eb73edf1ea220b95e8b832d9e0edd990fba8b1dcf5657f5daf",
+    ("simulate", "run_manifest"):
+        "b3a4215be7a224ee9898c990b6d3aeee0539e2de4da99bae9099eaf553553e87",
 }
 
 
@@ -93,6 +109,13 @@ class TestExitCodes:
         write_features(np.ones((4, 2)), feat)
         assert main(["metrics", "mmd", "--a", str(feat)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("sigma", ["0", "nan", "inf", "-1"])
+    def test_metrics_bad_sigma_is_config_error(self, tmp_path, sigma):
+        feat = tmp_path / "a.feat"
+        write_features(np.random.default_rng(0).normal(size=(6, 3)), feat)
+        assert main(["metrics", "mmd", "--a", str(feat), "--b", str(feat),
+                     "--sigma", sigma]) == EXIT_CONFIG
+
     def test_missing_map_is_io_error(self, tmp_path):
         code = main(["topo", "--map", str(tmp_path / "nope.occg"),
                      "--out", str(tmp_path / "g.json")])
@@ -126,17 +149,34 @@ class TestExitCodes:
         write_features(np.ones((4, 2)), feat)
         feat.write_bytes(feat.read_bytes()[:12])
         assert main(["metrics", "vendi", "--a", str(feat)]) == EXIT_IO, "FEATSET1"
+        # a feature that is not finite: mmd and kid printed NaN, vendi and
+        # fid failed in the eigensolver
+        good = tmp_path / "good.feat"
+        write_features(np.random.default_rng(0).normal(size=(6, 3)), good)
+        for value in (math.nan, math.inf):
+            x = np.random.default_rng(1).normal(size=(6, 3))
+            x[2, 1] = value
+            write_features(x, feat)
+            for metric in ("vendi", "mmd", "kid", "fid"):
+                code = main(["metrics", metric, "--a", str(feat), "--b", str(good)])
+                assert code == EXIT_IO, ("FEATSET1", value, metric)
 
         # a spawnable world, so that only the layout heatmap is at fault
         _spawnable_world(tmp_path)
         layout = tmp_path / "layout.hm"
+        spawn = ["spawn", "--map", str(tmp_path / "map.occg"),
+                 "--lanes", str(tmp_path / "lanes.json"),
+                 "--graph", str(tmp_path / "graph.json"),
+                 "--layout", str(layout), "--out", str(tmp_path / "agents.json")]
         write_heatmap(np.zeros((4, 4)), 0.4, layout)
         layout.write_bytes(layout.read_bytes()[:-5])
-        code = main(["spawn", "--map", str(tmp_path / "map.occg"),
-                     "--lanes", str(tmp_path / "lanes.json"),
-                     "--graph", str(tmp_path / "graph.json"),
-                     "--layout", str(layout), "--out", str(tmp_path / "agents.json")])
-        assert code == EXIT_IO, "HEATMAP1"
+        assert main(spawn) == EXIT_IO, "HEATMAP1"
+        # a cell that is not finite used to decode into a phantom vehicle
+        for value in (math.nan, -math.inf):
+            h = np.zeros((100, 100))
+            h[50, 50] = value
+            write_heatmap(h, 0.4, layout)
+            assert main(spawn) == EXIT_IO, ("HEATMAP1", value)
 
     def test_malformed_json_input_is_io_error(self, tmp_path):
         _spawnable_world(tmp_path)
@@ -248,6 +288,24 @@ class TestExitCodes:
                                                   "obstacle_height": -2.0}})),
         ("synth", "--spec", json.dumps({"world": NO_OBSTACLE_FITS})),
         ("pipeline", "--config", json.dumps({"synth": {"world": NO_OBSTACLE_FITS}})),
+        # NaN, infinity and out-of-range values that ran the stage, with a
+        # failure or a wrong result
+        ("topo", "--params", json.dumps({"w_lane": math.nan})),
+        ("topo", "--params", json.dumps({"tau_obs": math.nan})),
+        ("topo", "--params", json.dumps({"probe_length": math.inf})),
+        ("lanes", "--params", json.dumps({"epsilon": math.nan})),
+        ("lanes", "--params", json.dumps({"ds_step": math.nan})),
+        ("fuse", "--params", json.dumps({"d_max": math.nan})),
+        ("fuse", "--params", json.dumps({"d_max": math.inf})),
+        ("fuse", "--params", json.dumps({"margin": -50})),
+        ("fuse", "--params", json.dumps({"tau_vote": math.nan})),
+        ("fuse", "--params", json.dumps({"tau_vote": 2.5})),
+        ("fuse", "--params", json.dumps({"min_area": math.nan})),
+        ("simulate", "--params", json.dumps({"dt": math.inf})),
+        ("simulate", "--params", json.dumps({"d_lc": math.nan})),
+        ("simulate", "--params", json.dumps({"speed_mu": math.nan})),
+        ("simulate", "--params", json.dumps({"idm": {"v0": math.nan}})),
+        ("simulate", "--params", json.dumps({"lc_cooldown_steps": 2.5})),
     ], ids=["dt", "sim-key", "idm", "w_lane", "nested", "not-utf8", "epsilon",
             "recipe", "world-key", "simulate-list", "idm-list", "synth-list",
             "world-list", "trajectory-list", "fuse-list", "topo-list",
@@ -260,11 +318,19 @@ class TestExitCodes:
             "speed_sigma-negative", "min_segment_pts-str", "min_segment_pts-small",
             "min_lane_samples-zero", "extent-inf", "radius-nan", "voxel-tiny",
             "sidewalk-negative", "density-negative", "obstacle_height-negative",
-            "no-obstacle-fits", "pipeline-no-obstacle-fits"])
+            "no-obstacle-fits", "pipeline-no-obstacle-fits", "w_lane-nan",
+            "tau_obs-nan", "probe_length-inf", "epsilon-nan", "ds_step-nan",
+            "d_max-nan", "d_max-inf", "margin-negative", "tau_vote-nan",
+            "tau_vote-float", "min_area-nan", "dt-inf", "d_lc-nan", "speed_mu-nan",
+            "idm-v0-nan", "lc_cooldown_steps-float"])
     def test_bad_params_is_config_error(self, tmp_path, command, flag, text):
         _spawnable_world(tmp_path)
         (tmp_path / "traj.json").write_text(json.dumps(
             [{"t": 0.0, "x": 10.0, "y": 10.0, "yaw": 0.0}]))
+        # one all-road frame at that pose, so that fuse runs on good inputs
+        (tmp_path / "frames").mkdir()
+        write_grid(OccupancyGrid(read_grid(tmp_path / "map.occg").labels[:20, :20]),
+                   tmp_path / "frames" / "frame_000000.occg")
         bad = tmp_path / "bad.json"
         bad.write_bytes(text if isinstance(text, bytes) else text.encode())
         inputs = {"topo": ["--map"], "lanes": ["--map", "--graph"], "synth": [],
@@ -388,9 +454,9 @@ class TestPipeline:
         manifest = json.loads((out_dir / "pipeline_manifest.json").read_text())
         stages = [s["stage"] for s in manifest["stages"]]
         assert stages == ["synth", "fuse", "topo", "lanes", "spawn", "simulate"]
-        for s in manifest["stages"]:
-            for art in s["artifacts"].values():
-                assert len(art["sha256"]) == 64
+        hashes = {(s["stage"], name): art["sha256"]
+                  for s in manifest["stages"] for name, art in s["artifacts"].items()}
+        assert hashes == PIPELINE_HASHES
         assert (out_dir / "map.occg").exists()
         assert (out_dir / "lanes.json").exists()
         assert (out_dir / "rollout" / "run_manifest.json").exists()

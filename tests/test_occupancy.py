@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -6,12 +7,47 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voxsim.agents import read_heatmap, write_heatmap
+from voxsim.agents import AgentAsset, read_heatmap, write_heatmap
+from voxsim.fusion import FusionParams
 from voxsim.geometry import Pose2
+from voxsim.lanes import LaneParams
 from voxsim.metrics import read_features, write_features
 from voxsim.occupancy import (DEFAULT_CROP_DIMS, GlobalMap, GridFormatError,
                               OccupancyGrid, SemanticTable, crop,
                               default_table, read_grid, write_grid)
+from voxsim.simulation import IdmParams, SimParams
+from voxsim.synthworld import WorldSpec
+from voxsim.topology import TopologyParams
+
+PARAMS_CLASSES = (FusionParams, TopologyParams, LaneParams, IdmParams, SimParams,
+                  WorldSpec, AgentAsset)
+
+
+class TestSettings:
+    """Every number setting of every params class states its range, and
+    every range rejects what is not a finite number."""
+
+    @pytest.mark.parametrize("cls", PARAMS_CLASSES, ids=lambda c: c.__name__)
+    def test_every_number_setting_has_a_rule(self, cls):
+        for f in dataclasses.fields(cls):
+            if f.type in ("float", "int", float, int) and f.name != "seed":
+                assert "rule" in f.metadata, f"{cls.__name__}.{f.name} has no rule"
+
+    @pytest.mark.parametrize("cls", PARAMS_CLASSES, ids=lambda c: c.__name__)
+    def test_rules_reject_what_is_not_a_finite_number(self, cls):
+        for f in dataclasses.fields(cls):
+            if "rule" not in f.metadata:
+                continue
+            cls(**{f.name: f.default})
+            for bad in (math.nan, math.inf, -math.inf, True, "x"):
+                with pytest.raises(ValueError, match=f"^{f.name} "):
+                    cls(**{f.name: bad})
+
+    def test_error_names_the_setting_and_its_range(self):
+        with pytest.raises(ValueError, match=r"^d_max nan must be a finite number > 0$"):
+            FusionParams(d_max=math.nan)
+        with pytest.raises(ValueError, match=r"^blocks \(0, 1\) must be two positive ints$"):
+            WorldSpec(blocks=[0, 1])
 
 
 class TestSemanticTable:
