@@ -31,6 +31,7 @@ MAX_VEHICLES = 10
 MIN_SPACING = 8.0          # meters between procedurally proposed vehicles
 P_STATIC = 0.2             # share of procedurally proposed vehicles parked
 SNAP_DIST = 5.0            # meters from a proposal to its lane sample
+ROUTE_BLOCK = 32           # route segments under one bounding circle
 
 
 @dataclass
@@ -78,6 +79,7 @@ class Agent:
     is_ego: bool = False
     route_arc: np.ndarray = field(init=False, repr=False)
     route_segments: tuple = field(init=False, repr=False)
+    route_blocks: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         self.position = np.asarray(self.position, dtype=float)
@@ -89,8 +91,11 @@ class Agent:
 
     def set_route(self, route) -> None:
         """Assign a route and cache its geometry: the cumulative arc length
-        ``route_arc`` and ``route_segments``, the segment starts, vectors
-        and squared lengths (1 for a zero-length segment)."""
+        ``route_arc``; ``route_segments``, the segment starts, vectors and
+        squared lengths (1 for a zero-length segment); and ``route_blocks``,
+        the centres and radii of circles that each cover ROUTE_BLOCK
+        consecutive segments (the last block may hold fewer), with the
+        route's coordinate scale, 1 plus its largest absolute coordinate."""
         self.route = np.asarray(route, dtype=float)
         self.route_arc = arc_length(self.route)
         a = self.route[:-1]
@@ -98,6 +103,17 @@ class Agent:
         denom = (ab * ab).sum(axis=1)
         denom[denom == 0] = 1.0
         self.route_segments = (a, ab, denom)
+        # Block k covers points k * ROUTE_BLOCK through (k + 1) * ROUTE_BLOCK,
+        # the last one being the end of its last segment: the box over the
+        # block's segment starts grows to take that end, and the circle is
+        # the box's circumcircle.
+        starts = np.arange(0, len(a), ROUTE_BLOCK)
+        lo = hi = self.route[np.minimum(starts + ROUTE_BLOCK, len(a))]
+        if len(a):
+            lo = np.minimum(np.minimum.reduceat(a, starts), lo)
+            hi = np.maximum(np.maximum.reduceat(a, starts), hi)
+        scale = 1.0 + float(np.abs(self.route).max(initial=0.0))
+        self.route_blocks = ((lo + hi) / 2.0, np.hypot(*(hi - lo).T) / 2.0, scale)
 
     @property
     def yaw(self) -> float:

@@ -90,10 +90,11 @@ class RouteNetwork:
         dist, pred = tree
         if math.isinf(dist[start]):
             return None
+        hop = memoryview(pred)   # indexing yields Python ints
         path = [start]
         node = start
         while node != goal:
-            node = int(pred[node])
+            node = hop[node]
             path.append(node)
         return path, float(dist[start])
 
@@ -188,10 +189,3 @@ def astar(network: RouteNetwork, start: int, goal: int):
                 heapq.heappush(open_heap, (ng + h(nbr), ng, nbr))
     return None
 
-
-def route_points(network: RouteNetwork, start_point, goal_point,
-                 snap_dist: float = 5.0):
-    """World-meter polyline of the shortest route between two points snapped
-    onto the network; None when either snap or the search fails."""
-    s = network.nearest_node(start_point, snap_dist)
-    return None if s is None else network.route_to(s, goal_point)

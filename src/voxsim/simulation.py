@@ -13,13 +13,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agents import Agent, ProceduralLayoutSource, _route_heading, spawn_agents
+from .agents import (ROUTE_BLOCK, Agent, ProceduralLayoutSource, _route_heading,
+                     spawn_agents)
 from .geometry import Pose2, arc_length, resample_polyline
 from .occupancy import (DIMS, FINITE, NONNEGATIVE, POSITIVE, GlobalMap, OccupancyGrid,
                         Settings, at_least, crop, setting)
 from .routing import RouteNetwork, build_route_network
 
 log = logging.getLogger(__name__)
+
+# Relative slack of the route test's block pruning: float64 rounding of a
+# distance is a few ulps (~1e-15) of the coordinates' magnitude.
+ROUTE_SLACK = 1e-9
 
 
 @dataclass
@@ -69,16 +74,30 @@ def idm_accel(v: float, v0: float, dv: float, s: float, idm: IdmParams) -> float
     return float(np.clip(a, -idm.b_emergency, idm.a_max))
 
 
-def _route_distance(agent: Agent, p: np.ndarray) -> float:
-    """Minimum distance from a point to the agent's route, read from the
-    segment arrays cached when the route was assigned."""
+def _near_route(agent: Agent, p: np.ndarray, d_lat: float) -> bool:
+    """Whether point p lies closer than d_lat to the agent's route.
+
+    Only the span of route blocks whose bounding circle comes within d_lat
+    of p, plus ROUTE_SLACK times the route's coordinate scale and d_lat, is
+    projected onto segment by segment. The projection is the same per-row
+    arithmetic over a slice of the cached segment arrays, and the slack is
+    orders of magnitude above its rounding, so every segment nearer than
+    d_lat lies in the span: the answer equals the minimum over all
+    segments compared with d_lat, bit for bit."""
     if len(agent.route) == 1:
-        return float(np.linalg.norm(p - agent.route[0]))
-    a, ab, denom = agent.route_segments
+        return float(np.linalg.norm(p - agent.route[0])) < d_lat
+    centers, radii, scale = agent.route_blocks
+    off = centers - p
+    reach = radii + (d_lat + ROUTE_SLACK * (scale + d_lat))
+    near = np.flatnonzero(np.vecdot(off, off) < reach * reach)
+    if not len(near):
+        return False
+    span = slice(near[0] * ROUTE_BLOCK, (near[-1] + 1) * ROUTE_BLOCK)
+    a, ab, denom = (v[span] for v in agent.route_segments)
     ap = p - a
     t = np.clip((ap * ab).sum(axis=1) / denom, 0.0, 1.0)
     proj = a + t[:, None] * ab
-    return float(np.linalg.norm(proj - p, axis=1).min())
+    return float(np.linalg.norm(proj - p, axis=1).min()) < d_lat
 
 
 def _positions(agents) -> np.ndarray:
@@ -97,7 +116,7 @@ def select_leader(agent: Agent, others, d_lat: float = 2.0):
     apart = np.flatnonzero(dist > 1e-9)
     cone = apart[np.vecdot(rel[apart], agent.heading) / dist[apart] > 0.5]
     for i in cone[np.argsort(dist[cone], kind="stable")]:
-        if _route_distance(agent, others[i].position) < d_lat:
+        if _near_route(agent, others[i].position, d_lat):
             return others[i]
     return None
 
@@ -215,6 +234,8 @@ class Simulator:
         self.rng = np.random.default_rng(self.params.seed)
         self._path_pts = np.array([[p.x, p.y] for p in self.ego_path])
         self._s_path = arc_length(self._path_pts)
+        self._crop_pose = None   # the pose of the cached, unstamped crop
+        self._crop = None
 
     # -- spawning ---------------------------------------------------------
 
@@ -294,17 +315,20 @@ class Simulator:
     def render(self, state: SimState) -> OccupancyGrid:
         """The map crop around the ego with every agent in view stamped
         into it as vehicle voxels (the vehicle id is never the unassigned
-        id, so this is the crop overlaid with a volume of agent boxes)."""
+        id, so this is the crop overlaid with a volume of agent boxes).
+        The map is read-only for the simulator's lifetime, so while the ego
+        pose equals the last rendered one its crop is reused."""
         ego_pose = self.ego_pose(state)
-        frame = crop(self.gmap, ego_pose, self.params.fov_dims)
-        vox = self.gmap.voxel_size
-        vehicle_id = self.gmap.table.vehicle_id
+        if ego_pose != self._crop_pose:
+            self._crop = crop(self.gmap, ego_pose, self.params.fov_dims).labels
+            self._crop_pose = ego_pose
+        labels = self._crop.copy()
         local, inside = _in_fov(ego_pose, _positions(state.agents), self._half)
-        for agent, p, ok in zip(state.agents, local, inside):
-            if ok:
-                _stamp_box(frame.labels, p, agent.yaw - ego_pose.yaw, agent.asset,
-                           vox, vehicle_id)
-        return frame
+        shown = [a for a, ok in zip(state.agents, inside) if ok]
+        _stamp_boxes(labels, local[inside], [a.yaw - ego_pose.yaw for a in shown],
+                     [a.asset for a in shown], self.gmap.voxel_size,
+                     self.gmap.table.vehicle_id)
+        return OccupancyGrid(labels, self.gmap.voxel_size, ego_pose, self.gmap.table)
 
     def step(self, state: SimState) -> OccupancyGrid:
         self.rolling_update(state)
@@ -325,28 +349,41 @@ class Simulator:
         return frames, logbook
 
 
-def _stamp_box(labels: np.ndarray, local: np.ndarray, yaw: float, asset,
-               vox: float, vehicle_id: int) -> None:
-    """Rasterize an asset box at ego-frame position ``local`` and ego-frame
-    ``yaw`` into an ego-centred crop volume."""
+def _stamp_boxes(labels: np.ndarray, local: np.ndarray, yaws, assets,
+                 vox: float, vehicle_id: int) -> None:
+    """Rasterize asset boxes at ego-frame positions ``local`` (k, 2) and
+    ego-frame ``yaws`` into an ego-centred crop volume, all in one pass.
+
+    Each box is tested on the window of its bounding cells, clipped to the
+    volume and padded to the largest window; the padding is masked out.
+    Each box takes its cos and sin from ``math`` of the raw ``-yaw`` (a
+    wrapped yaw, or ``np.cos``, can differ in the last bit), and every cell
+    sees the same arithmetic as when boxes were stamped one at a time."""
+    if not assets:
+        return
     X, Y, Z = labels.shape
     center = local + np.array([X, Y]) * vox / 2.0
-    L, W = asset.length, asset.width
-    half_diag = math.hypot(L, W) / 2.0
-    x0 = max(int((center[0] - half_diag) / vox) - 1, 0)
-    x1 = min(int((center[0] + half_diag) / vox) + 2, X)
-    y0 = max(int((center[1] - half_diag) / vox) - 1, 0)
-    y1 = min(int((center[1] + half_diag) / vox) + 2, Y)
-    if x1 <= x0 or y1 <= y0:
-        return
-    cx = (np.arange(x0, x1)[:, None] + 0.5) * vox - center[0]
-    cy = (np.arange(y0, y1)[None, :] + 0.5) * vox - center[1]
-    c, s = math.cos(-yaw), math.sin(-yaw)
+    half_diag = np.array([[math.hypot(a.length, a.width) / 2.0] for a in assets])
+    lo = np.maximum(np.trunc((center - half_diag) / vox).astype(np.intp) - 1, 0)
+    hi = np.minimum(np.trunc((center + half_diag) / vox).astype(np.intp) + 2, (X, Y))
+    size = hi - lo   # a box off the volume has a size <= 0
+    ox, oy = np.arange(max(size[:, 0].max(), 0)), np.arange(max(size[:, 1].max(), 0))
+    ix, iy = lo[:, :1] + ox, lo[:, 1:] + oy
+    cx = ((ix + 0.5) * vox - center[:, :1])[:, :, None]
+    cy = ((iy + 0.5) * vox - center[:, 1:])[:, None, :]
+    c = np.array([math.cos(-yaw) for yaw in yaws])[:, None, None]
+    s = np.array([math.sin(-yaw) for yaw in yaws])[:, None, None]
     lon = c * cx - s * cy
     lat = s * cx + c * cy
-    inside = (np.abs(lon) <= L / 2.0) & (np.abs(lat) <= W / 2.0)
-    z1 = min(int(math.ceil(asset.height / vox)), Z)
-    labels[x0:x1, y0:y1, :z1][inside] = vehicle_id
+    inside = ((np.abs(lon) <= np.array([a.length / 2.0 for a in assets])[:, None, None])
+              & (np.abs(lat) <= np.array([a.width / 2.0 for a in assets])[:, None, None])
+              & (ox < size[:, :1])[:, :, None] & (oy < size[:, 1:])[:, None, :])
+    box, i, j = np.nonzero(inside)
+    gx, gy = ix[box, i], iy[box, j]
+    z1 = np.array([min(math.ceil(a.height / vox), Z) for a in assets])[box]
+    for h in np.unique(z1).tolist():
+        column = z1 == h
+        labels[gx[column], gy[column], :h] = vehicle_id
 
 
 def snapshot_state(state: SimState):

@@ -11,8 +11,7 @@ from scipy.spatial import cKDTree
 
 import voxsim.routing as routing
 from voxsim.lanes import Lane
-from voxsim.routing import (RouteNetwork, astar, build_route_network,
-                            route_points)
+from voxsim.routing import RouteNetwork, astar, build_route_network
 
 
 def random_geometric_graph(rng, n=30, k=4):
@@ -218,13 +217,6 @@ class TestRouteNetwork:
                                               max_dist=7.2)
         assert node is not None
         assert net.lane_of[node] == 1
-
-    def test_route_points_spans_lanes(self):
-        net = build_route_network(self._two_lanes())
-        pts = route_points(net, [0.5, 0.0], [19.0, 3.6])
-        assert pts is not None
-        assert np.linalg.norm(pts[0] - [0.5, 0.0]) < 1.0
-        assert np.linalg.norm(pts[-1] - [19.0, 3.6]) < 1.0
 
     def test_route_to_nearest_node_of_target(self):
         net = build_route_network(self._two_lanes())

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from voxsim.agents import AgentAsset, Agent
+import voxsim.simulation as simulation
+from voxsim.agents import ROUTE_BLOCK, AgentAsset, Agent
 from voxsim.geometry import Pose2, arc_length, resample_polyline
 from voxsim.lanes import Lane
 from voxsim.occupancy import GlobalMap, OccupancyGrid, crop
@@ -206,6 +207,49 @@ ULP_IN_CONE = _scene(
     [(0.0, 0.0), on_cone_edge(np.zeros(2), math.pi / 4, 1, 8.0)], 1.0)
 
 
+@st.composite
+def long_routes(draw):
+    """A random-walk route of 1 to about 200 points, up to 500 m from the
+    origin, so that it spans several route blocks; lengths just around a
+    multiple of ROUTE_BLOCK segments are drawn often. Some, most or all of
+    its steps are zero, giving zero-length segments, point-sized blocks and
+    long segments from one block to the next."""
+    n = draw(st.one_of(st.integers(1, 200),
+                       st.sampled_from([k * ROUTE_BLOCK + d for k in (1, 2, 3)
+                                        for d in (0, 1, 2)])))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    steps = rng.uniform(-4.0, 4.0, size=(n - 1, 2)) * draw(st.sampled_from([1.0, 10.0]))
+    steps[rng.random(n - 1) < draw(st.sampled_from([0.0, 0.2, 0.9, 1.0]))] = 0.0
+    start = rng.uniform(-500.0, 500.0, size=2)
+    return np.concatenate([[start], start + np.cumsum(steps, axis=0)])
+
+
+def points_off_route(data, route, d_lat):
+    """Points at d_lat, give or take a few ulps of the coordinates, off
+    segments anywhere along the route (most of them in a later block than
+    the first, many on the segment that ends a block), plus points scattered
+    around the route's bounding box."""
+    last_of_block = list(range(ROUTE_BLOCK - 1, len(route) - 1, ROUTE_BLOCK))
+    segment = st.integers(0, len(route) - 1)
+    points = []
+    for _ in range(data.draw(st.integers(1, 8))):
+        i = data.draw(st.one_of(segment, st.sampled_from(last_of_block))
+                      if last_of_block else segment)
+        a, b = route[i], route[min(i + 1, len(route) - 1)]
+        ab = b - a
+        q = a + data.draw(st.floats(0.0, 1.0)) * ab
+        n = np.linalg.norm(ab)
+        yaw = data.draw(st.floats(-math.pi, math.pi))
+        normal = (np.array([-ab[1], ab[0]]) / n if n > 0
+                  else np.array([math.cos(yaw), math.sin(yaw)]))
+        ulps = data.draw(st.integers(-8, 8)) * math.ulp(float(np.abs(q).max()) + d_lat)
+        points.append(q + data.draw(st.sampled_from([-1.0, 1.0])) * (d_lat + ulps) * normal)
+    lo, hi = route.min(axis=0) - 3 * d_lat, route.max(axis=0) + 3 * d_lat
+    for _ in range(data.draw(st.integers(0, 8))):
+        points.append(lo + np.array([data.draw(st.floats(0.0, 1.0)) for _ in "xy"]) * (hi - lo))
+    return points
+
+
 class TestLeaderSelection:
     def test_ahead_on_route_selected(self):
         route = [[0.0, 0.0], [100.0, 0.0]]
@@ -243,6 +287,29 @@ class TestLeaderSelection:
         near = make_agent(10, 0, [1, 0], 5, route)
         far = make_agent(30, 0, [1, 0], 5, route)
         assert select_leader(a, [far, near]) is near
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_block_pruned_route_test_matches_reference(self, data):
+        # the route test projects only onto blocks near the candidate; it
+        # must decide exactly as the projection onto every segment does
+        route = data.draw(long_routes())
+        d_lat = data.draw(st.floats(0.5, 6.0))
+        yaw = data.draw(st.floats(-math.pi, math.pi))
+        heading = [math.cos(yaw), math.sin(yaw)]
+        if data.draw(st.booleans()):
+            agent = make_agent(*route[0], heading, 5.0, route)
+        else:
+            # the cached blocks follow a route replaced by set_route
+            agent = make_agent(*route[0], heading, 5.0, data.draw(long_routes()))
+            agent.set_route(route)
+        points = points_off_route(data, route, d_lat)
+        for p in points:
+            assert (simulation._near_route(agent, p, d_lat)
+                    == (reference_dist_point_polyline(p, route) < d_lat))
+        others = [make_agent(*p, heading, 5.0, route) for p in points]
+        assert (select_leader(agent, others, d_lat)
+                is reference_select_leader(agent, others, d_lat))
 
     @settings(max_examples=300, deadline=None)
     @given(leader_scenes())
@@ -436,33 +503,58 @@ def reference_render(sim, state):
                              OccupancyGrid(fg, vox, background.origin, sim.gmap.table))
 
 
+def random_agents(data, n, coord=st.floats(-5.0, 25.0, allow_nan=False)):
+    """n agents at drawn positions and yaws, with drawn box sizes."""
+    size = st.floats(0.3, 6.0)
+    agents = []
+    for _ in range(n):
+        h = data.draw(st.floats(-math.pi, math.pi))
+        agents.append(Agent([data.draw(coord), data.draw(coord)],
+                            [math.cos(h), math.sin(h)], 0.0, [[0.0, 0.0]], [0.0, 0.0],
+                            AgentAsset(data.draw(size), data.draw(size), data.draw(size))))
+    return agents
+
+
 class TestRender:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_matches_foreground_overlay(self, data):
-        # a random map, a small field of view, and agents in, at the edge of
-        # and outside it, some boxes larger than the view
+        # a random map, a small field of view, and up to 24 agents in, at the
+        # edge of and outside it, some boxes larger than the view; the ego
+        # may be left out of the agent list, so that no agent is in view
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
         vox = data.draw(st.sampled_from([0.4, 0.5]))
         gmap = GlobalMap(rng.integers(0, 7, size=(40, 40, 6)).astype(np.uint8), vox)
         fov = data.draw(st.tuples(st.integers(2, 40), st.integers(2, 40),
                                   st.integers(1, 8)))
         sim = Simulator(gmap, [], [], [Pose2()], SimParams(fov_dims=fov))
-        coord = st.floats(-5.0, 25.0, allow_nan=False)
-        yaw = st.floats(-math.pi, math.pi)
-        size = st.floats(0.3, 6.0)
-        agents = []
-        for _ in range(data.draw(st.integers(1, 8))):
-            h = data.draw(yaw)
-            agents.append(Agent([data.draw(coord), data.draw(coord)],
-                                [math.cos(h), math.sin(h)], 0.0, [[0.0, 0.0]],
-                                [0.0, 0.0], AgentAsset(data.draw(size), data.draw(size),
-                                                       data.draw(size))))
-        state = SimState(agents=agents, ego=agents[0])
+        agents = random_agents(data, data.draw(st.integers(1, 25)))
+        state = SimState(agents=agents[data.draw(st.integers(0, 1)):], ego=agents[0])
         frame = sim.render(state)
         expect = reference_render(sim, state)
         assert np.array_equal(frame.labels, expect.labels)
         assert (frame.voxel_size, frame.origin) == (expect.voxel_size, expect.origin)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_boxes_off_the_volume_stamp_nothing(self, data):
+        # boxes stamped straight into a volume, many far enough off its
+        # edges that their windows clip to nothing
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        vox = data.draw(st.sampled_from([0.4, 0.5]))
+        labels = rng.integers(0, 7, size=(20, 16, 5)).astype(np.uint8)
+        agents = random_agents(data, data.draw(st.integers(0, 24)),
+                               st.floats(-20.0, 30.0, allow_nan=False))
+        half = np.array(labels.shape[:2]) * vox / 2.0
+        local = np.array([a.position for a in agents]).reshape(-1, 2) - half
+        stamped = labels.copy()
+        simulation._stamp_boxes(stamped, local, [a.yaw for a in agents],
+                                [a.asset for a in agents], vox, 9)
+        for agent, p in zip(agents, local):
+            reference_stamp_box(labels, Pose2(),
+                                Agent(p, agent.heading, 0.0, [[0.0, 0.0]], [0.0, 0.0],
+                                      agent.asset), vox, 9)
+        assert np.array_equal(stamped, labels)
 
 
 @pytest.fixture(scope="module")
@@ -486,7 +578,10 @@ class TestPinnedRollouts:
         (3, 34, "8b00ac96d61d155c8e8f653c3a8c6f37df61593e3c90f20c1e6725f257110433"),
         (11, 1, "5d9995e78d59f6782d3fad8f97962d05959ae44e28a4386c902b8c3e295c7703"),
         (11, 34, "bdd0e4f5548605006dddeb51d4481724713f17d1b936145fbfd84f11ceb4d04a"),
-    ], ids=["seed3-edge", "seed3-interior", "seed11-edge", "seed11-interior"])
+        # the ego stalls in traffic from step 4 on
+        (1, 34, "14f186fe205d9636e04423981d231eb923a607d3c1eb16a9daeec10433ad9346"),
+    ], ids=["seed3-edge", "seed3-interior", "seed11-edge", "seed11-interior",
+            "seed1-stall"])
     def test_rollout_bytes(self, small_city, seed, start, digest):
         world, lanes, endpoints, path = small_city
         sim = Simulator(world, lanes, endpoints, path, SimParams(horizon=12, seed=seed))
@@ -496,6 +591,33 @@ class TestPinnedRollouts:
             h.update(json.dumps(entry, sort_keys=True).encode())
             h.update(frame.labels.tobytes())
         assert h.hexdigest() == digest
+
+
+class TestRevisit:
+    def test_equal_poses_render_equal_places(self, small_city, monkeypatch):
+        # Paper desideratum 3: a place seen again looks structurally
+        # identical. This ego stalls in traffic, so later steps repeat its
+        # pose and reuse its crop; every frame must still be a fresh crop
+        # with the boxes in view stamped into it.
+        world, lanes, endpoints, path = small_city
+        sim = Simulator(world, lanes, endpoints, path, SimParams(seed=1))
+        crops = []
+        monkeypatch.setattr(simulation, "crop", lambda *a: crops.append(a) or crop(*a))
+        state = sim.init_state(ego_pose_index=34)
+        frames, poses = [], []
+        for _ in range(12):
+            frame = sim.step(state)
+            assert np.array_equal(frame.labels, reference_render(sim, state).labels)
+            frames.append(frame.labels)
+            poses.append(frame.origin)
+        assert len(crops) < len(frames)
+        vid = world.table.vehicle_id
+        revisits = [(i, j) for i in range(len(poses)) for j in range(i)
+                    if poses[i] == poses[j]]
+        assert revisits
+        for i, j in revisits:
+            kept = (frames[i] != vid) & (frames[j] != vid)
+            assert np.array_equal(frames[i][kept], frames[j][kept])
 
 
 class TestLaneChange:
