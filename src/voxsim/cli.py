@@ -180,8 +180,7 @@ def run_spawn(map_path, lanes_path, graph_path, layout, seed, out_path: Path) ->
             "is_ego": a.is_ego,
             "route": a.route.tolist(), "target": np.asarray(a.target).tolist()}
            for a in spawned]
-    with open(out_path, "w") as fh:
-        json.dump(out, fh)
+    occupancy.save_json(out, out_path)
     return {"agents": str(out_path)}
 
 
@@ -197,8 +196,7 @@ def run_simulate(map_path, lanes_path, graph_path, traj_path, params_cfg,
     for i, f in enumerate(frames):
         occupancy.write_grid(f, out_dir / f"frame_{i:06d}.occg")
     manifest_path = out_dir / "run_manifest.json"
-    with open(manifest_path, "w") as fh:
-        json.dump({"steps": logbook}, fh)
+    occupancy.save_json({"steps": logbook}, manifest_path)
     return {"frames": str(out_dir), "run_manifest": str(manifest_path)}
 
 

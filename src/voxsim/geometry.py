@@ -7,7 +7,6 @@ immutable inputs, so callers are free to parallelise across frames.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -126,9 +125,9 @@ def load_trajectory(path) -> Trajectory:
 
 
 def save_trajectory(traj: Trajectory, path) -> None:
-    records = [{"t": t, "x": p.x, "y": p.y, "yaw": p.yaw} for t, p in traj.samples]
-    with open(path, "w") as fh:
-        json.dump(records, fh)
+    from .occupancy import save_json  # occupancy imports this module
+
+    save_json([{"t": t, "x": p.x, "y": p.y, "yaw": p.yaw} for t, p in traj.samples], path)
 
 
 def _dest_source_coords(transform: Pose2, width: int, height: int, voxel_size: float):

@@ -1,24 +1,26 @@
 """Vectorized lane extraction from cleaned skeleton segments.
 
 Phase 1 smooths each long-enough segment with a cubic B-spline, estimates the
-local road width, and offsets parallel candidates along the normals. Phase 2
-cuts candidates where they run closer than epsilon to another lane, found
-with one KD-tree over all candidate samples, keeps the longest surviving
-run, re-splines it, and drops anything shorter than five samples.
+local road width from the distances of its centerline cells to the road's
+border (one KD-tree over the border cells per map), and offsets parallel
+candidates along the normals. Phase 2 cuts candidates where they run closer
+than epsilon to another lane, found with one KD-tree over all candidate
+samples, keeps the longest surviving run, re-splines it, and drops anything
+shorter than five samples.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import interpolate, ndimage
+from scipy import interpolate
 from scipy.spatial import cKDTree
 
 from .geometry import arc_length, resample_polyline
-from .occupancy import POSITIVE, Settings, at_least, load_json_input, setting
+from .occupancy import (POSITIVE, Settings, at_least, load_json_input, save_json,
+                        setting)
 from .topology import graph_segments
 
 
@@ -92,19 +94,40 @@ def normal_vectors(points: np.ndarray) -> np.ndarray:
     return np.stack([-t[:, 1], t[:, 0]], axis=1)
 
 
-def estimate_width(center_px: np.ndarray, nearest: np.ndarray, voxel_size: float) -> float:
+def border_tree(road: np.ndarray) -> cKDTree:
+    """KD-tree over the road's border cells: the off-road cells with a road
+    4-neighbour. The nearest off-road cell to a road cell is always one of
+    them, since one step from any farther off-road cell toward the road cell
+    lands on a closer cell, itself off road unless the first was a border
+    cell."""
+    near = np.zeros_like(road)
+    near[1:] |= road[:-1]
+    near[:-1] |= road[1:]
+    near[:, 1:] |= road[:, :-1]
+    near[:, :-1] |= road[:, 1:]
+    near &= ~road
+    return cKDTree(np.argwhere(near))
+
+
+def estimate_width(center_px: np.ndarray, road: np.ndarray, border: cKDTree,
+                   voxel_size: float) -> float:
     """Road width in meters at a centerline: twice the median distance from
-    the road cells under it to their nearest off-road cell. ``nearest`` is
-    the road mask's (2, X, Y) feature transform
-    (``distance_transform_edt(road, return_distances=False,
-    return_indices=True)``); the distances are taken only at the centerline
-    cells, with scipy's own float steps, so they equal its dense distance
-    map there bit for bit."""
+    the road cells under it to their nearest off-road cell (``border`` is
+    ``border_tree(road)``). An off-road centerline cell reads 0, and a map
+    without an off-road cell has width 0. Each distance is taken from its
+    integer offset with the float steps of scipy's exact Euclidean distance
+    transform, so it equals that dense map's value bit for bit; a tie may
+    pick another border cell at the same distance."""
+    if not border.n:
+        return 0.0
     ix, iy = np.clip(np.floor(center_px).astype(int),
-                     0, [nearest.shape[1] - 1, nearest.shape[2] - 1]).T
-    d = (nearest[:, ix, iy] - np.stack([ix, iy])).astype(np.float64)
-    d = np.sqrt(np.add.reduce(d * d, axis=0)) * voxel_size
-    return 2.0 * float(np.median(d))
+                     0, [road.shape[0] - 1, road.shape[1] - 1]).T
+    on = road[ix, iy]
+    cell = np.stack([ix[on], iy[on]], axis=1)
+    off = border.data[border.query(cell)[1]] - cell
+    d = np.zeros(len(ix))
+    d[on] = np.sqrt(np.add.reduce(off * off, axis=1))
+    return 2.0 * float(np.median(d * voxel_size))
 
 
 def _on_mask(points_m: np.ndarray, mask: np.ndarray, voxel_size: float, origin=(0.0, 0.0)) -> np.ndarray:
@@ -186,8 +209,7 @@ def extract_lanes(gmap, graph, params: LaneParams = None):
     vox = gmap.voxel_size
     road = gmap.labels[:, :, 0] == gmap.table.road_id
     origin = (gmap.origin.x, gmap.origin.y)
-    nearest = ndimage.distance_transform_edt(road, return_distances=False,
-                                             return_indices=True)
+    border = border_tree(road)
 
     candidates = []
     for seg_id, seg in enumerate(graph_segments(graph)):
@@ -195,7 +217,7 @@ def extract_lanes(gmap, graph, params: LaneParams = None):
             continue
         seg_px = np.asarray(seg, dtype=float)
         center_px = fit_centerline(seg_px, params.ds_step / vox)
-        seg_width = estimate_width(center_px, nearest, vox)
+        seg_width = estimate_width(center_px, road, border, vox)
         center_m = np.stack(gmap.cell_center(*center_px.T), axis=1)
         cands = offset_lanes(center_m, seg_width, params, road, vox, origin,
                              source_segment=seg_id)
@@ -206,8 +228,7 @@ def extract_lanes(gmap, graph, params: LaneParams = None):
 def save_lanes(lanes, path) -> None:
     obj = [{"id": i, "points": l.points.tolist(), "offset_index": l.offset_index,
             "source_segment": l.source_segment} for i, l in enumerate(lanes)]
-    with open(path, "w") as fh:
-        json.dump(obj, fh)
+    save_json(obj, path)
 
 
 def _lane_points(points) -> np.ndarray:

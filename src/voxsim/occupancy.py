@@ -232,6 +232,13 @@ def load_json_input(path, parse):
         raise InputFormatError(f"malformed {path}: {e!r}") from e
 
 
+def save_json(obj, path) -> None:
+    """Write ``obj`` as compact JSON. ``json.dumps`` takes the C encoder,
+    which ``json.dump`` never does; the bytes are the same."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(obj))
+
+
 def read_container(data: bytes, magic: bytes, fields: str) -> tuple:
     """Check the magic at the start of a binary container and unpack the
     fixed fields that follow it (``fields`` is a ``struct`` format)."""

@@ -19,14 +19,15 @@ insertion order, which decides segment and lane order. Four rules fix it:
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
-from .occupancy import POSITIVE, GlobalMap, Settings, load_json_input, setting
+from .occupancy import (POSITIVE, GlobalMap, Settings, load_json_input, save_json,
+                        setting)
 
 
 class PixelGraph(dict):
@@ -127,6 +128,7 @@ def skeletonize(mask: np.ndarray) -> np.ndarray:
 
 
 _STEPS = ((1, 0), (0, 1), (1, 1), (1, -1))  # forward 8-neighbours, in edge order
+_STEP_WEIGHTS = tuple(math.hypot(dx, dy) for dx, dy in _STEPS)
 
 
 def build_graph(skeleton: np.ndarray) -> PixelGraph:
@@ -135,7 +137,8 @@ def build_graph(skeleton: np.ndarray) -> PixelGraph:
     in ``_STEPS`` order, except each diagonal that closes a triangle. Every
     3-clique of an 8-connected pixel graph lies in one 2x2 block, where its
     diagonal is the unique longest edge, so a diagonal is left out exactly
-    when a pixel beside both of its ends is set."""
+    when a pixel beside both of its ends is set. Every node exists before
+    the first edge, so edges go straight into the neighbour dicts."""
     sk = np.pad(np.asarray(skeleton, dtype=bool), 1)
     xs, ys = np.nonzero(sk[1:-1, 1:-1])
     g = PixelGraph((n, {}) for n in set(zip(xs.tolist(), ys.tolist())))
@@ -144,9 +147,11 @@ def build_graph(skeleton: np.ndarray) -> PixelGraph:
     right, up, down = sk[x + 1, y], sk[x, y + 1], sk[x, y - 1]
     keep = np.stack([right, up, sk[x + 1, y + 1] & ~(right | up),
                      sk[x + 1, y - 1] & ~(right | down)], axis=1)
-    for r, k in zip(*np.nonzero(keep)):
-        (px, py), (dx, dy) = nodes[r], _STEPS[k]
-        g.add_edge((px, py), (px + dx, py + dy), math.hypot(dx, dy))
+    for r, k in zip(*(a.tolist() for a in np.nonzero(keep))):
+        u, (dx, dy), w = nodes[r], _STEPS[k], _STEP_WEIGHTS[k]
+        v = (u[0] + dx, u[1] + dy)
+        g[u][v] = w
+        g[v][u] = w
     return g
 
 
@@ -155,9 +160,13 @@ def _chain(g: PixelGraph, prev, node) -> list:
     at prev and ends at the first node of another degree, or back at prev
     when the walk closes a cycle."""
     path = [prev, node]
-    while len(g[node]) == 2 and node != path[0]:
-        prev, node = node, next(n for n in g[node] if n != prev)
+    start = prev
+    nbrs = g[node]
+    while len(nbrs) == 2 and node != start:
+        a, b = nbrs
+        prev, node = node, b if a == prev else a
         path.append(node)
+        nbrs = g[node]
     return path
 
 
@@ -176,15 +185,27 @@ def _prune_spurs(g: PixelGraph, tau_prune: float) -> bool:
 
 
 def _contract_junctions(g: PixelGraph, radius: float) -> bool:
-    """Merge the closest junction pair within radius into a centroid node.
+    """Merge the closest junction pair within radius into a centroid node,
+    the first pair (i, j) in junction order among equally close ones.
     Returns True when a contraction happened."""
     junctions = [n for n in g if len(g[n]) > 2]
+    if len(junctions) < 2:
+        return False
+    # np.hypot and math.dist agree to within a few ulps, so the pair that
+    # math.dist picks is among the candidates within a 1e-9 relative margin,
+    # both of the radius and of the closest candidate
+    pts = np.array(junctions, dtype=float)
+    i, j = cKDTree(pts).query_pairs(radius * (1.0 + 1e-9), output_type="ndarray").T
+    d = np.hypot(*(pts[j] - pts[i]).T)
+    if not len(d):
+        return False
+    near = d <= d.min() * (1.0 + 1e-9)
     best = None
-    for i, u in enumerate(junctions):
-        for v in junctions[i + 1:]:
-            d = math.dist(u, v)
-            if d < radius and (best is None or d < best[0]):
-                best = (d, u, v)
+    for a, b in sorted(zip(i[near].tolist(), j[near].tolist())):
+        u, v = junctions[a], junctions[b]
+        dist = math.dist(u, v)
+        if dist < radius and (best is None or dist < best[0]):
+            best = (dist, u, v)
     if best is None:
         return False
     _, u, v = best
@@ -204,7 +225,8 @@ def clean_graph(g: PixelGraph, tau_prune_px: float, w_lane_px: float) -> PixelGr
     (order rule 2)."""
     g, src = PixelGraph((n, {}) for n in g), g
     for u, v, w in src.edges():
-        g.add_edge(u, v, w)
+        g[u][v] = w
+        g[v][u] = w
     while True:
         pruned = _prune_spurs(g, tau_prune_px)
         contracted = _contract_junctions(g, 2.0 * w_lane_px)
@@ -290,18 +312,27 @@ def extract_topology(gmap: GlobalMap, params: TopologyParams = None):
 
 def graph_segments(g: PixelGraph):
     """Maximal chains of degree-2 nodes between junction/leaf anchors, as
-    ordered pixel paths. Isolated cycles are returned as closed paths."""
-    starts = [(a, n) for a in g if len(g[a]) != 2 for n in g[a]]
-    # then the edges left, those of pure cycles, from each one's first node
-    starts += [(a, next(iter(g[a]))) for a in g if len(g[a]) == 2]
+    ordered pixel paths. Isolated cycles are returned as closed paths.
+
+    Chains are walked from every anchor edge, skipping the far end of a
+    chain already walked; a chain's interior holds only degree-2 nodes, so
+    the degree-2 nodes never visited lie on pure cycles, each walked once
+    from its first node toward that node's first neighbour."""
     segs = []
-    seen = set()
-    for prev, node in starts:
-        if frozenset((prev, node)) in seen:
-            continue
-        path = _chain(g, prev, node)
-        seen.update(map(frozenset, zip(path, path[1:])))
-        segs.append(path)
+    walked = set()   # (end, node before it) of each chain walked from an anchor
+    for a, nbrs in g.items():
+        if len(nbrs) != 2:
+            for n in nbrs:
+                if (a, n) not in walked:
+                    path = _chain(g, a, n)
+                    walked.add((path[-1], path[-2]))
+                    segs.append(path)
+    visited = {n for path in segs for n in path[1:-1]}
+    for a, nbrs in g.items():
+        if len(nbrs) == 2 and a not in visited:
+            path = _chain(g, a, next(iter(nbrs)))
+            visited.update(path)
+            segs.append(path)
     return segs
 
 
@@ -314,8 +345,7 @@ def save_graph(g: PixelGraph, valid_endpoints, path) -> None:
                   for u, v, w in g.edges()],
         "valid_endpoints": [index[n] for n in valid_endpoints],
     }
-    with open(path, "w") as fh:
-        json.dump(obj, fh)
+    save_json(obj, path)
 
 
 def load_graph(path):

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from voxsim.lanes import (Lane, LaneParams, _longest_run, estimate_width,
-                          extract_lanes, fit_centerline, load_lanes,
-                          normal_vectors, offset_lanes, resolve_overlaps,
-                          save_lanes)
+from voxsim.lanes import (Lane, LaneParams, _longest_run, border_tree,
+                          estimate_width, extract_lanes, fit_centerline,
+                          load_lanes, normal_vectors, offset_lanes,
+                          resolve_overlaps, save_lanes)
 from voxsim.synthworld import WorldSpec, generate_world
 from voxsim.topology import extract_topology
 
@@ -33,9 +33,14 @@ def reference_longest_run(mask):
     return best
 
 
-def reference_estimate_width(center_px, dist_m):
-    """Twice the median of a dense distance map (meters) read under the
-    centerline: the reference for estimate_width's sparse distances."""
+def reference_estimate_width(center_px, road, voxel_size):
+    """Twice the median of the dense distance map (meters) of
+    ``distance_transform_edt`` read under the centerline: the reference for
+    estimate_width's border distances. A map without an off-road cell has
+    no distance to measure and reads 0."""
+    if road.all():
+        return 0.0
+    dist_m = ndimage.distance_transform_edt(road) * voxel_size
     idx = np.clip(np.floor(center_px).astype(int),
                   0, [dist_m.shape[0] - 1, dist_m.shape[1] - 1])
     return 2.0 * float(np.median(dist_m[idx[:, 0], idx[:, 1]]))
@@ -134,8 +139,7 @@ class TestNormalsAndWidth:
         plane[:, 20:47] = table.road_id  # 27 px = 10.8 m
         mask = plane == table.road_id
         center = np.stack([np.arange(10, 90, 1.0), np.full(80, 33.0)], axis=1)
-        w = estimate_width(center, ndimage.distance_transform_edt(
-            mask, return_distances=False, return_indices=True), 0.4)
+        w = estimate_width(center, mask, border_tree(mask), 0.4)
         assert w == pytest.approx(10.8, abs=0.9)
 
     @settings(max_examples=300, deadline=None)
@@ -146,10 +150,54 @@ class TestNormalsAndWidth:
         mask = rng.random((nx, ny)) < data.draw(st.sampled_from([0.0, 0.3, 0.8, 0.97, 1.0]))
         vox = data.draw(st.sampled_from([0.25, 0.4, 0.7]))
         center = rng.uniform(-3.0, max(nx, ny) + 3.0, size=(data.draw(st.integers(1, 60)), 2))
-        nearest = ndimage.distance_transform_edt(mask, return_distances=False,
-                                                 return_indices=True)
-        dense = ndimage.distance_transform_edt(mask) * vox
-        assert estimate_width(center, nearest, vox) == reference_estimate_width(center, dense)
+        assert (estimate_width(center, mask, border_tree(mask), vox)
+                == reference_estimate_width(center, mask, vox))
+
+    def test_road_on_the_map_edge(self):
+        # the road runs along y = 0 and across the map in x: the edge is not
+        # off road, so the distance is to the first off-road row, y = 10
+        mask = np.zeros((30, 20), dtype=bool)
+        mask[:, :10] = True
+        center = np.stack([np.arange(0.5, 30.0), np.full(30, 2.5)], axis=1)
+        w = estimate_width(center, mask, border_tree(mask), 0.4)
+        assert w == 2.0 * 8 * 0.4
+        assert w == reference_estimate_width(center, mask, 0.4)
+
+    def test_off_road_and_clipped_cells(self):
+        # a 4-cell strip y in [3, 6] across the map; cells off the map clip
+        # to its edge, and an off-road cell reads 0
+        mask = np.zeros((10, 10), dtype=bool)
+        mask[:, 3:7] = True
+        center = np.array([[5.5, 4.5],     # (5, 4): 2 cells to y = 2
+                           [-3.0, 4.2],    # clips to (0, 4): 2
+                           [12.0, 5.9],    # clips to (9, 5): 2 to y = 7
+                           [5.0, 0.5],     # (5, 0): off road, 0
+                           [5.0, 20.0]])   # clips to (5, 9): off road, 0
+        w = estimate_width(center, mask, border_tree(mask), 0.5)
+        assert w == 2.0 * 2 * 0.5
+        assert w == reference_estimate_width(center, mask, 0.5)
+        assert estimate_width(center[3:], mask, border_tree(mask), 0.5) == 0.0
+
+    def test_all_road_map_reads_zero_and_keeps_the_centerline(self):
+        # no off-road cell: no border, width 0, and offset_lanes keeps the
+        # centerline as the one lane
+        mask = np.ones((12, 8), dtype=bool)
+        border = border_tree(mask)
+        assert border.n == 0
+        center = np.stack([np.arange(0.5, 12.0), np.full(12, 4.0)], axis=1)
+        assert estimate_width(center, mask, border, 0.4) == 0.0
+        lanes = offset_lanes(center * 0.4, 0.0, LaneParams(), mask, 0.4)
+        assert len(lanes) == 1
+        assert np.array_equal(lanes[0].points, center * 0.4)
+
+    def test_border_cells_are_off_road_beside_the_road(self):
+        rng = np.random.default_rng(3)
+        mask = rng.random((25, 17)) < 0.5
+        cells = {tuple(c) for c in border_tree(mask).data.astype(int).tolist()}
+        expect = {(x, y) for x in range(25) for y in range(17) if not mask[x, y]
+                  and any(0 <= x + dx < 25 and 0 <= y + dy < 17 and mask[x + dx, y + dy]
+                          for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)))}
+        assert cells == expect
 
 
 class TestOffsets:
@@ -283,8 +331,9 @@ class TestExtractLanes:
 
     def test_peak_memory_scales_with_the_road_plane(self):
         # 3x3 grid at 400 m (10^6 ground cells): a dense float64 distance
-        # map and its transients peaked at 34 bytes a cell, the feature
-        # transform sampled under the centerlines at 11
+        # map and its transients peaked at 34 bytes a cell, a full feature
+        # transform sampled under the centerlines at 11, and the border
+        # KD-tree peaks at 3 (the road mask, the border mask and ~road)
         world = generate_world(WorldSpec(recipe="grid", extent=400.0, blocks=(3, 3)))
         g, _ = extract_topology(world)
         cells = world.dims[0] * world.dims[1]
@@ -295,7 +344,7 @@ class TestExtractLanes:
         finally:
             tracemalloc.stop()
         assert len(lanes) > 0
-        assert peak < 14 * cells, peak / cells
+        assert peak < 5 * cells, peak / cells
 
     def test_save_load_round_trip(self, tmp_path):
         ax = np.arange(0.0, 10.0, 0.5)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -431,9 +432,10 @@ class TestSimulator:
         json.dumps(snapshot_state(state))
 
 
-def reference_stamp_box(fg, ego_pose, agent, vox, vehicle_id):
+def reference_stamp_box(fg, ego_pose, agent, vox, vehicle_id, trig=math):
     """An agent's oriented asset box rasterized into a separate foreground
-    volume, each cell tested on a meshgrid of the box's bounding cells."""
+    volume, each cell tested on a meshgrid of the box's bounding cells, with
+    cos and sin from ``trig``."""
     X, Y, Z = fg.shape
     inv = ego_pose.inverse()
     center = inv.transform_point(agent.position) + np.array([X, Y]) * vox / 2.0
@@ -449,7 +451,7 @@ def reference_stamp_box(fg, ego_pose, agent, vox, vehicle_id):
     gx, gy = np.meshgrid(np.arange(x0, x1), np.arange(y0, y1), indexing="ij")
     cx = (gx + 0.5) * vox - center[0]
     cy = (gy + 0.5) * vox - center[1]
-    c, s = math.cos(-yaw), math.sin(-yaw)
+    c, s = trig.cos(-yaw), trig.sin(-yaw)
     lon = c * cx - s * cy
     lat = s * cx + c * cy
     inside = (np.abs(lon) <= L / 2.0) & (np.abs(lat) <= W / 2.0)
@@ -555,6 +557,40 @@ class TestRender:
                                 Agent(p, agent.heading, 0.0, [[0.0, 0.0]], [0.0, 0.0],
                                       agent.asset), vox, 9)
         assert np.array_equal(stamped, labels)
+
+    def test_box_trig_comes_from_math_of_the_raw_yaw(self, monkeypatch):
+        # numpy's float64 cos/sin can agree with math's on every yaw, so the
+        # module's math is swapped for one whose cos/sin come out one ulp
+        # up and record their arguments. The box's length puts its edge on a
+        # cell centre that the nudged and the true cos/sin put on opposite
+        # sides, so trig taken from anywhere else, or of a wrapped yaw,
+        # stamps that cell differently.
+        called = []
+        nudged = types.SimpleNamespace(**vars(math))
+        nudged.cos = lambda x: called.append(x) or math.nextafter(math.cos(x), math.inf)
+        nudged.sin = lambda x: called.append(x) or math.nextafter(math.sin(x), math.inf)
+        vox, X, Y, yaw = 0.5, 24, 24, 4.0   # a raw yaw outside (-pi, pi]
+        local = np.array([[0.13, -0.07]])
+        center = local[0] + np.array([X, Y]) * vox / 2.0
+        gx, gy = np.meshgrid(np.arange(X), np.arange(Y), indexing="ij")
+        cx, cy = (gx + 0.5) * vox - center[0], (gy + 0.5) * vox - center[1]
+        lon = [np.abs(t.cos(-yaw) * cx - t.sin(-yaw) * cy) for t in (math, nudged)]
+        lat = np.abs(math.sin(-yaw) * cx + math.cos(-yaw) * cy)
+        edge = np.unravel_index(np.argmax((lon[0] != lon[1]) & (lon[0] < 3.0) & (lat < 3.0)),
+                                lat.shape)
+        assert lon[0][edge] != lon[1][edge]
+        box = types.SimpleNamespace(position=local[0], yaw=yaw, asset=AgentAsset(
+            2.0 * min(lon[0][edge], lon[1][edge]), 8.0, 1.0))
+        truth, expect = (np.zeros((X, Y, 2), dtype=np.uint8) for _ in range(2))
+        reference_stamp_box(truth, Pose2(), box, vox, 9)
+        reference_stamp_box(expect, Pose2(), box, vox, 9, trig=nudged)
+        assert truth[edge][0] != expect[edge][0]
+        called.clear()
+        monkeypatch.setattr(simulation, "math", nudged)
+        stamped = np.zeros((X, Y, 2), dtype=np.uint8)
+        simulation._stamp_boxes(stamped, local, [yaw], [box.asset], vox, 9)
+        assert called == [-yaw, -yaw]
+        assert np.array_equal(stamped, expect)
 
 
 @pytest.fixture(scope="module")

@@ -211,6 +211,15 @@ def graph_of(*paths):
     return g
 
 
+def nx_graph_of(*paths):
+    """The networkx twin of ``graph_of``: same nodes, edges and orders."""
+    g = nx.Graph()
+    for path in paths:
+        for u, v in zip(path, path[1:]):
+            g.add_edge(u, v, weight=math.dist(u, v))
+    return g
+
+
 def _edge_set(g):
     return {frozenset((u, v)) for u, v, _ in g.edges()}
 
@@ -657,3 +666,24 @@ class TestGraphSegments:
         _check_segments(g, segs)
         assert len(segs) == 5
         assert sum(set(s) == {(0, 0), (1, 0)} for s in segs) == 1
+
+    @pytest.mark.parametrize("paths", [
+        # two parallel chains between the same two junctions, each with a tail
+        ([(0, 0), (1, 1), (2, 1), (3, 1), (4, 0)],
+         [(0, 0), (1, -1), (2, -1), (3, -1), (4, 0)],
+         [(-1, 0), (0, 0)], [(4, 0), (5, 0)]),
+        # a chain from a junction back to itself, the junction's tails after
+        ([(0, 0), (0, 1), (1, 1), (1, 0), (0, 0)],
+         [(0, 0), (-1, 0), (-2, 0)], [(0, 0), (-1, -1)]),
+        # a pure cycle first in node order, beside a star with a long arm
+        ([(0, 0), (0, 1), (1, 1), (2, 1), (2, 0), (1, 0), (0, 0)],
+         [(9, 9), (9, 10), (9, 11)], [(9, 9), (10, 9)], [(9, 9), (8, 8), (7, 7)]),
+        # a lone edge between two leaves
+        ([(0, 0), (1, 0)],),
+    ], ids=["parallel-chains", "junction-loop", "cycle-beside-anchors", "lone-edge"])
+    def test_small_graphs_match_reference(self, paths):
+        g, ref = graph_of(*paths), nx_graph_of(*paths)
+        assert_same_graph(g, ref)
+        segs = graph_segments(g)
+        _check_segments(g, segs)
+        assert_same_segments(g, segs, reference_graph_segments(ref))
