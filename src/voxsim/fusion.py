@@ -5,9 +5,13 @@ into a fresh world map and sinks columns to the ground plane, phase 3 inpaints
 the remaining gaps with per-category votes from the non-keyframes, and phase 4
 cleans the result morphologically. Both warping passes pull back only the map
 columns that can still change: phase 2 skips columns an earlier keyframe has
-filled, and phase 3 visits only columns that hold a hole and counts votes
-only for the voxels phase 2 left unassigned. Per-frame work and the tally
-scale with those holes, not with each frame's footprint or the map.
+filled, and phase 3 visits only columns that hold a hole. Both gather a
+frame's sources as flat rows of Z bytes, one ``take`` per frame. Phase 3
+then looks up and counts only the voxels that can vote, assigned in the
+frame and left unassigned by phase 2, in a tally of one count per hole and
+category, so its per-frame work follows the votes and its memory the holes,
+not each frame's footprint or the map. Every frame of a sequence must share
+frame 0's dims and voxel size.
 """
 
 from __future__ import annotations
@@ -101,6 +105,20 @@ def _frame_to_map_indices(gmap: GlobalMap, pose: Pose2, dims, columns):
     return gx[ok], gy[ok], fx[ok], fy[ok]
 
 
+def _frame_geometry(frames):
+    """(dims, voxel size) shared by every frame of a sequence. Both passes
+    index each frame with these, so a frame that differs from frame 0
+    raises a ValueError naming its index and what differs."""
+    dims, vox = frames[0].dims, frames[0].voxel_size
+    for i, f in enumerate(frames):
+        if f.dims != dims:
+            raise ValueError(f"frame {i} has dims {f.dims}, frame 0 has {dims}")
+        if f.voxel_size != vox:
+            raise ValueError(f"frame {i} has voxel size {f.voxel_size} m, "
+                             f"frame 0 has {vox} m")
+    return dims, vox
+
+
 def fuse_keyframes(frames, poses, keys, table, margin: float = 2.0) -> GlobalMap:
     """Pass 1: warp each keyframe into the world map, writing only voxels that
     are still unassigned (first-wins), then sink every column so its lowest
@@ -108,16 +126,18 @@ def fuse_keyframes(frames, poses, keys, table, margin: float = 2.0) -> GlobalMap
 
     First-wins never changes a column without an unassigned voxel, so each
     keyframe visits only the columns still open, and a column closes once
-    it is filled."""
+    it is filled. Source and map columns move as flat rows of Z bytes, one
+    ``take`` in and one write back per keyframe."""
     if len(frames) != len(poses):
         raise ValueError("frames and poses must pair up")
     if not keys:
         raise ValueError("empty keyframe set")
-    vox = frames[keys[0]].voxel_size
-    dims = frames[keys[0]].dims
+    dims, vox = _frame_geometry(frames)
+    X, Y, Z = dims
     lo, (nx, ny) = _map_extent([poses[k] for k in keys], dims, vox, margin)
-    labels = np.full((nx, ny, dims[2]), table.unassigned_id, dtype=np.uint8)
+    labels = np.full((nx, ny, Z), table.unassigned_id, dtype=np.uint8)
     gmap = GlobalMap(labels, vox, Pose2(lo[0], lo[1], 0.0), table)
+    columns = labels.reshape(nx * ny, Z)
     open_columns = np.ones((nx, ny), dtype=bool)  # still hold an unassigned voxel
 
     for k in keys:
@@ -125,12 +145,12 @@ def fuse_keyframes(frames, poses, keys, table, margin: float = 2.0) -> GlobalMap
         if hit is None:
             continue
         gx, gy, fx, fy = hit
-        src = frames[k].labels[fx, fy, :]          # (n, Z)
-        dst = gmap.labels[gx, gy, :]
-        unset = dst == table.unassigned_id
-        dst[unset] = src[unset]
-        gmap.labels[gx, gy, :] = dst
-        open_columns[gx, gy] = (dst == table.unassigned_id).any(axis=1)
+        cells = gx * ny + gy
+        src = frames[k].labels.reshape(X * Y, Z).take(fx * Y + fy, axis=0)  # (n, Z)
+        dst = columns.take(cells, axis=0)
+        np.copyto(dst, src, where=dst == table.unassigned_id)
+        columns[cells] = dst
+        open_columns.reshape(-1)[cells] = (dst == table.unassigned_id).any(axis=1)
 
     _sink_columns(gmap, table)
     _mode_fill_ground(gmap, table)
@@ -175,57 +195,86 @@ def _mode_fill_ground(gmap: GlobalMap, table) -> None:
     plane[fill] = best_label[fill]
 
 
-def vote_inpaint(gmap: GlobalMap, frames, poses, non_keys, tau_vote: int) -> GlobalMap:
-    """Pass 2: per-category indicator votes from warped non-keyframes fill the
-    still-unassigned voxels; argmax wins if it reaches tau_vote, ties break
-    toward the lowest category id. Pass-1 voxels are never modified.
+def _tally_votes(gmap: GlobalMap, unassigned, frames, poses, non_keys, cids):
+    """(C, n_holes) vote counts of the non-keyframes: row c for category
+    ``cids[c]``, column k for the k-th True voxel of ``unassigned`` in C
+    order. Category-major rows keep the winner's scans contiguous.
 
-    Each non-keyframe pulls back only the map columns that hold a hole, so
-    its cost scales with the hole columns inside its footprint. Votes are
-    counted only for the voxels pass 1 left unassigned: a row table sends
-    each (hole column, z) to a row of a compact (n_holes, C) tally, or to -1
-    on a pass-1 voxel, so memory scales with the holes, not with the map. A
-    frame casts at most one vote per hole, because ``_frame_to_map_indices``
-    yields each map cell at most once, so a plain fancy increment counts
-    exactly and no count exceeds ``len(non_keys)``: the tally takes the
-    smallest unsigned dtype that holds that (uint8 up to 255 frames, uint16
-    up to 65 535), so it never wraps.
+    Each frame pulls back only the map columns that hold a hole and gathers
+    their sources as flat rows of Z bytes. A one-byte mask, assigned in the
+    frame and a hole in the map, picks the voxels that can vote, and only
+    those go through the label -> category and hole -> slot lookups, so the
+    per-frame cost follows the votes. The slot table keeps int32 hole
+    indices; flat tally offsets are formed in int64 on the voters only.
     """
-    table = gmap.table
-    out = gmap.labels.copy()
-    unassigned = out == table.unassigned_id
-    n_holes = int(np.count_nonzero(unassigned))
-    if not n_holes or not non_keys:
-        return GlobalMap(out, gmap.voxel_size, gmap.origin, table)
-
+    dims, vox = _frame_geometry(frames)
+    X, Y = dims[0], dims[1]
+    GX, GY, Z = unassigned.shape
+    if (dims[2], vox) != (Z, gmap.voxel_size):
+        raise ValueError(f"frames have {dims[2]} z levels of {vox} m, "
+                         f"the map {Z} of {gmap.voxel_size} m")
     hole_column = unassigned.any(axis=2)
-    column_row = np.full(hole_column.shape, -1, dtype=np.int32)  # (x, y) -> slot row
-    column_row[hole_column] = np.arange(np.count_nonzero(hole_column), dtype=np.int32)
-    column_holes = unassigned[hole_column]                # (hole columns, Z)
-    slot = np.full(column_holes.shape, -1, dtype=np.int32)  # hole -> tally row
-    slot[column_holes] = np.arange(n_holes, dtype=np.int32)
-    cids = sorted(table.ids)
+    column_row = np.full(GX * GY, -1, dtype=np.int32)  # flat (x, y) -> hole column
+    column_row[hole_column.reshape(-1)] = np.arange(np.count_nonzero(hole_column),
+                                                    dtype=np.int32)
+    column_holes = unassigned[hole_column]  # (hole columns, Z)
+    n_holes = int(np.count_nonzero(column_holes))
+    slot = np.full(column_holes.size, -1, dtype=np.int32)  # flat (column, z) -> hole
+    slot[column_holes.reshape(-1)] = np.arange(n_holes, dtype=np.int32)
+    C = len(cids)
     levels = np.arange(256)  # every value a uint8 label can take
-    column = np.full(256, -1, dtype=np.int16)  # label value -> tally column
-    for col, cid in enumerate(cids):
-        column[levels == cid] = col
-    votes = np.zeros((n_holes, len(cids)), dtype=np.min_scalar_type(len(non_keys)))
+    category = np.full(256, -1, dtype=np.int16)  # label value -> tally row
+    for c, cid in enumerate(cids):
+        category[levels == cid] = c
+    votes = np.zeros(C * n_holes, dtype=np.min_scalar_type(len(non_keys)))
 
-    dims = frames[non_keys[0]].dims
+    unassigned_id = gmap.table.unassigned_id
     for t in non_keys:
         hit = _frame_to_map_indices(gmap, poses[t], dims, hole_column)
         if hit is None:
             continue
         gx, gy, fx, fy = hit
-        rows = slot[column_row[gx, gy], :]           # (n, Z)
-        cls = column[frames[t].labels[fx, fy, :]]    # (n, Z)
-        ok = (rows >= 0) & (cls >= 0)
-        votes[rows[ok], cls[ok]] += 1
+        crow = column_row[gx * GY + gy]
+        src = frames[t].labels.reshape(X * Y, Z).take(fx * Y + fy, axis=0)  # (n, Z)
+        cand = np.flatnonzero((src != unassigned_id) & column_holes.take(crow, axis=0))
+        cls = category[src.reshape(-1)[cand]]
+        ok = cls >= 0  # label values outside the table cast no vote
+        cand, cls = cand[ok], cls[ok]
+        row, z = np.divmod(cand, Z)
+        hole = slot[crow[row] * np.int64(Z) + z]
+        votes[cls * np.int64(n_holes) + hole] += 1
+    return votes.reshape(C, n_holes)
 
-    keep = votes.max(axis=1) >= tau_vote
-    filled = np.full(n_holes, table.unassigned_id, dtype=np.uint8)
-    # first (lowest-id) argmax on ties
-    filled[keep] = np.array(cids, dtype=np.uint8)[np.argmax(votes[keep], axis=1)]
+
+def vote_inpaint(gmap: GlobalMap, frames, poses, non_keys, tau_vote: int) -> GlobalMap:
+    """Pass 2: per-category indicator votes from warped non-keyframes fill the
+    still-unassigned voxels; argmax wins if it reaches tau_vote, ties break
+    toward the lowest category id. Pass-1 voxels are never modified.
+
+    Votes go to a compact (C, n_holes) tally (``_tally_votes``), so memory
+    scales with the holes, not with the map, and each frame's cost with the
+    voxels that vote, not with its footprint. A frame casts at most one vote
+    per hole, because ``_frame_to_map_indices`` yields each map cell at most
+    once, so a plain fancy increment counts exactly and no count exceeds
+    ``len(non_keys)``: the tally takes the smallest unsigned dtype that
+    holds that (uint8 up to 255 frames, uint16 up to 65 535), so it never
+    wraps. The winner comes from a running maximum over the C category rows
+    and a reverse pass that keeps the lowest category reaching it.
+    """
+    table = gmap.table
+    out = gmap.labels.copy()
+    unassigned = out == table.unassigned_id
+    if not non_keys or not unassigned.any():
+        return GlobalMap(out, gmap.voxel_size, gmap.origin, table)
+    cids = sorted(table.ids)
+    votes = _tally_votes(gmap, unassigned, frames, poses, non_keys, cids)
+    best = votes[0].copy()
+    for row in votes[1:]:
+        np.maximum(best, row, out=best)
+    filled = np.empty(len(best), dtype=np.uint8)
+    for cid, row in reversed(list(zip(cids, votes))):
+        np.putmask(filled, row == best, cid)
+    filled[best < tau_vote] = table.unassigned_id
     out[unassigned] = filled
     return GlobalMap(out, gmap.voxel_size, gmap.origin, table)
 

@@ -11,7 +11,7 @@ import pytest
 
 import voxsim
 from voxsim.agents import AgentLayout, LayoutEntry, encode_heatmap, write_heatmap
-from voxsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main, stage_seed
+from voxsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_STAGE, main, stage_seed
 from voxsim.geometry import Pose2, load_trajectory
 from voxsim.metrics import fid, kid, mmd, read_features, write_features
 from voxsim.occupancy import (MAGIC, GlobalMap, OccupancyGrid, default_table, read_grid,
@@ -351,6 +351,24 @@ class TestExitCodes:
                      "--poses", str(tmp_path / "traj.json"),
                      "--out", str(tmp_path / "map.occg")])
         assert code == EXIT_CONFIG
+
+    def test_frames_of_mixed_dims_are_a_stage_failure(self, tmp_path, capsys):
+        # frame 0 is 30 x 30 x 4 and the five after it 20 x 20 x 4
+        (tmp_path / "frames").mkdir()
+        table = default_table()
+        for i in range(6):
+            shape = (30, 30, 4) if i == 0 else (20, 20, 4)
+            write_grid(OccupancyGrid(np.full(shape, table.road_id, dtype=np.uint8)),
+                       tmp_path / "frames" / f"frame_{i:06d}.occg")
+        (tmp_path / "traj.json").write_text(json.dumps(
+            [{"t": float(i), "x": 4.0, "y": 4.0, "yaw": 0.0} for i in range(6)]))
+        code = main(["fuse", "--frames", str(tmp_path / "frames"),
+                     "--poses", str(tmp_path / "traj.json"),
+                     "--out", str(tmp_path / "map.occg")])
+        assert code == EXIT_STAGE
+        assert ("frame 1 has dims (20, 20, 4), frame 0 has (30, 30, 4)"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "map.occg").exists()
 
     def test_no_valid_endpoints_is_config_error(self, tmp_path):
         _spawnable_world(tmp_path, valid_endpoints=())

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -163,6 +164,54 @@ class TestFirstWins:
         assert (core == table.road_id).all()
 
 
+def mixed_sequence(table, dims, voxel_sizes):
+    """One all-road frame per (dims, voxel size), all at one pose."""
+    pose = Pose2(4.0, 4.0, 0.0)
+    frames = [OccupancyGrid(np.full(d, table.road_id, dtype=np.uint8), v, pose, table)
+              for d, v in zip(dims, voxel_sizes)]
+    return frames, [pose] * len(frames)
+
+
+MIXED_SEQUENCES = pytest.mark.parametrize("dims, voxel_sizes, message", [
+    ([(30, 30, 4)] + [(20, 20, 4)] * 5, [0.4] * 6,
+     "frame 1 has dims (20, 20, 4), frame 0 has (30, 30, 4)"),
+    ([(20, 20, 4)] * 3 + [(20, 20, 5)] * 3, [0.4] * 6,
+     "frame 3 has dims (20, 20, 5), frame 0 has (20, 20, 4)"),
+    ([(20, 20, 4)] * 6, [0.4, 0.4, 0.5, 0.4, 0.4, 0.5],
+     "frame 2 has voxel size 0.5 m, frame 0 has 0.4 m"),
+], ids=["xy", "z", "voxel-size"])
+
+
+class TestFrameGeometry:
+    @MIXED_SEQUENCES
+    def test_fuse_sequence_names_the_first_frame_that_differs(
+            self, table, dims, voxel_sizes, message):
+        frames, poses = mixed_sequence(table, dims, voxel_sizes)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fuse_sequence(frames, poses, FusionParams())
+
+    @MIXED_SEQUENCES
+    def test_each_pass_checks_the_whole_sequence(self, table, dims, voxel_sizes, message):
+        # frame 0 alone is the keyframe, frames 1-5 the non-keyframes
+        frames, poses = mixed_sequence(table, dims, voxel_sizes)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fuse_keyframes(frames, poses, [0], table)
+        gmap = GlobalMap(np.zeros((40, 40, dims[0][2]), dtype=np.uint8),
+                         voxel_sizes[0], Pose2(), table)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            vote_inpaint(gmap, frames, poses, [1, 2, 3, 4, 5], 1)
+
+    @pytest.mark.parametrize("z, vox, message", [
+        (5, 0.4, "frames have 4 z levels of 0.4 m, the map 5 of 0.4 m"),
+        (4, 0.5, "frames have 4 z levels of 0.4 m, the map 4 of 0.5 m"),
+    ], ids=["z", "voxel-size"])
+    def test_vote_pass_checks_the_frames_against_the_map(self, table, z, vox, message):
+        frames, poses = mixed_sequence(table, [(20, 20, 4)] * 2, [0.4] * 2)
+        gmap = GlobalMap(np.zeros((40, 40, z), dtype=np.uint8), vox, Pose2(), table)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            vote_inpaint(gmap, frames, poses, [1], 1)
+
+
 def reference_sink_columns(labels, table):
     """Sunk copy of a label volume from one fancy gather over (X, Y, Z)
     int64 source indices: the reference for _sink_columns' plane loop."""
@@ -286,6 +335,28 @@ class TestVoteInpaint:
         out = vote_inpaint(gmap, frames, poses, list(range(len(frames))), 3)
         assert (out.labels[:, :, 0] == table.road_id).all()
 
+    def test_tie_at_exactly_tau_picks_the_lower_id(self, table):
+        # sidewalk (2) and obstacle (5) are not adjacent tally columns; each
+        # gets exactly tau_vote votes, the higher id first
+        gmap, frames, poses = self._map_and_frames(table, [(5, 3), (2, 3)])
+        non_keys = list(range(len(frames)))
+        out = vote_inpaint(gmap, frames, poses, non_keys, 3)
+        ref = dense_vote_inpaint(gmap, frames, poses, non_keys, 3)
+        assert np.array_equal(out.labels, ref.labels)
+        assert (out.labels[:, :, 0] == 2).all()
+        assert (out.labels[:, :, 1:] == table.unassigned_id).all()
+
+    def test_one_vote_short_stays_unassigned_beside_a_fill(self, table):
+        # rows x < 4 get tau_vote road votes, rows x >= 4 one fewer
+        gmap, frames, poses = self._map_and_frames(table, [(table.road_id, 3)])
+        frames[2].labels[4:, :, :] = table.unassigned_id
+        non_keys = list(range(len(frames)))
+        out = vote_inpaint(gmap, frames, poses, non_keys, 3)
+        ref = dense_vote_inpaint(gmap, frames, poses, non_keys, 3)
+        assert np.array_equal(out.labels, ref.labels)
+        assert (out.labels[:4, :, 0] == table.road_id).all()
+        assert (out.labels[4:, :, 0] == table.unassigned_id).all()
+
     def test_tally_counts_past_255_votes(self, table):
         # 300 non-keyframes take a uint16 tally; a uint8 one would wrap at 256.
         # The tally takes np.min_scalar_type(len(non_keys)) and one frame casts
@@ -340,13 +411,17 @@ def dense_vote_inpaint(gmap, frames, poses, non_keys, tau_vote):
 def vote_worlds(draw):
     """A small pass-1 map with 0%, some or 100% of its voxels unassigned and
     rotated, translated, overlapping non-keyframes whose labels include the
-    unassigned id; a tie pair puts two constant frames at one pose."""
+    unassigned id and, in some worlds, values outside the table; some
+    frames are entirely unassigned; a tie pair puts two constant frames at
+    one pose."""
     table = default_table()
     vox = 0.4
     nx, ny = draw(st.integers(4, 14)), draw(st.integers(4, 14))
     Z = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     values = np.array((table.unassigned_id,) + table.ids, dtype=np.uint8)
+    if draw(st.booleans()):  # label values no category holds cast no vote
+        values = np.concatenate([values, np.array([7, 200, 255], dtype=np.uint8)])
     labels = rng.choice(np.array(table.ids, dtype=np.uint8), size=(nx, ny, Z))
     holes = draw(st.sampled_from(["none", "partial", "all"]))
     if holes == "all":
@@ -360,9 +435,11 @@ def vote_worlds(draw):
                         st.floats(-math.pi, math.pi))
     frames, poses = [], []
     for pose in draw(st.lists(pose_st, min_size=1, max_size=6)):
+        blank = draw(st.booleans())  # an entirely unassigned frame votes nowhere
         for _ in range(draw(st.integers(1, 3))):  # repeats overlap exactly
-            frames.append(OccupancyGrid(rng.choice(values, size=(X, Y, Z)), vox,
-                                        pose, table))
+            frame = (np.full((X, Y, Z), table.unassigned_id, dtype=np.uint8) if blank
+                     else rng.choice(values, size=(X, Y, Z)))
+            frames.append(OccupancyGrid(frame, vox, pose, table))
             poses.append(pose)
     if draw(st.booleans()):
         pose = draw(pose_st)
