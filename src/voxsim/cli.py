@@ -72,11 +72,23 @@ def _config_value(cfg: dict, key: str, default, rule: occupancy.Rule):
 
 
 def _sha256(path: Path) -> str:
+    """The file's sha256, read through one reused 1 MiB buffer."""
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
+    buf = memoryview(bytearray(1 << 20))
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            h.update(buf[:n])
     return h.hexdigest()
+
+
+def _fresh_frames_dir(frames_dir: Path) -> Path:
+    """``frames_dir``, created if missing, with the frame files of an
+    earlier run into it deleted: a stage writes its frames one at a time,
+    and a shorter run must not leave the old tail behind."""
+    frames_dir.mkdir(parents=True, exist_ok=True)
+    for old in frames_dir.glob("frame_*.occg"):
+        old.unlink()
+    return frames_dir
 
 
 # --- stage implementations --------------------------------------------------
@@ -102,10 +114,9 @@ def run_synth(cfg: dict, seed: int, out_dir: Path) -> dict:
         poses = synthworld.curve_trajectory(spec, step=step)
     else:
         poses = synthworld.straight_trajectory(spec, step=step)
-    frames = synthworld.sample_frames(world, poses, crop_dims=tuple(crop_dims),
-                                      noise=noise, seed=seed % (2 ** 31))
-    frames_dir = out_dir / "frames"
-    frames_dir.mkdir(parents=True, exist_ok=True)
+    frames = synthworld.iter_frames(world, poses, crop_dims=tuple(crop_dims),
+                                    noise=noise, seed=seed % (2 ** 31))
+    frames_dir = _fresh_frames_dir(out_dir / "frames")
     for i, f in enumerate(frames):
         occupancy.write_grid(f, frames_dir / f"frame_{i:06d}.occg")
     world_path = out_dir / "world.occg"
@@ -116,10 +127,12 @@ def run_synth(cfg: dict, seed: int, out_dir: Path) -> dict:
 
 
 def _load_frames(frames_dir: Path):
+    """The frames under ``frames_dir`` in file-name order, each a GridFile
+    whose header has been checked; fusion reads their labels as it goes."""
     paths = sorted(Path(frames_dir).glob("frame_*.occg"))
     if not paths:
         raise ConfigError(f"no frames found under {frames_dir}")
-    return [occupancy.read_grid(p) for p in paths]
+    return [occupancy.GridFile(p) for p in paths]
 
 
 def run_fuse(frames_dir, traj_path, params_cfg: dict, out_path: Path) -> dict:
@@ -191,10 +204,11 @@ def run_simulate(map_path, lanes_path, graph_path, traj_path, params_cfg,
     params = _from_config(SimParams, params_cfg, idm=idm, seed=seed % (2 ** 31))
     sim = _build_sim(map_path, lanes_path, graph_path, layout, params,
                      load_trajectory(traj_path).poses)
-    frames, logbook = sim.run(ego_pose_index=0)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for i, f in enumerate(frames):
-        occupancy.write_grid(f, out_dir / f"frame_{i:06d}.occg")
+    _fresh_frames_dir(out_dir)
+    logbook = []
+    for i, (frame, entry) in enumerate(sim.iter_steps(ego_pose_index=0)):
+        occupancy.write_grid(frame, out_dir / f"frame_{i:06d}.occg")
+        logbook.append(entry)
     manifest_path = out_dir / "run_manifest.json"
     occupancy.save_json({"steps": logbook}, manifest_path)
     return {"frames": str(out_dir), "run_manifest": str(manifest_path)}

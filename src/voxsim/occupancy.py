@@ -1,5 +1,10 @@
 """Semantic occupancy volumes, the category table (``ids_for``), world-to-cell
-conversion (``GlobalMap.cell_of``/``cell_center``), setting rules and OCCG I/O."""
+conversion (``GlobalMap.cell_of``/``cell_center``), setting rules and OCCG I/O.
+
+``GridFile`` is the one OCCG reader: opening one reads and checks the header
+and the payload's length, and its ``labels`` are read from disk on each
+access, so a sequence of frames can be passed around as files and held one
+frame at a time. ``read_grid`` loads a whole file through it."""
 
 from __future__ import annotations
 
@@ -7,6 +12,7 @@ import dataclasses
 import json
 import math
 import numbers
+import os
 import struct
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -249,19 +255,17 @@ def read_container(data: bytes, magic: bytes, fields: str) -> tuple:
     return struct.unpack_from(fields, data, len(magic))
 
 
-def container_payload(data: bytes, offset: int, nbytes: int) -> bytes:
-    """The payload from ``offset`` to the end of the file, which must be
-    exactly ``nbytes`` long."""
-    payload = data[offset:]
-    if len(payload) != nbytes:
-        raise GridFormatError(f"payload length {len(payload)} != expected {nbytes}", offset)
-    return payload
+def check_payload(length: int, offset: int, nbytes: int) -> None:
+    """Raise unless the payload from ``offset`` to the end of the file,
+    ``length`` bytes, is exactly ``nbytes`` long."""
+    if length != nbytes:
+        raise GridFormatError(f"payload length {length} != expected {nbytes}", offset)
 
 
 def container_floats(data: bytes, offset: int, shape: tuple) -> np.ndarray:
     """The float32 payload from ``offset`` as floats of ``shape``, all finite."""
-    payload = container_payload(data, offset, 4 * math.prod(shape))
-    values = np.frombuffer(payload, dtype="<f4").reshape(shape)
+    check_payload(len(data) - offset, offset, 4 * math.prod(shape))
+    values = np.frombuffer(data[offset:], dtype="<f4").reshape(shape)
     if not np.isfinite(values).all():
         raise GridFormatError("payload holds a value that is not finite", offset)
     return values.astype(float)
@@ -281,7 +285,7 @@ def write_grid(grid: OccupancyGrid, path) -> None:
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        fh.write(np.ascontiguousarray(grid.labels, dtype=np.uint8).tobytes())
+        fh.write(np.ascontiguousarray(grid.labels, dtype=np.uint8))
 
 
 def _parse_header(blob: bytes):
@@ -302,16 +306,41 @@ def _parse_header(blob: bytes):
         raise GridFormatError(f"bad JSON header: {e!r}", 24) from e
 
 
+class GridFile:
+    """An OCCG file opened lazily: construction reads and checks the header
+    and the payload's length, and ``labels`` reads the payload from disk on
+    every access, into a fresh array, and keeps nothing. A list of these
+    stands in for a list of frames at the memory of one frame."""
+
+    def __init__(self, path):
+        self.path = path
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            version, hlen = read_container(fh.read(24), MAGIC, "<IQ")
+            if version != VERSION:
+                raise GridFormatError(f"unknown version {version}", 12)
+            if size < 24 + hlen:  # before any read of hlen bytes
+                raise GridFormatError("truncated JSON header", 24)
+            dims, self.voxel_size, self.origin, self.table, self.is_global = (
+                _parse_header(fh.read(hlen)))
+        self.dims = tuple(dims)
+        self._offset = 24 + hlen
+        check_payload(size - self._offset, self._offset, math.prod(dims))
+
+    @property
+    def labels(self) -> np.ndarray:
+        """The label volume, read from the file with one copy per byte."""
+        labels = np.empty(self.dims, dtype=np.uint8)
+        with open(self.path, "rb") as fh:
+            fh.seek(self._offset)
+            check_payload(fh.readinto(labels), self._offset, labels.size)
+        return labels
+
+    def load(self) -> OccupancyGrid:
+        """The whole grid in memory, a GlobalMap when the file says global."""
+        cls = GlobalMap if self.is_global else OccupancyGrid
+        return cls(self.labels, self.voxel_size, self.origin, self.table)
+
+
 def read_grid(path) -> OccupancyGrid:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    version, hlen = read_container(data, MAGIC, "<IQ")
-    if version != VERSION:
-        raise GridFormatError(f"unknown version {version}", 12)
-    if len(data) < 24 + hlen:
-        raise GridFormatError("truncated JSON header", 24)
-    dims, vox, origin, table, is_global = _parse_header(data[24:24 + hlen])
-    payload = container_payload(data, 24 + hlen, dims[0] * dims[1] * dims[2])
-    labels = np.frombuffer(payload, dtype=np.uint8).reshape(dims).copy()
-    cls = GlobalMap if is_global else OccupancyGrid
-    return cls(labels, vox, origin, table)
+    return GridFile(path).load()

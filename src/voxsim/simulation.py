@@ -337,16 +337,19 @@ class Simulator:
         state.step_index += 1
         return frame
 
-    def run(self, ego_pose_index: int = None):
-        """Roll the engine for the configured horizon; returns (frames, states
-        log). Deterministic for a fixed params.seed."""
+    def iter_steps(self, ego_pose_index: int = None):
+        """Roll the engine for the configured horizon, yielding each step's
+        (frame, log entry) as it is made. Deterministic for a fixed
+        params.seed."""
         state = self.init_state(ego_pose_index)
-        frames = []
-        logbook = []
         for _ in range(self.params.horizon):
-            frames.append(self.step(state))
-            logbook.append(snapshot_state(state))
-        return frames, logbook
+            frame = self.step(state)
+            yield frame, snapshot_state(state)
+
+    def run(self, ego_pose_index: int = None):
+        """``iter_steps`` collected: (frames, states log)."""
+        steps = list(self.iter_steps(ego_pose_index))
+        return [frame for frame, _ in steps], [entry for _, entry in steps]
 
 
 def _stamp_boxes(labels: np.ndarray, local: np.ndarray, yaws, assets,

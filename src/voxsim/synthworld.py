@@ -135,16 +135,16 @@ def generate_world(spec: WorldSpec) -> GlobalMap:
     return GlobalMap(labels, vox, Pose2(0.0, 0.0, 0.0), table)
 
 
-def sample_frames(world: GlobalMap, trajectory, crop_dims=DEFAULT_CROP_DIMS,
-                  noise: float = 0.0, seed: int = 0):
-    """Ego-centric crops of the world along a trajectory, with optional
-    label-flip noise: each voxel independently, with probability ``noise``,
-    takes a category id drawn uniformly from the table (possibly its own)."""
+def iter_frames(world: GlobalMap, trajectory, crop_dims=DEFAULT_CROP_DIMS,
+                noise: float = 0.0, seed: int = 0):
+    """Ego-centric crops of the world along a trajectory, one at a time, with
+    optional label-flip noise: each voxel independently, with probability
+    ``noise``, takes a category id drawn uniformly from the table (possibly
+    its own). Frame i's draws follow frame i - 1's from one generator."""
     poses = trajectory.poses if hasattr(trajectory, "poses") else list(trajectory)
     rng = np.random.default_rng(seed)
     lo, hi = world.extent
     ids = np.array(world.table.ids, dtype=np.uint8)
-    frames = []
     for pose in poses:
         if not (lo[0] <= pose.x <= hi[0] and lo[1] <= pose.y <= hi[1]):
             log.warning("pose (%.1f, %.1f) outside world extent", pose.x, pose.y)
@@ -156,8 +156,13 @@ def sample_frames(world: GlobalMap, trajectory, crop_dims=DEFAULT_CROP_DIMS,
             flips = rng.choice(size, rng.binomial(size, noise), replace=False,
                                shuffle=False)
             np.put(frame.labels, flips, ids[rng.integers(0, len(ids), size=len(flips))])
-        frames.append(frame)
-    return frames
+        yield frame
+
+
+def sample_frames(world: GlobalMap, trajectory, crop_dims=DEFAULT_CROP_DIMS,
+                  noise: float = 0.0, seed: int = 0):
+    """``iter_frames`` as a list."""
+    return list(iter_frames(world, trajectory, crop_dims, noise, seed))
 
 
 def straight_trajectory(spec: WorldSpec, step: float = 3.2, margin: float = 12.0):

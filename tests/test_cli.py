@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,11 +12,12 @@ import pytest
 
 import voxsim
 from voxsim.agents import AgentLayout, LayoutEntry, encode_heatmap, write_heatmap
-from voxsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_STAGE, main, stage_seed
+from voxsim.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_STAGE, main, run_fuse,
+                        run_lanes, run_simulate, run_synth, run_topo, stage_seed)
 from voxsim.geometry import Pose2, load_trajectory
 from voxsim.metrics import fid, kid, mmd, read_features, write_features
-from voxsim.occupancy import (MAGIC, GlobalMap, OccupancyGrid, default_table, read_grid,
-                              write_grid)
+from voxsim.occupancy import (MAGIC, GlobalMap, GridFile, GridFormatError, OccupancyGrid,
+                              default_table, read_grid, write_grid)
 from voxsim.synthworld import WorldSpec, curve_trajectory
 
 
@@ -41,6 +43,31 @@ PIPELINE_HASHES = {
     ("simulate", "run_manifest"):
         "b3a4215be7a224ee9898c990b6d3aeee0539e2de4da99bae9099eaf553553e87",
 }
+
+
+def _pipeline_config(**sections):
+    """PIPELINE_CONFIG with the keys of each given section replaced."""
+    return {stage: {**PIPELINE_CONFIG.get(stage, {}), **sections.get(stage, {})}
+            for stage in {*PIPELINE_CONFIG, *sections}}
+
+
+def _run_pipeline(tmp_path, config, out_dir):
+    """Artifact sha256 values by (stage, artifact) of a seed-7 pipeline run
+    of ``config`` into ``out_dir``, and the stage names in order."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["pipeline", "--config", str(cfg), "--seed", "7",
+                 "--out-dir", str(out_dir)]) == EXIT_OK
+    manifest = json.loads((out_dir / "pipeline_manifest.json").read_text())
+    hashes = {(s["stage"], name): art["sha256"]
+              for s in manifest["stages"] for name, art in s["artifacts"].items()}
+    return hashes, [s["stage"] for s in manifest["stages"]]
+
+
+def _write_poses(path, poses):
+    """A trajectory file of (x, y, yaw) poses, one per second."""
+    path.write_text(json.dumps([{"t": float(t), "x": x, "y": y, "yaw": yaw}
+                                for t, (x, y, yaw) in enumerate(poses)]))
 
 
 # every 2 m obstacle footprint in this world touches road or sidewalk
@@ -370,6 +397,31 @@ class TestExitCodes:
                 in capsys.readouterr().err)
         assert not (tmp_path / "map.occg").exists()
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda data: b"garbage" * 10,
+        lambda data: data[:24] + b"#" + data[25:],
+        lambda data: data[:-1],
+        lambda data: data + b"\0",
+    ], ids=["garbage", "bad-json-header", "truncated-payload", "trailing-byte"])
+    def test_corrupt_frame_is_io_error(self, tmp_path, corrupt):
+        # frames are read lazily during fusion, but every file is checked
+        # when the directory is opened: one bad vote frame fails the run
+        # before any map is written
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        road = np.full((20, 20, 4), default_table().road_id, dtype=np.uint8)
+        for i in range(4):
+            write_grid(OccupancyGrid(road), frames / f"frame_{i:06d}.occg")
+        bad = frames / "frame_000002.occg"
+        bad.write_bytes(corrupt(bad.read_bytes()))
+        with pytest.raises(GridFormatError):
+            GridFile(bad)   # the check runs on opening, not on the first read
+        _write_poses(tmp_path / "traj.json", [(4.0, 4.0, 0.0)] * 4)
+        code = main(["fuse", "--frames", str(frames), "--poses", str(tmp_path / "traj.json"),
+                     "--out", str(tmp_path / "map.occg")])
+        assert code == EXIT_IO
+        assert not (tmp_path / "map.occg").exists()
+
     def test_no_valid_endpoints_is_config_error(self, tmp_path):
         _spawnable_world(tmp_path, valid_endpoints=())
         (tmp_path / "traj.json").write_text(json.dumps(
@@ -463,21 +515,26 @@ class TestSpawnFromLayout:
 
 class TestPipeline:
     def test_end_to_end_manifest(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(PIPELINE_CONFIG))
         out_dir = tmp_path / "out"
-        code = main(["pipeline", "--config", str(cfg), "--seed", "7",
-                     "--out-dir", str(out_dir)])
-        assert code == EXIT_OK
-        manifest = json.loads((out_dir / "pipeline_manifest.json").read_text())
-        stages = [s["stage"] for s in manifest["stages"]]
+        hashes, stages = _run_pipeline(tmp_path, PIPELINE_CONFIG, out_dir)
         assert stages == ["synth", "fuse", "topo", "lanes", "spawn", "simulate"]
-        hashes = {(s["stage"], name): art["sha256"]
-                  for s in manifest["stages"] for name, art in s["artifacts"].items()}
         assert hashes == PIPELINE_HASHES
         assert (out_dir / "map.occg").exists()
         assert (out_dir / "lanes.json").exists()
         assert (out_dir / "rollout" / "run_manifest.json").exists()
+
+    @pytest.mark.parametrize("before, after", [
+        # 12 synth frames, then 6: fusion used to find 12 frames for 6 poses
+        ({}, {"synth": {"trajectory": {"step": 6.4}}}),
+        # 6 rollout frames, then 3: frames 3-5 used to stay in the rollout
+        ({"simulate": {"horizon": 6}}, {"simulate": {"horizon": 3}}),
+    ], ids=["fewer-poses", "shorter-horizon"])
+    def test_rerun_into_used_dir_matches_fresh_dir(self, tmp_path, capsys, before, after):
+        used = tmp_path / "used"
+        _run_pipeline(tmp_path, _pipeline_config(**before), used)
+        rerun, _ = _run_pipeline(tmp_path, _pipeline_config(**after), used)
+        fresh, _ = _run_pipeline(tmp_path, _pipeline_config(**after), tmp_path / "fresh")
+        assert rerun == fresh
 
     def test_even_block_grid(self, tmp_path, capsys):
         # two road rows, so none runs along y = extent/2: the ego path must
@@ -508,3 +565,46 @@ class TestPipeline:
         capsys.readouterr()
         lanes = json.loads((tmp_path / "lanes.json").read_text())
         assert len(lanes) >= 1
+
+
+class TestStreaming:
+    """synth, fuse and simulate hold one frame at a time: over a fixed map,
+    the traced peak of 4N frames exceeds that of N by less than one frame."""
+
+    CROP = (120, 120, 16)   # synth and fuse frames
+    FOV = (200, 200, 16)    # simulate frames (the SimParams default)
+
+    @staticmethod
+    def _peak(stage, *args) -> int:
+        tracemalloc.start()
+        try:
+            stage(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def _peaks(self, out: Path, n: int) -> dict:
+        """Traced peaks of the three stages over n frames at one repeated
+        pose on the road, so that the fused map's extent is fixed."""
+        out.mkdir()
+        _write_poses(out / "path.json", [(30.0, 30.0, 0.0)] * n)
+        spec = {"world": PIPELINE_CONFIG["synth"]["world"], "crop_dims": list(self.CROP),
+                "trajectory": {"path": str(out / "path.json")}}
+        traj = out / "trajectory.json"
+        peaks = {"synth": self._peak(run_synth, spec, 7, out),
+                 "fuse": self._peak(run_fuse, out / "frames", traj, {}, out / "map.occg")}
+        # the ground-truth world as the map: its lanes do not depend on n
+        run_topo(out / "world.occg", {}, out / "graph.json")
+        run_lanes(out / "world.occg", out / "graph.json", {}, out / "lanes.json")
+        peaks["simulate"] = self._peak(
+            run_simulate, out / "world.occg", out / "lanes.json", out / "graph.json", traj,
+            {"horizon": n}, 7, "procedural", out / "rollout")
+        assert len(list((out / "rollout").glob("frame_*.occg"))) == n
+        return peaks
+
+    def test_peak_memory_does_not_grow_with_frame_count(self, tmp_path):
+        few, many = self._peaks(tmp_path / "few", 3), self._peaks(tmp_path / "many", 12)
+        frame_bytes = {"synth": math.prod(self.CROP), "fuse": math.prod(self.CROP),
+                       "simulate": math.prod(self.FOV)}
+        for stage, nbytes in frame_bytes.items():
+            assert many[stage] - few[stage] < nbytes, (stage, few[stage], many[stage])
