@@ -5,13 +5,17 @@ into a fresh world map and sinks columns to the ground plane, phase 3 inpaints
 the remaining gaps with per-category votes from the non-keyframes, and phase 4
 cleans the result morphologically. Both warping passes pull back only the map
 columns that can still change: phase 2 skips columns an earlier keyframe has
-filled, and phase 3 visits only columns that hold a hole. Both gather a
-frame's sources as flat rows of Z bytes, one ``take`` per frame. Phase 3
-then looks up and counts only the voxels that can vote, assigned in the
-frame and left unassigned by phase 2, in a tally of one count per hole and
-category, so its per-frame work follows the votes and its memory the holes,
-not each frame's footprint or the map. Every frame of a sequence must share
-frame 0's dims and voxel size.
+filled, and phase 3 visits only columns that hold a hole. Phase 3 also
+visits only the part of each map row that the frame's footprint can cover:
+two binary searches per row in the sorted list of hole columns find the
+ones inside, so a vote frame's pull-back work follows its footprint's rows
+plus the hole columns inside it, not its axis-aligned box. Both passes
+gather a frame's sources as flat rows of Z bytes, one ``take`` per frame.
+Phase 3 then looks up and counts only the voxels that can vote, assigned in
+the frame and left unassigned by phase 2, in a tally of one count per hole
+and category, so its per-frame work follows the votes and its memory the
+holes, not each frame's footprint or the map. Every frame of a sequence
+must share frame 0's dims, voxel size and semantic table.
 """
 
 from __future__ import annotations
@@ -76,46 +80,130 @@ def _map_extent(poses, dims, vox: float, margin: float):
     return lo, (nx, ny)
 
 
+def _footprint_box(gmap: GlobalMap, pose: Pose2, dims):
+    """Map-index corners (g0, g1) of the part of the frame's axis-aligned
+    footprint box that lies on the map, g1 exclusive; None when the
+    footprint misses the map."""
+    lo, hi = _frame_footprint(pose, dims, gmap.voxel_size)
+    g0 = np.maximum(gmap.cell_of(*lo), 0)
+    g1 = np.minimum(np.add(gmap.cell_of(*hi), 1), gmap.dims[:2])
+    if np.any(g1 <= g0):
+        return None
+    return g0, g1
+
+
+def _pull_back(gmap: GlobalMap, pose: Pose2, dims, gx, gy):
+    """(fx, fy, ok): the frame indices of map cells (gx, gy) and whether
+    they fall inside the frame. Cell centres go through the inverse ego pose
+    and ``floor``, the exact inverse of the crop sampling. The arithmetic is
+    elementwise, so a cell's answer does not depend on which other cells
+    are pulled back with it; both passes select their cells in other ways
+    and then pull them back here."""
+    vox = gmap.voxel_size
+    X, Y = dims[0], dims[1]
+    lx, ly = pose.inverse().transform_xy(*gmap.cell_center(gx, gy))
+    fx = np.floor(lx / vox + X / 2.0).astype(np.int64)
+    fy = np.floor(ly / vox + Y / 2.0).astype(np.int64)
+    return fx, fy, (fx >= 0) & (fx < X) & (fy >= 0) & (fy < Y)
+
+
 def _frame_to_map_indices(gmap: GlobalMap, pose: Pose2, dims, columns):
     """(gx, gy, fx, fy) for every global cell inside the frame's footprint
     whose column is set in the (X, Y) bool mask ``columns``; None when the
     footprint misses the map.
 
-    Gather formulation: global cell centers are pulled back through the ego
-    pose into frame indices, the exact inverse of the crop sampling. Only the
-    masked cells of the footprint's box are pulled back, in row-major order,
-    and each cell's float pull-back does not depend on which others are
-    pulled back with it, so the result is the masked subset of the whole
+    Only the masked cells of the footprint's box are pulled back, in
+    row-major order, so the result is the masked subset of the whole
     footprint's, bit for bit. Each map cell appears at most once.
     """
-    vox = gmap.voxel_size
-    X, Y = dims[0], dims[1]
-    lo, hi = _frame_footprint(pose, dims, vox)
-    g0 = np.maximum(gmap.cell_of(*lo), 0)
-    g1 = np.minimum(np.add(gmap.cell_of(*hi), 1), gmap.dims[:2])
-    if np.any(g1 <= g0):
+    box = _footprint_box(gmap, pose, dims)
+    if box is None:
         return None
+    g0, g1 = box
     gx, gy = np.nonzero(columns[g0[0]:g1[0], g0[1]:g1[1]])
     gx += g0[0]
     gy += g0[1]
-    lx, ly = pose.inverse().transform_xy(*gmap.cell_center(gx, gy))
-    fx = np.floor(lx / vox + X / 2.0).astype(np.int64)
-    fy = np.floor(ly / vox + Y / 2.0).astype(np.int64)
-    ok = (fx >= 0) & (fx < X) & (fy >= 0) & (fy < Y)
+    fx, fy, ok = _pull_back(gmap, pose, dims, gx, gy)
     return gx[ok], gy[ok], fx[ok], fy[ok]
+
+
+def _row_span(a, b, n):
+    """Float bounds (lo, hi) of the gy along each map row at which the frame
+    coordinate ``a + b * gy`` (in voxels, one ``a`` per row) lies in
+    [-1, n + 1]: the frame's [0, n) grown by one voxel on each side. With
+    ``b == 0`` the coordinate is constant along a row, so a row is all in
+    or all out."""
+    if b == 0:
+        inside = (a >= -1) & (a <= n + 1)
+        return np.where(inside, -np.inf, np.inf), np.where(inside, np.inf, -np.inf)
+    t0, t1 = (-1 - a) / b, (n + 1 - a) / b
+    return np.minimum(t0, t1), np.maximum(t0, t1)
+
+
+def _footprint_rows(gmap: GlobalMap, pose: Pose2, dims):
+    """(rows, jlo, jhi): the map rows of the frame's footprint box and, for
+    each, a range [jlo, jhi) of gy inside the box that holds every cell of
+    that row inside the frame; None when the footprint misses the map.
+
+    Along a map row both frame coordinates are linear in gy, so the frame
+    rectangle grown by one voxel on every side cuts the row in one interval.
+    The margin is far larger than the rounding of the exact pull-back, so
+    the ranges are supersets: ``_pull_back`` still decides each cell.
+    """
+    box = _footprint_box(gmap, pose, dims)
+    if box is None:
+        return None
+    g0, g1 = box
+    inv = pose.inverse()
+    c, s = math.cos(inv.yaw), math.sin(inv.yaw)  # as in Pose2.transform_xy
+    rows = np.arange(g0[0], g1[0], dtype=np.int64)
+    lx, ly = inv.transform_xy(*gmap.cell_center(rows, 0))  # at gy = 0
+    vox = gmap.voxel_size
+    # one step in gy moves the frame coordinates by (-s, c) voxels
+    ulo, uhi = _row_span(lx / vox + dims[0] / 2.0, -s, dims[0])
+    vlo, vhi = _row_span(ly / vox + dims[1] / 2.0, c, dims[1])
+    jlo = np.clip(np.ceil(np.maximum(ulo, vlo)), g0[1], g1[1]).astype(np.int64)
+    jhi = np.clip(np.floor(np.minimum(uhi, vhi)) + 1, g0[1], g1[1]).astype(np.int64)
+    return rows, jlo, np.maximum(jhi, jlo)
+
+
+def _frame_hole_columns(gmap: GlobalMap, pose: Pose2, dims, hole_cells):
+    """(k, fx, fy) for every hole column inside the frame: ``hole_cells[k]``
+    is its flat map cell gx * GY + gy, from the sorted int64 ``hole_cells``;
+    None when the footprint misses the map. Cells come in row-major order.
+
+    Two binary searches per footprint row find the hole columns in its range
+    (``_footprint_rows``), so only those are pulled back, not every hole
+    column of the footprint's box.
+    """
+    hit = _footprint_rows(gmap, pose, dims)
+    if hit is None:
+        return None
+    rows, jlo, jhi = hit
+    GY = gmap.dims[1]
+    start = np.searchsorted(hole_cells, rows * GY + jlo)
+    counts = np.searchsorted(hole_cells, rows * GY + jhi) - start
+    # ragged ranges start[i] .. start[i] + counts[i], concatenated
+    k = np.arange(counts.sum()) + np.repeat(start - (np.cumsum(counts) - counts), counts)
+    gx = np.repeat(rows, counts)
+    fx, fy, ok = _pull_back(gmap, pose, dims, gx, hole_cells[k] - gx * GY)
+    return k[ok], fx[ok], fy[ok]
 
 
 def _frame_geometry(frames):
     """(dims, voxel size) shared by every frame of a sequence. Both passes
-    index each frame with these, so a frame that differs from frame 0
-    raises a ValueError naming its index and what differs."""
-    dims, vox = frames[0].dims, frames[0].voxel_size
+    index each frame with these and read its label values under frame 0's
+    semantic table, so a frame that differs from frame 0 in any of the
+    three raises a ValueError naming its index and what differs."""
+    dims, vox, table = frames[0].dims, frames[0].voxel_size, frames[0].table
     for i, f in enumerate(frames):
         if f.dims != dims:
             raise ValueError(f"frame {i} has dims {f.dims}, frame 0 has {dims}")
         if f.voxel_size != vox:
             raise ValueError(f"frame {i} has voxel size {f.voxel_size} m, "
                              f"frame 0 has {vox} m")
+        if f.table != table:
+            raise ValueError(f"frame {i} has a different semantic table than frame 0")
     return dims, vox
 
 
@@ -200,23 +288,25 @@ def _tally_votes(gmap: GlobalMap, unassigned, frames, poses, non_keys, cids):
     ``cids[c]``, column k for the k-th True voxel of ``unassigned`` in C
     order. Category-major rows keep the winner's scans contiguous.
 
-    Each frame pulls back only the map columns that hold a hole and gathers
-    their sources as flat rows of Z bytes. A one-byte mask, assigned in the
+    The hole columns are one sorted flat list. Each frame pulls back only
+    the hole columns inside its footprint's row ranges, found by binary
+    search (``_frame_hole_columns``), so its pull-back work follows its
+    footprint's rows plus the hole columns inside it, not its bounding box.
+    Their positions in the list are the rows of ``column_holes``. Sources
+    are gathered as flat rows of Z bytes. A one-byte mask, assigned in the
     frame and a hole in the map, picks the voxels that can vote, and only
     those go through the label -> category and hole -> slot lookups, so the
-    per-frame cost follows the votes. The slot table keeps int32 hole
-    indices; flat tally offsets are formed in int64 on the voters only.
+    rest of the per-frame cost follows the votes. The slot table keeps int32
+    hole indices; flat tally offsets are formed in int64 on the voters only.
     """
     dims, vox = _frame_geometry(frames)
     X, Y = dims[0], dims[1]
-    GX, GY, Z = unassigned.shape
+    Z = unassigned.shape[2]
     if (dims[2], vox) != (Z, gmap.voxel_size):
         raise ValueError(f"frames have {dims[2]} z levels of {vox} m, "
                          f"the map {Z} of {gmap.voxel_size} m")
     hole_column = unassigned.any(axis=2)
-    column_row = np.full(GX * GY, -1, dtype=np.int32)  # flat (x, y) -> hole column
-    column_row[hole_column.reshape(-1)] = np.arange(np.count_nonzero(hole_column),
-                                                    dtype=np.int32)
+    hole_cells = np.flatnonzero(hole_column)  # sorted flat (x, y); k-th hole column
     column_holes = unassigned[hole_column]  # (hole columns, Z)
     n_holes = int(np.count_nonzero(column_holes))
     slot = np.full(column_holes.size, -1, dtype=np.int32)  # flat (column, z) -> hole
@@ -230,11 +320,10 @@ def _tally_votes(gmap: GlobalMap, unassigned, frames, poses, non_keys, cids):
 
     unassigned_id = gmap.table.unassigned_id
     for t in non_keys:
-        hit = _frame_to_map_indices(gmap, poses[t], dims, hole_column)
+        hit = _frame_hole_columns(gmap, poses[t], dims, hole_cells)
         if hit is None:
             continue
-        gx, gy, fx, fy = hit
-        crow = column_row[gx * GY + gy]
+        crow, fx, fy = hit
         src = frames[t].labels.reshape(X * Y, Z).take(fx * Y + fy, axis=0)  # (n, Z)
         cand = np.flatnonzero((src != unassigned_id) & column_holes.take(crow, axis=0))
         cls = category[src.reshape(-1)[cand]]
@@ -252,14 +341,16 @@ def vote_inpaint(gmap: GlobalMap, frames, poses, non_keys, tau_vote: int) -> Glo
     toward the lowest category id. Pass-1 voxels are never modified.
 
     Votes go to a compact (C, n_holes) tally (``_tally_votes``), so memory
-    scales with the holes, not with the map, and each frame's cost with the
-    voxels that vote, not with its footprint. A frame casts at most one vote
-    per hole, because ``_frame_to_map_indices`` yields each map cell at most
-    once, so a plain fancy increment counts exactly and no count exceeds
-    ``len(non_keys)``: the tally takes the smallest unsigned dtype that
-    holds that (uint8 up to 255 frames, uint16 up to 65 535), so it never
-    wraps. The winner comes from a running maximum over the C category rows
-    and a reverse pass that keeps the lowest category reaching it.
+    scales with the holes, not with the map. Each frame's pull-back work
+    follows its footprint's rows plus the hole columns inside it, not its
+    bounding box, and the rest of its cost the voxels that vote. A frame
+    casts at most one vote per hole, because ``_frame_hole_columns`` yields
+    each hole column at most once, so a plain fancy increment counts exactly
+    and no count exceeds ``len(non_keys)``: the tally takes the smallest
+    unsigned dtype that holds that (uint8 up to 255 frames, uint16 up to
+    65 535), so it never wraps. The winner comes from a running maximum over
+    the C category rows and a reverse pass that keeps the lowest category
+    reaching it.
     """
     table = gmap.table
     out = gmap.labels.copy()

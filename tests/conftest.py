@@ -11,12 +11,19 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 from voxsim.geometry import Pose2
-from voxsim.occupancy import GlobalMap, default_table
+from voxsim.occupancy import GlobalMap, SemanticTable, default_table
 
 
 @pytest.fixture
 def table():
     return default_table()
+
+
+def swapped_table():
+    """The default table with the road and sidewalk ids swapped: a grid
+    written under it holds sidewalk where the default table reads road."""
+    return SemanticTable(entries=((2, "road", "road"), (1, "sidewalk", "sidewalk"))
+                         + default_table().entries[2:])
 
 
 def make_map(plane, table, voxel_size=0.4, z_dim=8, free_above=True):

@@ -20,6 +20,8 @@ from voxsim.occupancy import (MAGIC, GlobalMap, GridFile, GridFormatError, Occup
                               default_table, read_grid, write_grid)
 from voxsim.synthworld import WorldSpec, curve_trajectory
 
+from conftest import swapped_table
+
 
 PIPELINE_CONFIG = {
     "synth": {
@@ -394,6 +396,24 @@ class TestExitCodes:
                      "--out", str(tmp_path / "map.occg")])
         assert code == EXIT_STAGE
         assert ("frame 1 has dims (20, 20, 4), frame 0 has (30, 30, 4)"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "map.occg").exists()
+
+    def test_frames_under_another_table_are_a_stage_failure(self, tmp_path, capsys):
+        # frames 4 and 5 swap the road and sidewalk ids, so their label
+        # values would be read under the wrong categories
+        (tmp_path / "frames").mkdir()
+        table = default_table()
+        for i in range(6):
+            write_grid(OccupancyGrid(np.full((20, 20, 4), table.road_id, dtype=np.uint8),
+                                     table=swapped_table() if i >= 4 else table),
+                       tmp_path / "frames" / f"frame_{i:06d}.occg")
+        _write_poses(tmp_path / "traj.json", [(4.0, 4.0, 0.0)] * 6)
+        code = main(["fuse", "--frames", str(tmp_path / "frames"),
+                     "--poses", str(tmp_path / "traj.json"),
+                     "--out", str(tmp_path / "map.occg")])
+        assert code == EXIT_STAGE
+        assert ("frame 4 has a different semantic table than frame 0"
                 in capsys.readouterr().err)
         assert not (tmp_path / "map.occg").exists()
 

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voxsim.fusion import (FusionParams, _frame_footprint, _frame_to_map_indices,
+from voxsim.fusion import (FusionParams, _footprint_rows, _frame_footprint,
+                           _frame_hole_columns, _frame_to_map_indices,
                            _map_extent, _mode_fill_ground, _sink_columns,
                            fuse_keyframes, fuse_sequence, refine_morphology,
                            select_keyframes, vote_inpaint)
@@ -17,7 +18,7 @@ from voxsim.occupancy import GlobalMap, OccupancyGrid, default_table
 from voxsim.synthworld import (WorldSpec, generate_world, sample_frames,
                                straight_trajectory)
 
-from conftest import make_map
+from conftest import make_map, swapped_table
 
 
 class TestSelectKeyframes:
@@ -119,6 +120,63 @@ class TestMaskedPullBack:
             assert np.array_equal(a, b[sel])
 
 
+# yaws on and within 1e-12 of the axes, where a frame coordinate is
+# constant or nearly constant along a map row, and yaws anywhere
+AXIS_YAWS = (0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi)
+yaws = st.one_of(
+    st.sampled_from(AXIS_YAWS),
+    st.builds(lambda a, d: a + d, st.sampled_from(AXIS_YAWS), st.floats(-1e-12, 1e-12)),
+    st.floats(-math.pi, math.pi))
+
+
+class TestHoleColumnSelection:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_hole_columns_of_the_full_footprint(self, data):
+        # the vote pass's row-range selection returns exactly the
+        # reference's cells whose column holds a hole, in the same order and
+        # with the same frame indices; maps much larger than the frames make
+        # whole rows and most of each row fall outside the footprint, and
+        # poses past the map's edge graze it or miss it
+        table = default_table()
+        nx, ny = data.draw(st.integers(1, 60)), data.draw(st.integers(1, 60))
+        gmap = GlobalMap(np.zeros((nx, ny, 1), dtype=np.uint8), VOX,
+                         Pose2(data.draw(st.floats(-2.0, 2.0)),
+                               data.draw(st.floats(-2.0, 2.0)), 0.0), table)
+        dims = (data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12)), 1)
+        reach = 4.0  # past the map's edge by more than half a frame diagonal
+        pose = Pose2(gmap.origin.x + data.draw(st.floats(-reach, nx * VOX + reach)),
+                     gmap.origin.y + data.draw(st.floats(-reach, ny * VOX + reach)),
+                     data.draw(yaws))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        holes = rng.random((nx, ny)) < data.draw(st.sampled_from([0.0, 0.3, 1.0]))
+        hole_cells = np.flatnonzero(holes)
+        ref = reference_frame_to_map_indices(gmap, pose, dims)
+        got = _frame_hole_columns(gmap, pose, dims, hole_cells)
+        if ref is None:
+            assert got is None
+            return
+        k, fx, fy = got
+        for a in got:
+            assert a.dtype == np.int64
+        assert ((k >= 0) & (k < hole_cells.size)).all()
+        gx, gy = np.divmod(hole_cells[k], ny)
+        sel = holes[ref[0], ref[1]]
+        for a, b in zip((gx, gy, fx, fy), ref):
+            assert np.array_equal(a, b[sel])
+
+    def test_row_ranges_prune_a_rotated_footprint(self, table):
+        # a 12 x 12 frame at 45 degrees covers about half of its bounding
+        # box; the row ranges hold its cells plus a voxel of margin, and
+        # leave out most of the rest
+        gmap = GlobalMap(np.zeros((60, 60, 1), dtype=np.uint8), VOX, Pose2(), table)
+        pose = Pose2(12.0, 12.0, math.pi / 4)
+        rows, jlo, jhi = _footprint_rows(gmap, pose, (12, 12, 1))
+        box = rows.size * (jhi.max() - jlo.min())
+        inside = reference_frame_to_map_indices(gmap, pose, (12, 12, 1))[0].size
+        assert inside <= (jhi - jlo).sum() < 0.75 * box
+
+
 @st.composite
 def keyframe_sets(draw):
     """Rotated, overlapping keyframes whose labels include the unassigned id;
@@ -164,36 +222,41 @@ class TestFirstWins:
         assert (core == table.road_id).all()
 
 
-def mixed_sequence(table, dims, voxel_sizes):
-    """One all-road frame per (dims, voxel size), all at one pose."""
+def mixed_sequence(table, dims, voxel_sizes, swapped=()):
+    """One all-road frame per (dims, voxel size), all at one pose; the
+    frames whose index is in ``swapped`` are under ``swapped_table()``."""
     pose = Pose2(4.0, 4.0, 0.0)
-    frames = [OccupancyGrid(np.full(d, table.road_id, dtype=np.uint8), v, pose, table)
-              for d, v in zip(dims, voxel_sizes)]
+    frames = [OccupancyGrid(np.full(d, table.road_id, dtype=np.uint8), v, pose,
+                            swapped_table() if i in swapped else table)
+              for i, (d, v) in enumerate(zip(dims, voxel_sizes))]
     return frames, [pose] * len(frames)
 
 
-MIXED_SEQUENCES = pytest.mark.parametrize("dims, voxel_sizes, message", [
-    ([(30, 30, 4)] + [(20, 20, 4)] * 5, [0.4] * 6,
+MIXED_SEQUENCES = pytest.mark.parametrize("dims, voxel_sizes, swapped, message", [
+    ([(30, 30, 4)] + [(20, 20, 4)] * 5, [0.4] * 6, (),
      "frame 1 has dims (20, 20, 4), frame 0 has (30, 30, 4)"),
-    ([(20, 20, 4)] * 3 + [(20, 20, 5)] * 3, [0.4] * 6,
+    ([(20, 20, 4)] * 3 + [(20, 20, 5)] * 3, [0.4] * 6, (),
      "frame 3 has dims (20, 20, 5), frame 0 has (20, 20, 4)"),
-    ([(20, 20, 4)] * 6, [0.4, 0.4, 0.5, 0.4, 0.4, 0.5],
+    ([(20, 20, 4)] * 6, [0.4, 0.4, 0.5, 0.4, 0.4, 0.5], (),
      "frame 2 has voxel size 0.5 m, frame 0 has 0.4 m"),
-], ids=["xy", "z", "voxel-size"])
+    ([(20, 20, 4)] * 6, [0.4] * 6, (4, 5),
+     "frame 4 has a different semantic table than frame 0"),
+], ids=["xy", "z", "voxel-size", "table"])
 
 
 class TestFrameGeometry:
     @MIXED_SEQUENCES
     def test_fuse_sequence_names_the_first_frame_that_differs(
-            self, table, dims, voxel_sizes, message):
-        frames, poses = mixed_sequence(table, dims, voxel_sizes)
+            self, table, dims, voxel_sizes, swapped, message):
+        frames, poses = mixed_sequence(table, dims, voxel_sizes, swapped)
         with pytest.raises(ValueError, match=re.escape(message)):
             fuse_sequence(frames, poses, FusionParams())
 
     @MIXED_SEQUENCES
-    def test_each_pass_checks_the_whole_sequence(self, table, dims, voxel_sizes, message):
+    def test_each_pass_checks_the_whole_sequence(self, table, dims, voxel_sizes, swapped,
+                                                 message):
         # frame 0 alone is the keyframe, frames 1-5 the non-keyframes
-        frames, poses = mixed_sequence(table, dims, voxel_sizes)
+        frames, poses = mixed_sequence(table, dims, voxel_sizes, swapped)
         with pytest.raises(ValueError, match=re.escape(message)):
             fuse_keyframes(frames, poses, [0], table)
         gmap = GlobalMap(np.zeros((40, 40, dims[0][2]), dtype=np.uint8),
