@@ -15,7 +15,9 @@ Phase 3 then looks up and counts only the voxels that can vote, assigned in
 the frame and left unassigned by phase 2, in a tally of one count per hole
 and category, so its per-frame work follows the votes and its memory the
 holes, not each frame's footprint or the map. Every frame of a sequence
-must share frame 0's dims, voxel size and semantic table.
+must share frame 0's dims, voxel size and semantic table; phase 2 builds
+its map under that table, and phase 3 checks that the frames fit its map:
+the same z levels, voxel size and table.
 """
 
 from __future__ import annotations
@@ -191,10 +193,11 @@ def _frame_hole_columns(gmap: GlobalMap, pose: Pose2, dims, hole_cells):
 
 
 def _frame_geometry(frames):
-    """(dims, voxel size) shared by every frame of a sequence. Both passes
-    index each frame with these and read its label values under frame 0's
-    semantic table, so a frame that differs from frame 0 in any of the
-    three raises a ValueError naming its index and what differs."""
+    """(dims, voxel size, semantic table) shared by every frame of a
+    sequence. Both passes index each frame with these and read its label
+    values under frame 0's semantic table, so a frame that differs from
+    frame 0 in any of the three raises a ValueError naming its index and
+    what differs."""
     dims, vox, table = frames[0].dims, frames[0].voxel_size, frames[0].table
     for i, f in enumerate(frames):
         if f.dims != dims:
@@ -204,10 +207,10 @@ def _frame_geometry(frames):
                              f"frame 0 has {vox} m")
         if f.table != table:
             raise ValueError(f"frame {i} has a different semantic table than frame 0")
-    return dims, vox
+    return dims, vox, table
 
 
-def fuse_keyframes(frames, poses, keys, table, margin: float = 2.0) -> GlobalMap:
+def fuse_keyframes(frames, poses, keys, margin: float = 2.0) -> GlobalMap:
     """Pass 1: warp each keyframe into the world map, writing only voxels that
     are still unassigned (first-wins), then sink every column so its lowest
     ground-role voxel sits at z=0 and mode-fill unassigned z=0 cells.
@@ -220,7 +223,7 @@ def fuse_keyframes(frames, poses, keys, table, margin: float = 2.0) -> GlobalMap
         raise ValueError("frames and poses must pair up")
     if not keys:
         raise ValueError("empty keyframe set")
-    dims, vox = _frame_geometry(frames)
+    dims, vox, table = _frame_geometry(frames)
     X, Y, Z = dims
     lo, (nx, ny) = _map_extent([poses[k] for k in keys], dims, vox, margin)
     labels = np.full((nx, ny, Z), table.unassigned_id, dtype=np.uint8)
@@ -286,7 +289,10 @@ def _mode_fill_ground(gmap: GlobalMap, table) -> None:
 def _tally_votes(gmap: GlobalMap, unassigned, frames, poses, non_keys, cids):
     """(C, n_holes) vote counts of the non-keyframes: row c for category
     ``cids[c]``, column k for the k-th True voxel of ``unassigned`` in C
-    order. Category-major rows keep the winner's scans contiguous.
+    order. Category-major rows keep the winner's scans contiguous. Frames
+    whose z levels, voxel size or semantic table differ from the map's
+    raise a ValueError, since their label values are counted under
+    ``gmap.table``.
 
     The hole columns are one sorted flat list. Each frame pulls back only
     the hole columns inside its footprint's row ranges, found by binary
@@ -299,12 +305,15 @@ def _tally_votes(gmap: GlobalMap, unassigned, frames, poses, non_keys, cids):
     rest of the per-frame cost follows the votes. The slot table keeps int32
     hole indices; flat tally offsets are formed in int64 on the voters only.
     """
-    dims, vox = _frame_geometry(frames)
+    dims, vox, table = _frame_geometry(frames)
     X, Y = dims[0], dims[1]
     Z = unassigned.shape[2]
     if (dims[2], vox) != (Z, gmap.voxel_size):
         raise ValueError(f"frames have {dims[2]} z levels of {vox} m, "
                          f"the map {Z} of {gmap.voxel_size} m")
+    if table != gmap.table:
+        # every frame shares frame 0's table
+        raise ValueError("frame 0 has a different semantic table than the map")
     hole_column = unassigned.any(axis=2)
     hole_cells = np.flatnonzero(hole_column)  # sorted flat (x, y); k-th hole column
     column_holes = unassigned[hole_column]  # (hole columns, Z)
@@ -397,9 +406,8 @@ def refine_morphology(gmap: GlobalMap, params: FusionParams) -> GlobalMap:
 
 def fuse_sequence(frames, poses, params: FusionParams) -> GlobalMap:
     """Phases 1-4 over an ego-centric frame sequence, in the first frame's table."""
-    table = frames[0].table
     keys = select_keyframes(poses, params.d_max)
-    gmap = fuse_keyframes(frames, poses, keys, table, margin=params.margin)
+    gmap = fuse_keyframes(frames, poses, keys, margin=params.margin)
     key_set = set(keys)
     non_keys = [i for i in range(len(frames)) if i not in key_set]
     gmap = vote_inpaint(gmap, frames, poses, non_keys, params.tau_vote)

@@ -90,31 +90,50 @@ _KILL = _kill_tables()
 
 def zhang_suen_thin(mask: np.ndarray) -> np.ndarray:
     """Iterative Zhang-Suen thinning of a binary image to a 1-pixel skeleton.
-    A kill needs A == 1, so a background neighbour: each sub-iteration looks
-    up only border pixels, all against its starting state; the next border
-    is the survivors and the killed pixels' foreground neighbours."""
+
+    A uint8 code image over the padded mask holds each foreground pixel's
+    8-neighbour code (bit i is P(i+2), the ``_KILL`` index), computed once
+    and kept across sub-iterations. A kill needs A == 1, so a background
+    neighbour: each sub-iteration looks up only the border, the foreground
+    pixels whose code is not 255, all against its starting state. It then
+    clears the killed pixels' bit in each of their neighbours' codes; a
+    neighbour whose code read 255 just before joins the border, so the next
+    border is the survivors plus those pixels and the work follows the kills,
+    not the image size."""
     padded = np.zeros(np.add(np.shape(mask), 2), dtype=bool)
     padded[1:-1, 1:-1] = mask
     img = padded.reshape(-1)  # writes through: padded is C-contiguous
     w = padded.shape[1]
     offsets = np.array([1, w + 1, w, w - 1, -1, -w - 1, -w, 1 - w])  # P2..P9
     fg = np.flatnonzero(img)
-    border = fg[~np.logical_and.reduce([img[fg + o] for o in offsets])]
-    mark = np.zeros_like(img)
+    fg_code = np.zeros(fg.size, dtype=np.uint8)
+    for i, o in enumerate(offsets):
+        fg_code |= img[fg + o].view(np.uint8) << i
+    code = np.zeros(img.shape, dtype=np.uint8)
+    code[fg] = fg_code
+    border = fg[fg_code != 255]
+    # a neighbour at offset i sees the pixel at offset i + 4 (mod 8)
+    opposite = [np.uint8(~(1 << ((i + 4) % 8)) & 0xFF) for i in range(8)]
     changed = True
     while changed:
         changed = False
         for phase in (0, 1):
-            nb = img[border[:, None] + offsets]
-            code = np.packbits(nb, axis=1, bitorder="little")[:, 0]
-            killed = border[_KILL[phase][code]]
-            if killed.size:
-                img[killed] = False
-                changed = True
-                near = np.append(border, killed[:, None] + offsets)
-                mark[near[img[near]]] = True
-                border = np.flatnonzero(mark)
-                mark[border] = False
+            kill = _KILL[phase][code[border]]
+            if not kill.any():
+                continue
+            killed = border[kill]
+            img[killed] = False
+            changed = True
+            next_border = [border[~kill]]
+            # a background pixel's code is never looked up and never reads
+            # 255 (0 at the start, below 255 when killed, and codes only
+            # lose bits), so every neighbour is updated unfiltered
+            for o, clear in zip(offsets, opposite):
+                near = killed + o
+                c = code[near]
+                next_border.append(near[c == 255])
+                code[near] = c & clear
+            border = np.concatenate(next_border)
     return padded[1:-1, 1:-1].copy()
 
 

@@ -58,7 +58,7 @@ def fusion_agreement(world, poses, crop_dims=(200, 200, 16)):
     fused = fuse_sequence(frames, poses, params)
     elapsed = time.perf_counter() - t0
     keys = select_keyframes(poses, params.d_max)
-    pass1 = fuse_keyframes(frames, poses, keys, world.table)
+    pass1 = fuse_keyframes(frames, poses, keys)
     obs_sub, _ = lattice_overlap(pass1, world)
     sub, truth = lattice_overlap(fused, world)
     observed = obs_sub != world.table.unassigned_id

@@ -203,7 +203,7 @@ class TestFirstWins:
     def test_matches_full_footprint_reference(self, world):
         frames, poses, keys, margin = world
         table = frames[0].table
-        got = fuse_keyframes(frames, poses, keys, table, margin=margin)
+        got = fuse_keyframes(frames, poses, keys, margin=margin)
         ref = reference_fuse_keyframes(frames, poses, keys, table, margin=margin)
         assert (got.origin.x, got.origin.y) == (ref.origin.x, ref.origin.y)
         assert got.labels.dtype == np.uint8
@@ -216,7 +216,7 @@ class TestFirstWins:
         f2 = make_map(np.full((20, 20), table.sidewalk_id, dtype=np.uint8),
                       table, z_dim=4)
         pose = Pose2(4.0, 4.0, 0.0)
-        gmap = fuse_keyframes([f1, f2], [pose, pose], [0, 1], table)
+        gmap = fuse_keyframes([f1, f2], [pose, pose], [0, 1])
         assigned = gmap.labels[:, :, 0]
         core = assigned[assigned != table.unassigned_id]
         assert (core == table.road_id).all()
@@ -258,18 +258,23 @@ class TestFrameGeometry:
         # frame 0 alone is the keyframe, frames 1-5 the non-keyframes
         frames, poses = mixed_sequence(table, dims, voxel_sizes, swapped)
         with pytest.raises(ValueError, match=re.escape(message)):
-            fuse_keyframes(frames, poses, [0], table)
+            fuse_keyframes(frames, poses, [0])
         gmap = GlobalMap(np.zeros((40, 40, dims[0][2]), dtype=np.uint8),
                          voxel_sizes[0], Pose2(), table)
         with pytest.raises(ValueError, match=re.escape(message)):
             vote_inpaint(gmap, frames, poses, [1, 2, 3, 4, 5], 1)
 
-    @pytest.mark.parametrize("z, vox, message", [
-        (5, 0.4, "frames have 4 z levels of 0.4 m, the map 5 of 0.4 m"),
-        (4, 0.5, "frames have 4 z levels of 0.4 m, the map 4 of 0.5 m"),
-    ], ids=["z", "voxel-size"])
-    def test_vote_pass_checks_the_frames_against_the_map(self, table, z, vox, message):
-        frames, poses = mixed_sequence(table, [(20, 20, 4)] * 2, [0.4] * 2)
+    # in the table case the frames agree with each other, but their id 1 is
+    # sidewalk where the map's is road: counted under the map's table, their
+    # votes would fill every hole with road
+    @pytest.mark.parametrize("z, vox, swapped, message", [
+        (5, 0.4, (), "frames have 4 z levels of 0.4 m, the map 5 of 0.4 m"),
+        (4, 0.5, (), "frames have 4 z levels of 0.4 m, the map 4 of 0.5 m"),
+        (4, 0.4, (0, 1), "frame 0 has a different semantic table than the map"),
+    ], ids=["z", "voxel-size", "table"])
+    def test_vote_pass_checks_the_frames_against_the_map(self, table, z, vox, swapped,
+                                                         message):
+        frames, poses = mixed_sequence(table, [(20, 20, 4)] * 2, [0.4] * 2, swapped)
         gmap = GlobalMap(np.zeros((40, 40, z), dtype=np.uint8), vox, Pose2(), table)
         with pytest.raises(ValueError, match=re.escape(message)):
             vote_inpaint(gmap, frames, poses, [1], 1)
@@ -316,7 +321,7 @@ class TestColumnSinking:
         frames = sample_frames(world, poses)
         tracemalloc.start()
         try:
-            gmap = fuse_keyframes(frames, poses, list(range(len(poses))), world.table)
+            gmap = fuse_keyframes(frames, poses, list(range(len(poses))))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
