@@ -8,8 +8,10 @@ the 3D map, which counts obstacle voxels only inside each probe box.
 The graph is a ``PixelGraph``: node -> {neighbour: weight}, both levels in
 insertion order, which decides segment and lane order. Four rules fix it:
 1. nodes go in in the iteration order of the set of skeleton pixels;
-2. ``clean_graph`` works on a copy that re-inserts every edge in ``edges()``
-   order (a dict copy would keep ``build_graph``'s neighbour order);
+2. ``build_graph``'s edges go in by the lower node row of their two ends,
+   then by the row of the end that the forward step leaves, then by the
+   step's index. Adding every edge again in ``edges()`` order gives the
+   same graph, so ``clean_graph`` keeps this order in a plain copy;
 3. a merged junction's edges go in in the order of
    ``set(iter(g[u])) | set(iter(g[v]))``: ``set(g[u])`` presizes its table
    from the dict and iterates differently once a node has many neighbours;
@@ -19,6 +21,7 @@ insertion order, which decides segment and lane order. Four rules fix it:
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -147,30 +150,43 @@ def skeletonize(mask: np.ndarray) -> np.ndarray:
 
 
 _STEPS = ((1, 0), (0, 1), (1, 1), (1, -1))  # forward 8-neighbours, in edge order
-_STEP_WEIGHTS = tuple(math.hypot(dx, dy) for dx, dy in _STEPS)
+_STEP_WEIGHTS = np.array([math.hypot(dx, dy) for dx, dy in _STEPS])
 
 
 def build_graph(skeleton: np.ndarray) -> PixelGraph:
     """Pixel graph of the skeleton: a node per pixel and an edge per
-    8-neighbor pair, weighted by Euclidean distance and added pixel by pixel
-    in ``_STEPS`` order, except each diagonal that closes a triangle. Every
-    3-clique of an 8-connected pixel graph lies in one 2x2 block, where its
-    diagonal is the unique longest edge, so a diagonal is left out exactly
-    when a pixel beside both of its ends is set. Every node exists before
-    the first edge, so edges go straight into the neighbour dicts."""
+    8-neighbor pair, weighted by Euclidean distance, except each diagonal
+    that closes a triangle. Every 3-clique of an 8-connected pixel graph
+    lies in one 2x2 block, where its diagonal is the unique longest edge, so
+    a diagonal is left out exactly when a pixel beside both of its ends is
+    set.
+
+    Edges go in in order rule 2: by the lower node row of their two ends,
+    then by owner row (the end that the forward step leaves) and step index
+    in ``_STEPS``. A step's target is found by ``searchsorted`` over the
+    sorted flat indices of the skeleton pixels, so no map-sized index image
+    is made."""
     sk = np.pad(np.asarray(skeleton, dtype=bool), 1)
-    xs, ys = np.nonzero(sk[1:-1, 1:-1])
-    g = PixelGraph((n, {}) for n in set(zip(xs.tolist(), ys.tolist())))
+    img, stride = sk.reshape(-1), sk.shape[1]  # padded (x, y) sits at x * stride + y
+    pixels = np.flatnonzero(img)  # sorted
+    xs, ys = np.divmod(pixels, stride)
+    g = PixelGraph((n, {}) for n in set(zip((xs - 1).tolist(), (ys - 1).tolist())))
     nodes = list(g)
-    x, y = np.array(nodes, dtype=int).reshape(-1, 2).T + 1  # padded coordinates
-    right, up, down = sk[x + 1, y], sk[x, y + 1], sk[x, y - 1]
-    keep = np.stack([right, up, sk[x + 1, y + 1] & ~(right | up),
-                     sk[x + 1, y - 1] & ~(right | down)], axis=1)
-    for r, k in zip(*(a.tolist() for a in np.nonzero(keep))):
-        u, (dx, dy), w = nodes[r], _STEPS[k], _STEP_WEIGHTS[k]
-        v = (u[0] + dx, u[1] + dy)
-        g[u][v] = w
-        g[v][u] = w
+    x, y = np.fromiter(itertools.chain.from_iterable(nodes), dtype=np.intp,
+                       count=2 * len(nodes)).reshape(-1, 2).T
+    row_of = np.argsort((x + 1) * stride + y + 1)  # node row of pixels[i]
+    right, up, down = img[pixels + stride], img[pixels + 1], img[pixels - 1]
+    keep = np.stack([right, up, img[pixels + stride + 1] & ~(right | up),
+                     img[pixels + stride - 1] & ~(right | down)], axis=1)
+    src, k = np.divmod(np.flatnonzero(keep), len(_STEPS))
+    steps = np.array([dx * stride + dy for dx, dy in _STEPS])
+    owner, target = row_of[src], row_of[np.searchsorted(pixels, pixels[src] + steps[k])]
+    order = np.lexsort((k, owner, np.minimum(owner, target)))
+    nbrs = list(g.values())
+    for a, b, w in zip(owner[order].tolist(), target[order].tolist(),
+                       _STEP_WEIGHTS[k[order]].tolist()):
+        nbrs[a][nodes[b]] = w
+        nbrs[b][nodes[a]] = w
     return g
 
 
@@ -193,7 +209,7 @@ def _prune_spurs(g: PixelGraph, tau_prune: float) -> bool:
     """Remove each leaf's chain up to its junction (deg > 2), junction kept,
     when the chain is shorter than tau_prune."""
     removed = False
-    for leaf in [n for n in g if len(g[n]) == 1]:
+    for leaf in [n for n, nbrs in g.items() if len(nbrs) == 1]:
         if leaf not in g or len(g[leaf]) != 1:
             continue
         path = _chain(g, leaf, next(iter(g[leaf])))
@@ -207,7 +223,7 @@ def _contract_junctions(g: PixelGraph, radius: float) -> bool:
     """Merge the closest junction pair within radius into a centroid node,
     the first pair (i, j) in junction order among equally close ones.
     Returns True when a contraction happened."""
-    junctions = [n for n in g if len(g[n]) > 2]
+    junctions = [n for n, nbrs in g.items() if len(nbrs) > 2]
     if len(junctions) < 2:
         return False
     # np.hypot and math.dist agree to within a few ulps, so the pair that
@@ -240,12 +256,9 @@ def _contract_junctions(g: PixelGraph, radius: float) -> bool:
 
 def clean_graph(g: PixelGraph, tau_prune_px: float, w_lane_px: float) -> PixelGraph:
     """Iterate spur pruning and junction contraction to a joint fixpoint on a
-    copy, whose neighbour order (not build_graph's) sets the segment order
-    (order rule 2)."""
-    g, src = PixelGraph((n, {}) for n in g), g
-    for u, v, w in src.edges():
-        g[u][v] = w
-        g[v][u] = w
+    plain copy, which keeps the node and neighbour order of g: build_graph's
+    output is already in order rule 2, and g is left as it is."""
+    g = PixelGraph((n, dict(nbrs)) for n, nbrs in g.items())
     while True:
         pruned = _prune_spurs(g, tau_prune_px)
         contracted = _contract_junctions(g, 2.0 * w_lane_px)
@@ -289,18 +302,20 @@ def _box_obstacle_count(gmap: GlobalMap, origin_px, direction, length_px, width_
     return int(is_obstacle[gmap.labels[gx[inside], gy[inside], 1:]].sum())
 
 
-def filter_endpoints(g: PixelGraph, gmap: GlobalMap, params: TopologyParams):
+def filter_endpoints(g: PixelGraph, gmap: GlobalMap, params: TopologyParams,
+                     road: np.ndarray):
     """Dual-probe endpoint filtering.
 
     A leaf survives when the topology probe 1.5*w_lane beyond it leaves the
     road mask and the 15m x 3.6m semantic probe box along its outward
-    direction holds fewer than tau_obs obstacle voxels.
+    direction holds fewer than tau_obs obstacle voxels. ``road`` is the
+    map's road plane, ``gmap.labels[:, :, 0] == gmap.table.road_id``, which
+    the caller has already made to find the skeleton.
     """
     vox = gmap.voxel_size
-    road = gmap.labels[:, :, 0] == gmap.table.road_id
     w_lane_px = params.w_lane / vox
     valid = []
-    for leaf in [n for n in g if len(g[n]) == 1]:
+    for leaf in [n for n, nbrs in g.items() if len(nbrs) == 1]:
         d = _outward_direction(g, leaf)
         probe = np.array(leaf, dtype=float) + 1.5 * w_lane_px * d
         px, py = int(math.floor(probe[0])), int(math.floor(probe[1]))
@@ -325,7 +340,7 @@ def extract_topology(gmap: GlobalMap, params: TopologyParams = None):
     skel = skeletonize(road)
     g = build_graph(skel)
     g = clean_graph(g, params.tau_prune / vox, params.w_lane / vox)
-    valid = filter_endpoints(g, gmap, params)
+    valid = filter_endpoints(g, gmap, params, road)
     return g, valid
 
 
@@ -383,10 +398,14 @@ def _graph_from_json(obj):
     if len(coords) != len(obj["nodes"]):
         raise ValueError("repeated node id")
     g = PixelGraph((c, {}) for c in coords.values())
+    if len(g) != len(coords):
+        raise ValueError("two node ids at one pixel")
     for e in obj["edges"]:
         u, v = coords[e["u"]], coords[e["v"]]
         if u == v:
             raise ValueError(f"self-loop edge at {u}")
+        if v in g[u]:
+            raise ValueError(f"repeated edge {u}-{v}")
         g.add_edge(u, v, _finite(e["weight"]))
     valid = [coords[i] for i in obj["valid_endpoints"]]
     return g, valid

@@ -90,12 +90,14 @@ def _spawnable_world(tmp_path, valid_endpoints=(0,),
         "valid_endpoints": list(valid_endpoints)}))
 
 
-def _graph_json(x=45, weight=1.0, v=1, extra_nodes=()):
+def _graph_json(x=45, weight=1.0, v=1, extra_nodes=(), extra_edges=()):
     """graph.json text of a graph with nodes 0 and 1, then extra_nodes, and
-    one edge, from node 0 to node v."""
+    an edge from node 0 to node v, then one of weight 2 per (u, v) of
+    extra_edges."""
     return json.dumps({"nodes": [{"id": 0, "x": x, "y": 25}, {"id": 1, "x": 46, "y": 25},
                                  *extra_nodes],
-                       "edges": [{"u": 0, "v": v, "weight": weight}],
+                       "edges": [{"u": 0, "v": v, "weight": weight},
+                                 *({"u": a, "v": b, "weight": 2.0} for a, b in extra_edges)],
                        "valid_endpoints": [0]})
 
 
@@ -213,6 +215,7 @@ class TestExitCodes:
             [{"t": 0.0, "x": 10.0, "y": 10.0, "yaw": 0.0}]))
         world = {"map": tmp_path / "map.occg", "lanes": tmp_path / "lanes.json",
                  "graph": tmp_path / "graph.json", "poses": tmp_path / "traj.json"}
+        shared_pixel = [{"id": 2, "x": 45, "y": 25}, {"id": 3, "x": 44, "y": 25}]
         cases = [
             ("lanes", "graph", "{not json"),
             ("lanes", "graph", "[" * 100000),
@@ -230,6 +233,15 @@ class TestExitCodes:
             ("spawn", "graph", _graph_json(x=10 ** 400)),
             ("lanes", "graph", _graph_json(v=0)),
             ("spawn", "graph", _graph_json(extra_nodes=[{"id": 0, "x": 47, "y": 25}])),
+            # two ids at one pixel, each with its own edge, and an edge given
+            # twice: both used to load (exit 0), as one node joining two
+            # chains and as the later weight
+            ("lanes", "graph", _graph_json(extra_nodes=shared_pixel, extra_edges=[(2, 3)])),
+            ("spawn", "graph", _graph_json(extra_nodes=shared_pixel, extra_edges=[(2, 3)])),
+            ("lanes", "graph", _graph_json(extra_edges=[(0, 1)])),
+            ("spawn", "graph", _graph_json(extra_edges=[(0, 1)])),
+            ("lanes", "graph", _graph_json(extra_edges=[(1, 0)])),
+            ("spawn", "graph", _graph_json(extra_edges=[(1, 0)])),
             ("spawn", "lanes", "[{}]"),
             ("spawn", "lanes", json.dumps([{"points": "abc", "offset_index": 0,
                                             "source_segment": 0}])),

@@ -315,9 +315,9 @@ class TestExtractLanes:
 
     # Lane points of a plus world, hashed: they follow the cell centres of
     # GlobalMap.cell_center and the neighbour order of the cleaned graph,
-    # which clean_graph sets by re-inserting every edge in edges() order
-    # (cleaning build_graph's output in place, or a plain dict copy of it,
-    # reorders the segments and moves these bytes).
+    # order rule 2, which build_graph emits and clean_graph's plain copy
+    # keeps (inserting build_graph's edges pixel by pixel in step order
+    # instead reorders the segments and moves these bytes).
     def test_plus_world_bytes_pinned(self):
         world = generate_world(WorldSpec(recipe="plus", extent=80.0, road_width=10.8))
         g, _ = extract_topology(world)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import networkx as nx
@@ -224,6 +225,20 @@ def _edge_set(g):
     return {frozenset((u, v)) for u, v, _ in g.edges()}
 
 
+def reinserting_copy(src):
+    """The copy that clean_graph made before build_graph emitted order rule 2
+    itself: every edge re-inserted in edges() order."""
+    g, src = PixelGraph((n, {}) for n in src), src
+    for u, v, w in src.edges():
+        g[u][v] = w
+        g[v][u] = w
+    return g
+
+
+def _nested_items(g):
+    return [(n, list(nbrs.items())) for n, nbrs in g.items()]
+
+
 def assert_same_graph(g, ref):
     """Same node order, same neighbour order and weights at every node and
     the same edges() order as the networkx graph ref."""
@@ -409,11 +424,28 @@ class TestBuildGraph:
             [(1, 1), (1, 2)], [(1, 1), (2, 1)], [(1, 2), (2, 2)], [(2, 1), (2, 2)]]
         assert all(w == 1.0 for _, _, w in g.edges())
 
+    # build_graph emits order rule 2 directly, the order in which networkx's
+    # copy re-adds the reference's edges (adjacency order)
     @settings(max_examples=300, deadline=None)
     @given(pixel_masks())
     def test_matches_reference_build(self, skel):
-        g, ref = build_graph(skel), reference_build_graph(skel)
+        g, ref = build_graph(skel), reference_build_graph(skel).copy()
         assert_same_graph(g, ref)
+
+    def test_peak_memory_stays_below_two_bytes_a_pixel(self):
+        # a map-sized intp row image would cost 8 bytes a pixel; the padded
+        # bool copy of the skeleton costs 1
+        skel = np.zeros((3000, 3000), dtype=bool)
+        skel[1500, 100:400] = True
+        skel[100:400, 2000] = True
+        tracemalloc.start()
+        try:
+            g = build_graph(skel)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.number_of_nodes() == 600
+        assert peak < 2 * skel.size, peak / skel.size
 
 
 class TestCleanGraph:
@@ -492,7 +524,7 @@ class TestEndpointFiltering:
         plane_leaf = max(valid_before)  # high-x leaf
         # a single obstacle voxel in the probe box trips tau_obs=1
         gmap.labels[int(plane_leaf[0]) + 6, int(plane_leaf[1]), 1] = 5
-        valid = filter_endpoints(g, gmap, params)
+        valid = filter_endpoints(g, gmap, params, gmap.labels[:, :, 0] == table.road_id)
         assert plane_leaf not in valid
 
     @settings(max_examples=300, deadline=None)
@@ -593,6 +625,22 @@ def noise_masks(draw):
     return rng.random((n, n)) < draw(st.floats(0.3, 0.7))
 
 
+class TestOrderRule2:
+    """build_graph's output already has the node and neighbour order that
+    re-inserting every edge in edges() order gives, so clean_graph can work
+    on a plain copy."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(pixel_masks(), road_masks().map(skeletonize)),
+           st.floats(1.0, 12.0), st.floats(1.0, 10.0))
+    def test_build_graph_output_is_its_own_reinserting_copy(self, skel, tau_prune, w_lane):
+        g = build_graph(skel)
+        before = _nested_items(g)
+        assert before == _nested_items(reinserting_copy(g))
+        clean_graph(g, tau_prune, w_lane)
+        assert _nested_items(g) == before
+
+
 def _ring(cycle):
     """A closed path's nodes up to rotation and direction."""
     ring = cycle[:-1]
@@ -624,7 +672,7 @@ class TestMatchesNetworkxReference:
            st.floats(1.0, 10.0))
     def test_graph_segments_endpoints_and_bytes(self, mask, tau_prune, w_lane):
         skel = skeletonize(mask)
-        g, ref = build_graph(skel), reference_build_graph(skel)
+        g, ref = build_graph(skel), reference_build_graph(skel).copy()
         assert_same_graph(g, ref)
         assert_same_segments(g, graph_segments(g), reference_graph_segments(ref))
 
@@ -638,7 +686,8 @@ class TestMatchesNetworkxReference:
         gmap = make_map(np.where(mask, table.road_id, 4), table)
         vox = gmap.voxel_size
         params = TopologyParams(w_lane=w_lane * vox, tau_prune=tau_prune * vox)
-        valid = filter_endpoints(cleaned, gmap, params)
+        valid = filter_endpoints(cleaned, gmap, params,
+                                 gmap.labels[:, :, 0] == table.road_id)
         assert valid == reference_filter_endpoints(ref_cleaned, gmap, params)
         assert (_saved_bytes(save_graph, cleaned, valid)
                 == _saved_bytes(reference_save_graph, ref_cleaned, valid))
