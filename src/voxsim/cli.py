@@ -4,6 +4,10 @@ Subcommands mirror the stages: synth, fuse, topo, lanes, spawn, simulate,
 metrics, and a pipeline command running all of them end to end with a single
 root seed. Exit codes: 0 success, 2 config error, 3 stage failure, 4 I/O
 or input format error.
+
+Each stage returns and prints ``{name: {"path", "sha256"}}`` for what it
+wrote, hashed as written; ``pipeline_manifest.json`` lists these records and
+exists only for a run that finished.
 """
 
 from __future__ import annotations
@@ -71,14 +75,20 @@ def _config_value(cfg: dict, key: str, default, rule: occupancy.Rule):
         raise ConfigError(str(e)) from e
 
 
-def _sha256(path: Path) -> str:
-    """The file's sha256, read through one reused 1 MiB buffer."""
+def _artifact(path, sha256: str) -> dict:
+    """A stage's record of one artifact it wrote."""
+    return {"path": str(path), "sha256": sha256}
+
+
+def _directory_artifact(path, digests: dict) -> dict:
+    """The record of a directory artifact from the sha256 of each file the
+    stage wrote into it, by file name: the digest folds each name and raw
+    digest in name order, so files the stage did not write never count."""
     h = hashlib.sha256()
-    buf = memoryview(bytearray(1 << 20))
-    with open(path, "rb", buffering=0) as fh:
-        while n := fh.readinto(buf):
-            h.update(buf[:n])
-    return h.hexdigest()
+    for name in sorted(digests):
+        h.update(name.encode())
+        h.update(bytes.fromhex(digests[name]))
+    return _artifact(path, h.hexdigest())
 
 
 def _fresh_frames_dir(frames_dir: Path) -> Path:
@@ -117,13 +127,15 @@ def run_synth(cfg: dict, seed: int, out_dir: Path) -> dict:
     frames = synthworld.iter_frames(world, poses, crop_dims=tuple(crop_dims),
                                     noise=noise, seed=seed % (2 ** 31))
     frames_dir = _fresh_frames_dir(out_dir / "frames")
+    digests = {}
     for i, f in enumerate(frames):
-        occupancy.write_grid(f, frames_dir / f"frame_{i:06d}.occg")
-    world_path = out_dir / "world.occg"
-    occupancy.write_grid(world, world_path)
-    traj_path = out_dir / "trajectory.json"
-    save_trajectory(Trajectory(tuple((float(i), p) for i, p in enumerate(poses))), traj_path)
-    return {"world": str(world_path), "frames": str(frames_dir), "trajectory": str(traj_path)}
+        name = f"frame_{i:06d}.occg"
+        digests[name] = occupancy.write_grid(f, frames_dir / name)
+    world_path, traj_path = out_dir / "world.occg", out_dir / "trajectory.json"
+    traj = Trajectory(tuple((float(i), p) for i, p in enumerate(poses)))
+    return {"world": _artifact(world_path, occupancy.write_grid(world, world_path)),
+            "frames": _directory_artifact(frames_dir, digests),
+            "trajectory": _artifact(traj_path, save_trajectory(traj, traj_path))}
 
 
 def _load_frames(frames_dir: Path):
@@ -140,16 +152,14 @@ def run_fuse(frames_dir, traj_path, params_cfg: dict, out_path: Path) -> dict:
     poses = load_trajectory(traj_path).poses
     params = _from_config(fusion_mod.FusionParams, params_cfg)
     gmap = fusion_mod.fuse_sequence(frames, poses, params)
-    occupancy.write_grid(gmap, out_path)
-    return {"map": str(out_path)}
+    return {"map": _artifact(out_path, occupancy.write_grid(gmap, out_path))}
 
 
 def run_topo(map_path, params_cfg: dict, out_path: Path) -> dict:
     gmap = occupancy.read_grid(map_path)
     params = _from_config(topology.TopologyParams, params_cfg)
     g, valid = topology.extract_topology(gmap, params)
-    topology.save_graph(g, valid, out_path)
-    return {"graph": str(out_path)}
+    return {"graph": _artifact(out_path, topology.save_graph(g, valid, out_path))}
 
 
 def run_lanes(map_path, graph_path, params_cfg: dict, out_path: Path) -> dict:
@@ -157,8 +167,7 @@ def run_lanes(map_path, graph_path, params_cfg: dict, out_path: Path) -> dict:
     g, _ = topology.load_graph(graph_path)
     params = _from_config(lanes_mod.LaneParams, params_cfg)
     lanes = lanes_mod.extract_lanes(gmap, g, params)
-    lanes_mod.save_lanes(lanes, out_path)
-    return {"lanes": str(out_path)}
+    return {"lanes": _artifact(out_path, lanes_mod.save_lanes(lanes, out_path))}
 
 
 def _endpoints_to_world(gmap, valid_px):
@@ -193,8 +202,7 @@ def run_spawn(map_path, lanes_path, graph_path, layout, seed, out_path: Path) ->
             "is_ego": a.is_ego,
             "route": a.route.tolist(), "target": np.asarray(a.target).tolist()}
            for a in spawned]
-    occupancy.save_json(out, out_path)
-    return {"agents": str(out_path)}
+    return {"agents": _artifact(out_path, occupancy.save_json(out, out_path))}
 
 
 def run_simulate(map_path, lanes_path, graph_path, traj_path, params_cfg,
@@ -205,13 +213,15 @@ def run_simulate(map_path, lanes_path, graph_path, traj_path, params_cfg,
     sim = _build_sim(map_path, lanes_path, graph_path, layout, params,
                      load_trajectory(traj_path).poses)
     _fresh_frames_dir(out_dir)
-    logbook = []
+    logbook, digests = [], {}
     for i, (frame, entry) in enumerate(sim.iter_steps(ego_pose_index=0)):
-        occupancy.write_grid(frame, out_dir / f"frame_{i:06d}.occg")
+        name = f"frame_{i:06d}.occg"
+        digests[name] = occupancy.write_grid(frame, out_dir / name)
         logbook.append(entry)
     manifest_path = out_dir / "run_manifest.json"
-    occupancy.save_json({"steps": logbook}, manifest_path)
-    return {"frames": str(out_dir), "run_manifest": str(manifest_path)}
+    digests[manifest_path.name] = occupancy.save_json({"steps": logbook}, manifest_path)
+    return {"frames": _directory_artifact(out_dir, digests),
+            "run_manifest": _artifact(manifest_path, digests[manifest_path.name])}
 
 
 def run_metrics(args) -> dict:
@@ -250,40 +260,23 @@ def run_pipeline(config: dict, root_seed: int, out_dir: Path) -> dict:
     synth_cfg, fuse_cfg, topo_cfg, lanes_cfg, sim_cfg = (
         _section(config, stage) for stage in ("synth", "fuse", "topo", "lanes", "simulate"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = {"seed": root_seed, "stages": []}
-    artifacts = {}
-
-    def record(stage, produced):
-        entry = {"stage": stage, "artifacts": {}}
-        for name, path in produced.items():
-            p = Path(path)
-            if p.is_dir():
-                digest = hashlib.sha256()
-                for f in sorted(p.rglob("*")):
-                    if f.is_file():
-                        digest.update(f.name.encode())
-                        digest.update(bytes.fromhex(_sha256(f)))
-                entry["artifacts"][name] = {"path": str(p), "sha256": digest.hexdigest()}
-            else:
-                entry["artifacts"][name] = {"path": str(p), "sha256": _sha256(p)}
-        manifest["stages"].append(entry)
-        artifacts.update(produced)
-
-    record("synth", run_synth(synth_cfg, stage_seed(root_seed, "synth"), out_dir))
-    record("fuse", run_fuse(artifacts["frames"], artifacts["trajectory"],
-                            fuse_cfg, out_dir / "map.occg"))
-    record("topo", run_topo(artifacts["map"], topo_cfg, out_dir / "graph.json"))
-    record("lanes", run_lanes(artifacts["map"], artifacts["graph"],
-                              lanes_cfg, out_dir / "lanes.json"))
-    record("spawn", run_spawn(artifacts["map"], artifacts["lanes"], artifacts["graph"],
-                              "procedural", stage_seed(root_seed, "spawn"),
-                              out_dir / "agents.json"))
-    record("simulate", run_simulate(artifacts["map"], artifacts["lanes"],
-                                    artifacts["graph"], artifacts["trajectory"],
-                                    sim_cfg,
-                                    stage_seed(root_seed, "simulate"),
-                                    "procedural", out_dir / "rollout"))
     manifest_path = out_dir / "pipeline_manifest.json"
+    manifest_path.unlink(missing_ok=True)  # a manifest is only ever a finished run's
+    traj, gmap, graph, lanes = (out_dir / name for name in (
+        "trajectory.json", "map.occg", "graph.json", "lanes.json"))
+    stages = {
+        "synth": run_synth(synth_cfg, stage_seed(root_seed, "synth"), out_dir),
+        "fuse": run_fuse(out_dir / "frames", traj, fuse_cfg, gmap),
+        "topo": run_topo(gmap, topo_cfg, graph),
+        "lanes": run_lanes(gmap, graph, lanes_cfg, lanes),
+        "spawn": run_spawn(gmap, lanes, graph, "procedural", stage_seed(root_seed, "spawn"),
+                           out_dir / "agents.json"),
+        "simulate": run_simulate(gmap, lanes, graph, traj, sim_cfg,
+                                 stage_seed(root_seed, "simulate"), "procedural",
+                                 out_dir / "rollout"),
+    }
+    manifest = {"seed": root_seed, "stages": [{"stage": stage, "artifacts": artifacts}
+                                              for stage, artifacts in stages.items()]}
     with open(manifest_path, "w") as fh:
         json.dump(manifest, fh, indent=2)
     return manifest

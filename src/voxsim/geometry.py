@@ -124,10 +124,11 @@ def load_trajectory(path) -> Trajectory:
         (r["t"], Pose2(r["x"], r["y"], r["yaw"])) for r in records)))
 
 
-def save_trajectory(traj: Trajectory, path) -> None:
+def save_trajectory(traj: Trajectory, path) -> str:
+    """Write ``traj`` as JSON; the file's sha256."""
     from .occupancy import save_json  # occupancy imports this module
 
-    save_json([{"t": t, "x": p.x, "y": p.y, "yaw": p.yaw} for t, p in traj.samples], path)
+    return save_json([{"t": t, "x": p.x, "y": p.y, "yaw": p.yaw} for t, p in traj.samples], path)
 
 
 def _dest_source_coords(transform: Pose2, width: int, height: int, voxel_size: float):

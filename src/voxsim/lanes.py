@@ -225,10 +225,11 @@ def extract_lanes(gmap, graph, params: LaneParams = None):
     return resolve_overlaps(candidates, params)
 
 
-def save_lanes(lanes, path) -> None:
+def save_lanes(lanes, path) -> str:
+    """Write the lanes as JSON; the file's sha256."""
     obj = [{"id": i, "points": l.points.tolist(), "offset_index": l.offset_index,
             "source_segment": l.source_segment} for i, l in enumerate(lanes)]
-    save_json(obj, path)
+    return save_json(obj, path)
 
 
 def _lane_points(points) -> np.ndarray:

@@ -9,6 +9,7 @@ frame at a time. ``read_grid`` loads a whole file through it."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 import numbers
@@ -238,11 +239,20 @@ def load_json_input(path, parse):
         raise InputFormatError(f"malformed {path}: {e!r}") from e
 
 
-def save_json(obj, path) -> None:
-    """Write ``obj`` as compact JSON. ``json.dumps`` takes the C encoder,
-    which ``json.dump`` never does; the bytes are the same."""
-    with open(path, "w") as fh:
-        fh.write(json.dumps(obj))
+def _write_hashed(path, *chunks) -> str:
+    """Write the byte chunks to ``path`` in turn; the sha256 of what was written."""
+    h = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
+            h.update(chunk)
+    return h.hexdigest()
+
+
+def save_json(obj, path) -> str:
+    """Write ``obj`` as compact JSON; the file's sha256. ``json.dumps`` takes
+    the C encoder, which ``json.dump`` never does; the bytes are the same."""
+    return _write_hashed(path, json.dumps(obj).encode())
 
 
 def read_container(data: bytes, magic: bytes, fields: str) -> tuple:
@@ -271,7 +281,8 @@ def container_floats(data: bytes, offset: int, shape: tuple) -> np.ndarray:
     return values.astype(float)
 
 
-def write_grid(grid: OccupancyGrid, path) -> None:
+def write_grid(grid: OccupancyGrid, path) -> str:
+    """Write ``grid`` as an OCCG file and return the file's sha256."""
     header = {
         "dims": list(grid.dims),
         "voxel_size": grid.voxel_size,
@@ -280,12 +291,8 @@ def write_grid(grid: OccupancyGrid, path) -> None:
         "global": isinstance(grid, GlobalMap),
     }
     blob = json.dumps(header).encode()
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        fh.write(np.ascontiguousarray(grid.labels, dtype=np.uint8))
+    return _write_hashed(path, MAGIC, struct.pack("<IQ", VERSION, len(blob)), blob,
+                         np.ascontiguousarray(grid.labels, dtype=np.uint8))
 
 
 def _parse_header(blob: bytes):

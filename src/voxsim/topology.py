@@ -370,7 +370,8 @@ def graph_segments(g: PixelGraph):
     return segs
 
 
-def save_graph(g: PixelGraph, valid_endpoints, path) -> None:
+def save_graph(g: PixelGraph, valid_endpoints, path) -> str:
+    """Write the graph and its valid endpoints as JSON; the file's sha256."""
     nodes = sorted(g)
     index = {n: i for i, n in enumerate(nodes)}
     obj = {
@@ -379,7 +380,7 @@ def save_graph(g: PixelGraph, valid_endpoints, path) -> None:
                   for u, v, w in g.edges()],
         "valid_endpoints": [index[n] for n in valid_endpoints],
     }
-    save_json(obj, path)
+    return save_json(obj, path)
 
 
 def load_graph(path):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -13,7 +14,8 @@ import pytest
 import voxsim
 from voxsim.agents import AgentLayout, LayoutEntry, encode_heatmap, write_heatmap
 from voxsim.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_STAGE, main, run_fuse,
-                        run_lanes, run_simulate, run_synth, run_topo, stage_seed)
+                        run_lanes, run_pipeline, run_simulate, run_synth, run_topo,
+                        stage_seed)
 from voxsim.geometry import Pose2, load_trajectory
 from voxsim.metrics import fid, kid, mmd, read_features, write_features
 from voxsim.occupancy import (MAGIC, GlobalMap, GridFile, GridFormatError, OccupancyGrid,
@@ -64,6 +66,10 @@ def _run_pipeline(tmp_path, config, out_dir):
     hashes = {(s["stage"], name): art["sha256"]
               for s in manifest["stages"] for name, art in s["artifacts"].items()}
     return hashes, [s["stage"] for s in manifest["stages"]]
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _write_poses(path, poses):
@@ -555,18 +561,58 @@ class TestPipeline:
         assert (out_dir / "lanes.json").exists()
         assert (out_dir / "rollout" / "run_manifest.json").exists()
 
-    @pytest.mark.parametrize("before, after", [
+    @pytest.mark.parametrize("before, after, stray", [
         # 12 synth frames, then 6: fusion used to find 12 frames for 6 poses
-        ({}, {"synth": {"trajectory": {"step": 6.4}}}),
+        ({}, {"synth": {"trajectory": {"step": 6.4}}}, ()),
         # 6 rollout frames, then 3: frames 3-5 used to stay in the rollout
-        ({"simulate": {"horizon": 6}}, {"simulate": {"horizon": 3}}),
-    ], ids=["fewer-poses", "shorter-horizon"])
-    def test_rerun_into_used_dir_matches_fresh_dir(self, tmp_path, capsys, before, after):
+        ({"simulate": {"horizon": 6}}, {"simulate": {"horizon": 3}}, ()),
+        # files no stage wrote: the directory digests used to hash them too
+        ({}, {}, ("frames/notes.txt", "rollout/sub/frame_000000.occg")),
+    ], ids=["fewer-poses", "shorter-horizon", "stray-files"])
+    def test_rerun_into_used_dir_matches_fresh_dir(self, tmp_path, capsys, before, after,
+                                                   stray):
         used = tmp_path / "used"
         _run_pipeline(tmp_path, _pipeline_config(**before), used)
+        for name in stray:
+            (used / name).parent.mkdir(exist_ok=True)
+            (used / name).write_bytes(b"left over")
         rerun, _ = _run_pipeline(tmp_path, _pipeline_config(**after), used)
         fresh, _ = _run_pipeline(tmp_path, _pipeline_config(**after), tmp_path / "fresh")
         assert rerun == fresh
+        assert all((used / name).read_bytes() == b"left over" for name in stray)
+
+    def test_failed_rerun_leaves_no_manifest(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        _run_pipeline(tmp_path, PIPELINE_CONFIG, out_dir)
+        cfg = tmp_path / "plus.json"
+        cfg.write_text(json.dumps(_pipeline_config(synth={
+            "world": {"recipe": "plus", "extent": 60.0, "road_width": 14.4}})))
+        assert main(["pipeline", "--config", str(cfg), "--seed", "7",
+                     "--out-dir", str(out_dir)]) == EXIT_CONFIG
+        assert "no valid endpoints" in capsys.readouterr().err
+        assert not (out_dir / "pipeline_manifest.json").exists()
+
+    def test_recorded_digests_are_those_of_the_files_written(self, tmp_path):
+        out_dir = tmp_path / "out"
+        manifest = run_pipeline(PIPELINE_CONFIG, 7, out_dir)
+        assert json.loads((out_dir / "pipeline_manifest.json").read_text()) == manifest
+        n_poses = len(load_trajectory(out_dir / "trajectory.json").poses)
+        horizon = PIPELINE_CONFIG["simulate"]["horizon"]
+        written = {out_dir / "frames": [f"frame_{i:06d}.occg" for i in range(n_poses)],
+                   out_dir / "rollout": [*(f"frame_{i:06d}.occg" for i in range(horizon)),
+                                         "run_manifest.json"]}
+        for stage in manifest["stages"]:
+            for name, artifact in stage["artifacts"].items():
+                path = Path(artifact["path"])
+                if path.is_dir():
+                    assert sorted(f.name for f in path.iterdir()) == written[path]
+                    fold = hashlib.sha256()
+                    for f in written[path]:
+                        fold.update(f.encode() + bytes.fromhex(_sha256(path / f)))
+                    expected = fold.hexdigest()
+                else:
+                    expected = _sha256(path)
+                assert artifact["sha256"] == expected, (stage["stage"], name)
 
     def test_even_block_grid(self, tmp_path, capsys):
         # two road rows, so none runs along y = extent/2: the ego path must
@@ -584,17 +630,17 @@ class TestPipeline:
         assert main(["synth", "--spec", str(spec), "--out", str(out),
                      "--seed", "1"]) == EXIT_OK
         capsys.readouterr()
-        assert main(["fuse", "--frames", str(out / "frames"),
-                     "--poses", str(out / "trajectory.json"),
-                     "--out", str(tmp_path / "map.occg")]) == EXIT_OK
-        capsys.readouterr()
-        assert main(["topo", "--map", str(tmp_path / "map.occg"),
-                     "--out", str(tmp_path / "graph.json")]) == EXIT_OK
-        capsys.readouterr()
-        assert main(["lanes", "--map", str(tmp_path / "map.occg"),
-                     "--graph", str(tmp_path / "graph.json"),
-                     "--out", str(tmp_path / "lanes.json")]) == EXIT_OK
-        capsys.readouterr()
+        gmap, graph = str(tmp_path / "map.occg"), str(tmp_path / "graph.json")
+        for argv, name, path in [
+            (["fuse", "--frames", str(out / "frames"), "--poses", str(out / "trajectory.json")],
+             "map", gmap),
+            (["topo", "--map", gmap], "graph", graph),
+            (["lanes", "--map", gmap, "--graph", graph], "lanes", str(tmp_path / "lanes.json")),
+        ]:
+            assert main([*argv, "--out", path]) == EXIT_OK
+            # each subcommand prints the record it returns
+            printed = json.loads(capsys.readouterr().out)
+            assert printed == {name: {"path": path, "sha256": _sha256(path)}}
         lanes = json.loads((tmp_path / "lanes.json").read_text())
         assert len(lanes) >= 1
 

@@ -14,7 +14,7 @@ from voxsim.lanes import LaneParams
 from voxsim.metrics import read_features, write_features
 from voxsim.occupancy import (DEFAULT_CROP_DIMS, GlobalMap, GridFormatError,
                               OccupancyGrid, SemanticTable, crop,
-                              default_table, read_grid, write_grid)
+                              default_table, read_grid, save_json, write_grid)
 from voxsim.simulation import IdmParams, SimParams
 from voxsim.synthworld import WorldSpec
 from voxsim.topology import TopologyParams
@@ -153,6 +153,22 @@ class TestGridIO:
         path = tmp_path / "full.occg"
         write_grid(g, path)
         assert read_grid(path).dims == DEFAULT_CROP_DIMS
+
+    @pytest.mark.parametrize("make, contiguous", [
+        (lambda labels: GlobalMap(labels, 0.4, Pose2(1.5, -2.0, 0.25)), True),
+        (lambda labels: OccupancyGrid(labels[:, ::-1]), False),
+    ], ids=["global-map", "strided-view"])
+    def test_write_grid_returns_the_file_sha256(self, tmp_path, make, contiguous):
+        grid = make(np.arange(24, dtype=np.uint8).reshape(2, 3, 4))
+        assert grid.labels.flags.c_contiguous == contiguous
+        path = tmp_path / "g.occg"
+        assert write_grid(grid, path) == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert np.array_equal(read_grid(path).labels, grid.labels)
+
+    def test_save_json_returns_the_file_sha256(self, tmp_path):
+        path = tmp_path / "o.json"
+        digest = save_json({"a": [1, 2.5, "\u00e9"], "b": None}, path)
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 READERS = {"g.occg": read_grid, "h.hm": read_heatmap, "f.feat": read_features}
