@@ -17,7 +17,11 @@ and category, so its per-frame work follows the votes and its memory the
 holes, not each frame's footprint or the map. Every frame of a sequence
 must share frame 0's dims, voxel size and semantic table; phase 2 builds
 its map under that table, and phase 3 checks that the frames fit its map:
-the same z levels, voxel size and table.
+the same z levels, voxel size and table. Phase 2's ground clean-up finds
+every column's lowest ground level in one pass over the map (a comparison
+per ground label value and one ``argmax`` along z) and shifts only the
+columns whose ground lies above z = 0. Its z = 0 mode fill counts each
+category's neighbours as a uint8 3x3 box sum of shifted adds.
 """
 
 from __future__ import annotations
@@ -250,38 +254,52 @@ def fuse_keyframes(frames, poses, keys, margin: float = 2.0) -> GlobalMap:
 
 def _sink_columns(gmap: GlobalMap, table) -> None:
     """Shift each (x, y) column down so its lowest ground-role voxel is at z=0,
-    in place, one z plane at a time. Plane z reads plane z + dz >= z, which
-    no earlier plane has overwritten; the dz top planes of a column become
-    unassigned."""
+    in place; a column without ground stays as it is.
+
+    A 256-entry lookup gives the ground label values, so an id that no uint8
+    label can hold never matches. A comparison per ground value marks the
+    ground voxels in one bool volume (indexing the lookup with the labels
+    would cast them to 8-byte indices), and one ``argmax`` along z finds
+    each column's lowest ground level dz. Only the columns with dz > 0 move,
+    one group per distinct dz: a group's rows shift down by dz in one gather
+    and write, and their dz top levels become unassigned. Index arrays hold
+    one entry per moved column, not per voxel, so the pass stays within a
+    few map sizes of memory even when every column moves."""
     labels = gmap.labels
-    X, Y, Z = labels.shape
-    dz = np.zeros((X, Y), dtype=np.intp)  # lowest ground z of each column, 0 if none
-    for z in reversed(range(Z)):
-        dz[np.isin(labels[:, :, z], table.ground_ids)] = z
-    if not dz.any():
-        return
-    for z in range(Z):
-        src = dz + z
-        plane = np.take_along_axis(labels, np.minimum(src, Z - 1)[:, :, None], axis=2)
-        labels[:, :, z] = np.where(src < Z, plane[:, :, 0], table.unassigned_id)
+    Y, Z = labels.shape[1:]
+    is_ground = np.isin(np.arange(256), table.ground_ids)  # per uint8 label value
+    ground = np.zeros(labels.shape, dtype=bool)
+    for value in np.flatnonzero(is_ground).astype(np.uint8):
+        ground |= labels == value
+    dz = ground.argmax(axis=2).ravel()  # flat (x, y); 0 for a column without ground
+    del ground  # before the gathers below
+    for d in np.unique(dz[dz > 0]):
+        gx, gy = np.divmod(np.flatnonzero(dz == d), Y)
+        labels[gx, gy, :Z - d] = labels[gx, gy, d:]
+        labels[gx, gy, Z - d:] = table.unassigned_id
 
 
 def _mode_fill_ground(gmap: GlobalMap, table) -> None:
     """Fill unassigned z=0 cells with the mode of their assigned 3x3 neighbors;
-    ties break toward the lowest category id."""
+    ties break toward the lowest category id.
+
+    Each category's neighbour count is a uint8 box sum, two shifted adds
+    over the plane padded by one cell of the unassigned id, which no
+    category matches. A hole with no assigned neighbour stays unassigned."""
     plane = gmap.labels[:, :, 0]
     holes = plane == table.unassigned_id
     if not holes.any():
         return
-    best_count = np.zeros(plane.shape, dtype=np.int32)
+    padded = np.pad(plane, 1, constant_values=table.unassigned_id)
+    best_count = np.zeros(plane.shape, dtype=np.uint8)
     best_label = np.full(plane.shape, table.unassigned_id, dtype=np.uint8)
-    kernel = np.ones((3, 3), dtype=np.int32)
     for cid in sorted(table.ids):
-        count = ndimage.convolve((plane == cid).astype(np.int32), kernel,
-                                 mode="constant", cval=0)
+        hit = (padded == cid).view(np.uint8)
+        rows = hit[:-2] + hit[1:-1] + hit[2:]
+        count = rows[:, :-2] + rows[:, 1:-1] + rows[:, 2:]  # at most 9
         better = count > best_count  # strict: earlier (lower) id wins ties
-        best_count = np.where(better, count, best_count)
-        best_label = np.where(better, np.uint8(cid), best_label)
+        np.copyto(best_count, count, where=better)
+        best_label[better] = cid
     fill = holes & (best_count > 0)
     plane[fill] = best_label[fill]
 

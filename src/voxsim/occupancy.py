@@ -63,7 +63,13 @@ class SemanticTable:
 
     @classmethod
     def from_json(cls, obj) -> "SemanticTable":
+        """The table of a stored header. Its labels are uint8, so a category
+        id or ``unassigned_id`` that is not an int in 0-255 (bools excluded)
+        raises a ValueError."""
         entries = tuple((e["id"], e["name"], e["role"]) for e in obj["entries"])
+        for i in (*(e[0] for e in entries), obj["unassigned_id"]):
+            if type(i) is not int or not 0 <= i <= 255:
+                raise ValueError(f"table id {i!r} is not an int in 0-255")
         return cls(entries=entries, unassigned_id=obj["unassigned_id"])
 
 

@@ -19,7 +19,7 @@ from voxsim.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_STAGE, main, run_fus
 from voxsim.geometry import Pose2, load_trajectory
 from voxsim.metrics import fid, kid, mmd, read_features, write_features
 from voxsim.occupancy import (MAGIC, GlobalMap, GridFile, GridFormatError, OccupancyGrid,
-                              default_table, read_grid, write_grid)
+                              SemanticTable, default_table, read_grid, write_grid)
 from voxsim.synthworld import WorldSpec, curve_trajectory
 
 from conftest import swapped_table
@@ -459,6 +459,32 @@ class TestExitCodes:
                      "--out", str(tmp_path / "map.occg")])
         assert code == EXIT_IO
         assert not (tmp_path / "map.occg").exists()
+
+    @pytest.mark.parametrize("command", ["topo", "fuse"])
+    @pytest.mark.parametrize("free_id", [300, -1, "7"])
+    def test_table_id_no_uint8_label_can_hold_is_io_error(self, tmp_path, capsys,
+                                                           command, free_id):
+        # topo used to run on such a map (exit 0), and fuse failed in the
+        # stage (exit 3) on the uint8 conversion or on sorting a str among ints
+        table = SemanticTable(entries=default_table().entries[:5]
+                              + ((free_id, "free", "free"),))
+        labels = np.full((20, 20, 4), table.road_id, dtype=np.uint8)
+        if command == "topo":
+            write_grid(GlobalMap(labels, 0.4, Pose2(), table), tmp_path / "map.occg")
+            argv = ["topo", "--map", str(tmp_path / "map.occg"),
+                    "--out", str(tmp_path / "graph.json")]
+        else:
+            (tmp_path / "frames").mkdir()
+            for i in range(4):
+                write_grid(OccupancyGrid(labels, table=table),
+                           tmp_path / "frames" / f"frame_{i:06d}.occg")
+            _write_poses(tmp_path / "traj.json", [(4.0 + 12.0 * i, 4.0, 0.0) for i in range(4)])
+            argv = ["fuse", "--frames", str(tmp_path / "frames"),
+                    "--poses", str(tmp_path / "traj.json"),
+                    "--out", str(tmp_path / "map.occg")]
+        assert main(argv) == EXIT_IO
+        assert "is not an int in 0-255" in capsys.readouterr().err
+        assert not Path(argv[-1]).exists()
 
     def test_no_valid_endpoints_is_config_error(self, tmp_path):
         _spawnable_world(tmp_path, valid_endpoints=())

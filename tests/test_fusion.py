@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from voxsim.fusion import (FusionParams, _footprint_rows, _frame_footprint,
                            _frame_hole_columns, _frame_to_map_indices,
@@ -14,7 +15,7 @@ from voxsim.fusion import (FusionParams, _footprint_rows, _frame_footprint,
                            fuse_keyframes, fuse_sequence, refine_morphology,
                            select_keyframes, vote_inpaint)
 from voxsim.geometry import Pose2
-from voxsim.occupancy import GlobalMap, OccupancyGrid, default_table
+from voxsim.occupancy import GlobalMap, OccupancyGrid, SemanticTable, default_table
 from voxsim.synthworld import (WorldSpec, generate_world, sample_frames,
                                straight_trajectory)
 
@@ -282,7 +283,8 @@ class TestFrameGeometry:
 
 def reference_sink_columns(labels, table):
     """Sunk copy of a label volume from one fancy gather over (X, Y, Z)
-    int64 source indices: the reference for _sink_columns' plane loop."""
+    int64 source indices, with the ground found by ``np.isin`` over the
+    whole volume: the reference for _sink_columns' lookup and row shift."""
     ground = np.isin(labels, table.ground_ids)
     dz = np.where(ground.any(axis=2), ground.argmax(axis=2), 0)
     Z = labels.shape[2]
@@ -293,11 +295,20 @@ def reference_sink_columns(labels, table):
                     table.unassigned_id).astype(np.uint8)
 
 
+def odd_table():
+    """A table whose ids differ from the default's, with ground ids
+    (9, 4, 250) and unassigned id 200."""
+    return SemanticTable(entries=((9, "lane", "road"), (4, "kerb", "sidewalk"),
+                                  (7, "car", "vehicle"), (250, "grass", "ground"),
+                                  (5, "air", "free"), (3, "sky", "obstacle")),
+                         unassigned_id=200)
+
+
 class TestColumnSinking:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_matches_gather_reference(self, data):
-        table = default_table()
+        table = data.draw(st.sampled_from([default_table(), swapped_table(), odd_table()]))
         shape = tuple(data.draw(st.integers(1, 9)) for _ in range(3))
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
         # values include the unassigned id; a low ground share leaves
@@ -327,6 +338,24 @@ class TestColumnSinking:
             tracemalloc.stop()
         assert peak < 4 * gmap.labels.nbytes, peak / gmap.labels.nbytes
 
+    def test_memory_scales_with_the_map_when_every_column_moves(self, table):
+        # ground at z = 1..15 in every column: (n, Z) int64 source levels for
+        # one gather of every moved row took the sink to about 20x the map
+        rng = np.random.default_rng(0)
+        labels = rng.choice(np.array([0, 3, 5, 6], dtype=np.uint8), size=(200, 200, 16))
+        dz = rng.integers(1, 16, size=(200, 200))
+        np.put_along_axis(labels, dz[:, :, None], table.road_id, axis=2)
+        expected = reference_sink_columns(labels, table)
+        gmap = GlobalMap(labels, 0.4, Pose2(), table)
+        tracemalloc.start()
+        try:
+            _sink_columns(gmap, table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(gmap.labels, expected)
+        assert peak < 3 * labels.nbytes, peak / labels.nbytes
+
     def test_elevated_ground_sinks_to_zero(self, table):
         labels = np.zeros((4, 4, 8), dtype=np.uint8)
         labels[:, :, 2] = table.road_id       # ground floating at z=2
@@ -346,7 +375,56 @@ class TestColumnSinking:
         assert np.array_equal(gmap.labels, labels)
 
 
+def reference_mode_fill_ground(gmap, table):
+    """The mode fill by one int32 ``ndimage.convolve`` of the whole z=0
+    plane per category: the reference for _mode_fill_ground's box sums."""
+    plane = gmap.labels[:, :, 0]
+    holes = plane == table.unassigned_id
+    if not holes.any():
+        return
+    best_count = np.zeros(plane.shape, dtype=np.int32)
+    best_label = np.full(plane.shape, table.unassigned_id, dtype=np.uint8)
+    kernel = np.ones((3, 3), dtype=np.int32)
+    for cid in sorted(table.ids):
+        count = ndimage.convolve((plane == cid).astype(np.int32), kernel,
+                                 mode="constant", cval=0)
+        better = count > best_count  # strict: earlier (lower) id wins ties
+        best_count = np.where(better, count, best_count)
+        best_label = np.where(better, np.uint8(cid), best_label)
+    fill = holes & (best_count > 0)
+    plane[fill] = best_label[fill]
+
+
 class TestModeFill:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_convolve_reference(self, data):
+        table = data.draw(st.sampled_from([default_table(), swapped_table(), odd_table()]))
+        X, Y, Z = (data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12)),
+                   data.draw(st.integers(1, 3)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        # two categories make ties common; all holes and no holes are edge cases
+        ids = np.array(data.draw(st.sampled_from([table.ids, table.ids[:2]])), dtype=np.uint8)
+        labels = rng.choice(ids, size=(X, Y, Z)).astype(np.uint8)
+        hole_share = data.draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+        labels[:, :, 0][rng.random((X, Y)) < hole_share] = table.unassigned_id
+        tie = None
+        if X >= 3 and Y >= 3 and data.draw(st.booleans()):
+            # a hole whose eight neighbours are four of each of two ids
+            i, j = int(rng.integers(1, X - 1)), int(rng.integers(1, Y - 1))
+            a, b = (int(v) for v in rng.choice(table.ids, size=2, replace=False))
+            window = np.insert(rng.permutation([a] * 4 + [b] * 4), 4, table.unassigned_id)
+            labels[i - 1:i + 2, j - 1:j + 2, 0] = window.reshape(3, 3)
+            tie = (i, j, min(a, b))
+        expected = GlobalMap(labels.copy(), 0.4, Pose2(), table)
+        reference_mode_fill_ground(expected, table)
+        gmap = GlobalMap(labels.copy(), 0.4, Pose2(), table)
+        _mode_fill_ground(gmap, table)
+        assert gmap.labels.dtype == np.uint8
+        assert np.array_equal(gmap.labels, expected.labels)
+        if tie is not None:
+            assert gmap.labels[tie[0], tie[1], 0] == tie[2]
+
     def test_majority_neighbor_fills_hole(self, table):
         plane = np.full((5, 5), table.road_id, dtype=np.uint8)
         plane[2, 2] = table.unassigned_id

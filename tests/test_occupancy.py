@@ -148,6 +148,29 @@ class TestGridIO:
         with pytest.raises(GridFormatError):
             read_grid(path)
 
+    @pytest.mark.parametrize("free_id, unassigned_id", [
+        (300, 0), (-1, 0), ("7", 0), (6.0, 0), (False, 7), (6, 256), (6, -1),
+    ], ids=["id-300", "id-minus-1", "id-string", "id-float", "id-bool",
+            "unassigned-256", "unassigned-minus-1"])
+    def test_table_id_no_uint8_label_can_hold_is_a_header_error(
+            self, tmp_path, free_id, unassigned_id):
+        # such a table used to load: topo ran on it, and fuse failed in the
+        # stage on the uint8 conversion or on sorting a str among ints
+        table = SemanticTable(entries=default_table().entries[:5]
+                              + ((free_id, "free", "free"),), unassigned_id=unassigned_id)
+        path = tmp_path / "t.occg"
+        write_grid(OccupancyGrid(np.zeros((2, 2, 2), dtype=np.uint8), table=table), path)
+        with pytest.raises(GridFormatError, match="is not an int in 0-255") as e:
+            read_grid(path)
+        assert e.value.offset == 24
+
+    def test_table_ids_at_the_uint8_bounds_load(self, tmp_path):
+        table = SemanticTable(entries=default_table().entries[:5] + ((255, "free", "free"),),
+                              unassigned_id=0)
+        path = tmp_path / "t.occg"
+        write_grid(OccupancyGrid(np.zeros((2, 2, 2), dtype=np.uint8), table=table), path)
+        assert read_grid(path).table == table
+
     def test_declared_dims_match_payload_accepted(self, tmp_path):
         g = OccupancyGrid(np.zeros(DEFAULT_CROP_DIMS, dtype=np.uint8))
         path = tmp_path / "full.occg"
