@@ -33,7 +33,8 @@ import numpy as np
 from scipy import ndimage
 
 from .geometry import Pose2
-from .occupancy import NONNEGATIVE, POSITIVE, GlobalMap, Settings, at_least, setting
+from .occupancy import (NONNEGATIVE, POSITIVE, GlobalMap, Settings, at_least,
+                        check_label_ids, setting)
 
 
 @dataclass
@@ -201,8 +202,10 @@ def _frame_geometry(frames):
     sequence. Both passes index each frame with these and read its label
     values under frame 0's semantic table, so a frame that differs from
     frame 0 in any of the three raises a ValueError naming its index and
-    what differs."""
+    what differs. Frame 0's table must hold only ids a uint8 label can
+    carry (``check_label_ids``)."""
     dims, vox, table = frames[0].dims, frames[0].voxel_size, frames[0].table
+    check_label_ids(*table.ids, table.unassigned_id)
     for i, f in enumerate(frames):
         if f.dims != dims:
             raise ValueError(f"frame {i} has dims {f.dims}, frame 0 has {dims}")

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -300,6 +301,45 @@ class TestCrop:
         assert out.labels.shape == out_dims
         assert np.array_equal(out.labels, reference_crop_labels(gmap, pose, out_dims))
         assert (out.voxel_size, out.origin, out.table) == (vox, pose, gmap.table)
+
+    @pytest.mark.parametrize("gz, x, y, yaw, on_map", [
+        (16, 20.0, 60.0, 0.9, "part"),       # heights equal, rows off the map
+        (24, 60.0, 60.0, 2.0, "all"),        # crop lower than the map
+        (8, 100.0, 30.0, -0.4, "part"),      # crop higher than the map
+        (16, -200.0, 50.0, 0.3, "none"),     # wholly off the map
+        (16, 121.0, -1.0, 0.785, "part"),    # across the map's (xmax, ymin) corner
+    ], ids=["z-equal-off-map", "z-lower", "z-higher", "wholly-off", "corner"])
+    def test_realistic_size_matches_two_index_gather(self, gz, x, y, yaw, on_map):
+        # 200x200x16 crops of a 300x300 map (120 m a side) under an
+        # unassigned id that no map voxel holds, so every filled voxel shows
+        table = dataclasses.replace(default_table(), unassigned_id=200)
+        labels = np.random.default_rng(gz).integers(1, 7, size=(300, 300, gz))
+        gmap = GlobalMap(labels.astype(np.uint8), 0.4, Pose2(), table)
+        pose = Pose2(x, y, yaw)
+        out = crop(gmap, pose, (200, 200, 16)).labels
+        ref = reference_crop_labels(gmap, pose, (200, 200, 16))
+        assert np.array_equal(out, ref)
+        share = (ref[:, :, 0] != 200).mean()
+        assert {"all": share == 1.0, "none": share == 0.0, "part": 0 < share < 1}[on_map]
+
+    # Beside its output the crop allocates two float planes (8 bytes a cell
+    # each, reused in place for the cells and the flat rows), a bool mask
+    # and the intp rows: 25 bytes a footprint cell, where separate cell,
+    # index and fill arrays took 57.
+    @pytest.mark.parametrize("pose, off_map", [(Pose2(300.0, 300.0, 0.7), False),
+                                               (Pose2(20.0, 580.0, 2.2), True)],
+                             ids=["on-map", "partly-off"])
+    def test_peak_memory_is_the_output_and_32_bytes_a_cell(self, pose, off_map):
+        gmap = GlobalMap(np.ones((1500, 1500, 16), dtype=np.uint8), 0.4, Pose2())
+        tracemalloc.start()
+        try:
+            out = crop(gmap, pose, (200, 200, 16)).labels
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        cells = 200 * 200
+        assert (out == gmap.table.unassigned_id).any() == off_map
+        assert peak < out.nbytes + 32 * cells, (peak - out.nbytes) / cells
 
     def test_cell_of(self):
         gmap = GlobalMap(np.zeros((10, 10, 2), dtype=np.uint8), 0.5,
