@@ -19,7 +19,7 @@ import numpy as np
 
 from .geometry import Pose2, arc_length
 from .occupancy import (POSITIVE, GridFormatError, OccupancyGrid, Settings,
-                        container_floats, read_container, setting)
+                        container_floats, read_container, setting, write_hashed)
 from .routing import RouteNetwork
 
 log = logging.getLogger(__name__)
@@ -166,11 +166,11 @@ def decode_heatmap(h: np.ndarray, meters_per_cell: float,
     return AgentLayout(entries)
 
 
-def write_heatmap(h: np.ndarray, meters_per_cell: float, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(b"HEATMAP1")
-        fh.write(struct.pack("<IId", h.shape[0], h.shape[1], meters_per_cell))
-        fh.write(np.asarray(h, dtype="<f4").tobytes())
+def write_heatmap(h: np.ndarray, meters_per_cell: float, path) -> str:
+    """Write ``h`` as a HEATMAP1 file and return the file's sha256."""
+    return write_hashed(path, b"HEATMAP1",
+                        struct.pack("<IId", h.shape[0], h.shape[1], meters_per_cell),
+                        np.ascontiguousarray(h, dtype="<f4"))
 
 
 def read_heatmap(path):

@@ -3,25 +3,29 @@
 Phase 1 selects spatially separated keyframes, phase 2 writes them first-wins
 into a fresh world map and sinks columns to the ground plane, phase 3 inpaints
 the remaining gaps with per-category votes from the non-keyframes, and phase 4
-cleans the result morphologically. Both warping passes pull back only the map
-columns that can still change: phase 2 skips columns an earlier keyframe has
-filled, and phase 3 visits only columns that hold a hole. Phase 3 also
-visits only the part of each map row that the frame's footprint can cover:
-two binary searches per row in the sorted list of hole columns find the
-ones inside, so a vote frame's pull-back work follows its footprint's rows
-plus the hole columns inside it, not its axis-aligned box. Both passes
-gather a frame's sources as flat rows of Z bytes, one ``take`` per frame.
-Phase 3 then looks up and counts only the voxels that can vote, assigned in
-the frame and left unassigned by phase 2, in a tally of one count per hole
-and category, so its per-frame work follows the votes and its memory the
-holes, not each frame's footprint or the map. Every frame of a sequence
-must share frame 0's dims, voxel size and semantic table; phase 2 builds
-its map under that table, and phase 3 checks that the frames fit its map:
-the same z levels, voxel size and table. Phase 2's ground clean-up finds
-every column's lowest ground level in one pass over the map (a comparison
-per ground label value and one ``argmax`` along z) and shifts only the
-columns whose ground lies above z = 0. Its z = 0 mode fill counts each
-category's neighbours as a uint8 3x3 box sum of shifted adds.
+cleans the result morphologically.
+
+Both warping passes pull back only the map columns that can still change,
+kept as a sorted list of flat map cells: phase 2 the columns no earlier
+keyframe has filled, phase 3 the columns that hold a hole. One routine,
+``_frame_columns``, picks a frame's columns from such a list and gathers
+what the frame holds there. Along a map row the frame's footprint is one
+interval, and two binary searches per row find the listed columns inside
+it, so the pull-back work follows the footprint's rows plus the listed
+columns inside it, not its axis-aligned box; each of them still passes the
+exact in-frame test. The columns come in row-major order, each map cell at
+most once, and the frame's sources as flat rows of Z bytes, one ``take``
+per frame. Phase 3 then looks up and counts only the voxels that can vote,
+assigned in the frame and left unassigned by phase 2, in a tally of one
+count per hole and category, so its per-frame work follows the votes and
+its memory the holes, not each frame's footprint or the map. Every frame of
+a sequence must share frame 0's dims, voxel size and semantic table; phase
+2 builds its map under that table, and phase 3 checks that the frames fit
+its map: the same z levels, voxel size and table. Phase 2's ground clean-up
+finds every column's lowest ground level in one pass over the map (a
+comparison per ground label value and one ``argmax`` along z) and shifts
+only the columns whose ground lies above z = 0. Its z = 0 mode fill counts
+each category's neighbours as a uint8 box sum of shifted adds.
 """
 
 from __future__ import annotations
@@ -87,51 +91,18 @@ def _map_extent(poses, dims, vox: float, margin: float):
     return lo, (nx, ny)
 
 
-def _footprint_box(gmap: GlobalMap, pose: Pose2, dims):
-    """Map-index corners (g0, g1) of the part of the frame's axis-aligned
-    footprint box that lies on the map, g1 exclusive; None when the
-    footprint misses the map."""
-    lo, hi = _frame_footprint(pose, dims, gmap.voxel_size)
-    g0 = np.maximum(gmap.cell_of(*lo), 0)
-    g1 = np.minimum(np.add(gmap.cell_of(*hi), 1), gmap.dims[:2])
-    if np.any(g1 <= g0):
-        return None
-    return g0, g1
-
-
 def _pull_back(gmap: GlobalMap, pose: Pose2, dims, gx, gy):
     """(fx, fy, ok): the frame indices of map cells (gx, gy) and whether
     they fall inside the frame. Cell centres go through the inverse ego pose
     and ``floor``, the exact inverse of the crop sampling. The arithmetic is
     elementwise, so a cell's answer does not depend on which other cells
-    are pulled back with it; both passes select their cells in other ways
-    and then pull them back here."""
+    are pulled back with it."""
     vox = gmap.voxel_size
     X, Y = dims[0], dims[1]
     lx, ly = pose.inverse().transform_xy(*gmap.cell_center(gx, gy))
     fx = np.floor(lx / vox + X / 2.0).astype(np.int64)
     fy = np.floor(ly / vox + Y / 2.0).astype(np.int64)
     return fx, fy, (fx >= 0) & (fx < X) & (fy >= 0) & (fy < Y)
-
-
-def _frame_to_map_indices(gmap: GlobalMap, pose: Pose2, dims, columns):
-    """(gx, gy, fx, fy) for every global cell inside the frame's footprint
-    whose column is set in the (X, Y) bool mask ``columns``; None when the
-    footprint misses the map.
-
-    Only the masked cells of the footprint's box are pulled back, in
-    row-major order, so the result is the masked subset of the whole
-    footprint's, bit for bit. Each map cell appears at most once.
-    """
-    box = _footprint_box(gmap, pose, dims)
-    if box is None:
-        return None
-    g0, g1 = box
-    gx, gy = np.nonzero(columns[g0[0]:g1[0], g0[1]:g1[1]])
-    gx += g0[0]
-    gy += g0[1]
-    fx, fy, ok = _pull_back(gmap, pose, dims, gx, gy)
-    return gx[ok], gy[ok], fx[ok], fy[ok]
 
 
 def _row_span(a, b, n):
@@ -148,19 +119,21 @@ def _row_span(a, b, n):
 
 
 def _footprint_rows(gmap: GlobalMap, pose: Pose2, dims):
-    """(rows, jlo, jhi): the map rows of the frame's footprint box and, for
-    each, a range [jlo, jhi) of gy inside the box that holds every cell of
-    that row inside the frame; None when the footprint misses the map.
+    """(rows, jlo, jhi): the map rows of the on-map part of the frame's
+    axis-aligned footprint box and, for each, a range [jlo, jhi) of gy inside
+    the box that holds every cell of that row inside the frame; None when
+    the footprint misses the map.
 
     Along a map row both frame coordinates are linear in gy, so the frame
     rectangle grown by one voxel on every side cuts the row in one interval.
     The margin is far larger than the rounding of the exact pull-back, so
     the ranges are supersets: ``_pull_back`` still decides each cell.
     """
-    box = _footprint_box(gmap, pose, dims)
-    if box is None:
+    lo, hi = _frame_footprint(pose, dims, gmap.voxel_size)
+    g0 = np.maximum(gmap.cell_of(*lo), 0)
+    g1 = np.minimum(np.add(gmap.cell_of(*hi), 1), gmap.dims[:2])  # exclusive
+    if np.any(g1 <= g0):
         return None
-    g0, g1 = box
     inv = pose.inverse()
     c, s = math.cos(inv.yaw), math.sin(inv.yaw)  # as in Pose2.transform_xy
     rows = np.arange(g0[0], g1[0], dtype=np.int64)
@@ -174,27 +147,26 @@ def _footprint_rows(gmap: GlobalMap, pose: Pose2, dims):
     return rows, jlo, np.maximum(jhi, jlo)
 
 
-def _frame_hole_columns(gmap: GlobalMap, pose: Pose2, dims, hole_cells):
-    """(k, fx, fy) for every hole column inside the frame: ``hole_cells[k]``
-    is its flat map cell gx * GY + gy, from the sorted int64 ``hole_cells``;
-    None when the footprint misses the map. Cells come in row-major order.
-
-    Two binary searches per footprint row find the hole columns in its range
-    (``_footprint_rows``), so only those are pulled back, not every hole
-    column of the footprint's box.
-    """
-    hit = _footprint_rows(gmap, pose, dims)
+def _frame_columns(gmap: GlobalMap, pose: Pose2, frame, cells):
+    """(k, src) for every column of the sorted int64 list ``cells`` (flat map
+    cells gx * GY + gy) that lies inside ``frame`` at ``pose``: ``cells[k]``
+    are those columns in row-major order, each at most once, and ``src`` the
+    frame's label columns there, one row of Z bytes each; None when the
+    footprint misses the map. Two binary searches per footprint row
+    (``_footprint_rows``) pick the listed columns that are pulled back."""
+    hit = _footprint_rows(gmap, pose, frame.dims)
     if hit is None:
         return None
     rows, jlo, jhi = hit
     GY = gmap.dims[1]
-    start = np.searchsorted(hole_cells, rows * GY + jlo)
-    counts = np.searchsorted(hole_cells, rows * GY + jhi) - start
+    start = np.searchsorted(cells, rows * GY + jlo)
+    counts = np.searchsorted(cells, rows * GY + jhi) - start
     # ragged ranges start[i] .. start[i] + counts[i], concatenated
     k = np.arange(counts.sum()) + np.repeat(start - (np.cumsum(counts) - counts), counts)
     gx = np.repeat(rows, counts)
-    fx, fy, ok = _pull_back(gmap, pose, dims, gx, hole_cells[k] - gx * GY)
-    return k[ok], fx[ok], fy[ok]
+    fx, fy, ok = _pull_back(gmap, pose, frame.dims, gx, cells[k] - gx * GY)
+    X, Y, Z = frame.dims
+    return k[ok], frame.labels.reshape(X * Y, Z).take(fx[ok] * Y + fy[ok], axis=0)
 
 
 def _frame_geometry(frames):
@@ -223,32 +195,31 @@ def fuse_keyframes(frames, poses, keys, margin: float = 2.0) -> GlobalMap:
     ground-role voxel sits at z=0 and mode-fill unassigned z=0 cells.
 
     First-wins never changes a column without an unassigned voxel, so each
-    keyframe visits only the columns still open, and a column closes once
-    it is filled. Source and map columns move as flat rows of Z bytes, one
-    ``take`` in and one write back per keyframe."""
+    keyframe visits only the columns still open, and a column leaves the
+    open list once it is filled. Map columns move as flat rows of Z bytes,
+    one ``take`` and one write back per keyframe."""
     if len(frames) != len(poses):
         raise ValueError("frames and poses must pair up")
     if not keys:
         raise ValueError("empty keyframe set")
     dims, vox, table = _frame_geometry(frames)
-    X, Y, Z = dims
+    Z = dims[2]
     lo, (nx, ny) = _map_extent([poses[k] for k in keys], dims, vox, margin)
     labels = np.full((nx, ny, Z), table.unassigned_id, dtype=np.uint8)
     gmap = GlobalMap(labels, vox, Pose2(lo[0], lo[1], 0.0), table)
     columns = labels.reshape(nx * ny, Z)
-    open_columns = np.ones((nx, ny), dtype=bool)  # still hold an unassigned voxel
+    open_cells = np.arange(nx * ny, dtype=np.int64)  # still hold an unassigned voxel
 
     for k in keys:
-        hit = _frame_to_map_indices(gmap, poses[k], dims, open_columns)
+        hit = _frame_columns(gmap, poses[k], frames[k], open_cells)
         if hit is None:
             continue
-        gx, gy, fx, fy = hit
-        cells = gx * ny + gy
-        src = frames[k].labels.reshape(X * Y, Z).take(fx * Y + fy, axis=0)  # (n, Z)
+        row, src = hit
+        cells = open_cells[row]
         dst = columns.take(cells, axis=0)
         np.copyto(dst, src, where=dst == table.unassigned_id)
         columns[cells] = dst
-        open_columns.reshape(-1)[cells] = (dst == table.unassigned_id).any(axis=1)
+        open_cells = np.delete(open_cells, row[(dst != table.unassigned_id).all(axis=1)])
 
     _sink_columns(gmap, table)
     _mode_fill_ground(gmap, table)
@@ -315,19 +286,15 @@ def _tally_votes(gmap: GlobalMap, unassigned, frames, poses, non_keys, cids):
     raise a ValueError, since their label values are counted under
     ``gmap.table``.
 
-    The hole columns are one sorted flat list. Each frame pulls back only
-    the hole columns inside its footprint's row ranges, found by binary
-    search (``_frame_hole_columns``), so its pull-back work follows its
-    footprint's rows plus the hole columns inside it, not its bounding box.
-    Their positions in the list are the rows of ``column_holes``. Sources
-    are gathered as flat rows of Z bytes. A one-byte mask, assigned in the
-    frame and a hole in the map, picks the voxels that can vote, and only
-    those go through the label -> category and hole -> slot lookups, so the
-    rest of the per-frame cost follows the votes. The slot table keeps int32
-    hole indices; flat tally offsets are formed in int64 on the voters only.
+    The hole columns are one sorted flat list, which ``_frame_columns``
+    picks each frame's columns from; their positions in the list are the
+    rows of ``column_holes``. A one-byte mask, assigned in the frame and a
+    hole in the map, picks the voxels that can vote, and only those go
+    through the label -> category and hole -> slot lookups. The slot table
+    keeps int32 hole indices; flat tally offsets are formed in int64 on the
+    voters only.
     """
     dims, vox, table = _frame_geometry(frames)
-    X, Y = dims[0], dims[1]
     Z = unassigned.shape[2]
     if (dims[2], vox) != (Z, gmap.voxel_size):
         raise ValueError(f"frames have {dims[2]} z levels of {vox} m, "
@@ -350,11 +317,10 @@ def _tally_votes(gmap: GlobalMap, unassigned, frames, poses, non_keys, cids):
 
     unassigned_id = gmap.table.unassigned_id
     for t in non_keys:
-        hit = _frame_hole_columns(gmap, poses[t], dims, hole_cells)
+        hit = _frame_columns(gmap, poses[t], frames[t], hole_cells)
         if hit is None:
             continue
-        crow, fx, fy = hit
-        src = frames[t].labels.reshape(X * Y, Z).take(fx * Y + fy, axis=0)  # (n, Z)
+        crow, src = hit
         cand = np.flatnonzero((src != unassigned_id) & column_holes.take(crow, axis=0))
         cls = category[src.reshape(-1)[cand]]
         ok = cls >= 0  # label values outside the table cast no vote
@@ -371,16 +337,13 @@ def vote_inpaint(gmap: GlobalMap, frames, poses, non_keys, tau_vote: int) -> Glo
     toward the lowest category id. Pass-1 voxels are never modified.
 
     Votes go to a compact (C, n_holes) tally (``_tally_votes``), so memory
-    scales with the holes, not with the map. Each frame's pull-back work
-    follows its footprint's rows plus the hole columns inside it, not its
-    bounding box, and the rest of its cost the voxels that vote. A frame
-    casts at most one vote per hole, because ``_frame_hole_columns`` yields
-    each hole column at most once, so a plain fancy increment counts exactly
-    and no count exceeds ``len(non_keys)``: the tally takes the smallest
-    unsigned dtype that holds that (uint8 up to 255 frames, uint16 up to
-    65 535), so it never wraps. The winner comes from a running maximum over
-    the C category rows and a reverse pass that keeps the lowest category
-    reaching it.
+    scales with the holes, not with the map. A frame casts at most one vote
+    per hole, because ``_frame_columns`` yields each hole column at most
+    once, so a plain fancy increment counts exactly and no count exceeds
+    ``len(non_keys)``: the tally takes the smallest unsigned dtype that
+    holds that (uint8 up to 255 frames, uint16 up to 65 535), so it never
+    wraps. The winner comes from a running maximum over the C category rows
+    and a reverse pass that keeps the lowest category reaching it.
     """
     table = gmap.table
     out = gmap.labels.copy()

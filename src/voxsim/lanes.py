@@ -130,22 +130,22 @@ def estimate_width(center_px: np.ndarray, road: np.ndarray, border: cKDTree,
     return 2.0 * float(np.median(d * voxel_size))
 
 
-def _on_mask(points_m: np.ndarray, mask: np.ndarray, voxel_size: float, origin=(0.0, 0.0)) -> np.ndarray:
-    idx = np.floor((points_m - np.asarray(origin)) / voxel_size).astype(int)
-    ok = ((idx[:, 0] >= 0) & (idx[:, 0] < mask.shape[0])
-          & (idx[:, 1] >= 0) & (idx[:, 1] < mask.shape[1]))
+def _on_mask(points_m: np.ndarray, mask: np.ndarray, gmap) -> np.ndarray:
+    """Whether each world point lies in a True cell of ``mask``, a plane of
+    ``gmap``'s cells (``cell_of``); points off the plane read False."""
+    ix, iy = gmap.cell_of(points_m[:, 0], points_m[:, 1])
+    ok = (ix >= 0) & (ix < mask.shape[0]) & (iy >= 0) & (iy < mask.shape[1])
     out = np.zeros(len(points_m), dtype=bool)
-    out[ok] = mask[idx[ok, 0], idx[ok, 1]]
+    out[ok] = mask[ix[ok], iy[ok]]
     return out
 
 
 def offset_lanes(center: np.ndarray, seg_width: float, params: LaneParams,
-                 drivable: np.ndarray, voxel_size: float, origin=(0.0, 0.0),
-                 source_segment: int = 0):
+                 drivable: np.ndarray, gmap, source_segment: int = 0):
     """Parallel lane candidates: n = floor(seg_width / w_lane) - 1 offsets at
     (i - (n-1)/2) * w_lane along the centerline normals. A candidate is kept
-    only when its interior stays on the drivable mask; n <= 0 degrades to the
-    centerline alone."""
+    only when its interior stays on the drivable mask, a plane of ``gmap``'s
+    cells; n <= 0 degrades to the centerline alone."""
     n = int(math.floor(seg_width / params.w_lane + 1e-9)) - 1
     if n <= 0:
         return [Lane(center.copy(), source_segment, 0)]
@@ -155,7 +155,7 @@ def offset_lanes(center: np.ndarray, seg_width: float, params: LaneParams,
         off = (i - (n - 1) / 2.0) * params.w_lane
         pts = center + off * normals
         interior = pts[1:-1] if len(pts) > 2 else pts
-        if _on_mask(interior, drivable, voxel_size, origin).all():
+        if _on_mask(interior, drivable, gmap).all():
             lanes.append(Lane(pts, source_segment, i))
     return lanes
 
@@ -208,7 +208,6 @@ def extract_lanes(gmap, graph, params: LaneParams = None):
         params = LaneParams()
     vox = gmap.voxel_size
     road = gmap.labels[:, :, 0] == gmap.table.road_id
-    origin = (gmap.origin.x, gmap.origin.y)
     border = border_tree(road)
 
     candidates = []
@@ -219,7 +218,7 @@ def extract_lanes(gmap, graph, params: LaneParams = None):
         center_px = fit_centerline(seg_px, params.ds_step / vox)
         seg_width = estimate_width(center_px, road, border, vox)
         center_m = np.stack(gmap.cell_center(*center_px.T), axis=1)
-        cands = offset_lanes(center_m, seg_width, params, road, vox, origin,
+        cands = offset_lanes(center_m, seg_width, params, road, gmap,
                              source_segment=seg_id)
         candidates.extend(cands)
     return resolve_overlaps(candidates, params)

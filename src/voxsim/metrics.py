@@ -10,7 +10,7 @@ import struct
 
 import numpy as np
 
-from .occupancy import container_floats, read_container
+from .occupancy import container_floats, read_container, write_hashed
 
 
 # --- semantic-space metrics -------------------------------------------------
@@ -121,12 +121,15 @@ def kid(x: np.ndarray, y: np.ndarray) -> float:
     return mmd(x, y, kernel="polynomial", degree=3, coef=1.0)
 
 
-def fid(x: np.ndarray, y: np.ndarray, eig_floor: float = 1e-10):
+FID_EIG_FLOOR = 1e-10  # covariance eigenvalues below this count as singular
+
+
+def fid(x: np.ndarray, y: np.ndarray):
     """Frechet distance between Gaussian fits of two feature sets.
 
     tr((Sx Sy)^{1/2}) is computed through the symmetric product
     Sx^{1/2} Sy Sx^{1/2}. Returns (value, flagged) where flagged marks a
-    singular covariance handled with the eigenvalue floor.
+    singular covariance handled with the eigenvalue floor FID_EIG_FLOOR.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -143,9 +146,9 @@ def fid(x: np.ndarray, y: np.ndarray, eig_floor: float = 1e-10):
     def psd_sqrt(c):
         nonlocal flagged
         w, v = np.linalg.eigh(c)
-        if np.any(w < eig_floor):
+        if np.any(w < FID_EIG_FLOOR):
             flagged = True
-            w = np.maximum(w, eig_floor)
+            w = np.maximum(w, FID_EIG_FLOOR)
         return (v * np.sqrt(w)) @ v.T
 
     sx_half = psd_sqrt(cx)
@@ -159,12 +162,10 @@ def fid(x: np.ndarray, y: np.ndarray, eig_floor: float = 1e-10):
 
 # --- feature file container -------------------------------------------------
 
-def write_features(x: np.ndarray, path) -> None:
-    x = np.asarray(x, dtype="<f4")
-    with open(path, "wb") as fh:
-        fh.write(b"FEATSET1")
-        fh.write(struct.pack("<II", x.shape[0], x.shape[1]))
-        fh.write(np.ascontiguousarray(x).tobytes())
+def write_features(x: np.ndarray, path) -> str:
+    """Write ``x`` as a FEATSET1 file and return the file's sha256."""
+    x = np.ascontiguousarray(x, dtype="<f4")
+    return write_hashed(path, b"FEATSET1", struct.pack("<II", x.shape[0], x.shape[1]), x)
 
 
 def read_features(path) -> np.ndarray:

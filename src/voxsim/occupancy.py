@@ -207,9 +207,11 @@ def crop(gmap: GlobalMap, pose: Pose2, out_dims=DEFAULT_CROP_DIMS) -> OccupancyG
     that ``Pose2.transform_xy`` returns, the rows' map columns are taken
     straight into the output (only their first ``min(Z, GZ)`` levels when
     the heights differ), and off-map rows, when there are any, are filled
-    whole.
+    whole. The map's table must hold only ids a uint8 label can carry
+    (``check_label_ids``), at every pose.
     """
     X, Y, Z = DIMS.check("out_dims", out_dims)
+    check_label_ids(*gmap.table.ids, gmap.table.unassigned_id)
     vox = gmap.voxel_size
     GX, GY, GZ = gmap.dims
     uid = gmap.table.unassigned_id
@@ -277,8 +279,9 @@ def load_json_input(path, parse):
         raise InputFormatError(f"malformed {path}: {e!r}") from e
 
 
-def _write_hashed(path, *chunks) -> str:
-    """Write the byte chunks to ``path`` in turn; the sha256 of what was written."""
+def write_hashed(path, *chunks) -> str:
+    """Write the byte chunks to ``path`` in turn; the sha256 of what was
+    written. Every file writer (OCCG, HEATMAP1, FEATSET1, JSON) calls it."""
     h = hashlib.sha256()
     with open(path, "wb") as fh:
         for chunk in chunks:
@@ -290,7 +293,7 @@ def _write_hashed(path, *chunks) -> str:
 def save_json(obj, path) -> str:
     """Write ``obj`` as compact JSON; the file's sha256. ``json.dumps`` takes
     the C encoder, which ``json.dump`` never does; the bytes are the same."""
-    return _write_hashed(path, json.dumps(obj).encode())
+    return write_hashed(path, json.dumps(obj).encode())
 
 
 def read_container(data: bytes, magic: bytes, fields: str) -> tuple:
@@ -329,7 +332,7 @@ def write_grid(grid: OccupancyGrid, path) -> str:
         "global": isinstance(grid, GlobalMap),
     }
     blob = json.dumps(header).encode()
-    return _write_hashed(path, MAGIC, struct.pack("<IQ", VERSION, len(blob)), blob,
+    return write_hashed(path, MAGIC, struct.pack("<IQ", VERSION, len(blob)), blob,
                          np.ascontiguousarray(grid.labels, dtype=np.uint8))
 
 

@@ -25,6 +25,7 @@ log = logging.getLogger(__name__)
 # Relative slack of the route test's block pruning: float64 rounding of a
 # distance is a few ulps (~1e-15) of the coordinates' magnitude.
 ROUTE_SLACK = 1e-9
+BEZIER_DS = 0.5  # meters between the samples of a lane-change transition
 
 
 @dataclass
@@ -122,19 +123,20 @@ def select_leader(agent: Agent, others, d_lat: float = 2.0):
 
 
 def bezier_transition(p0: np.ndarray, h0: np.ndarray, p1: np.ndarray,
-                      h1: np.ndarray, ds: float = 0.5) -> np.ndarray:
-    """Cubic Bezier from p0 (tangent h0) to p1 (tangent h1), resampled at ds."""
+                      h1: np.ndarray) -> np.ndarray:
+    """Cubic Bezier from p0 (tangent h0) to p1 (tangent h1), resampled at
+    BEZIER_DS."""
     d = np.linalg.norm(p1 - p0)
     c0 = p0 + 0.3 * d * h0
     c1 = p1 - 0.3 * d * h1
-    n = max(int(d / ds) * 4, 8)
+    n = max(int(d / BEZIER_DS) * 4, 8)
     t = np.linspace(0.0, 1.0, n)[:, None]
     pts = ((1 - t) ** 3 * p0 + 3 * (1 - t) ** 2 * t * c0
            + 3 * (1 - t) * t ** 2 * c1 + t ** 3 * p1)
     s = arc_length(pts)
     if s[-1] <= 0:
         return pts[:1]
-    return resample_polyline(pts, s, np.arange(0.0, s[-1], ds))
+    return resample_polyline(pts, s, np.arange(0.0, s[-1], BEZIER_DS))
 
 
 def maybe_lane_change(agent: Agent, leader: Agent, s: float, dv: float,

@@ -25,6 +25,8 @@ log = logging.getLogger(__name__)
 BLOCKS = Rule(lambda v: positive_dims(v, 2), "two positive ints")
 RECIPE = Rule(lambda v: v in ("straight", "curve", "plus", "grid"),
               "one of straight, curve, plus, grid")
+STRAIGHT_MARGIN = 12.0     # meters left clear at each end of a straight trajectory
+CURVE_MARGIN_ANGLE = 0.15  # radians left clear at each end of the curve's arc
 
 
 @dataclass
@@ -165,26 +167,27 @@ def sample_frames(world: GlobalMap, trajectory, crop_dims=DEFAULT_CROP_DIMS,
     return list(iter_frames(world, trajectory, crop_dims, noise, seed))
 
 
-def straight_trajectory(spec: WorldSpec, step: float = 3.2, margin: float = 12.0):
+def straight_trajectory(spec: WorldSpec, step: float = 3.2):
     """Axis-aligned poses along the centerline y = extent/2 at voxel-aligned
-    spacing (exact nearest-neighbor round trips). A grid with an even number
-    of road rows runs no road there, so it uses the first of the two rows
-    nearest that line."""
+    spacing (exact nearest-neighbor round trips), STRAIGHT_MARGIN clear of
+    each end. A grid with an even number of road rows runs no road there, so
+    it uses the first of the two rows nearest that line."""
     y = spec.extent / 2.0
     rows = spec.blocks[1]
     if spec.recipe == "grid" and rows % 2 == 0:
         y = _road_lines(spec.extent, rows)[rows // 2 - 1]
-    xs = np.arange(margin, spec.extent - margin, step)
+    xs = np.arange(STRAIGHT_MARGIN, spec.extent - STRAIGHT_MARGIN, step)
     return [Pose2(float(x), y, 0.0) for x in xs]
 
 
-def curve_trajectory(spec: WorldSpec, step: float = 3.0, margin_angle: float = 0.15):
-    """Poses along the curve recipe's arc centerline."""
+def curve_trajectory(spec: WorldSpec, step: float = 3.0):
+    """Poses along the curve recipe's arc centerline, CURVE_MARGIN_ANGLE clear
+    of each end."""
     cx = cy = spec.extent / 2.0
     r = spec.radius
     arc_len = (math.pi / 2.0) * r
     n = max(int(arc_len / step), 2)
-    angles = np.linspace(math.pi + margin_angle, 1.5 * math.pi - margin_angle, n)
+    angles = np.linspace(math.pi + CURVE_MARGIN_ANGLE, 1.5 * math.pi - CURVE_MARGIN_ANGLE, n)
     poses = []
     for a in angles:
         x = cx + r * math.cos(a)

@@ -266,11 +266,15 @@ def clean_graph(g: PixelGraph, tau_prune_px: float, w_lane_px: float) -> PixelGr
             return g
 
 
-def _outward_direction(g: PixelGraph, leaf, min_len: float = 3.0):
+OUTWARD_MIN_LEN = 3.0  # pixels from a leaf to the anchor of its outward direction
+
+
+def _outward_direction(g: PixelGraph, leaf):
     """Unit direction pointing out of the graph at a leaf, estimated from the
-    last segment of at least min_len pixels leading into it."""
+    last segment of at least OUTWARD_MIN_LEN pixels leading into it."""
     path = _chain(g, leaf, next(iter(g[leaf])))
-    anchor = next((n for n in path[1:] if math.dist(leaf, n) >= min_len), path[-1])
+    anchor = next((n for n in path[1:] if math.dist(leaf, n) >= OUTWARD_MIN_LEN),
+                  path[-1])
     d = np.array(leaf, dtype=float) - np.array(anchor, dtype=float)
     return d / np.linalg.norm(d)
 

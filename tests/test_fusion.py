@@ -9,11 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from voxsim.fusion import (FusionParams, _footprint_rows, _frame_footprint,
-                           _frame_hole_columns, _frame_to_map_indices,
-                           _map_extent, _mode_fill_ground, _sink_columns,
-                           fuse_keyframes, fuse_sequence, refine_morphology,
-                           select_keyframes, vote_inpaint)
+from voxsim.fusion import (FusionParams, _footprint_rows, _frame_columns,
+                           _frame_footprint, _map_extent, _mode_fill_ground,
+                           _sink_columns, fuse_keyframes, fuse_sequence,
+                           refine_morphology, select_keyframes, vote_inpaint)
 from voxsim.geometry import Pose2
 from voxsim.occupancy import GlobalMap, OccupancyGrid, SemanticTable, default_table
 from voxsim.synthworld import (WorldSpec, generate_world, sample_frames,
@@ -46,8 +45,8 @@ class TestSelectKeyframes:
 def reference_frame_to_map_indices(gmap, pose, dims):
     """For every global cell inside the frame's footprint: (gx, gy, fx, fy).
 
-    The full-footprint pull-back, kept apart from the masked helper under
-    test so the references below do not share its indexing."""
+    The full-footprint pull-back, kept apart from the column selection
+    under test so the references below do not share its indexing."""
     vox = gmap.voxel_size
     X, Y = dims[0], dims[1]
     lo, hi = _frame_footprint(pose, dims, vox)
@@ -94,33 +93,6 @@ pose_in_box = st.builds(Pose2, st.floats(0.0, 6.0), st.floats(0.0, 6.0),
                         st.floats(-math.pi, math.pi))
 
 
-class TestMaskedPullBack:
-    @settings(max_examples=300, deadline=None)
-    @given(st.data())
-    def test_masked_cells_of_the_full_footprint(self, data):
-        # the masked helper returns exactly the reference's cells whose
-        # column is set, in the same order and with the same frame indices
-        table = default_table()
-        nx, ny = data.draw(st.integers(1, 16)), data.draw(st.integers(1, 16))
-        gmap = GlobalMap(np.zeros((nx, ny, 1), dtype=np.uint8), VOX,
-                         Pose2(data.draw(st.floats(-2.0, 2.0)),
-                               data.draw(st.floats(-2.0, 2.0)), 0.0), table)
-        dims = (data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12)), 1)
-        pose = data.draw(pose_in_box)
-        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-        columns = rng.random((nx, ny)) < data.draw(st.sampled_from([0.0, 0.3, 0.9, 1.0]))
-        ref = reference_frame_to_map_indices(gmap, pose, dims)
-        got = _frame_to_map_indices(gmap, pose, dims, columns)
-        if ref is None:
-            assert got is None
-            return
-        sel = columns[ref[0], ref[1]]
-        assert len(got) == 4
-        for a, b in zip(got, ref):
-            assert a.dtype == np.int64
-            assert np.array_equal(a, b[sel])
-
-
 # yaws on and within 1e-12 of the axes, where a frame coordinate is
 # constant or nearly constant along a map row, and yaws anywhere
 AXIS_YAWS = (0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi)
@@ -134,11 +106,12 @@ class TestHoleColumnSelection:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_hole_columns_of_the_full_footprint(self, data):
-        # the vote pass's row-range selection returns exactly the
-        # reference's cells whose column holds a hole, in the same order and
-        # with the same frame indices; maps much larger than the frames make
-        # whole rows and most of each row fall outside the footprint, and
-        # poses past the map's edge graze it or miss it
+        # the row-range selection both passes use returns exactly the
+        # reference's cells whose column is listed, in the same order, and
+        # gathers the frame's columns at the reference's frame indices (the
+        # frame stores fx at z = 0 and fy at z = 1); maps much larger than
+        # the frames make whole rows and most of each row fall outside the
+        # footprint, and poses past the map's edge graze it or miss it
         table = default_table()
         nx, ny = data.draw(st.integers(1, 60)), data.draw(st.integers(1, 60))
         gmap = GlobalMap(np.zeros((nx, ny, 1), dtype=np.uint8), VOX,
@@ -149,21 +122,23 @@ class TestHoleColumnSelection:
         pose = Pose2(gmap.origin.x + data.draw(st.floats(-reach, nx * VOX + reach)),
                      gmap.origin.y + data.draw(st.floats(-reach, ny * VOX + reach)),
                      data.draw(yaws))
+        fx, fy = np.meshgrid(np.arange(dims[0]), np.arange(dims[1]), indexing="ij")
+        frame = OccupancyGrid(np.stack([fx, fy], axis=2), VOX, pose, table)
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-        holes = rng.random((nx, ny)) < data.draw(st.sampled_from([0.0, 0.3, 1.0]))
-        hole_cells = np.flatnonzero(holes)
+        listed = rng.random((nx, ny)) < data.draw(st.sampled_from([0.0, 0.3, 0.9, 1.0]))
+        cells = np.flatnonzero(listed)
         ref = reference_frame_to_map_indices(gmap, pose, dims)
-        got = _frame_hole_columns(gmap, pose, dims, hole_cells)
+        got = _frame_columns(gmap, pose, frame, cells)
         if ref is None:
             assert got is None
             return
-        k, fx, fy = got
-        for a in got:
-            assert a.dtype == np.int64
-        assert ((k >= 0) & (k < hole_cells.size)).all()
-        gx, gy = np.divmod(hole_cells[k], ny)
-        sel = holes[ref[0], ref[1]]
-        for a, b in zip((gx, gy, fx, fy), ref):
+        k, src = got
+        assert k.dtype == np.int64 and src.dtype == np.uint8
+        assert ((k >= 0) & (k < cells.size)).all()
+        assert src.shape == (k.size, 2)
+        gx, gy = np.divmod(cells[k], ny)
+        sel = listed[ref[0], ref[1]]
+        for a, b in zip((gx, gy, src[:, 0], src[:, 1]), ref):
             assert np.array_equal(a, b[sel])
 
     def test_row_ranges_prune_a_rotated_footprint(self, table):
@@ -636,15 +611,16 @@ class TestVoteInpaintEquivalence:
         Pose2(4.9, 5.2, math.pi / 4), Pose2(5.5, 5.5, 1.0), Pose2(3.7, 6.3, -2.5),
         Pose2(0.2, 11.9, 2.9), Pose2(7.77, 2.03, -1.234),
     ])
-    def test_frame_to_map_indices_yields_each_map_cell_at_most_once(self, pose, table):
-        # the compact tally's plain `votes[rows, cls] += 1` is exact only
-        # because one frame never maps two sources onto one map cell
+    def test_frame_columns_yields_each_map_cell_at_most_once(self, pose, table):
+        # the compact tally's plain `votes[rows, cls] += 1` and pass 1's
+        # first-wins write back are exact only because one frame never maps
+        # two sources onto one map cell
         gmap = GlobalMap(np.zeros((30, 30, 2), dtype=np.uint8), 0.4, Pose2(), table)
-        gx, gy, fx, fy = _frame_to_map_indices(gmap, pose, (20, 16, 2),
-                                               np.ones(gmap.dims[:2], dtype=bool))
-        assert gx.size > 0
-        cells = gx * gmap.dims[1] + gy
-        assert np.unique(cells).size == cells.size
+        frame = OccupancyGrid(np.zeros((20, 16, 2), dtype=np.uint8), 0.4, pose, table)
+        cells = np.arange(30 * 30, dtype=np.int64)
+        k, src = _frame_columns(gmap, pose, frame, cells)
+        assert k.size > 0 and src.shape == (k.size, 2)
+        assert np.unique(k).size == k.size
 
     def test_tally_memory_scales_with_holes_not_map(self, table):
         # pass 1 assigned 95% of a 150 x 150 x 16 map; the dense tally alone
@@ -722,7 +698,7 @@ class TestFuseSequence:
     # Fused labels of a short noisy sequence of rotated poses off the voxel
     # lattice (4 keyframes; the vote pass fills about 5 400 voxels), hashed.
     # The references above pull back whole footprints through their own copy
-    # of the gather, apart from the masked _frame_to_map_indices under test;
+    # of the gather, apart from the _frame_columns selection under test;
     # these bytes also pin that copy, so an index error common to both (a
     # footprint cell dropped at the edge, a frame index shifted) moves them.
     def test_rotated_noisy_bytes_pinned(self):

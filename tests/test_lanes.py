@@ -178,7 +178,7 @@ class TestNormalsAndWidth:
         assert w == reference_estimate_width(center, mask, 0.5)
         assert estimate_width(center[3:], mask, border_tree(mask), 0.5) == 0.0
 
-    def test_all_road_map_reads_zero_and_keeps_the_centerline(self):
+    def test_all_road_map_reads_zero_and_keeps_the_centerline(self, table):
         # no off-road cell: no border, width 0, and offset_lanes keeps the
         # centerline as the one lane
         mask = np.ones((12, 8), dtype=bool)
@@ -186,7 +186,8 @@ class TestNormalsAndWidth:
         assert border.n == 0
         center = np.stack([np.arange(0.5, 12.0), np.full(12, 4.0)], axis=1)
         assert estimate_width(center, mask, border, 0.4) == 0.0
-        lanes = offset_lanes(center * 0.4, 0.0, LaneParams(), mask, 0.4)
+        lanes = offset_lanes(center * 0.4, 0.0, LaneParams(), mask,
+                             make_map(mask, table))
         assert len(lanes) == 1
         assert np.array_equal(lanes[0].points, center * 0.4)
 
@@ -206,11 +207,11 @@ class TestOffsets:
         mask[:, y0:y0 + width_px] = True
         return mask
 
-    def test_offset_count_and_positions(self):
+    def test_offset_count_and_positions(self, table):
         mask = self._strip_mask()
         center = np.stack([np.arange(4, 36, 0.5),
                            np.full(64, (20 + 13.5) * 0.4)], axis=1)
-        lanes = offset_lanes(center, 10.8, LaneParams(), mask, 0.4)
+        lanes = offset_lanes(center, 10.8, LaneParams(), mask, make_map(mask, table))
         # floor(10.8 / 3.6) - 1 = 2 offsets at -1.8 and +1.8
         assert len(lanes) == 2
         ys = sorted(float(np.median(l.points[:, 1])) for l in lanes)
@@ -218,19 +219,19 @@ class TestOffsets:
         assert ys[0] == pytest.approx(yc - 1.8, abs=1e-6)
         assert ys[1] == pytest.approx(yc + 1.8, abs=1e-6)
 
-    def test_narrow_road_degrades_to_centerline(self):
+    def test_narrow_road_degrades_to_centerline(self, table):
         mask = self._strip_mask(width_px=12)
         center = np.stack([np.arange(4, 36, 0.5), np.full(64, 10.4)], axis=1)
-        lanes = offset_lanes(center, 4.8, LaneParams(), mask, 0.4)
+        lanes = offset_lanes(center, 4.8, LaneParams(), mask, make_map(mask, table))
         assert len(lanes) == 1
         assert np.allclose(lanes[0].points, center)
 
-    def test_candidate_off_mask_dropped(self):
+    def test_candidate_off_mask_dropped(self, table):
         mask = self._strip_mask(width_px=27)
         mask[:, 38:] = False  # narrowing removes the upper lane's room
         center = np.stack([np.arange(4, 36, 0.5),
                            np.full(64, (20 + 13.5) * 0.4)], axis=1)
-        lanes = offset_lanes(center, 10.8, LaneParams(), mask, 0.4)
+        lanes = offset_lanes(center, 10.8, LaneParams(), mask, make_map(mask, table))
         assert len(lanes) == 1
         assert float(np.median(lanes[0].points[:, 1])) < (20 + 13.5) * 0.4
 

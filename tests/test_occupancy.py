@@ -219,6 +219,16 @@ class TestContainers:
             "f.feat": "93970010236e39f0446a053900ad3a3d0fc81e8450ad1d29a917159a53fd6acc",
         }
 
+    def test_float_writers_return_the_file_sha256(self, tmp_path):
+        # strided views, so the payload is made contiguous before the write
+        h = np.linspace(-1.0, 1.0, 12).reshape(4, 3).T
+        x = np.arange(12.0).reshape(2, 6)[:, ::2].T
+        hm, feat = tmp_path / "h.hm", tmp_path / "f.feat"
+        assert write_heatmap(h, 0.4, hm) == hashlib.sha256(hm.read_bytes()).hexdigest()
+        assert write_features(x, feat) == hashlib.sha256(feat.read_bytes()).hexdigest()
+        assert np.array_equal(read_heatmap(hm)[0], h.astype(np.float32))
+        assert np.array_equal(read_features(feat), x)
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_malformed_bytes_decode_or_raise_format_error(self, containers, data):
@@ -340,6 +350,19 @@ class TestCrop:
         cells = 200 * 200
         assert (out == gmap.table.unassigned_id).any() == off_map
         assert peak < out.nbytes + 32 * cells, (peak - out.nbytes) / cells
+
+    @pytest.mark.parametrize("pose, out_dims", [
+        (Pose2(4.0, 4.0, 0.3), (8, 8, 4)),   # wholly on the map
+        (Pose2(0.0, 0.0, 0.3), (8, 8, 4)),   # partly off the map
+        (Pose2(4.0, 4.0, 0.3), (8, 8, 6)),   # higher than the map
+    ], ids=["on-map", "off-map", "z-higher"])
+    def test_table_ids_must_fit_a_label(self, pose, out_dims):
+        # an in-memory table may hold an id no uint8 label can carry; the
+        # crop names it at every pose instead of overflowing in the fill
+        table = dataclasses.replace(default_table(), unassigned_id=300)
+        gmap = GlobalMap(np.ones((20, 20, 4), dtype=np.uint8), 0.4, Pose2(), table)
+        with pytest.raises(ValueError, match="table id 300 is not an int in 0-255"):
+            crop(gmap, pose, out_dims)
 
     def test_cell_of(self):
         gmap = GlobalMap(np.zeros((10, 10, 2), dtype=np.uint8), 0.5,
