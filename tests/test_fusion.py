@@ -611,8 +611,8 @@ class TestVoteInpaintEquivalence:
         Pose2(4.9, 5.2, math.pi / 4), Pose2(5.5, 5.5, 1.0), Pose2(3.7, 6.3, -2.5),
         Pose2(0.2, 11.9, 2.9), Pose2(7.77, 2.03, -1.234),
     ])
-    def test_frame_columns_yields_each_map_cell_at_most_once(self, pose, table):
-        # the compact tally's plain `votes[rows, cls] += 1` and pass 1's
+    def test_frame_to_map_indices_yields_each_map_cell_at_most_once(self, pose, table):
+        # named for the selector _frame_columns replaced; the compact tally's plain `votes[rows, cls] += 1` and pass 1's
         # first-wins write back are exact only because one frame never maps
         # two sources onto one map cell
         gmap = GlobalMap(np.zeros((30, 30, 2), dtype=np.uint8), 0.4, Pose2(), table)
