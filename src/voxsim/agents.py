@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Pose2, arc_length
+from .geometry import Pose2
 from .occupancy import (POSITIVE, GridFormatError, OccupancyGrid, Settings,
                         container_floats, read_container, setting, write_hashed)
 from .routing import RouteNetwork
@@ -97,10 +97,11 @@ class Agent:
         consecutive segments (the last block may hold fewer), with the
         route's coordinate scale, 1 plus its largest absolute coordinate."""
         self.route = np.asarray(route, dtype=float)
-        self.route_arc = arc_length(self.route)
         a = self.route[:-1]
         ab = self.route[1:] - a
         denom = (ab * ab).sum(axis=1)
+        # geometry.arc_length's segment norms are these square roots
+        self.route_arc = np.concatenate([[0.0], np.cumsum(np.sqrt(denom))])
         denom[denom == 0] = 1.0
         self.route_segments = (a, ab, denom)
         # Block k covers points k * ROUTE_BLOCK through (k + 1) * ROUTE_BLOCK,
@@ -276,19 +277,19 @@ class ProceduralLayoutSource:
         inv = anchor.inverse()
         pool = cands[np.all(np.abs(inv.transform_point(cands)) < inner, axis=1)]
         k = int(rng.integers(0, MAX_VEHICLES + 1))
-        chosen = []
-        order = rng.permutation(len(pool))
-        for i in order:
-            if len(chosen) >= k:
+        chosen, statics = np.empty((k, 2)), []
+        for i in rng.permutation(len(pool)):
+            if len(statics) >= k:
                 break
-            p = pool[i]
-            if all(np.linalg.norm(p - q) >= MIN_SPACING for q, _ in chosen):
-                chosen.append((p, rng.random() < P_STATIC))
-        entries = []
-        for p, static in chosen:
-            lp = inv.transform_point(p) + half  # local frame, corner origin
-            entries.append(LayoutEntry(float(lp[0]), float(lp[1]), static))
-        return AgentLayout(entries)
+            # the 1-D np.linalg.norm of one p - q is the root of its dot
+            # product; vecdot takes that for every chosen q at once
+            d = pool[i] - chosen[:len(statics)]
+            if np.all(np.sqrt(np.vecdot(d, d)) >= MIN_SPACING):
+                chosen[len(statics)] = pool[i]
+                statics.append(rng.random() < P_STATIC)
+        local = inv.transform_point(chosen[:len(statics)]) + half  # corner origin
+        return AgentLayout([LayoutEntry(float(x), float(y), static)
+                            for (x, y), static in zip(local.tolist(), statics)])
 
 
 def _route_heading(route: np.ndarray) -> np.ndarray:
@@ -326,21 +327,20 @@ def spawn_agents(anchor: Pose2, b_ego: bool, half, network: RouteNetwork,
         world_positions.append((anchor.transform_point(local), e.static, False))
     if b_ego:
         world_positions.append((anchor.position, False, True))
+    nodes = network.nearest_nodes([pos for pos, _, _ in world_positions], SNAP_DIST)
 
     endpoints = np.asarray(valid_endpoints_m, dtype=float)
     agents = []
-    for pos, static, is_ego in world_positions:
+    for (pos, static, is_ego), node in zip(world_positions, nodes):
         speed = max(0.0, rng.normal(mu_v, sigma_v))
         target = endpoints[rng.integers(0, len(endpoints))]
         asset = DEFAULT_ASSETS[rng.integers(0, len(DEFAULT_ASSETS))]
-        node = network.nearest_node(pos, SNAP_DIST)
         if node is None:
             log.info("agent at %s too far from any lane; discarded", pos)
             continue
         if static:
             snap = network.positions[node]
-            heading = network.tangent_at(node)
-            agents.append(Agent(snap, heading, 0.0, np.asarray([snap]),
+            agents.append(Agent(snap, network.tangent_at(node), 0.0, np.asarray([snap]),
                                 target, asset, static=True,
                                 lane_id=int(network.lane_of[node])))
             continue

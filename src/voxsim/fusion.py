@@ -151,9 +151,9 @@ def _frame_columns(gmap: GlobalMap, pose: Pose2, frame, cells):
     """(k, src) for every column of the sorted int64 list ``cells`` (flat map
     cells gx * GY + gy) that lies inside ``frame`` at ``pose``: ``cells[k]``
     are those columns in row-major order, each at most once, and ``src`` the
-    frame's label columns there, one row of Z bytes each; None when the
-    footprint misses the map. Two binary searches per footprint row
-    (``_footprint_rows``) pick the listed columns that are pulled back."""
+    frame's label columns there, one row of Z bytes each; None, without a
+    read of the frame's labels, when there are none. Two binary searches per
+    footprint row (``_footprint_rows``) pick the listed columns pulled back."""
     hit = _footprint_rows(gmap, pose, frame.dims)
     if hit is None:
         return None
@@ -165,6 +165,8 @@ def _frame_columns(gmap: GlobalMap, pose: Pose2, frame, cells):
     k = np.arange(counts.sum()) + np.repeat(start - (np.cumsum(counts) - counts), counts)
     gx = np.repeat(rows, counts)
     fx, fy, ok = _pull_back(gmap, pose, frame.dims, gx, cells[k] - gx * GY)
+    if not ok.any():
+        return None
     X, Y, Z = frame.dims
     return k[ok], frame.labels.reshape(X * Y, Z).take(fx[ok] * Y + fy[ok], axis=0)
 

@@ -6,15 +6,15 @@ flow through junctions. The graph is one symmetric CSR matrix of edge
 lengths, built from edge arrays. Agents route through cached goal-rooted
 shortest-path trees on that matrix: the first query for a goal runs one
 Dijkstra from that goal over the whole network, and every later query toward
-it walks the tree's predecessor links (``RouteNetwork.path_to``);
-``route_to`` routes to the node nearest a target point. ``astar`` remains the
-single-pair search over the same matrix, with the straight-line heuristic,
-which is admissible because edge weights are Euclidean lengths.
+it walks the tree (``RouteNetwork.path_to``). Samples are numbered along
+each lane, so a route is mostly runs of consecutive node numbers; each tree
+also keeps where every node's run ends, and a walk takes one step per run.
+``route_to`` routes to the node nearest a target point, snapped once per
+target, and copies the route's positions one run at a time.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from functools import cached_property
 
@@ -51,7 +51,8 @@ class RouteNetwork:
         self.graph = csr_matrix((np.concatenate([w, w]),
                                  (np.concatenate([a, b]), np.concatenate([b, a]))),
                                 shape=(n, n))
-        self._goal_trees = {}  # goal -> (dist float64, pred int32) arrays
+        self._goal_trees = {}  # goal -> (dist float64, pred int32, run int32) arrays
+        self._goal_of = {}     # target point bytes -> its nearest node
 
     @cached_property
     def _tree(self):
@@ -74,41 +75,71 @@ class RouteNetwork:
                     return d / n
         return np.array([1.0, 0.0])
 
-    def path_to(self, start: int, goal: int):
-        """Shortest route from start to goal as (node list, cost), or None
-        when goal is unreachable.
-
-        The first query for a goal runs one Dijkstra rooted at it; the graph
-        is symmetric, so ``dist[n]`` is the cost from n to the goal and
-        ``pred[n]`` the next node on that route; the arrays are cached, and
-        every query walks them from start.
-        """
+    def _runs(self, start: int, goal: int):
+        """(runs, cost) of the shortest route from start to goal, or None
+        when goal is unreachable; run ``(first, last)`` is the route's nodes
+        first, first +- 1, ..., last. The first query for a goal runs one
+        Dijkstra rooted at it and caches ``dist[n]``, the cost from n to the
+        goal (the graph is symmetric), ``pred[n]``, the next node on that
+        route, and ``run[n]``, where the route from n leaves its block of
+        steps to the next node (``pred[m] == m + 1`` all along) or to the
+        previous one; n itself when it starts neither."""
         tree = self._goal_trees.get(goal)
         if tree is None:
             dist, pred = dijkstra(self.graph, indices=goal, return_predecessors=True)
-            tree = self._goal_trees[goal] = dist, pred.astype(np.int32, copy=False)
-        dist, pred = tree
+            node = np.arange(len(pred))
+            up, down = pred == node + 1, pred == node - 1
+            stop = np.flatnonzero(~up)   # the first of these from n on ends n's upward block
+            run = stop[np.searchsorted(stop, node)]
+            stop = np.flatnonzero(~down)   # the last of these up to n ends a downward one
+            run[down] = stop[np.searchsorted(stop, node[down], side="right") - 1]
+            tree = self._goal_trees[goal] = (dist, pred.astype(np.int32, copy=False),
+                                             run.astype(np.int32))
+        dist, pred, run = tree
         if math.isinf(dist[start]):
             return None
-        hop = memoryview(pred)   # indexing yields Python ints
-        path = [start]
-        node = start
-        while node != goal:
-            node = hop[node]
-            path.append(node)
-        return path, float(dist[start])
+        hop, jump = memoryview(pred), memoryview(run)   # indexing yields Python ints
+        runs = [(start, jump[start])]
+        while runs[-1][1] != goal:
+            node = hop[runs[-1][1]]
+            runs.append((node, jump[node]))
+        return runs, float(dist[start])
+
+    def path_to(self, start: int, goal: int):
+        """Shortest route from start to goal as (node list, cost), or None
+        when goal is unreachable."""
+        found = self._runs(start, goal)
+        if found is None:
+            return None
+        path = []
+        for first, last in found[0]:
+            path.extend(range(first, last + 1) if first <= last else range(first, last - 1, -1))
+        return path, found[1]
 
     def route_to(self, start: int, target_point):
         """World-meter (N, 2) shortest route from node start to the node
-        nearest ``target_point``; None when that node is unreachable."""
-        found = self.path_to(start, self.nearest_node(target_point))
-        return None if found is None else self.positions[found[0]]
+        nearest ``target_point``, which is looked up once per target; None
+        when that node is unreachable."""
+        key = np.asarray(target_point, dtype=float).tobytes()
+        if key not in self._goal_of:
+            self._goal_of[key] = self.nearest_node(target_point)
+        found = self._runs(start, self._goal_of[key])
+        pos = self.positions
+        return None if found is None else np.concatenate(
+            [pos[first:last + 1] if first <= last else pos[last:first + 1][::-1]
+             for first, last in found[0]])
 
     def nearest_node(self, point, max_dist=math.inf):
+        return self.nearest_nodes([point], max_dist)[0]
+
+    def nearest_nodes(self, points, max_dist=math.inf) -> list:
+        """For each of the (k, 2) points, from one KD-tree query, its nearest
+        node, or None if that lies farther than max_dist."""
+        points = np.asarray(points, dtype=float).reshape(-1, 2)
         if self._tree is None:
-            return None
-        d, i = self._tree.query(np.asarray(point, dtype=float))
-        return int(i) if d <= max_dist else None
+            return [None] * len(points)
+        d, i = self._tree.query(points)
+        return [n if ok else None for n, ok in zip(i.tolist(), (d <= max_dist).tolist())]
 
     def nodes_within(self, point, radius) -> np.ndarray:
         """Nodes within radius of point, in ascending order."""
@@ -120,15 +151,12 @@ class RouteNetwork:
     def nearest_node_on_other_lane(self, point, exclude_lane, max_dist):
         if self._tree is None:
             return None
-        idx = self._tree.query_ball_point(np.asarray(point, dtype=float), max_dist)
-        best, best_d = None, math.inf
-        for i in idx:
-            if self.lane_of[i] == exclude_lane:
-                continue
-            d = math.dist(self.positions[i], point)
-            if d < best_d:
-                best, best_d = int(i), d
-        return best
+        point = np.asarray(point, dtype=float)
+        idx = np.asarray(self._tree.query_ball_point(point, max_dist), dtype=np.intp)
+        idx = idx[self.lane_of[idx] != exclude_lane]
+        here = point.tolist()   # the first of the nearest in the query's order wins
+        d = [math.dist(q, here) for q in self.positions[idx].tolist()]
+        return int(idx[d.index(min(d))]) if d else None
 
 
 def build_route_network(lanes, junction_radius: float = 4.0) -> RouteNetwork:
@@ -157,35 +185,3 @@ def build_route_network(lanes, junction_radius: float = 4.0) -> RouteNetwork:
     network = RouteNetwork(positions, lane_of, edges)
     network._tree = tree  # the nearest-node queries reuse the stitch's tree
     return network
-
-
-def astar(network: RouteNetwork, start: int, goal: int):
-    """A* shortest path by total edge weight; returns (node list, cost) or None."""
-    positions = network.positions
-
-    def h(n):
-        return math.dist(positions[n], positions[goal])
-
-    open_heap = [(h(start), 0.0, start)]
-    g_cost = {start: 0.0}
-    parent = {start: None}
-    closed = set()
-    while open_heap:
-        f, g, node = heapq.heappop(open_heap)
-        if node in closed:
-            continue
-        if node == goal:
-            path = []
-            while node is not None:
-                path.append(node)
-                node = parent[node]
-            return path[::-1], g
-        closed.add(node)
-        for nbr, w in network.neighbors(node):
-            ng = g + w
-            if ng < g_cost.get(nbr, math.inf):
-                g_cost[nbr] = ng
-                parent[nbr] = node
-                heapq.heappush(open_heap, (ng + h(nbr), ng, nbr))
-    return None
-

@@ -1,3 +1,6 @@
+import heapq
+import math
+
 import numpy as np
 import pytest
 
@@ -46,3 +49,38 @@ def straight_road_map(table):
     half = 12  # 4.8 m
     plane[:, yc - half:yc + half] = table.road_id
     return make_map(plane, table)
+
+
+def astar(network, start: int, goal: int):
+    """A* shortest path over a ``RouteNetwork`` by total edge weight, with the
+    straight-line heuristic (admissible: edge weights are Euclidean
+    lengths); returns (node list, cost) or None. The single-pair oracle
+    that the goal-tree routes are checked against."""
+    positions = network.positions
+
+    def h(n):
+        return math.dist(positions[n], positions[goal])
+
+    open_heap = [(h(start), 0.0, start)]
+    g_cost = {start: 0.0}
+    parent = {start: None}
+    closed = set()
+    while open_heap:
+        f, g, node = heapq.heappop(open_heap)
+        if node in closed:
+            continue
+        if node == goal:
+            path = []
+            while node is not None:
+                path.append(node)
+                node = parent[node]
+            return path[::-1], g
+        closed.add(node)
+        for nbr, w in network.neighbors(node):
+            ng = g + w
+            if ng < g_cost.get(nbr, math.inf):
+                g_cost[nbr] = ng
+                parent[nbr] = node
+                heapq.heappush(open_heap, (ng + h(nbr), ng, nbr))
+    return None
+

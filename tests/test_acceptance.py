@@ -16,7 +16,6 @@ from voxsim.fusion import FusionParams, fuse_keyframes, fuse_sequence, select_ke
 from voxsim.geometry import Pose2, Twist, exp_twist, normalize_angle, random_mask, visibility_mask, warp_grid
 from voxsim.lanes import Lane, LaneParams, extract_lanes, resolve_overlaps
 from voxsim.metrics import fid, kid, mmd, pairwise_diversity, vendi
-from voxsim.routing import astar
 from voxsim.simulation import (IdmParams, SimParams, SimState, Simulator,
                                boxes_overlap, idm_accel)
 from voxsim.synthworld import (WorldSpec, curve_trajectory, generate_world,
@@ -24,7 +23,7 @@ from voxsim.synthworld import (WorldSpec, curve_trajectory, generate_world,
 from voxsim.topology import extract_topology
 from voxsim.cli import run_pipeline
 
-from conftest import make_map
+from conftest import astar, make_map
 from test_geometry import rk4_exp_twist
 from test_metrics import naive_mmd
 

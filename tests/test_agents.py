@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voxsim.agents import (AgentAsset, AgentLayout, GLOBAL_TRANSFORMS,
-                           LayoutEntry, ProceduralLayoutSource,
+from voxsim.agents import (DEFAULT_ASSETS, MIN_SPACING, SNAP_DIST, Agent,
+                           AgentAsset, AgentLayout, GLOBAL_TRANSFORMS,
+                           LayoutEntry, ProceduralLayoutSource, _route_heading,
                            _transform_cell, augment, decode_heatmap,
                            encode_heatmap, read_heatmap, spawn_agents,
                            write_heatmap)
-from voxsim.geometry import Pose2
+from voxsim.geometry import Pose2, arc_length
 from voxsim.lanes import Lane
 from voxsim.occupancy import OccupancyGrid
 from voxsim.routing import build_route_network
@@ -240,9 +241,11 @@ def reference_sample(lanes, local_grid, rng):
 @st.composite
 def sample_scenes(draw):
     """An anchor pose (near, at and beyond the edge of the lanes' 100 m
-    square), a footprint, and lanes: random polylines, and one whose samples
+    square), a footprint, and lanes: random polylines, one whose samples
     sit on the 0.9 * half boundary of the anchor's footprint or one ulp to
-    either side of it."""
+    either side of it, and one with a sample by the anchor and samples
+    MIN_SPACING from it along x and along y, or one ulp nearer or
+    farther."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     vox = draw(st.sampled_from([0.4, 0.5]))
     dims = (draw(st.integers(4, 250)), draw(st.integers(4, 250)), 1)
@@ -268,6 +271,19 @@ def sample_scenes(draw):
         ulps = rng.integers(-1, 2, edge.shape)
         edge = np.where(ulps == 0, edge, np.nextafter(edge, np.copysign(np.inf, ulps)))
         lanes.append(Lane(anchor.transform_point(edge), 0, len(lanes)))
+    if draw(st.booleans()):
+        # quarter-meter coordinates: p + MIN_SPACING - p is MIN_SPACING exactly
+        p = np.round(anchor.position * 4.0) / 4.0
+        spaced = [p]
+        for axis in (0, 1):
+            q = p.copy()
+            q[axis] += MIN_SPACING
+            for toward in (-np.inf, None, np.inf):
+                r = q.copy()
+                if toward is not None:
+                    r[axis] = np.nextafter(q[axis], toward)
+                spaced.append(r)
+        lanes.append(Lane(np.array(spaced), 0, len(lanes)))
     return anchor, vox, dims, lanes
 
 
@@ -282,3 +298,125 @@ def test_procedural_sample_matches_reference(scene, seed):
     got = ProceduralLayoutSource(build_route_network(lanes)).sample(anchor, half, got_rng)
     assert got.entries == expect.entries
     assert got_rng.random() == expect_rng.random()   # same number of draws
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=40),
+       st.floats(0.1, 50.0))
+def test_route_arc_is_the_arc_length(cells, scale):
+    # repeated points make zero-length segments, whose squared length the
+    # segment cache then sets to 1
+    route = np.asarray(cells, dtype=float) * scale
+    agent = Agent(route[0], np.array([1.0, 0.0]), 0.0, route, route[-1], DEFAULT_ASSETS[0])
+    assert agent.route_arc.tobytes() == arc_length(route).tobytes()
+
+
+def reference_spawn_agents(anchor, b_ego, half, network, valid_endpoints_m, speed_dist,
+                           layout_source, rng):
+    """spawn_agents as it snapped each proposal with its own
+    ``nearest_node(pos, SNAP_DIST)`` query, without the log entries."""
+    mu_v, sigma_v = speed_dist
+    layout = layout_source.sample(anchor, half, rng)
+    world_positions = []
+    for e in layout.entries:
+        local = np.array([e.x, e.y]) - half
+        world_positions.append((anchor.transform_point(local), e.static, False))
+    if b_ego:
+        world_positions.append((anchor.position, False, True))
+    endpoints = np.asarray(valid_endpoints_m, dtype=float)
+    agents = []
+    for pos, static, is_ego in world_positions:
+        speed = max(0.0, rng.normal(mu_v, sigma_v))
+        target = endpoints[rng.integers(0, len(endpoints))]
+        asset = DEFAULT_ASSETS[rng.integers(0, len(DEFAULT_ASSETS))]
+        node = network.nearest_node(pos, SNAP_DIST)
+        if node is None:
+            continue
+        if static:
+            snap = network.positions[node]
+            heading = network.tangent_at(node)
+            agents.append(Agent(snap, heading, 0.0, np.asarray([snap]),
+                                target, asset, static=True,
+                                lane_id=int(network.lane_of[node])))
+            continue
+        route = network.route_to(node, target)
+        if route is None:
+            continue
+        heading = _route_heading(route)
+        agents.append(Agent(route[0].copy(), heading, speed, route, target,
+                            asset, lane_id=int(network.lane_of[node]), is_ego=is_ego))
+    return agents
+
+
+class FixedLayoutSource:
+    def __init__(self, layout):
+        self.layout = layout
+
+    def sample(self, anchor, half, rng):
+        return self.layout
+
+
+@st.composite
+def snap_scenes(draw):
+    """Straight lanes on a 0.5 m lattice and proposals around their samples:
+    exactly SNAP_DIST away along an axis or on a 3-4-5 diagonal, one ulp
+    nearer or farther along an axis, or anywhere within 7 m. The anchor is
+    the origin pose and the footprint half-extent zero, so the proposals'
+    world positions are their layout coordinates exactly."""
+    lanes = []
+    for k in range(draw(st.integers(1, 3))):
+        first = np.array([draw(st.integers(-40, 40)), draw(st.integers(-40, 40))])
+        step = np.array(draw(st.sampled_from([(1, 0), (0, 1), (-1, 0)])))
+        cells = first + np.arange(draw(st.integers(1, 40)))[:, None] * step
+        lanes.append(Lane(cells * 0.5, k, 0))
+    samples = np.concatenate([lane.points for lane in lanes])
+    entries = []
+    for _ in range(draw(st.integers(0, 8))):
+        p = samples[draw(st.integers(0, len(samples) - 1))].copy()
+        kind = draw(st.sampled_from(["axis", "diagonal", "ulp", "any"]))
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        axis = draw(st.integers(0, 1))
+        if kind == "any":
+            p += [draw(st.floats(-7.0, 7.0)), draw(st.floats(-7.0, 7.0))]
+        elif kind == "diagonal":
+            p += sign * np.array([3.0, 4.0] if axis else [4.0, -3.0])
+        else:
+            p[axis] += sign * SNAP_DIST
+            if kind == "ulp":
+                p[axis] = np.nextafter(p[axis], draw(st.sampled_from([-np.inf, np.inf])))
+        entries.append(LayoutEntry(float(p[0]), float(p[1]), draw(st.booleans())))
+    endpoints = samples[draw(st.lists(st.integers(0, len(samples) - 1), min_size=1,
+                                      max_size=3))]
+    return lanes, AgentLayout(entries), endpoints, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(snap_scenes(), st.integers(0, 2 ** 32 - 1))
+def test_batched_snap_matches_per_proposal_snap(scene, seed):
+    lanes, layout, endpoints, b_ego = scene
+    network = build_route_network(lanes)
+    source = FixedLayoutSource(layout)
+    args = (Pose2(), b_ego, np.zeros(2), network, endpoints, (8.0, 2.0), source)
+    expect_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    expect = reference_spawn_agents(*args, expect_rng)
+    got = spawn_agents(*args, got_rng)
+    assert len(got) == len(expect)
+    for a, b in zip(got, expect):
+        for name in ("position", "heading", "route", "target"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        assert (a.speed, a.asset, a.static, a.lane_id, a.is_ego) == (
+            b.speed, b.asset, b.static, b.lane_id, b.is_ego)
+    assert got_rng.random() == expect_rng.random()   # same number of draws
+
+
+def test_proposal_at_snap_dist_is_kept():
+    # the sample at (0, 0) is SNAP_DIST from (0, 5) and (3, 4); one ulp
+    # past that distance the proposal is dropped
+    ax = np.arange(-20.0, 0.5, 0.5)
+    network = build_route_network([Lane(np.stack([ax, np.zeros_like(ax)], axis=1))])
+    past = float(np.nextafter(SNAP_DIST, np.inf))
+    layout = AgentLayout([LayoutEntry(0.0, SNAP_DIST), LayoutEntry(3.0, 4.0),
+                          LayoutEntry(0.0, past)])
+    agents = spawn_agents(Pose2(), False, np.zeros(2), network, [(-20.0, 0.0)],
+                          (8.0, 2.0), FixedLayoutSource(layout), np.random.default_rng(0))
+    assert [a.route[0].tolist() for a in agents] == [[0.0, 0.0], [0.0, 0.0]]

@@ -129,8 +129,8 @@ class TestHoleColumnSelection:
         cells = np.flatnonzero(listed)
         ref = reference_frame_to_map_indices(gmap, pose, dims)
         got = _frame_columns(gmap, pose, frame, cells)
-        if ref is None:
-            assert got is None
+        if ref is None or not listed[ref[0], ref[1]].any():
+            assert got is None   # no listed column inside the footprint
             return
         k, src = got
         assert k.dtype == np.int64 and src.dtype == np.uint8
@@ -546,6 +546,21 @@ def dense_vote_inpaint(gmap, frames, poses, non_keys, tau_vote):
     return GlobalMap(out, gmap.voxel_size, gmap.origin, table)
 
 
+class CountingFrame:
+    """A frame that counts the reads of its ``labels``."""
+
+    def __init__(self, frame):
+        self.frame, self.reads = frame, 0
+
+    def __getattr__(self, name):
+        return getattr(self.frame, name)
+
+    @property
+    def labels(self):
+        self.reads += 1
+        return self.frame.labels
+
+
 @st.composite
 def vote_worlds(draw):
     """A small pass-1 map with 0%, some or 100% of its voxels unassigned and
@@ -605,6 +620,23 @@ class TestVoteInpaintEquivalence:
         assigned = before != gmap.table.unassigned_id
         assert np.array_equal(out.labels[assigned], before[assigned])
         assert np.array_equal(gmap.labels, before)
+
+    @settings(max_examples=200, deadline=None)
+    @given(vote_worlds())
+    def test_frames_without_a_hole_in_view_are_not_read(self, world):
+        # a GridFile reads its whole payload on each labels access; a frame
+        # whose footprint holds no hole column is never read, every other
+        # frame once, and the votes are those of the plain frames
+        gmap, frames, poses, non_keys, tau = world
+        counted = [CountingFrame(f) for f in frames]
+        out = vote_inpaint(gmap, counted, poses, non_keys, tau)
+        assert out.labels.tobytes() == vote_inpaint(gmap, frames, poses, non_keys,
+                                                    tau).labels.tobytes()
+        hole_column = (gmap.labels == gmap.table.unassigned_id).any(axis=2)
+        for t, frame in enumerate(counted):
+            hit = reference_frame_to_map_indices(gmap, poses[t], frame.dims)
+            in_view = hit is not None and hole_column[hit[0], hit[1]].any()
+            assert frame.reads == (t in non_keys and in_view), t
 
     @pytest.mark.parametrize("pose", [
         Pose2(5.0, 6.0, 0.0), Pose2(5.3, 4.1, math.pi / 2), Pose2(6.1, 5.7, 0.3),

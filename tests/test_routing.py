@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
 import voxsim.routing as routing
 from voxsim.lanes import Lane
-from voxsim.routing import RouteNetwork, astar, build_route_network
+from voxsim.routing import RouteNetwork, build_route_network
+
+from conftest import astar
 
 
 def random_geometric_graph(rng, n=30, k=4):
@@ -186,6 +189,105 @@ class TestPathTo:
             for t in goals:
                 net.path_to(int(s), int(t))
         assert sorted(calls) == sorted(int(t) for t in goals)
+
+
+def reference_path_to(trees, graph, start, goal):
+    """The walk routes took before they stepped by runs: one Python step per
+    predecessor link. The body is the old ``RouteNetwork.path_to``'s, with
+    the tree cache ``trees`` and the CSR ``graph`` passed in."""
+    tree = trees.get(goal)
+    if tree is None:
+        dist, pred = dijkstra(graph, indices=goal, return_predecessors=True)
+        tree = trees[goal] = dist, pred.astype(np.int32, copy=False)
+    dist, pred = tree
+    if math.isinf(dist[start]):
+        return None
+    hop = memoryview(pred)   # indexing yields Python ints
+    path = [start]
+    node = start
+    while node != goal:
+        node = hop[node]
+        path.append(node)
+    return path, float(dist[start])
+
+
+@st.composite
+def run_lane_sets(draw):
+    """Straight lanes of 1-12 samples on a 0.5 m lattice, each starting in a
+    6 m box and running along one of four directions, two of which count
+    down the lattice (the reverse of the two that count up), plus a
+    junction radius and up to 8 goal nodes. Some lanes start on or beside
+    the previous lane's last sample, which is the node just before theirs,
+    so the stitch joins consecutive nodes of two lanes; samples of
+    different lanes coincide (zero-length edges); and a small radius
+    leaves lanes unconnected."""
+    lanes = []
+    for k in range(draw(st.integers(1, 6))):
+        step = np.array(draw(st.sampled_from([(1, 0), (-1, 0), (0, -1), (1, 1)])))
+        if lanes and draw(st.booleans()):
+            first = lanes[-1].points[-1] / 0.5 + draw(st.sampled_from([(0, 0), (1, 0), (0, 1)]))
+        else:
+            first = np.array([draw(st.integers(0, 12)), draw(st.integers(0, 12))])
+        cells = first + np.arange(draw(st.integers(1, 12)))[:, None] * step
+        lanes.append(Lane(cells * 0.5, k, 0))
+    n = sum(len(lane.points) for lane in lanes)
+    goals = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8, unique=True))
+    return lanes, draw(st.sampled_from([0.0, 0.5, 1.0, 2.5])), goals
+
+
+class TestRunWalk:
+    @settings(max_examples=200, deadline=None)
+    @given(run_lane_sets())
+    def test_matches_the_predecessor_walk(self, case):
+        # every start toward each goal, start == goal and unreachable goals
+        # included: the same node list, cost and route bytes
+        lanes, radius, goals = case
+        net = build_route_network(lanes, junction_radius=radius)
+        nearest = cKDTree(net.positions)
+        trees = {}
+        for goal in goals:
+            target = net.positions[goal] + 0.1
+            snapped = int(nearest.query(target)[1])
+            for start in range(len(net.positions)):
+                assert net.path_to(start, goal) == reference_path_to(trees, net.graph,
+                                                                     start, goal)
+                want = reference_path_to(trees, net.graph, start, snapped)
+                got = net.route_to(start, target)
+                if want is None:
+                    assert got is None
+                else:
+                    expect = net.positions[want[0]]
+                    assert got.dtype == expect.dtype and got.shape == expect.shape
+                    assert got.tobytes() == expect.tobytes()
+
+    def test_a_route_along_a_lane_is_one_run(self):
+        ax = np.arange(0.0, 50.0, 0.5)
+        net = build_route_network([Lane(np.stack([ax, np.zeros_like(ax)], axis=1))])
+        assert net._runs(0, 99) == ([(0, 99)], 49.5)
+        assert net._runs(99, 0) == ([(99, 0)], 49.5)
+        assert net._runs(7, 7) == ([(7, 7)], 0.0)
+
+    def test_each_target_snapped_once(self, monkeypatch):
+        net = build_route_network(grid_lanes())
+        fresh = build_route_network(grid_lanes())
+        calls = []
+        nearest_node = net.nearest_node
+
+        def counting_nearest_node(point, *args):
+            calls.append(tuple(point))
+            return nearest_node(point, *args)
+
+        monkeypatch.setattr(net, "nearest_node", counting_nearest_node)
+        rng = np.random.default_rng(3)
+        targets = rng.uniform(-5.0, 77.0, size=(5, 2))
+        for start in rng.integers(0, len(net.positions), size=40):
+            for target in targets:
+                # a list and an array with the same values are one target
+                for point in (target, target.tolist()):
+                    got = net.route_to(int(start), point)
+                    want = fresh.path_to(int(start), fresh.nearest_node(point))
+                    assert got.tobytes() == fresh.positions[want[0]].tobytes()
+        assert sorted(calls) == sorted(tuple(t) for t in targets)
 
 
 class TestRouteNetwork:
