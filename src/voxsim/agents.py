@@ -178,7 +178,7 @@ def read_heatmap(path):
     with open(path, "rb") as fh:
         data = fh.read()
     w, hgt, mpc = read_container(data, b"HEATMAP1", "<IId")
-    if not (math.isfinite(mpc) and mpc > 0):
+    if not POSITIVE.ok(mpc):
         raise GridFormatError(f"meters per cell {mpc} is not finite and positive", 16)
     return container_floats(data, 24, (w, hgt)), mpc
 

@@ -1,8 +1,6 @@
 """Planar rigid-body math (one shared rotation, ``Pose2.transform_xy``) and grid
-warping primitives.
-
-Everything here is pure: poses, twists, masks and warps are computed from
-immutable inputs, so callers are free to parallelise across frames.
+warping primitives. Everything here is pure: poses, twists, masks and warps
+are computed from immutable inputs.
 """
 
 from __future__ import annotations
@@ -117,11 +115,15 @@ class Trajectory:
 
 
 def load_trajectory(path) -> Trajectory:
-    """Read a trajectory from a JSON array of {t, x, y, yaw} records."""
-    from .occupancy import load_json_input  # occupancy imports this module
+    """Read a trajectory from a JSON array of {t, x, y, yaw} records, each
+    value a finite number."""
+    from .occupancy import FINITE, load_json_input  # occupancy imports this module
 
-    return load_json_input(path, lambda records: Trajectory(tuple(
-        (r["t"], Pose2(r["x"], r["y"], r["yaw"])) for r in records)))
+    def sample(r):
+        t, x, y, yaw = (FINITE.check(k, r[k]) for k in ("t", "x", "y", "yaw"))
+        return t, Pose2(x, y, yaw)
+
+    return load_json_input(path, lambda records: Trajectory(tuple(map(sample, records))))
 
 
 def save_trajectory(traj: Trajectory, path) -> str:
@@ -205,53 +207,6 @@ def random_mask(width: int, height: int, p: float, seed: int) -> np.ndarray:
         raise ValueError("masking ratio must be in [0, 1]")
     rng = np.random.default_rng(seed)
     return rng.random((width, height)) >= p
-
-
-def bresenham_line(x0: int, y0: int, x1: int, y1: int):
-    """Integer cells of the Bresenham segment from (x0, y0) to (x1, y1), inclusive."""
-    cells = []
-    dx = abs(x1 - x0)
-    dy = -abs(y1 - y0)
-    sx = 1 if x0 < x1 else -1
-    sy = 1 if y0 < y1 else -1
-    err = dx + dy
-    x, y = x0, y0
-    while True:
-        cells.append((x, y))
-        if x == x1 and y == y1:
-            break
-        e2 = 2 * err
-        if e2 >= dy:
-            err += dy
-            x += sx
-        if e2 <= dx:
-            err += dx
-            y += sy
-    return cells
-
-
-def rasterize_trajectory(waypoints, width: int, height: int, voxel_size: float) -> np.ndarray:
-    """Rasterize a waypoint polyline onto a (width, height) binary plane.
-
-    Consecutive in-bounds waypoints are connected with Bresenham segments.
-    """
-    waypoints = np.asarray(waypoints, dtype=float)
-    if waypoints.size == 0:
-        raise ValueError("need at least one waypoint")
-    cells = np.floor(waypoints / voxel_size).astype(np.int64)
-    in_bounds = [
-        (cx, cy) for cx, cy in cells
-        if 0 <= cx < width and 0 <= cy < height
-    ]
-    out = np.zeros((width, height), dtype=bool)
-    if not in_bounds:
-        return out
-    for (x0, y0), (x1, y1) in zip(in_bounds, in_bounds[1:]):
-        for cx, cy in bresenham_line(x0, y0, x1, y1):
-            out[cx, cy] = True
-    x0, y0 = in_bounds[0]
-    out[x0, y0] = True
-    return out
 
 
 def arc_length(points: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ shorter than five samples.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,8 +20,8 @@ from scipy import interpolate
 from scipy.spatial import cKDTree
 
 from .geometry import arc_length, resample_polyline
-from .occupancy import (POSITIVE, Settings, at_least, load_json_input, save_json,
-                        setting)
+from .occupancy import (FINITE, POSITIVE, Settings, at_least, load_json_input,
+                        save_json, setting)
 from .topology import graph_segments
 
 
@@ -68,13 +69,22 @@ def fit_centerline(segment, ds_step: float, smooth: float = None) -> np.ndarray:
     if u[-1] <= 0:
         return pts[:1].copy()
     u /= u[-1]
-    try:
-        (tck, _) = interpolate.splprep([pts[:, 0], pts[:, 1]], u=u, k=3, s=smooth)
-    except Exception:
-        (tck, _) = interpolate.splprep([pts[:, 0], pts[:, 1]], u=u, k=3, s=0)
     dense = np.linspace(0.0, 1.0, max(len(pts) * 4, 64))
-    x, y = interpolate.splev(dense, tck)
-    curve = np.stack([x, y], axis=1)
+
+    def fit(s):
+        (tck, _) = interpolate.splprep([pts[:, 0], pts[:, 1]], u=u, k=3, s=s)
+        return np.stack(interpolate.splev(dense, tck), axis=1)
+
+    try:
+        curve = fit(smooth)
+    except Exception:
+        curve = fit(0)
+    # FITPACK can report success for a smoothing spline that swings far off
+    # its data (10^8 m from a 25 m zigzag path); interpolate the path then
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    reach = (hi - lo).max()
+    if not ((curve >= lo - reach) & (curve <= hi + reach)).all():
+        curve = fit(0)
     curve[0] = pts[0]
     curve[-1] = pts[-1]
     # uniform arc-length spacing close to ds_step, keeping both endpoints
@@ -232,13 +242,21 @@ def save_lanes(lanes, path) -> str:
 
 
 def _lane_points(points) -> np.ndarray:
+    # checked before the cast, which takes True, "1" and None and raises
+    # OverflowError on an int beyond float range
+    if not all(map(FINITE.ok, itertools.chain.from_iterable(points))):
+        raise ValueError("lane point coordinates must be finite numbers")
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 1 or not np.isfinite(pts).all():
-        raise ValueError(f"lane points must be a finite (N >= 1, 2) array, not shape {pts.shape}")
+    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 1:
+        raise ValueError(f"lane points must be an (N >= 1, 2) array, not shape {pts.shape}")
     return pts
 
 
 def load_lanes(path):
+    """Read lanes written by ``save_lanes``: points that are finite numbers,
+    and a source segment and offset index that are ints >= 0."""
+    lane_id = at_least(0)
     return load_json_input(path, lambda obj: [
-        Lane(_lane_points(l["points"]), l["source_segment"], l["offset_index"])
+        Lane(_lane_points(l["points"]), lane_id.check("source_segment", l["source_segment"]),
+             lane_id.check("offset_index", l["offset_index"]))
         for l in obj])

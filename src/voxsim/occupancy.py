@@ -15,6 +15,7 @@ import math
 import numbers
 import os
 import struct
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -100,12 +101,6 @@ DEFAULT_VOXEL_SIZE = 0.4
 DEFAULT_CROP_DIMS = (200, 200, 16)
 
 
-def positive_dims(dims, n=3) -> bool:
-    """Whether ``dims`` is a list or tuple of ``n`` positive ints."""
-    return (isinstance(dims, (list, tuple)) and len(dims) == n
-            and all(type(k) is int and k > 0 for k in dims))
-
-
 # --- settings: each params field states its range once ----------------------
 
 @dataclass(frozen=True)
@@ -121,15 +116,37 @@ class Rule:
         return value
 
 
-def at_least(n: int) -> Rule:
-    """An int count of at least ``n``."""
-    return Rule(lambda v: type(v) is int and v >= n, f"an int >= {n}")
+_FLOAT_MAX = sys.float_info.max
 
 
-FINITE = Rule(lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
-              and math.isfinite(v), "a finite number")
+def _finite(v) -> bool:
+    """The one test of a number read from a file or a config: a real that a
+    finite float holds, bools excluded. An int/float comparison is exact and
+    NaN compares False, so an int beyond float range fails here, where
+    ``math.isfinite`` raises OverflowError. Only types other than int and
+    float (a bool's type is neither), such as numpy scalars, take the far
+    slower ``numbers.Real`` test."""
+    if type(v) in (int, float):
+        return abs(v) <= _FLOAT_MAX
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+FINITE = Rule(_finite, "a finite number")
 POSITIVE = Rule(lambda v: FINITE.ok(v) and v > 0, "a finite number > 0")
 NONNEGATIVE = Rule(lambda v: FINITE.ok(v) and v >= 0, "a finite number >= 0")
+
+
+def at_least(n: int) -> Rule:
+    """An int count of at least ``n`` that a finite float holds."""
+    return Rule(lambda v: type(v) is int and v >= n and _finite(v), f"a finite int >= {n}")
+
+
+def positive_dims(dims, n=3) -> bool:
+    """Whether ``dims`` is a list or tuple of ``n`` ints that pass ``at_least(1)``."""
+    return (isinstance(dims, (list, tuple)) and len(dims) == n
+            and all(map(at_least(1).ok, dims)))
+
+
 DIMS = Rule(positive_dims, "three positive ints")
 
 
@@ -342,12 +359,11 @@ def _parse_header(blob: bytes):
     try:
         header = json.loads(blob)
         dims = header["dims"]
-        if not (isinstance(dims, list) and len(dims) == 3
-                and all(type(n) is int and n >= 0 for n in dims)):
+        if not (isinstance(dims, list) and len(dims) == 3 and all(map(at_least(0).ok, dims))):
             raise ValueError(f"dims {dims!r} are not three non-negative ints")
-        vox = header["voxel_size"]
-        POSITIVE.check("voxel_size", vox)
-        origin = Pose2(**header["origin"])
+        vox = POSITIVE.check("voxel_size", header["voxel_size"])
+        o = header["origin"]
+        origin = Pose2(*(FINITE.check(f"origin.{k}", o[k]) for k in ("x", "y", "yaw")))
         table = SemanticTable.from_json(header["table"])
         return dims, vox, origin, table, bool(header.get("global"))
     except (KeyError, TypeError, ValueError, RecursionError) as e:

@@ -55,8 +55,8 @@ class SimParams(Settings):
     seed: int = 0
 
 
-def idm_accel(v: float, v0: float, dv: float, s: float, idm: IdmParams) -> float:
-    """Longitudinal IDM acceleration.
+def idm_accel(v: float, dv: float, s: float, idm: IdmParams) -> float:
+    """Longitudinal IDM acceleration toward the desired speed ``idm.v0``.
 
     s is the gap to the leader (inf when free road); dv = v - v_leader.
     Clamped to [-b_emergency, a_max]; a non-positive gap means emergency
@@ -64,7 +64,7 @@ def idm_accel(v: float, v0: float, dv: float, s: float, idm: IdmParams) -> float
     """
     if s <= 0:
         return -idm.b_emergency
-    free = 1.0 - (v / v0) ** idm.delta
+    free = 1.0 - (v / idm.v0) ** idm.delta
     if math.isinf(s):
         interaction = 0.0
     else:
@@ -258,9 +258,7 @@ class Simulator:
             log.info("recorded ego path exhausted; no spawn anchors")
         return [a for pose in poses for a in self.spawn(pose, b_ego=False)]
 
-    def init_state(self, ego_pose_index: int = None) -> SimState:
-        if ego_pose_index is None:
-            ego_pose_index = int(self.rng.integers(0, len(self.ego_path)))
+    def init_state(self, ego_pose_index: int) -> SimState:
         agents = self.spawn(self.ego_path[ego_pose_index], b_ego=True)
         ego = next((a for a in agents if a.is_ego), None)
         if ego is None:
@@ -295,7 +293,7 @@ class Simulator:
                 continue
             leader = select_leader(agent, state.agents, params.d_lat)
             if leader is None:
-                a_cmd = idm_accel(agent.speed, idm.v0, 0.0, math.inf, idm)
+                a_cmd = idm_accel(agent.speed, 0.0, math.inf, idm)
             else:
                 s = float(np.linalg.norm(leader.position - agent.position))
                 head_on = float(agent.heading @ leader.heading) < -0.5
@@ -305,7 +303,7 @@ class Simulator:
                 else:
                     dv = agent.speed - leader.speed
                 maybe_lane_change(agent, leader, s, dv, self.network, params)
-                a_cmd = idm_accel(agent.speed, idm.v0, dv, s, idm)
+                a_cmd = idm_accel(agent.speed, dv, s, idm)
             if agent is state.ego and self.ego_speed_hook is not None:
                 agent.speed = max(0.0, float(self.ego_speed_hook(state, agent)))
             else:
@@ -339,7 +337,7 @@ class Simulator:
         state.step_index += 1
         return frame
 
-    def iter_steps(self, ego_pose_index: int = None):
+    def iter_steps(self, ego_pose_index: int):
         """Roll the engine for the configured horizon, yielding each step's
         (frame, log entry) as it is made. Deterministic for a fixed
         params.seed."""
@@ -348,7 +346,7 @@ class Simulator:
             frame = self.step(state)
             yield frame, snapshot_state(state)
 
-    def run(self, ego_pose_index: int = None):
+    def run(self, ego_pose_index: int):
         """``iter_steps`` collected: (frames, states log)."""
         steps = list(self.iter_steps(ego_pose_index))
         return [frame for frame, _ in steps], [entry for _, entry in steps]

@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .occupancy import (POSITIVE, GlobalMap, Settings, load_json_input, save_json,
-                        setting)
+from .occupancy import (FINITE, POSITIVE, GlobalMap, Settings, at_least, load_json_input,
+                        save_json, setting)
 
 
 class PixelGraph(dict):
@@ -391,26 +390,29 @@ def load_graph(path):
     return load_json_input(path, _graph_from_json)
 
 
-def _finite(v):
-    # abs() of a string, list, object or null raises TypeError
-    if isinstance(v, bool) or not abs(v) <= sys.float_info.max:
-        raise ValueError(f"not a number that a finite float holds: {v!r}")
-    return v
-
-
 def _graph_from_json(obj):
-    coords = {n["id"]: (_finite(n["x"]), _finite(n["y"])) for n in obj["nodes"]}
+    node_id = at_least(0)
+    coords = {node_id.check("node id", n["id"]):
+              (FINITE.check("node x", n["x"]), FINITE.check("node y", n["y"]))
+              for n in obj["nodes"]}
     if len(coords) != len(obj["nodes"]):
         raise ValueError("repeated node id")
     g = PixelGraph((c, {}) for c in coords.values())
     if len(g) != len(coords):
         raise ValueError("two node ids at one pixel")
+
+    def node(i):
+        # every key is an int that passed node_id, but True and 1.0 find id 1
+        if type(i) is not int:
+            raise ValueError(f"node id {i!r} is not an int")
+        return coords[i]
+
     for e in obj["edges"]:
-        u, v = coords[e["u"]], coords[e["v"]]
+        u, v = node(e["u"]), node(e["v"])
         if u == v:
             raise ValueError(f"self-loop edge at {u}")
         if v in g[u]:
             raise ValueError(f"repeated edge {u}-{v}")
-        g.add_edge(u, v, _finite(e["weight"]))
-    valid = [coords[i] for i in obj["valid_endpoints"]]
+        g.add_edge(u, v, FINITE.check("edge weight", e["weight"]))
+    valid = [node(i) for i in obj["valid_endpoints"]]
     return g, valid

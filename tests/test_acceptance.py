@@ -210,8 +210,8 @@ class TestCriterion5:
 class TestCriterion6:
     def test_idm_and_head_on_scenario(self):
         idm = IdmParams()
-        eq_ok = (idm_accel(idm.v0, idm.v0, 0.0, math.inf, idm) == 0.0
-                 and idm_accel(0.0, idm.v0, 0.0, math.inf, idm) == idm.a_max)
+        eq_ok = (idm_accel(idm.v0, 0.0, math.inf, idm) == 0.0
+                 and idm_accel(0.0, 0.0, math.inf, idm) == idm.a_max)
 
         # RK4 follower-gap reference
         v_lead = 5.0
@@ -220,7 +220,7 @@ class TestCriterion6:
             x_f, v_f, x_l = 0.0, 0.0, 50.0
 
             def acc(xf, vf, t):
-                return idm_accel(vf, idm.v0, vf - v_lead,
+                return idm_accel(vf, vf - v_lead,
                                  (x_l + v_lead * t) - xf, idm)
 
             t = 0.0

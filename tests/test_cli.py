@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -10,17 +11,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import voxsim
 from voxsim.agents import AgentLayout, LayoutEntry, encode_heatmap, write_heatmap
-from voxsim.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_STAGE, main, run_fuse,
-                        run_lanes, run_pipeline, run_simulate, run_synth, run_topo,
-                        stage_seed)
+from voxsim.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_STAGE, ConfigError,
+                        _from_config, main, run_fuse, run_lanes, run_pipeline, run_simulate,
+                        run_synth, run_topo, stage_seed)
+from voxsim.fusion import FusionParams
 from voxsim.geometry import Pose2, load_trajectory
+from voxsim.lanes import LaneParams, load_lanes
 from voxsim.metrics import fid, kid, mmd, read_features, write_features
-from voxsim.occupancy import (MAGIC, GlobalMap, GridFile, GridFormatError, OccupancyGrid,
-                              SemanticTable, default_table, read_grid, write_grid)
+from voxsim.occupancy import (MAGIC, GlobalMap, GridFile, GridFormatError, InputFormatError,
+                              OccupancyGrid, SemanticTable, default_table, read_grid,
+                              write_grid)
+from voxsim.simulation import IdmParams, SimParams
 from voxsim.synthworld import WorldSpec, curve_trajectory
+from voxsim.topology import TopologyParams, load_graph
 
 from conftest import swapped_table
 
@@ -174,6 +182,10 @@ class TestExitCodes:
             "negative dims": occg({**header, "dims": [-2, -2, 2]}),
             "NaN origin": occg({**header, "origin": {"x": float("nan"), "y": 0.0, "yaw": 0.0}}),
             "negative voxel_size": occg({**header, "voxel_size": -0.4}),
+            # ints beyond float range: exit 3 as an OverflowError
+            "huge voxel_size": occg({**header, "voxel_size": 10 ** 400}),
+            "huge origin": occg({**header, "origin": {"x": 10 ** 400, "y": 0.0, "yaw": 0.0}}),
+            "bool origin": occg({**header, "origin": {"x": True, "y": 0.0, "yaw": 0.0}}),
         }
         for name, data in maps.items():
             bad = tmp_path / "bad.occg"
@@ -258,8 +270,24 @@ class TestExitCodes:
                                             "offset_index": 0, "source_segment": 0}])),
             ("spawn", "lanes", json.dumps([{"points": [[1.0, float("nan")]],
                                             "offset_index": 0, "source_segment": 0}])),
+            # an int beyond float range (exit 3 as an OverflowError) and lane
+            # ids that are not ints >= 0 (exit 0)
+            ("spawn", "lanes", json.dumps([{"points": [[1.0, 10 ** 400]],
+                                            "offset_index": 0, "source_segment": 0}])),
+            ("spawn", "lanes", json.dumps([{"points": [[2.0, 10.0], [18.0, 10.0]],
+                                            "offset_index": 0, "source_segment": "x"}])),
+            ("spawn", "lanes", json.dumps([{"points": [[2.0, 10.0], [18.0, 10.0]],
+                                            "offset_index": None, "source_segment": 0}])),
             ("simulate", "poses", "{bad"),
             ("simulate", "poses", json.dumps([{"t": 0.0, "x": "a", "y": 0.0,
+                                               "yaw": 0.0}])),
+            # a coordinate beyond float range (exit 3) and timestamps that are
+            # not finite numbers (exit 0)
+            ("simulate", "poses", json.dumps([{"t": 0.0, "x": 10 ** 400, "y": 10.0,
+                                               "yaw": 0.0}])),
+            ("simulate", "poses", json.dumps([{"t": math.nan, "x": 10.0, "y": 10.0,
+                                               "yaw": 0.0}])),
+            ("simulate", "poses", json.dumps([{"t": True, "x": 10.0, "y": 10.0,
                                                "yaw": 0.0}])),
         ]
         for command, flag, text in cases:
@@ -344,6 +372,7 @@ class TestExitCodes:
         ("lanes", "--params", json.dumps({"ds_step": math.nan})),
         ("fuse", "--params", json.dumps({"d_max": math.nan})),
         ("fuse", "--params", json.dumps({"d_max": math.inf})),
+        ("fuse", "--params", json.dumps({"d_max": 10 ** 400})),
         ("fuse", "--params", json.dumps({"margin": -50})),
         ("fuse", "--params", json.dumps({"tau_vote": math.nan})),
         ("fuse", "--params", json.dumps({"tau_vote": 2.5})),
@@ -367,7 +396,7 @@ class TestExitCodes:
             "sidewalk-negative", "density-negative", "obstacle_height-negative",
             "no-obstacle-fits", "pipeline-no-obstacle-fits", "w_lane-nan",
             "tau_obs-nan", "probe_length-inf", "epsilon-nan", "ds_step-nan",
-            "d_max-nan", "d_max-inf", "margin-negative", "tau_vote-nan",
+            "d_max-nan", "d_max-inf", "d_max-huge", "margin-negative", "tau_vote-nan",
             "tau_vote-float", "min_area-nan", "dt-inf", "d_lc-nan", "speed_mu-nan",
             "idm-v0-nan", "lc_cooldown_steps-float"])
     def test_bad_params_is_config_error(self, tmp_path, command, flag, text):
@@ -496,6 +525,99 @@ class TestExitCodes:
         assert main(["spawn", *world, "--out", str(tmp_path / "agents.json")]) == EXIT_CONFIG
         assert main(["simulate", *world, "--poses", str(tmp_path / "traj.json"),
                      "--out", str(tmp_path / "rollout")]) == EXIT_CONFIG
+
+
+
+# what no reader may take for a number: ints beyond float range, NaN, the
+# infinities, a bool, a numeric string, null and a list
+NOT_NUMBERS = (10 ** 400, -10 ** 400, math.nan, math.inf, -math.inf, True, "1", None, [1])
+
+
+def _numeric_leaves(obj, path=()):
+    """Paths to the int and float leaves (bools excluded) of decoded JSON."""
+    if isinstance(obj, (dict, list)):
+        items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+        return [p for k, v in items for p in _numeric_leaves(v, path + (k,))]
+    return [path] if type(obj) in (int, float) else []
+
+
+def _replaced(obj, path, value):
+    """A copy of decoded JSON ``obj`` with the leaf at ``path`` set to ``value``."""
+    obj = json.loads(json.dumps(obj))
+    parent = obj
+    for k in path[:-1]:
+        parent = parent[k]
+    parent[path[-1]] = value
+    return obj
+
+
+# (class, valid config, fixed keywords) of each section the CLI builds with
+# ``_from_config``; the config holds every ruled field's default
+_CONFIGS = [(cls, json.loads(json.dumps({f.name: f.default for f in dataclasses.fields(cls)
+                                         if "rule" in f.metadata})), fixed)
+            for cls, fixed in ((FusionParams, {}), (TopologyParams, {}), (LaneParams, {}),
+                               (IdmParams, {}), (SimParams, {"idm": IdmParams(), "seed": 0}),
+                               (WorldSpec, {"seed": 0}))]
+
+
+_OCCG_HEADER = {"dims": [2, 2, 2], "voxel_size": 0.4,
+                "origin": {"x": 1.0, "y": 2.0, "yaw": 0.5},
+                "table": default_table().to_json(), "global": True}
+# (reader, valid decoded input, the error a malformed one raises)
+_READERS = {
+    "graph": (load_graph, json.loads(_graph_json()), InputFormatError),
+    "lanes": (load_lanes, [{"points": [[2.0, 10.0], [18.0, 10]], "offset_index": 1,
+                            "source_segment": 2}], InputFormatError),
+    "trajectory": (load_trajectory, [{"t": 0.0, "x": 10.0, "y": 10.0, "yaw": 0.0},
+                                     {"t": 1, "x": 12, "y": 10.0, "yaw": 0.1}],
+                   InputFormatError),
+    "occg": (GridFile, _OCCG_HEADER, GridFormatError),
+}
+_READER_LEAVES = [(name, path) for name, (_, obj, _) in _READERS.items()
+                  for path in _numeric_leaves(obj)]
+_CONFIG_LEAVES = [(i, path) for i, (_, cfg, _) in enumerate(_CONFIGS)
+                  for path in _numeric_leaves(cfg)]
+
+
+def _write_input(name, obj, path):
+    if name == "occg":
+        header = json.dumps(obj).encode()
+        path.write_bytes(MAGIC + struct.pack("<IQ", 1, len(header)) + header + b"\0" * 8)
+    else:
+        path.write_text(json.dumps(obj))
+
+
+class TestEveryNumberReadIsChecked:
+    """North-star invariant: every malformed input maps to its documented
+    error. One numeric leaf of a valid graph, lanes file, trajectory, OCCG
+    header or params config, set to what is not a number a finite float
+    holds, makes the reader raise its format error (exit 4) and the config
+    a ConfigError (exit 2), and nothing else."""
+
+    def test_the_valid_inputs_load(self, tmp_path):
+        for name, (read, obj, _) in _READERS.items():
+            _write_input(name, obj, tmp_path / name)
+            read(tmp_path / name)
+        for cls, cfg, fixed in _CONFIGS:
+            _from_config(cls, cfg, **fixed)
+
+    @settings(max_examples=300, deadline=None)
+    @given(leaf=st.sampled_from(_READER_LEAVES), bad=st.sampled_from(NOT_NUMBERS))
+    def test_a_reader_rejects_a_leaf_that_is_not_a_number(self, tmp_path_factory, leaf, bad):
+        name, path = leaf
+        read, obj, error = _READERS[name]
+        file = tmp_path_factory.mktemp("leaf") / name
+        _write_input(name, _replaced(obj, path, bad), file)
+        with pytest.raises(error):
+            read(file)
+
+    @settings(max_examples=300, deadline=None)
+    @given(leaf=st.sampled_from(_CONFIG_LEAVES), bad=st.sampled_from(NOT_NUMBERS))
+    def test_a_config_rejects_a_leaf_that_is_not_a_number(self, leaf, bad):
+        i, path = leaf
+        cls, cfg, fixed = _CONFIGS[i]
+        with pytest.raises(ConfigError):
+            _from_config(cls, _replaced(cfg, path, bad), **fixed)
 
 
 def _fid_report(x, y):

@@ -4,10 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from voxsim.geometry import (Pose2, Trajectory, Twist, bresenham_line,
-                             exp_twist, load_trajectory, normalize_angle,
-                             random_mask, rasterize_trajectory,
-                             save_trajectory, visibility_mask, warp_grid)
+from voxsim.geometry import (Pose2, Trajectory, Twist, exp_twist, load_trajectory,
+                             normalize_angle, random_mask, save_trajectory,
+                             visibility_mask, warp_grid)
 
 
 def rk4_exp_twist(tw, dt, steps=2000):
@@ -214,28 +213,6 @@ class TestMasks:
         assert not random_mask(10, 10, 1.0, 0).any()
         with pytest.raises(ValueError):
             random_mask(10, 10, 1.5, 0)
-
-
-class TestRaster:
-    def test_bresenham_endpoints_and_connectivity(self):
-        cells = bresenham_line(0, 0, 7, 3)
-        assert cells[0] == (0, 0) and cells[-1] == (7, 3)
-        for (x0, y0), (x1, y1) in zip(cells, cells[1:]):
-            assert max(abs(x1 - x0), abs(y1 - y0)) == 1
-
-    def test_rasterize_straight_segment(self):
-        out = rasterize_trajectory([[0.2, 0.2], [3.8, 0.2]], 10, 10, 0.4)
-        expect = np.zeros((10, 10), dtype=bool)
-        expect[0:10, 0] = True
-        assert np.array_equal(out, expect)
-
-    def test_rasterize_out_of_bounds_skipped(self):
-        out = rasterize_trajectory([[-5.0, -5.0], [100.0, 100.0]], 10, 10, 0.4)
-        assert not out.any()
-
-    def test_rasterize_empty_rejected(self):
-        with pytest.raises(ValueError):
-            rasterize_trajectory(np.zeros((0, 2)), 10, 10, 0.4)
 
 
 class TestTrajectoryIO:

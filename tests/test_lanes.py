@@ -117,6 +117,17 @@ class TestCenterlineFit:
         with pytest.raises(ValueError):
             fit_centerline(np.zeros((5, 2)), 0.5)
 
+    def test_a_wild_smoothing_spline_falls_back_to_interpolation(self):
+        # resolve_overlaps' re-spline of this zigzag lane (s = 0.28): FITPACK
+        # reports success for a spline that reaches 2.8e8 m, and resampling
+        # its 1e9 m length at 0.5 m asked for 12 GiB. The coarse step keeps
+        # the wild curve's resample small.
+        xs = [0, 0, 0, -1, 0, 1, 0, 1, 0, 1, 2, 3, 4, 3, 4, 3, 3, 2, 3, 2, 2, 2, 3, 2, 3, 3, 4, 5]
+        pts = np.stack([xs, np.arange(len(xs))], axis=1) * 0.9
+        for ds_step in (1e7, 0.5):
+            out = fit_centerline(pts, ds_step, smooth=len(pts) * 0.01)
+            assert ((out >= pts.min(axis=0) - 1.0) & (out <= pts.max(axis=0) + 1.0)).all()
+
     def test_arc_resample_spacing(self):
         pts = np.stack([np.linspace(0, 10, 11), np.zeros(11)], axis=1)
         out = fit_centerline(pts, 0.5)

@@ -40,7 +40,7 @@ class TestSettings:
             if "rule" not in f.metadata:
                 continue
             cls(**{f.name: f.default})
-            for bad in (math.nan, math.inf, -math.inf, True, "x"):
+            for bad in (math.nan, math.inf, -math.inf, True, "x", 10 ** 400):
                 with pytest.raises(ValueError, match=f"^{f.name} "):
                     cls(**{f.name: bad})
 

@@ -35,19 +35,19 @@ def make_agent(x, y, heading, speed, route, lane_id=0, static=False):
 class TestIdm:
     def test_equilibrium_at_desired_speed(self):
         idm = IdmParams()
-        assert idm_accel(idm.v0, idm.v0, 0.0, math.inf, idm) == 0.0
+        assert idm_accel(idm.v0, 0.0, math.inf, idm) == 0.0
 
     def test_free_road_from_rest(self):
         idm = IdmParams()
-        assert idm_accel(0.0, idm.v0, 0.0, math.inf, idm) == idm.a_max
+        assert idm_accel(0.0, 0.0, math.inf, idm) == idm.a_max
 
     def test_clamped_to_emergency(self):
         idm = IdmParams()
-        assert idm_accel(10.0, idm.v0, 10.0, 0.5, idm) == -idm.b_emergency
+        assert idm_accel(10.0, 10.0, 0.5, idm) == -idm.b_emergency
 
     def test_nonpositive_gap_emergency(self):
         idm = IdmParams()
-        assert idm_accel(5.0, idm.v0, 0.0, 0.0, idm) == -idm.b_emergency
+        assert idm_accel(5.0, 0.0, 0.0, idm) == -idm.b_emergency
 
     def test_matches_scalar_reference(self):
         # independent scalar re-evaluation of the closed form
@@ -61,7 +61,7 @@ class TestIdm:
                          + v * dv / (2 * math.sqrt(idm.a_max * idm.b_comfort)), 0.0)
             expect = idm.a_max * (1 - (v / idm.v0) ** idm.delta - (s_star / s) ** 2)
             expect = min(max(expect, -idm.b_emergency), idm.a_max)
-            assert idm_accel(v, idm.v0, dv, s, idm) == pytest.approx(expect)
+            assert idm_accel(v, dv, s, idm) == pytest.approx(expect)
 
     def test_follower_gap_converges_to_headway(self):
         # RK4 reference for the two-car pursuit; equilibrium gap should land
@@ -76,7 +76,7 @@ class TestIdm:
 
             def acc(x_f, v_f, t):
                 s = (x_l + v_lead * t) - x_f
-                return idm_accel(v_f, idm.v0, v_f - v_lead, s, idm)
+                return idm_accel(v_f, v_f - v_lead, s, idm)
 
             t = 0.0
             while t < t_end:
@@ -101,7 +101,7 @@ class TestIdm:
         x_f, v_f, x_l, t, dt = 0.0, 0.0, 50.0, 0.0, 0.5
         for _ in range(2000):
             s = x_l - x_f
-            a = idm_accel(v_f, idm.v0, v_f - v_lead, s, idm)
+            a = idm_accel(v_f, v_f - v_lead, s, idm)
             v_f = max(0.0, v_f + a * dt)
             x_f += v_f * dt
             x_l += v_lead * dt
