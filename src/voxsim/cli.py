@@ -91,10 +91,14 @@ def _directory_artifact(path, digests: dict) -> dict:
     return _artifact(path, h.hexdigest())
 
 
+def _frame_name(i: int) -> str:
+    return f"frame_{i:06d}.occg"
+
+
 def _fresh_frames_dir(frames_dir: Path) -> Path:
     """``frames_dir``, created if missing, with the frame files of an
-    earlier run into it deleted: a stage writes its frames one at a time,
-    and a shorter run must not leave the old tail behind."""
+    earlier run into it deleted: a stage writes its frames as they are
+    made, and a shorter run must not leave the old tail behind."""
     frames_dir.mkdir(parents=True, exist_ok=True)
     for old in frames_dir.glob("frame_*.occg"):
         old.unlink()
@@ -127,10 +131,8 @@ def run_synth(cfg: dict, seed: int, out_dir: Path) -> dict:
     frames = synthworld.iter_frames(world, poses, crop_dims=tuple(crop_dims),
                                     noise=noise, seed=seed % (2 ** 31))
     frames_dir = _fresh_frames_dir(out_dir / "frames")
-    digests = {}
-    for i, f in enumerate(frames):
-        name = f"frame_{i:06d}.occg"
-        digests[name] = occupancy.write_grid(f, frames_dir / name)
+    digests = occupancy.write_grids((f, frames_dir / _frame_name(i))
+                                    for i, f in enumerate(frames))
     world_path, traj_path = out_dir / "world.occg", out_dir / "trajectory.json"
     traj = Trajectory(tuple((float(i), p) for i, p in enumerate(poses)))
     return {"world": _artifact(world_path, occupancy.write_grid(world, world_path)),
@@ -213,11 +215,14 @@ def run_simulate(map_path, lanes_path, graph_path, traj_path, params_cfg,
     sim = _build_sim(map_path, lanes_path, graph_path, layout, params,
                      load_trajectory(traj_path).poses)
     _fresh_frames_dir(out_dir)
-    logbook, digests = [], {}
-    for i, (frame, entry) in enumerate(sim.iter_steps(ego_pose_index=0)):
-        name = f"frame_{i:06d}.occg"
-        digests[name] = occupancy.write_grid(frame, out_dir / name)
-        logbook.append(entry)
+    logbook = []
+
+    def frames():
+        for i, (frame, entry) in enumerate(sim.iter_steps(ego_pose_index=0)):
+            logbook.append(entry)
+            yield frame, out_dir / _frame_name(i)
+
+    digests = occupancy.write_grids(frames())
     manifest_path = out_dir / "run_manifest.json"
     digests[manifest_path.name] = occupancy.save_json({"steps": logbook}, manifest_path)
     return {"frames": _directory_artifact(out_dir, digests),

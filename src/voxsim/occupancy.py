@@ -4,7 +4,9 @@ conversion (``GlobalMap.cell_of``/``cell_center``), setting rules and OCCG I/O.
 ``GridFile`` is the one OCCG reader: opening one reads and checks the header
 and the payload's length, and its ``labels`` are read from disk on each
 access, so a sequence of frames can be passed around as files and held one
-frame at a time. ``read_grid`` loads a whole file through it."""
+frame at a time. ``read_grid`` loads a whole file through it.
+``write_grids`` writes a stream of grids, hashing and writing each one on a
+writer thread while the caller makes the next."""
 
 from __future__ import annotations
 
@@ -16,7 +18,10 @@ import numbers
 import os
 import struct
 import sys
+import threading
+from collections import deque
 from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -299,6 +304,11 @@ def load_json_input(path, parse):
 def write_hashed(path, *chunks) -> str:
     """Write the byte chunks to ``path`` in turn; the sha256 of what was
     written. Every file writer (OCCG, HEATMAP1, FEATSET1, JSON) calls it."""
+    return _write_hashed(path, chunks)
+
+
+def _write_hashed(path, chunks) -> str:
+    """``write_hashed``'s body, which ``write_grids``' writer thread runs."""
     h = hashlib.sha256()
     with open(path, "wb") as fh:
         for chunk in chunks:
@@ -339,8 +349,9 @@ def container_floats(data: bytes, offset: int, shape: tuple) -> np.ndarray:
     return values.astype(float)
 
 
-def write_grid(grid: OccupancyGrid, path) -> str:
-    """Write ``grid`` as an OCCG file and return the file's sha256."""
+def _grid_chunks(grid: OccupancyGrid) -> tuple:
+    """The byte chunks of ``grid``'s OCCG file: magic, version and header
+    length, JSON header, and the labels themselves as the payload."""
     header = {
         "dims": list(grid.dims),
         "voxel_size": grid.voxel_size,
@@ -349,13 +360,75 @@ def write_grid(grid: OccupancyGrid, path) -> str:
         "global": isinstance(grid, GlobalMap),
     }
     blob = json.dumps(header).encode()
-    return write_hashed(path, MAGIC, struct.pack("<IQ", VERSION, len(blob)), blob,
-                         np.ascontiguousarray(grid.labels, dtype=np.uint8))
+    return (MAGIC, struct.pack("<IQ", VERSION, len(blob)), blob,
+            np.ascontiguousarray(grid.labels, dtype=np.uint8))
+
+
+def write_grid(grid: OccupancyGrid, path) -> str:
+    """Write ``grid`` as an OCCG file and return the file's sha256."""
+    return write_hashed(path, *_grid_chunks(grid))
+
+
+# Grids that ``write_grids`` has handed to its writer thread and whose digest
+# it has not yet taken: at most one being written and one queued behind it.
+WRITES_IN_FLIGHT = 2
+
+
+def write_grids(pairs) -> dict:
+    """Write each ``(grid, path)`` of the iterable ``pairs`` as an OCCG file;
+    {file name: sha256}, the same bytes and digests as ``write_grid``.
+
+    One writer thread hashes and writes grid i while ``pairs`` makes grid
+    i + 1, with at most ``WRITES_IN_FLIGHT`` grids handed over and not yet
+    written; a grid must not change once ``pairs`` has yielded it. A grid's
+    bytes are let go only when its digest is taken, just before the next
+    grid is handed over, so the memory a call holds does not depend on the
+    writer's pace. The header bytes are made here, on the calling thread,
+    and the writer thread runs only private code (``_write_hashed``), so a
+    span recorder that wraps the public functions sees every call on one
+    thread. The thread is joined before the call returns. After a failed
+    write no queued write starts: the write then running ends, and that
+    first error is raised as it was. An error raised by ``pairs`` is raised
+    after the writes already started have ended."""
+    digests, pending, failed = {}, deque(), threading.Event()
+    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="occg-writer")
+    try:
+        for grid, path in pairs:
+            if len(pending) == WRITES_IN_FLIGHT:
+                _take_digest(digests, pending)
+            chunks = _grid_chunks(grid)
+            pending.append((os.path.basename(path), chunks,
+                            pool.submit(_write_unless_failed, failed, path, chunks)))
+        while pending:
+            _take_digest(digests, pending)
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+    return digests
+
+
+def _take_digest(digests: dict, pending: deque) -> None:
+    """Wait for the oldest write of ``pending``, record its digest under its
+    file name and let go of its bytes."""
+    name, _chunks, done = pending.popleft()
+    digests[name] = done.result()
+
+
+def _write_unless_failed(failed: threading.Event, path, chunks):
+    """A job of the writer thread: ``_write_hashed``, unless an earlier job
+    of the same ``write_grids`` call has failed (then nothing is written)."""
+    if failed.is_set():
+        return None
+    try:
+        return _write_hashed(path, chunks)
+    except BaseException:
+        failed.set()
+        raise
 
 
 def _parse_header(blob: bytes):
     """Decoded and validated OCCG JSON header: (dims, voxel size, origin,
-    table, global flag). Any failure is a GridFormatError at the header."""
+    table, global flag). The flag is a JSON bool, false when absent. Any
+    failure is a GridFormatError at the header."""
     try:
         header = json.loads(blob)
         dims = header["dims"]
@@ -365,7 +438,10 @@ def _parse_header(blob: bytes):
         o = header["origin"]
         origin = Pose2(*(FINITE.check(f"origin.{k}", o[k]) for k in ("x", "y", "yaw")))
         table = SemanticTable.from_json(header["table"])
-        return dims, vox, origin, table, bool(header.get("global"))
+        is_global = header.get("global", False)
+        if type(is_global) is not bool:
+            raise ValueError(f"global {is_global!r} is not a JSON bool")
+        return dims, vox, origin, table, is_global
     except (KeyError, TypeError, ValueError, RecursionError) as e:
         raise GridFormatError(f"bad JSON header: {e!r}", 24) from e
 

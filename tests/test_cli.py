@@ -1,11 +1,16 @@
 import dataclasses
+import errno
+import functools
 import hashlib
+import inspect
 import json
 import math
 import os
+import resource
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -15,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import voxsim
+from voxsim import occupancy
 from voxsim.agents import AgentLayout, LayoutEntry, encode_heatmap, write_heatmap
 from voxsim.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_STAGE, ConfigError,
                         _from_config, main, run_fuse, run_lanes, run_pipeline, run_simulate,
@@ -122,6 +128,26 @@ def test_cli_import_leaves_networkx_out():
                    env={**os.environ, "PYTHONPATH": src})
 
 
+def test_a_frame_write_that_fails_exits_4_and_leaves_no_manifest(tmp_path):
+    # the child's file-size limit is below one 120x120x16 frame, so the
+    # first frame write fails on the writer thread
+    src = str(Path(voxsim.__file__).resolve().parents[1])
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps(PIPELINE_CONFIG))
+    limit = 64 * 1024
+
+    def limit_file_size():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+    proc = subprocess.run([sys.executable, "-m", "voxsim.cli", "pipeline", "--config", str(cfg),
+                           "--seed", "7", "--out-dir", str(out)], capture_output=True,
+                          timeout=120, preexec_fn=limit_file_size,
+                          env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"})
+    assert proc.returncode == EXIT_IO, proc.stderr
+    assert f"[Errno {errno.EFBIG}]".encode() in proc.stderr
+    assert not (out / "pipeline_manifest.json").exists()
+
+
 def test_synth_without_room_for_obstacles_exits_2(tmp_path):
     # the obstacle loop redraws until a footprint misses the road, so a
     # world with no such footprint used to hang here
@@ -186,6 +212,8 @@ class TestExitCodes:
             "huge voxel_size": occg({**header, "voxel_size": 10 ** 400}),
             "huge origin": occg({**header, "origin": {"x": 10 ** 400, "y": 0.0, "yaw": 0.0}}),
             "bool origin": occg({**header, "origin": {"x": True, "y": 0.0, "yaw": 0.0}}),
+            # used to load as a GlobalMap: any truthy flag counted as true
+            "string global flag": occg({**header, "global": "false"}),
         }
         for name, data in maps.items():
             bad = tmp_path / "bad.occg"
@@ -794,8 +822,9 @@ class TestPipeline:
 
 
 class TestStreaming:
-    """synth, fuse and simulate hold one frame at a time: over a fixed map,
-    the traced peak of 4N frames exceeds that of N by less than one frame."""
+    """synth, fuse and simulate hold a fixed number of frames: over a fixed
+    map, the traced peak of 4N frames exceeds that of N by less than one
+    frame."""
 
     CROP = (120, 120, 16)   # synth and fuse frames
     FOV = (200, 200, 16)    # simulate frames (the SimParams default)
@@ -834,3 +863,56 @@ class TestStreaming:
                        "simulate": math.prod(self.FOV)}
         for stage, nbytes in frame_bytes.items():
             assert many[stage] - few[stage] < nbytes, (stage, few[stage], many[stage])
+
+
+def _record_calling_threads(monkeypatch, module, calls: list):
+    """Wrap each public function of ``module``, and each public method of
+    its classes, wherever a voxsim module holds it, so that every call
+    appends (name, calling thread) to ``calls``."""
+    wrapped = {}
+
+    def recorder(fn):
+        @functools.wraps(fn)
+        def record(*args, **kwargs):
+            calls.append((fn.__name__, threading.current_thread()))
+            return fn(*args, **kwargs)
+        return record
+
+    for name, obj in list(vars(module).items()):
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            found = [(module, name, obj)]
+        elif inspect.isclass(obj):
+            found = [(obj, m, f) for m, f in vars(obj).items()
+                     if not m.startswith("_") and inspect.isfunction(f)]
+        else:
+            found = []
+        for owner, attr, fn in found:
+            wrapped[id(fn)] = recorder(fn)
+            monkeypatch.setattr(owner, attr, wrapped[id(fn)])
+    for mod in [m for n, m in sys.modules.items() if n.startswith("voxsim.")]:
+        for attr, obj in list(vars(mod).items()):
+            if id(obj) in wrapped and mod is not module:
+                monkeypatch.setattr(mod, attr, wrapped[id(obj)])
+
+
+class TestWriterThread:
+    """Frames are hashed and written on a writer thread that runs only
+    private code: every call of a public occupancy function comes from the
+    calling thread. ``bench/tracing.py`` keeps one span stack and relies on
+    this."""
+
+    def test_public_occupancy_calls_come_from_the_main_thread(self, tmp_path, monkeypatch):
+        calls = []
+        _record_calling_threads(monkeypatch, occupancy, calls)
+        spec = {**PIPELINE_CONFIG["synth"], "trajectory": {"step": 6.4}}
+        run_synth(spec, 7, tmp_path)
+        world, graph, lanes = (tmp_path / n for n in ("world.occg", "graph.json", "lanes.json"))
+        run_topo(world, {}, graph)
+        run_lanes(world, graph, {}, lanes)
+        run_simulate(world, lanes, graph, tmp_path / "trajectory.json", {"horizon": 3}, 7,
+                     "procedural", tmp_path / "rollout")
+        assert len(list((tmp_path / "rollout").glob("frame_*.occg"))) == 3
+        assert {"write_grids", "write_hashed", "crop", "to_json"} <= {n for n, _ in calls}
+        assert {t for _, t in calls} == {threading.main_thread()}

@@ -1,6 +1,12 @@
 import dataclasses
 import hashlib
+import json
 import math
+import os
+import struct
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -8,14 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from voxsim import occupancy
 from voxsim.agents import AgentAsset, read_heatmap, write_heatmap
 from voxsim.fusion import FusionParams
 from voxsim.geometry import Pose2
 from voxsim.lanes import LaneParams
 from voxsim.metrics import read_features, write_features
-from voxsim.occupancy import (DEFAULT_CROP_DIMS, GlobalMap, GridFormatError,
-                              OccupancyGrid, SemanticTable, crop,
-                              default_table, read_grid, save_json, write_grid)
+from voxsim.occupancy import (DEFAULT_CROP_DIMS, MAGIC, VERSION, WRITES_IN_FLIGHT, GlobalMap,
+                              GridFile, GridFormatError, OccupancyGrid, SemanticTable, crop,
+                              default_table, read_grid, save_json, write_grid, write_grids)
 from voxsim.simulation import IdmParams, SimParams
 from voxsim.synthworld import WorldSpec
 from voxsim.topology import TopologyParams
@@ -116,6 +123,35 @@ class TestGridIO:
         write_grid(g, path)
         assert isinstance(read_grid(path), GlobalMap)
 
+    @staticmethod
+    def _write_header(path, **changes):
+        """A 2x2x2 OCCG file whose JSON header is a valid frame header with
+        ``changes`` applied; a key set to None is left out."""
+        header = {"dims": [2, 2, 2], "voxel_size": 0.4,
+                  "origin": {"x": 0.0, "y": 0.0, "yaw": 0.0},
+                  "table": default_table().to_json(), "global": False, **changes}
+        blob = json.dumps({k: v for k, v in header.items() if v is not None}).encode()
+        path.write_bytes(MAGIC + struct.pack("<IQ", VERSION, len(blob)) + blob + bytes(8))
+
+    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, [True], {}],
+                             ids=["string-false", "string-true", "zero", "one", "list",
+                                  "object"])
+    def test_global_flag_that_is_not_a_json_bool_is_a_header_error(self, tmp_path, flag):
+        # any truthy flag used to load as a GlobalMap, "false" included
+        path = tmp_path / "g.occg"
+        self._write_header(path, **{"global": flag})
+        with pytest.raises(GridFormatError, match="is not a JSON bool") as e:
+            GridFile(path)
+        assert e.value.offset == 24
+
+    @pytest.mark.parametrize("flag, is_global", [(True, True), (False, False), (None, False)],
+                             ids=["true", "false", "absent"])
+    def test_global_flag_json_bool_or_absent_loads(self, tmp_path, flag, is_global):
+        path = tmp_path / "g.occg"
+        self._write_header(path, **{"global": flag})
+        assert GridFile(path).is_global is is_global
+        assert isinstance(read_grid(path), GlobalMap) is is_global
+
     def test_bad_magic_offset(self, tmp_path):
         path = tmp_path / "bad.occg"
         path.write_bytes(b"X" * 100)
@@ -193,6 +229,145 @@ class TestGridIO:
         path = tmp_path / "o.json"
         digest = save_json({"a": [1, 2.5, "\u00e9"], "b": None}, path)
         assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _grids(n):
+    """n small grids of different shapes and contents: a GlobalMap, frames
+    and a strided view."""
+    rng = np.random.default_rng(3)
+    for i in range(n):
+        labels = rng.integers(0, 7, size=(6 + i, 5, 4), dtype=np.uint8)
+        if i % 3 == 0:
+            yield GlobalMap(labels, 0.4, Pose2(1.5, -2.0, 0.25))
+        else:
+            yield OccupancyGrid(labels[:, ::-1] if i % 3 == 2 else labels,
+                                0.2, Pose2(float(i), 0.5, -0.75))
+
+
+class _WriteLog:
+    """Stands in for ``occupancy._write_hashed``: records the file name of
+    each write as it starts and ends, sleeps ``delay`` s before writing,
+    and raises ``error`` instead of writing ``fail_on``."""
+
+    def __init__(self, delay=0.0, fail_on=None, error=None):
+        self.real = occupancy._write_hashed
+        self.delay, self.fail_on, self.error = delay, fail_on, error
+        self.started, self.ended = [], []
+
+    def __call__(self, path, chunks):
+        name = os.path.basename(path)
+        self.started.append(name)
+        try:
+            time.sleep(self.delay)
+            if name == self.fail_on:
+                raise self.error
+            return self.real(path, chunks)
+        finally:
+            self.ended.append(name)
+
+
+class TestWriteGrids:
+    """One writer thread hashes and writes each grid while the next one is
+    made; bytes, digests and errors are those of writing in turn."""
+
+    @staticmethod
+    def _pairs(tmp_path, grids):
+        for i, grid in enumerate(grids):
+            yield grid, tmp_path / f"frame_{i:06d}.occg"
+
+    def test_digests_are_those_of_the_files_and_of_write_grid(self, tmp_path):
+        threads = threading.active_count()
+        (tmp_path / "one").mkdir()
+        digests = write_grids(self._pairs(tmp_path, _grids(7)))
+        assert threading.active_count() == threads
+        names = [f"frame_{i:06d}.occg" for i in range(7)]
+        assert list(digests) == names
+        for name, grid in zip(names, _grids(7)):
+            on_disk = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            assert digests[name] == on_disk == write_grid(grid, tmp_path / "one" / name)
+        assert isinstance(read_grid(tmp_path / names[0]), GlobalMap)
+        assert np.array_equal(read_grid(tmp_path / names[2]).labels,
+                              list(_grids(3))[2].labels)
+
+    def test_at_most_writes_in_flight_grids_are_handed_over(self, tmp_path, monkeypatch):
+        log = _WriteLog(delay=0.005)
+        monkeypatch.setattr(occupancy, "_write_hashed", log)
+        in_flight = []
+
+        def pairs():
+            for i, pair in enumerate(self._pairs(tmp_path, _grids(8))):
+                in_flight.append(i - len(log.ended))   # handed over, not written
+                yield pair
+
+        assert len(write_grids(pairs())) == 8
+        assert max(in_flight) <= WRITES_IN_FLIGHT
+        assert log.started == log.ended == [f"frame_{i:06d}.occg" for i in range(8)]
+
+    def test_first_failed_write_is_raised_and_no_later_write_starts(self, tmp_path,
+                                                                   monkeypatch):
+        # slow writes, so that frame 3 is queued when frame 2 fails
+        error = OSError(27, "File too large")
+        log = _WriteLog(delay=0.02, fail_on="frame_000002.occg", error=error)
+        monkeypatch.setattr(occupancy, "_write_hashed", log)
+        threads = threading.active_count()
+        with pytest.raises(OSError) as e:
+            write_grids(self._pairs(tmp_path, _grids(8)))
+        assert e.value is error
+        assert threading.active_count() == threads
+        assert log.started == log.ended == [f"frame_{i:06d}.occg" for i in range(3)]
+        assert sorted(p.name for p in tmp_path.iterdir()) == log.started[:2]
+
+    def test_error_of_the_caller_is_raised_after_started_writes_end(self, tmp_path,
+                                                                  monkeypatch):
+        log = _WriteLog(delay=0.05)
+        monkeypatch.setattr(occupancy, "_write_hashed", log)
+        error = ValueError("no next grid")
+
+        def pairs():
+            yield from self._pairs(tmp_path, _grids(3))
+            raise error
+
+        threads = threading.active_count()
+        with pytest.raises(ValueError) as e:
+            write_grids(pairs())
+        assert e.value is error
+        ended = list(log.ended)   # as the call returned
+        assert threading.active_count() == threads
+        assert ended == log.started
+        assert ended == [f"frame_{i:06d}.occg" for i in range(len(ended))]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ended
+
+    def test_concurrent_calls_under_fast_thread_switching(self, tmp_path):
+        # three callers and their three writers on two cores, switching
+        # threads every 10 us: each call's digests are still its own files'
+        results = {}
+
+        def call(k):
+            (tmp_path / str(k)).mkdir()
+            results[k] = write_grids(self._pairs(tmp_path / str(k), _grids(40)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=call, args=(k,)) for k in range(3)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        expected = {f"frame_{i:06d}.occg": write_grid(g, tmp_path / "ref.occg")
+                    for i, g in enumerate(_grids(40))}
+        assert results == {k: expected for k in range(3)}
+        for k in range(3):
+            assert all(hashlib.sha256((tmp_path / str(k) / name).read_bytes()).hexdigest()
+                       == digest for name, digest in expected.items())
+
+    def test_nothing_to_write(self, tmp_path):
+        threads = threading.active_count()
+        assert write_grids(iter(())) == {}
+        assert threading.active_count() == threads
 
 
 READERS = {"g.occg": read_grid, "h.hm": read_heatmap, "f.feat": read_features}
