@@ -26,6 +26,7 @@ log = logging.getLogger(__name__)
 
 HEATMAP_SIZE = 200
 KERNEL_RADIUS = 3          # cells; also the NMS suppression radius
+PEAK_THRESHOLD = 0.5       # |heatmap| a decoded peak must exceed
 KERNEL_SIGMA = 1.0         # unit-sigma Gaussian, truncated at the radius
 MAX_VEHICLES = 10
 MIN_SPACING = 8.0          # meters between procedurally proposed vehicles
@@ -143,9 +144,8 @@ def encode_heatmap(layout: AgentLayout, meters_per_cell: float) -> np.ndarray:
     return h
 
 
-def decode_heatmap(h: np.ndarray, meters_per_cell: float,
-                   peak_threshold: float = 0.5) -> AgentLayout:
-    """Non-maximum suppression over |h|: local maxima above the threshold
+def decode_heatmap(h: np.ndarray, meters_per_cell: float) -> AgentLayout:
+    """Non-maximum suppression over |h|: local maxima above PEAK_THRESHOLD
     within the kernel radius become vehicles; the peak sign sets the state."""
     mag = np.abs(h)
     order = np.argsort(mag, axis=None)[::-1]
@@ -154,7 +154,7 @@ def decode_heatmap(h: np.ndarray, meters_per_cell: float,
     r = KERNEL_RADIUS
     for flat in order:
         cx, cy = np.unravel_index(flat, h.shape)
-        if mag[cx, cy] <= peak_threshold:
+        if mag[cx, cy] <= PEAK_THRESHOLD:
             break
         if taken[cx, cy]:
             continue

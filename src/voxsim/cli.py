@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -91,8 +92,12 @@ def _directory_artifact(path, digests: dict) -> dict:
     return _artifact(path, h.hexdigest())
 
 
-def _frame_name(i: int) -> str:
-    return f"frame_{i:06d}.occg"
+def _frame_path(frames_dir, i: int) -> str:
+    """Frame i's file under ``frames_dir``, as a str: pathlib interns each
+    path part it parses, so a ``Path`` per frame would intern each frame's
+    name and free it again, and the interpreter's intern table rebuilds
+    itself (about 2 MB) every so often under that churn."""
+    return os.path.join(frames_dir, f"frame_{i:06d}.occg")
 
 
 def _fresh_frames_dir(frames_dir: Path) -> Path:
@@ -131,7 +136,7 @@ def run_synth(cfg: dict, seed: int, out_dir: Path) -> dict:
     frames = synthworld.iter_frames(world, poses, crop_dims=tuple(crop_dims),
                                     noise=noise, seed=seed % (2 ** 31))
     frames_dir = _fresh_frames_dir(out_dir / "frames")
-    digests = occupancy.write_grids((f, frames_dir / _frame_name(i))
+    digests = occupancy.write_grids((f, _frame_path(frames_dir, i))
                                     for i, f in enumerate(frames))
     world_path, traj_path = out_dir / "world.occg", out_dir / "trajectory.json"
     traj = Trajectory(tuple((float(i), p) for i, p in enumerate(poses)))
@@ -220,7 +225,7 @@ def run_simulate(map_path, lanes_path, graph_path, traj_path, params_cfg,
     def frames():
         for i, (frame, entry) in enumerate(sim.iter_steps(ego_pose_index=0)):
             logbook.append(entry)
-            yield frame, out_dir / _frame_name(i)
+            yield frame, _frame_path(out_dir, i)
 
     digests = occupancy.write_grids(frames())
     manifest_path = out_dir / "run_manifest.json"

@@ -6,9 +6,9 @@ flow through junctions. The graph is one symmetric CSR matrix of edge
 lengths, built from edge arrays. Agents route through cached goal-rooted
 shortest-path trees on that matrix: the first query for a goal runs one
 Dijkstra from that goal over the whole network, and every later query toward
-it walks the tree (``RouteNetwork.path_to``). Samples are numbered along
-each lane, so a route is mostly runs of consecutive node numbers; each tree
-also keeps where every node's run ends, and a walk takes one step per run.
+it walks the tree (``RouteNetwork._runs``). Samples are numbered along each
+lane, so a route is mostly runs of consecutive node numbers; each tree also
+keeps where every node's run ends, and a walk takes one step per run.
 ``route_to`` routes to the node nearest a target point, snapped once per
 target, and copies the route's positions one run at a time.
 """
@@ -104,17 +104,6 @@ class RouteNetwork:
             node = hop[runs[-1][1]]
             runs.append((node, jump[node]))
         return runs, float(dist[start])
-
-    def path_to(self, start: int, goal: int):
-        """Shortest route from start to goal as (node list, cost), or None
-        when goal is unreachable."""
-        found = self._runs(start, goal)
-        if found is None:
-            return None
-        path = []
-        for first, last in found[0]:
-            path.extend(range(first, last + 1) if first <= last else range(first, last - 1, -1))
-        return path, found[1]
 
     def route_to(self, start: int, target_point):
         """World-meter (N, 2) shortest route from node start to the node

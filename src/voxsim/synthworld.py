@@ -137,13 +137,13 @@ def generate_world(spec: WorldSpec) -> GlobalMap:
     return GlobalMap(labels, vox, Pose2(0.0, 0.0, 0.0), table)
 
 
-def iter_frames(world: GlobalMap, trajectory, crop_dims=DEFAULT_CROP_DIMS,
+def iter_frames(world: GlobalMap, poses, crop_dims=DEFAULT_CROP_DIMS,
                 noise: float = 0.0, seed: int = 0):
-    """Ego-centric crops of the world along a trajectory, one at a time, with
-    optional label-flip noise: each voxel independently, with probability
-    ``noise``, takes a category id drawn uniformly from the table (possibly
-    its own). Frame i's draws follow frame i - 1's from one generator."""
-    poses = trajectory.poses if hasattr(trajectory, "poses") else list(trajectory)
+    """Ego-centric crops of the world at each of the listed poses, one at a
+    time, with optional label-flip noise: each voxel independently, with
+    probability ``noise``, takes a category id drawn uniformly from the table
+    (possibly its own). Frame i's draws follow frame i - 1's from one
+    generator."""
     rng = np.random.default_rng(seed)
     lo, hi = world.extent
     ids = np.array(world.table.ids, dtype=np.uint8)
@@ -161,10 +161,10 @@ def iter_frames(world: GlobalMap, trajectory, crop_dims=DEFAULT_CROP_DIMS,
         yield frame
 
 
-def sample_frames(world: GlobalMap, trajectory, crop_dims=DEFAULT_CROP_DIMS,
+def sample_frames(world: GlobalMap, poses, crop_dims=DEFAULT_CROP_DIMS,
                   noise: float = 0.0, seed: int = 0):
     """``iter_frames`` as a list."""
-    return list(iter_frames(world, trajectory, crop_dims, noise, seed))
+    return list(iter_frames(world, poses, crop_dims, noise, seed))
 
 
 def straight_trajectory(spec: WorldSpec, step: float = 3.2):

@@ -12,10 +12,12 @@ import numpy as np
 
 from voxsim.agents import (AgentLayout, LayoutEntry, augment, decode_heatmap,
                            encode_heatmap, _transform_cell)
-from voxsim.fusion import FusionParams, fuse_keyframes, fuse_sequence, select_keyframes
-from voxsim.geometry import Pose2, Twist, exp_twist, normalize_angle, random_mask, visibility_mask, warp_grid
+from voxsim.fusion import (FusionParams, _pull_back, fuse_keyframes, fuse_sequence,
+                           select_keyframes)
+from voxsim.geometry import Pose2
 from voxsim.lanes import Lane, LaneParams, extract_lanes, resolve_overlaps
 from voxsim.metrics import fid, kid, mmd, pairwise_diversity, vendi
+from voxsim.occupancy import GlobalMap, crop
 from voxsim.simulation import (IdmParams, SimParams, SimState, Simulator,
                                boxes_overlap, idm_accel)
 from voxsim.synthworld import (WorldSpec, curve_trajectory, generate_world,
@@ -24,7 +26,6 @@ from voxsim.topology import extract_topology
 from voxsim.cli import run_pipeline
 
 from conftest import astar, make_map
-from test_geometry import rk4_exp_twist
 from test_metrics import naive_mmd
 
 
@@ -399,39 +400,62 @@ class TestCriterion9:
 
 
 class TestCriterion10:
-    def test_geometry_suite(self):
+    def test_geometry_suite(self, table):
         rng = np.random.default_rng(31)
-        exp_ok = True
+        # poses: the inverse undoes the transform, yaws stay in (-pi, pi]
+        rt_ok = True
         for _ in range(30):
-            tw = Twist(rng.uniform(-10, 10), rng.uniform(-10, 10),
-                       rng.uniform(-math.pi, math.pi))
-            dt = rng.uniform(0.01, 1.0)
-            got = exp_twist(tw, dt)
-            ref = rk4_exp_twist(tw, dt)
-            err = max(abs(got.x - ref[0]), abs(got.y - ref[1]),
-                      abs(normalize_angle(got.yaw - ref[2])))
-            if err >= 1e-6:
-                exp_ok = False
+            p = Pose2(*rng.uniform(-50, 50, 2), rng.uniform(-10, 10))
+            q = rng.uniform(-50, 50, 2)
+            back = p.inverse().transform_point(p.transform_point(q))
+            scale = max(1.0, abs(p.x), abs(p.y), *np.abs(q))
+            rt_ok &= bool(np.abs(back - q).max() <= 1e-9 * scale)
+            rt_ok &= all(-math.pi < y <= math.pi for y in (p.yaw, p.inverse().yaw))
 
-        g = rng.integers(0, 7, size=(50, 50)).astype(np.uint8)
-        c = 50 * 0.4 / 2
-        T = Pose2(c, c, math.pi / 2).compose(Pose2(-c, -c, 0))
-        back = warp_grid(warp_grid(g, T, 0.4, mode="nearest"),
-                         T.inverse(), 0.4, mode="nearest")
-        Tt = Pose2(6 * 0.4, -4 * 0.4, 0.0)
-        fwd = warp_grid(g, Tt, 0.4, mode="nearest")
-        back_t = warp_grid(fwd, Tt.inverse(), 0.4, mode="nearest")
-        vis_back = warp_grid(visibility_mask(Tt, 50, 50, 0.4).astype(np.uint8),
-                             Tt.inverse(), 0.4, mode="nearest").astype(bool)
-        warp_ok = (np.array_equal(back, g)
-                   and np.array_equal(back_t[vis_back], g[vis_back]))
+        # crop: a quarter turn about a cell corner permutes the cells
+        vox = 0.4
+        world = GlobalMap(rng.choice(np.array(table.ids, dtype=np.uint8), (60, 60, 4)),
+                          vox, Pose2(), table)
+        c = 30 * vox
+        straight = crop(world, Pose2(c, c, 0.0), (30, 30, 4)).labels
+        rot_ok = all(np.array_equal(crop(world, Pose2(c, c, k * math.pi / 2), (30, 30, 4)).labels,
+                                    np.rot90(straight, -k, axes=(0, 1)))
+                     for k in range(4))
 
-        vis_ok = (visibility_mask(Pose2(), 30, 20, 0.5).all()
-                  and not visibility_mask(Pose2(15.0, 0, 0), 30, 20, 0.5).any())
-        frac_ok = all(0.66 <= random_mask(200, 200, 0.3, seed=s).mean() <= 0.74
-                      for s in range(5))
+        # fusion's pull-back inverts the crop: at whole-voxel translations
+        # and quarter turns each map cell it puts in the frame reads the
+        # column the crop took from it
+        gx, gy = (g.ravel() for g in np.meshgrid(np.arange(60), np.arange(60), indexing="ij"))
+        pulled = []
+        for k, (dx, dy) in enumerate([(0, 0), (3, -5), (-7, 2), (6, 6)]):
+            pose = Pose2(c + dx * vox, c + dy * vox, k * math.pi / 2)
+            frame = crop(world, pose, (30, 30, 4))
+            fx, fy, ok = _pull_back(world, pose, frame.dims, gx, gy)
+            same = np.array_equal(frame.labels[fx[ok], fy[ok]], world.labels[gx[ok], gy[ok]])
+            pulled.append(int(ok.sum()) if same else -1)
+        pull_ok = pulled == [900] * 4
 
-        ok = exp_ok and warp_ok and vis_ok and frac_ok
-        report(10, ok, f"exp_twist vs RK4 < 1e-6: {exp_ok}; warp round trips "
-                       f"exact on visible cells: {warp_ok}; visibility masks: "
-                       f"{vis_ok}; Bernoulli fraction in 6-sigma band: {frac_ok}")
+        # field of view: a crop inside the fully labelled map holds no
+        # unassigned voxel, one off the map holds nothing else
+        uid = table.unassigned_id
+        fov_ok = (not (crop(world, Pose2(12.1, 11.7, 0.6), (30, 30, 4)).labels == uid).any()
+                  and (crop(world, Pose2(-20.0, 12.0, 0.3), (30, 30, 4)).labels == uid).all())
+
+        # label noise: a flip redraws from the table's ids, its own included,
+        # so 5/6 of the flips change a voxel
+        terrain = generate_world(WorldSpec(recipe="straight", extent=60.0))
+        inside = [Pose2(30.0, 30.0, 0.0)]   # the 40 m frame lies on the 60 m world
+        clean = sample_frames(terrain, inside, crop_dims=(100, 100, 16))[0].labels
+        expect = 0.3 * (len(table.ids) - 1) / len(table.ids)
+        band = 6 * math.sqrt(expect * (1 - expect) / clean.size)
+        fracs = [float((sample_frames(terrain, inside, crop_dims=(100, 100, 16), noise=0.3,
+                                      seed=s)[0].labels != clean).mean()) for s in range(5)]
+        noise_ok = all(abs(f - expect) <= band for f in fracs)
+
+        ok = rt_ok and rot_ok and pull_ok and fov_ok and noise_ok
+        report(10, ok, f"pose round trips within 1e-9 and yaw in (-pi, pi]: {rt_ok}; "
+                       f"quarter-turn crops are rot90 of the yaw-0 crop: {rot_ok}; "
+                       f"pull-back cells matching the crop at 4 poses: {pulled}; "
+                       f"crop field of view: {fov_ok}; noise change fractions "
+                       f"{min(fracs):.4f}-{max(fracs):.4f} within {expect:.4f} +- "
+                       f"{band:.4f}: {noise_ok}")

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voxsim.agents import (DEFAULT_ASSETS, MIN_SPACING, SNAP_DIST, Agent,
-                           AgentAsset, AgentLayout, GLOBAL_TRANSFORMS,
-                           LayoutEntry, ProceduralLayoutSource, _route_heading,
+from voxsim.agents import (DEFAULT_ASSETS, MIN_SPACING, PEAK_THRESHOLD,
+                           SNAP_DIST, Agent, AgentAsset, AgentLayout,
+                           GLOBAL_TRANSFORMS, LayoutEntry,
+                           ProceduralLayoutSource, _route_heading,
                            _transform_cell, augment, decode_heatmap,
                            encode_heatmap, read_heatmap, spawn_agents,
                            write_heatmap)
@@ -51,9 +52,13 @@ class TestHeatmapCodec:
             encode_heatmap(AgentLayout([LayoutEntry(1000.0, 0.0)]), 0.4)
 
     def test_decode_threshold(self):
+        # one vehicle's peak is 1: scaled just above PEAK_THRESHOLD it
+        # decodes, at or just below it does not
         h = encode_heatmap(centered_layout([(50, 50, False)]), 0.4)
-        assert len(decode_heatmap(h, 0.4, peak_threshold=0.5)) == 1
-        assert len(decode_heatmap(h, 0.4, peak_threshold=1.5)) == 0
+        assert np.abs(h).max() == 1.0
+        assert len(decode_heatmap(h * (PEAK_THRESHOLD * 1.01), 0.4)) == 1
+        assert len(decode_heatmap(h * PEAK_THRESHOLD, 0.4)) == 0
+        assert len(decode_heatmap(h * (PEAK_THRESHOLD * 0.99), 0.4)) == 0
 
     def test_file_round_trip(self, tmp_path):
         h = encode_heatmap(centered_layout([(10, 10, False)]), 0.4)

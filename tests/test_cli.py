@@ -857,8 +857,23 @@ class TestStreaming:
         assert len(list((out / "rollout").glob("frame_*.occg"))) == n
         return peaks
 
-    def test_peak_memory_does_not_grow_with_frame_count(self, tmp_path):
-        few, many = self._peaks(tmp_path / "few", 3), self._peaks(tmp_path / "many", 12)
+    def test_peak_memory_does_not_grow_with_frame_count(self, tmp_path, monkeypatch):
+        # Nor do the strings the stages intern: a new string in the
+        # interpreter's intern table can make it rebuild (about 2 MB), and a
+        # rebuild inside a traced stage counts in its peak.
+        interned = []
+        intern = sys.intern
+
+        def counting_intern(s):
+            if tracemalloc.is_tracing():
+                interned.append(s)
+            return intern(s)
+
+        monkeypatch.setattr(sys, "intern", counting_intern)
+        few = self._peaks(tmp_path / "few", 3)
+        few_interned = len(interned)
+        many = self._peaks(tmp_path / "many", 12)
+        assert len(interned) - few_interned == few_interned
         frame_bytes = {"synth": math.prod(self.CROP), "fuse": math.prod(self.CROP),
                        "simulate": math.prod(self.FOV)}
         for stage, nbytes in frame_bytes.items():

@@ -30,6 +30,19 @@ def random_geometric_graph(rng, n=30, k=4):
     return RouteNetwork(pos, [0] * n, list(g.edges)), g
 
 
+def path_to(net, start: int, goal: int):
+    """Shortest route from start to goal as (node list, cost), or None when
+    goal is unreachable: ``net._runs`` with each run expanded into its
+    nodes."""
+    found = net._runs(start, goal)
+    if found is None:
+        return None
+    path = []
+    for first, last in found[0]:
+        path.extend(range(first, last + 1) if first <= last else range(first, last - 1, -1))
+    return path, found[1]
+
+
 def reference_build_route_network(lanes, junction_radius=4.0):
     """The dict-of-lists builder the CSR one replaced: (positions, lane_of,
     adjacency), adjacency mapping node -> [(node, weight)] in insertion
@@ -137,7 +150,7 @@ class TestPathTo:
         for _ in range(100):
             net, g = random_geometric_graph(rng)
             s, t = (int(v) for v in rng.integers(0, 30, size=2))
-            found = net.path_to(s, t)
+            found = path_to(net, s, t)
             ref = astar(net, s, t)
             assert (found is None) == (ref is None)
             if found is None:
@@ -152,11 +165,11 @@ class TestPathTo:
 
     def test_trivial_self_route(self):
         net = RouteNetwork([[0.0, 0.0], [1.0, 0.0]], [0, 0], [(0, 1)])
-        assert net.path_to(1, 1) == ([1], 0.0)
+        assert path_to(net, 1, 1) == ([1], 0.0)
 
     def test_disconnected_returns_none(self):
         net = RouteNetwork([[0.0, 0.0], [5.0, 0.0]], [0, 1], [])
-        assert net.path_to(0, 1) is None
+        assert path_to(net, 0, 1) is None
 
     def test_routes_through_zero_weight_edge(self):
         # lane b starts on lane a's last sample; with a tiny junction radius
@@ -167,7 +180,7 @@ class TestPathTo:
         net = build_route_network([a, b], junction_radius=0.1)
         last_a, first_b = len(ax) - 1, len(ax)
         assert (first_b, 0.0) in net.neighbors(last_a)
-        found = net.path_to(0, 2 * len(ax) - 1)
+        found = path_to(net, 0, 2 * len(ax) - 1)
         assert found is not None
         path, cost = found
         assert [last_a, first_b] == path[len(ax) - 1:len(ax) + 1]
@@ -187,14 +200,15 @@ class TestPathTo:
         goals = rng.choice(300, size=5, replace=False)
         for s in rng.integers(0, 300, size=200):
             for t in goals:
-                net.path_to(int(s), int(t))
+                path_to(net, int(s), int(t))
         assert sorted(calls) == sorted(int(t) for t in goals)
 
 
 def reference_path_to(trees, graph, start, goal):
     """The walk routes took before they stepped by runs: one Python step per
-    predecessor link. The body is the old ``RouteNetwork.path_to``'s, with
-    the tree cache ``trees`` and the CSR ``graph`` passed in."""
+    predecessor link. The body is that of the ``RouteNetwork.path_to`` of
+    that time, with the tree cache ``trees`` and the CSR ``graph`` passed
+    in."""
     tree = trees.get(goal)
     if tree is None:
         dist, pred = dijkstra(graph, indices=goal, return_predecessors=True)
@@ -249,8 +263,8 @@ class TestRunWalk:
             target = net.positions[goal] + 0.1
             snapped = int(nearest.query(target)[1])
             for start in range(len(net.positions)):
-                assert net.path_to(start, goal) == reference_path_to(trees, net.graph,
-                                                                     start, goal)
+                assert path_to(net, start, goal) == reference_path_to(trees, net.graph,
+                                                                      start, goal)
                 want = reference_path_to(trees, net.graph, start, snapped)
                 got = net.route_to(start, target)
                 if want is None:
@@ -285,7 +299,7 @@ class TestRunWalk:
                 # a list and an array with the same values are one target
                 for point in (target, target.tolist()):
                     got = net.route_to(int(start), point)
-                    want = fresh.path_to(int(start), fresh.nearest_node(point))
+                    want = path_to(fresh, int(start), fresh.nearest_node(point))
                     assert got.tobytes() == fresh.positions[want[0]].tobytes()
         assert sorted(calls) == sorted(tuple(t) for t in targets)
 
@@ -324,7 +338,7 @@ class TestRouteNetwork:
         net = build_route_network(self._two_lanes())
         start = net.nearest_node([0.5, 0.0])
         goal = net.nearest_node([19.0, 3.6])
-        path, _ = net.path_to(start, goal)
+        path, _ = path_to(net, start, goal)
         route = net.route_to(start, [19.0, 3.6])
         assert np.array_equal(route, net.positions[path])
         # a target nearest an unreachable node gives no route
