@@ -1,10 +1,45 @@
+import hashlib
 import heapq
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from voxsim.geometry import Pose2
+from voxsim.occupancy import GlobalMap, SemanticTable, default_table
+
 ACCEPTANCE_LINES = []
+
+# Every pinned sha256 of the tests and CI lives in pins.sha256, one
+# "<digest>  <name>" line each (sha256sum format). Nothing rewrites it: a
+# moved pin's line is edited by hand from the "moved pins" report.
+PINS_FILE = Path(__file__).with_name("pins.sha256")
+MOVED_PINS = []   # (name, pinned digest or None, computed digest)
+
+
+def read_pins():
+    """The registry's (digest, name) pairs, in file order."""
+    return [line.partition("  ")[::2] for line in PINS_FILE.read_text().splitlines()]
+
+
+def assert_pinned(name, chunks):
+    """Assert that the sha256 of the byte chunks (arrays by ``tobytes()``)
+    is the one pins.sha256 holds under ``name``."""
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk.tobytes() if isinstance(chunk, np.ndarray) else chunk)
+    assert_pins({name: h.hexdigest()})
+
+
+def assert_pins(digests):
+    """Assert every computed digest, by pin name, against pins.sha256. Each
+    one that differs is recorded for the report before the test fails."""
+    pins = {name: digest for digest, name in read_pins()}
+    moved = [(name, pins.get(name), digest) for name, digest in digests.items()
+             if pins.get(name) != digest]
+    MOVED_PINS.extend(moved)
+    assert not moved, "moved pins: " + ", ".join(name for name, _, _ in moved)
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -12,9 +47,10 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
-
-from voxsim.geometry import Pose2
-from voxsim.occupancy import GlobalMap, SemanticTable, default_table
+    if MOVED_PINS:
+        terminalreporter.section("moved pins")
+        for name, pinned, computed in MOVED_PINS:
+            terminalreporter.write_line(f"{name}: pinned {pinned}, computed {computed}")
 
 
 @pytest.fixture

@@ -36,7 +36,7 @@ from voxsim.simulation import IdmParams, SimParams
 from voxsim.synthworld import WorldSpec, curve_trajectory
 from voxsim.topology import TopologyParams, load_graph
 
-from conftest import swapped_table
+from conftest import assert_pins, swapped_table
 
 
 PIPELINE_CONFIG = {
@@ -48,18 +48,17 @@ PIPELINE_CONFIG = {
 }
 
 
-# sha256 of every PIPELINE_CONFIG artifact at seed 7, by (stage, artifact)
-PIPELINE_HASHES = {
-    ("synth", "world"): "03f6cdcc328b2073ac8780dff609e4fb941ccbae71dcb46ba0c9d0cd11959a63",
-    ("synth", "frames"): "6c18788bfe06a45a98db2b9bcd8339f83e0189be3dd73318c32a3f313e75c9af",
-    ("synth", "trajectory"): "aa94d6850fb97452e562d0322137b1bc1b8fe6975c0b4b1e7b94958a3169a173",
-    ("fuse", "map"): "5aeb971a241ec87d964fc766e2f5690368f903f65be4aa806671752b8a62b385",
-    ("topo", "graph"): "73359b0bef4b63f57d2c09d71209593aac0753972dd1da97515ba1f1521b3d43",
-    ("lanes", "lanes"): "9c2a79e88d6a83e99f4d0a32a492c6728b31c3078275be2e0048a49807e9c88a",
-    ("spawn", "agents"): "b4fb5d7a088c4109cfc7693f639d0b699ae09887b130a825fa71b400ddf45a1e",
-    ("simulate", "frames"): "4fd8a73212b7e4eb73edf1ea220b95e8b832d9e0edd990fba8b1dcf5657f5daf",
-    ("simulate", "run_manifest"):
-        "b3a4215be7a224ee9898c990b6d3aeee0539e2de4da99bae9099eaf553553e87",
+# the pin of every PIPELINE_CONFIG artifact at seed 7, by (stage, artifact)
+PIPELINE_PINS = {
+    ("synth", "world"): "pipeline/synth/world",
+    ("synth", "frames"): "pipeline/synth/frames",
+    ("synth", "trajectory"): "pipeline/synth/trajectory",
+    ("fuse", "map"): "pipeline/fuse/map",
+    ("topo", "graph"): "pipeline/topo/graph",
+    ("lanes", "lanes"): "pipeline/lanes/lanes",
+    ("spawn", "agents"): "pipeline/spawn/agents",
+    ("simulate", "frames"): "pipeline/simulate/frames",
+    ("simulate", "run_manifest"): "pipeline/simulate/run_manifest",
 }
 
 
@@ -732,7 +731,8 @@ class TestPipeline:
         out_dir = tmp_path / "out"
         hashes, stages = _run_pipeline(tmp_path, PIPELINE_CONFIG, out_dir)
         assert stages == ["synth", "fuse", "topo", "lanes", "spawn", "simulate"]
-        assert hashes == PIPELINE_HASHES
+        assert hashes.keys() == PIPELINE_PINS.keys()
+        assert_pins({PIPELINE_PINS[key]: digest for key, digest in hashes.items()})
         assert (out_dir / "map.occg").exists()
         assert (out_dir / "lanes.json").exists()
         assert (out_dir / "rollout" / "run_manifest.json").exists()

@@ -1,4 +1,3 @@
-import hashlib
 import math
 import re
 import tracemalloc
@@ -18,7 +17,7 @@ from voxsim.occupancy import GlobalMap, OccupancyGrid, SemanticTable, default_ta
 from voxsim.synthworld import (WorldSpec, generate_world, sample_frames,
                                straight_trajectory)
 
-from conftest import make_map, swapped_table
+from conftest import assert_pinned, make_map, swapped_table
 
 
 class TestSelectKeyframes:
@@ -741,8 +740,7 @@ class TestFuseSequence:
                                noise=0.05, seed=3)
         fused = fuse_sequence(frames, poses, FusionParams(d_max=8.0, tau_vote=2))
         assert fused.dims == (182, 125, 8)
-        assert hashlib.sha256(fused.labels.tobytes()).hexdigest() == (
-            "4e96d995e263bbbbeba0f01776e4f7335d9c6760889f905decc8534388bdde17")
+        assert_pinned("fusion/rotated-noisy", [fused.labels])
 
     def test_params_validation(self):
         with pytest.raises(ValueError):

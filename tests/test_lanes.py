@@ -1,4 +1,3 @@
-import hashlib
 import tracemalloc
 
 import numpy as np
@@ -15,7 +14,7 @@ from voxsim.lanes import (Lane, LaneParams, _longest_run, border_tree,
 from voxsim.synthworld import WorldSpec, generate_world
 from voxsim.topology import extract_topology
 
-from conftest import make_map
+from conftest import assert_pinned, make_map
 
 
 def reference_longest_run(mask):
@@ -335,11 +334,7 @@ class TestExtractLanes:
         g, _ = extract_topology(world)
         lanes = extract_lanes(world, g)
         assert len(lanes) == 8
-        h = hashlib.sha256()
-        for lane in lanes:
-            h.update(lane.points.tobytes())
-        assert h.hexdigest() == (
-            "7f65df442e06a679e2de008488cf238c3dd75daee7af1e98e0bee6e7a74ba8fc")
+        assert_pinned("lanes/plus-world", [lane.points for lane in lanes])
 
     def test_peak_memory_scales_with_the_road_plane(self):
         # 3x3 grid at 400 m (10^6 ground cells): a dense float64 distance

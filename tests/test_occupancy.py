@@ -27,6 +27,8 @@ from voxsim.simulation import IdmParams, SimParams
 from voxsim.synthworld import WorldSpec
 from voxsim.topology import TopologyParams
 
+from conftest import assert_pinned, assert_pins
+
 PARAMS_CLASSES = (FusionParams, TopologyParams, LaneParams, IdmParams, SimParams,
                   WorldSpec, AgentAsset)
 
@@ -386,13 +388,11 @@ def containers(tmp_path_factory):
 
 class TestContainers:
     def test_writer_bytes_pinned(self, containers):
-        digests = {name: hashlib.sha256((containers / name).read_bytes()).hexdigest()
-                   for name in READERS}
-        assert digests == {
-            "g.occg": "0df2de87a297b2c16ce58904cbfd3038b4888766dc72b7e2391ed4790b92fcf0",
-            "h.hm": "fa5490f8d6520adef466c3065fce57fa5f4b478f1d0f2bb1eadef4d918e4430c",
-            "f.feat": "93970010236e39f0446a053900ad3a3d0fc81e8450ad1d29a917159a53fd6acc",
-        }
+        pins = {"g.occg": "containers/g.occg", "h.hm": "containers/h.hm",
+                "f.feat": "containers/f.feat"}
+        assert pins.keys() == READERS.keys()
+        assert_pins({pin: hashlib.sha256((containers / name).read_bytes()).hexdigest()
+                     for name, pin in pins.items()})
 
     def test_float_writers_return_the_file_sha256(self, tmp_path):
         # strided views, so the payload is made contiguous before the write
@@ -567,10 +567,8 @@ class TestCrop:
         rng = np.random.default_rng(7)
         labels = rng.integers(0, 7, size=(60, 50, 4)).astype(np.uint8)
         gmap = GlobalMap(labels, 0.4, Pose2(-3.3, 2.1, 0.0))
-        h = hashlib.sha256()
-        for x, y, yaw in [(5.13, 9.71, 0.3), (11.0, 4.2, -2.5), (-1.7, 14.9, math.pi / 3),
-                          (20.2, 20.2, 1e-3), (7.77, 8.88, math.pi)]:
-            h.update(crop(gmap, Pose2(x, y, yaw), (37, 29, 5)).labels.tobytes())
-        assert h.hexdigest() == (
-            "b362942391deeac8b9cc2e4492e8c66f2a3c86ded2a7c406ef6c04a9acde1cd1")
+        poses = [(5.13, 9.71, 0.3), (11.0, 4.2, -2.5), (-1.7, 14.9, math.pi / 3),
+                 (20.2, 20.2, 1e-3), (7.77, 8.88, math.pi)]
+        assert_pinned("crop/rotated-off-lattice",
+                      [crop(gmap, Pose2(*pose), (37, 29, 5)).labels for pose in poses])
 

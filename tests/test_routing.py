@@ -1,4 +1,3 @@
-import hashlib
 import math
 
 import networkx as nx
@@ -14,7 +13,7 @@ import voxsim.routing as routing
 from voxsim.lanes import Lane
 from voxsim.routing import RouteNetwork, build_route_network
 
-from conftest import astar
+from conftest import assert_pinned, astar
 
 
 def random_geometric_graph(rng, n=30, k=4):
@@ -392,19 +391,16 @@ class TestOneKDTree:
         # junction stitch's tree was handed over to the network
         net = build_route_network(grid_lanes())
         rng = np.random.default_rng(4)
-        h = hashlib.sha256()
-        for field in (net.graph.indptr, net.graph.indices, net.graph.data):
-            h.update(field.tobytes())
+        chunks = [net.graph.indptr, net.graph.indices, net.graph.data]
         for point in rng.uniform(-5.0, 77.0, size=(40, 2)):
             start = net.nearest_node(point)
-            h.update(net.nodes_within(point, 3.0).tobytes())
-            h.update(str(net.nearest_node_on_other_lane(point, net.lane_of[start],
-                                                        6.0)).encode())
+            chunks.append(net.nodes_within(point, 3.0))
+            chunks.append(str(net.nearest_node_on_other_lane(point, net.lane_of[start],
+                                                             6.0)).encode())
             route = net.route_to(start, point[::-1])
-            h.update(b"none" if route is None else route.tobytes())
+            chunks.append(b"none" if route is None else route)
         assert len(net.positions) == 2320
-        assert h.hexdigest() == (
-            "13106497907ed1799b5f1f3206cb85d2fd4ac3347a6e5e578ce6f368f5a748d7")
+        assert_pinned("routing/grid-world", chunks)
 
 
 class TestBuildMatchesReference:

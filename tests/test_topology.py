@@ -1,4 +1,3 @@
-import hashlib
 import json
 import math
 import tempfile
@@ -20,7 +19,7 @@ from voxsim.topology import (PixelGraph, TopologyParams, _box_obstacle_count,
                              skeletonize, zhang_suen_thin)
 from voxsim.synthworld import WorldSpec, generate_world
 
-from conftest import make_map
+from conftest import assert_pinned, make_map
 
 
 def reference_neighbor_stack(img: np.ndarray):
@@ -389,8 +388,7 @@ class TestThinning:
         assert np.array_equal(road, before)
         skel = skeletonize(road)
         assert int(skel.sum()) == 14705
-        assert hashlib.sha256(np.packbits(skel)).hexdigest() == (
-            "e43a750790a2e4e972173cf1a9776732b828f92409218223d31146fa4009dcf6")
+        assert_pinned("skeleton/city-5x5", [np.packbits(skel)])
 
 
 class TestBuildGraph:
@@ -570,16 +568,15 @@ class TestSegmentsAndIO:
 
     # graph.json holds integer pixels and math.dist weights only, so its bytes
     # pin the node set, the edge order and the valid endpoints exactly
-    @pytest.mark.parametrize("spec, sha256", [
-        (dict(recipe="plus", extent=120.0, road_width=9.6),
-         "6a02d49e78a52562b8ad1dc8fbc2a9e1eb6a9d5d6c7f4dd266da9d009464914c"),
+    @pytest.mark.parametrize("spec, pin", [
+        (dict(recipe="plus", extent=120.0, road_width=9.6), "graph-json/plus"),
         (dict(recipe="grid", extent=120.0, blocks=(3, 3), road_width=9.6),
-         "99b6449cd91c273dbff853643ac9332e8fcb4c0cfe03bdd171c2d05ea2285388"),
+         "graph-json/grid3x3"),
     ], ids=["plus", "grid3x3"])
-    def test_graph_json_bytes_pinned(self, tmp_path, spec, sha256):
+    def test_graph_json_bytes_pinned(self, tmp_path, spec, pin):
         g, valid = extract_topology(generate_world(WorldSpec(**spec)))
         save_graph(g, valid, tmp_path / "graph.json")
-        assert hashlib.sha256((tmp_path / "graph.json").read_bytes()).hexdigest() == sha256
+        assert_pinned(pin, [(tmp_path / "graph.json").read_bytes()])
 
 
 def _check_segments(g, segs):
