@@ -11,7 +11,6 @@ shorter than five samples.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,7 +19,7 @@ from scipy import interpolate
 from scipy.spatial import cKDTree
 
 from .geometry import arc_length, resample_polyline
-from .occupancy import (FINITE, POSITIVE, Settings, at_least, load_json_input,
+from .occupancy import (POSITIVE, Settings, at_least, finite_points, load_json_input,
                         save_json, setting)
 from .topology import graph_segments
 
@@ -241,22 +240,12 @@ def save_lanes(lanes, path) -> str:
     return save_json(obj, path)
 
 
-def _lane_points(points) -> np.ndarray:
-    # checked before the cast, which takes True, "1" and None and raises
-    # OverflowError on an int beyond float range
-    if not all(map(FINITE.ok, itertools.chain.from_iterable(points))):
-        raise ValueError("lane point coordinates must be finite numbers")
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 1:
-        raise ValueError(f"lane points must be an (N >= 1, 2) array, not shape {pts.shape}")
-    return pts
-
-
 def load_lanes(path):
     """Read lanes written by ``save_lanes``: points that are finite numbers,
     and a source segment and offset index that are ints >= 0."""
     lane_id = at_least(0)
     return load_json_input(path, lambda obj: [
-        Lane(_lane_points(l["points"]), lane_id.check("source_segment", l["source_segment"]),
+        Lane(finite_points("lane points", l["points"], 1),
+             lane_id.check("source_segment", l["source_segment"]),
              lane_id.check("offset_index", l["offset_index"]))
         for l in obj])

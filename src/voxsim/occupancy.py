@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import numbers
@@ -144,6 +145,21 @@ NONNEGATIVE = Rule(lambda v: FINITE.ok(v) and v >= 0, "a finite number >= 0")
 def at_least(n: int) -> Rule:
     """An int count of at least ``n`` that a finite float holds."""
     return Rule(lambda v: type(v) is int and v >= n and _finite(v), f"a finite int >= {n}")
+
+
+def finite_points(name: str, value, min_len: int = 0) -> np.ndarray:
+    """``value`` read from a file as an (N >= min_len, 2) float array: a list
+    of [x, y] pairs whose coordinates pass FINITE. They are checked before
+    the cast, which takes True, "1" and None and raises OverflowError on an
+    int beyond float range."""
+    if not all(map(FINITE.ok, itertools.chain.from_iterable(value))):
+        raise ValueError(f"{name} coordinates must be finite numbers")
+    pts = np.asarray(value, dtype=float)
+    if value == []:
+        pts = pts.reshape(0, 2)
+    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < min_len:
+        raise ValueError(f"{name} must be an (N >= {min_len}, 2) array, not shape {pts.shape}")
+    return pts
 
 
 def positive_dims(dims, n=3) -> bool:

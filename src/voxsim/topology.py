@@ -1,26 +1,47 @@
 """Road-skeleton graph extraction and valid-endpoint filtering.
 
 Pipeline: binary road mask -> Zhang-Suen thinning (+ 2x2 corner clearing) ->
-8-connected pixel graph without the triangle-closing diagonals -> spur
-pruning and junction contraction -> dual-probe endpoint filtering against
-the 3D map, which counts obstacle voxels only inside each probe box.
+segment graph of the 8-connected skeleton without the triangle-closing
+diagonals -> spur pruning and junction contraction -> dual-probe endpoint
+filtering against the 3D map, which counts obstacle voxels only inside each
+probe box.
 
-The graph is a ``PixelGraph``: node -> {neighbour: weight}, both levels in
-insertion order, which decides segment and lane order. Four rules fix it:
-1. nodes go in in the iteration order of the set of skeleton pixels;
-2. ``build_graph``'s edges go in by the lower node row of their two ends,
-   then by the row of the end that the forward step leaves, then by the
-   step's index. Adding every edge again in ``edges()`` order gives the
-   same graph, so ``clean_graph`` keeps this order in a plain copy;
+The graph is a ``SegmentGraph``. Its anchors are the nodes whose degree is
+not 2: skeleton pixels, and the centroids that junction contraction makes.
+Its segments are the chains between them, each an ordered point array; a
+pure cycle, a chain with no anchor, starts and ends at its first node.
+Segment order decides lane order, and four rules fix it. They state the
+order of a pixel graph that goes node -> {neighbour: weight}, both levels
+in insertion order, which the segment graph keeps without building it:
+1. nodes go in in the iteration order of the set of skeleton pixels; a
+   merged junction goes in after every node there is;
+2. the skeleton's edges go in by the lower node rank of their two ends, then
+   by the rank of the end that the forward step leaves, then by the step's
+   index; an edge that contraction makes goes in after every edge there is.
+   So a node's neighbours are in the order of the keys of the edges to
+   them, and each chain keeps the key of every edge along it;
 3. a merged junction's edges go in in the order of
-   ``set(iter(g[u])) | set(iter(g[v]))``: ``set(g[u])`` presizes its table
-   from the dict and iterates differently once a node has many neighbours;
-4. ``graph_segments`` walks from every anchor (a node not of degree 2)
-   first, then from each pure cycle's first node toward its first neighbour.
+   ``set(nbrs_u) | set(nbrs_v)``, built from the lists of the two
+   junctions' neighbour coordinates in neighbour order: a set presized
+   from a dict iterates differently once a node has many neighbours;
+4. ``graph_segments`` walks from every anchor in node order along each of
+   its chains in neighbour order, skipping a chain already walked from its
+   other end, then along each pure cycle, in the order of their first
+   nodes, from its first node toward that node's first neighbour.
+
+A fifth rule orders graph.json, and so the graph read back from it and the
+lanes made from that (the CLI's): the order in which the per-pixel
+graph.json of earlier versions, nodes sorted and edges in insertion order,
+read back:
+5. the anchors go in sorted by their coordinates, and the segments in rule
+   4's walk over that node order, where a node's neighbours come in this
+   order: those before it in rule 1's node order, by that order, then
+   those after it, in rule 2's order.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import dataclass
@@ -28,42 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .occupancy import (FINITE, POSITIVE, GlobalMap, Settings, at_least, load_json_input,
-                        save_json, setting)
-
-
-class PixelGraph(dict):
-    """Undirected weighted graph: node -> {neighbour: weight}, both levels
-    in insertion order. Nodes are pixel coordinate tuples."""
-
-    @property
-    def nodes(self):
-        return self.keys()
-
-    def degree(self, n) -> int:
-        return len(self[n])
-
-    def number_of_nodes(self) -> int:
-        return len(self)
-
-    def add_edge(self, u, v, w: float) -> None:
-        self.setdefault(u, {})[v] = w
-        self.setdefault(v, {})[u] = w
-
-    def remove_nodes(self, nodes) -> None:
-        for n in nodes:
-            for m in self.pop(n):
-                del self[m][n]
-
-    def edges(self):
-        """Each edge once as (u, v, w): u in node order, v in u's order,
-        skipping a v that was already passed as u."""
-        passed = set()
-        for u, nbrs in self.items():
-            for v, w in nbrs.items():
-                if v not in passed:
-                    yield u, v, w
-            passed.add(u)
+from .occupancy import (FINITE, POSITIVE, GlobalMap, Settings, at_least, finite_points,
+                        load_json_input, save_json, setting)
 
 
 @dataclass
@@ -148,133 +135,408 @@ def skeletonize(mask: np.ndarray) -> np.ndarray:
     return skel
 
 
-_STEPS = ((1, 0), (0, 1), (1, 1), (1, -1))  # forward 8-neighbours, in edge order
+_STEPS = ((1, 0), (0, 1), (1, 1), (1, -1))  # forward 8-neighbours, in edge key order
 _STEP_WEIGHTS = np.array([math.hypot(dx, dy) for dx, dy in _STEPS])
 
 
-def build_graph(skeleton: np.ndarray) -> PixelGraph:
-    """Pixel graph of the skeleton: a node per pixel and an edge per
-    8-neighbor pair, weighted by Euclidean distance, except each diagonal
-    that closes a triangle. Every 3-clique of an 8-connected pixel graph
-    lies in one 2x2 block, where its diagonal is the unique longest edge, so
-    a diagonal is left out exactly when a pixel beside both of its ends is
-    set.
+@dataclass(frozen=True)
+class Segment:
+    """A chain walked from anchor ``u`` to anchor ``v`` (indices into the
+    graph's anchors), both ends included in ``points``; or a pure cycle,
+    ``u`` and ``v`` None, closed on its first point."""
 
-    Edges go in in order rule 2: by the lower node row of their two ends,
-    then by owner row (the end that the forward step leaves) and step index
-    in ``_STEPS``. A step's target is found by ``searchsorted`` over the
-    sorted flat indices of the skeleton pixels, so no map-sized index image
-    is made."""
+    u: int | None
+    v: int | None
+    points: np.ndarray  # (n, 2) float
+
+
+class SegmentGraph:
+    """Anchors in node order (rule 1) and segments in walk order (rule 4).
+    ``nodes``, ``degree`` and ``number_of_nodes`` read the anchors; a node is
+    its coordinate tuple, of ints for a skeleton pixel."""
+
+    def __init__(self, anchors, segments, chains=None):
+        self.anchors = anchors
+        self.segments = segments
+        self._chains = chains  # what clean_graph edits; None on a loaded graph
+        self._index = {a: i for i, a in enumerate(anchors)}
+        self._degree = [0] * len(anchors)
+        for s in segments:
+            if s.u is not None:
+                self._degree[s.u] += 1
+                self._degree[s.v] += 1
+
+    @property
+    def nodes(self):
+        return self.anchors
+
+    def degree(self, n) -> int:
+        return self._degree[self._index[n]]
+
+    def number_of_nodes(self) -> int:
+        return len(self.anchors)
+
+    def leaf_paths(self):
+        """(leaf, the points of its segment walked from it) of each anchor of
+        degree 1, in node order."""
+        paths = {}
+        for s in self.segments:
+            if s.u is not None:
+                paths[s.u], paths[s.v] = s.points, s.points[::-1]
+        return [(a, paths[i]) for i, a in enumerate(self.anchors) if self._degree[i] == 1]
+
+
+class _Chains:
+    """The graph that build_graph makes and clean_graph edits, as chains
+    between anchors. Node ids below P index the skeleton pixels in flat
+    order; id P + k is the k-th merged junction. ``ports`` holds the
+    anchors in node order (rule 1); ``ports[a]`` holds anchor a's (chain id,
+    end) pairs, end 0 where the chain starts at a and 1 where it ends there,
+    in the key order of their edges (rule 2). A chain is its node ids and
+    the key and weight of each edge along it; edits replace chains and never
+    write into their arrays."""
+
+    def __init__(self, xy, rank, flat, stride):
+        self.xy, self.rank = xy, rank            # each pixel's coordinates and node rank
+        self.flat, self.stride = flat, stride    # each pixel's padded flat index
+        self.info = {}        # node -> (rank, coordinates), of every node made an anchor
+        self.alive = np.ones(len(xy), dtype=bool)
+        self.merged = []      # coordinates of merged junction P + k
+        self.merged_at = {}   # coordinates -> id, of the merged junctions in the graph
+        self.ports = {}
+        self.chains = {}
+        self.cycles = set()   # ids of the pure cycles
+        self.new_id = 0
+        self.new_key = 4 * len(xy) * (len(xy) + 1)  # above every skeleton edge's key
+
+    def copy(self) -> _Chains:
+        c = copy.copy(self)
+        c.alive, c.merged, c.merged_at = self.alive.copy(), list(self.merged), dict(self.merged_at)
+        c.info = dict(self.info)
+        c.ports = {a: list(p) for a, p in self.ports.items()}
+        c.chains, c.cycles = dict(self.chains), set(self.cycles)
+        return c
+
+    def _add(self, nodes, keys, weights) -> int:
+        cid = self.new_id
+        self.new_id += 1
+        self.chains[cid] = (nodes, keys, weights)
+        return cid
+
+    def _replace(self, a, old, new) -> None:
+        ports = self.ports[a]
+        ports[ports.index(old)] = new
+
+    def _kill(self, nodes) -> None:
+        """Mark the node ids as out of the graph."""
+        P = len(self.xy)
+        self.alive[nodes[nodes < P]] = False
+        for n in nodes[nodes >= P].tolist():
+            del self.merged_at[self.merged[n - P]]
+
+    def _occupied(self, c) -> bool:
+        """Whether a node of the graph sits at the float coordinates c."""
+        if c in self.merged_at:
+            return True
+        if not (c[0].is_integer() and c[1].is_integer()):
+            return False
+        f = (int(c[0]) + 1) * self.stride + int(c[1]) + 1
+        i = int(np.searchsorted(self.flat, f))
+        return i < len(self.flat) and self.flat[i] == f and bool(self.alive[i])
+
+    def _split(self, cid, i) -> None:
+        """Make the chain's i-th node, of degree 2, an anchor."""
+        nodes, keys, weights = self.chains.pop(cid)
+        head = self._add(nodes[:i + 1], keys[:i], weights[:i])
+        tail = self._add(nodes[i:], keys[i:], weights[i:])
+        self._replace(int(nodes[0]), (cid, 0), (head, 0))
+        self._replace(int(nodes[-1]), (cid, 1), (tail, 1))
+        ports = [(head, 1), (tail, 0)]
+        x = int(nodes[i])
+        self.ports[x] = ports if keys[i - 1] < keys[i] else ports[::-1]
+        if x not in self.info:  # a pixel; a merged junction is entered when made
+            self.info[x] = (int(self.rank[x]), tuple(self.xy[x].tolist()))
+
+    def _dissolve(self, x) -> None:
+        """Join the two chains at x, an anchor left with degree 2."""
+        (c1, e1), (c2, e2) = self.ports.pop(x)
+        if c1 == c2:  # a loop through x, now a pure cycle
+            self.cycles.add(c1)
+            return
+        n1, k1, w1 = self.chains.pop(c1)
+        n2, k2, w2 = self.chains.pop(c2)
+        if e1 == 0:  # the first chain ends at x, the second starts there
+            n1, k1, w1 = n1[::-1], k1[::-1], w1[::-1]
+        if e2 == 1:
+            n2, k2, w2 = n2[::-1], k2[::-1], w2[::-1]
+        cid = self._add(np.concatenate([n1, n2[1:]]), np.concatenate([k1, k2]),
+                        np.concatenate([w1, w2]))
+        self._replace(int(n1[0]), (c1, 1 - e1), (cid, 0))
+        self._replace(int(n2[-1]), (c2, 1 - e2), (cid, 1))
+
+    def prune_spurs(self, tau_prune: float) -> bool:
+        """Remove each leaf's chain up to its junction (deg > 2), junction
+        kept, when the chain is shorter than tau_prune; the leaves in node
+        order as they are when the pass starts."""
+        removed = False
+        for leaf in [a for a, p in self.ports.items() if len(p) == 1]:
+            (cid, end), = self.ports[leaf]
+            nodes, _, weights = self.chains[cid]
+            if end:  # walk it from the leaf
+                nodes, weights = nodes[::-1], weights[::-1]
+            junction = int(nodes[-1])
+            # summed edge by edge from the leaf, as the pixel graph sums them
+            if len(self.ports[junction]) > 2 and sum(weights.tolist()) < tau_prune:
+                del self.chains[cid], self.ports[leaf]
+                self._kill(nodes[:-1])
+                self.ports[junction].remove((cid, 1 - end))
+                if len(self.ports[junction]) == 2:
+                    self._dissolve(junction)
+                removed = True
+        return removed
+
+    def contract_junctions(self, radius: float) -> bool:
+        """Merge the closest junction pair within radius into a centroid node,
+        the first pair (i, j) in junction order among equally close ones.
+        Returns True when a contraction happened."""
+        junctions = [a for a, p in self.ports.items() if len(p) > 2]
+        if len(junctions) < 2:
+            return False
+        coords = [self.info[a][1] for a in junctions]
+        # np.hypot and math.dist agree to within a few ulps, so the pair that
+        # math.dist picks is among the candidates within a 1e-9 relative margin,
+        # both of the radius and of the closest candidate
+        pts = np.array(coords, dtype=float)
+        i, j = cKDTree(pts).query_pairs(radius * (1.0 + 1e-9), output_type="ndarray").T
+        d = np.hypot(*(pts[j] - pts[i]).T)
+        if not len(d):
+            return False
+        near = d <= d.min() * (1.0 + 1e-9)
+        best = None
+        for a, b in sorted(zip(i[near].tolist(), j[near].tolist())):
+            dist = math.dist(coords[a], coords[b])
+            if dist < radius and (best is None or dist < best[0]):
+                best = (dist, a, b)
+        if best is None:
+            return False
+        self._merge(junctions[best[1]], junctions[best[2]])
+        return True
+
+    def _merge(self, u, v) -> None:
+        """Replace junctions u and v by one node at their centroid, joined
+        to each of their neighbours in order rule 3."""
+        # every neighbour becomes an anchor, so each chain at u or v is one edge
+        made = []
+        for a in (u, v):
+            ports = self.ports[a]
+            for k in range(len(ports)):
+                cid, end = ports[k]
+                nodes = self.chains[cid][0]
+                i = len(nodes) - 2 if end else 1
+                if int(nodes[i]) not in self.ports:
+                    self._split(cid, i)
+                    made.append(int(nodes[i]))
+        at, lists = {}, []
+        for a in (u, v):
+            lists.append([])
+            for cid, end in self.ports[a]:
+                x = int(self.chains[cid][0][0 if end else -1])
+                c = self.info[x][1]
+                at[c] = x
+                lists[-1].append(c)
+        cu, cv = self.info[u][1], self.info[v][1]
+        # sets built from lists, as from iter(dict) and not presized (rule 3)
+        nbrs = (set(lists[0]) | set(lists[1])) - {cu, cv}
+        for a in (u, v):
+            for cid, end in self.ports.pop(a):
+                x = int(self.chains.pop(cid)[0][0 if end else -1])
+                self.ports[x].remove((cid, 1 - end))
+        self._kill(np.array([u, v]))
+        merged = ((cu[0] + cv[0]) / 2.0, (cu[1] + cv[1]) / 2.0)
+        if self._occupied(merged):
+            merged = (merged[0] + 1e-6, merged[1])
+        m = self.merged_at.get(merged)  # the pixel graph adds edges to a node already there
+        if m is None:
+            m = len(self.xy) + len(self.merged)
+            self.merged.append(merged)
+            self.merged_at[merged] = m
+            self.info[m] = (m, merged)
+            self.ports[m] = []
+        for c in nbrs:
+            cid = self._add(np.array([m, at[c]]), np.array([self.new_key]),
+                            np.array([math.dist(merged, c)]))
+            self.new_key += 1
+            self.ports[m].append((cid, 0))
+            self.ports[at[c]].append((cid, 1))
+        for x in [at[c] for c in nbrs] + [m]:
+            if len(self.ports[x]) == 2:
+                self._dissolve(x)
+        if any(x in self.ports for x in made):  # a new leaf, out of node order
+            self.ports = dict(sorted(self.ports.items(), key=lambda p: self.info[p[0]]))
+
+    def _rank(self, n) -> int:
+        return int(self.rank[n]) if n < len(self.xy) else n
+
+    def graph(self, as_read=False) -> SegmentGraph:
+        """The graph with its segments in walk order (rule 4), or with its
+        anchors and segments in the order of rule 5 (``as_read``)."""
+        P = len(self.xy)
+        order, ports = list(self.ports), self.ports
+        if as_read:
+            order.sort(key=lambda a: self.info[a][1])
+            ports = {}
+            for a in order:
+                near = [(self._rank(int(self.chains[c][0][-2 if e else 1])), (c, e))
+                        for c, e in self.ports[a]]
+                rank = self.info[a][0]
+                ports[a] = ([p for _, p in sorted(n for n in near if n[0] < rank)]
+                            + [p for r, p in near if r > rank])
+        index = {a: i for i, a in enumerate(order)}
+        table = np.concatenate([self.xy, np.reshape(self.merged, (-1, 2))]).astype(float)
+        segments, walked = [], set()
+        for a in order:
+            for cid, end in ports[a]:
+                if cid not in walked:
+                    walked.add(cid)
+                    nodes = self.chains[cid][0]
+                    if end:
+                        nodes = nodes[::-1]
+                    segments.append(Segment(index[a], index[int(nodes[-1])], table[nodes]))
+        cycles = []
+        for cid in self.cycles:
+            nodes, keys, _ = self.chains[cid]
+            ring = nodes[:-1]
+            ranks = np.where(ring < P, self.rank[np.minimum(ring, P - 1)], ring)
+            # its first node, and its neighbours after and before it
+            i = int(np.lexsort(table[ring].T[::-1])[0] if as_read else np.argmin(ranks))
+            nbrs = [(ranks[(i + 1) % len(ring)], keys[i], 1), (ranks[i - 1], keys[i - 1], -1)]
+            earlier = [n for n in nbrs if as_read and n[0] < ranks[i]]
+            step = min(earlier)[2] if earlier else min(nbrs, key=lambda n: n[1])[2]
+            path = np.roll(ring, -i)
+            if step < 0:
+                path = np.roll(path[::-1], 1)
+            cycles.append((tuple(table[ring[i]]) if as_read else ranks[i],
+                           np.append(path, ring[i])))
+        cycles.sort(key=lambda c: c[0])
+        segments += [Segment(None, None, table[path]) for _, path in cycles]
+        return SegmentGraph([self.info[a][1] for a in order], segments, self)
+
+
+def build_graph(skeleton: np.ndarray) -> SegmentGraph:
+    """Segment graph of the skeleton's pixel graph: an edge per 8-neighbour
+    pair, weighted by Euclidean distance, except each diagonal that closes
+    a triangle. Every 3-clique of an 8-connected pixel graph lies in one 2x2
+    block, where its diagonal is the unique longest edge, so a diagonal is
+    left out exactly when a pixel beside both of its ends is set. A step's
+    target is found by ``searchsorted`` over the sorted flat indices of the
+    skeleton pixels, so no map-sized index image is made.
+
+    The chains are traced over half-edges, an edge in one direction: the
+    half-edge into a pixel of degree 2 points at the one out of it, and
+    pointer jumping finds each half-edge's last one, into an anchor, and
+    its distance to it, in log2 of the longest chain's length rounds. One
+    of the two walks of each chain is kept. Half-edges that reach no
+    anchor lie on pure cycles, each walked once."""
     sk = np.pad(np.asarray(skeleton, dtype=bool), 1)
     img, stride = sk.reshape(-1), sk.shape[1]  # padded (x, y) sits at x * stride + y
     pixels = np.flatnonzero(img)  # sorted
     xs, ys = np.divmod(pixels, stride)
-    g = PixelGraph((n, {}) for n in set(zip((xs - 1).tolist(), (ys - 1).tolist())))
-    nodes = list(g)
-    x, y = np.fromiter(itertools.chain.from_iterable(nodes), dtype=np.intp,
-                       count=2 * len(nodes)).reshape(-1, 2).T
-    row_of = np.argsort((x + 1) * stride + y + 1)  # node row of pixels[i]
+    xy = np.stack([xs - 1, ys - 1], axis=1)
+    order = set(zip(xy[:, 0].tolist(), xy[:, 1].tolist()))  # rule 1: its iteration order
+    x, y = np.fromiter(itertools.chain.from_iterable(order), dtype=np.intp,
+                       count=2 * len(order)).reshape(-1, 2).T
+    rank = np.argsort((x + 1) * stride + y + 1)  # node rank of pixels[i]
     right, up, down = img[pixels + stride], img[pixels + 1], img[pixels - 1]
     keep = np.stack([right, up, img[pixels + stride + 1] & ~(right | up),
                      img[pixels + stride - 1] & ~(right | down)], axis=1)
     src, k = np.divmod(np.flatnonzero(keep), len(_STEPS))
     steps = np.array([dx * stride + dy for dx, dy in _STEPS])
-    owner, target = row_of[src], row_of[np.searchsorted(pixels, pixels[src] + steps[k])]
-    order = np.lexsort((k, owner, np.minimum(owner, target)))
-    nbrs = list(g.values())
-    for a, b, w in zip(owner[order].tolist(), target[order].tolist(),
-                       _STEP_WEIGHTS[k[order]].tolist()):
-        nbrs[a][nodes[b]] = w
-        nbrs[b][nodes[a]] = w
-    return g
+    dst = np.searchsorted(pixels, pixels[src] + steps[k])
+    n = len(pixels)
+    key = (np.minimum(rank[src], rank[dst]) * n + rank[src]) * len(_STEPS) + k  # rule 2
+    weight = _STEP_WEIGHTS[k]
+    deg = np.bincount(src, minlength=n) + np.bincount(dst, minlength=n)
+
+    # half-edge 2e runs along edge e from src to dst, 2e + 1 back
+    tail, head = np.stack([src, dst], axis=1).reshape(-1), np.stack([dst, src], axis=1).reshape(-1)
+    h = np.arange(len(tail))
+    out = np.argsort(tail, kind="stable")  # half-edges by the pixel they leave
+    first = np.cumsum(deg) - deg
+    inner = deg[head] == 2
+    a, b = out[first[head]], out[np.minimum(first[head] + 1, len(out) - 1)]
+    nxt = np.where(inner, np.where(a == h ^ 1, b, a), h)
+    last, dist = nxt, inner.astype(np.intp)
+    for _ in range(len(h).bit_length()):
+        if not inner[last].any():
+            break
+        dist = dist + dist[last]
+        last = last[last]
+
+    g = _Chains(xy, rank, pixels, stride)
+    anchors = np.flatnonzero(deg != 2)
+    anchors = anchors[np.argsort(rank[anchors])]
+    g.ports = {a: [] for a in anchors.tolist()}
+    g.info = dict(zip(anchors.tolist(), zip(rank[anchors].tolist(),
+                                            zip(*xy[anchors].T.tolist()))))
+    s = h[deg[tail] != 2]
+    t = last[s]
+    kept = s < (t ^ 1)  # of a chain's two walks, the one whose first half-edge is lower
+    s, t = s[kept], t[kept]
+    length = dist[s] + 1
+    walk = np.full(len(h), -1)
+    walk[t] = np.arange(len(s))
+    w = walk[last]  # the kept walk a half-edge is on; -1 on the other or a cycle
+    on = np.flatnonzero(w >= 0)
+    ends = np.cumsum(length)
+    seq = np.empty(len(on), dtype=np.intp)
+    seq[ends[w[on]] - 1 - dist[on]] = on  # each walk's half-edges in walk order
+    for nodes, keys, weights, end in zip(np.split(tail[seq], ends[:-1]),
+                                         np.split(key[seq >> 1], ends[:-1]),
+                                         np.split(weight[seq >> 1], ends[:-1]),
+                                         head[t].tolist()):
+        g._add(np.append(nodes, end), keys, weights)
+    port_at = np.concatenate([tail[s], head[t]])
+    port = np.concatenate([2 * np.arange(len(s)), 2 * np.arange(len(s)) + 1])  # 2 cid + end
+    by_key = np.lexsort((np.concatenate([key[s >> 1], key[t >> 1]]), port_at))
+    for a, p in zip(port_at[by_key].tolist(), port[by_key].tolist()):
+        g.ports[a].append((p >> 1, p & 1))
+
+    loose = h[inner[last]]
+    if len(loose):
+        seen = np.zeros(len(h), dtype=bool)
+        nxt = nxt.tolist()
+        for h0 in loose.tolist():
+            if not seen[h0]:
+                ring = [h0]
+                while nxt[ring[-1]] != h0:
+                    ring.append(nxt[ring[-1]])
+                ring = np.array(ring)
+                seen[ring] = seen[ring ^ 1] = True
+                g.cycles.add(g._add(np.append(tail[ring], tail[ring[0]]),
+                                    key[ring >> 1], weight[ring >> 1]))
+    return g.graph()
 
 
-def _chain(g: PixelGraph, prev, node) -> list:
-    """Walk from the edge (prev, node) through degree-2 nodes. The path starts
-    at prev and ends at the first node of another degree, or back at prev
-    when the walk closes a cycle."""
-    path = [prev, node]
-    start = prev
-    nbrs = g[node]
-    while len(nbrs) == 2 and node != start:
-        a, b = nbrs
-        prev, node = node, b if a == prev else a
-        path.append(node)
-        nbrs = g[node]
-    return path
-
-
-def _prune_spurs(g: PixelGraph, tau_prune: float) -> bool:
-    """Remove each leaf's chain up to its junction (deg > 2), junction kept,
-    when the chain is shorter than tau_prune."""
-    removed = False
-    for leaf in [n for n, nbrs in g.items() if len(nbrs) == 1]:
-        if leaf not in g or len(g[leaf]) != 1:
-            continue
-        path = _chain(g, leaf, next(iter(g[leaf])))
-        if len(g[path[-1]]) > 2 and sum(g[u][v] for u, v in zip(path, path[1:])) < tau_prune:
-            g.remove_nodes(path[:-1])
-            removed = True
-    return removed
-
-
-def _contract_junctions(g: PixelGraph, radius: float) -> bool:
-    """Merge the closest junction pair within radius into a centroid node,
-    the first pair (i, j) in junction order among equally close ones.
-    Returns True when a contraction happened."""
-    junctions = [n for n, nbrs in g.items() if len(nbrs) > 2]
-    if len(junctions) < 2:
-        return False
-    # np.hypot and math.dist agree to within a few ulps, so the pair that
-    # math.dist picks is among the candidates within a 1e-9 relative margin,
-    # both of the radius and of the closest candidate
-    pts = np.array(junctions, dtype=float)
-    i, j = cKDTree(pts).query_pairs(radius * (1.0 + 1e-9), output_type="ndarray").T
-    d = np.hypot(*(pts[j] - pts[i]).T)
-    if not len(d):
-        return False
-    near = d <= d.min() * (1.0 + 1e-9)
-    best = None
-    for a, b in sorted(zip(i[near].tolist(), j[near].tolist())):
-        u, v = junctions[a], junctions[b]
-        dist = math.dist(u, v)
-        if dist < radius and (best is None or dist < best[0]):
-            best = (dist, u, v)
-    if best is None:
-        return False
-    _, u, v = best
-    merged = ((u[0] + v[0]) / 2.0, (u[1] + v[1]) / 2.0)
-    nbrs = (set(iter(g[u])) | set(iter(g[v]))) - {u, v}  # order rule 3
-    g.remove_nodes([u, v])
-    if merged in g:
-        merged = (merged[0] + 1e-6, merged[1])
-    for n in nbrs:
-        g.add_edge(merged, n, math.dist(merged, n))
-    return True
-
-
-def clean_graph(g: PixelGraph, tau_prune_px: float, w_lane_px: float) -> PixelGraph:
+def clean_graph(g: SegmentGraph, tau_prune_px: float, w_lane_px: float) -> SegmentGraph:
     """Iterate spur pruning and junction contraction to a joint fixpoint on a
-    plain copy, which keeps the node and neighbour order of g: build_graph's
-    output is already in order rule 2, and g is left as it is."""
-    g = PixelGraph((n, dict(nbrs)) for n, nbrs in g.items())
+    copy of g's chains; g is left as it is."""
+    chains = g._chains.copy()
     while True:
-        pruned = _prune_spurs(g, tau_prune_px)
-        contracted = _contract_junctions(g, 2.0 * w_lane_px)
+        pruned = chains.prune_spurs(tau_prune_px)
+        contracted = chains.contract_junctions(2.0 * w_lane_px)
         if not pruned and not contracted:
-            return g
+            return chains.graph()
 
 
 OUTWARD_MIN_LEN = 3.0  # pixels from a leaf to the anchor of its outward direction
 
 
-def _outward_direction(g: PixelGraph, leaf):
+def _outward_direction(leaf, path):
     """Unit direction pointing out of the graph at a leaf, estimated from the
-    last segment of at least OUTWARD_MIN_LEN pixels leading into it."""
-    path = _chain(g, leaf, next(iter(g[leaf])))
-    anchor = next((n for n in path[1:] if math.dist(leaf, n) >= OUTWARD_MIN_LEN),
-                  path[-1])
-    d = np.array(leaf, dtype=float) - np.array(anchor, dtype=float)
+    last segment of at least OUTWARD_MIN_LEN pixels leading into it; ``path``
+    is the leaf's segment walked from it."""
+    anchor = next((p for p in path[1:] if math.dist(leaf, p) >= OUTWARD_MIN_LEN), path[-1])
+    d = np.array(leaf, dtype=float) - anchor
     return d / np.linalg.norm(d)
 
 
@@ -305,7 +567,7 @@ def _box_obstacle_count(gmap: GlobalMap, origin_px, direction, length_px, width_
     return int(is_obstacle[gmap.labels[gx[inside], gy[inside], 1:]].sum())
 
 
-def filter_endpoints(g: PixelGraph, gmap: GlobalMap, params: TopologyParams,
+def filter_endpoints(g: SegmentGraph, gmap: GlobalMap, params: TopologyParams,
                      road: np.ndarray):
     """Dual-probe endpoint filtering.
 
@@ -318,8 +580,8 @@ def filter_endpoints(g: PixelGraph, gmap: GlobalMap, params: TopologyParams,
     vox = gmap.voxel_size
     w_lane_px = params.w_lane / vox
     valid = []
-    for leaf in [n for n, nbrs in g.items() if len(nbrs) == 1]:
-        d = _outward_direction(g, leaf)
+    for leaf, path in g.leaf_paths():
+        d = _outward_direction(leaf, path)
         probe = np.array(leaf, dtype=float) + 1.5 * w_lane_px * d
         px, py = int(math.floor(probe[0])), int(math.floor(probe[1]))
         on_road = (0 <= px < road.shape[0] and 0 <= py < road.shape[1]
@@ -347,41 +609,33 @@ def extract_topology(gmap: GlobalMap, params: TopologyParams = None):
     return g, valid
 
 
-def graph_segments(g: PixelGraph):
-    """Maximal chains of degree-2 nodes between junction/leaf anchors, as
-    ordered pixel paths. Isolated cycles are returned as closed paths.
-
-    Chains are walked from every anchor edge, skipping the far end of a
-    chain already walked; a chain's interior holds only degree-2 nodes, so
-    the degree-2 nodes never visited lie on pure cycles, each walked once
-    from its first node toward that node's first neighbour."""
-    segs = []
-    walked = set()   # (end, node before it) of each chain walked from an anchor
-    for a, nbrs in g.items():
-        if len(nbrs) != 2:
-            for n in nbrs:
-                if (a, n) not in walked:
-                    path = _chain(g, a, n)
-                    walked.add((path[-1], path[-2]))
-                    segs.append(path)
-    visited = {n for path in segs for n in path[1:-1]}
-    for a, nbrs in g.items():
-        if len(nbrs) == 2 and a not in visited:
-            path = _chain(g, a, next(iter(nbrs)))
-            visited.update(path)
-            segs.append(path)
-    return segs
+def graph_segments(g: SegmentGraph):
+    """The segments' point arrays in walk order (rule 4): maximal chains of
+    degree-2 nodes between anchors, each walked from its first anchor, then
+    the pure cycles, each closed on its first point."""
+    return [s.points for s in g.segments]
 
 
-def save_graph(g: PixelGraph, valid_endpoints, path) -> str:
-    """Write the graph and its valid endpoints as JSON; the file's sha256."""
-    nodes = sorted(g)
-    index = {n: i for i, n in enumerate(nodes)}
+def _json_points(points):
+    """Points as JSON lists, a coordinate that is a whole number as an int."""
+    ints = points.astype(np.int64)
+    if (ints == points).all():
+        return ints.tolist()
+    return [[int(v) if v.is_integer() else v for v in p] for p in points.tolist()]
+
+
+def save_graph(g: SegmentGraph, valid_endpoints, path) -> str:
+    """Write the graph and its valid endpoints as JSON; the file's sha256.
+    The anchors and segments go in the order of rule 5, which the graph
+    read back keeps."""
+    if g._chains is not None:
+        g = g._chains.graph(as_read=True)
     obj = {
-        "nodes": [{"id": i, "x": n[0], "y": n[1]} for n, i in index.items()],
-        "edges": [{"u": index[u], "v": index[v], "weight": w}
-                  for u, v, w in g.edges()],
-        "valid_endpoints": [index[n] for n in valid_endpoints],
+        "anchors": [{"id": i, "x": a[0], "y": a[1]} for i, a in enumerate(g.anchors)],
+        "segments": [{"u": s.u, "v": s.v, "interior": _json_points(s.points[1:-1])}
+                     for s in g.segments if s.u is not None],
+        "cycles": [_json_points(s.points[:-1]) for s in g.segments if s.u is None],
+        "valid_endpoints": [g._index[n] for n in valid_endpoints],
     }
     return save_json(obj, path)
 
@@ -391,28 +645,44 @@ def load_graph(path):
 
 
 def _graph_from_json(obj):
-    node_id = at_least(0)
-    coords = {node_id.check("node id", n["id"]):
-              (FINITE.check("node x", n["x"]), FINITE.check("node y", n["y"]))
-              for n in obj["nodes"]}
-    if len(coords) != len(obj["nodes"]):
-        raise ValueError("repeated node id")
-    g = PixelGraph((c, {}) for c in coords.values())
-    if len(g) != len(coords):
-        raise ValueError("two node ids at one pixel")
+    if "anchors" not in obj:
+        raise ValueError("no anchors: a per-pixel graph.json is not read; run voxsim topo again")
+    anchor_id = at_least(0)
+    ids, anchors = {}, []
+    for a in obj["anchors"]:
+        i = anchor_id.check("anchor id", a["id"])
+        if i in ids:
+            raise ValueError(f"repeated anchor id {i}")
+        ids[i] = len(anchors)
+        anchors.append((FINITE.check("anchor x", a["x"]), FINITE.check("anchor y", a["y"])))
 
-    def node(i):
-        # every key is an int that passed node_id, but True and 1.0 find id 1
-        if type(i) is not int:
-            raise ValueError(f"node id {i!r} is not an int")
-        return coords[i]
+    def anchor(i):
+        # every key is an int that passed anchor_id, but True and 1.0 find id 1
+        if type(i) is not int or i not in ids:
+            raise ValueError(f"{i!r} is not an anchor id")
+        return ids[i]
 
-    for e in obj["edges"]:
-        u, v = node(e["u"]), node(e["v"])
-        if u == v:
-            raise ValueError(f"self-loop edge at {u}")
-        if v in g[u]:
-            raise ValueError(f"repeated edge {u}-{v}")
-        g.add_edge(u, v, FINITE.check("edge weight", e["weight"]))
-    valid = [node(i) for i in obj["valid_endpoints"]]
-    return g, valid
+    table = np.reshape(np.asarray(anchors, dtype=float), (-1, 2))
+    segments, edges = [], set()
+    for s in obj["segments"]:
+        u, v = anchor(s["u"]), anchor(s["v"])
+        interior = finite_points("segment interior", s["interior"])
+        if not len(interior):
+            if u == v or frozenset((u, v)) in edges:
+                raise ValueError(f"self-loop or repeated edge {s['u']}-{s['v']}")
+            edges.add(frozenset((u, v)))
+        segments.append(Segment(u, v, np.concatenate([table[[u]], interior, table[[v]]])))
+    for c in obj["cycles"]:
+        ring = finite_points("cycle", c, 3)
+        segments.append(Segment(None, None, np.concatenate([ring, ring[:1]])))
+    # every point once: a point in two places would join two chains
+    pts = np.concatenate([table, *(s.points[1:-1] if s.u is not None else s.points[:-1]
+                                   for s in segments)])
+    pts = pts[np.lexsort(pts.T[::-1])]
+    if (pts[1:] == pts[:-1]).all(axis=1).any():
+        raise ValueError("a point of the graph given twice")
+    g = SegmentGraph(anchors, segments)
+    valid = [anchor(i) for i in obj["valid_endpoints"]]
+    if len(set(valid)) != len(valid) or any(g._degree[i] != 1 for i in valid):
+        raise ValueError("valid endpoints must be anchors of degree 1, each listed once")
+    return g, [anchors[i] for i in valid]

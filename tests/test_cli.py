@@ -104,20 +104,27 @@ def _spawnable_world(tmp_path, valid_endpoints=(0,),
     (tmp_path / "lanes.json").write_text(json.dumps([{
         "id": 0, "points": [list(p) for p in lane_points],
         "offset_index": 0, "source_segment": 0}]))
-    (tmp_path / "graph.json").write_text(json.dumps({
-        "nodes": [{"id": 0, "x": 45, "y": 25}], "edges": [],
-        "valid_endpoints": list(valid_endpoints)}))
+    (tmp_path / "graph.json").write_text(_graph_json(valid=list(valid_endpoints)))
 
 
-def _graph_json(x=45, weight=1.0, v=1, extra_nodes=(), extra_edges=()):
-    """graph.json text of a graph with nodes 0 and 1, then extra_nodes, and
-    an edge from node 0 to node v, then one of weight 2 per (u, v) of
-    extra_edges."""
-    return json.dumps({"nodes": [{"id": 0, "x": x, "y": 25}, {"id": 1, "x": 46, "y": 25},
-                                 *extra_nodes],
-                       "edges": [{"u": 0, "v": v, "weight": weight},
-                                 *({"u": a, "v": b, "weight": 2.0} for a, b in extra_edges)],
-                       "valid_endpoints": [0]})
+def _graph_json(x=45, v=1, interior=((46, 25),), extra_anchors=(), extra_segments=(),
+                cycle=((10, 10), (10, 11), (11, 11)), valid=(0,)):
+    """graph.json text of anchors 0 at (x, 25) and 1 at (47, 25), then
+    extra_anchors; a segment from anchor 0 to anchor v through the interior
+    points, then one per (u, v, interior) of extra_segments; one pure cycle;
+    and the valid endpoints."""
+    return json.dumps({
+        "anchors": [{"id": 0, "x": x, "y": 25}, {"id": 1, "x": 47, "y": 25}, *extra_anchors],
+        "segments": [{"u": u, "v": w, "interior": [list(p) for p in inner]}
+                     for u, w, inner in ((0, v, interior), *extra_segments)],
+        "cycles": [[list(p) for p in cycle]],
+        "valid_endpoints": list(valid)})
+
+
+# graph.json as it was before segments: a node per skeleton pixel
+PIXEL_GRAPH_JSON = json.dumps({
+    "nodes": [{"id": 0, "x": 45, "y": 25}, {"id": 1, "x": 46, "y": 25}],
+    "edges": [{"u": 0, "v": 1, "weight": 1.0}], "valid_endpoints": [0]})
 
 
 def test_cli_import_leaves_networkx_out():
@@ -260,33 +267,49 @@ class TestExitCodes:
             [{"t": 0.0, "x": 10.0, "y": 10.0, "yaw": 0.0}]))
         world = {"map": tmp_path / "map.occg", "lanes": tmp_path / "lanes.json",
                  "graph": tmp_path / "graph.json", "poses": tmp_path / "traj.json"}
-        shared_pixel = [{"id": 2, "x": 45, "y": 25}, {"id": 3, "x": 44, "y": 25}]
+        # anchor 2 at an interior point of the first segment, with a segment
+        # of its own
+        shared_point = dict(extra_anchors=[{"id": 2, "x": 46, "y": 25},
+                                           {"id": 3, "x": 46, "y": 27}],
+                            extra_segments=[(2, 3, [(46, 26)])])
         cases = [
             ("lanes", "graph", "{not json"),
             ("lanes", "graph", "[" * 100000),
-            ("lanes", "graph", json.dumps({"nodes": [{"id": 0}], "edges": [],
+            ("lanes", "graph", json.dumps({"anchors": [{"id": 0}], "segments": [],
+                                           "cycles": [], "valid_endpoints": []})),
+            ("lanes", "graph", json.dumps({"anchors": 5, "segments": [], "cycles": [],
                                            "valid_endpoints": []})),
-            ("lanes", "graph", json.dumps({"nodes": 5, "edges": [],
-                                           "valid_endpoints": []})),
-            # graph coordinates and weights that are not finite numbers, an
-            # edge from a node to itself and a repeated node id
+            # the per-pixel graph.json of earlier versions is not read
+            ("lanes", "graph", PIXEL_GRAPH_JSON),
+            ("spawn", "graph", PIXEL_GRAPH_JSON),
+            # graph coordinates that are not finite numbers, a segment from
+            # an anchor to itself and a repeated anchor id
             ("lanes", "graph", _graph_json(x="a")),
             ("spawn", "graph", _graph_json(x="a")),
             ("lanes", "graph", _graph_json(x=True)),
-            ("lanes", "graph", _graph_json(weight="w")),
-            ("lanes", "graph", _graph_json(weight=float("nan"))),
+            ("lanes", "graph", _graph_json(interior=[("w", 25)])),
+            ("lanes", "graph", _graph_json(interior=[(float("nan"), 25)])),
+            ("lanes", "graph", _graph_json(interior=[(46, 25, 0)])),
+            ("lanes", "graph", _graph_json(cycle=[(10, 10), (10, None), (11, 11)])),
             ("spawn", "graph", _graph_json(x=10 ** 400)),
-            ("lanes", "graph", _graph_json(v=0)),
-            ("spawn", "graph", _graph_json(extra_nodes=[{"id": 0, "x": 47, "y": 25}])),
-            # two ids at one pixel, each with its own edge, and an edge given
-            # twice: both used to load (exit 0), as one node joining two
-            # chains and as the later weight
-            ("lanes", "graph", _graph_json(extra_nodes=shared_pixel, extra_edges=[(2, 3)])),
-            ("spawn", "graph", _graph_json(extra_nodes=shared_pixel, extra_edges=[(2, 3)])),
-            ("lanes", "graph", _graph_json(extra_edges=[(0, 1)])),
-            ("spawn", "graph", _graph_json(extra_edges=[(0, 1)])),
-            ("lanes", "graph", _graph_json(extra_edges=[(1, 0)])),
-            ("spawn", "graph", _graph_json(extra_edges=[(1, 0)])),
+            ("lanes", "graph", _graph_json(v=0, interior=())),
+            ("spawn", "graph", _graph_json(extra_anchors=[{"id": 0, "x": 47, "y": 25}])),
+            # a segment whose end is no anchor id
+            ("lanes", "graph", _graph_json(v=7)),
+            ("spawn", "graph", _graph_json(v=7)),
+            ("lanes", "graph", _graph_json(v=1.0)),
+            # one point in two places, an edge given twice and a cycle of two
+            # points
+            ("lanes", "graph", _graph_json(**shared_point)),
+            ("spawn", "graph", _graph_json(**shared_point)),
+            ("lanes", "graph", _graph_json(interior=(), extra_segments=[(0, 1, [])])),
+            ("spawn", "graph", _graph_json(interior=(), extra_segments=[(1, 0, [])])),
+            ("lanes", "graph", _graph_json(cycle=[(10, 10), (10, 11)])),
+            # valid endpoints that are not anchors of degree 1, listed once
+            ("spawn", "graph", _graph_json(valid=[0, 0])),
+            ("spawn", "graph", _graph_json(valid=[2], extra_anchors=[{"id": 2, "x": 5,
+                                                                      "y": 5}])),
+            ("spawn", "graph", _graph_json(valid=[True])),
             ("spawn", "lanes", "[{}]"),
             ("spawn", "lanes", json.dumps([{"points": "abc", "offset_index": 0,
                                             "source_segment": 0}])),

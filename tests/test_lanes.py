@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -325,16 +326,25 @@ class TestExtractLanes:
         assert ys[1] - ys[0] == pytest.approx(3.6, abs=0.2)
 
     # Lane points of a plus world, hashed: they follow the cell centres of
-    # GlobalMap.cell_center and the neighbour order of the cleaned graph,
-    # order rule 2, which build_graph emits and clean_graph's plain copy
-    # keeps (inserting build_graph's edges pixel by pixel in step order
-    # instead reorders the segments and moves these bytes).
+    # GlobalMap.cell_center and the segment order of the cleaned graph,
+    # which the order rules of topology.py fix.
     def test_plus_world_bytes_pinned(self):
         world = generate_world(WorldSpec(recipe="plus", extent=80.0, road_width=10.8))
         g, _ = extract_topology(world)
         lanes = extract_lanes(world, g)
         assert len(lanes) == 8
         assert_pinned("lanes/plus-world", [lane.points for lane in lanes])
+
+    # Phase A of bench/'s city-sim world, the 600 m 5x5-block city: the
+    # sorted valid endpoints and every lane's points, the bytes of city-sim's
+    # phase_a_digest. Segment order sets lane order, so this pins the order
+    # rules of topology.py at the scale the benchmark measures.
+    def test_city_world_bytes_pinned(self):
+        world = generate_world(WorldSpec(recipe="grid", extent=600.0, blocks=(5, 5)))
+        g, valid = extract_topology(world)
+        lanes = extract_lanes(world, g)
+        assert_pinned("lanes/city-5x5", [json.dumps(sorted(map(list, valid))).encode(),
+                                         *(lane.points for lane in lanes)])
 
     def test_peak_memory_scales_with_the_road_plane(self):
         # 3x3 grid at 400 m (10^6 ground cells): a dense float64 distance

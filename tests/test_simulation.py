@@ -610,19 +610,25 @@ class TestPinnedRollouts:
     per-agent loops that the reference functions in these tests keep, so
     any change to the simulator's arithmetic moves them."""
 
-    @pytest.mark.parametrize("seed, start, pin", [
-        (3, 1, "rollout/seed3-edge"),
-        (3, 34, "rollout/seed3-interior"),
-        (11, 1, "rollout/seed11-edge"),
-        (11, 34, "rollout/seed11-interior"),
-        # the ego stalls in traffic from step 4 on
-        (1, 34, "rollout/seed1-stall"),
+    @pytest.mark.parametrize("seed, start, pin, hold_from", [
+        (3, 1, "rollout/seed3-edge", None),
+        (3, 34, "rollout/seed3-interior", None),
+        (11, 1, "rollout/seed11-edge", None),
+        (11, 34, "rollout/seed11-interior", None),
+        # the ego drives 4 steps, then stands still (ego_speed_hook), as in
+        # TestRevisit: it stalls by design, whatever the traffic does
+        (1, 34, "rollout/seed1-stall", 4),
     ], ids=["seed3-edge", "seed3-interior", "seed11-edge", "seed11-interior",
             "seed1-stall"])
-    def test_rollout_bytes(self, small_city, seed, start, pin):
+    def test_rollout_bytes(self, small_city, seed, start, pin, hold_from):
         world, lanes, endpoints, path = small_city
-        sim = Simulator(world, lanes, endpoints, path, SimParams(horizon=12, seed=seed))
+        hook = None if hold_from is None else (
+            lambda state, ego: ego.speed if state.step_index < hold_from else 0.0)
+        sim = Simulator(world, lanes, endpoints, path, SimParams(horizon=12, seed=seed),
+                        ego_speed_hook=hook)
         frames, logbook = sim.run(ego_pose_index=start)
+        if hold_from is not None:
+            assert all(entry["ego"]["speed"] == 0.0 for entry in logbook[hold_from:])
         assert_pinned(pin, (chunk for frame, entry in zip(frames, logbook)
                             for chunk in (json.dumps(entry, sort_keys=True).encode(),
                                           frame.labels)))

@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 
 from voxsim.geometry import Pose2
 from voxsim.occupancy import GlobalMap, SemanticTable, default_table
-from voxsim.topology import (PixelGraph, TopologyParams, _box_obstacle_count,
-                             build_graph, clean_graph,
-                             extract_topology, filter_endpoints,
+from voxsim.topology import (TopologyParams, _box_obstacle_count, build_graph,
+                             clean_graph, extract_topology, filter_endpoints,
                              graph_segments, load_graph, save_graph,
                              skeletonize, zhang_suen_thin)
 from voxsim.synthworld import WorldSpec, generate_world
@@ -88,10 +87,11 @@ def reference_build_graph(skeleton):
     return g
 
 
-# The networkx pipeline that PixelGraph replaced, kept as the equivalence
-# reference: spur pruning and junction contraction on an ``nx.Graph`` copy,
-# chain walks over ``g.neighbors``, and pure cycles from
-# ``nx.connected_components``.
+# The networkx pipeline that the segment graph replaced, kept as the oracle
+# of the four order rules: spur pruning and junction contraction on an
+# ``nx.Graph`` copy of ``reference_build_graph``'s graph (the copy re-adds
+# the edges in adjacency order, order rule 2), chain walks over
+# ``g.neighbors``, and pure cycles from ``nx.connected_components``.
 
 def reference_chain(g, prev, node):
     path = [prev, node]
@@ -174,8 +174,8 @@ def reference_filter_endpoints(g, gmap, params):
 def reference_graph_segments(g):
     starts = [(a, n) for a in g.nodes if g.degree(a) != 2 for n in g.neighbors(a)]
     for comp in nx.connected_components(g):
-        start = next(iter(comp))
         if all(g.degree(n) == 2 for n in comp):
+            start = next(n for n in g.nodes if n in comp)  # its first node
             starts.append((start, next(iter(g.neighbors(start)))))
     segs = []
     seen = set()
@@ -188,63 +188,56 @@ def reference_graph_segments(g):
     return segs
 
 
+def _json_points(path):
+    """graph.json's points: a coordinate that is a whole number as an int."""
+    return [[int(v) if float(v).is_integer() else v for v in p] for p in path]
+
+
+def reference_read_back(g):
+    """The networkx graph as graph.json held it before segments, read back:
+    nodes sorted, then every edge added in ``g.edges()`` order."""
+    r = nx.Graph()
+    r.add_nodes_from(sorted(g.nodes))
+    r.add_edges_from(g.edges(data=True))
+    return r
+
+
 def reference_save_graph(g, valid_endpoints, path):
-    nodes = sorted(g.nodes)
-    index = {n: i for i, n in enumerate(nodes)}
+    """graph.json of the networkx graph: the anchors and the walk of its
+    read-back graph (order rule 5)."""
+    r = reference_read_back(g)
+    anchors = [n for n in r.nodes if r.degree(n) != 2]
+    index = {n: i for i, n in enumerate(anchors)}
+    segs = reference_graph_segments(r)
     obj = {
-        "nodes": [{"id": i, "x": n[0], "y": n[1]} for n, i in index.items()],
-        "edges": [{"u": index[u], "v": index[v], "weight": d["weight"]}
-                  for u, v, d in g.edges(data=True)],
+        "anchors": [{"id": i, "x": n[0], "y": n[1]} for i, n in enumerate(anchors)],
+        "segments": [{"u": index[p[0]], "v": index[p[-1]], "interior": _json_points(p[1:-1])}
+                     for p in segs if p[0] in index],
+        "cycles": [_json_points(p[:-1]) for p in segs if p[0] not in index],
         "valid_endpoints": [index[n] for n in valid_endpoints],
     }
     with open(path, "w") as fh:
         json.dump(obj, fh)
 
 
-def graph_of(*paths):
-    """A PixelGraph with an edge, weighted by its length, between the
-    consecutive nodes of each path."""
-    g = PixelGraph()
-    for path in paths:
-        for u, v in zip(path, path[1:]):
-            g.add_edge(u, v, math.dist(u, v))
-    return g
-
-
-def nx_graph_of(*paths):
-    """The networkx twin of ``graph_of``: same nodes, edges and orders."""
-    g = nx.Graph()
-    for path in paths:
-        for u, v in zip(path, path[1:]):
-            g.add_edge(u, v, weight=math.dist(u, v))
-    return g
-
-
-def _edge_set(g):
-    return {frozenset((u, v)) for u, v, _ in g.edges()}
-
-
-def reinserting_copy(src):
-    """The copy that clean_graph made before build_graph emitted order rule 2
-    itself: every edge re-inserted in edges() order."""
-    g, src = PixelGraph((n, {}) for n in src), src
-    for u, v, w in src.edges():
-        g[u][v] = w
-        g[v][u] = w
-    return g
-
-
-def _nested_items(g):
-    return [(n, list(nbrs.items())) for n, nbrs in g.items()]
+def skeleton_of(*paths, pad=3):
+    """A skeleton image holding the pixels of the paths, shifted by pad."""
+    pts = np.array([p for path in paths for p in path]) + pad
+    skel = np.zeros(pts.max(axis=0) + pad + 1, dtype=bool)
+    skel[pts[:, 0], pts[:, 1]] = True
+    return skel
 
 
 def assert_same_graph(g, ref):
-    """Same node order, same neighbour order and weights at every node and
-    the same edges() order as the networkx graph ref."""
-    assert list(g) == list(ref.nodes)
-    for n in g:
-        assert list(g[n].items()) == [(m, d["weight"]) for m, d in ref.adj[n].items()]
-    assert list(g.edges()) == list(ref.edges(data="weight"))
+    """The anchors of the networkx graph ref (its nodes not of degree 2) in
+    its node order, with its degrees, and its segments in
+    reference_graph_segments' order, point for point."""
+    assert list(g.nodes) == [n for n in ref.nodes if ref.degree(n) != 2]
+    assert [g.degree(n) for n in g.nodes] == [ref.degree(n) for n in g.nodes]
+    segs, want = graph_segments(g), reference_graph_segments(ref)
+    assert len(segs) == len(want)
+    for s, w in zip(segs, want):
+        assert np.array_equal(s, np.asarray(w, dtype=float)), (s, w)
 
 
 def reference_obstacle_count(gmap, origin_px, direction, length_px, width_px):
@@ -391,44 +384,57 @@ class TestThinning:
         assert_pinned("skeleton/city-5x5", [np.packbits(skel)])
 
 
+def _steps(points):
+    return np.hypot(*np.diff(points, axis=0).T)
+
+
 class TestBuildGraph:
     def test_line_graph_weights(self):
         skel = np.zeros((10, 10), dtype=bool)
         skel[2:8, 4] = True
         g = build_graph(skel)
-        assert g.number_of_nodes() == 6
-        assert len(list(g.edges())) == 5
-        assert all(w == 1.0 for _, _, w in g.edges())
+        assert sorted(g.nodes) == [(2, 4), (7, 4)]
+        (seg,) = graph_segments(g)
+        assert len(seg) == 6
+        assert (_steps(seg) == 1.0).all()
 
     def test_diagonal_weight(self):
-        skel = np.zeros((5, 5), dtype=bool)
-        skel[1, 1] = skel[2, 2] = True
+        # a Y of arms from (20, 20): a diagonal step weighs sqrt(2), so the
+        # spur of 3 of them, 4.24 px long, goes at tau_prune 4.3 and stays at 4.2
+        skel = skeleton_of([(20, 20 + i) for i in range(30)],
+                           [(20 - i, 20 - i) for i in range(1, 30)],
+                           [(20 + i, 20 - i) for i in range(1, 4)])
         g = build_graph(skel)
-        assert g[(1, 1)][(2, 2)] == pytest.approx(math.sqrt(2))
+        spur = next(s for s in graph_segments(g) if len(s) == 4)
+        assert (_steps(spur) == math.sqrt(2)).all()
+        assert clean_graph(g, 4.3, 0.1).number_of_nodes() == 2
+        assert clean_graph(g, 4.2, 0.1).number_of_nodes() == 4
 
     def test_triangle_longest_edge_removed(self):
         # right triangle: two unit edges plus a sqrt(2) hypotenuse
         skel = np.zeros((5, 5), dtype=bool)
         skel[1, 1] = skel[1, 2] = skel[2, 2] = True
         g = build_graph(skel)
-        assert len(list(g.edges())) == 2
-        assert (2, 2) not in g[(1, 1)]
+        assert sorted(g.nodes) == [(1, 1), (2, 2)]
+        (seg,) = graph_segments(g)
+        assert sorted(map(tuple, seg.tolist())) == [(1.0, 1.0), (1.0, 2.0), (2.0, 2.0)]
 
     def test_full_block_is_four_cycle(self):
         skel = np.zeros((4, 4), dtype=bool)
         skel[1:3, 1:3] = True
         g = build_graph(skel)
-        assert sorted(sorted((u, v)) for u, v, _ in g.edges()) == [
-            [(1, 1), (1, 2)], [(1, 1), (2, 1)], [(1, 2), (2, 2)], [(2, 1), (2, 2)]]
-        assert all(w == 1.0 for _, _, w in g.edges())
+        assert g.number_of_nodes() == 0
+        (seg,) = graph_segments(g)
+        assert sorted(map(tuple, seg[:-1].tolist())) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+        assert (seg[0] == seg[-1]).all() and (_steps(seg) == 1.0).all()
+        assert_same_graph(g, reference_build_graph(skel).copy())
 
-    # build_graph emits order rule 2 directly, the order in which networkx's
-    # copy re-adds the reference's edges (adjacency order)
+    # build_graph keeps order rule 2, the order in which networkx's copy
+    # re-adds the reference's edges (adjacency order)
     @settings(max_examples=300, deadline=None)
     @given(pixel_masks())
     def test_matches_reference_build(self, skel):
-        g, ref = build_graph(skel), reference_build_graph(skel).copy()
-        assert_same_graph(g, ref)
+        assert_same_graph(build_graph(skel), reference_build_graph(skel).copy())
 
     def test_peak_memory_stays_below_two_bytes_a_pixel(self):
         # a map-sized intp row image would cost 8 bytes a pixel; the padded
@@ -442,33 +448,37 @@ class TestBuildGraph:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert g.number_of_nodes() == 600
+        assert g.number_of_nodes() == 4
+        assert sorted(map(len, graph_segments(g))) == [300, 300]
         assert peak < 2 * skel.size, peak / skel.size
 
 
 class TestCleanGraph:
     def _trunk_with_spur(self, spur_len):
-        return graph_of([(x, 10) for x in range(0, 40)],
-                        [(20, 10 + i) for i in range(spur_len + 1)])
+        return build_graph(skeleton_of([(x, 10) for x in range(0, 40)],
+                                       [(20, 10 + i) for i in range(spur_len + 1)], pad=0))
 
     def test_short_spur_pruned(self):
         g = clean_graph(self._trunk_with_spur(3), tau_prune_px=5.0, w_lane_px=9.0)
-        assert all(n[1] == 10 for n in g.nodes)
+        assert g.number_of_nodes() == 2
+        assert all((seg[:, 1] == 10).all() for seg in graph_segments(g))
 
     def test_long_branch_kept(self):
         g = clean_graph(self._trunk_with_spur(30), tau_prune_px=5.0, w_lane_px=9.0)
         assert any(n[1] > 10 for n in g.nodes)
 
     def test_close_junctions_contracted(self):
-        # two degree-3 nodes 2 px apart, each with three long arms
-        j1, j2 = (20, 20), (22, 20)
+        # two degree-3 pixels side by side, each with two arms of 14 px
+        j1, j2 = (20, 20), (21, 20)
         arms = [[(j[0] + dx * i, j[1] + dy * i) for i in range(15)]
                 for j, (dx, dy) in ((j1, (-1, 0)), (j1, (0, 1)), (j2, (1, 0)), (j2, (0, -1)))]
-        g = graph_of([j1, j2], *arms)
+        g = build_graph(skeleton_of(*arms, pad=0))
+        assert [g.degree(j) for j in (j1, j2)] == [3, 3]
         cleaned = clean_graph(g, tau_prune_px=5.0, w_lane_px=9.0)
         junctions = [n for n in cleaned.nodes if cleaned.degree(n) > 2]
-        assert len(junctions) == 1
-        assert junctions[0] == (21.0, 20.0)
+        assert junctions == [(20.5, 20.0)]
+        assert cleaned.degree(junctions[0]) == 4
+        assert g.number_of_nodes() == 6  # clean_graph leaves its input as it is
 
 
 class TestEndpointFiltering:
@@ -544,6 +554,23 @@ class TestPlusWorld:
         assert len(valid) == 4
 
 
+def _reloaded(g, valid):
+    """The graph and valid endpoints that save_graph's file loads back to."""
+    with tempfile.TemporaryDirectory() as d:
+        save_graph(g, valid, Path(d) / "graph.json")
+        return load_graph(Path(d) / "graph.json")
+
+
+def assert_round_trip(g, valid):
+    """graph.json loads back to the same anchors, degrees and valid
+    endpoints, ints and floats as they were, and writes the same bytes."""
+    g2, valid2 = _reloaded(g, valid)
+    assert sorted(map(repr, g2.nodes)) == sorted(map(repr, g.nodes))
+    assert {n: g2.degree(n) for n in g2.nodes} == {n: g.degree(n) for n in g.nodes}
+    assert repr(valid2) == repr(valid)
+    assert _saved_bytes(save_graph, g2, valid2) == _saved_bytes(save_graph, g, valid)
+
+
 class TestSegmentsAndIO:
     def test_graph_segments_cover_plus(self):
         spec = WorldSpec(recipe="plus", extent=120.0, road_width=9.6)
@@ -552,22 +579,27 @@ class TestSegmentsAndIO:
         assert len(segs) == 4
         junction = next(n for n in g.nodes if g.degree(n) > 2)
         for seg in segs:
-            assert seg[0] == junction or seg[-1] == junction
+            assert junction in (tuple(seg[0]), tuple(seg[-1]))
 
-    def test_save_load_round_trip(self, tmp_path):
+    def test_save_load_round_trip(self):
+        # a line; two junctions with parallel chains and a pure cycle; and a
+        # merged junction at half-pixel coordinates
         skel = np.zeros((10, 10), dtype=bool)
         skel[2:8, 4] = True
-        g = build_graph(skel)
-        valid = [(2, 4)]
-        path = tmp_path / "g.json"
-        save_graph(g, valid, path)
-        g2, valid2 = load_graph(path)
-        assert set(g2.nodes) == set(g.nodes)
-        assert _edge_set(g2) == _edge_set(g)
-        assert valid2 == valid
+        assert_round_trip(build_graph(skel), [(2, 4)])
+        g = build_graph(skeleton_of(*PARALLEL_CHAINS, CYCLE_8))
+        assert g.segments[-1].u is None
+        assert_round_trip(g, [n for n in g.nodes if g.degree(n) == 1])
+        arms = [[(j[0] + dx * i, j[1] + dy * i) for i in range(15)]
+                for j, (dx, dy) in (((20, 20), (-1, 0)), ((20, 20), (0, 1)),
+                                    ((21, 20), (1, 0)), ((21, 20), (0, -1)))]
+        g = clean_graph(build_graph(skeleton_of(*arms, pad=0)), 5.0, 9.0)
+        assert (20.5, 20.0) in g.nodes
+        assert_round_trip(g, [n for n in g.nodes if g.degree(n) == 1][1:])
 
-    # graph.json holds integer pixels and math.dist weights only, so its bytes
-    # pin the node set, the edge order and the valid endpoints exactly
+    # graph.json holds pixel coordinates and the anchors' ids only, so its
+    # bytes pin the anchors in node order, the segments in walk order and
+    # the valid endpoints exactly
     @pytest.mark.parametrize("spec, pin", [
         (dict(recipe="plus", extent=120.0, road_width=9.6), "graph-json/plus"),
         (dict(recipe="grid", extent=120.0, blocks=(3, 3), road_width=9.6),
@@ -579,17 +611,17 @@ class TestSegmentsAndIO:
         assert_pinned(pin, [(tmp_path / "graph.json").read_bytes()])
 
 
-def _check_segments(g, segs):
-    """Every edge in exactly one segment, degree-2 interiors, and each
-    segment between non-degree-2 anchors or closed on itself."""
-    covered = [frozenset(e) for seg in segs for e in zip(seg, seg[1:])]
+def _check_segments(segs, ref):
+    """Every edge of the networkx graph ref in exactly one segment, interiors
+    of degree 2, and each segment between anchors or closed on itself."""
+    paths = [list(map(tuple, seg.tolist())) for seg in segs]
+    covered = [frozenset(e) for p in paths for e in zip(p, p[1:])]
     assert len(covered) == len(set(covered))
-    assert set(covered) == _edge_set(g)
-    for seg in segs:
-        assert len(seg) >= 2
-        assert all(g.degree(n) == 2 for n in seg[1:-1])
-        ends_at_anchors = g.degree(seg[0]) != 2 and g.degree(seg[-1]) != 2
-        assert ends_at_anchors or seg[0] == seg[-1]
+    assert set(covered) == {frozenset(e) for e in ref.edges}
+    for p in paths:
+        assert len(p) >= 2
+        assert all(ref.degree(n) == 2 for n in p[1:-1])
+        assert (ref.degree(p[0]) != 2 and ref.degree(p[-1]) != 2) or p[0] == p[-1]
 
 
 @st.composite
@@ -622,39 +654,24 @@ def noise_masks(draw):
     return rng.random((n, n)) < draw(st.floats(0.3, 0.7))
 
 
+def _graph_items(g):
+    return list(g.nodes), [g.degree(n) for n in g.nodes], [s.tolist() for s in graph_segments(g)]
+
+
 class TestOrderRule2:
-    """build_graph's output already has the node and neighbour order that
-    re-inserting every edge in edges() order gives, so clean_graph can work
-    on a plain copy."""
+    """clean_graph edits a copy of build_graph's chains, which keeps their
+    node and neighbour order: with nothing to prune or contract it gives
+    back the built graph, and the built graph is left as it is."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(pixel_masks(), road_masks().map(skeletonize)),
            st.floats(1.0, 12.0), st.floats(1.0, 10.0))
-    def test_build_graph_output_is_its_own_reinserting_copy(self, skel, tau_prune, w_lane):
+    def test_clean_graph_copies_the_built_order_and_leaves_it(self, skel, tau_prune, w_lane):
         g = build_graph(skel)
-        before = _nested_items(g)
-        assert before == _nested_items(reinserting_copy(g))
+        before = _graph_items(g)
+        assert _graph_items(clean_graph(g, 1e-9, 1e-9)) == before
         clean_graph(g, tau_prune, w_lane)
-        assert _nested_items(g) == before
-
-
-def _ring(cycle):
-    """A closed path's nodes up to rotation and direction."""
-    ring = cycle[:-1]
-    i = ring.index(min(ring))
-    ring = ring[i:] + ring[:i]
-    return min(ring, ring[:1] + ring[:0:-1])
-
-
-def assert_same_segments(g, segs, ref):
-    """Equal segment lists, except that a pure cycle (every node of degree
-    2) may start at another node or run the other way."""
-    assert len(segs) == len(ref)
-    for s, r in zip(segs, ref):
-        if all(len(g[n]) == 2 for n in s):
-            assert _ring(s) == _ring(r)
-        else:
-            assert s == r
+        assert _graph_items(g) == before
 
 
 def _saved_bytes(save, g, valid):
@@ -671,13 +688,10 @@ class TestMatchesNetworkxReference:
         skel = skeletonize(mask)
         g, ref = build_graph(skel), reference_build_graph(skel).copy()
         assert_same_graph(g, ref)
-        assert_same_segments(g, graph_segments(g), reference_graph_segments(ref))
 
         cleaned = clean_graph(g, tau_prune, w_lane)
         ref_cleaned = reference_clean_graph(ref, tau_prune, w_lane)
         assert_same_graph(cleaned, ref_cleaned)
-        assert_same_segments(cleaned, graph_segments(cleaned),
-                             reference_graph_segments(ref_cleaned))
 
         table = default_table()
         gmap = make_map(np.where(mask, table.road_id, 4), table)
@@ -686,63 +700,71 @@ class TestMatchesNetworkxReference:
         valid = filter_endpoints(cleaned, gmap, params,
                                  gmap.labels[:, :, 0] == table.road_id)
         assert valid == reference_filter_endpoints(ref_cleaned, gmap, params)
+        # graph.json reads back in the order of the per-pixel file read back
         assert (_saved_bytes(save_graph, cleaned, valid)
                 == _saved_bytes(reference_save_graph, ref_cleaned, valid))
+        assert_same_graph(_reloaded(cleaned, valid)[0], reference_read_back(ref_cleaned))
+        assert_round_trip(cleaned, valid)
+
+
+PARALLEL_CHAINS = ([(0, 0), (1, 1), (2, 1), (3, 1), (4, 0)],
+                   [(0, 0), (1, -1), (2, -1), (3, -1), (4, 0)],
+                   [(-1, 0), (0, 0)], [(4, 0), (5, 0)])
+CYCLE_8 = [(0, 6), (1, 6), (2, 6), (2, 7), (2, 8), (1, 8), (0, 8), (0, 7), (0, 6)]  # a 3x3 ring
 
 
 class TestGraphSegments:
     @settings(max_examples=150, deadline=None)
     @given(road_masks(), st.floats(1.0, 12.0), st.floats(1.0, 10.0))
     def test_segments_partition_skeleton_edges(self, mask, tau_prune, w_lane):
-        g = build_graph(skeletonize(mask))
-        _check_segments(g, graph_segments(g))
-        cleaned = clean_graph(g, tau_prune, w_lane)
-        _check_segments(cleaned, graph_segments(cleaned))
+        skel = skeletonize(mask)
+        g, ref = build_graph(skel), reference_build_graph(skel).copy()
+        _check_segments(graph_segments(g), ref)
+        _check_segments(graph_segments(clean_graph(g, tau_prune, w_lane)),
+                        reference_clean_graph(ref, tau_prune, w_lane))
 
     def test_loop_through_one_junction(self):
-        g = graph_of([(0, 0), (1, 0), (2, 0)],                  # tail to a leaf
-                     [(0, 0), (0, 1), (-1, 1), (-1, 0), (0, 0)])
-        segs = graph_segments(g)
-        _check_segments(g, segs)
+        skel = skeleton_of([(0, 0), (1, 0), (2, 0)],                  # tail to a leaf
+                           [(0, 0), (0, 1), (-1, 1), (-1, 0), (0, 0)])  # a 2x2 block
+        segs = graph_segments(build_graph(skel))
+        _check_segments(segs, reference_build_graph(skel))
         assert sorted(len(s) for s in segs) == [3, 5]
         loop = next(s for s in segs if len(s) == 5)
-        assert loop[0] == loop[-1] == (0, 0)
+        assert tuple(loop[0]) == tuple(loop[-1]) == (3, 3)
 
     def test_anchor_free_cycle_component(self):
-        g = graph_of([(0, 0), (0, 1), (1, 1), (1, 0), (0, 0)],
-                     [(5, 5), (5, 6), (5, 7)])
+        skel = skeleton_of([(0, 0), (0, 1), (1, 1), (1, 0)], [(5, 5), (5, 6), (5, 7)])
+        g = build_graph(skel)
         segs = graph_segments(g)
-        _check_segments(g, segs)
+        _check_segments(segs, reference_build_graph(skel))
         # anchors first; the cycle starts at its first node, toward that
         # node's first neighbour
-        assert segs == [[(5, 5), (5, 6), (5, 7)],
-                        [(0, 0), (0, 1), (1, 1), (1, 0), (0, 0)]]
+        assert [len(s) for s in segs] == [3, 5]
+        assert [(s.u is None) for s in g.segments] == [False, True]
+        assert_same_graph(g, reference_build_graph(skel).copy())
 
     def test_single_edge_between_junctions(self):
-        g = graph_of([(0, 0), (1, 0)], [(0, 0), (-1, 1)], [(0, 0), (-1, -1)],
-                     [(1, 0), (2, 1)], [(1, 0), (2, -1)])
-        segs = graph_segments(g)
-        _check_segments(g, segs)
+        skel = skeleton_of([(0, 0), (1, 0)], [(0, 0), (-1, 1)], [(0, 0), (-1, -1)],
+                           [(1, 0), (2, 1)], [(1, 0), (2, -1)])
+        segs = graph_segments(build_graph(skel))
+        _check_segments(segs, reference_build_graph(skel))
         assert len(segs) == 5
-        assert sum(set(s) == {(0, 0), (1, 0)} for s in segs) == 1
+        assert sum(set(map(tuple, s.tolist())) == {(3, 3), (4, 3)} for s in segs) == 1
 
     @pytest.mark.parametrize("paths", [
         # two parallel chains between the same two junctions, each with a tail
-        ([(0, 0), (1, 1), (2, 1), (3, 1), (4, 0)],
-         [(0, 0), (1, -1), (2, -1), (3, -1), (4, 0)],
-         [(-1, 0), (0, 0)], [(4, 0), (5, 0)]),
-        # a chain from a junction back to itself, the junction's tails after
+        PARALLEL_CHAINS,
+        # a 2x2 block at a junction: a chain from it back to itself, then its
+        # tails
         ([(0, 0), (0, 1), (1, 1), (1, 0), (0, 0)],
          [(0, 0), (-1, 0), (-2, 0)], [(0, 0), (-1, -1)]),
-        # a pure cycle first in node order, beside a star with a long arm
-        ([(0, 0), (0, 1), (1, 1), (2, 1), (2, 0), (1, 0), (0, 0)],
-         [(9, 9), (9, 10), (9, 11)], [(9, 9), (10, 9)], [(9, 9), (8, 8), (7, 7)]),
+        # a pure cycle beside a star with a long arm
+        (CYCLE_8, [(9, 9), (9, 10), (9, 11)], [(9, 9), (10, 9)], [(9, 9), (8, 8), (7, 7)]),
         # a lone edge between two leaves
         ([(0, 0), (1, 0)],),
     ], ids=["parallel-chains", "junction-loop", "cycle-beside-anchors", "lone-edge"])
     def test_small_graphs_match_reference(self, paths):
-        g, ref = graph_of(*paths), nx_graph_of(*paths)
+        skel = skeleton_of(*paths)
+        g, ref = build_graph(skel), reference_build_graph(skel).copy()
         assert_same_graph(g, ref)
-        segs = graph_segments(g)
-        _check_segments(g, segs)
-        assert_same_segments(g, segs, reference_graph_segments(ref))
+        _check_segments(graph_segments(g), ref)
