@@ -9,40 +9,23 @@ probe box.
 The graph is a ``SegmentGraph``. Its anchors are the nodes whose degree is
 not 2: skeleton pixels, and the centroids that junction contraction makes.
 Its segments are the chains between them, each an ordered point array; a
-pure cycle, a chain with no anchor, starts and ends at its first node.
-Segment order decides lane order, and four rules fix it. They state the
-order of a pixel graph that goes node -> {neighbour: weight}, both levels
-in insertion order, which the segment graph keeps without building it:
-1. nodes go in in the iteration order of the set of skeleton pixels; a
-   merged junction goes in after every node there is;
-2. the skeleton's edges go in by the lower node rank of their two ends, then
-   by the rank of the end that the forward step leaves, then by the step's
-   index; an edge that contraction makes goes in after every edge there is.
-   So a node's neighbours are in the order of the keys of the edges to
-   them, and each chain keeps the key of every edge along it;
-3. a merged junction's edges go in in the order of
-   ``set(nbrs_u) | set(nbrs_v)``, built from the lists of the two
-   junctions' neighbour coordinates in neighbour order: a set presized
-   from a dict iterates differently once a node has many neighbours;
-4. ``graph_segments`` walks from every anchor in node order along each of
-   its chains in neighbour order, skipping a chain already walked from its
-   other end, then along each pure cycle, in the order of their first
-   nodes, from its first node toward that node's first neighbour.
-
-A fifth rule orders graph.json, and so the graph read back from it and the
-lanes made from that (the CLI's): the order in which the per-pixel
-graph.json of earlier versions, nodes sorted and edges in insertion order,
-read back:
-5. the anchors go in sorted by their coordinates, and the segments in rule
-   4's walk over that node order, where a node's neighbours come in this
-   order: those before it in rule 1's node order, by that order, then
-   those after it, in rule 2's order.
+pure cycle, a chain with no anchor, starts and ends at its first point.
+Segment order decides lane order. One rule fixes it, for the graph in
+memory and in graph.json alike; points compare by their (x, y)
+coordinates:
+- the anchors go in ascending order;
+- the segments are walked from each anchor in that order, along each of
+  its chains in the order of the chain's second point, skipping a chain
+  already walked from its other end;
+- then come the pure cycles, in the order of their smallest points, each
+  walked from that point toward the smaller of its two neighbours.
+Spur pruning visits the leaves, and junction contraction breaks ties
+between equally close pairs, in the same anchor order.
 """
 
 from __future__ import annotations
 
 import copy
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -135,7 +118,7 @@ def skeletonize(mask: np.ndarray) -> np.ndarray:
     return skel
 
 
-_STEPS = ((1, 0), (0, 1), (1, 1), (1, -1))  # forward 8-neighbours, in edge key order
+_STEPS = ((1, 0), (0, 1), (1, 1), (1, -1))  # forward 8-neighbours
 _STEP_WEIGHTS = np.array([math.hypot(dx, dy) for dx, dy in _STEPS])
 
 
@@ -151,7 +134,7 @@ class Segment:
 
 
 class SegmentGraph:
-    """Anchors in node order (rule 1) and segments in walk order (rule 4).
+    """Anchors and segments in the order the module docstring states.
     ``nodes``, ``degree`` and ``number_of_nodes`` read the anchors; a node is
     its coordinate tuple, of ints for a skeleton pixel."""
 
@@ -178,7 +161,7 @@ class SegmentGraph:
 
     def leaf_paths(self):
         """(leaf, the points of its segment walked from it) of each anchor of
-        degree 1, in node order."""
+        degree 1, in anchor order."""
         paths = {}
         for s in self.segments:
             if s.u is not None:
@@ -189,17 +172,18 @@ class SegmentGraph:
 class _Chains:
     """The graph that build_graph makes and clean_graph edits, as chains
     between anchors. Node ids below P index the skeleton pixels in flat
-    order; id P + k is the k-th merged junction. ``ports`` holds the
-    anchors in node order (rule 1); ``ports[a]`` holds anchor a's (chain id,
-    end) pairs, end 0 where the chain starts at a and 1 where it ends there,
-    in the key order of their edges (rule 2). A chain is its node ids and
-    the key and weight of each edge along it; edits replace chains and never
-    write into their arrays."""
+    order, which is their coordinate order; id P + k is the k-th merged
+    junction. ``ports[a]`` holds anchor a's (chain id, end) pairs, end 0
+    where the chain starts at a and 1 where it ends there. Neither the
+    anchors nor a port list is kept in order: ``_in_order`` and ``graph``
+    sort them where the order is read. A chain is its node ids and the
+    weight of each edge along it; edits replace chains and never write into
+    their arrays."""
 
-    def __init__(self, xy, rank, flat, stride):
-        self.xy, self.rank = xy, rank            # each pixel's coordinates and node rank
+    def __init__(self, xy, flat, stride):
+        self.xy = xy                             # each pixel's coordinates
         self.flat, self.stride = flat, stride    # each pixel's padded flat index
-        self.info = {}        # node -> (rank, coordinates), of every node made an anchor
+        self.coord = {}       # node -> coordinates, of every node made an anchor
         self.alive = np.ones(len(xy), dtype=bool)
         self.merged = []      # coordinates of merged junction P + k
         self.merged_at = {}   # coordinates -> id, of the merged junctions in the graph
@@ -207,21 +191,23 @@ class _Chains:
         self.chains = {}
         self.cycles = set()   # ids of the pure cycles
         self.new_id = 0
-        self.new_key = 4 * len(xy) * (len(xy) + 1)  # above every skeleton edge's key
 
     def copy(self) -> _Chains:
         c = copy.copy(self)
         c.alive, c.merged, c.merged_at = self.alive.copy(), list(self.merged), dict(self.merged_at)
-        c.info = dict(self.info)
+        c.coord = dict(self.coord)
         c.ports = {a: list(p) for a, p in self.ports.items()}
         c.chains, c.cycles = dict(self.chains), set(self.cycles)
         return c
 
-    def _add(self, nodes, keys, weights) -> int:
+    def _add(self, nodes, weights) -> int:
         cid = self.new_id
         self.new_id += 1
-        self.chains[cid] = (nodes, keys, weights)
+        self.chains[cid] = (nodes, weights)
         return cid
+
+    def _in_order(self, anchors):
+        return sorted(anchors, key=self.coord.__getitem__)
 
     def _replace(self, a, old, new) -> None:
         ports = self.ports[a]
@@ -246,16 +232,15 @@ class _Chains:
 
     def _split(self, cid, i) -> None:
         """Make the chain's i-th node, of degree 2, an anchor."""
-        nodes, keys, weights = self.chains.pop(cid)
-        head = self._add(nodes[:i + 1], keys[:i], weights[:i])
-        tail = self._add(nodes[i:], keys[i:], weights[i:])
+        nodes, weights = self.chains.pop(cid)
+        head = self._add(nodes[:i + 1], weights[:i])
+        tail = self._add(nodes[i:], weights[i:])
         self._replace(int(nodes[0]), (cid, 0), (head, 0))
         self._replace(int(nodes[-1]), (cid, 1), (tail, 1))
-        ports = [(head, 1), (tail, 0)]
         x = int(nodes[i])
-        self.ports[x] = ports if keys[i - 1] < keys[i] else ports[::-1]
-        if x not in self.info:  # a pixel; a merged junction is entered when made
-            self.info[x] = (int(self.rank[x]), tuple(self.xy[x].tolist()))
+        self.ports[x] = [(head, 1), (tail, 0)]
+        if x not in self.coord:  # a pixel; a merged junction is entered when made
+            self.coord[x] = tuple(self.xy[x].tolist())
 
     def _dissolve(self, x) -> None:
         """Join the two chains at x, an anchor left with degree 2."""
@@ -263,25 +248,24 @@ class _Chains:
         if c1 == c2:  # a loop through x, now a pure cycle
             self.cycles.add(c1)
             return
-        n1, k1, w1 = self.chains.pop(c1)
-        n2, k2, w2 = self.chains.pop(c2)
+        n1, w1 = self.chains.pop(c1)
+        n2, w2 = self.chains.pop(c2)
         if e1 == 0:  # the first chain ends at x, the second starts there
-            n1, k1, w1 = n1[::-1], k1[::-1], w1[::-1]
+            n1, w1 = n1[::-1], w1[::-1]
         if e2 == 1:
-            n2, k2, w2 = n2[::-1], k2[::-1], w2[::-1]
-        cid = self._add(np.concatenate([n1, n2[1:]]), np.concatenate([k1, k2]),
-                        np.concatenate([w1, w2]))
+            n2, w2 = n2[::-1], w2[::-1]
+        cid = self._add(np.concatenate([n1, n2[1:]]), np.concatenate([w1, w2]))
         self._replace(int(n1[0]), (c1, 1 - e1), (cid, 0))
         self._replace(int(n2[-1]), (c2, 1 - e2), (cid, 1))
 
     def prune_spurs(self, tau_prune: float) -> bool:
         """Remove each leaf's chain up to its junction (deg > 2), junction
-        kept, when the chain is shorter than tau_prune; the leaves in node
+        kept, when the chain is shorter than tau_prune; the leaves in anchor
         order as they are when the pass starts."""
         removed = False
-        for leaf in [a for a, p in self.ports.items() if len(p) == 1]:
+        for leaf in self._in_order(a for a, p in self.ports.items() if len(p) == 1):
             (cid, end), = self.ports[leaf]
-            nodes, _, weights = self.chains[cid]
+            nodes, weights = self.chains[cid]
             if end:  # walk it from the leaf
                 nodes, weights = nodes[::-1], weights[::-1]
             junction = int(nodes[-1])
@@ -297,12 +281,12 @@ class _Chains:
 
     def contract_junctions(self, radius: float) -> bool:
         """Merge the closest junction pair within radius into a centroid node,
-        the first pair (i, j) in junction order among equally close ones.
+        the first pair (i, j) in anchor order among equally close ones.
         Returns True when a contraction happened."""
-        junctions = [a for a, p in self.ports.items() if len(p) > 2]
+        junctions = self._in_order(a for a, p in self.ports.items() if len(p) > 2)
         if len(junctions) < 2:
             return False
-        coords = [self.info[a][1] for a in junctions]
+        coords = [self.coord[a] for a in junctions]
         # np.hypot and math.dist agree to within a few ulps, so the pair that
         # math.dist picks is among the candidates within a 1e-9 relative margin,
         # both of the radius and of the closest candidate
@@ -324,9 +308,8 @@ class _Chains:
 
     def _merge(self, u, v) -> None:
         """Replace junctions u and v by one node at their centroid, joined
-        to each of their neighbours in order rule 3."""
+        to each of their neighbours."""
         # every neighbour becomes an anchor, so each chain at u or v is one edge
-        made = []
         for a in (u, v):
             ports = self.ports[a]
             for k in range(len(ports)):
@@ -335,23 +318,15 @@ class _Chains:
                 i = len(nodes) - 2 if end else 1
                 if int(nodes[i]) not in self.ports:
                     self._split(cid, i)
-                    made.append(int(nodes[i]))
-        at, lists = {}, []
-        for a in (u, v):
-            lists.append([])
-            for cid, end in self.ports[a]:
-                x = int(self.chains[cid][0][0 if end else -1])
-                c = self.info[x][1]
-                at[c] = x
-                lists[-1].append(c)
-        cu, cv = self.info[u][1], self.info[v][1]
-        # sets built from lists, as from iter(dict) and not presized (rule 3)
-        nbrs = (set(lists[0]) | set(lists[1])) - {cu, cv}
+        nbrs = []
         for a in (u, v):
             for cid, end in self.ports.pop(a):
                 x = int(self.chains.pop(cid)[0][0 if end else -1])
                 self.ports[x].remove((cid, 1 - end))
+                if x != v and x not in nbrs:
+                    nbrs.append(x)
         self._kill(np.array([u, v]))
+        cu, cv = self.coord[u], self.coord[v]
         merged = ((cu[0] + cv[0]) / 2.0, (cu[1] + cv[1]) / 2.0)
         if self._occupied(merged):
             merged = (merged[0] + 1e-6, merged[1])
@@ -360,42 +335,29 @@ class _Chains:
             m = len(self.xy) + len(self.merged)
             self.merged.append(merged)
             self.merged_at[merged] = m
-            self.info[m] = (m, merged)
+            self.coord[m] = merged
             self.ports[m] = []
-        for c in nbrs:
-            cid = self._add(np.array([m, at[c]]), np.array([self.new_key]),
-                            np.array([math.dist(merged, c)]))
-            self.new_key += 1
+        for x in nbrs:
+            cid = self._add(np.array([m, x]), np.array([math.dist(merged, self.coord[x])]))
             self.ports[m].append((cid, 0))
-            self.ports[at[c]].append((cid, 1))
-        for x in [at[c] for c in nbrs] + [m]:
+            self.ports[x].append((cid, 1))
+        for x in nbrs + [m]:
             if len(self.ports[x]) == 2:
                 self._dissolve(x)
-        if any(x in self.ports for x in made):  # a new leaf, out of node order
-            self.ports = dict(sorted(self.ports.items(), key=lambda p: self.info[p[0]]))
 
-    def _rank(self, n) -> int:
-        return int(self.rank[n]) if n < len(self.xy) else n
-
-    def graph(self, as_read=False) -> SegmentGraph:
-        """The graph with its segments in walk order (rule 4), or with its
-        anchors and segments in the order of rule 5 (``as_read``)."""
-        P = len(self.xy)
-        order, ports = list(self.ports), self.ports
-        if as_read:
-            order.sort(key=lambda a: self.info[a][1])
-            ports = {}
-            for a in order:
-                near = [(self._rank(int(self.chains[c][0][-2 if e else 1])), (c, e))
-                        for c, e in self.ports[a]]
-                rank = self.info[a][0]
-                ports[a] = ([p for _, p in sorted(n for n in near if n[0] < rank)]
-                            + [p for r, p in near if r > rank])
+    def graph(self) -> SegmentGraph:
+        """The graph in the order the module docstring states."""
+        order = self._in_order(self.ports)
         index = {a: i for i, a in enumerate(order)}
         table = np.concatenate([self.xy, np.reshape(self.merged, (-1, 2))]).astype(float)
+
+        def second(port):  # the point after the anchor on the port's chain
+            nodes = self.chains[port[0]][0]
+            return table[nodes[-2 if port[1] else 1]].tolist()
+
         segments, walked = [], set()
         for a in order:
-            for cid, end in ports[a]:
+            for cid, end in sorted(self.ports[a], key=second):
                 if cid not in walked:
                     walked.add(cid)
                     nodes = self.chains[cid][0]
@@ -404,22 +366,16 @@ class _Chains:
                     segments.append(Segment(index[a], index[int(nodes[-1])], table[nodes]))
         cycles = []
         for cid in self.cycles:
-            nodes, keys, _ = self.chains[cid]
-            ring = nodes[:-1]
-            ranks = np.where(ring < P, self.rank[np.minimum(ring, P - 1)], ring)
-            # its first node, and its neighbours after and before it
-            i = int(np.lexsort(table[ring].T[::-1])[0] if as_read else np.argmin(ranks))
-            nbrs = [(ranks[(i + 1) % len(ring)], keys[i], 1), (ranks[i - 1], keys[i - 1], -1)]
-            earlier = [n for n in nbrs if as_read and n[0] < ranks[i]]
-            step = min(earlier)[2] if earlier else min(nbrs, key=lambda n: n[1])[2]
+            ring = self.chains[cid][0][:-1]
+            pts = table[ring].tolist()
+            i = min(range(len(ring)), key=pts.__getitem__)
             path = np.roll(ring, -i)
-            if step < 0:
+            if pts[i - 1] < pts[(i + 1) % len(ring)]:  # the smaller neighbour is behind
                 path = np.roll(path[::-1], 1)
-            cycles.append((tuple(table[ring[i]]) if as_read else ranks[i],
-                           np.append(path, ring[i])))
+            cycles.append((pts[i], np.append(path, ring[i])))
         cycles.sort(key=lambda c: c[0])
         segments += [Segment(None, None, table[path]) for _, path in cycles]
-        return SegmentGraph([self.info[a][1] for a in order], segments, self)
+        return SegmentGraph([self.coord[a] for a in order], segments, self)
 
 
 def build_graph(skeleton: np.ndarray) -> SegmentGraph:
@@ -439,13 +395,9 @@ def build_graph(skeleton: np.ndarray) -> SegmentGraph:
     anchor lie on pure cycles, each walked once."""
     sk = np.pad(np.asarray(skeleton, dtype=bool), 1)
     img, stride = sk.reshape(-1), sk.shape[1]  # padded (x, y) sits at x * stride + y
-    pixels = np.flatnonzero(img)  # sorted
+    pixels = np.flatnonzero(img)  # sorted, so in coordinate order
     xs, ys = np.divmod(pixels, stride)
     xy = np.stack([xs - 1, ys - 1], axis=1)
-    order = set(zip(xy[:, 0].tolist(), xy[:, 1].tolist()))  # rule 1: its iteration order
-    x, y = np.fromiter(itertools.chain.from_iterable(order), dtype=np.intp,
-                       count=2 * len(order)).reshape(-1, 2).T
-    rank = np.argsort((x + 1) * stride + y + 1)  # node rank of pixels[i]
     right, up, down = img[pixels + stride], img[pixels + 1], img[pixels - 1]
     keep = np.stack([right, up, img[pixels + stride + 1] & ~(right | up),
                      img[pixels + stride - 1] & ~(right | down)], axis=1)
@@ -453,7 +405,6 @@ def build_graph(skeleton: np.ndarray) -> SegmentGraph:
     steps = np.array([dx * stride + dy for dx, dy in _STEPS])
     dst = np.searchsorted(pixels, pixels[src] + steps[k])
     n = len(pixels)
-    key = (np.minimum(rank[src], rank[dst]) * n + rank[src]) * len(_STEPS) + k  # rule 2
     weight = _STEP_WEIGHTS[k]
     deg = np.bincount(src, minlength=n) + np.bincount(dst, minlength=n)
 
@@ -472,12 +423,10 @@ def build_graph(skeleton: np.ndarray) -> SegmentGraph:
         dist = dist + dist[last]
         last = last[last]
 
-    g = _Chains(xy, rank, pixels, stride)
+    g = _Chains(xy, pixels, stride)
     anchors = np.flatnonzero(deg != 2)
-    anchors = anchors[np.argsort(rank[anchors])]
     g.ports = {a: [] for a in anchors.tolist()}
-    g.info = dict(zip(anchors.tolist(), zip(rank[anchors].tolist(),
-                                            zip(*xy[anchors].T.tolist()))))
+    g.coord = dict(zip(anchors.tolist(), zip(*xy[anchors].T.tolist())))
     s = h[deg[tail] != 2]
     t = last[s]
     kept = s < (t ^ 1)  # of a chain's two walks, the one whose first half-edge is lower
@@ -490,16 +439,11 @@ def build_graph(skeleton: np.ndarray) -> SegmentGraph:
     ends = np.cumsum(length)
     seq = np.empty(len(on), dtype=np.intp)
     seq[ends[w[on]] - 1 - dist[on]] = on  # each walk's half-edges in walk order
-    for nodes, keys, weights, end in zip(np.split(tail[seq], ends[:-1]),
-                                         np.split(key[seq >> 1], ends[:-1]),
-                                         np.split(weight[seq >> 1], ends[:-1]),
-                                         head[t].tolist()):
-        g._add(np.append(nodes, end), keys, weights)
-    port_at = np.concatenate([tail[s], head[t]])
-    port = np.concatenate([2 * np.arange(len(s)), 2 * np.arange(len(s)) + 1])  # 2 cid + end
-    by_key = np.lexsort((np.concatenate([key[s >> 1], key[t >> 1]]), port_at))
-    for a, p in zip(port_at[by_key].tolist(), port[by_key].tolist()):
-        g.ports[a].append((p >> 1, p & 1))
+    for nodes, weights, end in zip(np.split(tail[seq], ends[:-1]),
+                                   np.split(weight[seq >> 1], ends[:-1]), head[t].tolist()):
+        cid = g._add(np.append(nodes, end), weights)
+        g.ports[int(nodes[0])].append((cid, 0))
+        g.ports[end].append((cid, 1))
 
     loose = h[inner[last]]
     if len(loose):
@@ -512,8 +456,7 @@ def build_graph(skeleton: np.ndarray) -> SegmentGraph:
                     ring.append(nxt[ring[-1]])
                 ring = np.array(ring)
                 seen[ring] = seen[ring ^ 1] = True
-                g.cycles.add(g._add(np.append(tail[ring], tail[ring[0]]),
-                                    key[ring >> 1], weight[ring >> 1]))
+                g.cycles.add(g._add(np.append(tail[ring], tail[ring[0]]), weight[ring >> 1]))
     return g.graph()
 
 
@@ -610,7 +553,7 @@ def extract_topology(gmap: GlobalMap, params: TopologyParams = None):
 
 
 def graph_segments(g: SegmentGraph):
-    """The segments' point arrays in walk order (rule 4): maximal chains of
+    """The segments' point arrays in the graph's order: maximal chains of
     degree-2 nodes between anchors, each walked from its first anchor, then
     the pure cycles, each closed on its first point."""
     return [s.points for s in g.segments]
@@ -626,10 +569,8 @@ def _json_points(points):
 
 def save_graph(g: SegmentGraph, valid_endpoints, path) -> str:
     """Write the graph and its valid endpoints as JSON; the file's sha256.
-    The anchors and segments go in the order of rule 5, which the graph
-    read back keeps."""
-    if g._chains is not None:
-        g = g._chains.graph(as_read=True)
+    The anchors, segments and valid endpoints go in the graph's order, which
+    load_graph keeps, so the graph read back walks as g does."""
     obj = {
         "anchors": [{"id": i, "x": a[0], "y": a[1]} for i, a in enumerate(g.anchors)],
         "segments": [{"u": s.u, "v": s.v, "interior": _json_points(s.points[1:-1])}

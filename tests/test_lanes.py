@@ -327,7 +327,7 @@ class TestExtractLanes:
 
     # Lane points of a plus world, hashed: they follow the cell centres of
     # GlobalMap.cell_center and the segment order of the cleaned graph,
-    # which the order rules of topology.py fix.
+    # which the order rule of topology.py fixes.
     def test_plus_world_bytes_pinned(self):
         world = generate_world(WorldSpec(recipe="plus", extent=80.0, road_width=10.8))
         g, _ = extract_topology(world)
@@ -338,7 +338,7 @@ class TestExtractLanes:
     # Phase A of bench/'s city-sim world, the 600 m 5x5-block city: the
     # sorted valid endpoints and every lane's points, the bytes of city-sim's
     # phase_a_digest. Segment order sets lane order, so this pins the order
-    # rules of topology.py at the scale the benchmark measures.
+    # rule of topology.py at the scale the benchmark measures.
     def test_city_world_bytes_pinned(self):
         world = generate_world(WorldSpec(recipe="grid", extent=600.0, blocks=(5, 5)))
         g, valid = extract_topology(world)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voxsim.geometry import Pose2
+from voxsim.lanes import extract_lanes
 from voxsim.occupancy import GlobalMap, SemanticTable, default_table
 from voxsim.topology import (TopologyParams, _box_obstacle_count, build_graph,
                              clean_graph, extract_topology, filter_endpoints,
@@ -64,16 +65,16 @@ def reference_zhang_suen_thin(mask: np.ndarray) -> np.ndarray:
 
 
 def reference_build_graph(skeleton):
-    """Reference: every forward 8-neighbour edge added pixel by pixel, then
-    the longest edge of each 3-clique removed."""
+    """Reference: every forward 8-neighbour edge added pixel by pixel, in
+    sorted order, then the longest edge of each 3-clique removed."""
     g = nx.Graph()
     xs, ys = np.nonzero(np.asarray(skeleton, dtype=bool))
-    pixels = set(zip(xs.tolist(), ys.tolist()))
+    pixels = sorted(zip(xs.tolist(), ys.tolist()))
     g.add_nodes_from(pixels)
     for (x, y) in pixels:
         for dx, dy in ((1, 0), (0, 1), (1, 1), (1, -1)):
             v = (x + dx, y + dy)
-            if v in pixels:
+            if v in g:
                 g.add_edge((x, y), v, weight=math.hypot(dx, dy))
 
     for tri in [c for c in nx.enumerate_all_cliques(g) if len(c) == 3]:
@@ -88,10 +89,11 @@ def reference_build_graph(skeleton):
 
 
 # The networkx pipeline that the segment graph replaced, kept as the oracle
-# of the four order rules: spur pruning and junction contraction on an
-# ``nx.Graph`` copy of ``reference_build_graph``'s graph (the copy re-adds
-# the edges in adjacency order, order rule 2), chain walks over
-# ``g.neighbors``, and pure cycles from ``nx.connected_components``.
+# of the graph and of its order rule: spur pruning and junction contraction
+# on an ``nx.Graph``, leaves and junctions taken in sorted order, chain walks
+# over ``g.neighbors`` from each anchor in sorted order toward its sorted
+# neighbours, and pure cycles from ``nx.connected_components``, each from its
+# smallest node toward the smaller of that node's neighbours.
 
 def reference_chain(g, prev, node):
     path = [prev, node]
@@ -107,7 +109,7 @@ def reference_leaf_chain(g, leaf):
 
 def reference_prune_spurs(g, tau_prune):
     removed = False
-    for leaf in [n for n in g.nodes if g.degree(n) == 1]:
+    for leaf in sorted(n for n in g.nodes if g.degree(n) == 1):
         if leaf not in g or g.degree(leaf) != 1:
             continue
         path = reference_leaf_chain(g, leaf)
@@ -121,7 +123,7 @@ def reference_prune_spurs(g, tau_prune):
 
 
 def reference_contract_junctions(g, radius):
-    junctions = [n for n in g.nodes if g.degree(n) > 2]
+    junctions = sorted(n for n in g.nodes if g.degree(n) > 2)
     best = None
     for i, u in enumerate(junctions):
         for v in junctions[i + 1:]:
@@ -155,7 +157,7 @@ def reference_filter_endpoints(g, gmap, params):
     vox = gmap.voxel_size
     road = gmap.labels[:, :, 0] == gmap.table.road_id
     valid = []
-    for leaf in [n for n in g.nodes if g.degree(n) == 1]:
+    for leaf in sorted(n for n in g.nodes if g.degree(n) == 1):
         path = reference_leaf_chain(g, leaf)
         anchor = next((n for n in path[1:] if math.dist(leaf, n) >= 3.0), path[-1])
         d = np.array(leaf, dtype=float) - np.array(anchor, dtype=float)
@@ -172,11 +174,10 @@ def reference_filter_endpoints(g, gmap, params):
 
 
 def reference_graph_segments(g):
-    starts = [(a, n) for a in g.nodes if g.degree(a) != 2 for n in g.neighbors(a)]
-    for comp in nx.connected_components(g):
-        if all(g.degree(n) == 2 for n in comp):
-            start = next(n for n in g.nodes if n in comp)  # its first node
-            starts.append((start, next(iter(g.neighbors(start)))))
+    starts = [(a, n) for a in sorted(g.nodes) if g.degree(a) != 2 for n in sorted(g.neighbors(a))]
+    cycles = sorted(min(comp) for comp in nx.connected_components(g)
+                    if all(g.degree(n) == 2 for n in comp))
+    starts += [(start, min(g.neighbors(start))) for start in cycles]
     segs = []
     seen = set()
     for prev, node in starts:
@@ -193,22 +194,12 @@ def _json_points(path):
     return [[int(v) if float(v).is_integer() else v for v in p] for p in path]
 
 
-def reference_read_back(g):
-    """The networkx graph as graph.json held it before segments, read back:
-    nodes sorted, then every edge added in ``g.edges()`` order."""
-    r = nx.Graph()
-    r.add_nodes_from(sorted(g.nodes))
-    r.add_edges_from(g.edges(data=True))
-    return r
-
-
 def reference_save_graph(g, valid_endpoints, path):
-    """graph.json of the networkx graph: the anchors and the walk of its
-    read-back graph (order rule 5)."""
-    r = reference_read_back(g)
-    anchors = [n for n in r.nodes if r.degree(n) != 2]
+    """graph.json of the networkx graph: its anchors sorted and the segments
+    of reference_graph_segments."""
+    anchors = sorted(n for n in g.nodes if g.degree(n) != 2)
     index = {n: i for i, n in enumerate(anchors)}
-    segs = reference_graph_segments(r)
+    segs = reference_graph_segments(g)
     obj = {
         "anchors": [{"id": i, "x": n[0], "y": n[1]} for i, n in enumerate(anchors)],
         "segments": [{"u": index[p[0]], "v": index[p[-1]], "interior": _json_points(p[1:-1])}
@@ -229,10 +220,10 @@ def skeleton_of(*paths, pad=3):
 
 
 def assert_same_graph(g, ref):
-    """The anchors of the networkx graph ref (its nodes not of degree 2) in
-    its node order, with its degrees, and its segments in
-    reference_graph_segments' order, point for point."""
-    assert list(g.nodes) == [n for n in ref.nodes if ref.degree(n) != 2]
+    """The anchors of the networkx graph ref (its nodes not of degree 2),
+    sorted, with its degrees, and its segments in reference_graph_segments'
+    order, point for point."""
+    assert list(g.nodes) == sorted(n for n in ref.nodes if ref.degree(n) != 2)
     assert [g.degree(n) for n in g.nodes] == [ref.degree(n) for n in g.nodes]
     segs, want = graph_segments(g), reference_graph_segments(ref)
     assert len(segs) == len(want)
@@ -427,14 +418,12 @@ class TestBuildGraph:
         (seg,) = graph_segments(g)
         assert sorted(map(tuple, seg[:-1].tolist())) == [(1, 1), (1, 2), (2, 1), (2, 2)]
         assert (seg[0] == seg[-1]).all() and (_steps(seg) == 1.0).all()
-        assert_same_graph(g, reference_build_graph(skel).copy())
+        assert_same_graph(g, reference_build_graph(skel))
 
-    # build_graph keeps order rule 2, the order in which networkx's copy
-    # re-adds the reference's edges (adjacency order)
     @settings(max_examples=300, deadline=None)
     @given(pixel_masks())
     def test_matches_reference_build(self, skel):
-        assert_same_graph(build_graph(skel), reference_build_graph(skel).copy())
+        assert_same_graph(build_graph(skel), reference_build_graph(skel))
 
     def test_peak_memory_stays_below_two_bytes_a_pixel(self):
         # a map-sized intp row image would cost 8 bytes a pixel; the padded
@@ -598,8 +587,8 @@ class TestSegmentsAndIO:
         assert_round_trip(g, [n for n in g.nodes if g.degree(n) == 1][1:])
 
     # graph.json holds pixel coordinates and the anchors' ids only, so its
-    # bytes pin the anchors in node order, the segments in walk order and
-    # the valid endpoints exactly
+    # bytes pin the anchors, the segments and the valid endpoints, in the
+    # graph's order, exactly
     @pytest.mark.parametrize("spec, pin", [
         (dict(recipe="plus", extent=120.0, road_width=9.6), "graph-json/plus"),
         (dict(recipe="grid", extent=120.0, blocks=(3, 3), road_width=9.6),
@@ -647,8 +636,7 @@ def road_masks(draw):
 @st.composite
 def noise_masks(draw):
     """Dense random masks. Their skeletons hold junctions that merge more
-    than once, into nodes of five or more neighbours, whose neighbour sets
-    iterate in another order when built presized from a dict."""
+    than once, into nodes of five or more neighbours."""
     n = draw(st.integers(16, 48))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     return rng.random((n, n)) < draw(st.floats(0.3, 0.7))
@@ -658,19 +646,52 @@ def _graph_items(g):
     return list(g.nodes), [g.degree(n) for n in g.nodes], [s.tolist() for s in graph_segments(g)]
 
 
-class TestOrderRule2:
-    """clean_graph edits a copy of build_graph's chains, which keeps their
-    node and neighbour order: with nothing to prune or contract it gives
-    back the built graph, and the built graph is left as it is."""
+def assert_in_order(g):
+    """The order rule of topology.py, read off the graph: anchors strictly
+    ascending; the segments are the walk from each anchor in turn along its
+    chains by ascending second point, each chain once, from the anchor it
+    is first met at; then the pure cycles by ascending smallest point, each
+    from that point toward the smaller of its two neighbours."""
+    anchors = list(g.nodes)
+    assert all(a < b for a, b in zip(anchors, anchors[1:]))
+    kinds = [s.u is None for s in g.segments]
+    assert kinds == sorted(kinds)
+    chains = [s for s in g.segments if s.u is not None]
+    at = {}
+    for k, s in enumerate(chains):
+        first, last = s.points[1].tolist(), s.points[-2].tolist()
+        assert s.u < s.v or (s.u == s.v and first < last)
+        at.setdefault(s.u, []).append((first, k))
+        at.setdefault(s.v, []).append((last, k))
+    walk = []
+    for a in sorted(at):
+        for _, k in sorted(at[a]):
+            if k not in walk:
+                walk.append(k)
+    assert walk == list(range(len(chains)))
+    starts = []
+    for s in g.segments[len(chains):]:
+        ring = s.points[:-1].tolist()
+        assert ring[0] == min(ring) and ring[1] < ring[-1]
+        starts.append(ring[0])
+    assert starts == sorted(starts)
+
+
+class TestOrderRule:
+    """Every graph that build_graph and clean_graph make follows the order
+    rule. clean_graph edits a copy of the built chains: with nothing to
+    prune or contract it gives back the built graph, and the built graph is
+    left as it is."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(pixel_masks(), road_masks().map(skeletonize)),
            st.floats(1.0, 12.0), st.floats(1.0, 10.0))
-    def test_clean_graph_copies_the_built_order_and_leaves_it(self, skel, tau_prune, w_lane):
+    def test_built_and_cleaned_graphs_follow_it(self, skel, tau_prune, w_lane):
         g = build_graph(skel)
+        assert_in_order(g)
         before = _graph_items(g)
         assert _graph_items(clean_graph(g, 1e-9, 1e-9)) == before
-        clean_graph(g, tau_prune, w_lane)
+        assert_in_order(clean_graph(g, tau_prune, w_lane))
         assert _graph_items(g) == before
 
 
@@ -686,7 +707,7 @@ class TestMatchesNetworkxReference:
            st.floats(1.0, 10.0))
     def test_graph_segments_endpoints_and_bytes(self, mask, tau_prune, w_lane):
         skel = skeletonize(mask)
-        g, ref = build_graph(skel), reference_build_graph(skel).copy()
+        g, ref = build_graph(skel), reference_build_graph(skel)
         assert_same_graph(g, ref)
 
         cleaned = clean_graph(g, tau_prune, w_lane)
@@ -700,10 +721,9 @@ class TestMatchesNetworkxReference:
         valid = filter_endpoints(cleaned, gmap, params,
                                  gmap.labels[:, :, 0] == table.road_id)
         assert valid == reference_filter_endpoints(ref_cleaned, gmap, params)
-        # graph.json reads back in the order of the per-pixel file read back
         assert (_saved_bytes(save_graph, cleaned, valid)
                 == _saved_bytes(reference_save_graph, ref_cleaned, valid))
-        assert_same_graph(_reloaded(cleaned, valid)[0], reference_read_back(ref_cleaned))
+        assert_same_graph(_reloaded(cleaned, valid)[0], ref_cleaned)
         assert_round_trip(cleaned, valid)
 
 
@@ -718,7 +738,7 @@ class TestGraphSegments:
     @given(road_masks(), st.floats(1.0, 12.0), st.floats(1.0, 10.0))
     def test_segments_partition_skeleton_edges(self, mask, tau_prune, w_lane):
         skel = skeletonize(mask)
-        g, ref = build_graph(skel), reference_build_graph(skel).copy()
+        g, ref = build_graph(skel), reference_build_graph(skel)
         _check_segments(graph_segments(g), ref)
         _check_segments(graph_segments(clean_graph(g, tau_prune, w_lane)),
                         reference_clean_graph(ref, tau_prune, w_lane))
@@ -737,11 +757,11 @@ class TestGraphSegments:
         g = build_graph(skel)
         segs = graph_segments(g)
         _check_segments(segs, reference_build_graph(skel))
-        # anchors first; the cycle starts at its first node, toward that
-        # node's first neighbour
+        # anchors first; the cycle starts at its smallest point, toward the
+        # smaller of that point's neighbours
         assert [len(s) for s in segs] == [3, 5]
         assert [(s.u is None) for s in g.segments] == [False, True]
-        assert_same_graph(g, reference_build_graph(skel).copy())
+        assert_same_graph(g, reference_build_graph(skel))
 
     def test_single_edge_between_junctions(self):
         skel = skeleton_of([(0, 0), (1, 0)], [(0, 0), (-1, 1)], [(0, 0), (-1, -1)],
@@ -765,6 +785,43 @@ class TestGraphSegments:
     ], ids=["parallel-chains", "junction-loop", "cycle-beside-anchors", "lone-edge"])
     def test_small_graphs_match_reference(self, paths):
         skel = skeleton_of(*paths)
-        g, ref = build_graph(skel), reference_build_graph(skel).copy()
+        g, ref = build_graph(skel), reference_build_graph(skel)
         assert_same_graph(g, ref)
         _check_segments(graph_segments(g), ref)
+
+
+def assert_reads_back_alike(gmap, g, valid):
+    """The graph read back from graph.json, which the CLI's stages walk,
+    gives the segments, valid endpoints and lanes of the graph in memory, in
+    the same order and direction."""
+    g2, valid2 = _reloaded(g, valid)
+    segs, segs2 = graph_segments(g), graph_segments(g2)
+    assert len(segs2) == len(segs)
+    for s, s2 in zip(segs, segs2):
+        assert np.array_equal(s, s2)
+    assert valid2 == valid
+    lanes, lanes2 = extract_lanes(gmap, g), extract_lanes(gmap, g2)
+    assert [l.source_segment for l in lanes2] == [l.source_segment for l in lanes]
+    for lane, lane2 in zip(lanes, lanes2):
+        assert np.array_equal(lane.points, lane2.points)
+
+
+class TestLibraryAndCliAgree:
+    @pytest.mark.parametrize("spec", [
+        dict(recipe="plus", extent=160.0),
+        dict(recipe="grid", extent=160.0, blocks=(3, 3)),
+        dict(recipe="grid", extent=400.0, blocks=(3, 3)),
+        dict(recipe="grid", extent=600.0, blocks=(5, 5)),
+    ], ids=["plus-160m", "grid3x3-160m", "grid3x3-400m", "city5x5-600m"])
+    def test_worlds(self, spec):
+        world = generate_world(WorldSpec(**spec))
+        assert_reads_back_alike(world, *extract_topology(world))
+
+    @settings(max_examples=50, deadline=None)
+    @given(road_masks(), st.floats(1.0, 12.0), st.floats(1.0, 10.0))
+    def test_road_masks(self, mask, tau_prune, w_lane):
+        table = default_table()
+        gmap = make_map(np.where(mask, table.road_id, 4), table)
+        params = TopologyParams(w_lane=w_lane * gmap.voxel_size,
+                                tau_prune=tau_prune * gmap.voxel_size)
+        assert_reads_back_alike(gmap, *extract_topology(gmap, params))
