@@ -58,6 +58,13 @@ def _from_config(make, cfg, **fixed):
         raise ConfigError(f"{make.__name__}: {e}") from e
 
 
+def _known_keys(cfg: dict, known, where: str) -> None:
+    """A ConfigError naming the first key of ``cfg`` that is not in ``known``."""
+    for key in cfg:
+        if key not in known:
+            raise ConfigError(f"unknown key {key!r} in {where}")
+
+
 def _section(cfg: dict, key: str) -> dict:
     """The ``key`` section of a config, {} when absent; a section that is
     not a JSON object is a ConfigError."""
@@ -113,9 +120,10 @@ def _fresh_frames_dir(frames_dir: Path) -> Path:
 # --- stage implementations --------------------------------------------------
 
 def run_synth(cfg: dict, seed: int, out_dir: Path) -> dict:
-    spec = _from_config(synthworld.WorldSpec,
-                        {**_section(cfg, "world"), "seed": seed % (2 ** 31)})
+    _known_keys(cfg, ("world", "crop_dims", "noise", "trajectory"), "the synth spec")
+    spec = _from_config(synthworld.WorldSpec, _section(cfg, "world"), seed=seed % (2 ** 31))
     traj_cfg = _section(cfg, "trajectory")
+    _known_keys(traj_cfg, ("step", "path"), "trajectory")
     crop_dims = _config_value(cfg, "crop_dims", occupancy.DEFAULT_CROP_DIMS, occupancy.DIMS)
     noise = _config_value(cfg, "noise", 0.0, occupancy.Rule(
         lambda v: occupancy.NONNEGATIVE.ok(v) and v <= 1, "a number in [0, 1]"))
@@ -235,15 +243,20 @@ def run_simulate(map_path, lanes_path, graph_path, traj_path, params_cfg,
 
 
 def run_metrics(args) -> dict:
+    """Vendi of the FEATSET1 file ``--a``; MMD, KID or FID between the
+    FEATSET1 files ``--a`` and ``--b``; or the diversity of the OCCG maps
+    ``--a`` and ``--b``, one minus their mIoU over ``--a``'s categories."""
     sigma = _config_value(vars(args), "sigma", None, occupancy.POSITIVE)
-    a = metrics_mod.read_features(args.a)
+    if args.metric != "vendi" and not args.b:
+        raise ConfigError(f"{args.metric} needs --b")
     report = {"metric": args.metric}
-    if args.metric == "vendi":
-        report["value"] = metrics_mod.vendi(a)
-    elif args.metric in ("mmd", "kid", "fid"):
-        if not args.b:
-            raise ConfigError(f"{args.metric} needs --b")
-        b = metrics_mod.read_features(args.b)
+    if args.metric == "diversity":
+        ga, gb = occupancy.read_grid(args.a), occupancy.read_grid(args.b)
+        report["value"] = metrics_mod.pairwise_diversity([[ga], [gb]], ga.table.ids)[1]
+    elif args.metric == "vendi":
+        report["value"] = metrics_mod.vendi(metrics_mod.read_features(args.a))
+    else:
+        a, b = metrics_mod.read_features(args.a), metrics_mod.read_features(args.b)
         if args.metric == "mmd":
             report["value"] = metrics_mod.mmd(a, b, kernel=args.kernel, sigma=sigma)
         elif args.metric == "kid":
@@ -252,23 +265,15 @@ def run_metrics(args) -> dict:
             value, flagged = metrics_mod.fid(a, b)
             report["value"] = value
             report["singular_covariance"] = flagged
-    elif args.metric == "diversity":
-        if not args.b:
-            raise ConfigError("diversity needs --b")
-        ga = occupancy.read_grid(args.a)
-        gb = occupancy.read_grid(args.b)
-        _, m = metrics_mod.miou(ga, gb, ga.table.ids)
-        report["value"] = 1.0 - m
-    else:
-        raise ConfigError(f"unknown metric {args.metric}")
     return report
 
 
 # --- pipeline ---------------------------------------------------------------
 
 def run_pipeline(config: dict, root_seed: int, out_dir: Path) -> dict:
-    synth_cfg, fuse_cfg, topo_cfg, lanes_cfg, sim_cfg = (
-        _section(config, stage) for stage in ("synth", "fuse", "topo", "lanes", "simulate"))
+    names = ("synth", "fuse", "topo", "lanes", "simulate")
+    _known_keys(config, names, "the pipeline config")
+    synth_cfg, fuse_cfg, topo_cfg, lanes_cfg, sim_cfg = (_section(config, n) for n in names)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = out_dir / "pipeline_manifest.json"
     manifest_path.unlink(missing_ok=True)  # a manifest is only ever a finished run's

@@ -23,8 +23,8 @@ a sequence must share frame 0's dims, voxel size and semantic table; phase
 2 builds its map under that table, and phase 3 checks that the frames fit
 its map: the same z levels, voxel size and table. Phase 2's ground clean-up
 finds every column's lowest ground level in one pass over the map (a
-comparison per ground label value and one ``argmax`` along z) and shifts
-only the columns whose ground lies above z = 0. Its z = 0 mode fill counts
+comparison per ground id and one ``argmax`` along z) and shifts only the
+columns whose ground lies above z = 0. Its z = 0 mode fill counts
 each category's neighbours as a uint8 box sum of shifted adds.
 """
 
@@ -37,8 +37,7 @@ import numpy as np
 from scipy import ndimage
 
 from .geometry import Pose2
-from .occupancy import (NONNEGATIVE, POSITIVE, GlobalMap, Settings, at_least,
-                        check_label_ids, setting)
+from .occupancy import NONNEGATIVE, POSITIVE, GlobalMap, Settings, at_least, setting
 
 
 @dataclass
@@ -176,10 +175,8 @@ def _frame_geometry(frames):
     sequence. Both passes index each frame with these and read its label
     values under frame 0's semantic table, so a frame that differs from
     frame 0 in any of the three raises a ValueError naming its index and
-    what differs. Frame 0's table must hold only ids a uint8 label can
-    carry (``check_label_ids``)."""
+    what differs."""
     dims, vox, table = frames[0].dims, frames[0].voxel_size, frames[0].table
-    check_label_ids(*table.ids, table.unassigned_id)
     for i, f in enumerate(frames):
         if f.dims != dims:
             raise ValueError(f"frame {i} has dims {f.dims}, frame 0 has {dims}")
@@ -232,20 +229,18 @@ def _sink_columns(gmap: GlobalMap, table) -> None:
     """Shift each (x, y) column down so its lowest ground-role voxel is at z=0,
     in place; a column without ground stays as it is.
 
-    A 256-entry lookup gives the ground label values, so an id that no uint8
-    label can hold never matches. A comparison per ground value marks the
-    ground voxels in one bool volume (indexing the lookup with the labels
-    would cast them to 8-byte indices), and one ``argmax`` along z finds
-    each column's lowest ground level dz. Only the columns with dz > 0 move,
-    one group per distinct dz: a group's rows shift down by dz in one gather
-    and write, and their dz top levels become unassigned. Index arrays hold
+    A comparison per ground id marks the ground voxels in one bool volume
+    (a lookup indexed with the labels would cast them to 8-byte indices),
+    and one ``argmax`` along z finds each column's lowest ground level dz.
+    Only the columns with dz > 0 move, one group per distinct dz: a group's
+    rows shift down by dz in one gather and write, and their dz top levels
+    become unassigned. Index arrays hold
     one entry per moved column, not per voxel, so the pass stays within a
     few map sizes of memory even when every column moves."""
     labels = gmap.labels
     Y, Z = labels.shape[1:]
-    is_ground = np.isin(np.arange(256), table.ground_ids)  # per uint8 label value
     ground = np.zeros(labels.shape, dtype=bool)
-    for value in np.flatnonzero(is_ground).astype(np.uint8):
+    for value in table.ground_ids:
         ground |= labels == value
     dz = ground.argmax(axis=2).ravel()  # flat (x, y); 0 for a column without ground
     del ground  # before the gathers below
@@ -292,9 +287,10 @@ def _tally_votes(gmap: GlobalMap, unassigned, frames, poses, non_keys, cids):
     picks each frame's columns from; their positions in the list are the
     rows of ``column_holes``. A one-byte mask, assigned in the frame and a
     hole in the map, picks the voxels that can vote, and only those go
-    through the label -> category and hole -> slot lookups. The slot table
-    keeps int32 hole indices; flat tally offsets are formed in int64 on the
-    voters only.
+    through the label -> category and hole -> slot lookups. The category
+    lookup has an entry per uint8 label value, set at the table's ids; the
+    slot table keeps int32 hole indices; flat tally offsets are formed in
+    int64 on the voters only.
     """
     dims, vox, table = _frame_geometry(frames)
     Z = unassigned.shape[2]
@@ -311,10 +307,8 @@ def _tally_votes(gmap: GlobalMap, unassigned, frames, poses, non_keys, cids):
     slot = np.full(column_holes.size, -1, dtype=np.int32)  # flat (column, z) -> hole
     slot[column_holes.reshape(-1)] = np.arange(n_holes, dtype=np.int32)
     C = len(cids)
-    levels = np.arange(256)  # every value a uint8 label can take
-    category = np.full(256, -1, dtype=np.int16)  # label value -> tally row
-    for c, cid in enumerate(cids):
-        category[levels == cid] = c
+    category = np.full(256, -1, dtype=np.int16)  # uint8 label value -> tally row
+    category[cids] = np.arange(C)
     votes = np.zeros(C * n_holes, dtype=np.min_scalar_type(len(non_keys)))
 
     unassigned_id = gmap.table.unassigned_id

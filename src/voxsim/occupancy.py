@@ -35,12 +35,19 @@ GROUND_ROLES = ("road", "sidewalk", "ground")
 
 @dataclass(frozen=True)
 class SemanticTable:
-    """Ordered category table: (id, name, role) triples plus the unassigned sentinel."""
+    """Ordered category table: (id, name, role) triples plus the unassigned sentinel.
+
+    Labels are uint8, so construction refuses a category id or
+    ``unassigned_id`` that is not an int in 0-255 (bools excluded): no
+    table exists whose ids a label cannot hold."""
 
     entries: tuple  # of (id, name, role)
     unassigned_id: int = 0
 
     def __post_init__(self):
+        for i in (*self.ids, self.unassigned_id):
+            if type(i) is not int or not 0 <= i <= 255:
+                raise ValueError(f"table id {i!r} is not an int in 0-255")
         if len(set(self.ids)) != len(self.ids):
             raise ValueError("duplicate category ids")
         if self.unassigned_id in self.ids:
@@ -70,22 +77,8 @@ class SemanticTable:
 
     @classmethod
     def from_json(cls, obj) -> "SemanticTable":
-        """The table of a stored header. Its labels are uint8, so a category
-        id or ``unassigned_id`` that is not an int in 0-255 (bools excluded)
-        raises a ValueError."""
         entries = tuple((e["id"], e["name"], e["role"]) for e in obj["entries"])
-        check_label_ids(*(e[0] for e in entries), obj["unassigned_id"])
         return cls(entries=entries, unassigned_id=obj["unassigned_id"])
-
-
-def check_label_ids(*ids) -> None:
-    """Raise a ValueError naming the first of ``ids`` that is not an int in
-    0-255 (bools excluded): labels are uint8, so no label can hold it. A
-    table built in memory may carry such an id; what reads labels under a
-    table checks its ids here."""
-    for i in ids:
-        if type(i) is not int or not 0 <= i <= 255:
-            raise ValueError(f"table id {i!r} is not an int in 0-255")
 
 
 def default_table() -> SemanticTable:
@@ -245,11 +238,9 @@ def crop(gmap: GlobalMap, pose: Pose2, out_dims=DEFAULT_CROP_DIMS) -> OccupancyG
     that ``Pose2.transform_xy`` returns, the rows' map columns are taken
     straight into the output (only their first ``min(Z, GZ)`` levels when
     the heights differ), and off-map rows, when there are any, are filled
-    whole. The map's table must hold only ids a uint8 label can carry
-    (``check_label_ids``), at every pose.
+    whole.
     """
     X, Y, Z = DIMS.check("out_dims", out_dims)
-    check_label_ids(*gmap.table.ids, gmap.table.unassigned_id)
     vox = gmap.voxel_size
     GX, GY, GZ = gmap.dims
     uid = gmap.table.unassigned_id

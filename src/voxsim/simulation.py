@@ -16,8 +16,8 @@ import numpy as np
 from .agents import (ROUTE_BLOCK, Agent, ProceduralLayoutSource, _route_heading,
                      spawn_agents)
 from .geometry import Pose2, arc_length, resample_polyline
-from .occupancy import (DIMS, FINITE, NONNEGATIVE, POSITIVE, GlobalMap, OccupancyGrid,
-                        Settings, at_least, crop, setting)
+from .occupancy import (DEFAULT_CROP_DIMS, DIMS, FINITE, NONNEGATIVE, POSITIVE, GlobalMap,
+                        OccupancyGrid, Settings, at_least, crop, setting)
 from .routing import RouteNetwork, build_route_network
 
 log = logging.getLogger(__name__)
@@ -47,7 +47,7 @@ class SimParams(Settings):
     d_pre: float = setting(30.0, POSITIVE)
     d_lc: float = setting(15.0, POSITIVE)          # lane-change trigger distance
     d_lat: float = setting(2.0, POSITIVE)          # lateral route-blocking tolerance
-    fov_dims: tuple = setting((200, 200, 16), DIMS)
+    fov_dims: tuple = setting(DEFAULT_CROP_DIMS, DIMS)
     idm: IdmParams = field(default_factory=IdmParams)
     speed_mu: float = setting(8.0, FINITE)
     speed_sigma: float = setting(2.0, NONNEGATIVE)

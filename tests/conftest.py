@@ -1,13 +1,15 @@
 import hashlib
 import heapq
+import json
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from voxsim.geometry import Pose2
-from voxsim.occupancy import GlobalMap, SemanticTable, default_table
+from voxsim.occupancy import MAGIC, VERSION, GlobalMap, SemanticTable, default_table
 
 ACCEPTANCE_LINES = []
 
@@ -63,6 +65,24 @@ def swapped_table():
     written under it holds sidewalk where the default table reads road."""
     return SemanticTable(entries=((2, "road", "road"), (1, "sidewalk", "sidewalk"))
                          + default_table().entries[2:])
+
+
+def write_grid_with_table_ids(path, labels, free_id, unassigned_id=0, is_global=False):
+    """Write ``labels`` as an OCCG file whose header table is the default
+    one with the free category's id ``free_id`` and the ``unassigned_id``
+    given, both written as they are: the bytes of a file whose table no
+    ``SemanticTable`` can be built with, since its ids need not be ints in
+    0-255."""
+    entries = [{"id": i, "name": n, "role": r} for i, n, r in default_table().entries[:5]]
+    entries.append({"id": free_id, "name": "free", "role": "free"})
+    header = json.dumps({
+        "dims": list(labels.shape), "voxel_size": 0.4,
+        "origin": {"x": 0.0, "y": 0.0, "yaw": 0.0},
+        "table": {"entries": entries, "unassigned_id": unassigned_id},
+        "global": is_global,
+    }).encode()
+    Path(path).write_bytes(MAGIC + struct.pack("<IQ", VERSION, len(header)) + header
+                           + np.ascontiguousarray(labels, dtype=np.uint8).tobytes())
 
 
 def make_map(plane, table, voxel_size=0.4, z_dim=8, free_above=True):

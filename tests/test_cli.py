@@ -28,15 +28,14 @@ from voxsim.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_STAGE, ConfigError,
 from voxsim.fusion import FusionParams
 from voxsim.geometry import Pose2, load_trajectory
 from voxsim.lanes import LaneParams, load_lanes
-from voxsim.metrics import fid, kid, mmd, read_features, write_features
+from voxsim.metrics import fid, kid, miou, mmd, read_features, write_features
 from voxsim.occupancy import (MAGIC, GlobalMap, GridFile, GridFormatError, InputFormatError,
-                              OccupancyGrid, SemanticTable, default_table, read_grid,
-                              write_grid)
+                              OccupancyGrid, default_table, read_grid, write_grid)
 from voxsim.simulation import IdmParams, SimParams
 from voxsim.synthworld import WorldSpec, curve_trajectory
 from voxsim.topology import TopologyParams, load_graph
 
-from conftest import assert_pins, swapped_table
+from conftest import assert_pins, swapped_table, write_grid_with_table_ids
 
 
 PIPELINE_CONFIG = {
@@ -471,6 +470,23 @@ class TestExitCodes:
             argv += [opt, str(tmp_path / files[opt])]
         assert main(argv) == EXIT_CONFIG
 
+    # each of these used to run, the unknown key ignored or the world seed
+    # replaced by --seed (simulate refuses a seed in its params)
+    @pytest.mark.parametrize("command, flag, cfg, key", [
+        ("synth", "--spec", {"crop_dim": [40, 40, 4]}, "crop_dim"),
+        ("synth", "--spec", {"trajectory": {"stpe": 5.0}}, "stpe"),
+        ("pipeline", "--config", {"simulation": {"horizon": 3}}, "simulation"),
+        ("synth", "--spec", {"world": {"seed": 5}}, "seed"),
+    ], ids=["synth", "trajectory", "pipeline", "world-seed"])
+    def test_key_no_stage_takes_is_config_error(self, tmp_path, capsys, command, flag,
+                                                cfg, key):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        out_flag = "--out-dir" if command == "pipeline" else "--out"
+        assert main([command, flag, str(bad), out_flag, str(tmp_path / "out")]) == EXIT_CONFIG
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_empty_frames_dir_is_config_error(self, tmp_path):
         (tmp_path / "frames").mkdir()
         code = main(["fuse", "--frames", str(tmp_path / "frames"),
@@ -545,18 +561,16 @@ class TestExitCodes:
                                                            command, free_id):
         # topo used to run on such a map (exit 0), and fuse failed in the
         # stage (exit 3) on the uint8 conversion or on sorting a str among ints
-        table = SemanticTable(entries=default_table().entries[:5]
-                              + ((free_id, "free", "free"),))
-        labels = np.full((20, 20, 4), table.road_id, dtype=np.uint8)
+        labels = np.full((20, 20, 4), default_table().road_id, dtype=np.uint8)
         if command == "topo":
-            write_grid(GlobalMap(labels, 0.4, Pose2(), table), tmp_path / "map.occg")
+            write_grid_with_table_ids(tmp_path / "map.occg", labels, free_id, is_global=True)
             argv = ["topo", "--map", str(tmp_path / "map.occg"),
                     "--out", str(tmp_path / "graph.json")]
         else:
             (tmp_path / "frames").mkdir()
             for i in range(4):
-                write_grid(OccupancyGrid(labels, table=table),
-                           tmp_path / "frames" / f"frame_{i:06d}.occg")
+                write_grid_with_table_ids(tmp_path / "frames" / f"frame_{i:06d}.occg",
+                                          labels, free_id)
             _write_poses(tmp_path / "traj.json", [(4.0 + 12.0 * i, 4.0, 0.0) for i in range(4)])
             argv = ["fuse", "--frames", str(tmp_path / "frames"),
                     "--poses", str(tmp_path / "traj.json"),
@@ -695,6 +709,44 @@ class TestMetricsCommand:
         assert report == {"metric": args[0], **library(read_features(a), read_features(b))}
         if args[0] == "fid":
             assert report["singular_covariance"] == (n_a == 3)
+
+    @staticmethod
+    def _diversity(tmp_path, capsys, a, b):
+        """Exit code and printed report of ``metrics diversity`` on the
+        label volumes ``a`` and ``b`` written as maps."""
+        paths = [tmp_path / "a.occg", tmp_path / "b.occg"]
+        for labels, path in zip((a, b), paths):
+            write_grid(GlobalMap(labels, 0.4, Pose2(), default_table()), path)
+        code = main(["metrics", "diversity", "--a", str(paths[0]), "--b", str(paths[1])])
+        out = capsys.readouterr().out
+        return code, json.loads(out) if code == EXIT_OK else None
+
+    def test_diversity_of_a_map_with_itself_is_zero(self, tmp_path, capsys):
+        # the command used to read --a as a FEATSET1 file and exit 4
+        labels = np.full((20, 20, 4), default_table().road_id, dtype=np.uint8)
+        labels[:5, :, 0] = default_table().sidewalk_id
+        code, report = self._diversity(tmp_path, capsys, labels, labels)
+        assert code == EXIT_OK
+        assert report == {"metric": "diversity", "value": 0.0}
+
+    def test_diversity_is_one_minus_the_miou(self, tmp_path, capsys):
+        t = default_table()
+        a = np.full((20, 20, 4), t.road_id, dtype=np.uint8)
+        b = a.copy()
+        b[:7, :, :2] = t.sidewalk_id
+        b[15:, 3:9, 0] = t.vehicle_id
+        code, report = self._diversity(tmp_path, capsys, a, b)
+        assert code == EXIT_OK
+        assert report == {"metric": "diversity", "value": 1 - miou(a, b, t.ids)[1]}
+        assert 0 < report["value"] < 1
+
+    def test_diversity_of_maps_with_different_dims_is_a_stage_failure(self, tmp_path,
+                                                                       capsys):
+        road = default_table().road_id
+        code, _ = self._diversity(tmp_path, capsys,
+                                  np.full((20, 20, 4), road, dtype=np.uint8),
+                                  np.full((20, 21, 4), road, dtype=np.uint8))
+        assert code == EXIT_STAGE
 
 
 class TestSynth:

@@ -254,23 +254,16 @@ class TestFrameGeometry:
         with pytest.raises(ValueError, match=re.escape(message)):
             vote_inpaint(gmap, frames, poses, [1], 1)
 
-    # a table built in memory may carry an id no uint8 label can hold; fusing
-    # under it used to end in numpy's OverflowError (the ground fill's write
-    # of id 300, the map's fill with unassigned id -1)
+    # fusing under a table with an id no uint8 label can hold used to end in
+    # numpy's OverflowError (the ground fill's write of id 300, the map's
+    # fill with unassigned id -1); no frame can carry such a table now
     @pytest.mark.parametrize("free_id, unassigned_id, bad", [(300, 0, 300), (6, -1, -1)],
                              ids=["category", "unassigned"])
     def test_frame_0_table_ids_must_fit_a_label(self, table, free_id, unassigned_id, bad):
-        t = SemanticTable(entries=table.entries[:5] + ((free_id, "free", "free"),),
-                          unassigned_id=unassigned_id)
-        plane = np.full((20, 20), t.road_id, dtype=np.uint8)
-        plane[10, 10] = 0   # a z = 0 hole under the default unassigned id
-        frames = [make_map(plane, t, z_dim=4, free_above=False) for _ in range(4)]
-        poses = [Pose2(4.0, 4.0, 0.0)] * 4
         message = f"table id {bad} is not an int in 0-255"
         with pytest.raises(ValueError, match=re.escape(message)):
-            fuse_sequence(frames, poses, FusionParams())
-        with pytest.raises(ValueError, match=re.escape(message)):
-            fuse_keyframes(frames, poses, [0])
+            SemanticTable(entries=table.entries[:5] + ((free_id, "free", "free"),),
+                          unassigned_id=unassigned_id)
 
 
 def reference_sink_columns(labels, table):

@@ -27,7 +27,7 @@ from voxsim.simulation import IdmParams, SimParams
 from voxsim.synthworld import WorldSpec
 from voxsim.topology import TopologyParams
 
-from conftest import assert_pinned, assert_pins
+from conftest import assert_pinned, assert_pins, write_grid_with_table_ids
 
 PARAMS_CLASSES = (FusionParams, TopologyParams, LaneParams, IdmParams, SimParams,
                   WorldSpec, AgentAsset)
@@ -78,6 +78,17 @@ class TestSemanticTable:
         with pytest.raises(ValueError):
             SemanticTable(entries=((0, "a", "road"), (1, "b", "sidewalk"),
                                    (2, "c", "vehicle")), unassigned_id=0)
+
+    @pytest.mark.parametrize("free_id, unassigned_id, bad", [
+        (300, 0, 300), (-1, 0, -1), ("7", 0, "7"), (6.0, 0, 6.0), (False, 7, False),
+        (6, 256, 256), (6, -1, -1),
+    ], ids=["id-300", "id-minus-1", "id-string", "id-float", "id-bool",
+            "unassigned-256", "unassigned-minus-1"])
+    def test_ids_no_uint8_label_can_hold_rejected(self, free_id, unassigned_id, bad):
+        with pytest.raises(ValueError) as e:
+            SemanticTable(entries=default_table().entries[:5] + ((free_id, "free", "free"),),
+                          unassigned_id=unassigned_id)
+        assert str(e.value) == f"table id {bad!r} is not an int in 0-255"
 
     def test_missing_mandatory_role_rejected(self):
         with pytest.raises(ValueError):
@@ -195,10 +206,9 @@ class TestGridIO:
             self, tmp_path, free_id, unassigned_id):
         # such a table used to load: topo ran on it, and fuse failed in the
         # stage on the uint8 conversion or on sorting a str among ints
-        table = SemanticTable(entries=default_table().entries[:5]
-                              + ((free_id, "free", "free"),), unassigned_id=unassigned_id)
         path = tmp_path / "t.occg"
-        write_grid(OccupancyGrid(np.zeros((2, 2, 2), dtype=np.uint8), table=table), path)
+        write_grid_with_table_ids(path, np.zeros((2, 2, 2), dtype=np.uint8),
+                                  free_id, unassigned_id)
         with pytest.raises(GridFormatError, match="is not an int in 0-255") as e:
             read_grid(path)
         assert e.value.offset == 24
@@ -532,12 +542,16 @@ class TestCrop:
         (Pose2(4.0, 4.0, 0.3), (8, 8, 6)),   # higher than the map
     ], ids=["on-map", "off-map", "z-higher"])
     def test_table_ids_must_fit_a_label(self, pose, out_dims):
-        # an in-memory table may hold an id no uint8 label can carry; the
-        # crop names it at every pose instead of overflowing in the fill
-        table = dataclasses.replace(default_table(), unassigned_id=300)
-        gmap = GlobalMap(np.ones((20, 20, 4), dtype=np.uint8), 0.4, Pose2(), table)
+        # the crop used to overflow in its fill of an unassigned id of 300;
+        # no table holds such an id now, and the largest one a table can
+        # hold fills the voxels off the map and above it at every pose
         with pytest.raises(ValueError, match="table id 300 is not an int in 0-255"):
-            crop(gmap, pose, out_dims)
+            dataclasses.replace(default_table(), unassigned_id=300)
+        table = dataclasses.replace(default_table(), unassigned_id=255)
+        gmap = GlobalMap(np.ones((20, 20, 4), dtype=np.uint8), 0.4, Pose2(), table)
+        out = crop(gmap, pose, out_dims).labels
+        assert set(np.unique(out)) <= {1, 255}
+        assert (out[:, :, 4:] == 255).all()
 
     def test_cell_of(self):
         gmap = GlobalMap(np.zeros((10, 10, 2), dtype=np.uint8), 0.5,

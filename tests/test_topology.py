@@ -294,15 +294,13 @@ def pixel_masks(draw):
 @st.composite
 def probe_worlds(draw):
     """A label volume over a random table whose values include ids outside
-    the table (and table ids above 255 that no uint8 label can hold), plus
-    a random probe box."""
-    ids = draw(st.lists(st.integers(0, 300), min_size=7, max_size=7, unique=True))
+    the table, plus a random probe box."""
+    ids = draw(st.lists(st.integers(0, 255), min_size=7, max_size=7, unique=True))
     roles = ["road", "sidewalk", "vehicle", "ground", "obstacle",
              draw(st.sampled_from(["free", "other", "ground"]))]
     table = SemanticTable(tuple((i, r, r) for i, r in zip(ids, roles)),
                           unassigned_id=ids[6])
-    values = [i for i in ids if i < 256] + draw(
-        st.lists(st.integers(0, 255), min_size=1, max_size=4))
+    values = ids + draw(st.lists(st.integers(0, 255), min_size=1, max_size=4))
     dims = (draw(st.integers(1, 20)), draw(st.integers(1, 20)), draw(st.integers(1, 5)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     labels = rng.choice(np.array(values, dtype=np.uint8), size=dims)
