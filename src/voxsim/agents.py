@@ -3,9 +3,10 @@
 Spawning asks a layout source for vehicle positions around an anchor pose.
 A layout source has one method, ``sample(anchor, half, rng)``: it receives
 the anchor pose and the half-extent (x, y) in meters of the anchor's
-footprint, and returns an ``AgentLayout`` in the footprint frame, origin at
-its corner. ``FileLayoutSource`` proposes the layout decoded from a heatmap
-file; ``ProceduralLayoutSource`` draws lane samples of the route network.
+footprint, and returns a layout, a list of ``LayoutEntry``, in the footprint
+frame, origin at its corner. ``FileLayoutSource`` proposes the layout decoded
+from a heatmap file; ``ProceduralLayoutSource`` draws lane samples of the
+route network.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Pose2
+from .geometry import Pose2, arc_length, unit
 from .occupancy import (POSITIVE, GridFormatError, OccupancyGrid, Settings,
                         container_floats, read_container, setting, write_hashed)
 from .routing import RouteNetwork
@@ -40,14 +41,6 @@ class LayoutEntry:
     x: float               # meters, local frame
     y: float
     static: bool = False
-
-
-@dataclass
-class AgentLayout:
-    entries: list = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.entries)
 
 
 @dataclass
@@ -84,10 +77,8 @@ class Agent:
 
     def __post_init__(self):
         self.position = np.asarray(self.position, dtype=float)
-        self.heading = np.asarray(self.heading, dtype=float)
-        n = np.linalg.norm(self.heading)
-        if n > 0:
-            self.heading = self.heading / n
+        heading = np.asarray(self.heading, dtype=float)
+        self.heading = unit(heading, heading)
         self.set_route(self.route)
 
     def set_route(self, route) -> None:
@@ -98,11 +89,10 @@ class Agent:
         consecutive segments (the last block may hold fewer), with the
         route's coordinate scale, 1 plus its largest absolute coordinate."""
         self.route = np.asarray(route, dtype=float)
+        self.route_arc = arc_length(self.route)
         a = self.route[:-1]
         ab = self.route[1:] - a
         denom = (ab * ab).sum(axis=1)
-        # geometry.arc_length's segment norms are these square roots
-        self.route_arc = np.concatenate([[0.0], np.cumsum(np.sqrt(denom))])
         denom[denom == 0] = 1.0
         self.route_segments = (a, ab, denom)
         # Block k covers points k * ROUTE_BLOCK through (k + 1) * ROUTE_BLOCK,
@@ -122,7 +112,7 @@ class Agent:
         return math.atan2(self.heading[1], self.heading[0])
 
 
-def encode_heatmap(layout: AgentLayout, meters_per_cell: float) -> np.ndarray:
+def encode_heatmap(layout: list, meters_per_cell: float) -> np.ndarray:
     """Signed sum of unit-peak Gaussian kernels: +1 peaks for static vehicles,
     -1 for dynamic, truncated at the kernel radius."""
     h = np.zeros((HEATMAP_SIZE, HEATMAP_SIZE))
@@ -131,7 +121,7 @@ def encode_heatmap(layout: AgentLayout, meters_per_cell: float) -> np.ndarray:
     ox, oy = np.meshgrid(offs, offs, indexing="ij")
     kernel = np.exp(-(ox ** 2 + oy ** 2) / (2.0 * KERNEL_SIGMA ** 2))
     kernel[ox ** 2 + oy ** 2 > r ** 2] = 0.0
-    for e in layout.entries:
+    for e in layout:
         cx = int(math.floor(e.x / meters_per_cell))
         cy = int(math.floor(e.y / meters_per_cell))
         if not (0 <= cx < HEATMAP_SIZE and 0 <= cy < HEATMAP_SIZE):
@@ -144,7 +134,7 @@ def encode_heatmap(layout: AgentLayout, meters_per_cell: float) -> np.ndarray:
     return h
 
 
-def decode_heatmap(h: np.ndarray, meters_per_cell: float) -> AgentLayout:
+def decode_heatmap(h: np.ndarray, meters_per_cell: float) -> list:
     """Non-maximum suppression over |h|: local maxima above PEAK_THRESHOLD
     within the kernel radius become vehicles; the peak sign sets the state."""
     mag = np.abs(h)
@@ -164,7 +154,7 @@ def decode_heatmap(h: np.ndarray, meters_per_cell: float) -> AgentLayout:
         entries.append(LayoutEntry(
             (cx + 0.5) * meters_per_cell, (cy + 0.5) * meters_per_cell,
             static=h[cx, cy] > 0))
-    return AgentLayout(entries)
+    return entries
 
 
 def write_heatmap(h: np.ndarray, meters_per_cell: float, path) -> str:
@@ -205,7 +195,7 @@ def _transform_cell(t: str, cx: int, cy: int, w: int, h: int):
     return int(tx), int(ty)
 
 
-def augment(layout: AgentLayout, grid: OccupancyGrid, seed: int,
+def augment(layout: list, grid: OccupancyGrid, seed: int,
             transform: str = None, perturb: bool = True):
     """Two-stage augmentation of a (layout, grid) pair.
 
@@ -214,7 +204,7 @@ def augment(layout: AgentLayout, grid: OccupancyGrid, seed: int,
     3. Apply one shared global transform (rotation/flip) to both members.
     """
     rng = np.random.default_rng(seed)
-    entries = list(layout.entries)
+    entries = list(layout)
     if len(entries) > MAX_VEHICLES:
         keep = rng.choice(len(entries), size=MAX_VEHICLES, replace=False)
         entries = [entries[i] for i in sorted(keep)]
@@ -245,7 +235,7 @@ def augment(layout: AgentLayout, grid: OccupancyGrid, seed: int,
         tx, ty = _transform_cell(transform, cx, cy, W, H)
         final_entries.append(LayoutEntry((tx + 0.5) * vox, (ty + 0.5) * vox, e.static))
     new_grid = OccupancyGrid(new_labels, vox, grid.origin, grid.table)
-    return AgentLayout(final_entries), new_grid
+    return final_entries, new_grid
 
 
 class FileLayoutSource:
@@ -255,7 +245,7 @@ class FileLayoutSource:
     def __init__(self, path):
         self.layout = decode_heatmap(*read_heatmap(path))
 
-    def sample(self, anchor: Pose2, half, rng) -> AgentLayout:
+    def sample(self, anchor: Pose2, half, rng) -> list:
         return self.layout
 
 
@@ -268,7 +258,7 @@ class ProceduralLayoutSource:
     def __init__(self, network: RouteNetwork):
         self.network = network
 
-    def sample(self, anchor: Pose2, half, rng) -> AgentLayout:
+    def sample(self, anchor: Pose2, half, rng) -> list:
         inner = half * 0.9
         # The box |local| < inner lies in the ball of its half-diagonal; the
         # slack covers rounding in the frame transform.
@@ -288,17 +278,15 @@ class ProceduralLayoutSource:
                 chosen[len(statics)] = pool[i]
                 statics.append(rng.random() < P_STATIC)
         local = inv.transform_point(chosen[:len(statics)]) + half  # corner origin
-        return AgentLayout([LayoutEntry(float(x), float(y), static)
-                            for (x, y), static in zip(local.tolist(), statics)])
+        return [LayoutEntry(float(x), float(y), static)
+                for (x, y), static in zip(local.tolist(), statics)]
 
 
 def _route_heading(route: np.ndarray) -> np.ndarray:
-    if len(route) >= 2:
-        d = route[1] - route[0]
-        n = np.linalg.norm(d)
-        if n > 0:
-            return d / n
-    return np.array([1.0, 0.0])
+    """Unit direction of the route's first segment; +x when it has none or
+    it has zero length."""
+    east = np.array([1.0, 0.0])
+    return unit(route[1] - route[0], east) if len(route) >= 2 else east
 
 
 def spawn_agents(anchor: Pose2, b_ego: bool, half, network: RouteNetwork,
@@ -322,7 +310,7 @@ def spawn_agents(anchor: Pose2, b_ego: bool, half, network: RouteNetwork,
     layout = layout_source.sample(anchor, half, rng)
 
     world_positions = []
-    for e in layout.entries:
+    for e in layout:
         local = np.array([e.x, e.y]) - half
         world_positions.append((anchor.transform_point(local), e.static, False))
     if b_ego:

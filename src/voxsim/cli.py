@@ -27,7 +27,7 @@ from . import fusion as fusion_mod
 from . import lanes as lanes_mod
 from . import metrics as metrics_mod
 from . import occupancy, synthworld, topology
-from .geometry import Pose2, Trajectory, load_trajectory, save_trajectory
+from .geometry import Pose2
 from .simulation import SimParams, IdmParams, Simulator
 
 log = logging.getLogger("voxsim")
@@ -136,7 +136,7 @@ def run_synth(cfg: dict, seed: int, out_dir: Path) -> dict:
     except ValueError as e:  # a spec no world can be built from
         raise ConfigError(f"world: {e}") from e
     if path is not None:
-        poses = load_trajectory(path).poses
+        poses = occupancy.load_trajectory(path)
     elif spec.recipe == "curve":
         poses = synthworld.curve_trajectory(spec, step=step)
     else:
@@ -147,10 +147,9 @@ def run_synth(cfg: dict, seed: int, out_dir: Path) -> dict:
     digests = occupancy.write_grids((f, _frame_path(frames_dir, i))
                                     for i, f in enumerate(frames))
     world_path, traj_path = out_dir / "world.occg", out_dir / "trajectory.json"
-    traj = Trajectory(tuple((float(i), p) for i, p in enumerate(poses)))
     return {"world": _artifact(world_path, occupancy.write_grid(world, world_path)),
             "frames": _directory_artifact(frames_dir, digests),
-            "trajectory": _artifact(traj_path, save_trajectory(traj, traj_path))}
+            "trajectory": _artifact(traj_path, occupancy.save_trajectory(poses, traj_path))}
 
 
 def _load_frames(frames_dir: Path):
@@ -164,7 +163,7 @@ def _load_frames(frames_dir: Path):
 
 def run_fuse(frames_dir, traj_path, params_cfg: dict, out_path: Path) -> dict:
     frames = _load_frames(frames_dir)
-    poses = load_trajectory(traj_path).poses
+    poses = occupancy.load_trajectory(traj_path)
     params = _from_config(fusion_mod.FusionParams, params_cfg)
     gmap = fusion_mod.fuse_sequence(frames, poses, params)
     return {"map": _artifact(out_path, occupancy.write_grid(gmap, out_path))}
@@ -226,7 +225,7 @@ def run_simulate(map_path, lanes_path, graph_path, traj_path, params_cfg,
     params_cfg = {k: v for k, v in params_cfg.items() if k != "idm"}
     params = _from_config(SimParams, params_cfg, idm=idm, seed=seed % (2 ** 31))
     sim = _build_sim(map_path, lanes_path, graph_path, layout, params,
-                     load_trajectory(traj_path).poses)
+                     occupancy.load_trajectory(traj_path))
     _fresh_frames_dir(out_dir)
     logbook = []
 

@@ -1,6 +1,7 @@
-"""Planar rigid-body math (one shared rotation, ``Pose2.transform_xy``),
-timestamped trajectories and their JSON files, and polyline arc lengths.
-Poses are immutable. Grids are resampled in one place, ``occupancy.crop``;
+"""Planar rigid-body math (one shared rotation, ``Pose2.transform_xy``), the
+one guarded normalisation of a direction (``unit``), and polyline arc
+lengths and resampling; the module imports nothing from the package. Poses
+are immutable. Grids are resampled in one place, ``occupancy.crop``;
 fusion's ``_pull_back`` is its exact inverse.
 """
 
@@ -52,44 +53,11 @@ class Pose2:
         return np.array([self.x, self.y])
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Timestamped pose sequence; timestamps strictly increasing."""
-
-    samples: tuple  # of (time, Pose2)
-
-    def __post_init__(self):
-        if len(self.samples) < 1:
-            raise ValueError("trajectory needs at least one sample")
-        times = [t for t, _ in self.samples]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("timestamps must be strictly increasing")
-
-    @property
-    def poses(self):
-        return [p for _, p in self.samples]
-
-    def __len__(self):
-        return len(self.samples)
-
-
-def load_trajectory(path) -> Trajectory:
-    """Read a trajectory from a JSON array of {t, x, y, yaw} records, each
-    value a finite number."""
-    from .occupancy import FINITE, load_json_input  # occupancy imports this module
-
-    def sample(r):
-        t, x, y, yaw = (FINITE.check(k, r[k]) for k in ("t", "x", "y", "yaw"))
-        return t, Pose2(x, y, yaw)
-
-    return load_json_input(path, lambda records: Trajectory(tuple(map(sample, records))))
-
-
-def save_trajectory(traj: Trajectory, path) -> str:
-    """Write ``traj`` as JSON; the file's sha256."""
-    from .occupancy import save_json  # occupancy imports this module
-
-    return save_json([{"t": t, "x": p.x, "y": p.y, "yaw": p.yaw} for t, p in traj.samples], path)
+def unit(v, default):
+    """``v / np.linalg.norm(v)``, or ``default`` itself when that norm is 0
+    (a zero vector, or one whose squared norm underflows)."""
+    n = np.linalg.norm(v)
+    return v / n if n > 0 else default
 
 
 def arc_length(points: np.ndarray) -> np.ndarray:

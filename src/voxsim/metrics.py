@@ -17,11 +17,15 @@ from .occupancy import container_floats, read_container, write_hashed
 
 def miou(a, b, classes):
     """Per-class IoU and their mean; classes absent from both grids are
-    excluded from the mean."""
+    excluded from the mean. Two grids must share dimensions and, when both
+    carry a semantic table, that table: a label value means nothing apart
+    from its table."""
     la = a.labels if hasattr(a, "labels") else np.asarray(a)
     lb = b.labels if hasattr(b, "labels") else np.asarray(b)
     if la.shape != lb.shape:
         raise ValueError("grids must share dimensions")
+    if hasattr(a, "table") and hasattr(b, "table") and a.table != b.table:
+        raise ValueError("grids must share a semantic table")
     per_class = {}
     present = []
     for c in classes:

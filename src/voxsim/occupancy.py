@@ -1,5 +1,7 @@
 """Semantic occupancy volumes, the category table (``ids_for``), world-to-cell
-conversion (``GlobalMap.cell_of``/``cell_center``), setting rules and OCCG I/O.
+conversion (``GlobalMap.cell_of``/``cell_center``), setting rules, OCCG I/O
+and the JSON input and output files (``load_json_input``, ``save_json``),
+trajectory files among them (``load_trajectory``, ``save_trajectory``).
 
 ``GridFile`` is the one OCCG reader: opening one reads and checks the header
 and the payload's length, and its ``labels`` are read from disk on each
@@ -306,6 +308,29 @@ def load_json_input(path, parse):
             return parse(json.load(fh))
     except (KeyError, TypeError, ValueError, RecursionError) as e:
         raise InputFormatError(f"malformed {path}: {e!r}") from e
+
+
+def load_trajectory(path) -> list:
+    """The poses of a trajectory file, a JSON array of at least one
+    {t, x, y, yaw} record, each value a finite number and the times ``t``
+    strictly increasing."""
+
+    def parse(records):
+        rows = [[FINITE.check(k, r[k]) for k in ("t", "x", "y", "yaw")] for r in records]
+        if not rows:
+            raise ValueError("trajectory needs at least one sample")
+        if any(b[0] <= a[0] for a, b in zip(rows, rows[1:])):
+            raise ValueError("timestamps must be strictly increasing")
+        return [Pose2(x, y, yaw) for _, x, y, yaw in rows]
+
+    return load_json_input(path, parse)
+
+
+def save_trajectory(poses, path) -> str:
+    """Write ``poses`` as a trajectory file, pose i at time ``t = i``; the
+    file's sha256."""
+    return save_json([{"t": float(i), "x": p.x, "y": p.y, "yaw": p.yaw}
+                      for i, p in enumerate(poses)], path)
 
 
 def write_hashed(path, *chunks) -> str:

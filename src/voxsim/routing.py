@@ -23,6 +23,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
+from .geometry import unit
+
 
 class RouteNetwork:
     """Bidirectional point graph over lane samples.
@@ -69,10 +71,9 @@ class RouteNetwork:
         neighbour; +x when there is none."""
         for nbr, _ in self.neighbors(node):
             if self.lane_of[nbr] == self.lane_of[node]:
-                d = self.positions[nbr] - self.positions[node]
-                n = np.linalg.norm(d)
-                if n > 0:
-                    return d / n
+                d = unit(self.positions[nbr] - self.positions[node], None)
+                if d is not None:
+                    return d
         return np.array([1.0, 0.0])
 
     def _runs(self, start: int, goal: int):

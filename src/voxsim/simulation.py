@@ -15,7 +15,7 @@ import numpy as np
 
 from .agents import (ROUTE_BLOCK, Agent, ProceduralLayoutSource, _route_heading,
                      spawn_agents)
-from .geometry import Pose2, arc_length, resample_polyline
+from .geometry import Pose2, arc_length, resample_polyline, unit
 from .occupancy import (DEFAULT_CROP_DIMS, DIMS, FINITE, NONNEGATIVE, POSITIVE, GlobalMap,
                         OccupancyGrid, Settings, at_least, crop, setting)
 from .routing import RouteNetwork, build_route_network
@@ -108,8 +108,8 @@ def _positions(agents) -> np.ndarray:
 def select_leader(agent: Agent, others, d_lat: float = 2.0):
     """Nearest other agent within the forward cone (normalized dot > 0.5)
     that also lies within d_lat of the agent's planned route; of equally
-    near ones, the first in ``others``."""
-    others = [o for o in others if o is not agent]
+    near ones, the first in ``others``. No agent within 1e-9 of it, the
+    agent itself included, is its leader."""
     rel = _positions(others) - agent.position
     # Row-wise vecdot gives the same bits as the 1-D norm and dot product of
     # each row; norm(axis=1) and a matrix product do not.
@@ -187,10 +187,7 @@ def advance_along_route(agent: Agent, dist: float) -> None:
     else:
         i = int(np.searchsorted(s, agent.route_s))
         i = min(max(i, 1), len(agent.route) - 1)
-        d = agent.route[i] - agent.route[i - 1]
-        dn = np.linalg.norm(d)
-        if dn > 0:
-            agent.heading = d / dn
+        agent.heading = unit(agent.route[i] - agent.route[i - 1], agent.heading)
     agent.position = new_pos
 
 

@@ -10,7 +10,7 @@ import time
 import networkx as nx
 import numpy as np
 
-from voxsim.agents import (AgentLayout, LayoutEntry, augment, decode_heatmap,
+from voxsim.agents import (LayoutEntry, augment, decode_heatmap,
                            encode_heatmap, _transform_cell)
 from voxsim.fusion import (FusionParams, _pull_back, fuse_keyframes, fuse_sequence,
                            select_keyframes)
@@ -298,32 +298,31 @@ class TestCriterion6:
 class TestCriterion7:
     def test_heatmap_round_trip_and_augmentation(self, table):
         cells = [(15 + 17 * i, 30 + 11 * i, i % 2 == 0) for i in range(10)]
-        layout = AgentLayout([LayoutEntry((cx + 0.5) * 0.4, (cy + 0.5) * 0.4, s)
-                              for cx, cy, s in cells])
+        layout = [LayoutEntry((cx + 0.5) * 0.4, (cy + 0.5) * 0.4, s)
+                  for cx, cy, s in cells]
         h = encode_heatmap(layout, 0.4)
         back = decode_heatmap(h, 0.4)
         got = sorted((round(e.x / 0.4 - 0.5), round(e.y / 0.4 - 0.5), e.static)
-                     for e in back.entries)
+                     for e in back)
         codec_ok = got == sorted(cells)
 
         plane = np.full((200, 200), table.road_id, dtype=np.uint8)
         grid = make_map(plane, table, z_dim=4)
-        big = AgentLayout([LayoutEntry((10 + 12 * i + 0.5) * 0.4,
-                                       (100 + 0.5) * 0.4, False)
-                           for i in range(15)])
+        big = [LayoutEntry((10 + 12 * i + 0.5) * 0.4, (100 + 0.5) * 0.4, False)
+               for i in range(15)]
         capped, _ = augment(big, grid, seed=0, transform="identity",
                             perturb=False)
         cap_ok = len(capped) == 10
 
-        src = AgentLayout([LayoutEntry((50 + 0.5) * 0.4, (80 + 0.5) * 0.4, False),
-                           LayoutEntry((120 + 0.5) * 0.4, (40 + 0.5) * 0.4, True)])
+        src = [LayoutEntry((50 + 0.5) * 0.4, (80 + 0.5) * 0.4, False),
+               LayoutEntry((120 + 0.5) * 0.4, (40 + 0.5) * 0.4, True)]
         shared_ok = True
         for t in ("rot90", "rot180", "flip_x", "flip_y"):
             out, new_grid = augment(src, grid, seed=0, transform=t,
                                     perturb=False)
             redecoded = decode_heatmap(encode_heatmap(out, 0.4), 0.4)
             got = sorted((round(e.x / 0.4 - 0.5), round(e.y / 0.4 - 0.5),
-                          e.static) for e in redecoded.entries)
+                          e.static) for e in redecoded)
             expect = sorted((*_transform_cell(t, 50, 80, 200, 200), False),)
             expect = sorted([(*_transform_cell(t, 50, 80, 200, 200), False),
                              (*_transform_cell(t, 120, 40, 200, 200), True)])

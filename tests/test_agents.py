@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from voxsim.agents import (DEFAULT_ASSETS, MIN_SPACING, PEAK_THRESHOLD,
-                           SNAP_DIST, Agent, AgentAsset, AgentLayout,
-                           GLOBAL_TRANSFORMS, LayoutEntry,
-                           ProceduralLayoutSource, _route_heading,
+                           SNAP_DIST, Agent, AgentAsset, GLOBAL_TRANSFORMS,
+                           LayoutEntry, ProceduralLayoutSource, _route_heading,
                            _transform_cell, augment, decode_heatmap,
                            encode_heatmap, read_heatmap, spawn_agents,
                            write_heatmap)
@@ -21,8 +20,8 @@ from conftest import make_map
 
 def centered_layout(cells, mpc=0.4):
     """Layout whose entries sit exactly at cell centers (lossless decoding)."""
-    return AgentLayout([LayoutEntry((cx + 0.5) * mpc, (cy + 0.5) * mpc, static)
-                        for cx, cy, static in cells])
+    return [LayoutEntry((cx + 0.5) * mpc, (cy + 0.5) * mpc, static)
+            for cx, cy, static in cells]
 
 
 class TestHeatmapCodec:
@@ -33,7 +32,7 @@ class TestHeatmapCodec:
         h = encode_heatmap(layout, 0.4)
         back = decode_heatmap(h, 0.4)
         got = sorted((round(e.x / 0.4 - 0.5), round(e.y / 0.4 - 0.5), e.static)
-                     for e in back.entries)
+                     for e in back)
         assert got == sorted(cells)
 
     def test_peak_signs(self):
@@ -49,7 +48,7 @@ class TestHeatmapCodec:
 
     def test_out_of_bounds_raises(self):
         with pytest.raises(ValueError):
-            encode_heatmap(AgentLayout([LayoutEntry(1000.0, 0.0)]), 0.4)
+            encode_heatmap([LayoutEntry(1000.0, 0.0)], 0.4)
 
     def test_decode_threshold(self):
         # one vehicle's peak is 1: scaled just above PEAK_THRESHOLD it
@@ -93,7 +92,7 @@ class TestAugment:
         for t in GLOBAL_TRANSFORMS:
             out, new_grid = augment(layout, grid, seed=0, transform=t,
                                     perturb=False)
-            for (cx, cy, static), e in zip(cells, out.entries):
+            for (cx, cy, static), e in zip(cells, out):
                 tx, ty = _transform_cell(t, cx, cy, *shape)
                 assert (tx, ty) == reference_transform_cell(t, cx, cy, *shape)
                 assert (round(e.x / 0.4 - 0.5), round(e.y / 0.4 - 0.5)) == (tx, ty)
@@ -109,7 +108,7 @@ class TestAugment:
         h = encode_heatmap(out, 0.4)
         redecoded = decode_heatmap(h, 0.4)
         got = sorted((round(e.x / 0.4 - 0.5), round(e.y / 0.4 - 0.5), e.static)
-                     for e in redecoded.entries)
+                     for e in redecoded)
         expect = sorted((*_transform_cell("rot90", cx, cy, 200, 200), s)
                         for cx, cy, s in cells)
         assert got == expect
@@ -121,7 +120,7 @@ class TestAugment:
         layout = centered_layout([(100, 100, False)])
         for seed in range(10):
             out, _ = augment(layout, grid, seed=seed, transform="identity")
-            e = out.entries[0]
+            e = out[0]
             cx, cy = int(e.x / 0.4), int(e.y / 0.4)
             assert plane[cx, cy] == table.road_id
             assert abs(cx - 100) <= 2 and abs(cy - 100) <= 2
@@ -131,7 +130,7 @@ class TestAugment:
         grid = make_map(plane, table, z_dim=2, free_above=False)
         layout = centered_layout([(100, 100, False)])
         out, _ = augment(layout, grid, seed=0, transform="identity")
-        e = out.entries[0]
+        e = out[0]
         assert (round(e.x / 0.4 - 0.5), round(e.y / 0.4 - 0.5)) == (100, 100)
 
 
@@ -191,7 +190,7 @@ class TestSpawn:
             layout = source.sample(Pose2(50.0, 16.0, 0.0), self.HALF,
                                    np.random.default_rng(seed))
             assert len(layout) <= 10
-            pts = np.array([[e.x, e.y] for e in layout.entries])
+            pts = np.array([[e.x, e.y] for e in layout])
             for i in range(len(pts)):
                 for j in range(i + 1, len(pts)):
                     assert np.linalg.norm(pts[i] - pts[j]) >= 8.0 - 1e-9
@@ -240,7 +239,7 @@ def reference_sample(lanes, local_grid, rng):
     for p, static in chosen:
         lp = inv.transform_point(p) + half  # local frame, corner origin
         entries.append(LayoutEntry(float(lp[0]), float(lp[1]), static))
-    return AgentLayout(entries)
+    return entries
 
 
 @st.composite
@@ -301,7 +300,7 @@ def test_procedural_sample_matches_reference(scene, seed):
     expect = reference_sample(lanes, local_grid, expect_rng)
     half = np.array(dims[:2]) * vox / 2.0
     got = ProceduralLayoutSource(build_route_network(lanes)).sample(anchor, half, got_rng)
-    assert got.entries == expect.entries
+    assert got == expect
     assert got_rng.random() == expect_rng.random()   # same number of draws
 
 
@@ -323,7 +322,7 @@ def reference_spawn_agents(anchor, b_ego, half, network, valid_endpoints_m, spee
     mu_v, sigma_v = speed_dist
     layout = layout_source.sample(anchor, half, rng)
     world_positions = []
-    for e in layout.entries:
+    for e in layout:
         local = np.array([e.x, e.y]) - half
         world_positions.append((anchor.transform_point(local), e.static, False))
     if b_ego:
@@ -392,7 +391,7 @@ def snap_scenes(draw):
         entries.append(LayoutEntry(float(p[0]), float(p[1]), draw(st.booleans())))
     endpoints = samples[draw(st.lists(st.integers(0, len(samples) - 1), min_size=1,
                                       max_size=3))]
-    return lanes, AgentLayout(entries), endpoints, draw(st.booleans())
+    return lanes, entries, endpoints, draw(st.booleans())
 
 
 @settings(max_examples=300, deadline=None)
@@ -420,8 +419,7 @@ def test_proposal_at_snap_dist_is_kept():
     ax = np.arange(-20.0, 0.5, 0.5)
     network = build_route_network([Lane(np.stack([ax, np.zeros_like(ax)], axis=1))])
     past = float(np.nextafter(SNAP_DIST, np.inf))
-    layout = AgentLayout([LayoutEntry(0.0, SNAP_DIST), LayoutEntry(3.0, 4.0),
-                          LayoutEntry(0.0, past)])
+    layout = [LayoutEntry(0.0, SNAP_DIST), LayoutEntry(3.0, 4.0), LayoutEntry(0.0, past)]
     agents = spawn_agents(Pose2(), False, np.zeros(2), network, [(-20.0, 0.0)],
                           (8.0, 2.0), FixedLayoutSource(layout), np.random.default_rng(0))
     assert [a.route[0].tolist() for a in agents] == [[0.0, 0.0], [0.0, 0.0]]

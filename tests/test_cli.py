@@ -21,16 +21,17 @@ from hypothesis import strategies as st
 
 import voxsim
 from voxsim import occupancy
-from voxsim.agents import AgentLayout, LayoutEntry, encode_heatmap, write_heatmap
+from voxsim.agents import LayoutEntry, encode_heatmap, write_heatmap
 from voxsim.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_STAGE, ConfigError,
                         _from_config, main, run_fuse, run_lanes, run_pipeline, run_simulate,
                         run_synth, run_topo, stage_seed)
 from voxsim.fusion import FusionParams
-from voxsim.geometry import Pose2, load_trajectory
+from voxsim.geometry import Pose2
 from voxsim.lanes import LaneParams, load_lanes
 from voxsim.metrics import fid, kid, miou, mmd, read_features, write_features
 from voxsim.occupancy import (MAGIC, GlobalMap, GridFile, GridFormatError, InputFormatError,
-                              OccupancyGrid, default_table, read_grid, write_grid)
+                              OccupancyGrid, default_table, load_trajectory, read_grid,
+                              write_grid)
 from voxsim.simulation import IdmParams, SimParams
 from voxsim.synthworld import WorldSpec, curve_trajectory
 from voxsim.topology import TopologyParams, load_graph
@@ -196,6 +197,24 @@ class TestExitCodes:
         code = main(["topo", "--map", str(tmp_path / "nope.occg"),
                      "--out", str(tmp_path / "g.json")])
         assert code == EXIT_IO
+
+    @pytest.mark.parametrize("command, flag", [
+        ("fuse", "--params"), ("synth", "--spec"), ("pipeline", "--config")])
+    def test_missing_config_file_is_config_error(self, tmp_path, capsys, command, flag):
+        # a missing input file is an i/o error (exit 4), a missing config
+        # file a configuration error; fuse gets inputs it would fuse
+        (tmp_path / "traj.json").write_text(json.dumps(
+            [{"t": 0.0, "x": 10.0, "y": 10.0, "yaw": 0.0}]))
+        (tmp_path / "frames").mkdir()
+        write_grid(OccupancyGrid(np.full((20, 20, 4), default_table().road_id, dtype=np.uint8)),
+                   tmp_path / "frames" / "frame_000000.occg")
+        inputs = {"fuse": ["--frames", str(tmp_path / "frames"),
+                           "--poses", str(tmp_path / "traj.json")]}.get(command, [])
+        out_flag = "--out-dir" if command == "pipeline" else "--out"
+        argv = [command, flag, str(tmp_path / "missing.json"), *inputs,
+                out_flag, str(tmp_path / "out")]
+        assert main(argv) == EXIT_CONFIG
+        assert "missing.json" in capsys.readouterr().err
 
     def test_corrupt_map_is_io_error(self, tmp_path):
         def occg(header, payload=b"\0" * 8):
@@ -711,12 +730,13 @@ class TestMetricsCommand:
             assert report["singular_covariance"] == (n_a == 3)
 
     @staticmethod
-    def _diversity(tmp_path, capsys, a, b):
+    def _diversity(tmp_path, capsys, a, b, table_b=default_table()):
         """Exit code and printed report of ``metrics diversity`` on the
-        label volumes ``a`` and ``b`` written as maps."""
+        label volumes ``a`` and ``b`` written as maps, ``a`` under the
+        default table and ``b`` under ``table_b``."""
         paths = [tmp_path / "a.occg", tmp_path / "b.occg"]
-        for labels, path in zip((a, b), paths):
-            write_grid(GlobalMap(labels, 0.4, Pose2(), default_table()), path)
+        for labels, path, table in zip((a, b), paths, (default_table(), table_b)):
+            write_grid(GlobalMap(labels, 0.4, Pose2(), table), path)
         code = main(["metrics", "diversity", "--a", str(paths[0]), "--b", str(paths[1])])
         out = capsys.readouterr().out
         return code, json.loads(out) if code == EXIT_OK else None
@@ -748,6 +768,15 @@ class TestMetricsCommand:
                                   np.full((20, 21, 4), road, dtype=np.uint8))
         assert code == EXIT_STAGE
 
+    def test_diversity_of_maps_with_different_tables_is_a_stage_failure(self, tmp_path,
+                                                                         capsys):
+        # ids 1 and 2 are road and sidewalk in one map and the reverse in the
+        # other: by raw label value the two would read as identical
+        labels = np.ones((20, 20, 4), dtype=np.uint8)
+        labels[:5, :, 0] = 2
+        code, _ = self._diversity(tmp_path, capsys, labels, labels, swapped_table())
+        assert code == EXIT_STAGE
+
 
 class TestSynth:
     WORLD = {"recipe": "curve", "extent": 60.0, "radius": 20.0, "road_width": 6.0}
@@ -761,7 +790,7 @@ class TestSynth:
         out = tmp_path / "out"
         assert main(["synth", "--spec", str(spec), "--out", str(out)]) == EXIT_OK
         expect = curve_trajectory(WorldSpec(**self.WORLD), step=step)
-        poses = load_trajectory(out / "trajectory.json").poses
+        poses = load_trajectory(out / "trajectory.json")
         assert np.allclose([(p.x, p.y, p.yaw) for p in poses],
                            [(p.x, p.y, p.yaw) for p in expect], rtol=0, atol=1e-12)
         frames = sorted((out / "frames").glob("frame_*.occg"))
@@ -783,9 +812,9 @@ class TestSpawnFromLayout:
                          lane_points=[(x, 10.0) for x in np.arange(2.0, 18.5, 0.5)])
         layout = tmp_path / "layout.hm"
         cells = self.SNAPPABLE + self.OFF_ROAD
-        write_heatmap(encode_heatmap(AgentLayout(
+        write_heatmap(encode_heatmap(
             [LayoutEntry((cx + 0.5) * 0.4, (cy + 0.5) * 0.4, static)
-             for cx, cy, static in cells]), 0.4), 0.4, layout)
+             for cx, cy, static in cells], 0.4), 0.4, layout)
         world = ["--map", str(tmp_path / "map.occg"),
                  "--lanes", str(tmp_path / "lanes.json"),
                  "--graph", str(tmp_path / "graph.json"), "--layout", str(layout)]
@@ -847,7 +876,7 @@ class TestPipeline:
         out_dir = tmp_path / "out"
         manifest = run_pipeline(PIPELINE_CONFIG, 7, out_dir)
         assert json.loads((out_dir / "pipeline_manifest.json").read_text()) == manifest
-        n_poses = len(load_trajectory(out_dir / "trajectory.json").poses)
+        n_poses = len(load_trajectory(out_dir / "trajectory.json"))
         horizon = PIPELINE_CONFIG["simulate"]["horizon"]
         written = {out_dir / "frames": [f"frame_{i:06d}.occg" for i in range(n_poses)],
                    out_dir / "rollout": [*(f"frame_{i:06d}.occg" for i in range(horizon)),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voxsim.geometry import Pose2, Trajectory, load_trajectory, normalize_angle, save_trajectory
+from voxsim.geometry import Pose2, normalize_angle, unit
 
 coords = st.floats(-1e3, 1e3, allow_nan=False)
 poses = st.builds(Pose2, coords, coords, st.floats(-20.0, 20.0))
@@ -58,17 +58,19 @@ class TestPose2:
             assert abs(math.remainder(w - t, 2 * math.pi)) < 1e-9
 
 
-class TestTrajectoryIO:
-    def test_round_trip(self, tmp_path):
-        traj = Trajectory(((0.0, Pose2(1, 2, 0.3)), (1.0, Pose2(4, 5, -0.6))))
-        path = tmp_path / "traj.json"
-        save_trajectory(traj, path)
-        back = load_trajectory(path)
-        assert len(back) == 2
-        for (ta, pa), (tb, pb) in zip(traj.samples, back.samples):
-            assert ta == tb
-            assert (pa.x, pa.y, pa.yaw) == (pb.x, pb.y, pb.yaw)
+class TestUnit:
+    def test_zero_vector_gives_the_default_itself(self):
+        default = object()
+        assert unit(np.zeros(2), default) is default
 
-    def test_monotonic_times_enforced(self):
-        with pytest.raises(ValueError):
-            Trajectory(((1.0, Pose2()), (1.0, Pose2())))
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(coords, coords))
+    def test_divides_by_a_nonzero_norm_bit_for_bit(self, v):
+        # a norm can be 0 for a nonzero vector too: its square underflows
+        v, default = np.array(v), object()
+        n = np.linalg.norm(v)
+        got = unit(v, default)
+        if n == 0:
+            assert got is default
+        else:
+            assert got.tobytes() == (v / n).tobytes()

@@ -6,6 +6,10 @@ import pytest
 from voxsim.metrics import (fid, gaussian_kernel, kid, miou, mmd,
                             pairwise_diversity, polynomial_kernel,
                             read_features, vendi, write_features)
+from voxsim.geometry import Pose2
+from voxsim.occupancy import OccupancyGrid, default_table
+
+from conftest import swapped_table
 
 
 def naive_mmd(x, y, kernel_fn):
@@ -41,6 +45,15 @@ class TestMiou:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             miou(np.zeros((2, 2, 1)), np.zeros((3, 2, 1)), [1])
+
+    def test_table_mismatch(self):
+        # the same label values read road and sidewalk the other way round
+        labels = np.ones((2, 2, 1), dtype=np.uint8)
+        a, b = (OccupancyGrid(labels, 0.4, Pose2(), t)
+                for t in (default_table(), swapped_table()))
+        assert miou(a, OccupancyGrid(labels, 0.4, Pose2()), [1])[1] == 1.0
+        with pytest.raises(ValueError, match="semantic table"):
+            miou(a, b, [1])
 
 
 class TestDiversity:

@@ -21,8 +21,9 @@ from voxsim.geometry import Pose2
 from voxsim.lanes import LaneParams
 from voxsim.metrics import read_features, write_features
 from voxsim.occupancy import (DEFAULT_CROP_DIMS, MAGIC, VERSION, WRITES_IN_FLIGHT, GlobalMap,
-                              GridFile, GridFormatError, OccupancyGrid, SemanticTable, crop,
-                              default_table, read_grid, save_json, write_grid, write_grids)
+                              GridFile, GridFormatError, InputFormatError, OccupancyGrid,
+                              SemanticTable, crop, default_table, load_trajectory, read_grid,
+                              save_json, save_trajectory, write_grid, write_grids)
 from voxsim.simulation import IdmParams, SimParams
 from voxsim.synthworld import WorldSpec
 from voxsim.topology import TopologyParams
@@ -241,6 +242,26 @@ class TestGridIO:
         path = tmp_path / "o.json"
         digest = save_json({"a": [1, 2.5, "\u00e9"], "b": None}, path)
         assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestTrajectoryFile:
+    def test_round_trip_writes_pose_i_at_t_i(self, tmp_path):
+        poses = [Pose2(1, 2, 0.3), Pose2(4, 5, -0.6), Pose2(-7.5, 0.25, 3.0)]
+        path = tmp_path / "traj.json"
+        save_trajectory(poses, path)
+        assert [r["t"] for r in json.loads(path.read_text())] == [0.0, 1.0, 2.0]
+        assert b'"t": 1.0' in path.read_bytes()
+        assert load_trajectory(path) == poses
+
+    @pytest.mark.parametrize("records, cause", [
+        ([{"t": 1.0, "x": 0.0, "y": 0.0, "yaw": 0.0}] * 2, "strictly increasing"),
+        ([], "at least one"),
+    ], ids=["repeated-t", "no-record"])
+    def test_repeated_time_or_no_record_is_a_format_error(self, tmp_path, records, cause):
+        path = tmp_path / "traj.json"
+        path.write_text(json.dumps(records))
+        with pytest.raises(InputFormatError, match=cause):
+            load_trajectory(path)
 
 
 def _grids(n):
