@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
+import scipy
 
 from .geometry import Pose2
 from .occupancy import NONNEGATIVE, POSITIVE, GlobalMap, Settings, at_least, setting
@@ -367,15 +367,15 @@ def refine_morphology(gmap: GlobalMap, params: FusionParams) -> GlobalMap:
     plane = out[:, :, 0]
 
     sidewalk = plane == table.sidewalk_id
-    closed = ndimage.binary_closing(sidewalk, structure=np.ones((3, 3), dtype=bool))
+    closed = scipy.ndimage.binary_closing(sidewalk, structure=np.ones((3, 3), dtype=bool))
     grown = closed & ~sidewalk
     # closing only ever adds pixels; fill them in where nothing else is assigned
     plane[grown & (plane == table.unassigned_id)] = table.sidewalk_id
 
     road = plane == table.road_id
-    lab, n = ndimage.label(road, structure=np.ones((3, 3), dtype=bool))
+    lab, n = scipy.ndimage.label(road, structure=np.ones((3, 3), dtype=bool))
     if n:
-        areas = ndimage.sum_labels(np.ones_like(lab), lab, index=np.arange(1, n + 1))
+        areas = scipy.ndimage.sum_labels(np.ones_like(lab), lab, index=np.arange(1, n + 1))
         cell_area = gmap.voxel_size ** 2
         small = np.nonzero(areas * cell_area < params.min_area)[0] + 1
         if small.size:

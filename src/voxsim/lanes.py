@@ -15,8 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import interpolate
-from scipy.spatial import cKDTree
+import scipy
 
 from .geometry import arc_length, resample_polyline
 from .occupancy import (POSITIVE, Settings, at_least, finite_points, load_json_input,
@@ -71,8 +70,8 @@ def fit_centerline(segment, ds_step: float, smooth: float = None) -> np.ndarray:
     dense = np.linspace(0.0, 1.0, max(len(pts) * 4, 64))
 
     def fit(s):
-        (tck, _) = interpolate.splprep([pts[:, 0], pts[:, 1]], u=u, k=3, s=s)
-        return np.stack(interpolate.splev(dense, tck), axis=1)
+        (tck, _) = scipy.interpolate.splprep([pts[:, 0], pts[:, 1]], u=u, k=3, s=s)
+        return np.stack(scipy.interpolate.splev(dense, tck), axis=1)
 
     try:
         curve = fit(smooth)
@@ -103,7 +102,7 @@ def normal_vectors(points: np.ndarray) -> np.ndarray:
     return np.stack([-t[:, 1], t[:, 0]], axis=1)
 
 
-def border_tree(road: np.ndarray) -> cKDTree:
+def border_tree(road: np.ndarray) -> scipy.spatial.cKDTree:
     """KD-tree over the road's border cells: the off-road cells with a road
     4-neighbour. The nearest off-road cell to a road cell is always one of
     them, since one step from any farther off-road cell toward the road cell
@@ -115,10 +114,10 @@ def border_tree(road: np.ndarray) -> cKDTree:
     near[:, 1:] |= road[:, :-1]
     near[:, :-1] |= road[:, 1:]
     near &= ~road
-    return cKDTree(np.argwhere(near))
+    return scipy.spatial.cKDTree(np.argwhere(near))
 
 
-def estimate_width(center_px: np.ndarray, road: np.ndarray, border: cKDTree,
+def estimate_width(center_px: np.ndarray, road: np.ndarray, border: scipy.spatial.cKDTree,
                    voxel_size: float) -> float:
     """Road width in meters at a centerline: twice the median distance from
     the road cells under it to their nearest off-road cell (``border`` is
@@ -189,7 +188,7 @@ def resolve_overlaps(candidates, params: LaneParams):
     pts = np.concatenate([l.points for l in candidates])
     sizes = [len(l.points) for l in candidates]
     lane_of = np.repeat(np.arange(len(candidates)), sizes)
-    a, b = cKDTree(pts).query_pairs(params.epsilon, output_type="ndarray").T
+    a, b = scipy.spatial.cKDTree(pts).query_pairs(params.epsilon, output_type="ndarray").T
     d = pts[a] - pts[b]
     # query_pairs keeps pairs at exactly epsilon; the cut is strict
     close = (d * d).sum(axis=1) < params.epsilon * params.epsilon

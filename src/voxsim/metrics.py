@@ -46,12 +46,15 @@ def pairwise_diversity(rollouts, classes):
     """Complement of the mean pairwise mIoU over all unordered rollout pairs,
     per timestep, plus the time mean.
 
-    ``rollouts`` is a list of N frame sequences of equal length.
+    ``rollouts`` is a list of N frame sequences of one nonzero length.
     """
     n = len(rollouts)
     if n < 2:
         raise ValueError("diversity needs at least two rollouts")
-    steps = len(rollouts[0])
+    lengths = [len(r) for r in rollouts]
+    steps = lengths[0]
+    if not steps or lengths.count(steps) != n:
+        raise ValueError(f"rollouts must have one nonzero length, got lengths {lengths}")
     d_t = []
     for t in range(steps):
         vals = []

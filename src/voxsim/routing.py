@@ -19,9 +19,7 @@ import math
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
-from scipy.spatial import cKDTree
+import scipy
 
 from .geometry import unit
 
@@ -50,15 +48,15 @@ class RouteNetwork:
         # zero-weight edge (coincident samples of two lanes), so never call
         # eliminate_zeros here.
         n = len(self.positions)
-        self.graph = csr_matrix((np.concatenate([w, w]),
-                                 (np.concatenate([a, b]), np.concatenate([b, a]))),
-                                shape=(n, n))
+        self.graph = scipy.sparse.csr_matrix(
+            (np.concatenate([w, w]), (np.concatenate([a, b]), np.concatenate([b, a]))),
+            shape=(n, n))
         self._goal_trees = {}  # goal -> (dist float64, pred int32, run int32) arrays
         self._goal_of = {}     # target point bytes -> its nearest node
 
     @cached_property
     def _tree(self):
-        return cKDTree(self.positions) if len(self.positions) else None
+        return scipy.spatial.cKDTree(self.positions) if len(self.positions) else None
 
     def neighbors(self, node: int):
         """(neighbour, edge length) pairs of node, in ascending node order."""
@@ -87,7 +85,8 @@ class RouteNetwork:
         previous one; n itself when it starts neither."""
         tree = self._goal_trees.get(goal)
         if tree is None:
-            dist, pred = dijkstra(self.graph, indices=goal, return_predecessors=True)
+            dist, pred = scipy.sparse.csgraph.dijkstra(self.graph, indices=goal,
+                                                       return_predecessors=True)
             node = np.arange(len(pred))
             up, down = pred == node + 1, pred == node - 1
             stop = np.flatnonzero(~up)   # the first of these from n on ends n's upward block
@@ -162,7 +161,7 @@ def build_route_network(lanes, junction_radius: float = 4.0) -> RouteNetwork:
     along = np.flatnonzero(lane_of[1:] == lane_of[:-1])
     first = np.cumsum(sizes) - sizes
     ends = np.stack([first, first + sizes - 1], axis=1).ravel()
-    tree = cKDTree(positions)
+    tree = scipy.spatial.cKDTree(positions)
     near = tree.query_ball_point(positions[ends], junction_radius)
     hits = np.concatenate(near)
     origin = np.repeat(ends, [len(js) for js in near])

@@ -13,7 +13,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
+import scipy
 
 from .geometry import Pose2
 from .occupancy import (DEFAULT_CROP_DIMS, DEFAULT_VOXEL_SIZE, FINITE, NONNEGATIVE,
@@ -119,7 +119,7 @@ def generate_world(spec: WorldSpec) -> GlobalMap:
         # the loop below redraws until a footprint misses the road: without
         # one clear footprint (max over its window, clipped at the edges) it
         # would never end
-        if count and half and ndimage.maximum_filter(
+        if count and half and scipy.ndimage.maximum_filter(
                 road | sidewalk, size=2 * half, mode="constant").all():
             raise ValueError(f"no {2 * half}x{2 * half}-cell obstacle footprint "
                              f"fits off road in a {n}x{n}-cell world")

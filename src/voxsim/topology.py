@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
+import scipy
 
 from .occupancy import (FINITE, POSITIVE, GlobalMap, Settings, at_least, finite_points,
                         load_json_input, save_json, setting)
@@ -291,7 +291,8 @@ class _Chains:
         # math.dist picks is among the candidates within a 1e-9 relative margin,
         # both of the radius and of the closest candidate
         pts = np.array(coords, dtype=float)
-        i, j = cKDTree(pts).query_pairs(radius * (1.0 + 1e-9), output_type="ndarray").T
+        i, j = scipy.spatial.cKDTree(pts).query_pairs(radius * (1.0 + 1e-9),
+                                                      output_type="ndarray").T
         d = np.hypot(*(pts[j] - pts[i]).T)
         if not len(d):
             return False

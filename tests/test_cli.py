@@ -134,6 +134,47 @@ def test_cli_import_leaves_networkx_out():
                    env={**os.environ, "PYTHONPATH": src})
 
 
+# Imports every voxsim module, then runs synth, fuse and topo through
+# cli.main, printing the scipy submodules loaded after each step as JSON
+SCIPY_LOADS = """
+import importlib, json, pkgutil, sys
+import voxsim
+for m in pkgutil.iter_modules(voxsim.__path__):
+    importlib.import_module("voxsim." + m.name)
+from voxsim.cli import main
+
+def loaded():
+    return [m for m in ("scipy.ndimage", "scipy.spatial", "scipy.interpolate", "scipy.sparse")
+            if m in sys.modules]
+
+spec, out = sys.argv[1:]
+steps = {"import": loaded()}
+for stage, args in (("synth", ["--spec", spec, "--seed", "1", "--out", out]),
+                    ("fuse", ["--frames", out + "/frames", "--poses", out + "/trajectory.json",
+                              "--out", out + "/map.occg"]),
+                    ("topo", ["--map", out + "/map.occg", "--out", out + "/graph.json"])):
+    assert main([stage, *args]) == 0, stage
+    steps[stage] = loaded()
+print(json.dumps(steps))
+"""
+
+
+def test_each_scipy_submodule_loads_on_the_first_call_that_needs_it(tmp_path):
+    src = str(Path(voxsim.__file__).resolve().parents[1])
+    spec = tmp_path / "spec.json"
+    # the default obstacle_density is 0: synth needs no scipy
+    spec.write_text(json.dumps({"world": {"recipe": "grid", "extent": 80.0, "blocks": [2, 2]},
+                                "crop_dims": [80, 80, 8]}))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_LOADS, str(spec), str(tmp_path / "out")],
+                          capture_output=True, text=True, timeout=120, cwd=src,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    # each list is cumulative; scipy.spatial imports scipy.sparse itself
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "import": [], "synth": [], "fuse": ["scipy.ndimage"],
+        "topo": ["scipy.ndimage", "scipy.spatial", "scipy.sparse"]}
+
+
 def test_a_frame_write_that_fails_exits_4_and_leaves_no_manifest(tmp_path):
     # the child's file-size limit is below one 120x120x16 frame, so the
     # first frame write fails on the writer thread

@@ -75,6 +75,13 @@ class TestDiversity:
         with pytest.raises(ValueError):
             pairwise_diversity([[np.zeros((2, 2, 1))]], [0])
 
+    @pytest.mark.parametrize("lengths", [(1, 2), (2, 1), (2, 2, 1), (0, 0)])
+    def test_refuses_rollouts_of_other_lengths(self, lengths):
+        frame = np.zeros((2, 2, 1))
+        expected = ", ".join(map(str, lengths))
+        with pytest.raises(ValueError, match=rf"lengths \[{expected}\]"):
+            pairwise_diversity([[frame] * k for k in lengths], [0])
+
 
 class TestVendi:
     def test_identical_vectors_one(self):

@@ -9,7 +9,6 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
-import voxsim.routing as routing
 from voxsim.lanes import Lane
 from voxsim.routing import RouteNetwork, build_route_network
 
@@ -187,13 +186,13 @@ class TestPathTo:
 
     def test_one_tree_per_goal(self, monkeypatch):
         calls = []
-        dijkstra = routing.dijkstra
 
         def counting_dijkstra(*args, **kwargs):
             calls.append(kwargs["indices"])
             return dijkstra(*args, **kwargs)
 
-        monkeypatch.setattr(routing, "dijkstra", counting_dijkstra)
+        # routing looks the function up on scipy.sparse.csgraph at each call
+        monkeypatch.setattr("scipy.sparse.csgraph.dijkstra", counting_dijkstra)
         rng = np.random.default_rng(1)
         net, _ = random_geometric_graph(rng, n=300, k=6)
         goals = rng.choice(300, size=5, replace=False)
@@ -370,13 +369,12 @@ def grid_lanes(blocks=3, spacing=24.0, offset=1.8, ds=0.5):
 class TestOneKDTree:
     def test_one_tree_per_network(self, monkeypatch):
         built = []
-        tree_class = routing.cKDTree
 
         def counting_tree(*args, **kwargs):
             built.append(1)
-            return tree_class(*args, **kwargs)
+            return cKDTree(*args, **kwargs)
 
-        monkeypatch.setattr(routing, "cKDTree", counting_tree)
+        monkeypatch.setattr("scipy.spatial.cKDTree", counting_tree)
         for lanes in (grid_lanes(), grid_lanes(blocks=1)):
             built.clear()
             net = build_route_network(lanes)
