@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Pose2, arc_length, unit
+from .geometry import Pose2, arc_length, route_heading, unit
 from .occupancy import (POSITIVE, GridFormatError, OccupancyGrid, Settings,
                         container_floats, read_container, setting, write_hashed)
 from .routing import RouteNetwork
@@ -34,6 +34,9 @@ MIN_SPACING = 8.0          # meters between procedurally proposed vehicles
 P_STATIC = 0.2             # share of procedurally proposed vehicles parked
 SNAP_DIST = 5.0            # meters from a proposal to its lane sample
 ROUTE_BLOCK = 32           # route segments under one bounding circle
+# Relative slack of the route test's block pruning: float64 rounding of a
+# distance is a few ulps (~1e-15) of the coordinates' magnitude.
+ROUTE_SLACK = 1e-9
 
 
 @dataclass
@@ -107,9 +110,45 @@ class Agent:
         scale = 1.0 + float(np.abs(self.route).max(initial=0.0))
         self.route_blocks = ((lo + hi) / 2.0, np.hypot(*(hi - lo).T) / 2.0, scale)
 
+    def near_route(self, p: np.ndarray, d_lat: float) -> bool:
+        """Whether point p lies closer than d_lat to the route.
+
+        Only the span of route blocks whose bounding circle comes within
+        d_lat of p, plus ROUTE_SLACK times the route's coordinate scale and
+        d_lat, is projected onto segment by segment. The projection is the
+        same per-row arithmetic over a slice of the cached segment arrays,
+        and the slack is orders of magnitude above its rounding, so every
+        segment nearer than d_lat lies in the span: the answer equals the
+        minimum over all segments compared with d_lat, bit for bit."""
+        if len(self.route) == 1:
+            return float(np.linalg.norm(p - self.route[0])) < d_lat
+        centers, radii, scale = self.route_blocks
+        off = centers - p
+        reach = radii + (d_lat + ROUTE_SLACK * (scale + d_lat))
+        near = np.flatnonzero(np.vecdot(off, off) < reach * reach)
+        if not len(near):
+            return False
+        span = slice(near[0] * ROUTE_BLOCK, (near[-1] + 1) * ROUTE_BLOCK)
+        a, ab, denom = (v[span] for v in self.route_segments)
+        ap = p - a
+        t = np.clip((ap * ab).sum(axis=1) / denom, 0.0, 1.0)
+        proj = a + t[:, None] * ab
+        return float(np.linalg.norm(proj - p, axis=1).min()) < d_lat
+
     @property
     def yaw(self) -> float:
         return math.atan2(self.heading[1], self.heading[0])
+
+    @property
+    def pose(self) -> Pose2:
+        return Pose2(float(self.position[0]), float(self.position[1]), self.yaw)
+
+    @property
+    def record(self) -> dict:
+        """The agent's ``x, y, yaw, speed`` as a JSON-friendly dict, keys in
+        that order; a log or file entry appends its own keys after them."""
+        return {"x": float(self.position[0]), "y": float(self.position[1]),
+                "yaw": self.yaw, "speed": self.speed}
 
 
 def encode_heatmap(layout: list, meters_per_cell: float) -> np.ndarray:
@@ -282,13 +321,6 @@ class ProceduralLayoutSource:
                 for (x, y), static in zip(local.tolist(), statics)]
 
 
-def _route_heading(route: np.ndarray) -> np.ndarray:
-    """Unit direction of the route's first segment; +x when it has none or
-    it has zero length."""
-    east = np.array([1.0, 0.0])
-    return unit(route[1] - route[0], east) if len(route) >= 2 else east
-
-
 def spawn_agents(anchor: Pose2, b_ego: bool, half, network: RouteNetwork,
                  valid_endpoints_m, speed_dist, layout_source, rng):
     """Spawn agents around an anchor pose.
@@ -336,8 +368,7 @@ def spawn_agents(anchor: Pose2, b_ego: bool, half, network: RouteNetwork,
         if route is None:
             log.info("no route from %s to %s; agent discarded", pos, target)
             continue
-        heading = _route_heading(route)
-        agents.append(Agent(route[0].copy(), heading, speed, route, target,
+        agents.append(Agent(route[0].copy(), route_heading(route), speed, route, target,
                             asset, lane_id=int(network.lane_of[node]), is_ego=is_ego))
     return agents
 

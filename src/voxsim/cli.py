@@ -127,8 +127,9 @@ def run_synth(cfg: dict, seed: int, out_dir: Path) -> dict:
     crop_dims = _config_value(cfg, "crop_dims", occupancy.DEFAULT_CROP_DIMS, occupancy.DIMS)
     noise = _config_value(cfg, "noise", 0.0, occupancy.Rule(
         lambda v: occupancy.NONNEGATIVE.ok(v) and v <= 1, "a number in [0, 1]"))
-    step = _config_value(traj_cfg, "step", 3.0 if spec.recipe == "curve" else 3.2,
-                         occupancy.POSITIVE)
+    # the trajectory function's own default step, unless the spec gives one
+    step = ({"step": _config_value(traj_cfg, "step", None, occupancy.POSITIVE)}
+            if "step" in traj_cfg else {})
     path = _config_value(traj_cfg, "path", None, occupancy.Rule(
         lambda v: v is None or isinstance(v, str), "a file path"))
     try:
@@ -138,9 +139,9 @@ def run_synth(cfg: dict, seed: int, out_dir: Path) -> dict:
     if path is not None:
         poses = occupancy.load_trajectory(path)
     elif spec.recipe == "curve":
-        poses = synthworld.curve_trajectory(spec, step=step)
+        poses = synthworld.curve_trajectory(spec, **step)
     else:
-        poses = synthworld.straight_trajectory(spec, step=step)
+        poses = synthworld.straight_trajectory(spec, **step)
     frames = synthworld.iter_frames(world, poses, crop_dims=tuple(crop_dims),
                                     noise=noise, seed=seed % (2 ** 31))
     frames_dir = _fresh_frames_dir(out_dir / "frames")
@@ -211,9 +212,7 @@ def run_spawn(map_path, lanes_path, graph_path, layout, seed, out_path: Path) ->
     sim = _build_sim(map_path, lanes_path, graph_path, layout,
                      SimParams(seed=seed % (2 ** 31)))
     spawned = sim.spawn(sim.ego_path[0], True)
-    out = [{"x": float(a.position[0]), "y": float(a.position[1]),
-            "yaw": a.yaw, "speed": a.speed, "static": a.static,
-            "is_ego": a.is_ego,
+    out = [{**a.record, "static": a.static, "is_ego": a.is_ego,
             "route": a.route.tolist(), "target": np.asarray(a.target).tolist()}
            for a in spawned]
     return {"agents": _artifact(out_path, occupancy.save_json(out, out_path))}

@@ -188,7 +188,7 @@ def _frame_geometry(frames):
     return dims, vox, table
 
 
-def fuse_keyframes(frames, poses, keys, margin: float = 2.0) -> GlobalMap:
+def fuse_keyframes(frames, poses, keys, margin: float) -> GlobalMap:
     """Pass 1: warp each keyframe into the world map, writing only voxels that
     are still unassigned (first-wins), then sink every column so its lowest
     ground-role voxel sits at z=0 and mode-fill unassigned z=0 cells.

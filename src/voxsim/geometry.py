@@ -1,8 +1,8 @@
 """Planar rigid-body math (one shared rotation, ``Pose2.transform_xy``), the
 one guarded normalisation of a direction (``unit``), and polyline arc
-lengths and resampling; the module imports nothing from the package. Poses
-are immutable. Grids are resampled in one place, ``occupancy.crop``;
-fusion's ``_pull_back`` is its exact inverse.
+lengths, resampling and start headings; the module imports nothing from the
+package. Poses are immutable. Grids are resampled in one place,
+``occupancy.crop``; fusion's ``_pull_back`` is its exact inverse.
 """
 
 from __future__ import annotations
@@ -58,6 +58,13 @@ def unit(v, default):
     (a zero vector, or one whose squared norm underflows)."""
     n = np.linalg.norm(v)
     return v / n if n > 0 else default
+
+
+def route_heading(route: np.ndarray) -> np.ndarray:
+    """Unit direction of an (N, 2) polyline's first segment; +x when it has
+    none or it has zero length."""
+    east = np.array([1.0, 0.0])
+    return unit(route[1] - route[0], east) if len(route) >= 2 else east
 
 
 def arc_length(points: np.ndarray) -> np.ndarray:

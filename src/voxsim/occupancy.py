@@ -312,25 +312,22 @@ def load_json_input(path, parse):
 
 def load_trajectory(path) -> list:
     """The poses of a trajectory file, a JSON array of at least one
-    {t, x, y, yaw} record, each value a finite number and the times ``t``
-    strictly increasing."""
+    {x, y, yaw} record, each value a finite number; record i is the pose of
+    step i, and other keys (a ``t`` of older files) are ignored."""
 
     def parse(records):
-        rows = [[FINITE.check(k, r[k]) for k in ("t", "x", "y", "yaw")] for r in records]
+        rows = [[FINITE.check(k, r[k]) for k in ("x", "y", "yaw")] for r in records]
         if not rows:
             raise ValueError("trajectory needs at least one sample")
-        if any(b[0] <= a[0] for a, b in zip(rows, rows[1:])):
-            raise ValueError("timestamps must be strictly increasing")
-        return [Pose2(x, y, yaw) for _, x, y, yaw in rows]
+        return [Pose2(*row) for row in rows]
 
     return load_json_input(path, parse)
 
 
 def save_trajectory(poses, path) -> str:
-    """Write ``poses`` as a trajectory file, pose i at time ``t = i``; the
+    """Write ``poses`` as a trajectory file of {x, y, yaw} records; the
     file's sha256."""
-    return save_json([{"t": float(i), "x": p.x, "y": p.y, "yaw": p.yaw}
-                      for i, p in enumerate(poses)], path)
+    return save_json([{"x": p.x, "y": p.y, "yaw": p.yaw} for p in poses], path)
 
 
 def write_hashed(path, *chunks) -> str:

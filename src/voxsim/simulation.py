@@ -13,18 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agents import (ROUTE_BLOCK, Agent, ProceduralLayoutSource, _route_heading,
-                     spawn_agents)
-from .geometry import Pose2, arc_length, resample_polyline, unit
+from .agents import Agent, ProceduralLayoutSource, spawn_agents
+from .geometry import Pose2, arc_length, resample_polyline, route_heading, unit
 from .occupancy import (DEFAULT_CROP_DIMS, DIMS, FINITE, NONNEGATIVE, POSITIVE, GlobalMap,
                         OccupancyGrid, Settings, at_least, crop, setting)
 from .routing import RouteNetwork, build_route_network
 
 log = logging.getLogger(__name__)
 
-# Relative slack of the route test's block pruning: float64 rounding of a
-# distance is a few ulps (~1e-15) of the coordinates' magnitude.
-ROUTE_SLACK = 1e-9
 BEZIER_DS = 0.5  # meters between the samples of a lane-change transition
 
 
@@ -75,37 +71,11 @@ def idm_accel(v: float, dv: float, s: float, idm: IdmParams) -> float:
     return float(np.clip(a, -idm.b_emergency, idm.a_max))
 
 
-def _near_route(agent: Agent, p: np.ndarray, d_lat: float) -> bool:
-    """Whether point p lies closer than d_lat to the agent's route.
-
-    Only the span of route blocks whose bounding circle comes within d_lat
-    of p, plus ROUTE_SLACK times the route's coordinate scale and d_lat, is
-    projected onto segment by segment. The projection is the same per-row
-    arithmetic over a slice of the cached segment arrays, and the slack is
-    orders of magnitude above its rounding, so every segment nearer than
-    d_lat lies in the span: the answer equals the minimum over all
-    segments compared with d_lat, bit for bit."""
-    if len(agent.route) == 1:
-        return float(np.linalg.norm(p - agent.route[0])) < d_lat
-    centers, radii, scale = agent.route_blocks
-    off = centers - p
-    reach = radii + (d_lat + ROUTE_SLACK * (scale + d_lat))
-    near = np.flatnonzero(np.vecdot(off, off) < reach * reach)
-    if not len(near):
-        return False
-    span = slice(near[0] * ROUTE_BLOCK, (near[-1] + 1) * ROUTE_BLOCK)
-    a, ab, denom = (v[span] for v in agent.route_segments)
-    ap = p - a
-    t = np.clip((ap * ab).sum(axis=1) / denom, 0.0, 1.0)
-    proj = a + t[:, None] * ab
-    return float(np.linalg.norm(proj - p, axis=1).min()) < d_lat
-
-
 def _positions(agents) -> np.ndarray:
     return np.array([a.position for a in agents], dtype=float).reshape(-1, 2)
 
 
-def select_leader(agent: Agent, others, d_lat: float = 2.0):
+def select_leader(agent: Agent, others, d_lat: float):
     """Nearest other agent within the forward cone (normalized dot > 0.5)
     that also lies within d_lat of the agent's planned route; of equally
     near ones, the first in ``others``. No agent within 1e-9 of it, the
@@ -117,7 +87,7 @@ def select_leader(agent: Agent, others, d_lat: float = 2.0):
     apart = np.flatnonzero(dist > 1e-9)
     cone = apart[np.vecdot(rel[apart], agent.heading) / dist[apart] > 0.5]
     for i in cone[np.argsort(dist[cone], kind="stable")]:
-        if _near_route(agent, others[i].position, d_lat):
+        if agent.near_route(others[i].position, d_lat):
             return others[i]
     return None
 
@@ -159,7 +129,7 @@ def maybe_lane_change(agent: Agent, leader: Agent, s: float, dv: float,
     tail = network.route_to(adj, agent.target)
     if tail is None:
         return False
-    h1 = _route_heading(tail)
+    h1 = route_heading(tail)
     bez = bezier_transition(agent.position, agent.heading, p_adj, h1)
     agent.set_route(np.concatenate([bez, tail]))
     agent.route_s = 0.0
@@ -171,7 +141,7 @@ def maybe_lane_change(agent: Agent, leader: Agent, s: float, dv: float,
 def advance_along_route(agent: Agent, dist: float) -> None:
     """Move the agent dist meters along its route; completion deactivates it."""
     if len(agent.route) < 2:
-        agent.active = agent.static
+        agent.active = False
         return
     s = agent.route_arc
     agent.route_s += dist
@@ -265,16 +235,12 @@ class Simulator:
 
     # -- per-step phases --------------------------------------------------
 
-    def ego_pose(self, state: SimState) -> Pose2:
-        e = state.ego
-        return Pose2(float(e.position[0]), float(e.position[1]), e.yaw)
-
     def rolling_update(self, state: SimState) -> None:
         params = self.params
         state.delta_d_ego += state.ego.speed * params.dt
         if state.delta_d_ego < params.d_roll:
             return
-        _, inside = _in_fov(self.ego_pose(state), _positions(state.agents), self._half)
+        _, inside = _in_fov(state.ego.pose, _positions(state.agents), self._half)
         state.agents = [a for a, ok in zip(state.agents, inside)
                         if ok or a is state.ego]
         # nearest recorded pose to the current ego position anchors the respawn
@@ -315,7 +281,7 @@ class Simulator:
         id, so this is the crop overlaid with a volume of agent boxes).
         The map is read-only for the simulator's lifetime, so while the ego
         pose equals the last rendered one its crop is reused."""
-        ego_pose = self.ego_pose(state)
+        ego_pose = state.ego.pose
         if ego_pose != self._crop_pose:
             self._crop = crop(self.gmap, ego_pose, self.params.fov_dims).labels
             self._crop_pose = ego_pose
@@ -342,11 +308,6 @@ class Simulator:
         for _ in range(self.params.horizon):
             frame = self.step(state)
             yield frame, snapshot_state(state)
-
-    def run(self, ego_pose_index: int):
-        """``iter_steps`` collected: (frames, states log)."""
-        steps = list(self.iter_steps(ego_pose_index))
-        return [frame for frame, _ in steps], [entry for _, entry in steps]
 
 
 def _stamp_boxes(labels: np.ndarray, local: np.ndarray, yaws, assets,
@@ -390,14 +351,9 @@ def snapshot_state(state: SimState):
     """JSON-friendly per-step log entry."""
     return {
         "step": state.step_index,
-        "ego": {"x": float(state.ego.position[0]), "y": float(state.ego.position[1]),
-                "yaw": state.ego.yaw, "speed": state.ego.speed},
-        "agents": [
-            {"x": float(a.position[0]), "y": float(a.position[1]),
-             "yaw": a.yaw, "speed": a.speed, "static": a.static,
-             "active": a.active}
-            for a in state.agents
-        ],
+        "ego": state.ego.record,
+        "agents": [{**a.record, "static": a.static, "active": a.active}
+                   for a in state.agents],
     }
 
 

@@ -463,7 +463,11 @@ def build_graph(skeleton: np.ndarray) -> SegmentGraph:
 
 def clean_graph(g: SegmentGraph, tau_prune_px: float, w_lane_px: float) -> SegmentGraph:
     """Iterate spur pruning and junction contraction to a joint fixpoint on a
-    copy of g's chains; g is left as it is."""
+    copy of g's chains; g is left as it is. Only a graph that build_graph
+    made has chains: one read from graph.json is refused."""
+    if g._chains is None:
+        raise ValueError("clean_graph needs the graph build_graph made, "
+                         "not one read from graph.json")
     chains = g._chains.copy()
     while True:
         pruned = chains.prune_spurs(tau_prune_px)

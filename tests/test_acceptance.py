@@ -58,7 +58,7 @@ def fusion_agreement(world, poses, crop_dims=(200, 200, 16)):
     fused = fuse_sequence(frames, poses, params)
     elapsed = time.perf_counter() - t0
     keys = select_keyframes(poses, params.d_max)
-    pass1 = fuse_keyframes(frames, poses, keys)
+    pass1 = fuse_keyframes(frames, poses, keys, params.margin)
     obs_sub, _ = lattice_overlap(pass1, world)
     sub, truth = lattice_overlap(fused, world)
     observed = obs_sub != world.table.unassigned_id
@@ -255,12 +255,13 @@ class TestCriterion6:
         net = sim.network
 
         def routed_agent(x, y, goal, speed):
-            from voxsim.agents import DEFAULT_ASSETS, Agent, _route_heading
+            from voxsim.agents import DEFAULT_ASSETS, Agent
+            from voxsim.geometry import route_heading
             node = net.nearest_node([x, y])
             gnode = net.nearest_node(goal, math.inf)
             path, _ = astar(net, node, gnode)
             route = net.positions[path]
-            return Agent(route[0].copy(), _route_heading(route), speed, route,
+            return Agent(route[0].copy(), route_heading(route), speed, route,
                          np.asarray(goal, dtype=float), DEFAULT_ASSETS[0],
                          lane_id=net.lane_of[node])
 

@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from voxsim.agents import (DEFAULT_ASSETS, MIN_SPACING, PEAK_THRESHOLD,
                            SNAP_DIST, Agent, AgentAsset, GLOBAL_TRANSFORMS,
-                           LayoutEntry, ProceduralLayoutSource, _route_heading,
+                           LayoutEntry, ProceduralLayoutSource,
                            _transform_cell, augment, decode_heatmap,
                            encode_heatmap, read_heatmap, spawn_agents,
                            write_heatmap)
-from voxsim.geometry import Pose2, arc_length
+from voxsim.geometry import Pose2, arc_length, route_heading
 from voxsim.lanes import Lane
 from voxsim.occupancy import OccupancyGrid
 from voxsim.routing import build_route_network
@@ -346,7 +346,7 @@ def reference_spawn_agents(anchor, b_ego, half, network, valid_endpoints_m, spee
         route = network.route_to(node, target)
         if route is None:
             continue
-        heading = _route_heading(route)
+        heading = route_heading(route)
         agents.append(Agent(route[0].copy(), heading, speed, route, target,
                             asset, lane_id=int(network.lane_of[node]), is_ego=is_ego))
     return agents

@@ -390,13 +390,8 @@ class TestExitCodes:
             ("simulate", "poses", "{bad"),
             ("simulate", "poses", json.dumps([{"t": 0.0, "x": "a", "y": 0.0,
                                                "yaw": 0.0}])),
-            # a coordinate beyond float range (exit 3) and timestamps that are
-            # not finite numbers (exit 0)
+            # a coordinate beyond float range (exit 3)
             ("simulate", "poses", json.dumps([{"t": 0.0, "x": 10 ** 400, "y": 10.0,
-                                               "yaw": 0.0}])),
-            ("simulate", "poses", json.dumps([{"t": math.nan, "x": 10.0, "y": 10.0,
-                                               "yaw": 0.0}])),
-            ("simulate", "poses", json.dumps([{"t": True, "x": 10.0, "y": 10.0,
                                                "yaw": 0.0}])),
         ]
         for command, flag, text in cases:
@@ -692,8 +687,8 @@ _READERS = {
     "graph": (load_graph, json.loads(_graph_json()), InputFormatError),
     "lanes": (load_lanes, [{"points": [[2.0, 10.0], [18.0, 10]], "offset_index": 1,
                             "source_segment": 2}], InputFormatError),
-    "trajectory": (load_trajectory, [{"t": 0.0, "x": 10.0, "y": 10.0, "yaw": 0.0},
-                                     {"t": 1, "x": 12, "y": 10.0, "yaw": 0.1}],
+    "trajectory": (load_trajectory, [{"x": 10.0, "y": 10.0, "yaw": 0.0},
+                                     {"x": 12, "y": 10.0, "yaw": 0.1}],
                    InputFormatError),
     "occg": (GridFile, _OCCG_HEADER, GridFormatError),
 }
@@ -881,6 +876,23 @@ class TestPipeline:
         assert (out_dir / "map.occg").exists()
         assert (out_dir / "lanes.json").exists()
         assert (out_dir / "rollout" / "run_manifest.json").exists()
+
+    def test_trajectory_times_do_not_move_the_fused_map(self, tmp_path, capsys):
+        # record i is the pose of step i: a file with times of any spacing,
+        # and one with none, fuse to the map of the pipeline's own trajectory
+        out_dir = tmp_path / "out"
+        _run_pipeline(tmp_path, PIPELINE_CONFIG, out_dir)
+        records = json.loads((out_dir / "trajectory.json").read_text())
+        timed, untimed = tmp_path / "timed.json", tmp_path / "untimed.json"
+        timed.write_text(json.dumps([{"t": 7.5 * i * i + 0.001 * i, **r}
+                                     for i, r in enumerate(records)]))
+        untimed.write_text(json.dumps([{k: r[k] for k in ("x", "y", "yaw")}
+                                       for r in records]))
+        for poses in (timed, untimed):
+            fused = tmp_path / f"{poses.stem}.occg"
+            assert main(["fuse", "--frames", str(out_dir / "frames"), "--poses", str(poses),
+                         "--out", str(fused)]) == EXIT_OK
+            assert fused.read_bytes() == (out_dir / "map.occg").read_bytes(), poses.stem
 
     @pytest.mark.parametrize("before, after, stray", [
         # 12 synth frames, then 6: fusion used to find 12 frames for 6 poses

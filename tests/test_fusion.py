@@ -191,7 +191,7 @@ class TestFirstWins:
         f2 = make_map(np.full((20, 20), table.sidewalk_id, dtype=np.uint8),
                       table, z_dim=4)
         pose = Pose2(4.0, 4.0, 0.0)
-        gmap = fuse_keyframes([f1, f2], [pose, pose], [0, 1])
+        gmap = fuse_keyframes([f1, f2], [pose, pose], [0, 1], FusionParams().margin)
         assigned = gmap.labels[:, :, 0]
         core = assigned[assigned != table.unassigned_id]
         assert (core == table.road_id).all()
@@ -233,7 +233,7 @@ class TestFrameGeometry:
         # frame 0 alone is the keyframe, frames 1-5 the non-keyframes
         frames, poses = mixed_sequence(table, dims, voxel_sizes, swapped)
         with pytest.raises(ValueError, match=re.escape(message)):
-            fuse_keyframes(frames, poses, [0])
+            fuse_keyframes(frames, poses, [0], FusionParams().margin)
         gmap = GlobalMap(np.zeros((40, 40, dims[0][2]), dtype=np.uint8),
                          voxel_sizes[0], Pose2(), table)
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -317,7 +317,8 @@ class TestColumnSinking:
         frames = sample_frames(world, poses)
         tracemalloc.start()
         try:
-            gmap = fuse_keyframes(frames, poses, list(range(len(poses))))
+            gmap = fuse_keyframes(frames, poses, list(range(len(poses))),
+                                      FusionParams().margin)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -257,13 +257,13 @@ class TestLeaderSelection:
         route = [[0.0, 0.0], [100.0, 0.0]]
         a = make_agent(0, 0, [1, 0], 5, route)
         lead = make_agent(20, 0.5, [1, 0], 5, route)
-        assert select_leader(a, [lead]) is lead
+        assert select_leader(a, [lead], SimParams().d_lat) is lead
 
     def test_behind_ignored(self):
         route = [[0.0, 0.0], [100.0, 0.0]]
         a = make_agent(50, 0, [1, 0], 5, route)
         behind = make_agent(30, 0, [1, 0], 5, route)
-        assert select_leader(a, [behind]) is None
+        assert select_leader(a, [behind], SimParams().d_lat) is None
 
     def test_cone_boundary(self):
         # normalized dot must exceed 0.5: 60 degrees off-axis is exactly 0.5
@@ -288,7 +288,7 @@ class TestLeaderSelection:
         a = make_agent(0, 0, [1, 0], 5, route)
         near = make_agent(10, 0, [1, 0], 5, route)
         far = make_agent(30, 0, [1, 0], 5, route)
-        assert select_leader(a, [far, near]) is near
+        assert select_leader(a, [far, near], SimParams().d_lat) is near
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -307,7 +307,7 @@ class TestLeaderSelection:
             agent.set_route(route)
         points = points_off_route(data, route, d_lat)
         for p in points:
-            assert (simulation._near_route(agent, p, d_lat)
+            assert (agent.near_route(p, d_lat)
                     == (reference_dist_point_polyline(p, route) < d_lat))
         others = [make_agent(*p, heading, 5.0, route) for p in points]
         assert (select_leader(agent, others, d_lat)
@@ -390,7 +390,7 @@ def build_sim(road_width=9.6, extent=120.0, horizon=10, seed=0, **kw):
 class TestSimulator:
     def test_run_produces_frames_and_log(self):
         sim, poses = build_sim(horizon=5, seed=42)
-        frames, logbook = sim.run(ego_pose_index=3)
+        frames, logbook = zip(*sim.iter_steps(ego_pose_index=3))
         assert len(frames) == 5 and len(logbook) == 5
         assert frames[0].dims == (200, 200, 16)
         for entry in logbook:
@@ -400,8 +400,8 @@ class TestSimulator:
         assert (frames[-1].labels == vid).sum() > 0
 
     def test_deterministic_for_fixed_seed(self):
-        frames1, log1 = build_sim(horizon=4, seed=7)[0].run(ego_pose_index=2)
-        frames2, log2 = build_sim(horizon=4, seed=7)[0].run(ego_pose_index=2)
+        frames1, log1 = zip(*build_sim(horizon=4, seed=7)[0].iter_steps(ego_pose_index=2))
+        frames2, log2 = zip(*build_sim(horizon=4, seed=7)[0].iter_steps(ego_pose_index=2))
         assert log1 == log2
         for f1, f2 in zip(frames1, frames2):
             assert np.array_equal(f1.labels, f2.labels)
@@ -492,7 +492,7 @@ def reference_render(sim, state):
     """The frame as a foreground volume of agent boxes, each agent tested
     against the field of view on its own, laid over the crop with
     ``reference_overlay``. Kept as the equivalence reference."""
-    ego_pose = sim.ego_pose(state)
+    ego_pose = state.ego.pose
     background = crop(sim.gmap, ego_pose, sim.params.fov_dims)
     fg = np.full(background.dims, sim.gmap.table.unassigned_id, dtype=np.uint8)
     vox = sim.gmap.voxel_size
@@ -626,7 +626,7 @@ class TestPinnedRollouts:
             lambda state, ego: ego.speed if state.step_index < hold_from else 0.0)
         sim = Simulator(world, lanes, endpoints, path, SimParams(horizon=12, seed=seed),
                         ego_speed_hook=hook)
-        frames, logbook = sim.run(ego_pose_index=start)
+        frames, logbook = zip(*sim.iter_steps(ego_pose_index=start))
         if hold_from is not None:
             assert all(entry["ego"]["speed"] == 0.0 for entry in logbook[hold_from:])
         assert_pinned(pin, (chunk for frame, entry in zip(frames, logbook)

@@ -584,6 +584,15 @@ class TestSegmentsAndIO:
         assert (20.5, 20.0) in g.nodes
         assert_round_trip(g, [n for n in g.nodes if g.degree(n) == 1][1:])
 
+    def test_clean_graph_refuses_a_graph_read_from_graph_json(self):
+        # a loaded graph has no chains to edit; cleaning the graph of a plus
+        # world read back from graph.json raised an AttributeError
+        g, valid = extract_topology(generate_world(
+            WorldSpec(recipe="plus", extent=120.0, road_width=9.6)))
+        loaded, _ = _reloaded(g, valid)
+        with pytest.raises(ValueError, match="build_graph"):
+            clean_graph(loaded, 5.0, 9.0)
+
     # graph.json holds pixel coordinates and the anchors' ids only, so its
     # bytes pin the anchors, the segments and the valid endpoints, in the
     # graph's order, exactly
