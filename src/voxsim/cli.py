@@ -256,7 +256,7 @@ def run_metrics(args) -> dict:
     else:
         a, b = metrics_mod.read_features(args.a), metrics_mod.read_features(args.b)
         if args.metric == "mmd":
-            report["value"] = metrics_mod.mmd(a, b, kernel=args.kernel, sigma=sigma)
+            report["value"] = metrics_mod.mmd(a, b, sigma)
         elif args.metric == "kid":
             report["value"] = metrics_mod.kid(a, b)
         else:
@@ -299,60 +299,48 @@ def run_pipeline(config: dict, root_seed: int, out_dir: Path) -> dict:
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="voxsim")
-    ap.add_argument("--log-level", default="WARNING")
+    ap.add_argument("--log-level", default="WARNING", type=str.upper,
+                    choices=("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"))
     sub = ap.add_subparsers(dest="command", required=True)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
+    tuned = argparse.ArgumentParser(add_help=False)
+    tuned.add_argument("--params", default=None)
+    placed = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    placed.add_argument("--layout", default="procedural")
 
-    p = sub.add_parser("synth", help="generate a synthetic world and frames")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    def stage(name, help, required, parents, run):
+        """Subcommand ``name`` with the flags ``required`` and those of
+        ``parents``; ``run`` turns its parsed flags into the stage's record
+        and looks each run_* up when called, so a wrapped one is the one run."""
+        p = sub.add_parser(name, help=help, parents=parents)
+        for flag in required:
+            p.add_argument(f"--{flag}", required=True)
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("fuse", help="fuse ego frames into a global map")
-    p.add_argument("--frames", required=True)
-    p.add_argument("--poses", required=True)
-    p.add_argument("--params", default=None)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("topo", help="extract the road graph")
-    p.add_argument("--map", required=True)
-    p.add_argument("--params", default=None)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("lanes", help="extract vectorized lanes")
-    p.add_argument("--map", required=True)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--params", default=None)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("spawn", help="spawn agents on the lane network")
-    p.add_argument("--map", required=True)
-    p.add_argument("--lanes", required=True)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--layout", default="procedural")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("simulate", help="run the closed-loop engine")
-    p.add_argument("--map", required=True)
-    p.add_argument("--lanes", required=True)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--poses", required=True)
-    p.add_argument("--params", default=None)
-    p.add_argument("--layout", default="procedural")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("metrics", help="evaluate realism/diversity metrics")
+    stage("synth", "generate a synthetic world and frames", ["spec", "out"], [seeded],
+          lambda a: run_synth(_load_json(a.spec), a.seed, Path(a.out)))
+    stage("fuse", "fuse ego frames into a global map", ["frames", "poses", "out"], [tuned],
+          lambda a: run_fuse(a.frames, a.poses, _load_json(a.params), Path(a.out)))
+    stage("topo", "extract the road graph", ["map", "out"], [tuned],
+          lambda a: run_topo(a.map, _load_json(a.params), Path(a.out)))
+    stage("lanes", "extract vectorized lanes", ["map", "graph", "out"], [tuned],
+          lambda a: run_lanes(a.map, a.graph, _load_json(a.params), Path(a.out)))
+    stage("spawn", "spawn agents on the lane network", ["map", "lanes", "graph", "out"],
+          [placed], lambda a: run_spawn(a.map, a.lanes, a.graph, a.layout, a.seed,
+                                        Path(a.out)))
+    stage("simulate", "run the closed-loop engine",
+          ["map", "lanes", "graph", "poses", "out"], [placed, tuned],
+          lambda a: run_simulate(a.map, a.lanes, a.graph, a.poses, _load_json(a.params),
+                                 a.seed, a.layout, Path(a.out)))
+    p = stage("metrics", "evaluate realism/diversity metrics", ["a"], [],
+              lambda a: run_metrics(a))
     p.add_argument("metric", choices=["vendi", "mmd", "kid", "fid", "diversity"])
-    p.add_argument("--a", required=True)
     p.add_argument("--b", default=None)
-    p.add_argument("--kernel", default="gaussian", choices=["gaussian", "polynomial"])
     p.add_argument("--sigma", type=float, default=1.0)
-
-    p = sub.add_parser("pipeline", help="run all stages end to end")
-    p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-dir", required=True)
+    stage("pipeline", "run all stages end to end", ["config", "out-dir"], [seeded],
+          lambda a: run_pipeline(_load_json(a.config), a.seed, Path(a.out_dir)))
     return ap
 
 
@@ -375,41 +363,19 @@ def _load_json(path) -> dict:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(level=getattr(logging, args.log_level.upper(), logging.WARNING))
+    logging.basicConfig(level=args.log_level)
     try:
-        if args.command == "synth":
-            result = run_synth(_load_json(args.spec), args.seed, Path(args.out))
-        elif args.command == "fuse":
-            result = run_fuse(args.frames, args.poses, _load_json(args.params),
-                              Path(args.out))
-        elif args.command == "topo":
-            result = run_topo(args.map, _load_json(args.params), Path(args.out))
-        elif args.command == "lanes":
-            result = run_lanes(args.map, args.graph, _load_json(args.params),
-                               Path(args.out))
-        elif args.command == "spawn":
-            result = run_spawn(args.map, args.lanes, args.graph, args.layout,
-                               args.seed, Path(args.out))
-        elif args.command == "simulate":
-            result = run_simulate(args.map, args.lanes, args.graph, args.poses,
-                                  _load_json(args.params), args.seed,
-                                  args.layout, Path(args.out))
-        elif args.command == "metrics":
-            result = run_metrics(args)
-        elif args.command == "pipeline":
-            result = run_pipeline(_load_json(args.config), args.seed,
-                                  Path(args.out_dir))
+        result = args.run(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FileNotFoundError, OSError, occupancy.GridFormatError,
-            occupancy.InputFormatError) as e:
+    except (OSError, occupancy.GridFormatError, occupancy.InputFormatError) as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return EXIT_IO
     except Exception as e:
         print(f"stage failure ({args.command}): {e}", file=sys.stderr)
         return EXIT_STAGE
-    json.dump(result, sys.stdout, indent=2, default=str)
+    json.dump(result, sys.stdout, indent=2)
     print()
     return EXIT_OK
 

@@ -92,40 +92,43 @@ def gaussian_kernel(x: np.ndarray, y: np.ndarray, sigma: float) -> np.ndarray:
     return np.exp(-d2 / (2.0 * sigma ** 2))
 
 
-def polynomial_kernel(x: np.ndarray, y: np.ndarray, degree: int = 3,
-                      coef: float = 1.0) -> np.ndarray:
-    D = x.shape[1]
-    return (x @ y.T / D + coef) ** degree
+def polynomial_kernel(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """KID's cubic kernel (x.y/D + 1)^3."""
+    return (x @ y.T / x.shape[1] + 1.0) ** 3
 
 
-def mmd(x: np.ndarray, y: np.ndarray, kernel: str = "gaussian",
-        sigma: float = 1.0, degree: int = 3, coef: float = 1.0) -> float:
-    """Unbiased squared-MMD U-statistic: off-diagonal within-set means plus
-    the full cross-set mean."""
+def _feature_sets(x, y):
+    """x and y as float arrays; a ValueError naming both shapes unless each
+    is a matrix of at least two rows and both share one width D >= 1."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if (x.ndim != 2 or y.ndim != 2 or min(len(x), len(y)) < 2
+            or x.shape[1] != y.shape[1] or x.shape[1] < 1):
+        raise ValueError(f"feature sets must be N x D and M x D with N, M >= 2 "
+                         f"and D >= 1, got {x.shape} and {y.shape}")
+    return x, y
+
+
+def _mmd2(x, y, kernel) -> float:
+    """Unbiased squared-MMD U-statistic under ``kernel``: off-diagonal
+    within-set means plus the full cross-set mean."""
+    x, y = _feature_sets(x, y)
     m, n = len(x), len(y)
-    if m < 2 or n < 2:
-        raise ValueError("each set needs at least two samples")
-    if kernel == "gaussian":
-        kxx = gaussian_kernel(x, x, sigma)
-        kyy = gaussian_kernel(y, y, sigma)
-        kxy = gaussian_kernel(x, y, sigma)
-    elif kernel == "polynomial":
-        kxx = polynomial_kernel(x, x, degree, coef)
-        kyy = polynomial_kernel(y, y, degree, coef)
-        kxy = polynomial_kernel(x, y, degree, coef)
-    else:
-        raise ValueError(f"unknown kernel {kernel!r}")
+    kxx, kyy, kxy = kernel(x, x), kernel(y, y), kernel(x, y)
     sum_xx = (kxx.sum() - np.trace(kxx)) / (m * (m - 1))
     sum_yy = (kyy.sum() - np.trace(kyy)) / (n * (n - 1))
     sum_xy = kxy.mean()
     return float(sum_xx + sum_yy - 2.0 * sum_xy)
 
 
+def mmd(x: np.ndarray, y: np.ndarray, sigma: float = 1.0) -> float:
+    """Unbiased MMD^2 with the Gaussian kernel of bandwidth ``sigma``."""
+    return _mmd2(x, y, lambda a, b: gaussian_kernel(a, b, sigma))
+
+
 def kid(x: np.ndarray, y: np.ndarray) -> float:
     """Unbiased MMD^2 with the cubic polynomial kernel (x.y/D + 1)^3."""
-    return mmd(x, y, kernel="polynomial", degree=3, coef=1.0)
+    return _mmd2(x, y, polynomial_kernel)
 
 
 FID_EIG_FLOOR = 1e-10  # covariance eigenvalues below this count as singular
@@ -138,10 +141,7 @@ def fid(x: np.ndarray, y: np.ndarray):
     Sx^{1/2} Sy Sx^{1/2}. Returns (value, flagged) where flagged marks a
     singular covariance handled with the eigenvalue floor FID_EIG_FLOOR.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if len(x) < 2 or len(y) < 2:
-        raise ValueError("each set needs at least two samples")
+    x, y = _feature_sets(x, y)
     mu_x, mu_y = x.mean(axis=0), y.mean(axis=0)
     cx = np.cov(x, rowvar=False)
     cy = np.cov(y, rowvar=False)

@@ -234,6 +234,20 @@ class TestExitCodes:
         assert main(["metrics", "mmd", "--a", str(feat), "--b", str(feat),
                      "--sigma", sigma]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("level", ["BASIC_FORMAT", "nonsense", ""])
+    def test_log_level_that_is_no_level_name_is_config_error(self, tmp_path, capsys, level):
+        # BASIC_FORMAT, a logging attribute but a format string, used to end
+        # in a traceback, and any other name was read as WARNING
+        with pytest.raises(SystemExit) as exc:
+            main(["--log-level", level, "topo", "--map", str(tmp_path / "m.occg"),
+                  "--out", str(tmp_path / "g.json")])
+        assert exc.value.code == EXIT_CONFIG
+        assert "--log-level" in capsys.readouterr().err
+
+    def test_log_level_names_any_case(self, tmp_path):
+        assert main(["--log-level", "debug", "topo", "--map", str(tmp_path / "m.occg"),
+                     "--out", str(tmp_path / "g.json")]) == EXIT_IO
+
     def test_missing_map_is_io_error(self, tmp_path):
         code = main(["topo", "--map", str(tmp_path / "nope.occg"),
                      "--out", str(tmp_path / "g.json")])
@@ -747,13 +761,11 @@ def _fid_report(x, y):
 class TestMetricsCommand:
     @pytest.mark.parametrize("args, library, n_a", [
         (["mmd"], lambda x, y: {"value": mmd(x, y)}, 12),
-        (["mmd", "--kernel", "polynomial"],
-         lambda x, y: {"value": mmd(x, y, kernel="polynomial")}, 12),
         (["mmd", "--sigma", "2.5"], lambda x, y: {"value": mmd(x, y, sigma=2.5)}, 12),
         (["kid"], lambda x, y: {"value": kid(x, y)}, 12),
         (["fid"], _fid_report, 12),
         (["fid"], _fid_report, 3),     # 3 samples of 4 features: singular covariance
-    ], ids=["mmd", "mmd-polynomial", "mmd-sigma", "kid", "fid", "fid-singular"])
+    ], ids=["mmd", "mmd-sigma", "kid", "fid", "fid-singular"])
     def test_reports_the_library_value(self, tmp_path, capsys, args, library, n_a):
         rng = np.random.default_rng(5)
         a, b = tmp_path / "a.feat", tmp_path / "b.feat"
@@ -764,6 +776,31 @@ class TestMetricsCommand:
         assert report == {"metric": args[0], **library(read_features(a), read_features(b))}
         if args[0] == "fid":
             assert report["singular_covariance"] == (n_a == 3)
+
+    def test_mmd_refuses_the_removed_kernel_flag(self, tmp_path, capsys):
+        # mmd takes the Gaussian kernel alone; the polynomial MMD is kid
+        feat = tmp_path / "a.feat"
+        write_features(np.random.default_rng(0).normal(size=(6, 3)), feat)
+        with pytest.raises(SystemExit) as exc:
+            main(["metrics", "mmd", "--a", str(feat), "--b", str(feat),
+                  "--kernel", "polynomial"])
+        assert exc.value.code == EXIT_CONFIG
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("metric", ["mmd", "kid", "fid"])
+    @pytest.mark.parametrize("shape_a, shape_b", [((6, 0), (6, 0)), ((6, 4), (6, 5))],
+                             ids=["zero-width", "widths-differ"])
+    def test_feature_sets_that_do_not_match_are_a_stage_failure(self, tmp_path, capsys,
+                                                                 metric, shape_a, shape_b):
+        # two 6 x 0 sets used to print kid's NaN (not JSON) and a 0.0 for
+        # mmd and fid, with exit 0
+        a, b = tmp_path / "a.feat", tmp_path / "b.feat"
+        rng = np.random.default_rng(0)
+        write_features(rng.normal(size=shape_a), a)
+        write_features(rng.normal(size=shape_b), b)
+        assert main(["metrics", metric, "--a", str(a), "--b", str(b)]) == EXIT_STAGE
+        out, err = capsys.readouterr()
+        assert out == "" and f"{shape_a}" in err and f"{shape_b}" in err
 
     @staticmethod
     def _diversity(tmp_path, capsys, a, b, table_b=default_table()):
