@@ -77,6 +77,7 @@ class Agent:
     route_arc: np.ndarray = field(init=False, repr=False)
     route_segments: tuple = field(init=False, repr=False)
     route_blocks: tuple = field(init=False, repr=False)
+    route_reach: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         self.position = np.asarray(self.position, dtype=float)
@@ -90,12 +91,15 @@ class Agent:
         squared lengths (1 for a zero-length segment); and ``route_blocks``,
         the centres and radii of circles that each cover ROUTE_BLOCK
         consecutive segments (the last block may hold fewer), with the
-        route's coordinate scale, 1 plus its largest absolute coordinate."""
+        route's coordinate scale, 1 plus its largest absolute coordinate.
+        ``route_reach`` holds the last ``d_lat`` that ``near_route`` was
+        asked about and the squared reach of each block for it."""
         self.route = np.asarray(route, dtype=float)
         self.route_arc = arc_length(self.route)
         a = self.route[:-1]
         ab = self.route[1:] - a
-        denom = (ab * ab).sum(axis=1)
+        sq = ab * ab
+        denom = sq[:, 0] + sq[:, 1]   # (ab * ab).sum(axis=1), as in arc_length
         denom[denom == 0] = 1.0
         self.route_segments = (a, ab, denom)
         # Block k covers points k * ROUTE_BLOCK through (k + 1) * ROUTE_BLOCK,
@@ -109,6 +113,7 @@ class Agent:
             hi = np.maximum(np.maximum.reduceat(a, starts), hi)
         scale = 1.0 + float(np.abs(self.route).max(initial=0.0))
         self.route_blocks = ((lo + hi) / 2.0, np.hypot(*(hi - lo).T) / 2.0, scale)
+        self.route_reach = (None, None)
 
     def near_route(self, p: np.ndarray, d_lat: float) -> bool:
         """Whether point p lies closer than d_lat to the route.
@@ -123,17 +128,24 @@ class Agent:
         if len(self.route) == 1:
             return float(np.linalg.norm(p - self.route[0])) < d_lat
         centers, radii, scale = self.route_blocks
+        if self.route_reach[0] != d_lat:
+            reach = radii + (d_lat + ROUTE_SLACK * (scale + d_lat))
+            self.route_reach = (d_lat, reach * reach)
         off = centers - p
-        reach = radii + (d_lat + ROUTE_SLACK * (scale + d_lat))
-        near = np.flatnonzero(np.vecdot(off, off) < reach * reach)
+        near = (np.vecdot(off, off) < self.route_reach[1]).nonzero()[0]
         if not len(near):
             return False
         span = slice(near[0] * ROUTE_BLOCK, (near[-1] + 1) * ROUTE_BLOCK)
         a, ab, denom = (v[span] for v in self.route_segments)
-        ap = p - a
-        t = np.clip((ap * ab).sum(axis=1) / denom, 0.0, 1.0)
-        proj = a + t[:, None] * ab
-        return float(np.linalg.norm(proj - p, axis=1).min()) < d_lat
+        # each row sum of two columns is x + y, as in arc_length
+        m = (p - a) * ab
+        t = (m[:, 0] + m[:, 1]) / denom
+        np.minimum(np.maximum(t, 0.0, out=t), 1.0, out=t)
+        d = a + t[:, None] * ab - p
+        d *= d
+        # norm(d, axis=1) is the root of this row sum; sqrt is correctly
+        # rounded and monotone, so the root of the least sum is the least root
+        return math.sqrt((d[:, 0] + d[:, 1]).min()) < d_lat
 
     @property
     def yaw(self) -> float:
@@ -311,9 +323,10 @@ class ProceduralLayoutSource:
             if len(statics) >= k:
                 break
             # the 1-D np.linalg.norm of one p - q is the root of its dot
-            # product; vecdot takes that for every chosen q at once
+            # product; vecdot takes that for every chosen q at once, and the
+            # root of the least is the least root (sqrt is monotone)
             d = pool[i] - chosen[:len(statics)]
-            if np.all(np.sqrt(np.vecdot(d, d)) >= MIN_SPACING):
+            if not statics or math.sqrt(np.vecdot(d, d).min()) >= MIN_SPACING:
                 chosen[len(statics)] = pool[i]
                 statics.append(rng.random() < P_STATIC)
         local = inv.transform_point(chosen[:len(statics)]) + half  # corner origin

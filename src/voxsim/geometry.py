@@ -68,14 +68,22 @@ def route_heading(route: np.ndarray) -> np.ndarray:
 
 
 def arc_length(points: np.ndarray) -> np.ndarray:
-    """Cumulative arc length along an (N, 2) polyline, starting at 0."""
-    seg = np.linalg.norm(np.diff(points, axis=0), axis=1)
-    return np.concatenate([[0.0], np.cumsum(seg)])
+    """Cumulative arc length along an (N, 2) polyline, starting at 0.
+
+    Each segment length is ``np.linalg.norm(step, axis=1)`` bit for bit:
+    that norm is the root of each row's sum of squares, and a two-term sum
+    is ``x + y`` whether a reduction over the row or an addition of the two
+    columns takes it; the columns skip the reduction's per-row cost."""
+    step = points[1:] - points[:-1]
+    step *= step
+    return np.concatenate([[0.0], np.cumsum(np.sqrt(step[:, 0] + step[:, 1]))])
 
 
 def resample_polyline(points: np.ndarray, s: np.ndarray, targets) -> np.ndarray:
     """Linear interpolation of a polyline with cumulative arc length ``s`` at
     arc-length ``targets``: (M, 2) for an array of targets, (2,) for a scalar."""
     x = np.interp(targets, s, points[:, 0])
-    y = np.interp(targets, s, points[:, 1])
-    return np.stack([x, y], axis=-1)
+    out = np.empty(x.shape + (2,))
+    out[..., 0] = x
+    out[..., 1] = np.interp(targets, s, points[:, 1])
+    return out

@@ -68,11 +68,13 @@ def idm_accel(v: float, dv: float, s: float, idm: IdmParams) -> float:
         s_star = max(s_star, 0.0)
         interaction = (s_star / s) ** 2
     a = idm.a_max * (free - interaction)
-    return float(np.clip(a, -idm.b_emergency, idm.a_max))
+    return float(min(max(a, -idm.b_emergency), idm.a_max))
 
 
 def _positions(agents) -> np.ndarray:
-    return np.array([a.position for a in agents], dtype=float).reshape(-1, 2)
+    if not agents:
+        return np.empty((0, 2))
+    return np.concatenate([a.position for a in agents]).reshape(-1, 2)
 
 
 def select_leader(agent: Agent, others, d_lat: float):
@@ -84,9 +86,11 @@ def select_leader(agent: Agent, others, d_lat: float):
     # Row-wise vecdot gives the same bits as the 1-D norm and dot product of
     # each row; norm(axis=1) and a matrix product do not.
     dist = np.sqrt(np.vecdot(rel, rel))
-    apart = np.flatnonzero(dist > 1e-9)
-    cone = apart[np.vecdot(rel[apart], agent.heading) / dist[apart] > 0.5]
-    for i in cone[np.argsort(dist[cone], kind="stable")]:
+    # an agent within 1e-9 keeps the cosine 0, outside the cone
+    cos = np.divide(np.vecdot(rel, agent.heading), dist, out=np.zeros(len(dist)),
+                    where=dist > 1e-9)
+    cone = (cos > 0.5).nonzero()[0]
+    for i in cone[dist[cone].argsort(kind="stable")]:
         if agent.near_route(others[i].position, d_lat):
             return others[i]
     return None
@@ -114,12 +118,10 @@ def maybe_lane_change(agent: Agent, leader: Agent, s: float, dv: float,
     """Alg trigger: s < d_lc and (closing in, or head-on leader). On success
     the route becomes a Bezier transition onto the nearest parallel lane
     followed by a shortest re-route to the original target."""
-    if s >= params.d_lc:
+    if s >= params.d_lc or agent.lc_cooldown > 0:
         return False
     head_on = float(agent.heading @ leader.heading) < -0.5
     if not (dv > 0 or head_on):
-        return False
-    if agent.lc_cooldown > 0:
         return False
     adj = network.nearest_node_on_other_lane(
         agent.position, agent.lane_id, 2.0 * 3.6)
@@ -341,8 +343,9 @@ def _stamp_boxes(labels: np.ndarray, local: np.ndarray, yaws, assets,
               & (ox < size[:, :1])[:, :, None] & (oy < size[:, 1:])[:, None, :])
     box, i, j = np.nonzero(inside)
     gx, gy = ix[box, i], iy[box, j]
-    z1 = np.array([min(math.ceil(a.height / vox), Z) for a in assets])[box]
-    for h in np.unique(z1).tolist():
+    heights = [min(math.ceil(a.height / vox), Z) for a in assets]
+    z1 = np.array(heights)[box]
+    for h in sorted(set(heights)):
         column = z1 == h
         labels[gx[column], gy[column], :h] = vehicle_id
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voxsim.geometry import Pose2, normalize_angle, unit
+from voxsim.geometry import Pose2, arc_length, normalize_angle, resample_polyline, unit
 
 coords = st.floats(-1e3, 1e3, allow_nan=False)
 poses = st.builds(Pose2, coords, coords, st.floats(-20.0, 20.0))
@@ -74,3 +74,40 @@ class TestUnit:
             assert got is default
         else:
             assert got.tobytes() == (v / n).tobytes()
+
+
+@st.composite
+def polylines(draw):
+    """An (N, 2) polyline of 1 to 30 points at one of several scales, with
+    repeated points (zero-length segments, so repeated arc lengths) drawn
+    often."""
+    n = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    steps = rng.uniform(-1.0, 1.0, size=(n - 1, 2)) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    steps[rng.random(n - 1) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0.0
+    start = rng.uniform(-500.0, 500.0, size=2)
+    return np.concatenate([[start], start + np.cumsum(steps, axis=0)])
+
+
+class TestPolyline:
+    @settings(max_examples=200, deadline=None)
+    @given(polylines())
+    def test_arc_length_is_the_cumulative_row_norm(self, points):
+        expect = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(points, axis=0),
+                                                                 axis=1))])
+        got = arc_length(points)
+        assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(polylines(), st.data())
+    def test_resample_matches_stacked_interp(self, points, data):
+        # scalar, 0-d and 1-D targets, before, inside and after the arc
+        s = arc_length(points)
+        at = st.floats(-5.0, float(s[-1]) + 5.0) | st.sampled_from(s.tolist())
+        targets = data.draw(st.one_of(at, at.map(np.array),
+                                      st.lists(at, max_size=12).map(np.array)))
+        expect = np.stack([np.interp(targets, s, points[:, 0]),
+                           np.interp(targets, s, points[:, 1])], axis=-1)
+        got = resample_polyline(points, s, targets)
+        assert got.shape == expect.shape and got.dtype == expect.dtype
+        assert got.tobytes() == expect.tobytes()

@@ -50,6 +50,29 @@ class TestIdm:
         idm = IdmParams()
         assert idm_accel(5.0, 0.0, 0.0, idm) == -idm.b_emergency
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, 40.0), st.floats(-40.0, 40.0),
+           st.one_of(st.floats(-10.0, 0.0), st.just(math.inf), st.floats(1e-6, 500.0)),
+           st.booleans())
+    @example(20.0, 0.0, math.inf, False)
+    @example(5.0, 1.0, -0.0, True)
+    def test_clamp_is_the_numpy_clip(self, v, dv, s, numpy_speed):
+        # a free road, a non-positive gap and a speed above v0 included; a
+        # NumPy speed gives a Python float too
+        idm = IdmParams()
+        if numpy_speed:
+            v = np.float64(v)
+        if s <= 0:
+            raw = -math.inf
+        else:
+            interaction = 0.0 if math.isinf(s) else (max(
+                idm.s0 + v * idm.t_headway
+                + v * dv / (2.0 * math.sqrt(idm.a_max * idm.b_comfort)), 0.0) / s) ** 2
+            raw = idm.a_max * (1.0 - (v / idm.v0) ** idm.delta - interaction)
+        got = idm_accel(v, dv, s, idm)
+        assert type(got) is float
+        assert got.hex() == float(np.clip(raw, -idm.b_emergency, idm.a_max)).hex()
+
     def test_matches_scalar_reference(self):
         # independent scalar re-evaluation of the closed form
         idm = IdmParams()
@@ -283,6 +306,12 @@ class TestLeaderSelection:
         off_route = make_agent(20, 5.0, [1, 0], 5, route)
         assert select_leader(a, [off_route], d_lat=2.0) is None
 
+    def test_no_candidate_but_itself_gives_no_leader(self):
+        route = [[0.0, 0.0], [100.0, 0.0]]
+        a = make_agent(0, 0, [1, 0], 5, route)
+        assert select_leader(a, [], SimParams().d_lat) is None
+        assert select_leader(a, [a], SimParams().d_lat) is None
+
     def test_nearest_wins(self):
         route = [[0.0, 0.0], [100.0, 0.0]]
         a = make_agent(0, 0, [1, 0], 5, route)
@@ -306,9 +335,23 @@ class TestLeaderSelection:
             agent = make_agent(*route[0], heading, 5.0, data.draw(long_routes()))
             agent.set_route(route)
         points = points_off_route(data, route, d_lat)
-        for p in points:
-            assert (agent.near_route(p, d_lat)
-                    == (reference_dist_point_polyline(p, route) < d_lat))
+        d_other = data.draw(st.floats(0.5, 6.0))
+
+        def check(path, tolerances):
+            for p in points:
+                for d in tolerances:
+                    assert (agent.near_route(p, d)
+                            == (reference_dist_point_polyline(p, path) < d))
+
+        # the blocks' reach is kept for the last d_lat asked: two tolerances
+        # take turns, and the reach kept for d_other must not outlive its
+        # route, replaced by one with one more block
+        check(route, (d_lat, d_other))
+        longer = np.concatenate([route, route[-1] + np.cumsum(
+            np.full((ROUTE_BLOCK, 2), data.draw(st.floats(-4.0, 4.0))), axis=0)])
+        agent.set_route(longer)
+        check(longer, (d_other, d_lat))
+        agent.set_route(route)
         others = [make_agent(*p, heading, 5.0, route) for p in points]
         assert (select_leader(agent, others, d_lat)
                 is reference_select_leader(agent, others, d_lat))
