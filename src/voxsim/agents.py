@@ -354,10 +354,9 @@ def spawn_agents(anchor: Pose2, b_ego: bool, half, network: RouteNetwork,
     mu_v, sigma_v = speed_dist
     layout = layout_source.sample(anchor, half, rng)
 
-    world_positions = []
-    for e in layout:
-        local = np.array([e.x, e.y]) - half
-        world_positions.append((anchor.transform_point(local), e.static, False))
+    local = np.array([[e.x, e.y] for e in layout], dtype=float).reshape(-1, 2) - half
+    world_positions = [(pos, e.static, False)
+                       for pos, e in zip(anchor.transform_point(local), layout)]
     if b_ego:
         world_positions.append((anchor.position, False, True))
     nodes = network.nearest_nodes([pos for pos, _, _ in world_positions], SNAP_DIST)

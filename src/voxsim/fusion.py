@@ -23,9 +23,18 @@ a sequence must share frame 0's dims, voxel size and semantic table; phase
 2 builds its map under that table, and phase 3 checks that the frames fit
 its map: the same z levels, voxel size and table. Phase 2's ground clean-up
 finds every column's lowest ground level in one pass over the map (a
-comparison per ground id and one ``argmax`` along z) and shifts only the
-columns whose ground lies above z = 0. Its z = 0 mode fill counts
-each category's neighbours as a uint8 box sum of shifted adds.
+comparison per ground id and the lowest set bit of the column's words)
+and shifts only the columns whose ground lies above z = 0. Its z = 0 mode
+fill counts each category's neighbours as a uint8 box sum of shifted adds.
+Phase 3 picks a winner only for the holes whose best count reaches
+``tau_vote``.
+
+Column tests read words, not bytes: ``_words`` views a column's Z label
+bytes (or bools) as the widest little-endian unsigned words that tile Z,
+8, 4, 2 or 1 bytes, so a 16-level column is two 8-byte words. Whether a
+column holds a hole, or a keyframe left it without one, is the OR of its
+words (``_columns_any``): one whole-array operation per word, where
+``any``/``all`` along z would reduce each short row on its own.
 """
 
 from __future__ import annotations
@@ -90,6 +99,30 @@ def _map_extent(poses, dims, vox: float, margin: float):
     return lo, (nx, ny)
 
 
+def _words(rows):
+    """``rows``, a bool or uint8 array with Z bytes along its last axis, as
+    (..., Z // w) little-endian unsigned words of w bytes, w the widest of
+    8, 4, 2 and 1 that divides Z: word j holds bytes j * w .. j * w + w - 1,
+    byte i of it at bits 8 * i ... 8 * i + 7. A view where ``rows`` is
+    C-contiguous. Returns (words, w)."""
+    w = next(w for w in (8, 4, 2, 1) if rows.shape[-1] % w == 0)
+    return np.ascontiguousarray(rows).view(np.uint8).view(f"<u{w}"), w
+
+
+def _columns_any(mask):
+    """``mask.any(axis=-1)`` of a bool array: each row of Z bytes is OR-ed
+    as ``_words``, one whole-array operation per word of the row, where a
+    reduction along a short last axis pays numpy's per-row cost. ``all`` of
+    a row is ``~_columns_any(~row)``."""
+    words, _ = _words(mask)
+    acc = words[..., 0]
+    if words.shape[-1] > 1:
+        acc = acc | words[..., 1]
+        for j in range(2, words.shape[-1]):
+            acc |= words[..., j]
+    return acc != 0
+
+
 def _pull_back(gmap: GlobalMap, pose: Pose2, dims, gx, gy):
     """(fx, fy, ok): the frame indices of map cells (gx, gy) and whether
     they fall inside the frame. Cell centres go through the inverse ego pose
@@ -121,28 +154,37 @@ def _footprint_rows(gmap: GlobalMap, pose: Pose2, dims):
     """(rows, jlo, jhi): the map rows of the on-map part of the frame's
     axis-aligned footprint box and, for each, a range [jlo, jhi) of gy inside
     the box that holds every cell of that row inside the frame; None when
-    the footprint misses the map.
+    the box misses the map.
 
-    Along a map row both frame coordinates are linear in gy, so the frame
-    rectangle grown by one voxel on every side cuts the row in one interval.
-    The margin is far larger than the rounding of the exact pull-back, so
-    the ranges are supersets: ``_pull_back`` still decides each cell.
+    The box and the rows' frame coordinates come from the pose in scalar
+    arithmetic, in map cells: the box is the frame rectangle's bounding box
+    grown by a cell on every side. Along a map row both frame coordinates
+    are linear in gy, so the frame rectangle grown by one voxel on every
+    side cuts the row in one interval. The margins are far larger than the
+    rounding of the exact pull-back, so the ranges are supersets:
+    ``_pull_back`` still decides each cell.
     """
-    lo, hi = _frame_footprint(pose, dims, gmap.voxel_size)
-    g0 = np.maximum(gmap.cell_of(*lo), 0)
-    g1 = np.minimum(np.add(gmap.cell_of(*hi), 1), gmap.dims[:2])  # exclusive
-    if np.any(g1 <= g0):
-        return None
-    inv = pose.inverse()
-    c, s = math.cos(inv.yaw), math.sin(inv.yaw)  # as in Pose2.transform_xy
-    rows = np.arange(g0[0], g1[0], dtype=np.int64)
-    lx, ly = inv.transform_xy(*gmap.cell_center(rows, 0))  # at gy = 0
+    X, Y = dims[0], dims[1]
     vox = gmap.voxel_size
-    # one step in gy moves the frame coordinates by (-s, c) voxels
-    ulo, uhi = _row_span(lx / vox + dims[0] / 2.0, -s, dims[0])
-    vlo, vhi = _row_span(ly / vox + dims[1] / 2.0, c, dims[1])
-    jlo = np.clip(np.ceil(np.maximum(ulo, vlo)), g0[1], g1[1]).astype(np.int64)
-    jhi = np.clip(np.floor(np.minimum(uhi, vhi)) + 1, g0[1], g1[1]).astype(np.int64)
+    c, s = math.cos(pose.yaw), math.sin(pose.yaw)
+    px = (pose.x - gmap.origin.x) / vox  # frame centre in map cells
+    py = (pose.y - gmap.origin.y) / vox
+    hx = (abs(c) * X + abs(s) * Y) / 2.0 + 1.0  # box half-extents in cells
+    hy = (abs(s) * X + abs(c) * Y) / 2.0 + 1.0
+    GX, GY = gmap.dims[:2]
+    x0, x1 = max(math.floor(px - hx), 0), min(math.ceil(px + hx), GX)
+    y0, y1 = max(math.floor(py - hy), 0), min(math.ceil(py + hy), GY)
+    if x1 <= x0 or y1 <= y0:
+        return None
+    rows = np.arange(x0, x1, dtype=np.int64)
+    # frame coordinates (u, v) in voxels of cell (gx, gy): the centre's
+    # offset (gx + 0.5 - px, gy + 0.5 - py) turned by -yaw, plus (X, Y) / 2;
+    # one step in gy moves them by (s, c)
+    dx = rows - (px - 0.5)
+    ulo, uhi = _row_span(c * dx + (s * (0.5 - py) + X / 2.0), s, X)
+    vlo, vhi = _row_span((c * (0.5 - py) + Y / 2.0) - s * dx, c, Y)
+    jlo = np.clip(np.ceil(np.maximum(ulo, vlo)), y0, y1).astype(np.int64)
+    jhi = np.clip(np.floor(np.minimum(uhi, vhi)) + 1, y0, y1).astype(np.int64)
     return rows, jlo, np.maximum(jhi, jlo)
 
 
@@ -218,7 +260,7 @@ def fuse_keyframes(frames, poses, keys, margin: float) -> GlobalMap:
         dst = columns.take(cells, axis=0)
         np.copyto(dst, src, where=dst == table.unassigned_id)
         columns[cells] = dst
-        open_cells = np.delete(open_cells, row[(dst != table.unassigned_id).all(axis=1)])
+        open_cells = np.delete(open_cells, row[~_columns_any(dst == table.unassigned_id)])
 
     _sink_columns(gmap, table)
     _mode_fill_ground(gmap, table)
@@ -230,21 +272,34 @@ def _sink_columns(gmap: GlobalMap, table) -> None:
     in place; a column without ground stays as it is.
 
     A comparison per ground id marks the ground voxels in one bool volume
-    (a lookup indexed with the labels would cast them to 8-byte indices),
-    and one ``argmax`` along z finds each column's lowest ground level dz.
-    Only the columns with dz > 0 move, one group per distinct dz: a group's
-    rows shift down by dz in one gather and write, and their dz top levels
-    become unassigned. Index arrays hold
-    one entry per moved column, not per voxel, so the pass stays within a
-    few map sizes of memory even when every column moves."""
+    (a lookup indexed with the labels would cast them to 8-byte indices).
+    Each column's lowest ground level dz comes from its ``_words``, a few
+    whole-plane operations per word: the lowest set bit of a word, isolated
+    as ``word & -word``, is bit 8 * i of the word's byte i, so the bits
+    below it count 8 * i; the lowest word with ground decides. Only the
+    columns with dz > 0 move, one group per distinct dz: a group's rows
+    shift down by dz in one gather and write, and their dz top levels become
+    unassigned. The per-column arrays hold a word or less per column and
+    index arrays one entry per moved column, so the pass stays within a few
+    map sizes of memory even when every column moves."""
     labels = gmap.labels
     Y, Z = labels.shape[1:]
     ground = np.zeros(labels.shape, dtype=bool)
     for value in table.ground_ids:
         ground |= labels == value
-    dz = ground.argmax(axis=2).ravel()  # flat (x, y); 0 for a column without ground
-    del ground  # before the gathers below
-    for d in np.unique(dz[dz > 0]):
+    words, w = _words(ground.reshape(-1, Z))
+    dz = np.zeros(len(words), dtype=np.min_scalar_type(Z))  # flat (x, y)
+    for j in reversed(range(words.shape[1])):  # lower words overwrite higher
+        word = words[:, j]
+        low = np.negative(word)
+        low &= word  # the lowest set bit, 0 for a word without ground
+        hit = low != 0
+        low -= 1
+        byte = np.bitwise_count(low)
+        byte >>= 3
+        np.add(byte, j * w, out=dz, where=hit, dtype=dz.dtype)
+    del ground, words, low, hit, byte  # before the gathers below
+    for d in np.unique(dz[dz > 0]).tolist():
         gx, gy = np.divmod(np.flatnonzero(dz == d), Y)
         labels[gx, gy, :Z - d] = labels[gx, gy, d:]
         labels[gx, gy, Z - d:] = table.unassigned_id
@@ -300,12 +355,13 @@ def _tally_votes(gmap: GlobalMap, unassigned, frames, poses, non_keys, cids):
     if table != gmap.table:
         # every frame shares frame 0's table
         raise ValueError("frame 0 has a different semantic table than the map")
-    hole_column = unassigned.any(axis=2)
+    hole_column = _columns_any(unassigned)
     hole_cells = np.flatnonzero(hole_column)  # sorted flat (x, y); k-th hole column
     column_holes = unassigned[hole_column]  # (hole columns, Z)
+    # flat (column, z) -> hole index, read only at holes
     n_holes = int(np.count_nonzero(column_holes))
-    slot = np.full(column_holes.size, -1, dtype=np.int32)  # flat (column, z) -> hole
-    slot[column_holes.reshape(-1)] = np.arange(n_holes, dtype=np.int32)
+    slot = np.cumsum(column_holes.reshape(-1), dtype=np.int32)
+    slot -= 1
     C = len(cids)
     category = np.full(256, -1, dtype=np.int16)  # uint8 label value -> tally row
     category[cids] = np.arange(C)
@@ -338,8 +394,7 @@ def vote_inpaint(gmap: GlobalMap, frames, poses, non_keys, tau_vote: int) -> Glo
     once, so a plain fancy increment counts exactly and no count exceeds
     ``len(non_keys)``: the tally takes the smallest unsigned dtype that
     holds that (uint8 up to 255 frames, uint16 up to 65 535), so it never
-    wraps. The winner comes from a running maximum over the C category rows
-    and a reverse pass that keeps the lowest category reaching it.
+    wraps. ``_vote_winners`` turns the tally into labels.
     """
     table = gmap.table
     out = gmap.labels.copy()
@@ -348,15 +403,29 @@ def vote_inpaint(gmap: GlobalMap, frames, poses, non_keys, tau_vote: int) -> Glo
         return GlobalMap(out, gmap.voxel_size, gmap.origin, table)
     cids = sorted(table.ids)
     votes = _tally_votes(gmap, unassigned, frames, poses, non_keys, cids)
+    out[unassigned] = _vote_winners(votes, cids, tau_vote, table.unassigned_id)
+    return GlobalMap(out, gmap.voxel_size, gmap.origin, table)
+
+
+def _vote_winners(votes, cids, tau_vote: int, unassigned_id: int):
+    """uint8 label of each hole, one per column of the (C, n_holes) tally
+    ``votes`` (row c counts category ``cids[c]``, ascending): the category
+    with the most votes when that count reaches ``tau_vote``, the lowest one
+    on ties, and ``unassigned_id`` below it. A running maximum over the rows
+    gives each hole's best count, and only the holes whose best count
+    reaches ``tau_vote`` go on: a reverse pass over their columns keeps the
+    lowest category that reaches it."""
     best = votes[0].copy()
     for row in votes[1:]:
         np.maximum(best, row, out=best)
-    filled = np.empty(len(best), dtype=np.uint8)
+    voted = np.flatnonzero(best >= tau_vote)
+    best = best[voted]
+    winner = np.empty(len(voted), dtype=np.uint8)
     for cid, row in reversed(list(zip(cids, votes))):
-        np.putmask(filled, row == best, cid)
-    filled[best < tau_vote] = table.unassigned_id
-    out[unassigned] = filled
-    return GlobalMap(out, gmap.voxel_size, gmap.origin, table)
+        np.putmask(winner, row[voted] == best, cid)
+    filled = np.full(votes.shape[1], unassigned_id, dtype=np.uint8)
+    filled[voted] = winner
+    return filled
 
 
 def refine_morphology(gmap: GlobalMap, params: FusionParams) -> GlobalMap:
@@ -375,7 +444,7 @@ def refine_morphology(gmap: GlobalMap, params: FusionParams) -> GlobalMap:
     road = plane == table.road_id
     lab, n = scipy.ndimage.label(road, structure=np.ones((3, 3), dtype=bool))
     if n:
-        areas = scipy.ndimage.sum_labels(np.ones_like(lab), lab, index=np.arange(1, n + 1))
+        areas = np.bincount(lab.ravel(), minlength=n + 1)[1:]
         cell_area = gmap.voxel_size ** 2
         small = np.nonzero(areas * cell_area < params.min_area)[0] + 1
         if small.size:

@@ -77,12 +77,13 @@ def _positions(agents) -> np.ndarray:
     return np.concatenate([a.position for a in agents]).reshape(-1, 2)
 
 
-def select_leader(agent: Agent, others, d_lat: float):
+def select_leader(agent: Agent, others, positions: np.ndarray, d_lat: float):
     """Nearest other agent within the forward cone (normalized dot > 0.5)
     that also lies within d_lat of the agent's planned route; of equally
-    near ones, the first in ``others``. No agent within 1e-9 of it, the
-    agent itself included, is its leader."""
-    rel = _positions(others) - agent.position
+    near ones, the first in ``others``. ``positions`` holds their positions,
+    row i that of ``others[i]`` (``_positions(others)``). No agent within
+    1e-9 of it, the agent itself included, is its leader."""
+    rel = positions - agent.position
     # Row-wise vecdot gives the same bits as the 1-D norm and dot product of
     # each row; norm(axis=1) and a matrix product do not.
     dist = np.sqrt(np.vecdot(rel, rel))
@@ -153,7 +154,7 @@ def advance_along_route(agent: Agent, dist: float) -> None:
         return
     new_pos = resample_polyline(agent.route, s, agent.route_s)
     step = new_pos - agent.position
-    n = np.linalg.norm(step)
+    n = math.sqrt(step.dot(step))  # np.linalg.norm of a 1-D array, bit for bit
     if n > 1e-9:
         agent.heading = step / n
     else:
@@ -251,16 +252,21 @@ class Simulator:
         state.delta_d_ego = 0.0
 
     def agent_step(self, state: SimState) -> None:
+        """Each moving agent in list order picks its leader, sets its speed
+        and advances; an agent sees the new positions of the agents before
+        it, kept in one positions array whose row is updated as each moves."""
         params = self.params
         idm = params.idm
-        for agent in state.agents:
+        positions = _positions(state.agents)
+        for k, agent in enumerate(state.agents):
             if agent.static or not agent.active:
                 continue
-            leader = select_leader(agent, state.agents, params.d_lat)
+            leader = select_leader(agent, state.agents, positions, params.d_lat)
             if leader is None:
                 a_cmd = idm_accel(agent.speed, 0.0, math.inf, idm)
             else:
-                s = float(np.linalg.norm(leader.position - agent.position))
+                gap = leader.position - agent.position
+                s = math.sqrt(gap.dot(gap))  # np.linalg.norm of a 1-D array
                 head_on = float(agent.heading @ leader.heading) < -0.5
                 if head_on:
                     dv = agent.speed + leader.speed
@@ -276,6 +282,7 @@ class Simulator:
             if agent.lc_cooldown > 0:
                 agent.lc_cooldown -= 1
             advance_along_route(agent, agent.speed * params.dt)
+            positions[k] = agent.position
 
     def render(self, state: SimState) -> OccupancyGrid:
         """The map crop around the ego with every agent in view stamped

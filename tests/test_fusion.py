@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from voxsim.fusion import (FusionParams, _footprint_rows, _frame_columns,
+from voxsim.fusion import (FusionParams, _columns_any, _footprint_rows, _frame_columns,
                            _frame_footprint, _map_extent, _mode_fill_ground,
-                           _sink_columns, fuse_keyframes, fuse_sequence,
-                           refine_morphology, select_keyframes, vote_inpaint)
+                           _pull_back, _sink_columns, _vote_winners, _words,
+                           fuse_keyframes, fuse_sequence, refine_morphology,
+                           select_keyframes, vote_inpaint)
 from voxsim.geometry import Pose2
 from voxsim.occupancy import GlobalMap, OccupancyGrid, SemanticTable, default_table
 from voxsim.synthworld import (WorldSpec, generate_world, sample_frames,
@@ -101,6 +102,39 @@ yaws = st.one_of(
     st.floats(-math.pi, math.pi))
 
 
+class TestColumnWords:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 40), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([0.0, 0.03, 0.5, 0.97, 1.0]), st.booleans())
+    def test_matches_any_and_all_along_the_last_axis(self, Z, seed, share, planes):
+        # random rows of each density, beside an all-False row, an all-True
+        # row and one row per z level holding that level alone, so every
+        # byte of every word is seen set by itself
+        rng = np.random.default_rng(seed)
+        rows = np.concatenate([rng.random((int(rng.integers(0, 30)), Z)) < share,
+                               np.zeros((1, Z), dtype=bool), np.ones((1, Z), dtype=bool),
+                               np.eye(Z, dtype=bool)])
+        mask = rows.reshape(-1, 1, Z) if planes else rows  # (n, 1, Z) or (n, Z)
+        words, w = _words(mask)
+        assert w == max(w for w in (1, 2, 4, 8) if Z % w == 0)
+        assert words.dtype == np.dtype(f"<u{w}") and words.shape == mask.shape[:-1] + (Z // w,)
+        assert np.shares_memory(words, mask)
+        got = _columns_any(mask)
+        assert got.dtype == bool and got.shape == mask.shape[:-1]
+        assert np.array_equal(got, mask.any(axis=-1))
+        assert np.array_equal(~_columns_any(~mask), mask.all(axis=-1))
+
+    @pytest.mark.parametrize("Z", [1, 3, 12, 16, 40])
+    def test_rows_that_are_not_contiguous(self, Z):
+        # every other row and map column of a plane of rows, once with z
+        # contiguous and once with z the slowest axis of the array
+        rng = np.random.default_rng(Z)
+        for mask in (rng.random((6, 8, Z)) < 0.1,
+                     (rng.random((Z, 6, 8)) < 0.1).transpose(1, 2, 0)):
+            view = mask[::2, 1::2]
+            assert np.array_equal(_columns_any(view), view.any(axis=-1))
+
+
 class TestHoleColumnSelection:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -150,6 +184,39 @@ class TestHoleColumnSelection:
         box = rows.size * (jhi.max() - jlo.min())
         inside = reference_frame_to_map_indices(gmap, pose, (12, 12, 1))[0].size
         assert inside <= (jhi - jlo).sum() < 0.75 * box
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_row_spans_hold_every_cell_the_pull_back_keeps(self, data):
+        # every map cell whose pull-back falls inside the frame lies in the
+        # span of its row; None only when no cell does. Random, axis and
+        # near-axis yaws, and poses whose footprint lies in, across or
+        # wholly outside the map's edge
+        table = default_table()
+        nx, ny = data.draw(st.integers(1, 50)), data.draw(st.integers(1, 50))
+        gmap = GlobalMap(np.zeros((nx, ny, 1), dtype=np.uint8), VOX,
+                         Pose2(data.draw(st.floats(-2.0, 2.0)),
+                               data.draw(st.floats(-2.0, 2.0)), 0.0), table)
+        dims = (data.draw(st.integers(1, 16)), data.draw(st.integers(1, 16)), 1)
+        reach = 8.0  # past the map's edge by more than a frame diagonal
+        pose = Pose2(gmap.origin.x + data.draw(st.floats(-reach, nx * VOX + reach)),
+                     gmap.origin.y + data.draw(st.floats(-reach, ny * VOX + reach)),
+                     data.draw(yaws))
+        gx, gy = np.divmod(np.arange(nx * ny), ny)
+        ok = _pull_back(gmap, pose, dims, gx, gy)[2].reshape(nx, ny)
+        hit = _footprint_rows(gmap, pose, dims)
+        if hit is None:
+            assert not ok.any()
+            return
+        rows, jlo, jhi = hit
+        assert rows.dtype == jlo.dtype == jhi.dtype == np.int64
+        assert (np.diff(rows) == 1).all() and 0 <= rows[0] and rows[-1] < nx
+        assert ((0 <= jlo) & (jlo <= jhi) & (jhi <= ny)).all()
+        spans = np.zeros((nx, ny), dtype=bool)
+        for r, a, b in zip(rows, jlo, jhi):
+            spans[r, a:b] = True
+        assert not (ok & ~spans).any()
 
 
 @st.composite
@@ -305,6 +372,23 @@ class TestColumnSinking:
         gmap = GlobalMap(labels.copy(), 0.4, Pose2(), table)
         _sink_columns(gmap, table)
         assert gmap.labels.dtype == np.uint8
+        assert np.array_equal(gmap.labels, reference_sink_columns(labels, table))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_gather_reference_over_multi_word_columns(self, data):
+        # columns of several 8-, 4- and 2-byte words: the lowest ground level
+        # is found in the lowest word that holds ground
+        table = data.draw(st.sampled_from([default_table(), odd_table()]))
+        Z = data.draw(st.sampled_from([10, 12, 16, 24, 40]))
+        shape = (data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6)), Z)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        values = np.array((table.unassigned_id,) + table.ids, dtype=np.uint8)
+        labels = rng.choice(values, size=shape)
+        keep = rng.random(shape) < data.draw(st.sampled_from([0.0, 0.02, 0.2, 1.0]))
+        labels[~keep & np.isin(labels, table.ground_ids)] = table.ids_for("free")[0]
+        gmap = GlobalMap(labels.copy(), 0.4, Pose2(), table)
+        _sink_columns(gmap, table)
         assert np.array_equal(gmap.labels, reference_sink_columns(labels, table))
 
     def test_keyframe_pass_memory_scales_with_the_map(self):
@@ -537,6 +621,48 @@ def dense_vote_inpaint(gmap, frames, poses, non_keys, tau_vote):
     cid_arr = np.array(cids, dtype=np.uint8)
     out[assign] = cid_arr[winner[assign]]
     return GlobalMap(out, gmap.voxel_size, gmap.origin, table)
+
+
+def reference_vote_winners(votes, cids, tau_vote, unassigned_id):
+    """The winner pass as it ran over every hole: a reverse putmask of each
+    category reaching the best count, then the holes below tau_vote reset."""
+    best = votes[0].copy()
+    for row in votes[1:]:
+        np.maximum(best, row, out=best)
+    filled = np.empty(len(best), dtype=np.uint8)
+    for cid, row in reversed(list(zip(cids, votes))):
+        np.putmask(filled, row == best, cid)
+    filled[best < tau_vote] = unassigned_id
+    return filled
+
+
+class TestVoteWinners:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_the_reverse_putmask_over_every_hole(self, data):
+        # counts from 0 to tau_vote + 1 make ties and best counts of exactly
+        # tau_vote common; some holes get two categories at exactly tau_vote
+        # and every other one below it
+        C, n = data.draw(st.integers(1, 8)), data.draw(st.integers(0, 80))
+        tau = data.draw(st.integers(1, 5))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        dtype = data.draw(st.sampled_from([np.uint8, np.uint16]))
+        votes = rng.integers(0, tau + 2, size=(C, n)).astype(dtype)
+        if C > 1:
+            for j in np.flatnonzero(rng.random(n) < 0.3):
+                votes[:, j] = rng.integers(0, tau, size=C)
+                votes[rng.choice(C, size=2, replace=False), j] = tau
+        cids = sorted(rng.choice(np.arange(1, 255), size=C, replace=False).tolist())
+        unassigned_id = data.draw(st.sampled_from([0, 255]))
+        got = _vote_winners(votes, cids, tau, unassigned_id)
+        assert got.dtype == np.uint8 and got.shape == (n,)
+        assert np.array_equal(got, reference_vote_winners(votes, cids, tau, unassigned_id))
+
+    def test_a_tie_at_exactly_tau_goes_to_the_lowest_id(self):
+        votes = np.array([[1, 3, 3, 2], [3, 3, 0, 2], [3, 1, 3, 2]], dtype=np.uint8)
+        got = _vote_winners(votes, [2, 5, 9], 3, 0)
+        assert got.tolist() == [5, 2, 2, 0]
+        assert np.array_equal(got, reference_vote_winners(votes, [2, 5, 9], 3, 0))
 
 
 class CountingFrame:

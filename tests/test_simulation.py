@@ -16,7 +16,7 @@ from voxsim.routing import build_route_network
 from voxsim.simulation import (IdmParams, SimParams, SimState, Simulator,
                                advance_along_route, bezier_transition,
                                boxes_overlap, idm_accel, maybe_lane_change,
-                               select_leader, snapshot_state)
+                               _positions, select_leader, snapshot_state)
 from voxsim.synthworld import (WorldSpec, generate_world, straight_trajectory)
 from voxsim.topology import extract_topology
 from voxsim.lanes import extract_lanes
@@ -280,13 +280,13 @@ class TestLeaderSelection:
         route = [[0.0, 0.0], [100.0, 0.0]]
         a = make_agent(0, 0, [1, 0], 5, route)
         lead = make_agent(20, 0.5, [1, 0], 5, route)
-        assert select_leader(a, [lead], SimParams().d_lat) is lead
+        assert select_leader(a, [lead], _positions([lead]), SimParams().d_lat) is lead
 
     def test_behind_ignored(self):
         route = [[0.0, 0.0], [100.0, 0.0]]
         a = make_agent(50, 0, [1, 0], 5, route)
         behind = make_agent(30, 0, [1, 0], 5, route)
-        assert select_leader(a, [behind], SimParams().d_lat) is None
+        assert select_leader(a, [behind], _positions([behind]), SimParams().d_lat) is None
 
     def test_cone_boundary(self):
         # normalized dot must exceed 0.5: 60 degrees off-axis is exactly 0.5
@@ -294,30 +294,31 @@ class TestLeaderSelection:
         a = make_agent(0, 0, [1, 0], 5, route)
         ang = math.radians(61.0)
         outside = make_agent(2 * math.cos(ang), 2 * math.sin(ang), [1, 0], 5, route)
-        assert select_leader(a, [outside], d_lat=10.0) is None
+        assert select_leader(a, [outside], _positions([outside]), d_lat=10.0) is None
         ang = math.radians(60.0)
         inside = make_agent(2 * math.cos(ang * 0.9), 2 * math.sin(ang * 0.9),
                             [1, 0], 5, route)
-        assert select_leader(a, [inside], d_lat=10.0) is inside
+        assert select_leader(a, [inside], _positions([inside]), d_lat=10.0) is inside
 
     def test_lateral_tolerance(self):
         route = [[0.0, 0.0], [100.0, 0.0]]
         a = make_agent(0, 0, [1, 0], 5, route)
         off_route = make_agent(20, 5.0, [1, 0], 5, route)
-        assert select_leader(a, [off_route], d_lat=2.0) is None
+        assert select_leader(a, [off_route], _positions([off_route]), d_lat=2.0) is None
 
     def test_no_candidate_but_itself_gives_no_leader(self):
         route = [[0.0, 0.0], [100.0, 0.0]]
         a = make_agent(0, 0, [1, 0], 5, route)
-        assert select_leader(a, [], SimParams().d_lat) is None
-        assert select_leader(a, [a], SimParams().d_lat) is None
+        assert select_leader(a, [], _positions([]), SimParams().d_lat) is None
+        assert select_leader(a, [a], _positions([a]), SimParams().d_lat) is None
 
     def test_nearest_wins(self):
         route = [[0.0, 0.0], [100.0, 0.0]]
         a = make_agent(0, 0, [1, 0], 5, route)
         near = make_agent(10, 0, [1, 0], 5, route)
         far = make_agent(30, 0, [1, 0], 5, route)
-        assert select_leader(a, [far, near], SimParams().d_lat) is near
+        others = [far, near]
+        assert select_leader(a, others, _positions(others), SimParams().d_lat) is near
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -353,7 +354,7 @@ class TestLeaderSelection:
         check(longer, (d_other, d_lat))
         agent.set_route(route)
         others = [make_agent(*p, heading, 5.0, route) for p in points]
-        assert (select_leader(agent, others, d_lat)
+        assert (select_leader(agent, others, _positions(others), d_lat)
                 is reference_select_leader(agent, others, d_lat))
 
     @settings(max_examples=300, deadline=None)
@@ -362,7 +363,7 @@ class TestLeaderSelection:
     @example(ULP_IN_CONE)
     def test_pruned_search_matches_reference(self, scene):
         agent, others, d_lat = scene
-        assert (select_leader(agent, others, d_lat)
+        assert (select_leader(agent, others, _positions(others), d_lat)
                 is reference_select_leader(agent, others, d_lat))
 
 
