@@ -1,4 +1,4 @@
-"""Layout heatmaps, augmentation, and spatially-conditioned agent spawning.
+"""Layout heatmaps and spatially-conditioned agent spawning.
 
 Spawning asks a layout source for vehicle positions around an anchor pose.
 A layout source has one method, ``sample(anchor, half, rng)``: it receives
@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Pose2, arc_length, route_heading, unit
-from .occupancy import (POSITIVE, GridFormatError, OccupancyGrid, Settings,
-                        container_floats, read_container, setting, write_hashed)
+from .occupancy import (POSITIVE, GridFormatError, Settings, container_floats,
+                        read_container, setting, write_hashed)
 from .routing import RouteNetwork
 
 log = logging.getLogger(__name__)
@@ -222,71 +222,6 @@ def read_heatmap(path):
     if not POSITIVE.ok(mpc):
         raise GridFormatError(f"meters per cell {mpc} is not finite and positive", 16)
     return container_floats(data, 24, (w, hgt)), mpc
-
-
-# Each global transform once, as an operation on the two leading (x, y) axes.
-_TRANSFORMS = {
-    "identity": lambda a: a,
-    "rot90": lambda a: np.rot90(a, k=3, axes=(0, 1)),
-    "rot180": lambda a: np.rot90(a, k=2, axes=(0, 1)),
-    "rot270": lambda a: np.rot90(a, k=1, axes=(0, 1)),
-    "flip_x": lambda a: a[::-1],
-    "flip_y": lambda a: a[:, ::-1],
-}
-GLOBAL_TRANSFORMS = tuple(_TRANSFORMS)
-
-
-def _transform_cell(t: str, cx: int, cy: int, w: int, h: int):
-    """Where cell (cx, cy) of a w x h plane lands under transform t: the
-    transform is applied to a plane of flat cell indices."""
-    if not (0 <= cx < w and 0 <= cy < h):
-        raise ValueError(f"cell ({cx}, {cy}) outside the {w}x{h} plane")
-    moved = _TRANSFORMS[t](np.arange(w * h).reshape(w, h))
-    tx, ty = np.argwhere(moved == cx * h + cy)[0]
-    return int(tx), int(ty)
-
-
-def augment(layout: list, grid: OccupancyGrid, seed: int,
-            transform: str = None, perturb: bool = True):
-    """Two-stage augmentation of a (layout, grid) pair.
-
-    1. Cap the layout at 10 vehicles by uniform subsampling.
-    2. Perturb each center within a drivable 5x5 cell neighborhood.
-    3. Apply one shared global transform (rotation/flip) to both members.
-    """
-    rng = np.random.default_rng(seed)
-    entries = list(layout)
-    if len(entries) > MAX_VEHICLES:
-        keep = rng.choice(len(entries), size=MAX_VEHICLES, replace=False)
-        entries = [entries[i] for i in sorted(keep)]
-
-    vox = grid.voxel_size
-    drivable = grid.labels[:, :, 0] == grid.table.road_id
-    W, H = drivable.shape
-    out_entries = []
-    for e in entries:
-        cx = int(math.floor(e.x / vox))
-        cy = int(math.floor(e.y / vox))
-        if perturb:
-            cands = [(cx + dx, cy + dy)
-                     for dx in range(-2, 3) for dy in range(-2, 3)
-                     if 0 <= cx + dx < W and 0 <= cy + dy < H
-                     and drivable[cx + dx, cy + dy]]
-            if cands:
-                cx, cy = cands[rng.integers(0, len(cands))]
-        out_entries.append(LayoutEntry((cx + 0.5) * vox, (cy + 0.5) * vox, e.static))
-
-    if transform is None:
-        transform = GLOBAL_TRANSFORMS[rng.integers(0, len(GLOBAL_TRANSFORMS))]
-    new_labels = _TRANSFORMS[transform](grid.labels).copy()
-    final_entries = []
-    for e in out_entries:
-        cx = int(math.floor(e.x / vox))
-        cy = int(math.floor(e.y / vox))
-        tx, ty = _transform_cell(transform, cx, cy, W, H)
-        final_entries.append(LayoutEntry((tx + 0.5) * vox, (ty + 0.5) * vox, e.static))
-    new_grid = OccupancyGrid(new_labels, vox, grid.origin, grid.table)
-    return final_entries, new_grid
 
 
 class FileLayoutSource:

@@ -61,12 +61,8 @@ def idm_accel(v: float, dv: float, s: float, idm: IdmParams) -> float:
     if s <= 0:
         return -idm.b_emergency
     free = 1.0 - (v / idm.v0) ** idm.delta
-    if math.isinf(s):
-        interaction = 0.0
-    else:
-        s_star = idm.s0 + v * idm.t_headway + v * dv / (2.0 * math.sqrt(idm.a_max * idm.b_comfort))
-        s_star = max(s_star, 0.0)
-        interaction = (s_star / s) ** 2
+    s_star = idm.s0 + v * idm.t_headway + v * dv / (2.0 * math.sqrt(idm.a_max * idm.b_comfort))
+    interaction = (max(s_star, 0.0) / s) ** 2   # exactly 0.0 on a free road
     a = idm.a_max * (free - interaction)
     return float(min(max(a, -idm.b_emergency), idm.a_max))
 

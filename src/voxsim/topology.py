@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
+from .geometry import unit
 from .occupancy import (FINITE, POSITIVE, GlobalMap, Settings, at_least, finite_points,
                         load_json_input, save_json, setting)
 
@@ -485,7 +486,7 @@ def _outward_direction(leaf, path):
     is the leaf's segment walked from it."""
     anchor = next((p for p in path[1:] if math.dist(leaf, p) >= OUTWARD_MIN_LEN), path[-1])
     d = np.array(leaf, dtype=float) - anchor
-    return d / np.linalg.norm(d)
+    return unit(d, d)
 
 
 def _box_obstacle_count(gmap: GlobalMap, origin_px, direction, length_px, width_px):

@@ -10,14 +10,16 @@ import time
 import networkx as nx
 import numpy as np
 
-from voxsim.agents import (LayoutEntry, augment, decode_heatmap,
-                           encode_heatmap, _transform_cell)
+from voxsim.agents import (MAX_VEHICLES, FileLayoutSource, LayoutEntry,
+                           ProceduralLayoutSource, decode_heatmap,
+                           encode_heatmap, write_heatmap)
 from voxsim.fusion import (FusionParams, _pull_back, fuse_keyframes, fuse_sequence,
                            select_keyframes)
 from voxsim.geometry import Pose2
 from voxsim.lanes import Lane, LaneParams, extract_lanes, resolve_overlaps
 from voxsim.metrics import fid, kid, mmd, pairwise_diversity, vendi
 from voxsim.occupancy import GlobalMap, crop
+from voxsim.routing import build_route_network
 from voxsim.simulation import (IdmParams, SimParams, SimState, Simulator,
                                boxes_overlap, idm_accel)
 from voxsim.synthworld import (WorldSpec, curve_trajectory, generate_world,
@@ -297,43 +299,41 @@ class TestCriterion6:
 
 
 class TestCriterion7:
-    def test_heatmap_round_trip_and_augmentation(self, table):
+    def test_layout_codec_and_sources(self, tmp_path):
         cells = [(15 + 17 * i, 30 + 11 * i, i % 2 == 0) for i in range(10)]
         layout = [LayoutEntry((cx + 0.5) * 0.4, (cy + 0.5) * 0.4, s)
                   for cx, cy, s in cells]
         h = encode_heatmap(layout, 0.4)
-        back = decode_heatmap(h, 0.4)
-        got = sorted((round(e.x / 0.4 - 0.5), round(e.y / 0.4 - 0.5), e.static)
-                     for e in back)
-        codec_ok = got == sorted(cells)
 
-        plane = np.full((200, 200), table.road_id, dtype=np.uint8)
-        grid = make_map(plane, table, z_dim=4)
-        big = [LayoutEntry((10 + 12 * i + 0.5) * 0.4, (100 + 0.5) * 0.4, False)
-               for i in range(15)]
-        capped, _ = augment(big, grid, seed=0, transform="identity",
-                            perturb=False)
-        cap_ok = len(capped) == 10
+        def cells_of(entries):
+            return sorted((round(e.x / 0.4 - 0.5), round(e.y / 0.4 - 0.5), e.static)
+                          for e in entries)
 
-        src = [LayoutEntry((50 + 0.5) * 0.4, (80 + 0.5) * 0.4, False),
-               LayoutEntry((120 + 0.5) * 0.4, (40 + 0.5) * 0.4, True)]
-        shared_ok = True
-        for t in ("rot90", "rot180", "flip_x", "flip_y"):
-            out, new_grid = augment(src, grid, seed=0, transform=t,
-                                    perturb=False)
-            redecoded = decode_heatmap(encode_heatmap(out, 0.4), 0.4)
-            got = sorted((round(e.x / 0.4 - 0.5), round(e.y / 0.4 - 0.5),
-                          e.static) for e in redecoded)
-            expect = sorted((*_transform_cell(t, 50, 80, 200, 200), False),)
-            expect = sorted([(*_transform_cell(t, 50, 80, 200, 200), False),
-                             (*_transform_cell(t, 120, 40, 200, 200), True)])
-            if got != expect or new_grid.labels.shape != grid.labels.shape:
-                shared_ok = False
+        codec_ok = cells_of(decode_heatmap(h, 0.4)) == sorted(cells)
 
-        ok = codec_ok and cap_ok and shared_ok
+        # the heatmap file that spawn's --layout reads
+        write_heatmap(h, 0.4, tmp_path / "layout.hm")
+        proposed = FileLayoutSource(tmp_path / "layout.hm").sample(
+            Pose2(), np.array([40.0, 40.0]), np.random.default_rng(0))
+        file_ok = cells_of(proposed) == sorted(cells)
+
+        # parallel lanes 4 m apart over a 60 m square footprint: far more
+        # lane samples MIN_SPACING apart than the cap
+        ax = np.arange(0.0, 100.0, 0.5)
+        network = build_route_network(
+            [Lane(np.stack([ax, np.full_like(ax, y)], axis=1), 0, i)
+             for i, y in enumerate(np.arange(2.0, 60.0, 4.0))])
+        source = ProceduralLayoutSource(network)
+        sizes = [len(source.sample(Pose2(50.0, 30.0, 0.0), np.array([30.0, 30.0]),
+                                   np.random.default_rng(seed)))
+                 for seed in range(200)]
+        cap_ok = max(sizes) == MAX_VEHICLES   # reached, never passed
+
+        ok = codec_ok and file_ok and cap_ok
         report(7, ok, f"lossless codec on 10 spaced vehicles: {codec_ok}; "
-                      f"15->10 cap: {cap_ok}; shared transform re-decoded: "
-                      f"{shared_ok}")
+                      f"HEATMAP1 file layout proposes the same cells and "
+                      f"static flags: {file_ok}; at most {max(sizes)} procedural "
+                      f"vehicles in 200 draws, cap {MAX_VEHICLES}: {cap_ok}")
 
 
 class TestCriterion8:

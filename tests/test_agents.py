@@ -5,17 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from voxsim.agents import (DEFAULT_ASSETS, MIN_SPACING, PEAK_THRESHOLD,
-                           SNAP_DIST, Agent, AgentAsset, GLOBAL_TRANSFORMS,
-                           LayoutEntry, ProceduralLayoutSource,
-                           _transform_cell, augment, decode_heatmap,
+                           SNAP_DIST, Agent, AgentAsset, LayoutEntry,
+                           ProceduralLayoutSource, decode_heatmap,
                            encode_heatmap, read_heatmap, spawn_agents,
                            write_heatmap)
 from voxsim.geometry import Pose2, arc_length, route_heading
 from voxsim.lanes import Lane
 from voxsim.occupancy import OccupancyGrid
 from voxsim.routing import build_route_network
-
-from conftest import make_map
 
 
 def centered_layout(cells, mpc=0.4):
@@ -66,72 +63,6 @@ class TestHeatmapCodec:
         back, mpc = read_heatmap(path)
         assert mpc == 0.4
         assert np.allclose(back, h.astype(np.float32))
-
-
-class TestAugment:
-    def _road_grid(self, table):
-        plane = np.full((200, 200), table.road_id, dtype=np.uint8)
-        return make_map(plane, table, z_dim=4)
-
-    def test_cap_15_to_10(self, table):
-        grid = self._road_grid(table)
-        cells = [(10 + 12 * i, 100, False) for i in range(15)]
-        layout = centered_layout(cells)
-        out, _ = augment(layout, grid, seed=0, transform="identity",
-                         perturb=False)
-        assert len(out) == 10
-
-    @pytest.mark.parametrize("shape", [(200, 200), (200, 120)])
-    def test_shared_transform_grid_and_layout(self, table, shape):
-        rng = np.random.default_rng(3)
-        plane = rng.integers(1, 7, size=shape).astype(np.uint8)
-        grid = make_map(plane, table, z_dim=2, free_above=False)
-        cells = [(30, 40, False), (120, 60, True), (70, 110, False),
-                 (0, 0, True), (199, 0, False), (0, shape[1] - 1, True)]
-        layout = centered_layout(cells)
-        for t in GLOBAL_TRANSFORMS:
-            out, new_grid = augment(layout, grid, seed=0, transform=t,
-                                    perturb=False)
-            for (cx, cy, static), e in zip(cells, out):
-                tx, ty = _transform_cell(t, cx, cy, *shape)
-                assert (tx, ty) == reference_transform_cell(t, cx, cy, *shape)
-                assert (round(e.x / 0.4 - 0.5), round(e.y / 0.4 - 0.5)) == (tx, ty)
-                assert e.static == static
-                # the label under the vehicle follows it through the transform
-                assert new_grid.labels[tx, ty, 0] == grid.labels[cx, cy, 0]
-
-    def test_transform_verified_by_redecoding(self, table):
-        grid = self._road_grid(table)
-        cells = [(50, 50, False), (150, 100, True)]
-        layout = centered_layout(cells)
-        out, _ = augment(layout, grid, seed=0, transform="rot90", perturb=False)
-        h = encode_heatmap(out, 0.4)
-        redecoded = decode_heatmap(h, 0.4)
-        got = sorted((round(e.x / 0.4 - 0.5), round(e.y / 0.4 - 0.5), e.static)
-                     for e in redecoded)
-        expect = sorted((*_transform_cell("rot90", cx, cy, 200, 200), s)
-                        for cx, cy, s in cells)
-        assert got == expect
-
-    def test_perturbation_stays_drivable(self, table):
-        plane = np.full((200, 200), 4, dtype=np.uint8)
-        plane[95:106, 95:106] = table.road_id
-        grid = make_map(plane, table, z_dim=2, free_above=False)
-        layout = centered_layout([(100, 100, False)])
-        for seed in range(10):
-            out, _ = augment(layout, grid, seed=seed, transform="identity")
-            e = out[0]
-            cx, cy = int(e.x / 0.4), int(e.y / 0.4)
-            assert plane[cx, cy] == table.road_id
-            assert abs(cx - 100) <= 2 and abs(cy - 100) <= 2
-
-    def test_degenerate_mask_center_unchanged(self, table):
-        plane = np.full((200, 200), 4, dtype=np.uint8)  # nothing drivable
-        grid = make_map(plane, table, z_dim=2, free_above=False)
-        layout = centered_layout([(100, 100, False)])
-        out, _ = augment(layout, grid, seed=0, transform="identity")
-        e = out[0]
-        assert (round(e.x / 0.4 - 0.5), round(e.y / 0.4 - 0.5)) == (100, 100)
 
 
 class TestSpawn:
@@ -198,18 +129,6 @@ class TestSpawn:
     def test_asset_validation(self):
         with pytest.raises(ValueError):
             AgentAsset(0.0, 1.0, 1.0)
-
-
-def reference_transform_cell(t, cx, cy, w, h):
-    """The six transforms as closed-form cell mappings."""
-    return {"identity": (cx, cy), "rot90": (cy, w - 1 - cx),
-            "rot180": (w - 1 - cx, h - 1 - cy), "rot270": (h - 1 - cy, cx),
-            "flip_x": (w - 1 - cx, cy), "flip_y": (cx, h - 1 - cy)}[t]
-
-
-def test_transform_cell_outside_plane_rejected():
-    with pytest.raises(ValueError):
-        _transform_cell("rot90", 200, 0, 200, 120)
 
 
 def reference_sample(lanes, local_grid, rng):
