@@ -262,13 +262,11 @@ class Simulator:
                 a_cmd = idm_accel(agent.speed, 0.0, math.inf, idm)
             else:
                 gap = leader.position - agent.position
+                # IDM's gap is bumper to bumper: centre distance less the half-lengths
                 s = math.sqrt(gap.dot(gap))  # np.linalg.norm of a 1-D array
+                s -= (agent.asset.length + leader.asset.length) / 2.0
                 head_on = float(agent.heading @ leader.heading) < -0.5
-                if head_on:
-                    dv = agent.speed + leader.speed
-                    s -= (agent.asset.length + leader.asset.length) / 2.0
-                else:
-                    dv = agent.speed - leader.speed
+                dv = agent.speed + leader.speed if head_on else agent.speed - leader.speed
                 maybe_lane_change(agent, leader, s, dv, self.network, params)
                 a_cmd = idm_accel(agent.speed, dv, s, idm)
             if agent is state.ego and self.ego_speed_hook is not None:

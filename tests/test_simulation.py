@@ -470,6 +470,29 @@ class TestSimulator:
         sim.agent_step(state)
         assert state.ego.speed == 2.5
 
+    def test_follower_stops_s0_behind_a_parked_car_bumper_to_bumper(self):
+        # IDM's gap is bumper to bumper (Treiber, Hennecke & Helbing 2000):
+        # closing in at 8 m/s on a longer parked car, the follower stops s0
+        # short of its rear bumper, and the two boxes never overlap
+        sim, _ = build_sim()
+        assert set(sim.network.lane_of.tolist()) == {0}   # one lane
+        lane = sim.network.positions[np.argsort(sim.network.positions[:, 0])]
+        y = float(lane[0, 1])
+        follower = Agent(np.array([20.0, y]), np.array([1.0, 0.0]), 8.0,
+                         lane[lane[:, 0] >= 20.0], lane[-1], AgentAsset(4.5, 1.9, 1.6))
+        parked = Agent(np.array([60.0, y]), np.array([1.0, 0.0]), 0.0,
+                       np.array([[60.0, y]]), lane[-1], AgentAsset(5.2, 2.0, 1.9),
+                       static=True)
+        state = SimState(agents=[follower, parked], ego=follower)
+        overlaps = 0
+        for _ in range(600):
+            sim.agent_step(state)
+            overlaps += boxes_overlap(follower, parked)
+        gap = math.dist(follower.position, parked.position) - (4.5 + 5.2) / 2.0
+        assert overlaps == 0
+        assert follower.speed < 1e-6
+        assert gap == pytest.approx(sim.params.idm.s0, abs=1e-3)
+
     def test_snapshot_json_friendly(self):
         import json
         sim, _ = build_sim(horizon=2, seed=0)
