@@ -54,9 +54,9 @@ class SimParams(Settings):
 def idm_accel(v: float, dv: float, s: float, idm: IdmParams) -> float:
     """Longitudinal IDM acceleration toward the desired speed ``idm.v0``.
 
-    s is the gap to the leader (inf when free road); dv = v - v_leader.
-    Clamped to [-b_emergency, a_max]; a non-positive gap means emergency
-    braking.
+    s is the bumper-to-bumper gap to the leader (inf on a free road) and
+    dv = v - v_leader. Clamped to [-b_emergency, a_max]; a non-positive gap
+    means emergency braking.
     """
     if s <= 0:
         return -idm.b_emergency
@@ -262,7 +262,6 @@ class Simulator:
                 a_cmd = idm_accel(agent.speed, 0.0, math.inf, idm)
             else:
                 gap = leader.position - agent.position
-                # IDM's gap is bumper to bumper: centre distance less the half-lengths
                 s = math.sqrt(gap.dot(gap))  # np.linalg.norm of a 1-D array
                 s -= (agent.asset.length + leader.asset.length) / 2.0
                 head_on = float(agent.heading @ leader.heading) < -0.5
