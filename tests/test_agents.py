@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from voxsim.agents import (DEFAULT_ASSETS, MIN_SPACING, PEAK_THRESHOLD,
-                           SNAP_DIST, Agent, AgentAsset, LayoutEntry,
+                           SNAP_DIST, Agent, AgentAsset, FileLayoutSource,
+                           LayoutEntry,
                            ProceduralLayoutSource, decode_heatmap,
                            encode_heatmap, read_heatmap, spawn_agents,
                            write_heatmap)
@@ -125,6 +126,42 @@ class TestSpawn:
             for i in range(len(pts)):
                 for j in range(i + 1, len(pts)):
                     assert np.linalg.norm(pts[i] - pts[j]) >= 8.0 - 1e-9
+
+    def _file_source(self, tmp_path, cells):
+        path = tmp_path / "layout.hm"
+        write_heatmap(encode_heatmap(centered_layout(cells), 0.4), 0.4, path)
+        return FileLayoutSource(path)
+
+    def test_file_source_proposes_the_written_cells_and_flags(self, tmp_path):
+        # the same layout around every anchor and for every draw
+        cells = [(20, 20, False), (60, 80, True), (150, 30, False)]
+        source = self._file_source(tmp_path, cells)
+        for anchor, seed in ((Pose2(), 0), (Pose2(50.0, 16.0, 1.0), 3)):
+            layout = source.sample(anchor, self.HALF, np.random.default_rng(seed))
+            got = sorted((round(e.x / 0.4 - 0.5), round(e.y / 0.4 - 0.5), e.static)
+                         for e in layout)
+            assert got == sorted(cells)
+
+    def test_blank_file_proposes_nothing(self, tmp_path):
+        assert self._file_source(tmp_path, []).sample(
+            Pose2(), self.HALF, np.random.default_rng(0)) == []
+
+    def test_file_layout_spawns_on_lanes_with_its_static_flags(self, tmp_path):
+        # footprint corner at (20, -14) in the world: cell (49, 70) lands on
+        # lane 0 at (39.8, 14.2), cell (124, 79) on lane 1 at (69.8, 17.8);
+        # cell (100, 120), at y = 34.2, is over SNAP_DIST from any lane
+        network, endpoints = self._world()
+        source = self._file_source(tmp_path, [(49, 70, True), (124, 79, False),
+                                              (100, 120, False)])
+        agents = spawn_agents(Pose2(50.0, 16.0, 0.0), True, self.HALF, network,
+                              endpoints, (8.0, 2.0), source, np.random.default_rng(0))
+        others = sorted((a for a in agents if not a.is_ego),
+                        key=lambda a: float(a.position[0]))
+        assert len(agents) == 3 and agents[-1].is_ego
+        assert [a.static for a in others] == [True, False]
+        for a, spot in zip(others, ([39.8, 14.2], [69.8, 17.8])):
+            assert np.linalg.norm(a.position - spot) < SNAP_DIST
+        assert others[0].speed == 0.0 and len(others[0].route) == 1
 
     def test_asset_validation(self):
         with pytest.raises(ValueError):

@@ -470,25 +470,51 @@ class TestSimulator:
         sim.agent_step(state)
         assert state.ego.speed == 2.5
 
-    def test_follower_stops_s0_behind_a_parked_car_bumper_to_bumper(self):
-        # IDM's gap is bumper to bumper (Treiber, Hennecke & Helbing 2000):
-        # closing in at 8 m/s on a longer parked car, the follower stops s0
-        # short of its rear bumper, and the two boxes never overlap
+    @staticmethod
+    def _close_in_on_parked(speed, follower_length, parked_length, steps=600):
+        """A follower at ``speed`` 40 m behind a parked car on the one-lane
+        straight world, run for ``steps``; returns the simulator, the
+        follower, the number of steps whose boxes overlap and the final
+        bumper-to-bumper gap."""
         sim, _ = build_sim()
         assert set(sim.network.lane_of.tolist()) == {0}   # one lane
         lane = sim.network.positions[np.argsort(sim.network.positions[:, 0])]
         y = float(lane[0, 1])
-        follower = Agent(np.array([20.0, y]), np.array([1.0, 0.0]), 8.0,
-                         lane[lane[:, 0] >= 20.0], lane[-1], AgentAsset(4.5, 1.9, 1.6))
+        follower = Agent(np.array([20.0, y]), np.array([1.0, 0.0]), speed,
+                         lane[lane[:, 0] >= 20.0], lane[-1],
+                         AgentAsset(follower_length, 1.9, 1.6))
         parked = Agent(np.array([60.0, y]), np.array([1.0, 0.0]), 0.0,
-                       np.array([[60.0, y]]), lane[-1], AgentAsset(5.2, 2.0, 1.9),
-                       static=True)
+                       np.array([[60.0, y]]), lane[-1],
+                       AgentAsset(parked_length, 2.0, 1.9), static=True)
         state = SimState(agents=[follower, parked], ego=follower)
         overlaps = 0
-        for _ in range(600):
+        for _ in range(steps):
             sim.agent_step(state)
             overlaps += boxes_overlap(follower, parked)
-        gap = math.dist(follower.position, parked.position) - (4.5 + 5.2) / 2.0
+        gap = (math.dist(follower.position, parked.position)
+               - (follower_length + parked_length) / 2.0)
+        return sim, follower, overlaps, gap
+
+    def test_follower_stops_s0_behind_a_parked_car_bumper_to_bumper(self):
+        # IDM's gap is bumper to bumper (Treiber, Hennecke & Helbing 2000):
+        # closing in at 8 m/s on a longer parked car, the follower stops s0
+        # short of its rear bumper, and the two boxes never overlap
+        sim, follower, overlaps, gap = self._close_in_on_parked(8.0, 4.5, 5.2)
+        assert overlaps == 0
+        assert follower.speed < 1e-6
+        assert gap == pytest.approx(sim.params.idm.s0, abs=1e-3)
+
+    @pytest.mark.parametrize("speed, follower_length, parked_length", [
+        (4.0, 5.2, 4.5),    # the longer car follows
+        (12.0, 4.5, 4.5),   # equal lengths, faster approach
+        (8.0, 3.0, 7.0),    # very unequal halves: the gap subtracts both
+    ])
+    def test_stopping_gap_is_net_of_both_half_lengths(self, speed, follower_length,
+                                                      parked_length):
+        # whichever car is longer and however fast the approach, the stop is
+        # s0 from bumper to bumper, not s0 from centre to centre
+        sim, follower, overlaps, gap = self._close_in_on_parked(
+            speed, follower_length, parked_length)
         assert overlaps == 0
         assert follower.speed < 1e-6
         assert gap == pytest.approx(sim.params.idm.s0, abs=1e-3)

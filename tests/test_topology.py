@@ -7,13 +7,14 @@ from pathlib import Path
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from voxsim.geometry import Pose2
 from voxsim.lanes import extract_lanes
 from voxsim.occupancy import GlobalMap, SemanticTable, default_table
-from voxsim.topology import (TopologyParams, _box_obstacle_count, build_graph,
+from voxsim.topology import (OUTWARD_MIN_LEN, TopologyParams, _box_obstacle_count,
+                             _outward_direction, build_graph,
                              clean_graph, extract_topology, filter_endpoints,
                              graph_segments, load_graph, save_graph,
                              skeletonize, zhang_suen_thin)
@@ -521,6 +522,36 @@ class TestEndpointFiltering:
         gmap.labels[int(plane_leaf[0]) + 6, int(plane_leaf[1]), 1] = 5
         valid = filter_endpoints(g, gmap, params, gmap.labels[:, :, 0] == table.road_id)
         assert plane_leaf not in valid
+
+    def test_outward_direction_anchors_the_first_point_min_len_away(self):
+        # a leaf at (10, 10) whose segment runs along +x, then turns: the
+        # anchor is (13, 10), the first point OUTWARD_MIN_LEN from the leaf
+        path = [(10, 10), (11, 10), (12, 10), (13, 10), (14, 12), (14, 20)]
+        d = _outward_direction((10, 10), path)
+        assert d.tolist() == [-1.0, 0.0]
+
+    def test_outward_direction_of_a_short_segment_anchors_its_far_end(self):
+        # no point is OUTWARD_MIN_LEN away: the far end is the anchor
+        path = [(5, 5), (6, 6), (7, 6)]
+        assert max(math.dist(path[0], p) for p in path) < OUTWARD_MIN_LEN
+        d = _outward_direction((5, 5), path)
+        expect = np.array([-2.0, -1.0]) / np.linalg.norm([-2.0, -1.0])
+        assert d.tobytes() == expect.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
+                    min_size=2, max_size=12))
+    def test_outward_direction_is_the_unit_leaf_direction(self, pts):
+        # the same bits as dividing by np.linalg.norm, a unit vector pointing
+        # from the anchor to the leaf
+        leaf, path = pts[0], pts
+        anchor = next((p for p in path[1:] if math.dist(leaf, p) >= OUTWARD_MIN_LEN),
+                      path[-1])
+        assume(anchor != leaf)
+        raw = np.array(leaf, dtype=float) - anchor
+        d = _outward_direction(leaf, path)
+        assert d.tobytes() == (raw / np.linalg.norm(raw)).tobytes()
+        assert math.hypot(*d) == pytest.approx(1.0)
 
     @settings(max_examples=300, deadline=None)
     @given(probe_worlds())
