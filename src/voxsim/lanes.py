@@ -1,12 +1,13 @@
 """Vectorized lane extraction from cleaned skeleton segments.
 
-Phase 1 smooths each long-enough segment with a cubic B-spline, estimates the
-local road width from the distances of its centerline cells to the road's
-border (one KD-tree over the border cells per map), and offsets parallel
-candidates along the normals. Phase 2 cuts candidates where they run closer
-than epsilon to another lane, found with one KD-tree over all candidate
-samples, keeps the longest surviving run, re-splines it, and drops anything
-shorter than five samples.
+Phase 1 smooths each long-enough segment with a cubic B-spline (one
+evaluation for both coordinates), estimates every segment's road width from
+the distances of its centerline cells to the road's border (one KD-tree over
+the border cells and one query over all the centerlines' cells per map), and
+offsets parallel candidates along the normals. Phase 2 cuts candidates where
+they run closer than epsilon to another lane, found with one KD-tree over all
+candidate samples, keeps the longest surviving run, re-splines it, and drops
+anything shorter than five samples.
 """
 
 from __future__ import annotations
@@ -57,10 +58,13 @@ def fit_centerline(segment, ds_step: float, smooth: float = None) -> np.ndarray:
     pts = np.asarray(segment, dtype=float)
     if len(pts) < 10:
         raise ValueError("centerline fit needs at least 10 points")
-    # collapse duplicate consecutive points, splprep rejects them
-    keep = np.ones(len(pts), dtype=bool)
-    keep[1:] = np.linalg.norm(np.diff(pts, axis=0), axis=1) > 1e-12
-    pts = pts[keep]
+    # collapse duplicate consecutive points, splprep rejects them; the step
+    # lengths are np.linalg.norm's bit for bit (see geometry.arc_length)
+    step = pts[1:] - pts[:-1]
+    step *= step
+    moved = np.sqrt(step[:, 0] + step[:, 1]) > 1e-12
+    if not moved.all():
+        pts = pts[np.concatenate(([True], moved))]
     if smooth is None:
         smooth = len(pts) * 0.25  # absorbs ~half-cell rasterization noise
     u = arc_length(pts)
@@ -70,18 +74,29 @@ def fit_centerline(segment, ds_step: float, smooth: float = None) -> np.ndarray:
     dense = np.linspace(0.0, 1.0, max(len(pts) * 4, 64))
 
     def fit(s):
-        (tck, _) = scipy.interpolate.splprep([pts[:, 0], pts[:, 1]], u=u, k=3, s=s)
-        return np.stack(scipy.interpolate.splev(dense, tck), axis=1)
+        # with full_output splprep reports its error flag instead of warning
+        # (ier 1-3: the smoothing target was missed, the fit is kept) or
+        # raising (ier 10: bad input), so the warning filter cannot decide
+        ((t, c, k), _), _, ier, msg = scipy.interpolate.splprep(
+            [pts[:, 0], pts[:, 1]], u=u, k=3, s=s, full_output=1)
+        if ier >= 10:
+            raise ValueError(msg)
+        # both coordinates in one de Boor pass, bit for bit splev's values
+        return scipy.interpolate.BSpline.construct_fast(t, np.stack(c, axis=1), k)(dense)
 
     try:
         curve = fit(smooth)
-    except Exception:
+    except ValueError:
         curve = fit(0)
     # FITPACK can report success for a smoothing spline that swings far off
     # its data (10^8 m from a 25 m zigzag path); interpolate the path then
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
-    reach = (hi - lo).max()
-    if not ((curve >= lo - reach) & (curve <= hi + reach)).all():
+    # (column by column: numpy's axis-0 reductions of a short (n, 2) array
+    # cost more than the comparisons themselves)
+    x, y, cx, cy = pts[:, 0], pts[:, 1], curve[:, 0], curve[:, 1]
+    x0, x1, y0, y1 = x.min(), x.max(), y.min(), y.max()
+    reach = max(x1 - x0, y1 - y0)
+    if not (((cx >= x0 - reach) & (cx <= x1 + reach)).all()
+            and ((cy >= y0 - reach) & (cy <= y1 + reach)).all()):
         curve = fit(0)
     curve[0] = pts[0]
     curve[-1] = pts[-1]
@@ -114,28 +129,33 @@ def border_tree(road: np.ndarray) -> scipy.spatial.cKDTree:
     near[:, 1:] |= road[:, :-1]
     near[:, :-1] |= road[:, 1:]
     near &= ~road
-    return scipy.spatial.cKDTree(np.argwhere(near))
+    # argwhere's row-major cells, from the flat indices
+    cells = np.stack(np.divmod(np.flatnonzero(near), road.shape[1]), axis=1)
+    return scipy.spatial.cKDTree(cells)
 
 
-def estimate_width(center_px: np.ndarray, road: np.ndarray, border: scipy.spatial.cKDTree,
-                   voxel_size: float) -> float:
-    """Road width in meters at a centerline: twice the median distance from
-    the road cells under it to their nearest off-road cell (``border`` is
-    ``border_tree(road)``). An off-road centerline cell reads 0, and a map
-    without an off-road cell has width 0. Each distance is taken from its
-    integer offset with the float steps of scipy's exact Euclidean distance
-    transform, so it equals that dense map's value bit for bit; a tie may
-    pick another border cell at the same distance."""
-    if not border.n:
-        return 0.0
-    ix, iy = np.clip(np.floor(center_px).astype(int),
+def estimate_width(centers_px, road: np.ndarray, border: scipy.spatial.cKDTree,
+                   voxel_size: float) -> list:
+    """Road width in meters at each of a list of centerlines: twice the
+    median distance from the road cells under it to their nearest off-road
+    cell (``border`` is ``border_tree(road)``), all cells taken in one query.
+    An off-road centerline cell reads 0, and a map without an off-road cell
+    has width 0. Each distance is taken from its integer offset with the
+    float steps of scipy's exact Euclidean distance transform, so it equals
+    that dense map's value bit for bit; a tie may pick another border cell
+    at the same distance."""
+    if not (border.n and len(centers_px)):
+        return [0.0] * len(centers_px)
+    ix, iy = np.clip(np.floor(np.concatenate(centers_px)).astype(int),
                      0, [road.shape[0] - 1, road.shape[1] - 1]).T
     on = road[ix, iy]
     cell = np.stack([ix[on], iy[on]], axis=1)
     off = border.data[border.query(cell)[1]] - cell
     d = np.zeros(len(ix))
     d[on] = np.sqrt(np.add.reduce(off * off, axis=1))
-    return 2.0 * float(np.median(d * voxel_size))
+    d *= voxel_size
+    ends = np.cumsum([len(c) for c in centers_px])[:-1]
+    return [2.0 * float(np.median(part)) for part in np.split(d, ends)]
 
 
 def _on_mask(points_m: np.ndarray, mask: np.ndarray, gmap) -> np.ndarray:
@@ -218,17 +238,15 @@ def extract_lanes(gmap, graph, params: LaneParams = None):
     road = gmap.labels[:, :, 0] == gmap.table.road_id
     border = border_tree(road)
 
+    centers = [(seg_id, fit_centerline(np.asarray(seg, dtype=float), params.ds_step / vox))
+               for seg_id, seg in enumerate(graph_segments(graph))
+               if len(seg) >= params.min_segment_pts]
+    widths = estimate_width([c for _, c in centers], road, border, vox)
     candidates = []
-    for seg_id, seg in enumerate(graph_segments(graph)):
-        if len(seg) < params.min_segment_pts:
-            continue
-        seg_px = np.asarray(seg, dtype=float)
-        center_px = fit_centerline(seg_px, params.ds_step / vox)
-        seg_width = estimate_width(center_px, road, border, vox)
+    for (seg_id, center_px), seg_width in zip(centers, widths):
         center_m = np.stack(gmap.cell_center(*center_px.T), axis=1)
-        cands = offset_lanes(center_m, seg_width, params, road, gmap,
-                             source_segment=seg_id)
-        candidates.extend(cands)
+        candidates.extend(offset_lanes(center_m, seg_width, params, road, gmap,
+                                       source_segment=seg_id))
     return resolve_overlaps(candidates, params)
 
 

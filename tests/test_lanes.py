@@ -1,17 +1,19 @@
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import ndimage
+from scipy import interpolate, ndimage
 from scipy.spatial import cKDTree
 
 from voxsim.lanes import (Lane, LaneParams, _longest_run, border_tree,
                           estimate_width, extract_lanes, fit_centerline,
                           load_lanes, normal_vectors, offset_lanes,
                           resolve_overlaps, save_lanes)
+from voxsim.geometry import arc_length, resample_polyline
 from voxsim.synthworld import WorldSpec, generate_world
 from voxsim.topology import extract_topology
 
@@ -44,6 +46,66 @@ def reference_estimate_width(center_px, road, voxel_size):
     idx = np.clip(np.floor(center_px).astype(int),
                   0, [dist_m.shape[0] - 1, dist_m.shape[1] - 1])
     return 2.0 * float(np.median(dist_m[idx[:, 0], idx[:, 1]]))
+
+
+def reference_fit_centerline(segment, ds_step, smooth=None):
+    """Reference: the centerline fit with FITPACK's splev, one call per
+    coordinate, and splprep's warnings ignored (a missed smoothing target
+    keeps the fit, an input error falls back to the interpolating spline)."""
+    pts = np.asarray(segment, dtype=float)
+    if len(pts) < 10:
+        raise ValueError("centerline fit needs at least 10 points")
+    keep = np.ones(len(pts), dtype=bool)
+    keep[1:] = np.linalg.norm(np.diff(pts, axis=0), axis=1) > 1e-12
+    pts = pts[keep]
+    if smooth is None:
+        smooth = len(pts) * 0.25
+    u = arc_length(pts)
+    if u[-1] <= 0:
+        return pts[:1].copy()
+    u /= u[-1]
+    dense = np.linspace(0.0, 1.0, max(len(pts) * 4, 64))
+
+    def fit(s):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            (tck, _) = interpolate.splprep([pts[:, 0], pts[:, 1]], u=u, k=3, s=s)
+        return np.stack(interpolate.splev(dense, tck), axis=1)
+
+    try:
+        curve = fit(smooth)
+    except Exception:
+        curve = fit(0)
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    reach = (hi - lo).max()
+    if not ((curve >= lo - reach) & (curve <= hi + reach)).all():
+        curve = fit(0)
+    curve[0] = pts[0]
+    curve[-1] = pts[-1]
+    s = arc_length(curve)
+    if s[-1] <= 0:
+        return curve[:1].copy()
+    n = max(int(round(s[-1] / ds_step)), 1)
+    return resample_polyline(curve, s, np.linspace(0.0, s[-1], n + 1))
+
+
+def reference_segment_widths(centers_px, road, border, voxel_size):
+    """Reference: one border query per centerline, the width loop of a
+    per-segment extraction."""
+    widths = []
+    for center_px in centers_px:
+        if not border.n:
+            widths.append(0.0)
+            continue
+        ix, iy = np.clip(np.floor(center_px).astype(int),
+                         0, [road.shape[0] - 1, road.shape[1] - 1]).T
+        on = road[ix, iy]
+        cell = np.stack([ix[on], iy[on]], axis=1)
+        off = border.data[border.query(cell)[1]] - cell
+        d = np.zeros(len(ix))
+        d[on] = np.sqrt(np.add.reduce(off * off, axis=1))
+        widths.append(2.0 * float(np.median(d * voxel_size)))
+    return widths
 
 
 def reference_resolve_overlaps(candidates, params):
@@ -94,6 +156,43 @@ def lane_sets(draw):
     return lanes, params
 
 
+@st.composite
+def fit_paths(draw):
+    """Paths of at least 10 points for the centerline fit: random walks,
+    integer zigzags, arcs (on or off the cell lattice) and noisy straight
+    lines, some with repeated points."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.one_of(st.just(10), st.integers(10, 300)))
+    kind = draw(st.sampled_from(["walk", "zigzag", "arc", "line"]))
+    if kind == "walk":
+        pts = np.cumsum(rng.integers(-1, 2, (n, 2)), axis=0) * draw(st.sampled_from([0.4, 1.0, 2.5]))
+    elif kind == "zigzag":
+        period = draw(st.integers(1, 6))
+        i = np.arange(n)
+        pts = np.stack([i, np.abs(i % (2 * period) - period)], axis=1).astype(float)
+    elif kind == "arc":
+        t = np.linspace(0.0, draw(st.floats(0.2, 6.0)), n)
+        pts = draw(st.floats(3.0, 80.0)) * np.stack([np.cos(t), np.sin(t)], axis=1)
+        if draw(st.booleans()):
+            pts = np.floor(pts)
+    else:
+        pts = np.stack([np.arange(n) * draw(st.sampled_from([0.5, 1.0])),
+                        rng.normal(0.0, draw(st.sampled_from([0.0, 0.3, 1.0])), n)], axis=1)
+    if draw(st.booleans()):
+        pts = pts[:, ::-1]
+    if draw(st.booleans()):
+        pts = np.repeat(pts, rng.integers(1, 3, len(pts)), axis=0)
+    smooth = draw(st.sampled_from([None, 0.01, 0.0]))
+    return pts, (smooth * len(pts) if smooth else smooth)
+
+
+def _outcome(fit, *args, **kwargs):
+    try:
+        return fit(*args, **kwargs)
+    except Exception as e:
+        return type(e)
+
+
 class TestCenterlineFit:
     def test_straight_line_preserved(self):
         pts = np.stack([np.arange(0, 30, 1.0), np.full(30, 5.0)], axis=1)
@@ -128,6 +227,40 @@ class TestCenterlineFit:
             out = fit_centerline(pts, ds_step, smooth=len(pts) * 0.01)
             assert ((out >= pts.min(axis=0) - 1.0) & (out <= pts.max(axis=0) + 1.0)).all()
 
+    @settings(max_examples=300, deadline=None)
+    @given(fit_paths(), st.sampled_from([0.5, 1.25]))
+    def test_matches_the_splev_reference_bit_for_bit(self, path, ds_step):
+        pts, smooth = path
+        got = _outcome(fit_centerline, pts, ds_step, smooth=smooth)
+        ref = _outcome(reference_fit_centerline, pts, ds_step, smooth=smooth)
+        if isinstance(ref, type):
+            assert got is ref
+        else:
+            assert got.shape == ref.shape and np.array_equal(got, ref)
+
+    def test_a_missed_smoothing_target_keeps_the_fit_under_any_warning_filter(self):
+        # a random walk on which splprep misses resolve_overlaps' smoothing
+        # target, s = 0.01 n (ier 1-3, a RuntimeWarning unless full_output):
+        # the lane once kept that fit under the default warning filter and
+        # took the interpolating spline where RuntimeWarning is an error
+        rng = np.random.default_rng(242)
+        m = int(rng.integers(10, 130))
+        pts = np.cumsum(rng.integers(-1, 2, (m, 2)), axis=0) * round(rng.uniform(0.1, 5), 2)
+        walk = pts[np.concatenate(([True], (np.diff(pts, axis=0) != 0).any(axis=1)))]
+        u = arc_length(walk)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
+            interpolate.splprep([walk[:, 0], walk[:, 1]], u=u / u[-1], k=3, s=0.01 * m)
+        assert [w.category for w in caught] == [RuntimeWarning]
+        lanes = {}
+        for action in ("error", "ignore"):
+            with warnings.catch_warnings():
+                warnings.simplefilter(action, RuntimeWarning)
+                lanes[action] = resolve_overlaps([Lane(pts, 0, 0)], LaneParams())
+        assert np.array_equal(lanes["error"][0].points, lanes["ignore"][0].points)
+        assert np.array_equal(lanes["error"][0].points,
+                              reference_fit_centerline(pts, 0.5, smooth=0.01 * m))
+
     def test_arc_resample_spacing(self):
         pts = np.stack([np.linspace(0, 10, 11), np.zeros(11)], axis=1)
         out = fit_centerline(pts, 0.5)
@@ -150,7 +283,7 @@ class TestNormalsAndWidth:
         plane[:, 20:47] = table.road_id  # 27 px = 10.8 m
         mask = plane == table.road_id
         center = np.stack([np.arange(10, 90, 1.0), np.full(80, 33.0)], axis=1)
-        w = estimate_width(center, mask, border_tree(mask), 0.4)
+        [w] = estimate_width([center], mask, border_tree(mask), 0.4)
         assert w == pytest.approx(10.8, abs=0.9)
 
     @settings(max_examples=300, deadline=None)
@@ -161,8 +294,23 @@ class TestNormalsAndWidth:
         mask = rng.random((nx, ny)) < data.draw(st.sampled_from([0.0, 0.3, 0.8, 0.97, 1.0]))
         vox = data.draw(st.sampled_from([0.25, 0.4, 0.7]))
         center = rng.uniform(-3.0, max(nx, ny) + 3.0, size=(data.draw(st.integers(1, 60)), 2))
-        assert (estimate_width(center, mask, border_tree(mask), vox)
-                == reference_estimate_width(center, mask, vox))
+        assert (estimate_width([center], mask, border_tree(mask), vox)
+                == [reference_estimate_width(center, mask, vox)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_one_query_matches_a_query_per_centerline(self, data):
+        # maps with off-road cells under the centerlines, and all-road maps
+        # (fill 1.0) with no off-road cell at all
+        nx, ny = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 40))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        mask = rng.random((nx, ny)) < data.draw(st.sampled_from([0.0, 0.3, 0.8, 0.97, 1.0]))
+        vox = data.draw(st.sampled_from([0.25, 0.4, 0.7]))
+        centers = [rng.uniform(-3.0, max(nx, ny) + 3.0, size=(k, 2))
+                   for k in data.draw(st.lists(st.integers(1, 40), max_size=6))]
+        border = border_tree(mask)
+        assert (estimate_width(centers, mask, border, vox)
+                == reference_segment_widths(centers, mask, border, vox))
 
     def test_road_on_the_map_edge(self):
         # the road runs along y = 0 and across the map in x: the edge is not
@@ -170,7 +318,7 @@ class TestNormalsAndWidth:
         mask = np.zeros((30, 20), dtype=bool)
         mask[:, :10] = True
         center = np.stack([np.arange(0.5, 30.0), np.full(30, 2.5)], axis=1)
-        w = estimate_width(center, mask, border_tree(mask), 0.4)
+        [w] = estimate_width([center], mask, border_tree(mask), 0.4)
         assert w == 2.0 * 8 * 0.4
         assert w == reference_estimate_width(center, mask, 0.4)
 
@@ -184,10 +332,10 @@ class TestNormalsAndWidth:
                            [12.0, 5.9],    # clips to (9, 5): 2 to y = 7
                            [5.0, 0.5],     # (5, 0): off road, 0
                            [5.0, 20.0]])   # clips to (5, 9): off road, 0
-        w = estimate_width(center, mask, border_tree(mask), 0.5)
+        [w] = estimate_width([center], mask, border_tree(mask), 0.5)
         assert w == 2.0 * 2 * 0.5
         assert w == reference_estimate_width(center, mask, 0.5)
-        assert estimate_width(center[3:], mask, border_tree(mask), 0.5) == 0.0
+        assert estimate_width([center[3:]], mask, border_tree(mask), 0.5) == [0.0]
 
     def test_all_road_map_reads_zero_and_keeps_the_centerline(self, table):
         # no off-road cell: no border, width 0, and offset_lanes keeps the
@@ -196,7 +344,7 @@ class TestNormalsAndWidth:
         border = border_tree(mask)
         assert border.n == 0
         center = np.stack([np.arange(0.5, 12.0), np.full(12, 4.0)], axis=1)
-        assert estimate_width(center, mask, border, 0.4) == 0.0
+        assert estimate_width([center], mask, border, 0.4) == [0.0]
         lanes = offset_lanes(center * 0.4, 0.0, LaneParams(), mask,
                              make_map(mask, table))
         assert len(lanes) == 1
