@@ -428,9 +428,26 @@ def _vote_winners(votes, cids, tau_vote: int, unassigned_id: int):
     return filled
 
 
+def _small_components(mask: np.ndarray, structure, cell_area: float, min_area: float):
+    """Cells of ``mask``'s connected components (under ``structure``) whose
+    area is under ``min_area``, picked through a lookup over the label image;
+    None when no component is that small."""
+    lab, n = scipy.ndimage.label(mask, structure=structure)
+    small = np.bincount(lab.ravel(), minlength=n + 1) * cell_area < min_area
+    small[0] = False
+    return small[lab] if small.any() else None
+
+
 def refine_morphology(gmap: GlobalMap, params: FusionParams) -> GlobalMap:
-    """Pass 3: binary closing (3x3) on the sidewalk class at z=0 and removal of
-    road connected components smaller than min_area."""
+    """Pass 3 at z=0: binary closing (3x3) on the sidewalk class, removal of
+    road components smaller than min_area, then a fill with road of the
+    non-road components smaller than min_area, the holes in the road.
+
+    Road components are 8-connected and holes 4-connected, the dual pair, so
+    a hole is cut off from the rest of the non-road plane exactly when the
+    road encloses it. The fill runs after the removal: a removed blob's cells
+    join the non-road plane around them first, so the fill never restores a
+    removed blob and the removal never takes back a filled hole."""
     table = gmap.table
     out = gmap.labels.copy()
     plane = out[:, :, 0]
@@ -441,15 +458,17 @@ def refine_morphology(gmap: GlobalMap, params: FusionParams) -> GlobalMap:
     # closing only ever adds pixels; fill them in where nothing else is assigned
     plane[grown & (plane == table.unassigned_id)] = table.sidewalk_id
 
+    cell_area = gmap.voxel_size ** 2
     road = plane == table.road_id
-    lab, n = scipy.ndimage.label(road, structure=np.ones((3, 3), dtype=bool))
-    if n:
-        areas = np.bincount(lab.ravel(), minlength=n + 1)[1:]
-        cell_area = gmap.voxel_size ** 2
-        small = np.nonzero(areas * cell_area < params.min_area)[0] + 1
-        if small.size:
-            kill = np.isin(lab, small)
-            plane[kill] = table.unassigned_id
+    blobs = _small_components(road, scipy.ndimage.generate_binary_structure(2, 2),
+                              cell_area, params.min_area)
+    if blobs is not None:
+        plane[blobs] = table.unassigned_id
+        road &= ~blobs
+    holes = _small_components(~road, scipy.ndimage.generate_binary_structure(2, 1),
+                              cell_area, params.min_area)
+    if holes is not None:
+        plane[holes] = table.road_id
     return GlobalMap(out, gmap.voxel_size, gmap.origin, table)
 
 

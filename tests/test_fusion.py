@@ -14,9 +14,11 @@ from voxsim.fusion import (FusionParams, _columns_any, _footprint_rows, _frame_c
                            fuse_keyframes, fuse_sequence, refine_morphology,
                            select_keyframes, vote_inpaint)
 from voxsim.geometry import Pose2
+from voxsim.lanes import extract_lanes
 from voxsim.occupancy import GlobalMap, OccupancyGrid, SemanticTable, default_table
 from voxsim.synthworld import (WorldSpec, generate_world, sample_frames,
                                straight_trajectory)
+from voxsim.topology import extract_topology, graph_segments
 
 from conftest import assert_pinned, make_map, swapped_table
 
@@ -825,6 +827,72 @@ class TestMorphology:
         gmap = make_map(plane, table, z_dim=2, free_above=False)
         out = refine_morphology(gmap, FusionParams(min_area=0.0))
         assert (out.labels[10, 4:6, 0] == table.road_id).all()
+
+
+    def test_small_holes_in_the_road_filled(self, table):
+        plane = np.full((40, 40), 4, dtype=np.uint8)
+        plane[5:35, 5:35] = table.road_id
+        plane[10, 10] = 4                       # 0.16 m^2 of terrain
+        plane[20:23, 20:23] = table.unassigned_id   # 1.44 m^2, unobserved
+        plane[12:16, 25:29] = table.sidewalk_id     # 2.56 m^2 >= min_area: kept
+        gmap = make_map(plane, table, z_dim=2, free_above=False)
+        out = refine_morphology(gmap, FusionParams()).labels[:, :, 0]
+        assert out[10, 10] == table.road_id
+        assert (out[20:23, 20:23] == table.road_id).all()
+        assert (out[12:16, 25:29] == table.sidewalk_id).all()
+        assert (out[:5] == 4).all() and (out[:, :5] == 4).all()
+        assert refine_morphology(gmap, FusionParams(min_area=0.0)).labels[10, 10, 0] == 4
+
+    def test_holes_are_four_connected(self, table):
+        # terrain over x, y < 10 and a diagonal chain of terrain cells off
+        # its corner: the 8-connected road runs between the chain's cells,
+        # so each is a hole of its own, filled, though it touches the
+        # terrain (or the next cell) at a corner
+        plane = np.full((30, 30), table.road_id, dtype=np.uint8)
+        plane[:10, :10] = 4
+        for i in range(10, 14):
+            plane[i, i] = 4
+        gmap = make_map(plane, table, z_dim=2, free_above=False)
+        out = refine_morphology(gmap, FusionParams()).labels[:, :, 0]
+        assert (out[:10, :10] == 4).all()
+        assert all(out[i, i] == table.road_id for i in range(10, 14))
+
+    def test_removed_blob_not_filled_back(self, table):
+        # a road speck inside a large terrain area: removed to unassigned,
+        # and the terrain area around it is no hole
+        plane = np.full((30, 30), 4, dtype=np.uint8)
+        plane[:, 20:] = table.road_id
+        plane[8, 8] = table.road_id
+        gmap = make_map(plane, table, z_dim=2, free_above=False)
+        out = refine_morphology(gmap, FusionParams()).labels[:, :, 0]
+        assert out[8, 8] == table.unassigned_id
+        assert (out[:, 20:] == table.road_id).all()
+
+    # A share of the z = 0 cells set to random table ids, then pass 3: the
+    # road graph's segments and the lanes are as many as on the clean
+    # world. Each flipped cell inside the road is a hole the skeleton would
+    # loop round, adding segments and lanes.
+    @pytest.mark.parametrize("frac", [0.0003, 0.001])
+    @pytest.mark.parametrize("spec", [dict(recipe="plus", extent=160.0),
+                                      dict(recipe="grid", extent=240.0, blocks=(3, 3))],
+                             ids=["plus", "grid"])
+    def test_label_noise_leaves_the_phase_a_counts(self, spec, frac):
+        world = generate_world(WorldSpec(**spec))
+
+        def counts(gmap):
+            gmap = refine_morphology(gmap, FusionParams())
+            g, _ = extract_topology(gmap)
+            return len(graph_segments(g)), len(extract_lanes(gmap, g))
+
+        clean = counts(world)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            labels = world.labels.copy()
+            n = round(frac * world.dims[0] * world.dims[1])
+            cells = rng.choice(world.dims[0] * world.dims[1], n, replace=False)
+            labels[:, :, 0].flat[cells] = rng.choice(np.array(world.table.ids, np.uint8), n)
+            noisy = GlobalMap(labels, world.voxel_size, world.origin, world.table)
+            assert counts(noisy) == clean, seed
 
 
 class TestFuseSequence:
