@@ -428,6 +428,24 @@ def _vote_winners(votes, cids, tau_vote: int, unassigned_id: int):
     return filled
 
 
+def _close_3x3(mask: np.ndarray) -> np.ndarray:
+    """``scipy.ndimage.binary_closing(mask, np.ones((3, 3)))`` bit for bit:
+    the 3x3 square is a 3-cell segment along each axis, so the dilation and
+    then the erosion each take one shifted OR (AND) per neighbour and axis,
+    and the erosion reads the cells off the plane as False (scipy's
+    ``border_value=0``), so it clears the plane's edge."""
+    out = mask.copy()
+    for op in (np.logical_or, np.logical_and):
+        for along_y in (False, True):
+            src = out.copy()
+            view, src = (out.T, src.T) if along_y else (out, src)
+            op(view[1:], src[:-1], out=view[1:])
+            op(view[:-1], src[1:], out=view[:-1])
+            if op is np.logical_and:
+                view[0] = view[-1] = False
+    return out
+
+
 def _small_components(mask: np.ndarray, structure, cell_area: float, min_area: float):
     """Cells of ``mask``'s connected components (under ``structure``) whose
     area is under ``min_area``, picked through a lookup over the label image;
@@ -453,8 +471,7 @@ def refine_morphology(gmap: GlobalMap, params: FusionParams) -> GlobalMap:
     plane = out[:, :, 0]
 
     sidewalk = plane == table.sidewalk_id
-    closed = scipy.ndimage.binary_closing(sidewalk, structure=np.ones((3, 3), dtype=bool))
-    grown = closed & ~sidewalk
+    grown = _close_3x3(sidewalk) & ~sidewalk
     # closing only ever adds pixels; fill them in where nothing else is assigned
     plane[grown & (plane == table.unassigned_id)] = table.sidewalk_id
 

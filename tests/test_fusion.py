@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from voxsim.fusion import (FusionParams, _columns_any, _footprint_rows, _frame_columns,
-                           _frame_footprint, _map_extent, _mode_fill_ground,
+from voxsim.fusion import (FusionParams, _close_3x3, _columns_any, _footprint_rows,
+                           _frame_columns, _frame_footprint, _map_extent, _mode_fill_ground,
                            _pull_back, _sink_columns, _vote_winners, _words,
                            fuse_keyframes, fuse_sequence, refine_morphology,
                            select_keyframes, vote_inpaint)
@@ -828,6 +828,15 @@ class TestMorphology:
         out = refine_morphology(gmap, FusionParams(min_area=0.0))
         assert (out.labels[10, 4:6, 0] == table.road_id).all()
 
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_closing_matches_scipy(self, data):
+        nx, ny = data.draw(st.integers(1, 30)), data.draw(st.integers(1, 30))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        mask = rng.random((nx, ny)) < data.draw(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]))
+        assert np.array_equal(_close_3x3(mask),
+                              ndimage.binary_closing(mask, structure=np.ones((3, 3), dtype=bool)))
 
     def test_small_holes_in_the_road_filled(self, table):
         plane = np.full((40, 40), 4, dtype=np.uint8)

@@ -165,7 +165,8 @@ def fit_paths(draw):
     n = draw(st.one_of(st.just(10), st.integers(10, 300)))
     kind = draw(st.sampled_from(["walk", "zigzag", "arc", "line"]))
     if kind == "walk":
-        pts = np.cumsum(rng.integers(-1, 2, (n, 2)), axis=0) * draw(st.sampled_from([0.4, 1.0, 2.5]))
+        step = draw(st.sampled_from([0.4, 1.0, 2.5]))
+        pts = np.cumsum(rng.integers(-1, 2, (n, 2)), axis=0) * step
     elif kind == "zigzag":
         period = draw(st.integers(1, 6))
         i = np.arange(n)
