@@ -72,31 +72,17 @@ def select_keyframes(poses, d_max: float):
     return keys
 
 
-def _frame_footprint(pose: Pose2, dims, vox: float):
-    """World-frame axis-aligned bounding box of an ego-centered crop."""
-    X, Y = dims[0], dims[1]
-    corners_local = np.array([
-        [-X / 2.0, -Y / 2.0], [X / 2.0, -Y / 2.0],
-        [-X / 2.0, Y / 2.0], [X / 2.0, Y / 2.0],
-    ]) * vox
-    corners = pose.transform_point(corners_local)
-    return corners.min(axis=0), corners.max(axis=0)
-
-
 def _map_extent(poses, dims, vox: float, margin: float):
-    lo = np.array([np.inf, np.inf])
-    hi = np.array([-np.inf, -np.inf])
-    for p in poses:
-        flo, fhi = _frame_footprint(p, dims, vox)
-        lo = np.minimum(lo, flo)
-        hi = np.maximum(hi, fhi)
-    lo -= margin
-    hi += margin
+    """The map origin and (nx, ny) cell counts that hold the ego-centred
+    crops at every pose, with ``margin`` meters around them."""
+    X, Y = dims[0], dims[1]
+    corners = np.array([[-X, -Y], [X, -Y], [-X, Y], [X, Y]]) / 2.0 * vox
+    world = np.concatenate([p.transform_point(corners) for p in poses])
+    lo = world.min(axis=0) - margin
+    hi = world.max(axis=0) + margin
     # snap the origin to the voxel lattice so axis-aligned warps stay exact
     lo = np.floor(lo / vox) * vox
-    nx = int(math.ceil((hi[0] - lo[0]) / vox))
-    ny = int(math.ceil((hi[1] - lo[1]) / vox))
-    return lo, (nx, ny)
+    return lo, tuple(np.ceil((hi - lo) / vox).astype(int).tolist())
 
 
 def _words(rows):

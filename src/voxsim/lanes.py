@@ -21,7 +21,6 @@ import scipy
 from .geometry import arc_length, resample_polyline
 from .occupancy import (POSITIVE, Settings, at_least, finite_points, load_json_input,
                         save_json, setting)
-from .topology import graph_segments
 
 
 @dataclass
@@ -238,9 +237,9 @@ def extract_lanes(gmap, graph, params: LaneParams = None):
     road = gmap.labels[:, :, 0] == gmap.table.road_id
     border = border_tree(road)
 
-    centers = [(seg_id, fit_centerline(np.asarray(seg, dtype=float), params.ds_step / vox))
-               for seg_id, seg in enumerate(graph_segments(graph))
-               if len(seg) >= params.min_segment_pts]
+    centers = [(seg_id, fit_centerline(seg.points, params.ds_step / vox))
+               for seg_id, seg in enumerate(graph.segments)
+               if len(seg.points) >= params.min_segment_pts]
     widths = estimate_width([c for _, c in centers], road, border, vox)
     candidates = []
     for (seg_id, center_px), seg_width in zip(centers, widths):

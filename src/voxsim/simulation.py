@@ -110,15 +110,14 @@ def bezier_transition(p0: np.ndarray, h0: np.ndarray, p1: np.ndarray,
     return resample_polyline(pts, s, np.arange(0.0, s[-1], BEZIER_DS))
 
 
-def maybe_lane_change(agent: Agent, leader: Agent, s: float, dv: float,
+def maybe_lane_change(agent: Agent, s: float, dv: float, head_on: bool,
                       network: RouteNetwork, params: SimParams) -> bool:
-    """Alg trigger: s < d_lc and (closing in, or head-on leader). On success
-    the route becomes a Bezier transition onto the nearest parallel lane
-    followed by a shortest re-route to the original target."""
-    if s >= params.d_lc or agent.lc_cooldown > 0:
-        return False
-    head_on = float(agent.heading @ leader.heading) < -0.5
-    if not (dv > 0 or head_on):
+    """Alg trigger: s < d_lc and (closing in, or a head-on leader). s and dv
+    are the gap and closing speed ``idm_accel`` takes, and ``head_on``
+    whether the leader faces the agent, as ``Simulator.agent_step`` finds
+    them. On success the route becomes a Bezier transition onto the nearest
+    parallel lane followed by a shortest re-route to the original target."""
+    if s >= params.d_lc or agent.lc_cooldown > 0 or not (dv > 0 or head_on):
         return False
     adj = network.nearest_node_on_other_lane(
         agent.position, agent.lane_id, 2.0 * 3.6)
@@ -258,16 +257,15 @@ class Simulator:
             if agent.static or not agent.active:
                 continue
             leader = select_leader(agent, state.agents, positions, params.d_lat)
-            if leader is None:
-                a_cmd = idm_accel(agent.speed, 0.0, math.inf, idm)
-            else:
+            s, dv = math.inf, 0.0  # a free road
+            if leader is not None:
                 gap = leader.position - agent.position
                 s = math.sqrt(gap.dot(gap))  # np.linalg.norm of a 1-D array
                 s -= (agent.asset.length + leader.asset.length) / 2.0
                 head_on = float(agent.heading @ leader.heading) < -0.5
                 dv = agent.speed + leader.speed if head_on else agent.speed - leader.speed
-                maybe_lane_change(agent, leader, s, dv, self.network, params)
-                a_cmd = idm_accel(agent.speed, dv, s, idm)
+                maybe_lane_change(agent, s, dv, head_on, self.network, params)
+            a_cmd = idm_accel(agent.speed, dv, s, idm)
             if agent is state.ego and self.ego_speed_hook is not None:
                 agent.speed = max(0.0, float(self.ego_speed_hook(state, agent)))
             else:

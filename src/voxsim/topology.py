@@ -120,7 +120,6 @@ def skeletonize(mask: np.ndarray) -> np.ndarray:
 
 
 _STEPS = ((1, 0), (0, 1), (1, 1), (1, -1))  # forward 8-neighbours
-_STEP_WEIGHTS = np.array([math.hypot(dx, dy) for dx, dy in _STEPS])
 
 
 @dataclass(frozen=True)
@@ -177,9 +176,9 @@ class _Chains:
     junction. ``ports[a]`` holds anchor a's (chain id, end) pairs, end 0
     where the chain starts at a and 1 where it ends there. Neither the
     anchors nor a port list is kept in order: ``_in_order`` and ``graph``
-    sort them where the order is read. A chain is its node ids and the
-    weight of each edge along it; edits replace chains and never write into
-    their arrays."""
+    sort them where the order is read. A chain is its node-id array, and
+    edits replace chains and never write into their arrays. A pure cycle is
+    a chain that no port names, closed on its first node."""
 
     def __init__(self, xy, flat, stride):
         self.xy = xy                             # each pixel's coordinates
@@ -190,7 +189,6 @@ class _Chains:
         self.merged_at = {}   # coordinates -> id, of the merged junctions in the graph
         self.ports = {}
         self.chains = {}
-        self.cycles = set()   # ids of the pure cycles
         self.new_id = 0
 
     def copy(self) -> _Chains:
@@ -198,13 +196,13 @@ class _Chains:
         c.alive, c.merged, c.merged_at = self.alive.copy(), list(self.merged), dict(self.merged_at)
         c.coord = dict(self.coord)
         c.ports = {a: list(p) for a, p in self.ports.items()}
-        c.chains, c.cycles = dict(self.chains), set(self.cycles)
+        c.chains = dict(self.chains)
         return c
 
-    def _add(self, nodes, weights) -> int:
+    def _add(self, nodes) -> int:
         cid = self.new_id
         self.new_id += 1
-        self.chains[cid] = (nodes, weights)
+        self.chains[cid] = nodes
         return cid
 
     def _in_order(self, anchors):
@@ -233,9 +231,9 @@ class _Chains:
 
     def _split(self, cid, i) -> None:
         """Make the chain's i-th node, of degree 2, an anchor."""
-        nodes, weights = self.chains.pop(cid)
-        head = self._add(nodes[:i + 1], weights[:i])
-        tail = self._add(nodes[i:], weights[i:])
+        nodes = self.chains.pop(cid)
+        head = self._add(nodes[:i + 1])
+        tail = self._add(nodes[i:])
         self._replace(int(nodes[0]), (cid, 0), (head, 0))
         self._replace(int(nodes[-1]), (cid, 1), (tail, 1))
         x = int(nodes[i])
@@ -247,17 +245,23 @@ class _Chains:
         """Join the two chains at x, an anchor left with degree 2."""
         (c1, e1), (c2, e2) = self.ports.pop(x)
         if c1 == c2:  # a loop through x, now a pure cycle
-            self.cycles.add(c1)
             return
-        n1, w1 = self.chains.pop(c1)
-        n2, w2 = self.chains.pop(c2)
+        n1, n2 = self.chains.pop(c1), self.chains.pop(c2)
         if e1 == 0:  # the first chain ends at x, the second starts there
-            n1, w1 = n1[::-1], w1[::-1]
+            n1 = n1[::-1]
         if e2 == 1:
-            n2, w2 = n2[::-1], w2[::-1]
-        cid = self._add(np.concatenate([n1, n2[1:]]), np.concatenate([w1, w2]))
+            n2 = n2[::-1]
+        cid = self._add(np.concatenate([n1, n2[1:]]))
         self._replace(int(n1[0]), (c1, 1 - e1), (cid, 0))
         self._replace(int(n2[-1]), (c2, 1 - e2), (cid, 1))
+
+    def _length(self, nodes) -> float:
+        """The chain's length: ``math.hypot`` of each step, summed one by one
+        from its first node, as the pixel graph sums its edge weights."""
+        pts = self.xy.take(nodes, axis=0, mode="clip").tolist()
+        for i in np.flatnonzero(nodes >= len(self.xy)).tolist():  # merged junctions
+            pts[i] = self.coord[nodes[i]]
+        return sum(math.hypot(q[0] - p[0], q[1] - p[1]) for p, q in zip(pts, pts[1:]))
 
     def prune_spurs(self, tau_prune: float) -> bool:
         """Remove each leaf's chain up to its junction (deg > 2), junction
@@ -266,12 +270,11 @@ class _Chains:
         removed = False
         for leaf in self._in_order(a for a, p in self.ports.items() if len(p) == 1):
             (cid, end), = self.ports[leaf]
-            nodes, weights = self.chains[cid]
+            nodes = self.chains[cid]
             if end:  # walk it from the leaf
-                nodes, weights = nodes[::-1], weights[::-1]
+                nodes = nodes[::-1]
             junction = int(nodes[-1])
-            # summed edge by edge from the leaf, as the pixel graph sums them
-            if len(self.ports[junction]) > 2 and sum(weights.tolist()) < tau_prune:
+            if len(self.ports[junction]) > 2 and self._length(nodes) < tau_prune:
                 del self.chains[cid], self.ports[leaf]
                 self._kill(nodes[:-1])
                 self.ports[junction].remove((cid, 1 - end))
@@ -316,14 +319,14 @@ class _Chains:
             ports = self.ports[a]
             for k in range(len(ports)):
                 cid, end = ports[k]
-                nodes = self.chains[cid][0]
+                nodes = self.chains[cid]
                 i = len(nodes) - 2 if end else 1
                 if int(nodes[i]) not in self.ports:
                     self._split(cid, i)
         nbrs = []
         for a in (u, v):
             for cid, end in self.ports.pop(a):
-                x = int(self.chains.pop(cid)[0][0 if end else -1])
+                x = int(self.chains.pop(cid)[0 if end else -1])
                 self.ports[x].remove((cid, 1 - end))
                 if x != v and x not in nbrs:
                     nbrs.append(x)
@@ -340,7 +343,7 @@ class _Chains:
             self.coord[m] = merged
             self.ports[m] = []
         for x in nbrs:
-            cid = self._add(np.array([m, x]), np.array([math.dist(merged, self.coord[x])]))
+            cid = self._add(np.array([m, x]))
             self.ports[m].append((cid, 0))
             self.ports[x].append((cid, 1))
         for x in nbrs + [m]:
@@ -354,7 +357,7 @@ class _Chains:
         table = np.concatenate([self.xy, np.reshape(self.merged, (-1, 2))]).astype(float)
 
         def second(port):  # the point after the anchor on the port's chain
-            nodes = self.chains[port[0]][0]
+            nodes = self.chains[port[0]]
             return table[nodes[-2 if port[1] else 1]].tolist()
 
         segments, walked = [], set()
@@ -362,13 +365,13 @@ class _Chains:
             for cid, end in sorted(self.ports[a], key=second):
                 if cid not in walked:
                     walked.add(cid)
-                    nodes = self.chains[cid][0]
+                    nodes = self.chains[cid]
                     if end:
                         nodes = nodes[::-1]
                     segments.append(Segment(index[a], index[int(nodes[-1])], table[nodes]))
         cycles = []
-        for cid in self.cycles:
-            ring = self.chains[cid][0][:-1]
+        for cid in self.chains.keys() - walked:  # no anchor's chain: a pure cycle
+            ring = self.chains[cid][:-1]
             pts = table[ring].tolist()
             i = min(range(len(ring)), key=pts.__getitem__)
             path = np.roll(ring, -i)
@@ -407,7 +410,6 @@ def build_graph(skeleton: np.ndarray) -> SegmentGraph:
     steps = np.array([dx * stride + dy for dx, dy in _STEPS])
     dst = np.searchsorted(pixels, pixels[src] + steps[k])
     n = len(pixels)
-    weight = _STEP_WEIGHTS[k]
     deg = np.bincount(src, minlength=n) + np.bincount(dst, minlength=n)
 
     # half-edge 2e runs along edge e from src to dst, 2e + 1 back
@@ -441,9 +443,8 @@ def build_graph(skeleton: np.ndarray) -> SegmentGraph:
     ends = np.cumsum(length)
     seq = np.empty(len(on), dtype=np.intp)
     seq[ends[w[on]] - 1 - dist[on]] = on  # each walk's half-edges in walk order
-    for nodes, weights, end in zip(np.split(tail[seq], ends[:-1]),
-                                   np.split(weight[seq >> 1], ends[:-1]), head[t].tolist()):
-        cid = g._add(np.append(nodes, end), weights)
+    for nodes, end in zip(np.split(tail[seq], ends[:-1]), head[t].tolist()):
+        cid = g._add(np.append(nodes, end))
         g.ports[int(nodes[0])].append((cid, 0))
         g.ports[end].append((cid, 1))
 
@@ -458,7 +459,7 @@ def build_graph(skeleton: np.ndarray) -> SegmentGraph:
                     ring.append(nxt[ring[-1]])
                 ring = np.array(ring)
                 seen[ring] = seen[ring ^ 1] = True
-                g.cycles.add(g._add(np.append(tail[ring], tail[ring[0]]), weight[ring >> 1]))
+                g._add(np.append(tail[ring], tail[ring[0]]))
     return g.graph()
 
 
@@ -556,13 +557,6 @@ def extract_topology(gmap: GlobalMap, params: TopologyParams = None):
     g = clean_graph(g, params.tau_prune / vox, params.w_lane / vox)
     valid = filter_endpoints(g, gmap, params, road)
     return g, valid
-
-
-def graph_segments(g: SegmentGraph):
-    """The segments' point arrays in the graph's order: maximal chains of
-    degree-2 nodes between anchors, each walked from its first anchor, then
-    the pure cycles, each closed on its first point."""
-    return [s.points for s in g.segments]
 
 
 def _json_points(points):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from voxsim.fusion import (FusionParams, _close_3x3, _columns_any, _footprint_rows,
-                           _frame_columns, _frame_footprint, _map_extent, _mode_fill_ground,
+                           _frame_columns, _map_extent, _mode_fill_ground,
                            _pull_back, _sink_columns, _vote_winners, _words,
                            fuse_keyframes, fuse_sequence, refine_morphology,
                            select_keyframes, vote_inpaint)
@@ -18,7 +18,7 @@ from voxsim.lanes import extract_lanes
 from voxsim.occupancy import GlobalMap, OccupancyGrid, SemanticTable, default_table
 from voxsim.synthworld import (WorldSpec, generate_world, sample_frames,
                                straight_trajectory)
-from voxsim.topology import extract_topology, graph_segments
+from voxsim.topology import extract_topology
 
 from conftest import assert_pinned, make_map, swapped_table
 
@@ -44,6 +44,26 @@ class TestSelectKeyframes:
             select_keyframes([], 10.0)
 
 
+def reference_footprint(pose, dims, vox):
+    """World-frame axis-aligned bounding box (lo, hi) of the crop at pose,
+    each of its four corners moved on its own."""
+    X, Y = dims[0], dims[1]
+    corners = [pose.transform_xy(sx * X / 2.0 * vox, sy * Y / 2.0 * vox)
+               for sx in (-1, 1) for sy in (-1, 1)]
+    return [min(c) for c in zip(*corners)], [max(c) for c in zip(*corners)]
+
+
+def reference_map_extent(poses, dims, vox, margin):
+    """The origin and cell counts of the map that holds every pose's crop,
+    one footprint at a time."""
+    lo, hi = [math.inf, math.inf], [-math.inf, -math.inf]
+    for pose in poses:
+        flo, fhi = reference_footprint(pose, dims, vox)
+        lo, hi = list(map(min, lo, flo)), list(map(max, hi, fhi))
+    origin = [math.floor((v - margin) / vox) * vox for v in lo]
+    return origin, tuple(math.ceil((h + margin - o) / vox) for h, o in zip(hi, origin))
+
+
 def reference_frame_to_map_indices(gmap, pose, dims):
     """For every global cell inside the frame's footprint: (gx, gy, fx, fy).
 
@@ -51,7 +71,7 @@ def reference_frame_to_map_indices(gmap, pose, dims):
     under test so the references below do not share its indexing."""
     vox = gmap.voxel_size
     X, Y = dims[0], dims[1]
-    lo, hi = _frame_footprint(pose, dims, vox)
+    lo, hi = reference_footprint(pose, dims, vox)
     g0 = np.maximum(gmap.cell_of(*lo), 0)
     g1 = np.minimum(np.add(gmap.cell_of(*hi), 1), gmap.dims[:2])
     if np.any(g1 <= g0):
@@ -102,6 +122,20 @@ yaws = st.one_of(
     st.sampled_from(AXIS_YAWS),
     st.builds(lambda a, d: a + d, st.sampled_from(AXIS_YAWS), st.floats(-1e-12, 1e-12)),
     st.floats(-math.pi, math.pi))
+
+
+class TestMapExtent:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.builds(Pose2, st.floats(-500.0, 500.0), st.floats(-500.0, 500.0), yaws),
+                    min_size=1, max_size=6),
+           st.integers(1, 64), st.integers(1, 64),
+           st.one_of(st.sampled_from([0.1, 0.2, 0.4, 0.5, 1.0]), st.floats(0.05, 2.0)),
+           st.one_of(st.just(0.0), st.floats(0.0, 5.0)))
+    def test_matches_per_pose_corners(self, poses, X, Y, vox, margin):
+        lo, (nx, ny) = _map_extent(poses, (X, Y, 4), vox, margin)
+        want_lo, want_n = reference_map_extent(poses, (X, Y, 4), vox, margin)
+        assert [float(v).hex() for v in lo] == [v.hex() for v in want_lo]
+        assert (nx, ny) == want_n
 
 
 class TestColumnWords:
@@ -891,7 +925,7 @@ class TestMorphology:
         def counts(gmap):
             gmap = refine_morphology(gmap, FusionParams())
             g, _ = extract_topology(gmap)
-            return len(graph_segments(g)), len(extract_lanes(gmap, g))
+            return len(g.segments), len(extract_lanes(gmap, g))
 
         clean = counts(world)
         for seed in range(3):

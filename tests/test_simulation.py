@@ -767,9 +767,8 @@ class TestLaneChange:
     def test_head_on_triggers_change(self):
         net = self._two_lane_net()
         a = make_agent(10, 0, [1, 0], 8, [[10.0, 0.0], [99.5, 0.0]], lane_id=0)
-        lead = make_agent(20, 0, [-1, 0], 8, [[20.0, 0.0], [0.0, 0.0]], lane_id=0)
         params = SimParams()
-        changed = maybe_lane_change(a, lead, s=10.0, dv=16.0, network=net,
+        changed = maybe_lane_change(a, s=10.0, dv=16.0, head_on=True, network=net,
                                     params=params)
         assert changed
         assert a.lane_id == 1
@@ -778,24 +777,21 @@ class TestLaneChange:
     def test_no_trigger_beyond_distance(self):
         net = self._two_lane_net()
         a = make_agent(10, 0, [1, 0], 8, [[10.0, 0.0], [99.5, 0.0]], lane_id=0)
-        lead = make_agent(40, 0, [-1, 0], 8, [[40.0, 0.0], [0.0, 0.0]], lane_id=0)
-        assert not maybe_lane_change(a, lead, s=30.0, dv=16.0, network=net,
+        assert not maybe_lane_change(a, s=30.0, dv=16.0, head_on=True, network=net,
                                      params=SimParams())
 
     def test_cooldown_blocks(self):
         net = self._two_lane_net()
         a = make_agent(10, 0, [1, 0], 8, [[10.0, 0.0], [99.5, 0.0]], lane_id=0)
         a.lc_cooldown = 5
-        lead = make_agent(20, 0, [-1, 0], 8, [[20.0, 0.0], [0.0, 0.0]], lane_id=0)
-        assert not maybe_lane_change(a, lead, s=10.0, dv=16.0, network=net,
+        assert not maybe_lane_change(a, s=10.0, dv=16.0, head_on=True, network=net,
                                      params=SimParams())
 
     def test_advance_follows_the_new_route(self):
         net = self._two_lane_net()
         a = make_agent(10, 0, [1, 0], 8, [[10.0, 0.0], [99.5, 0.0]], lane_id=0)
         advance_along_route(a, 2.0)   # reads the first route's geometry
-        lead = make_agent(20, 0, [-1, 0], 8, [[20.0, 0.0], [0.0, 0.0]], lane_id=0)
-        assert maybe_lane_change(a, lead, s=8.0, dv=16.0, network=net,
+        assert maybe_lane_change(a, s=8.0, dv=16.0, head_on=True, network=net,
                                  params=SimParams())
         route = a.route.copy()
         advance_along_route(a, 3.0)
@@ -807,6 +803,11 @@ class TestLaneChange:
     def test_receding_same_direction_no_trigger(self):
         net = self._two_lane_net()
         a = make_agent(10, 0, [1, 0], 5, [[10.0, 0.0], [99.5, 0.0]], lane_id=0)
-        lead = make_agent(20, 0, [1, 0], 9, [[20.0, 0.0], [99.5, 0.0]], lane_id=0)
-        assert not maybe_lane_change(a, lead, s=10.0, dv=-4.0, network=net,
+        assert not maybe_lane_change(a, s=10.0, dv=-4.0, head_on=False, network=net,
                                      params=SimParams())
+
+    def test_head_on_triggers_without_closing_in(self):
+        net = self._two_lane_net()
+        a = make_agent(10, 0, [1, 0], 5, [[10.0, 0.0], [99.5, 0.0]], lane_id=0)
+        assert maybe_lane_change(a, s=10.0, dv=-4.0, head_on=True, network=net,
+                                 params=SimParams())

@@ -16,8 +16,7 @@ from voxsim.occupancy import GlobalMap, SemanticTable, default_table
 from voxsim.topology import (OUTWARD_MIN_LEN, TopologyParams, _box_obstacle_count,
                              _outward_direction, build_graph,
                              clean_graph, extract_topology, filter_endpoints,
-                             graph_segments, load_graph, save_graph,
-                             skeletonize, zhang_suen_thin)
+                             load_graph, save_graph, skeletonize, zhang_suen_thin)
 from voxsim.synthworld import WorldSpec, generate_world
 
 from conftest import assert_pinned, make_map
@@ -226,7 +225,7 @@ def assert_same_graph(g, ref):
     order, point for point."""
     assert list(g.nodes) == sorted(n for n in ref.nodes if ref.degree(n) != 2)
     assert [g.degree(n) for n in g.nodes] == [ref.degree(n) for n in g.nodes]
-    segs, want = graph_segments(g), reference_graph_segments(ref)
+    segs, want = [s.points for s in g.segments], reference_graph_segments(ref)
     assert len(segs) == len(want)
     for s, w in zip(segs, want):
         assert np.array_equal(s, np.asarray(w, dtype=float)), (s, w)
@@ -384,7 +383,7 @@ class TestBuildGraph:
         skel[2:8, 4] = True
         g = build_graph(skel)
         assert sorted(g.nodes) == [(2, 4), (7, 4)]
-        (seg,) = graph_segments(g)
+        (seg,) = [s.points for s in g.segments]
         assert len(seg) == 6
         assert (_steps(seg) == 1.0).all()
 
@@ -395,7 +394,7 @@ class TestBuildGraph:
                            [(20 - i, 20 - i) for i in range(1, 30)],
                            [(20 + i, 20 - i) for i in range(1, 4)])
         g = build_graph(skel)
-        spur = next(s for s in graph_segments(g) if len(s) == 4)
+        spur = next(s.points for s in g.segments if len(s.points) == 4)
         assert (_steps(spur) == math.sqrt(2)).all()
         assert clean_graph(g, 4.3, 0.1).number_of_nodes() == 2
         assert clean_graph(g, 4.2, 0.1).number_of_nodes() == 4
@@ -406,7 +405,7 @@ class TestBuildGraph:
         skel[1, 1] = skel[1, 2] = skel[2, 2] = True
         g = build_graph(skel)
         assert sorted(g.nodes) == [(1, 1), (2, 2)]
-        (seg,) = graph_segments(g)
+        (seg,) = [s.points for s in g.segments]
         assert sorted(map(tuple, seg.tolist())) == [(1.0, 1.0), (1.0, 2.0), (2.0, 2.0)]
 
     def test_full_block_is_four_cycle(self):
@@ -414,7 +413,7 @@ class TestBuildGraph:
         skel[1:3, 1:3] = True
         g = build_graph(skel)
         assert g.number_of_nodes() == 0
-        (seg,) = graph_segments(g)
+        (seg,) = [s.points for s in g.segments]
         assert sorted(map(tuple, seg[:-1].tolist())) == [(1, 1), (1, 2), (2, 1), (2, 2)]
         assert (seg[0] == seg[-1]).all() and (_steps(seg) == 1.0).all()
         assert_same_graph(g, reference_build_graph(skel))
@@ -437,7 +436,7 @@ class TestBuildGraph:
         finally:
             tracemalloc.stop()
         assert g.number_of_nodes() == 4
-        assert sorted(map(len, graph_segments(g))) == [300, 300]
+        assert sorted(len(s.points) for s in g.segments) == [300, 300]
         assert peak < 2 * skel.size, peak / skel.size
 
 
@@ -449,7 +448,7 @@ class TestCleanGraph:
     def test_short_spur_pruned(self):
         g = clean_graph(self._trunk_with_spur(3), tau_prune_px=5.0, w_lane_px=9.0)
         assert g.number_of_nodes() == 2
-        assert all((seg[:, 1] == 10).all() for seg in graph_segments(g))
+        assert all((s.points[:, 1] == 10).all() for s in g.segments)
 
     def test_long_branch_kept(self):
         g = clean_graph(self._trunk_with_spur(30), tau_prune_px=5.0, w_lane_px=9.0)
@@ -593,7 +592,7 @@ class TestSegmentsAndIO:
     def test_graph_segments_cover_plus(self):
         spec = WorldSpec(recipe="plus", extent=120.0, road_width=9.6)
         g, _ = extract_topology(generate_world(spec))
-        segs = graph_segments(g)
+        segs = [s.points for s in g.segments]
         assert len(segs) == 4
         junction = next(n for n in g.nodes if g.degree(n) > 2)
         for seg in segs:
@@ -681,7 +680,7 @@ def noise_masks(draw):
 
 
 def _graph_items(g):
-    return list(g.nodes), [g.degree(n) for n in g.nodes], [s.tolist() for s in graph_segments(g)]
+    return list(g.nodes), [g.degree(n) for n in g.nodes], [s.points.tolist() for s in g.segments]
 
 
 def assert_in_order(g):
@@ -777,14 +776,14 @@ class TestGraphSegments:
     def test_segments_partition_skeleton_edges(self, mask, tau_prune, w_lane):
         skel = skeletonize(mask)
         g, ref = build_graph(skel), reference_build_graph(skel)
-        _check_segments(graph_segments(g), ref)
-        _check_segments(graph_segments(clean_graph(g, tau_prune, w_lane)),
+        _check_segments([s.points for s in g.segments], ref)
+        _check_segments([s.points for s in clean_graph(g, tau_prune, w_lane).segments],
                         reference_clean_graph(ref, tau_prune, w_lane))
 
     def test_loop_through_one_junction(self):
         skel = skeleton_of([(0, 0), (1, 0), (2, 0)],                  # tail to a leaf
                            [(0, 0), (0, 1), (-1, 1), (-1, 0), (0, 0)])  # a 2x2 block
-        segs = graph_segments(build_graph(skel))
+        segs = [s.points for s in build_graph(skel).segments]
         _check_segments(segs, reference_build_graph(skel))
         assert sorted(len(s) for s in segs) == [3, 5]
         loop = next(s for s in segs if len(s) == 5)
@@ -793,7 +792,7 @@ class TestGraphSegments:
     def test_anchor_free_cycle_component(self):
         skel = skeleton_of([(0, 0), (0, 1), (1, 1), (1, 0)], [(5, 5), (5, 6), (5, 7)])
         g = build_graph(skel)
-        segs = graph_segments(g)
+        segs = [s.points for s in g.segments]
         _check_segments(segs, reference_build_graph(skel))
         # anchors first; the cycle starts at its smallest point, toward the
         # smaller of that point's neighbours
@@ -804,7 +803,7 @@ class TestGraphSegments:
     def test_single_edge_between_junctions(self):
         skel = skeleton_of([(0, 0), (1, 0)], [(0, 0), (-1, 1)], [(0, 0), (-1, -1)],
                            [(1, 0), (2, 1)], [(1, 0), (2, -1)])
-        segs = graph_segments(build_graph(skel))
+        segs = [s.points for s in build_graph(skel).segments]
         _check_segments(segs, reference_build_graph(skel))
         assert len(segs) == 5
         assert sum(set(map(tuple, s.tolist())) == {(3, 3), (4, 3)} for s in segs) == 1
@@ -825,7 +824,7 @@ class TestGraphSegments:
         skel = skeleton_of(*paths)
         g, ref = build_graph(skel), reference_build_graph(skel)
         assert_same_graph(g, ref)
-        _check_segments(graph_segments(g), ref)
+        _check_segments([s.points for s in g.segments], ref)
 
 
 def assert_reads_back_alike(gmap, g, valid):
@@ -833,7 +832,7 @@ def assert_reads_back_alike(gmap, g, valid):
     gives the segments, valid endpoints and lanes of the graph in memory, in
     the same order and direction."""
     g2, valid2 = _reloaded(g, valid)
-    segs, segs2 = graph_segments(g), graph_segments(g2)
+    segs, segs2 = [s.points for s in g.segments], [s.points for s in g2.segments]
     assert len(segs2) == len(segs)
     for s, s2 in zip(segs, segs2):
         assert np.array_equal(s, s2)
