@@ -170,15 +170,24 @@ def run_fuse(frames_dir, traj_path, params_cfg: dict, out_path: Path) -> dict:
     return {"map": _artifact(out_path, occupancy.write_grid(gmap, out_path))}
 
 
+def _read_map(path) -> occupancy.GlobalMap:
+    """The world-aligned global map in the OCCG file at ``path``; any other
+    grid, a synth frame say, is a GridFormatError."""
+    gmap = occupancy.read_grid(path)
+    if not isinstance(gmap, occupancy.GlobalMap):
+        raise occupancy.GridFormatError(f"{path} is a frame: its header does not say global", 24)
+    return gmap
+
+
 def run_topo(map_path, params_cfg: dict, out_path: Path) -> dict:
-    gmap = occupancy.read_grid(map_path)
+    gmap = _read_map(map_path)
     params = _from_config(topology.TopologyParams, params_cfg)
     g, valid = topology.extract_topology(gmap, params)
     return {"graph": _artifact(out_path, topology.save_graph(g, valid, out_path))}
 
 
 def run_lanes(map_path, graph_path, params_cfg: dict, out_path: Path) -> dict:
-    gmap = occupancy.read_grid(map_path)
+    gmap = _read_map(map_path)
     g, _ = topology.load_graph(graph_path)
     params = _from_config(lanes_mod.LaneParams, params_cfg)
     lanes = lanes_mod.extract_lanes(gmap, g, params)
@@ -195,7 +204,7 @@ def _build_sim(map_path, lanes_path, graph_path, layout, params: SimParams,
     """The simulator spawn and simulate share: map, lanes and valid endpoints
     loaded and the layout source picked. Without an ego path the map centre
     is the one recorded pose."""
-    gmap = occupancy.read_grid(map_path)
+    gmap = _read_map(map_path)
     lanes = lanes_mod.load_lanes(lanes_path)
     _, valid_px = topology.load_graph(graph_path)
     if not valid_px:

@@ -200,9 +200,20 @@ class OccupancyGrid:
         return self.labels.shape
 
 
+def _check_world_aligned(origin: Pose2) -> None:
+    """A ValueError unless a global map's origin has yaw 0."""
+    if origin.yaw != 0.0:
+        raise ValueError(f"a global map's origin yaw must be 0, not {origin.yaw!r}")
+
+
 class GlobalMap(OccupancyGrid):
     """World-anchored fused map; origin is the world position of voxel (0, 0, 0)
-    and the axes are the world's (``cell_of``/``cell_center`` convert)."""
+    and the axes are the world's (``cell_of``/``cell_center`` convert), so
+    the origin's yaw must be 0."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        _check_world_aligned(self.origin)
 
     @property
     def extent(self):
@@ -456,8 +467,9 @@ def _write_unless_failed(failed: threading.Event, path, chunks):
 
 def _parse_header(blob: bytes):
     """Decoded and validated OCCG JSON header: (dims, voxel size, origin,
-    table, global flag). The flag is a JSON bool, false when absent. Any
-    failure is a GridFormatError at the header."""
+    table, global flag). The flag is a JSON bool, false when absent, and a
+    global map's origin yaw is 0. Any failure is a GridFormatError at the
+    header."""
     try:
         header = json.loads(blob)
         dims = header["dims"]
@@ -470,6 +482,8 @@ def _parse_header(blob: bytes):
         is_global = header.get("global", False)
         if type(is_global) is not bool:
             raise ValueError(f"global {is_global!r} is not a JSON bool")
+        if is_global:
+            _check_world_aligned(origin)
         return dims, vox, origin, table, is_global
     except (KeyError, TypeError, ValueError, RecursionError) as e:
         raise GridFormatError(f"bad JSON header: {e!r}", 24) from e

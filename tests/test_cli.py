@@ -334,6 +334,32 @@ class TestExitCodes:
             write_heatmap(h, 0.4, layout)
             assert main(spawn) == EXIT_IO, ("HEATMAP1", value)
 
+    @pytest.mark.parametrize("command", ["topo", "lanes", "spawn", "simulate"])
+    @pytest.mark.parametrize("grid", ["synth-frame", "rotated-global-map"])
+    def test_map_that_is_not_world_aligned_is_io_error(self, tmp_path, capsys, command, grid):
+        # a synth frame used to give topo a graph in its own pixels (exit 0)
+        # and lanes and spawn a stage failure (exit 3); a global map with a
+        # rotated origin loaded, and every stage ignored its yaw (exit 0)
+        _spawnable_world(tmp_path)
+        _write_poses(tmp_path / "traj.json", [(10.0, 10.0, 0.0)])
+        path = tmp_path / "map.occg"
+        if grid == "synth-frame":
+            write_grid(OccupancyGrid(read_grid(path).labels, 0.4, Pose2(10.0, 10.0, 0.0)), path)
+        else:
+            data = path.read_bytes()
+            assert data.count(b'"yaw": 0.0') == 1
+            path.write_bytes(data.replace(b'"yaw": 0.0', b'"yaw": 0.7'))
+        inputs = {"lanes": ["--graph"], "spawn": ["--lanes", "--graph"],
+                  "simulate": ["--lanes", "--graph", "--poses"]}.get(command, [])
+        files = {"--lanes": "lanes.json", "--graph": "graph.json", "--poses": "traj.json"}
+        argv = [command, "--map", str(path), *(a for flag in inputs
+                                                 for a in (flag, str(tmp_path / files[flag]))),
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_IO
+        assert ("does not say global" if grid == "synth-frame" else "yaw must be 0") \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_json_input_is_io_error(self, tmp_path):
         _spawnable_world(tmp_path)
         (tmp_path / "traj.json").write_text(json.dumps(
@@ -694,7 +720,7 @@ _CONFIGS = [(cls, json.loads(json.dumps({f.name: f.default for f in dataclasses.
 
 
 _OCCG_HEADER = {"dims": [2, 2, 2], "voxel_size": 0.4,
-                "origin": {"x": 1.0, "y": 2.0, "yaw": 0.5},
+                "origin": {"x": 1.0, "y": 2.0, "yaw": 0.0},
                 "table": default_table().to_json(), "global": True}
 # (reader, valid decoded input, the error a malformed one raises)
 _READERS = {

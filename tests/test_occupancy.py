@@ -137,6 +137,11 @@ class TestGridIO:
         write_grid(g, path)
         assert isinstance(read_grid(path), GlobalMap)
 
+    def test_global_map_refuses_a_rotated_origin(self):
+        # its axes are the world's, which cell_of, cell_center and crop read
+        with pytest.raises(ValueError, match="yaw must be 0"):
+            GlobalMap(np.zeros((4, 4, 2), dtype=np.uint8), 0.4, Pose2(1.5, -2.0, 0.7))
+
     @staticmethod
     def _write_header(path, **changes):
         """A 2x2x2 OCCG file whose JSON header is a valid frame header with
@@ -228,7 +233,7 @@ class TestGridIO:
         assert read_grid(path).dims == DEFAULT_CROP_DIMS
 
     @pytest.mark.parametrize("make, contiguous", [
-        (lambda labels: GlobalMap(labels, 0.4, Pose2(1.5, -2.0, 0.25)), True),
+        (lambda labels: GlobalMap(labels, 0.4, Pose2(1.5, -2.0, 0.0)), True),
         (lambda labels: OccupancyGrid(labels[:, ::-1]), False),
     ], ids=["global-map", "strided-view"])
     def test_write_grid_returns_the_file_sha256(self, tmp_path, make, contiguous):
@@ -271,7 +276,7 @@ def _grids(n):
     for i in range(n):
         labels = rng.integers(0, 7, size=(6 + i, 5, 4), dtype=np.uint8)
         if i % 3 == 0:
-            yield GlobalMap(labels, 0.4, Pose2(1.5, -2.0, 0.25))
+            yield GlobalMap(labels, 0.4, Pose2(1.5, -2.0, 0.0))
         else:
             yield OccupancyGrid(labels[:, ::-1] if i % 3 == 2 else labels,
                                 0.2, Pose2(float(i), 0.5, -0.75))
@@ -411,7 +416,7 @@ def containers(tmp_path_factory):
     """Directory holding one small file of each binary container format."""
     d = tmp_path_factory.mktemp("containers")
     labels = np.arange(24, dtype=np.uint8).reshape(2, 3, 4)
-    write_grid(GlobalMap(labels, 0.4, Pose2(1.5, -2.0, 0.25)), d / "g.occg")
+    write_grid(GlobalMap(labels, 0.4, Pose2(1.5, -2.0, 0.0)), d / "g.occg")
     write_heatmap(np.linspace(-1.0, 1.0, 12).reshape(3, 4), 0.4, d / "h.hm")
     write_features(np.arange(6.0).reshape(3, 2), d / "f.feat")
     return d
