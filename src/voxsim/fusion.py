@@ -43,7 +43,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .geometry import Pose2
 from .occupancy import NONNEGATIVE, POSITIVE, GlobalMap, Settings, at_least, setting
@@ -432,14 +431,62 @@ def _close_3x3(mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def _small_components(mask: np.ndarray, structure, cell_area: float, min_area: float):
-    """Cells of ``mask``'s connected components (under ``structure``) whose
-    area is under ``min_area``, picked through a lookup over the label image;
-    None when no component is that small."""
-    lab, n = scipy.ndimage.label(mask, structure=structure)
-    small = np.bincount(lab.ravel(), minlength=n + 1) * cell_area < min_area
-    small[0] = False
-    return small[lab] if small.any() else None
+def _small_components(mask: np.ndarray, diagonal: bool, cell_area: float, min_area: float):
+    """Cells of ``mask``'s connected components (8-connected when
+    ``diagonal``, else 4-connected) whose area is under ``min_area``; None
+    when no component is that small. ``scipy.ndimage.label`` with a bincount
+    lookup is the reference, bit for bit.
+
+    The components are found from the mask's runs along its rows (He, Chao
+    and Suzuki's run-based labelling). One diff of the plane, padded with a
+    clear column on each side, gives every run's start and stop. A run
+    touches the runs of the next row whose column intervals overlap its own,
+    widened by one column when ``diagonal``; those form one contiguous range
+    of the row-major run list, found by two binary searches over keys
+    ``row * (W + 2) + column`` that cannot reach a third row. Labels are
+    unioned by hooking each touching pair's larger root onto the smaller and
+    pointer jumping, until every touching pair shares a root. A component's
+    area is the whole count of its runs' cells, and only the runs of small
+    components are painted."""
+    nx, ny = mask.shape
+    padded = np.zeros((nx, ny + 2), dtype=np.int8)
+    padded[:, 1:-1] = mask
+    # edges on the (nx, ny + 1) grid: each row's runs open (+1) and close
+    # (-1) in turn, so the flat nonzero positions alternate start and stop
+    edges = np.flatnonzero(np.diff(padded, axis=1))
+    starts, stops = edges[0::2], edges[1::2]
+    row = starts // (ny + 1)
+    start_key, stop_key = starts + row, stops + row
+    # the next row's runs that touch each run stop after its start and
+    # start before its stop, both widened by ``reach``
+    reach = 1 if diagonal else 0
+    first = np.searchsorted(stop_key, start_key + (ny + 2) - reach, side="right")
+    count = np.searchsorted(start_key, stop_key + (ny + 2) + reach, side="left") - first
+    a = np.repeat(np.arange(len(starts)), count)
+    b = np.arange(len(a)) + np.repeat(first - (np.cumsum(count) - count), count)
+
+    label = np.arange(len(starts))
+    while True:
+        la, lb = label[a], label[b]
+        apart = la != lb
+        if not apart.any():
+            break
+        a, b, la, lb = a[apart], b[apart], la[apart], lb[apart]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
+
+    cells = np.bincount(label, weights=stops - starts, minlength=len(starts)).astype(np.int64)
+    small = (cells * cell_area < min_area)[label]
+    if not small.any():
+        return None
+    paint = np.zeros((nx, ny + 1), dtype=np.int8)
+    paint.flat[starts[small]] = 1
+    paint.flat[stops[small]] = -1
+    return np.cumsum(paint, axis=1, dtype=np.int8)[:, :ny].astype(bool)
 
 
 def refine_morphology(gmap: GlobalMap, params: FusionParams) -> GlobalMap:
@@ -451,7 +498,10 @@ def refine_morphology(gmap: GlobalMap, params: FusionParams) -> GlobalMap:
     a hole is cut off from the rest of the non-road plane exactly when the
     road encloses it. The fill runs after the removal: a removed blob's cells
     join the non-road plane around them first, so the fill never restores a
-    removed blob and the removal never takes back a filled hole."""
+    removed blob and the removal never takes back a filled hole. Both find
+    their components from the plane's row runs (``_small_components``) and
+    the closing is shifted array operations, so pass 3 loads no scipy
+    submodule."""
     table = gmap.table
     out = gmap.labels.copy()
     plane = out[:, :, 0]
@@ -463,13 +513,11 @@ def refine_morphology(gmap: GlobalMap, params: FusionParams) -> GlobalMap:
 
     cell_area = gmap.voxel_size ** 2
     road = plane == table.road_id
-    blobs = _small_components(road, scipy.ndimage.generate_binary_structure(2, 2),
-                              cell_area, params.min_area)
+    blobs = _small_components(road, True, cell_area, params.min_area)
     if blobs is not None:
         plane[blobs] = table.unassigned_id
         road &= ~blobs
-    holes = _small_components(~road, scipy.ndimage.generate_binary_structure(2, 1),
-                              cell_area, params.min_area)
+    holes = _small_components(~road, False, cell_area, params.min_area)
     if holes is not None:
         plane[holes] = table.road_id
     return GlobalMap(out, gmap.voxel_size, gmap.origin, table)

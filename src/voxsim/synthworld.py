@@ -13,7 +13,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .geometry import Pose2
 from .occupancy import (DEFAULT_CROP_DIMS, DEFAULT_VOXEL_SIZE, FINITE, NONNEGATIVE,
@@ -89,6 +88,23 @@ def _centerline_distances(spec: WorldSpec, xs: np.ndarray):
     return dx[:, None], dy[None, :]
 
 
+def _no_room(blocked: np.ndarray, half: int) -> bool:
+    """Whether every window of rows and columns ``[i - half, i + half)``
+    holds a blocked cell, cells off the plane counting as clear: the
+    obstacle patch at each cell, and ``scipy.ndimage.maximum_filter``'s
+    window of even size ``2 * half`` with ``mode="constant"``. Each window's
+    sum is read from an int64 summed-area table of the plane padded by
+    ``half`` clear cells on each side."""
+    n0, n1 = blocked.shape
+    w = 2 * half
+    sat = np.zeros((n0 + w + 1, n1 + w + 1), dtype=np.int64)
+    np.cumsum(np.pad(blocked, half), axis=0, dtype=np.int64, out=sat[1:, 1:])
+    np.cumsum(sat[1:, 1:], axis=1, out=sat[1:, 1:])
+    sums = (sat[w:w + n0, w:w + n1] - sat[:n0, w:w + n1]
+            - sat[w:w + n0, :n1] + sat[:n0, :n1])
+    return bool((sums > 0).all())
+
+
 def generate_world(spec: WorldSpec) -> GlobalMap:
     """Deterministic ground-truth world in the default table: road at z=0
     flanked by sidewalks, free space above, and optional box obstacles off-road."""
@@ -117,10 +133,9 @@ def generate_world(spec: WorldSpec) -> GlobalMap:
         zmax = min(int(math.ceil(spec.obstacle_height / vox)) + 1, spec.z_dim)
         half = int(round(1.0 / vox))
         # the loop below redraws until a footprint misses the road: without
-        # one clear footprint (max over its window, clipped at the edges) it
-        # would never end
-        if count and half and scipy.ndimage.maximum_filter(
-                road | sidewalk, size=2 * half, mode="constant").all():
+        # one clear footprint (a window, clipped at the edges, whose
+        # summed-area count of road and sidewalk cells is 0) it would never end
+        if count and half and _no_room(road | sidewalk, half):
             raise ValueError(f"no {2 * half}x{2 * half}-cell obstacle footprint "
                              f"fits off road in a {n}x{n}-cell world")
         placed = 0

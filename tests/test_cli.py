@@ -147,13 +147,15 @@ def loaded():
     return [m for m in ("scipy.ndimage", "scipy.spatial", "scipy.interpolate", "scipy.sparse")
             if m in sys.modules]
 
-spec, out = sys.argv[1:]
+spec, obstacles, out = sys.argv[1:]
 steps = {"import": loaded()}
 for stage, args in (("synth", ["--spec", spec, "--seed", "1", "--out", out]),
+                    ("synth-obstacles", ["--spec", obstacles, "--seed", "1",
+                                         "--out", out + "-obstacles"]),
                     ("fuse", ["--frames", out + "/frames", "--poses", out + "/trajectory.json",
                               "--out", out + "/map.occg"]),
                     ("topo", ["--map", out + "/map.occg", "--out", out + "/graph.json"])):
-    assert main([stage, *args]) == 0, stage
+    assert main([stage.split("-")[0], *args]) == 0, stage
     steps[stage] = loaded()
 print(json.dumps(steps))
 """
@@ -161,18 +163,22 @@ print(json.dumps(steps))
 
 def test_each_scipy_submodule_loads_on_the_first_call_that_needs_it(tmp_path):
     src = str(Path(voxsim.__file__).resolve().parents[1])
-    spec = tmp_path / "spec.json"
-    # the default obstacle_density is 0: synth needs no scipy
-    spec.write_text(json.dumps({"world": {"recipe": "grid", "extent": 80.0, "blocks": [2, 2]},
-                                "crop_dims": [80, 80, 8]}))
-    proc = subprocess.run([sys.executable, "-c", SCIPY_LOADS, str(spec), str(tmp_path / "out")],
+    world = {"recipe": "grid", "extent": 80.0, "blocks": [2, 2]}
+    spec, obstacles = tmp_path / "spec.json", tmp_path / "obstacles.json"
+    spec.write_text(json.dumps({"world": world, "crop_dims": [80, 80, 8]}))
+    # with obstacles, synth checks that a footprint fits off road first
+    obstacles.write_text(json.dumps({"world": {**world, "obstacle_density": 2.0},
+                                     "crop_dims": [80, 80, 8]}))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_LOADS, str(spec), str(obstacles),
+                           str(tmp_path / "out")],
                           capture_output=True, text=True, timeout=120, cwd=src,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
-    # each list is cumulative; scipy.spatial imports scipy.sparse itself
+    # each list is cumulative; scipy.spatial imports scipy.sparse itself,
+    # and topo merges two junctions within reach on this map
     assert json.loads(proc.stdout.splitlines()[-1]) == {
-        "import": [], "synth": [], "fuse": ["scipy.ndimage"],
-        "topo": ["scipy.ndimage", "scipy.spatial", "scipy.sparse"]}
+        "import": [], "synth": [], "synth-obstacles": [], "fuse": [],
+        "topo": ["scipy.spatial", "scipy.sparse"]}
 
 
 def test_a_frame_write_that_fails_exits_4_and_leaves_no_manifest(tmp_path):

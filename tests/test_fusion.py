@@ -10,7 +10,8 @@ from scipy import ndimage
 
 from voxsim.fusion import (FusionParams, _close_3x3, _columns_any, _footprint_rows,
                            _frame_columns, _map_extent, _mode_fill_ground,
-                           _pull_back, _sink_columns, _vote_winners, _words,
+                           _pull_back, _sink_columns, _small_components,
+                           _vote_winners, _words,
                            fuse_keyframes, fuse_sequence, refine_morphology,
                            select_keyframes, vote_inpaint)
 from voxsim.geometry import Pose2
@@ -831,6 +832,16 @@ class TestVoteInpaintEquivalence:
         assert peak < dense_bytes, (peak, dense_bytes)
 
 
+def reference_small_components(mask, diagonal, cell_area, min_area):
+    """The small components by ``ndimage.label`` and a bincount lookup over
+    the label image; None when none is small."""
+    structure = ndimage.generate_binary_structure(2, 2 if diagonal else 1)
+    lab, n = ndimage.label(mask, structure=structure)
+    small = np.bincount(lab.ravel(), minlength=n + 1) * cell_area < min_area
+    small[0] = False
+    return small[lab] if small.any() else None
+
+
 class TestMorphology:
     def test_small_road_blob_removed(self, table):
         plane = np.full((30, 30), 4, dtype=np.uint8)
@@ -871,6 +882,30 @@ class TestMorphology:
         mask = rng.random((nx, ny)) < data.draw(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]))
         assert np.array_equal(_close_3x3(mask),
                               ndimage.binary_closing(mask, structure=np.ones((3, 3), dtype=bool)))
+
+    # 1xN and Nx1 strips up to about 60x60 planes, from empty through noise
+    # to full; min_area at 0, at a whole number of cells, one float step
+    # either side of it, and above the plane's area
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_small_components_match_ndimage_label(self, data):
+        nx, ny = data.draw(st.integers(1, 60)), data.draw(st.integers(1, 60))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        fill = data.draw(st.sampled_from([0.0, 0.02, 0.1, 0.3, 0.5, 0.6, 0.8, 0.95, 1.0]))
+        mask = rng.random((nx, ny)) < fill
+        cell_area = data.draw(st.sampled_from([0.4, 0.25, 0.5, 1.0])) ** 2
+        k = data.draw(st.one_of(st.integers(0, 12), st.just(nx * ny + 1)))
+        min_area = data.draw(st.sampled_from([np.nextafter(k * cell_area, -np.inf),
+                                              k * cell_area,
+                                              np.nextafter(k * cell_area, np.inf)]))
+        min_area = max(min_area, 0.0)
+        for diagonal in (True, False):
+            got = _small_components(mask, diagonal, cell_area, min_area)
+            want = reference_small_components(mask, diagonal, cell_area, min_area)
+            assert (got is None) == (want is None), diagonal
+            if want is not None:
+                assert got.dtype == bool and got.shape == mask.shape
+                assert np.array_equal(got, want), diagonal
 
     def test_small_holes_in_the_road_filled(self, table):
         plane = np.full((40, 40), 4, dtype=np.uint8)

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from voxsim.geometry import Pose2
 from voxsim.occupancy import GlobalMap, default_table
-from voxsim.synthworld import (WorldSpec, _road_lines, curve_trajectory,
+from voxsim.synthworld import (WorldSpec, _no_room, _road_lines, curve_trajectory,
                                generate_world, sample_frames, straight_trajectory)
 
 
@@ -176,6 +177,24 @@ class TestGenerateWorld:
             generate_world(spec)
         # no obstacle to place: nothing to fit
         generate_world(WorldSpec(recipe="straight", extent=16.0, obstacle_density=0.0))
+
+    # noise planes, and blocked planes with one clear rectangle that may or
+    # may not hold a whole window, some of it off the plane
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_no_room_matches_maximum_filter(self, data):
+        nx, ny = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 40))
+        half = data.draw(st.integers(1, 6))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        fill = data.draw(st.sampled_from([0.0, 0.02, 0.1, 0.4, 0.9, 1.0]))
+        blocked = rng.random((nx, ny)) < fill
+        if data.draw(st.booleans()):
+            x, y = data.draw(st.integers(0, nx - 1)), data.draw(st.integers(0, ny - 1))
+            blocked[:] = True
+            blocked[x:x + data.draw(st.integers(1, 2 * half + 1)),
+                    y:y + data.draw(st.integers(1, 2 * half + 1))] = False
+        want = ndimage.maximum_filter(blocked, size=2 * half, mode="constant").all()
+        assert _no_room(blocked, half) == want
 
     def test_peak_memory_near_label_bytes(self):
         # 5x5 grid at 600 m (1 500^2 cells, 36 MB of labels): the meshgrid
