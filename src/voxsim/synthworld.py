@@ -26,6 +26,7 @@ RECIPE = Rule(lambda v: v in ("straight", "curve", "plus", "grid"),
               "one of straight, curve, plus, grid")
 STRAIGHT_MARGIN = 12.0     # meters left clear at each end of a straight trajectory
 CURVE_MARGIN_ANGLE = 0.15  # radians left clear at each end of the curve's arc
+ROOM_BAND = 8              # window rows per summed-area table in _no_room
 
 
 @dataclass
@@ -92,17 +93,26 @@ def _no_room(blocked: np.ndarray, half: int) -> bool:
     """Whether every window of rows and columns ``[i - half, i + half)``
     holds a blocked cell, cells off the plane counting as clear: the
     obstacle patch at each cell, and ``scipy.ndimage.maximum_filter``'s
-    window of even size ``2 * half`` with ``mode="constant"``. Each window's
-    sum is read from an int64 summed-area table of the plane padded by
-    ``half`` clear cells on each side."""
+    window of even size ``2 * half`` with ``mode="constant"``. The windows
+    are read ROOM_BAND rows at a time, each band's sums from an int32
+    summed-area table of the plane rows its windows cover, padded with clear
+    cells to their reach. No plane-sized array is made, and the first band
+    with a clear window ends the check."""
     n0, n1 = blocked.shape
     w = 2 * half
-    sat = np.zeros((n0 + w + 1, n1 + w + 1), dtype=np.int64)
-    np.cumsum(np.pad(blocked, half), axis=0, dtype=np.int64, out=sat[1:, 1:])
-    np.cumsum(sat[1:, 1:], axis=1, out=sat[1:, 1:])
-    sums = (sat[w:w + n0, w:w + n1] - sat[:n0, w:w + n1]
-            - sat[w:w + n0, :n1] + sat[:n0, :n1])
-    return bool((sums > 0).all())
+    for r0 in range(0, n0, ROOM_BAND):
+        m = min(ROOM_BAND, n0 - r0)
+        # the band's windows cover plane rows [r0 - half, r0 + m + half - 1)
+        lo, hi = max(r0 - half, 0), min(r0 + m + half - 1, n0)
+        rows = np.pad(blocked[lo:hi], ((lo - r0 + half, r0 + m + half - 1 - hi),
+                                       (half, half)))
+        sat = np.zeros((m + w, n1 + w + 1), dtype=np.int32)
+        np.cumsum(rows, axis=0, dtype=np.int32, out=sat[1:, 1:])
+        np.cumsum(sat[1:, 1:], axis=1, out=sat[1:, 1:])
+        sums = sat[w:, w:w + n1] - sat[:m, w:w + n1] - sat[w:, :n1] + sat[:m, :n1]
+        if not sums.all():
+            return False
+    return True
 
 
 def generate_world(spec: WorldSpec) -> GlobalMap:
@@ -127,7 +137,9 @@ def generate_world(spec: WorldSpec) -> GlobalMap:
 
     if spec.obstacle_density > 0:
         rng = np.random.default_rng(spec.seed)
-        off_road_area = float((~road & ~sidewalk).sum()) * vox * vox
+        # road and sidewalk are disjoint: count them, not a third plane
+        off_road_area = float(n * n - np.count_nonzero(road)
+                              - np.count_nonzero(sidewalk)) * vox * vox
         count = int(round(spec.obstacle_density * off_road_area / 100.0))
         obstacle_id = table.ids_for("obstacle")[0]
         zmax = min(int(math.ceil(spec.obstacle_height / vox)) + 1, spec.z_dim)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+from voxsim import synthworld
 from voxsim.geometry import Pose2
 from voxsim.occupancy import GlobalMap, default_table
 from voxsim.synthworld import (WorldSpec, _no_room, _road_lines, curve_trajectory,
@@ -179,12 +181,14 @@ class TestGenerateWorld:
         generate_world(WorldSpec(recipe="straight", extent=16.0, obstacle_density=0.0))
 
     # noise planes, and blocked planes with one clear rectangle that may or
-    # may not hold a whole window, some of it off the plane
+    # may not hold a whole window, some of it off the plane; bands of 1 to 8
+    # rows, so that windows straddle band edges and the plane's ends
     @settings(max_examples=500, deadline=None)
     @given(st.data())
     def test_no_room_matches_maximum_filter(self, data):
         nx, ny = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 40))
         half = data.draw(st.integers(1, 6))
+        band = data.draw(st.integers(1, 8))
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
         fill = data.draw(st.sampled_from([0.0, 0.02, 0.1, 0.4, 0.9, 1.0]))
         blocked = rng.random((nx, ny)) < fill
@@ -194,19 +198,27 @@ class TestGenerateWorld:
             blocked[x:x + data.draw(st.integers(1, 2 * half + 1)),
                     y:y + data.draw(st.integers(1, 2 * half + 1))] = False
         want = ndimage.maximum_filter(blocked, size=2 * half, mode="constant").all()
-        assert _no_room(blocked, half) == want
+        with mock.patch.object(synthworld, "ROOM_BAND", band):
+            assert _no_room(blocked, half) == want
 
-    def test_peak_memory_near_label_bytes(self):
-        # 5x5 grid at 600 m (1 500^2 cells, 36 MB of labels): the meshgrid
-        # build peaked at 11.5x the label bytes, the broadcast one at 1.13x
-        spec = WorldSpec(recipe="grid", extent=600.0, blocks=(5, 5))
+    # 5x5 grid at 600 m (1 500^2 cells, 36 MB of labels): the meshgrid
+    # build peaked at 11.5x the label bytes, the broadcast one at 1.13x. With
+    # obstacles the room check runs beside the labels and the road planes:
+    # maximum_filter's bool output peaked at 1.25x, one int64 summed-area
+    # table of the whole plane at 2.26x, a band of rows at a time at 1.19x
+    @pytest.mark.parametrize("obstacle_density", [0.0, 0.05])
+    def test_peak_memory_near_label_bytes(self, obstacle_density):
+        spec = WorldSpec(recipe="grid", extent=600.0, blocks=(5, 5),
+                         obstacle_density=obstacle_density)
         tracemalloc.start()
         try:
             world = generate_world(spec)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.4 * world.labels.nbytes, peak / world.labels.nbytes
+        obstacle = world.labels[:, :, 1] == default_table().ids_for("obstacle")[0]
+        assert obstacle.any() == (obstacle_density > 0)
+        assert peak < 1.3 * world.labels.nbytes, peak / world.labels.nbytes
 
     def test_plus_recipe_two_strips(self):
         world = generate_world(WorldSpec(recipe="plus", extent=60.0,
