@@ -13,12 +13,14 @@ what the frame holds there. Along a map row the frame's footprint is one
 interval, and two binary searches per row find the listed columns inside
 it, so the pull-back work follows the footprint's rows plus the listed
 columns inside it, not its axis-aligned box; each of them still passes the
-exact in-frame test. The columns come in row-major order, each map cell at
-most once, and the frame's sources as flat rows of Z bytes, one ``take``
-per frame. Phase 3 then looks up and counts only the voxels that can vote,
-assigned in the frame and left unassigned by phase 2, in a tally of one
-count per hole and category, so its per-frame work follows the votes and
-its memory the holes, not each frame's footprint or the map. Every frame of
+exact in-frame test, whose rotation takes each footprint row's terms
+once, not once per cell. The columns come in row-major order, each map
+cell at most once, and the frame's sources as flat rows of Z bytes, one
+``take`` per frame. Phase 3 then looks up and counts only the voxels the
+frame assigns, in a tally of one count per category and voxel of a hole
+column, indexed by the column's place in the list and the level, so its
+per-frame work follows the votes and its memory the hole columns, C bytes
+per voxel of them, not each frame's footprint or the map. Every frame of
 a sequence must share frame 0's dims, voxel size and semantic table; phase
 2 builds its map under that table, and phase 3 checks that the frames fit
 its map: the same z levels, voxel size and table. Phase 2's ground clean-up
@@ -26,8 +28,8 @@ finds every column's lowest ground level in one pass over the map (a
 comparison per ground id and the lowest set bit of the column's words)
 and shifts only the columns whose ground lies above z = 0. Its z = 0 mode
 fill counts each category's neighbours as a uint8 box sum of shifted adds.
-Phase 3 picks a winner only for the holes whose best count reaches
-``tau_vote``.
+Phase 3 picks a winner only for the voxels whose best count reaches
+``tau_vote``, and writes winners only into holes.
 
 Column tests read words, not bytes: ``_words`` views a column's Z label
 bytes (or bools) as the widest little-endian unsigned words that tile Z,
@@ -108,18 +110,29 @@ def _columns_any(mask):
     return acc != 0
 
 
-def _pull_back(gmap: GlobalMap, pose: Pose2, dims, gx, gy):
+def _pull_back(gmap: GlobalMap, pose: Pose2, dims, gx, gy, counts=None):
     """(fx, fy, ok): the frame indices of map cells (gx, gy) and whether
     they fall inside the frame. Cell centres go through the inverse ego pose
-    and ``floor``, the exact inverse of the crop sampling. The arithmetic is
-    elementwise, so a cell's answer does not depend on which other cells
-    are pulled back with it."""
+    and ``floor``, the exact inverse of the crop sampling. With ``counts``,
+    ``gx`` holds map rows, and row i the next ``counts[i]`` cells of ``gy``.
+
+    The rotation is ``Pose2.transform_xy``'s in its order of operations: the
+    row terms ``x + c * cx`` and ``y + s * cx`` once per entry of ``gx``,
+    then ``- s * cy`` and ``+ c * cy`` per cell. Every step is elementwise,
+    so a cell's answer does not depend on which other cells are pulled back
+    with it, nor on whether its row comes once or once per cell."""
     vox = gmap.voxel_size
     X, Y = dims[0], dims[1]
-    lx, ly = pose.inverse().transform_xy(*gmap.cell_center(gx, gy))
-    fx = np.floor(lx / vox + X / 2.0).astype(np.int64)
-    fy = np.floor(ly / vox + Y / 2.0).astype(np.int64)
-    return fx, fy, (fx >= 0) & (fx < X) & (fy >= 0) & (fy < Y)
+    inv = pose.inverse()
+    c, s = math.cos(inv.yaw), math.sin(inv.yaw)
+    cx, cy = gmap.cell_center(gx, gy)
+    ax, ay = inv.x + c * cx, inv.y + s * cx
+    if counts is not None:
+        ax, ay = np.repeat(ax, counts), np.repeat(ay, counts)
+    fx = np.floor((ax - s * cy) / vox + X / 2.0).astype(np.int64)
+    fy = np.floor((ay + c * cy) / vox + Y / 2.0).astype(np.int64)
+    # a negative index reads as a uint64 above any frame size
+    return fx, fy, (fx.view(np.uint64) < X) & (fy.view(np.uint64) < Y)
 
 
 def _row_span(a, b, n):
@@ -179,18 +192,19 @@ def _frame_columns(gmap: GlobalMap, pose: Pose2, frame, cells):
     are those columns in row-major order, each at most once, and ``src`` the
     frame's label columns there, one row of Z bytes each; None, without a
     read of the frame's labels, when there are none. Two binary searches per
-    footprint row (``_footprint_rows``) pick the listed columns pulled back."""
+    footprint row (``_footprint_rows``) pick the listed columns pulled back,
+    and ``_pull_back`` takes each footprint row's terms once."""
     hit = _footprint_rows(gmap, pose, frame.dims)
     if hit is None:
         return None
     rows, jlo, jhi = hit
-    GY = gmap.dims[1]
-    start = np.searchsorted(cells, rows * GY + jlo)
-    counts = np.searchsorted(cells, rows * GY + jhi) - start
+    base = rows * gmap.dims[1]  # flat cell of each row's gy = 0
+    start = np.searchsorted(cells, base + jlo)
+    counts = np.searchsorted(cells, base + jhi) - start
     # ragged ranges start[i] .. start[i] + counts[i], concatenated
     k = np.arange(counts.sum()) + np.repeat(start - (np.cumsum(counts) - counts), counts)
-    gx = np.repeat(rows, counts)
-    fx, fy, ok = _pull_back(gmap, pose, frame.dims, gx, cells[k] - gx * GY)
+    gy = cells[k] - np.repeat(base, counts)
+    fx, fy, ok = _pull_back(gmap, pose, frame.dims, rows, gy, counts)
     if not ok.any():
         return None
     X, Y, Z = frame.dims
@@ -315,42 +329,37 @@ def _mode_fill_ground(gmap: GlobalMap, table) -> None:
     plane[fill] = best_label[fill]
 
 
-def _tally_votes(gmap: GlobalMap, unassigned, frames, poses, non_keys, cids):
-    """(C, n_holes) vote counts of the non-keyframes: row c for category
-    ``cids[c]``, column k for the k-th True voxel of ``unassigned`` in C
-    order. Category-major rows keep the winner's scans contiguous. Frames
-    whose z levels, voxel size or semantic table differ from the map's
-    raise a ValueError, since their label values are counted under
-    ``gmap.table``.
+def _tally_votes(gmap: GlobalMap, hole_cells, frames, poses, non_keys, cids):
+    """(C, n * Z) vote counts of the non-keyframes over the n map columns
+    ``hole_cells`` (sorted flat map cells): row c counts category
+    ``cids[c]``, entry i * Z + z level z of listed column i. Category-major
+    rows keep the winner's scans contiguous. Frames whose z levels, voxel
+    size or semantic table differ from the map's raise a ValueError, since
+    their label values are counted under ``gmap.table``.
 
-    The hole columns are one sorted flat list, which ``_frame_columns``
-    picks each frame's columns from; their positions in the list are the
-    rows of ``column_holes``. A one-byte mask, assigned in the frame and a
-    hole in the map, picks the voxels that can vote, and only those go
-    through the label -> category and hole -> slot lookups. The category
-    lookup has an entry per uint8 label value, set at the table's ids; the
-    slot table keeps int32 hole indices; flat tally offsets are formed in
-    int64 on the voters only.
+    ``_frame_columns`` picks each frame's columns from ``hole_cells`` and
+    returns their positions in the list, so a voxel's entry is its column's
+    position times Z plus its level, with no hole -> slot table. Every
+    voxel of a listed column that the frame assigns votes, its pass-1
+    voxels too: their counts are never read, and they spare a mask of the
+    map's holes per frame. Only the voters go through the label -> offset
+    lookup, which has an entry per uint8 label value, set at the table's
+    ids to the start of their category's row, and -1 elsewhere; flat tally
+    offsets are formed in int64 on the voters only.
     """
     dims, vox, table = _frame_geometry(frames)
-    Z = unassigned.shape[2]
+    Z = gmap.labels.shape[2]
     if (dims[2], vox) != (Z, gmap.voxel_size):
         raise ValueError(f"frames have {dims[2]} z levels of {vox} m, "
                          f"the map {Z} of {gmap.voxel_size} m")
     if table != gmap.table:
         # every frame shares frame 0's table
         raise ValueError("frame 0 has a different semantic table than the map")
-    hole_column = _columns_any(unassigned)
-    hole_cells = np.flatnonzero(hole_column)  # sorted flat (x, y); k-th hole column
-    column_holes = unassigned[hole_column]  # (hole columns, Z)
-    # flat (column, z) -> hole index, read only at holes
-    n_holes = int(np.count_nonzero(column_holes))
-    slot = np.cumsum(column_holes.reshape(-1), dtype=np.int32)
-    slot -= 1
     C = len(cids)
-    category = np.full(256, -1, dtype=np.int16)  # uint8 label value -> tally row
-    category[cids] = np.arange(C)
-    votes = np.zeros(C * n_holes, dtype=np.min_scalar_type(len(non_keys)))
+    size = hole_cells.size * Z
+    offset = np.full(256, -1, dtype=np.int64)  # uint8 label value -> row start
+    offset[cids] = np.arange(C) * size
+    votes = np.zeros(C * size, dtype=np.min_scalar_type(len(non_keys)))
 
     unassigned_id = gmap.table.unassigned_id
     for t in non_keys:
@@ -358,14 +367,17 @@ def _tally_votes(gmap: GlobalMap, unassigned, frames, poses, non_keys, cids):
         if hit is None:
             continue
         crow, src = hit
-        cand = np.flatnonzero((src != unassigned_id) & column_holes.take(crow, axis=0))
-        cls = category[src.reshape(-1)[cand]]
-        ok = cls >= 0  # label values outside the table cast no vote
-        cand, cls = cand[ok], cls[ok]
-        row, z = np.divmod(cand, Z)
-        hole = slot[crow[row] * np.int64(Z) + z]
-        votes[cls * np.int64(n_holes) + hole] += 1
-    return votes.reshape(C, n_holes)
+        cand = np.flatnonzero(src != unassigned_id)
+        at = offset[src.reshape(-1)[cand]]
+        ok = at >= 0  # label values outside the table cast no vote
+        cand, at = cand[ok], at[ok]
+        # row r of src is listed column crow[r]: its voxels move by (crow[r] - r) * Z
+        shift = crow - np.arange(crow.size)
+        shift *= Z
+        at += cand
+        at += shift[cand // Z]
+        votes[at] += 1
+    return votes.reshape(C, size)
 
 
 def vote_inpaint(gmap: GlobalMap, frames, poses, non_keys, tau_vote: int) -> GlobalMap:
@@ -373,31 +385,44 @@ def vote_inpaint(gmap: GlobalMap, frames, poses, non_keys, tau_vote: int) -> Glo
     still-unassigned voxels; argmax wins if it reaches tau_vote, ties break
     toward the lowest category id. Pass-1 voxels are never modified.
 
-    Votes go to a compact (C, n_holes) tally (``_tally_votes``), so memory
-    scales with the holes, not with the map. A frame casts at most one vote
-    per hole, because ``_frame_columns`` yields each hole column at most
+    Votes go to a (C, hole columns x Z) tally (``_tally_votes``), one count
+    per category and voxel of a map column that holds a hole: C count bytes
+    per such voxel, at most C times the map's bytes, and at most 1.5 times
+    one count per hole plus an int32 hole -> slot table under the default
+    six-category table. A frame casts at most one
+    vote per voxel, because ``_frame_columns`` yields each column at most
     once, so a plain fancy increment counts exactly and no count exceeds
     ``len(non_keys)``: the tally takes the smallest unsigned dtype that
     holds that (uint8 up to 255 frames, uint16 up to 65 535), so it never
-    wraps. ``_vote_winners`` turns the tally into labels.
+    wraps. ``_vote_winners`` turns the tally into labels. The pass keeps no
+    map-sized mask past the search for hole columns and copies the map only
+    after the tally is freed; the winners go back only where the hole
+    columns are unassigned, so their pass-1 voxels keep their labels.
     """
     table = gmap.table
-    out = gmap.labels.copy()
-    unassigned = out == table.unassigned_id
-    if not non_keys or not unassigned.any():
-        return GlobalMap(out, gmap.voxel_size, gmap.origin, table)
+    Z = gmap.labels.shape[2]
+    columns = gmap.labels.reshape(-1, Z)
+    hole_cells = np.flatnonzero(_columns_any(columns == table.unassigned_id))
+    if not non_keys or not hole_cells.size:
+        return GlobalMap(gmap.labels.copy(), gmap.voxel_size, gmap.origin, table)
     cids = sorted(table.ids)
-    votes = _tally_votes(gmap, unassigned, frames, poses, non_keys, cids)
-    out[unassigned] = _vote_winners(votes, cids, tau_vote, table.unassigned_id)
+    votes = _tally_votes(gmap, hole_cells, frames, poses, non_keys, cids)
+    filled = _vote_winners(votes, cids, tau_vote, table.unassigned_id).reshape(-1, Z)
+    del votes
+    out = gmap.labels.copy()
+    out_columns = out.reshape(-1, Z)
+    before = out_columns.take(hole_cells, axis=0)
+    np.copyto(filled, before, where=before != table.unassigned_id)
+    out_columns[hole_cells] = filled
     return GlobalMap(out, gmap.voxel_size, gmap.origin, table)
 
 
 def _vote_winners(votes, cids, tau_vote: int, unassigned_id: int):
-    """uint8 label of each hole, one per column of the (C, n_holes) tally
+    """uint8 label of each voxel, one per column of the (C, n) tally
     ``votes`` (row c counts category ``cids[c]``, ascending): the category
     with the most votes when that count reaches ``tau_vote``, the lowest one
     on ties, and ``unassigned_id`` below it. A running maximum over the rows
-    gives each hole's best count, and only the holes whose best count
+    gives each voxel's best count, and only the voxels whose best count
     reaches ``tau_vote`` go on: a reverse pass over their columns keeps the
     lowest category that reaches it."""
     best = votes[0].copy()

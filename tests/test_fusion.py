@@ -17,8 +17,8 @@ from voxsim.fusion import (FusionParams, _close_3x3, _columns_any, _footprint_ro
 from voxsim.geometry import Pose2
 from voxsim.lanes import extract_lanes
 from voxsim.occupancy import GlobalMap, OccupancyGrid, SemanticTable, default_table
-from voxsim.synthworld import (WorldSpec, generate_world, sample_frames,
-                               straight_trajectory)
+from voxsim.synthworld import (WorldSpec, curve_trajectory, generate_world,
+                               sample_frames, straight_trajectory)
 from voxsim.topology import extract_topology
 
 from conftest import assert_pinned, make_map, swapped_table
@@ -111,6 +111,29 @@ def reference_fuse_keyframes(frames, poses, keys, table, margin=2.0):
     return gmap
 
 
+def assert_frame_columns_match_reference(gmap, pose, dims, listed):
+    """``_frame_columns`` over the map cells ``listed`` returns exactly the
+    reference's cells whose column is listed, in the same order, and
+    gathers the frame's columns at the reference's frame indices: the frame
+    stores fx at z = 0 and fy at z = 1."""
+    fx, fy = np.meshgrid(np.arange(dims[0]), np.arange(dims[1]), indexing="ij")
+    frame = OccupancyGrid(np.stack([fx, fy], axis=2), gmap.voxel_size, pose, gmap.table)
+    cells = np.flatnonzero(listed)
+    ref = reference_frame_to_map_indices(gmap, pose, dims)
+    got = _frame_columns(gmap, pose, frame, cells)
+    if ref is None or not listed[ref[0], ref[1]].any():
+        assert got is None   # no listed column inside the footprint
+        return
+    k, src = got
+    assert k.dtype == np.int64 and src.dtype == np.uint8
+    assert ((k >= 0) & (k < cells.size)).all()
+    assert src.shape == (k.size, 2)
+    gx, gy = np.divmod(cells[k], gmap.dims[1])
+    sel = listed[ref[0], ref[1]]
+    for a, b in zip((gx, gy, src[:, 0], src[:, 1]), ref):
+        assert np.array_equal(a, b[sel]), pose
+
+
 VOX = 0.4
 pose_in_box = st.builds(Pose2, st.floats(0.0, 6.0), st.floats(0.0, 6.0),
                         st.floats(-math.pi, math.pi))
@@ -176,12 +199,10 @@ class TestHoleColumnSelection:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_hole_columns_of_the_full_footprint(self, data):
-        # the row-range selection both passes use returns exactly the
-        # reference's cells whose column is listed, in the same order, and
-        # gathers the frame's columns at the reference's frame indices (the
-        # frame stores fx at z = 0 and fy at z = 1); maps much larger than
-        # the frames make whole rows and most of each row fall outside the
-        # footprint, and poses past the map's edge graze it or miss it
+        # the row-range selection both passes use, against the reference;
+        # maps much larger than the frames make whole rows and most of each
+        # row fall outside the footprint, and poses past the map's edge
+        # graze it or miss it
         table = default_table()
         nx, ny = data.draw(st.integers(1, 60)), data.draw(st.integers(1, 60))
         gmap = GlobalMap(np.zeros((nx, ny, 1), dtype=np.uint8), VOX,
@@ -192,24 +213,21 @@ class TestHoleColumnSelection:
         pose = Pose2(gmap.origin.x + data.draw(st.floats(-reach, nx * VOX + reach)),
                      gmap.origin.y + data.draw(st.floats(-reach, ny * VOX + reach)),
                      data.draw(yaws))
-        fx, fy = np.meshgrid(np.arange(dims[0]), np.arange(dims[1]), indexing="ij")
-        frame = OccupancyGrid(np.stack([fx, fy], axis=2), VOX, pose, table)
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
         listed = rng.random((nx, ny)) < data.draw(st.sampled_from([0.0, 0.3, 0.9, 1.0]))
-        cells = np.flatnonzero(listed)
-        ref = reference_frame_to_map_indices(gmap, pose, dims)
-        got = _frame_columns(gmap, pose, frame, cells)
-        if ref is None or not listed[ref[0], ref[1]].any():
-            assert got is None   # no listed column inside the footprint
-            return
-        k, src = got
-        assert k.dtype == np.int64 and src.dtype == np.uint8
-        assert ((k >= 0) & (k < cells.size)).all()
-        assert src.shape == (k.size, 2)
-        gx, gy = np.divmod(cells[k], ny)
-        sel = listed[ref[0], ref[1]]
-        for a, b in zip((gx, gy, src[:, 0], src[:, 1]), ref):
-            assert np.array_equal(a, b[sel])
+        assert_frame_columns_match_reference(gmap, pose, dims, listed)
+
+    @pytest.mark.parametrize("yaw", AXIS_YAWS)
+    def test_lattice_poses_match_the_full_footprint(self, yaw, table):
+        # at quarter turns with the frame centre on a cell corner or centre,
+        # map cell centres pull back onto frame voxel edges, where a last-bit
+        # change in the rotation's order of operations moves a floor
+        gmap = GlobalMap(np.zeros((16, 16, 1), dtype=np.uint8), VOX, Pose2(), table)
+        listed = np.ones((16, 16), dtype=bool)
+        for px, py in np.ndindex(13, 13):
+            for dims in ((1, 2, 1), (2, 1, 1), (5, 6, 1)):
+                pose = Pose2(0.2 * px + 0.8, 0.2 * py + 0.8, yaw)
+                assert_frame_columns_match_reference(gmap, pose, dims, listed)
 
     def test_row_ranges_prune_a_rotated_footprint(self, table):
         # a 12 x 12 frame at 45 degrees covers about half of its bounding
@@ -717,29 +735,42 @@ class CountingFrame:
         return self.frame.labels
 
 
+def wide_table():
+    """Nine categories, more than the default table's six, with unassigned
+    id 200."""
+    return SemanticTable(entries=odd_table().entries + ((11, "curb", "other"),
+                                                        (12, "pole", "obstacle"),
+                                                        (13, "bush", "other")),
+                         unassigned_id=200)
+
+
 @st.composite
 def vote_worlds(draw):
-    """A small pass-1 map with 0%, some or 100% of its voxels unassigned and
-    rotated, translated, overlapping non-keyframes whose labels include the
-    unassigned id and, in some worlds, values outside the table; some
-    frames are entirely unassigned; a tie pair puts two constant frames at
-    one pose."""
-    table = default_table()
+    """A small pass-1 map with 0%, some or 100% of its voxels unassigned,
+    or with sunk columns whose holes are only their top levels, under the
+    default table or a nine-category one, and rotated, translated,
+    overlapping non-keyframes whose labels include the unassigned id and,
+    in some worlds, values outside the table; some frames are entirely
+    unassigned; a tie pair puts two constant frames at one pose."""
+    table = draw(st.sampled_from([default_table(), wide_table()]))
     vox = 0.4
     nx, ny = draw(st.integers(4, 14)), draw(st.integers(4, 14))
-    Z = draw(st.integers(1, 3))
+    Z = draw(st.one_of(st.integers(1, 3), st.sampled_from([7, 16])))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     values = np.array((table.unassigned_id,) + table.ids, dtype=np.uint8)
     if draw(st.booleans()):  # label values no category holds cast no vote
-        values = np.concatenate([values, np.array([7, 200, 255], dtype=np.uint8)])
+        outside = [v for v in (7, 8, 200, 255) if v not in values]
+        values = np.concatenate([values, np.array(outside, dtype=np.uint8)])
     labels = rng.choice(np.array(table.ids, dtype=np.uint8), size=(nx, ny, Z))
-    holes = draw(st.sampled_from(["none", "partial", "all"]))
+    holes = draw(st.sampled_from(["none", "partial", "all", "sunk"]))
     if holes == "all":
         labels[...] = table.unassigned_id
     elif holes == "partial":
         labels[rng.random(labels.shape) < draw(st.floats(0.05, 0.95))] = table.unassigned_id
+    elif holes == "sunk":  # a column sunk by dz holds holes at its top dz levels
+        dz = rng.integers(0, Z + 1, size=(nx, ny, 1))
+        labels[np.arange(Z) >= Z - dz] = table.unassigned_id
     gmap = GlobalMap(labels, vox, Pose2(0.0, 0.0, 0.0), table)
-
     X, Y = draw(st.integers(2, 8)), draw(st.integers(2, 8))
     pose_st = st.builds(Pose2, st.floats(0.0, nx * vox), st.floats(0.0, ny * vox),
                         st.floats(-math.pi, math.pi))
@@ -775,6 +806,10 @@ class TestVoteInpaintEquivalence:
         assert np.array_equal(out.labels, ref.labels)
         assigned = before != gmap.table.unassigned_id
         assert np.array_equal(out.labels[assigned], before[assigned])
+        # the tally counts every voxel of a hole column; its pass-1 ones keep their labels
+        hole_column = (~assigned).any(axis=2, keepdims=True)
+        kept = assigned & hole_column
+        assert np.array_equal(out.labels[kept], before[kept])
         assert np.array_equal(gmap.labels, before)
 
     @settings(max_examples=200, deadline=None)
@@ -800,9 +835,9 @@ class TestVoteInpaintEquivalence:
         Pose2(0.2, 11.9, 2.9), Pose2(7.77, 2.03, -1.234),
     ])
     def test_frame_to_map_indices_yields_each_map_cell_at_most_once(self, pose, table):
-        # named for the selector _frame_columns replaced; the compact tally's plain `votes[rows, cls] += 1` and pass 1's
-        # first-wins write back are exact only because one frame never maps
-        # two sources onto one map cell
+        # named for the selector _frame_columns replaced; the tally's plain
+        # `votes[at] += 1` and pass 1's first-wins write back are exact only
+        # because one frame never maps two sources onto one map cell
         gmap = GlobalMap(np.zeros((30, 30, 2), dtype=np.uint8), 0.4, Pose2(), table)
         frame = OccupancyGrid(np.zeros((20, 16, 2), dtype=np.uint8), 0.4, pose, table)
         cells = np.arange(30 * 30, dtype=np.int64)
@@ -830,6 +865,33 @@ class TestVoteInpaintEquivalence:
             tracemalloc.stop()
         assert (out.labels != table.unassigned_id).sum() > (labels != 0).sum()
         assert peak < dense_bytes, (peak, dense_bytes)
+
+    def test_peak_memory_follows_the_hole_columns(self):
+        # the noisy curve of the CI's rotated vote step: C count bytes per
+        # voxel of a hole column, 4 more for each frame's gathers and the
+        # winners, and one map copy. One count per hole with an int32 hole
+        # -> slot table, beside a map-sized hole mask and the map copy held
+        # through the tally, peaked at 1.50x this bound; the per-voxel tally
+        # at 0.76x
+        spec = WorldSpec(recipe="curve", extent=60.0, radius=20.0)
+        poses = curve_trajectory(spec, step=0.5)
+        frames = sample_frames(generate_world(spec), poses, crop_dims=(100, 100, 16),
+                               noise=0.02, seed=1)
+        params = FusionParams()
+        keys = select_keyframes(poses, params.d_max)
+        gmap = fuse_keyframes(frames, poses, keys, params.margin)
+        non_keys = [i for i in range(len(frames)) if i not in keys]
+        hole_columns = (gmap.labels == gmap.table.unassigned_id).any(axis=2).sum()
+        bound = ((len(gmap.table.ids) + 4) * hole_columns * gmap.dims[2]
+                 + gmap.labels.nbytes)
+        tracemalloc.start()
+        try:
+            out = vote_inpaint(gmap, frames, poses, non_keys, params.tau_vote)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (out.labels != gmap.labels).any()
+        assert peak < bound, peak / bound
 
 
 def reference_small_components(mask, diagonal, cell_area, min_area):
