@@ -339,13 +339,13 @@ def _tally_votes(gmap: GlobalMap, hole_cells, frames, poses, non_keys, cids):
 
     ``_frame_columns`` picks each frame's columns from ``hole_cells`` and
     returns their positions in the list, so a voxel's entry is its column's
-    position times Z plus its level, with no hole -> slot table. Every
-    voxel of a listed column that the frame assigns votes, its pass-1
-    voxels too: their counts are never read, and they spare a mask of the
-    map's holes per frame. Only the voters go through the label -> offset
-    lookup, which has an entry per uint8 label value, set at the table's
-    ids to the start of their category's row, and -1 elsewhere; flat tally
-    offsets are formed in int64 on the voters only.
+    position times Z plus its level, with no hole -> slot table. Every voxel
+    of a listed column that the frame assigns votes, its pass-1 voxels too:
+    their winners are never written back, and they spare a mask of the map's
+    holes per frame. Only the voters go through the label -> offset lookup,
+    which has an entry per uint8 label value, set at the table's ids to the
+    start of their category's row, and -1 elsewhere; flat tally offsets are
+    formed in int64 on the voters only.
     """
     dims, vox, table = _frame_geometry(frames)
     Z = gmap.labels.shape[2]
@@ -389,15 +389,15 @@ def vote_inpaint(gmap: GlobalMap, frames, poses, non_keys, tau_vote: int) -> Glo
     per category and voxel of a map column that holds a hole: C count bytes
     per such voxel, at most C times the map's bytes, and at most 1.5 times
     one count per hole plus an int32 hole -> slot table under the default
-    six-category table. A frame casts at most one
-    vote per voxel, because ``_frame_columns`` yields each column at most
-    once, so a plain fancy increment counts exactly and no count exceeds
-    ``len(non_keys)``: the tally takes the smallest unsigned dtype that
-    holds that (uint8 up to 255 frames, uint16 up to 65 535), so it never
-    wraps. ``_vote_winners`` turns the tally into labels. The pass keeps no
-    map-sized mask past the search for hole columns and copies the map only
-    after the tally is freed; the winners go back only where the hole
-    columns are unassigned, so their pass-1 voxels keep their labels.
+    six-category table. A frame casts at most one vote per voxel, because
+    ``_frame_columns`` yields each column at most once, so a plain fancy
+    increment counts exactly and no count exceeds ``len(non_keys)``: the
+    tally takes the smallest unsigned dtype that holds that (uint8 up to 255
+    frames, uint16 up to 65 535), so it never wraps. ``_vote_winners`` turns
+    the tally into labels. The pass keeps no map-sized mask past the search
+    for hole columns and copies the map only after the tally is freed; the
+    winners go back only where the hole columns are unassigned, so their
+    pass-1 voxels keep their labels.
     """
     table = gmap.table
     Z = gmap.labels.shape[2]
