@@ -251,15 +251,21 @@ def run_simulate(map_path, lanes_path, graph_path, traj_path, params_cfg,
 
 def run_metrics(args) -> dict:
     """Vendi of the FEATSET1 file ``--a``; MMD, KID or FID between the
-    FEATSET1 files ``--a`` and ``--b``; or the diversity of the OCCG maps
-    ``--a`` and ``--b``, one minus their mIoU over ``--a``'s categories."""
+    FEATSET1 files ``--a`` and ``--b``; or, over ``--a``'s categories, the
+    mIoU of the OCCG maps ``--a`` and ``--b`` with each category's IoU by
+    id (null for a category neither map holds), or their diversity, one
+    minus that mIoU."""
     sigma = _config_value(vars(args), "sigma", None, occupancy.POSITIVE)
     if args.metric != "vendi" and not args.b:
         raise ConfigError(f"{args.metric} needs --b")
     report = {"metric": args.metric}
-    if args.metric == "diversity":
+    if args.metric in ("miou", "diversity"):
         ga, gb = occupancy.read_grid(args.a), occupancy.read_grid(args.b)
-        report["value"] = metrics_mod.pairwise_diversity([[ga], [gb]], ga.table.ids)[1]
+        if args.metric == "miou":
+            per_class, report["value"] = metrics_mod.miou(ga, gb, ga.table.ids)
+            report["per_class"] = {str(c): iou for c, iou in per_class.items()}
+        else:
+            report["value"] = metrics_mod.pairwise_diversity([[ga], [gb]], ga.table.ids)[1]
     elif args.metric == "vendi":
         report["value"] = metrics_mod.vendi(metrics_mod.read_features(args.a))
     else:
@@ -345,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  a.seed, a.layout, Path(a.out)))
     p = stage("metrics", "evaluate realism/diversity metrics", ["a"], [],
               lambda a: run_metrics(a))
-    p.add_argument("metric", choices=["vendi", "mmd", "kid", "fid", "diversity"])
+    p.add_argument("metric", choices=["vendi", "mmd", "kid", "fid", "miou", "diversity"])
     p.add_argument("--b", default=None)
     p.add_argument("--sigma", type=float, default=1.0)
     stage("pipeline", "run all stages end to end", ["config", "out-dir"], [seeded],

@@ -7,7 +7,8 @@ cleans the result morphologically.
 
 Both warping passes pull back only the map columns that can still change,
 kept as a sorted list of flat map cells: phase 2 the columns no earlier
-keyframe has filled, phase 3 the columns that hold a hole. One routine,
+keyframe has filled, phase 3 the hole columns inside some vote frame's
+footprint, the union of the frames' row spans. One routine,
 ``_frame_columns``, picks a frame's columns from such a list and gathers
 what the frame holds there. Along a map row the frame's footprint is one
 interval, and two binary searches per row find the listed columns inside
@@ -17,17 +18,18 @@ exact in-frame test, whose rotation takes each footprint row's terms
 once, not once per cell. The columns come in row-major order, each map
 cell at most once, and the frame's sources as flat rows of Z bytes, one
 ``take`` per frame. Phase 3 then looks up and counts only the voxels the
-frame assigns, in a tally of one count per category and voxel of a hole
+frame assigns, in a tally of one count per category and voxel of a listed
 column, indexed by the column's place in the list and the level, so its
-per-frame work follows the votes and its memory the hole columns, C bytes
-per voxel of them, not each frame's footprint or the map. Every frame of
-a sequence must share frame 0's dims, voxel size and semantic table; phase
-2 builds its map under that table, and phase 3 checks that the frames fit
-its map: the same z levels, voxel size and table. Phase 2's ground clean-up
-finds every column's lowest ground level in one pass over the map (a
-comparison per ground id and the lowest set bit of the column's words)
-and shifts only the columns whose ground lies above z = 0. Its z = 0 mode
-fill counts each category's neighbours as a uint8 box sum of shifted adds.
+per-frame work follows the votes and its memory the hole columns some
+vote frame can see, C bytes per voxel of them, not each frame's footprint,
+the map or its unseen holes. Every frame of a sequence must share frame
+0's dims, voxel size and semantic table; phase 2 builds its map under that
+table, and phase 3 checks that the frames fit its map: the same z levels,
+voxel size and table. Phase 2's ground clean-up finds every column's
+lowest ground level in one pass over the map (a comparison per ground id
+and the lowest set bit of the column's words) and shifts only the columns
+whose ground lies above z = 0. Its z = 0 mode fill counts each category's
+neighbours as a uint8 box sum of shifted adds.
 Phase 3 picks a winner only for the voxels whose best count reaches
 ``tau_vote``, and writes winners only into holes.
 
@@ -186,18 +188,19 @@ def _footprint_rows(gmap: GlobalMap, pose: Pose2, dims):
     return rows, jlo, np.maximum(jhi, jlo)
 
 
-def _frame_columns(gmap: GlobalMap, pose: Pose2, frame, cells):
+def _frame_columns(gmap: GlobalMap, pose: Pose2, frame, cells, footprint):
     """(k, src) for every column of the sorted int64 list ``cells`` (flat map
     cells gx * GY + gy) that lies inside ``frame`` at ``pose``: ``cells[k]``
     are those columns in row-major order, each at most once, and ``src`` the
     frame's label columns there, one row of Z bytes each; None, without a
-    read of the frame's labels, when there are none. Two binary searches per
-    footprint row (``_footprint_rows``) pick the listed columns pulled back,
-    and ``_pull_back`` takes each footprint row's terms once."""
-    hit = _footprint_rows(gmap, pose, frame.dims)
-    if hit is None:
+    read of the frame's labels, when there are none. ``footprint`` is
+    ``_footprint_rows(gmap, pose, frame.dims)``, which the caller may need
+    for more than this call. Two binary searches per footprint row pick the
+    listed columns pulled back, and ``_pull_back`` takes each footprint
+    row's terms once."""
+    if footprint is None:
         return None
-    rows, jlo, jhi = hit
+    rows, jlo, jhi = footprint
     base = rows * gmap.dims[1]  # flat cell of each row's gy = 0
     start = np.searchsorted(cells, base + jlo)
     counts = np.searchsorted(cells, base + jhi) - start
@@ -251,7 +254,8 @@ def fuse_keyframes(frames, poses, keys, margin: float) -> GlobalMap:
     open_cells = np.arange(nx * ny, dtype=np.int64)  # still hold an unassigned voxel
 
     for k in keys:
-        hit = _frame_columns(gmap, poses[k], frames[k], open_cells)
+        hit = _frame_columns(gmap, poses[k], frames[k], open_cells,
+                             _footprint_rows(gmap, poses[k], frames[k].dims))
         if hit is None:
             continue
         row, src = hit
@@ -329,41 +333,51 @@ def _mode_fill_ground(gmap: GlobalMap, table) -> None:
     plane[fill] = best_label[fill]
 
 
-def _tally_votes(gmap: GlobalMap, hole_cells, frames, poses, non_keys, cids):
-    """(C, n * Z) vote counts of the non-keyframes over the n map columns
-    ``hole_cells`` (sorted flat map cells): row c counts category
-    ``cids[c]``, entry i * Z + z level z of listed column i. Category-major
-    rows keep the winner's scans contiguous. Frames whose z levels, voxel
-    size or semantic table differ from the map's raise a ValueError, since
-    their label values are counted under ``gmap.table``.
+def _cells_in_footprints(cells, footprints, GY):
+    """The cells of the sorted int64 list ``cells`` (flat map cells
+    gx * GY + gy) that lie in at least one of ``footprints``' row spans
+    (``_footprint_rows`` answers), in order. A span [jlo, jhi) of row gx is
+    the flat interval [gx * GY + jlo, gx * GY + jhi); with the intervals
+    sorted by start, a running maximum of their ends gives, for each cell,
+    how far the intervals starting at or before it reach, so one binary
+    search per cell decides it. The temporaries are a few words per span
+    and per cell."""
+    if not footprints:
+        return cells[:0]
+    lo, hi = (np.concatenate(ends) for ends in zip(*(
+        (rows * GY + jlo, rows * GY + jhi) for rows, jlo, jhi in footprints)))
+    order = np.argsort(lo)
+    reach = np.maximum.accumulate(hi[order])
+    i = np.searchsorted(lo[order], cells, side="right") - 1  # -1: no span starts before
+    return cells[(i >= 0) & (reach[i] > cells)]
 
-    ``_frame_columns`` picks each frame's columns from ``hole_cells`` and
-    returns their positions in the list, so a voxel's entry is its column's
-    position times Z plus its level, with no hole -> slot table. Every voxel
-    of a listed column that the frame assigns votes, its pass-1 voxels too:
-    their winners are never written back, and they spare a mask of the map's
-    holes per frame. Only the voters go through the label -> offset lookup,
-    which has an entry per uint8 label value, set at the table's ids to the
-    start of their category's row, and -1 elsewhere; flat tally offsets are
-    formed in int64 on the voters only.
+
+def _tally_votes(gmap: GlobalMap, cells, voters, cids):
+    """(C, n * Z) vote counts of ``voters``, (pose, frame, footprint rows)
+    triples, over the n map columns ``cells`` (sorted flat map cells): row c
+    counts category ``cids[c]``, entry i * Z + z level z of listed column i.
+    Category-major rows keep the winner's scans contiguous.
+
+    ``_frame_columns`` picks each frame's columns from ``cells`` and returns
+    their positions in the list, so a voxel's entry is its column's position
+    times Z plus its level, with no cell -> slot table. Every voxel of a
+    listed column that the frame assigns votes, its pass-1 voxels too: their
+    winners are never written back, and they spare a mask of the map's holes
+    per frame. Only the voters go through the label -> offset lookup, which
+    has an entry per uint8 label value, set at the table's ids to the start
+    of their category's row, and -1 elsewhere; flat tally offsets are formed
+    in int64 on the voters only.
     """
-    dims, vox, table = _frame_geometry(frames)
     Z = gmap.labels.shape[2]
-    if (dims[2], vox) != (Z, gmap.voxel_size):
-        raise ValueError(f"frames have {dims[2]} z levels of {vox} m, "
-                         f"the map {Z} of {gmap.voxel_size} m")
-    if table != gmap.table:
-        # every frame shares frame 0's table
-        raise ValueError("frame 0 has a different semantic table than the map")
     C = len(cids)
-    size = hole_cells.size * Z
+    size = cells.size * Z
     offset = np.full(256, -1, dtype=np.int64)  # uint8 label value -> row start
     offset[cids] = np.arange(C) * size
-    votes = np.zeros(C * size, dtype=np.min_scalar_type(len(non_keys)))
+    votes = np.zeros(C * size, dtype=np.min_scalar_type(len(voters)))
 
     unassigned_id = gmap.table.unassigned_id
-    for t in non_keys:
-        hit = _frame_columns(gmap, poses[t], frames[t], hole_cells)
+    for pose, frame, footprint in voters:
+        hit = _frame_columns(gmap, pose, frame, cells, footprint)
         if hit is None:
             continue
         crow, src = hit
@@ -383,37 +397,56 @@ def _tally_votes(gmap: GlobalMap, hole_cells, frames, poses, non_keys, cids):
 def vote_inpaint(gmap: GlobalMap, frames, poses, non_keys, tau_vote: int) -> GlobalMap:
     """Pass 2: per-category indicator votes from warped non-keyframes fill the
     still-unassigned voxels; argmax wins if it reaches tau_vote, ties break
-    toward the lowest category id. Pass-1 voxels are never modified.
+    toward the lowest category id. Pass-1 voxels are never modified. Frames
+    whose z levels, voxel size or semantic table differ from the map's raise
+    a ValueError, since their label values are counted under ``gmap.table``.
 
-    Votes go to a (C, hole columns x Z) tally (``_tally_votes``), one count
-    per category and voxel of a map column that holds a hole: C count bytes
-    per such voxel, at most C times the map's bytes, and at most 1.5 times
-    one count per hole plus an int32 hole -> slot table under the default
-    six-category table. A frame casts at most one vote per voxel, because
-    ``_frame_columns`` yields each column at most once, so a plain fancy
-    increment counts exactly and no count exceeds ``len(non_keys)``: the
-    tally takes the smallest unsigned dtype that holds that (uint8 up to 255
-    frames, uint16 up to 65 535), so it never wraps. ``_vote_winners`` turns
-    the tally into labels. The pass keeps no map-sized mask past the search
-    for hole columns and copies the map only after the tally is freed; the
-    winners go back only where the hole columns are unassigned, so their
-    pass-1 voxels keep their labels.
+    Only the hole columns inside some vote frame's footprint can gain a
+    vote, so only those are listed (``_cells_in_footprints``, from each
+    frame's ``_footprint_rows``, computed once and handed to
+    ``_frame_columns``); the rest keep their holes as they are. Votes go to
+    a (C, listed columns x Z) tally (``_tally_votes``), one count per
+    category and voxel of a listed column: C count bytes per such voxel, at
+    most C times the map's bytes. A frame casts at most one vote per voxel,
+    because ``_frame_columns`` yields each column at most once, so a plain
+    fancy increment counts exactly and no count exceeds the number of vote
+    frames on the map: the tally takes the smallest unsigned dtype that
+    holds that (uint8 up to 255 frames, uint16 up to 65 535), so it never
+    wraps. ``_vote_winners`` turns the tally into labels. The pass keeps no
+    map-sized mask past the search for hole columns, frees the hole-column
+    list before the tally is allocated, and copies the map only after the
+    tally is freed; the winners go back only where the listed columns are
+    unassigned, so their pass-1 voxels keep their labels.
     """
     table = gmap.table
     Z = gmap.labels.shape[2]
     columns = gmap.labels.reshape(-1, Z)
     hole_cells = np.flatnonzero(_columns_any(columns == table.unassigned_id))
-    if not non_keys or not hole_cells.size:
+    voters = []
+    if non_keys and hole_cells.size:
+        dims, vox, frame_table = _frame_geometry(frames)
+        if (dims[2], vox) != (Z, gmap.voxel_size):
+            raise ValueError(f"frames have {dims[2]} z levels of {vox} m, "
+                             f"the map {Z} of {gmap.voxel_size} m")
+        if frame_table != table:
+            # every frame shares frame 0's table
+            raise ValueError("frame 0 has a different semantic table than the map")
+        footprints = [_footprint_rows(gmap, poses[t], dims) for t in non_keys]
+        voters = [(poses[t], frames[t], f) for t, f in zip(non_keys, footprints)
+                  if f is not None]
+    cells = _cells_in_footprints(hole_cells, [f for *_, f in voters], gmap.dims[1])
+    del hole_cells
+    if not cells.size:
         return GlobalMap(gmap.labels.copy(), gmap.voxel_size, gmap.origin, table)
     cids = sorted(table.ids)
-    votes = _tally_votes(gmap, hole_cells, frames, poses, non_keys, cids)
+    votes = _tally_votes(gmap, cells, voters, cids)
     filled = _vote_winners(votes, cids, tau_vote, table.unassigned_id).reshape(-1, Z)
     del votes
     out = gmap.labels.copy()
     out_columns = out.reshape(-1, Z)
-    before = out_columns.take(hole_cells, axis=0)
+    before = out_columns.take(cells, axis=0)
     np.copyto(filled, before, where=before != table.unassigned_id)
-    out_columns[hole_cells] = filled
+    out_columns[cells] = filled
     return GlobalMap(out, gmap.voxel_size, gmap.origin, table)
 
 

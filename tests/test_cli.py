@@ -835,14 +835,14 @@ class TestMetricsCommand:
         assert out == "" and f"{shape_a}" in err and f"{shape_b}" in err
 
     @staticmethod
-    def _diversity(tmp_path, capsys, a, b, table_b=default_table()):
-        """Exit code and printed report of ``metrics diversity`` on the
-        label volumes ``a`` and ``b`` written as maps, ``a`` under the
-        default table and ``b`` under ``table_b``."""
+    def _map_metric(tmp_path, capsys, a, b, table_b=default_table(), metric="diversity"):
+        """Exit code and printed report of ``metrics <metric>`` on the label
+        volumes ``a`` and ``b`` written as maps, ``a`` under the default
+        table and ``b`` under ``table_b``."""
         paths = [tmp_path / "a.occg", tmp_path / "b.occg"]
         for labels, path, table in zip((a, b), paths, (default_table(), table_b)):
             write_grid(GlobalMap(labels, 0.4, Pose2(), table), path)
-        code = main(["metrics", "diversity", "--a", str(paths[0]), "--b", str(paths[1])])
+        code = main(["metrics", metric, "--a", str(paths[0]), "--b", str(paths[1])])
         out = capsys.readouterr().out
         return code, json.loads(out) if code == EXIT_OK else None
 
@@ -850,7 +850,7 @@ class TestMetricsCommand:
         # the command used to read --a as a FEATSET1 file and exit 4
         labels = np.full((20, 20, 4), default_table().road_id, dtype=np.uint8)
         labels[:5, :, 0] = default_table().sidewalk_id
-        code, report = self._diversity(tmp_path, capsys, labels, labels)
+        code, report = self._map_metric(tmp_path, capsys, labels, labels)
         assert code == EXIT_OK
         assert report == {"metric": "diversity", "value": 0.0}
 
@@ -860,7 +860,7 @@ class TestMetricsCommand:
         b = a.copy()
         b[:7, :, :2] = t.sidewalk_id
         b[15:, 3:9, 0] = t.vehicle_id
-        code, report = self._diversity(tmp_path, capsys, a, b)
+        code, report = self._map_metric(tmp_path, capsys, a, b)
         assert code == EXIT_OK
         assert report == {"metric": "diversity", "value": 1 - miou(a, b, t.ids)[1]}
         assert 0 < report["value"] < 1
@@ -868,9 +868,9 @@ class TestMetricsCommand:
     def test_diversity_of_maps_with_different_dims_is_a_stage_failure(self, tmp_path,
                                                                        capsys):
         road = default_table().road_id
-        code, _ = self._diversity(tmp_path, capsys,
-                                  np.full((20, 20, 4), road, dtype=np.uint8),
-                                  np.full((20, 21, 4), road, dtype=np.uint8))
+        code, _ = self._map_metric(tmp_path, capsys,
+                                   np.full((20, 20, 4), road, dtype=np.uint8),
+                                   np.full((20, 21, 4), road, dtype=np.uint8))
         assert code == EXIT_STAGE
 
     def test_diversity_of_maps_with_different_tables_is_a_stage_failure(self, tmp_path,
@@ -879,8 +879,54 @@ class TestMetricsCommand:
         # other: by raw label value the two would read as identical
         labels = np.ones((20, 20, 4), dtype=np.uint8)
         labels[:5, :, 0] = 2
-        code, _ = self._diversity(tmp_path, capsys, labels, labels, swapped_table())
+        code, _ = self._map_metric(tmp_path, capsys, labels, labels, swapped_table())
         assert code == EXIT_STAGE
+
+    def test_miou_of_a_map_with_itself_is_one(self, tmp_path, capsys):
+        # a category that neither map holds has no IoU and stays out of the mean
+        t = default_table()
+        labels = np.full((20, 20, 4), t.road_id, dtype=np.uint8)
+        labels[:5, :, 0] = t.sidewalk_id
+        code, report = self._map_metric(tmp_path, capsys, labels, labels, metric="miou")
+        assert code == EXIT_OK
+        per_class = {str(c): None for c in t.ids}
+        per_class.update({str(t.road_id): 1.0, str(t.sidewalk_id): 1.0})
+        assert report == {"metric": "miou", "value": 1.0, "per_class": per_class}
+
+    def test_miou_reports_the_library_values(self, tmp_path, capsys):
+        t = default_table()
+        a = np.full((20, 20, 4), t.road_id, dtype=np.uint8)
+        b = a.copy()
+        b[:7, :, :2] = t.sidewalk_id
+        b[15:, 3:9, 0] = t.vehicle_id
+        code, report = self._map_metric(tmp_path, capsys, a, b, metric="miou")
+        per_class, mean = miou(a, b, t.ids)
+        assert code == EXIT_OK
+        assert report == {"metric": "miou", "value": mean,
+                          "per_class": {str(c): v for c, v in per_class.items()}}
+        assert 0 < mean < 1 and None in report["per_class"].values()
+
+    @pytest.mark.parametrize("shape_b, table_b", [((20, 21, 4), default_table()),
+                                                  ((20, 20, 4), swapped_table())],
+                             ids=["dims", "table"])
+    def test_miou_of_maps_that_differ_is_a_stage_failure(self, tmp_path, capsys,
+                                                          shape_b, table_b):
+        a = np.ones((20, 20, 4), dtype=np.uint8)
+        a[:5, :, 0] = 2
+        code, _ = self._map_metric(tmp_path, capsys, a, np.ones(shape_b, dtype=np.uint8),
+                                   table_b, metric="miou")
+        assert code == EXIT_STAGE
+
+    def test_miou_of_a_malformed_map_is_io_error(self, tmp_path, capsys):
+        good = tmp_path / "good.occg"
+        write_grid(GlobalMap(np.ones((4, 4, 2), dtype=np.uint8), 0.4, Pose2(),
+                             default_table()), good)
+        bad = tmp_path / "bad.occg"
+        for data in (b"garbage" * 10, good.read_bytes()[:-3]):
+            bad.write_bytes(data)
+            for a, b in ((bad, good), (good, bad)):
+                assert main(["metrics", "miou", "--a", str(a), "--b", str(b)]) == EXIT_IO
+        assert capsys.readouterr().out == ""
 
 
 class TestSynth:

@@ -120,7 +120,7 @@ def assert_frame_columns_match_reference(gmap, pose, dims, listed):
     frame = OccupancyGrid(np.stack([fx, fy], axis=2), gmap.voxel_size, pose, gmap.table)
     cells = np.flatnonzero(listed)
     ref = reference_frame_to_map_indices(gmap, pose, dims)
-    got = _frame_columns(gmap, pose, frame, cells)
+    got = _frame_columns(gmap, pose, frame, cells, _footprint_rows(gmap, pose, dims))
     if ref is None or not listed[ref[0], ref[1]].any():
         assert got is None   # no listed column inside the footprint
         return
@@ -751,10 +751,14 @@ def vote_worlds(draw):
     default table or a nine-category one, and rotated, translated,
     overlapping non-keyframes whose labels include the unassigned id and,
     in some worlds, values outside the table; some frames are entirely
-    unassigned; a tie pair puts two constant frames at one pose."""
+    unassigned; a tie pair puts two constant frames at one pose. Maps of
+    30 to 60 cells a side are larger than the frames' combined footprints,
+    so most of their hole columns lie outside every footprint, and some
+    frames stand off the map, where no footprint row reaches it."""
     table = draw(st.sampled_from([default_table(), wide_table()]))
     vox = 0.4
-    nx, ny = draw(st.integers(4, 14)), draw(st.integers(4, 14))
+    side = st.one_of(st.integers(4, 14), st.integers(30, 60))
+    nx, ny = draw(side), draw(side)
     Z = draw(st.one_of(st.integers(1, 3), st.sampled_from([7, 16])))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     values = np.array((table.unassigned_id,) + table.ids, dtype=np.uint8)
@@ -774,8 +778,13 @@ def vote_worlds(draw):
     X, Y = draw(st.integers(2, 8)), draw(st.integers(2, 8))
     pose_st = st.builds(Pose2, st.floats(0.0, nx * vox), st.floats(0.0, ny * vox),
                         st.floats(-math.pi, math.pi))
+    # a footprint box reaches at most (X + Y) / 2 + 1 cells from its pose
+    far = (max(nx, ny) + 10) * vox
+    off_map_st = st.builds(lambda p, d: Pose2(p.x + d[0] * far, p.y + d[1] * far, p.yaw),
+                           pose_st, st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1),
+                                                     (1, 1), (-1, -1)]))
     frames, poses = [], []
-    for pose in draw(st.lists(pose_st, min_size=1, max_size=6)):
+    for pose in draw(st.lists(st.one_of(pose_st, off_map_st), min_size=1, max_size=6)):
         blank = draw(st.booleans())  # an entirely unassigned frame votes nowhere
         for _ in range(draw(st.integers(1, 3))):  # repeats overlap exactly
             frame = (np.full((X, Y, Z), table.unassigned_id, dtype=np.uint8) if blank
@@ -841,7 +850,8 @@ class TestVoteInpaintEquivalence:
         gmap = GlobalMap(np.zeros((30, 30, 2), dtype=np.uint8), 0.4, Pose2(), table)
         frame = OccupancyGrid(np.zeros((20, 16, 2), dtype=np.uint8), 0.4, pose, table)
         cells = np.arange(30 * 30, dtype=np.int64)
-        k, src = _frame_columns(gmap, pose, frame, cells)
+        k, src = _frame_columns(gmap, pose, frame, cells,
+                                _footprint_rows(gmap, pose, frame.dims))
         assert k.size > 0 and src.shape == (k.size, 2)
         assert np.unique(k).size == k.size
 
@@ -866,6 +876,31 @@ class TestVoteInpaintEquivalence:
         assert (out.labels != table.unassigned_id).sum() > (labels != 0).sum()
         assert peak < dense_bytes, (peak, dense_bytes)
 
+    def test_off_map_and_hole_free_footprints_return_an_equal_copy(self, table):
+        # holes only in rows x < 5 of a 30 x 30 map; one kind of vote frame
+        # stands off the map (no footprint rows at all), the other sees only
+        # rows x >= 10: no hole column is listed, no frame is read, and the
+        # empty union of no spans builds no tally
+        labels = np.full((30, 30, 4), table.road_id, dtype=np.uint8)
+        labels[:5, :, 2:] = table.unassigned_id
+        gmap = GlobalMap(labels, 0.4, Pose2(), table)
+        off_map = [Pose2(-20.0, 6.0, 0.3), Pose2(6.0, 40.0, -2.0), Pose2(40.0, 40.0, 1.0)]
+        hole_free = [Pose2(8.0, 6.0, 0.0), Pose2(9.0, 9.0, 0.7), Pose2(10.0, 3.0, -1.2)]
+        frame = np.full((10, 10, 4), table.sidewalk_id, dtype=np.uint8)
+        for poses in (off_map, hole_free, off_map + hole_free):
+            frames = [CountingFrame(OccupancyGrid(frame.copy(), 0.4, p, table)) for p in poses]
+            out = vote_inpaint(gmap, frames, poses, list(range(len(poses))), 1)
+            assert np.array_equal(out.labels, labels)
+            assert not np.shares_memory(out.labels, gmap.labels)
+            assert [f.reads for f in frames] == [0] * len(frames)
+        # the same frames beside one that sees the holes: only that one votes
+        poses = off_map + hole_free + [Pose2(1.0, 6.0, 0.0)]
+        frames = [OccupancyGrid(frame.copy(), 0.4, p, table) for p in poses]
+        out = vote_inpaint(gmap, frames, poses, list(range(len(poses))), 1)
+        ref = dense_vote_inpaint(gmap, frames, poses, list(range(len(poses))), 1)
+        assert np.array_equal(out.labels, ref.labels)
+        assert (out.labels != labels).any()
+
     def test_peak_memory_follows_the_hole_columns(self):
         # the noisy curve of the CI's rotated vote step: C count bytes per
         # voxel of a hole column, 4 more for each frame's gathers and the
@@ -883,6 +918,37 @@ class TestVoteInpaintEquivalence:
         non_keys = [i for i in range(len(frames)) if i not in keys]
         hole_columns = (gmap.labels == gmap.table.unassigned_id).any(axis=2).sum()
         bound = ((len(gmap.table.ids) + 4) * hole_columns * gmap.dims[2]
+                 + gmap.labels.nbytes)
+        tracemalloc.start()
+        try:
+            out = vote_inpaint(gmap, frames, poses, non_keys, params.tau_vote)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (out.labels != gmap.labels).any()
+        assert peak < bound, peak / bound
+
+    def test_peak_memory_follows_the_hole_columns_in_view(self):
+        # the same curve, bounded by the hole columns inside some vote
+        # frame's footprint (7 359 of its 17 508): C count bytes per voxel of
+        # them, 6 more for one frame's gathers and the winners, and one map
+        # copy. A tally over every hole column peaked at 1.32x this bound;
+        # one over the columns in view reads 0.85x
+        spec = WorldSpec(recipe="curve", extent=60.0, radius=20.0)
+        poses = curve_trajectory(spec, step=0.5)
+        frames = sample_frames(generate_world(spec), poses, crop_dims=(100, 100, 16),
+                               noise=0.02, seed=1)
+        params = FusionParams()
+        keys = select_keyframes(poses, params.d_max)
+        gmap = fuse_keyframes(frames, poses, keys, params.margin)
+        non_keys = [i for i in range(len(frames)) if i not in keys]
+        in_view = np.zeros(gmap.dims[:2], dtype=bool)
+        for t in non_keys:
+            hit = reference_frame_to_map_indices(gmap, poses[t], frames[t].dims)
+            if hit is not None:
+                in_view[hit[0], hit[1]] = True
+        in_view &= (gmap.labels == gmap.table.unassigned_id).any(axis=2)
+        bound = ((len(gmap.table.ids) + 6) * in_view.sum() * gmap.dims[2]
                  + gmap.labels.nbytes)
         tracemalloc.start()
         try:
