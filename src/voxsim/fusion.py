@@ -366,7 +366,9 @@ def _tally_votes(gmap: GlobalMap, cells, voters, cids):
     per frame. Only the voters go through the label -> offset lookup, which
     has an entry per uint8 label value, set at the table's ids to the start
     of their category's row, and -1 elsewhere; flat tally offsets are formed
-    in int64 on the voters only.
+    in int64 on the voters only, and a frame's voters are filtered only when
+    one of them reads -1, so a frame whose labels are all in the table makes
+    no filtered copies.
     """
     Z = gmap.labels.shape[2]
     C = len(cids)
@@ -383,8 +385,9 @@ def _tally_votes(gmap: GlobalMap, cells, voters, cids):
         crow, src = hit
         cand = np.flatnonzero(src != unassigned_id)
         at = offset[src.reshape(-1)[cand]]
-        ok = at >= 0  # label values outside the table cast no vote
-        cand, at = cand[ok], at[ok]
+        if at.min(initial=0) < 0:  # label values outside the table cast no vote
+            ok = at >= 0
+            cand, at = cand[ok], at[ok]
         # row r of src is listed column crow[r]: its voxels move by (crow[r] - r) * Z
         shift = crow - np.arange(crow.size)
         shift *= Z

@@ -121,13 +121,14 @@ def border_tree(road: np.ndarray) -> scipy.spatial.cKDTree:
     4-neighbour. The nearest off-road cell to a road cell is always one of
     them, since one step from any farther off-road cell toward the road cell
     lands on a closer cell, itself off road unless the first was a border
-    cell."""
+    cell. The border mask is the one plane it builds: it is formed in place,
+    ``near > road`` being ``near & ~road``."""
     near = np.zeros_like(road)
     near[1:] |= road[:-1]
     near[:-1] |= road[1:]
     near[:, 1:] |= road[:, :-1]
     near[:, :-1] |= road[:, 1:]
-    near &= ~road
+    np.greater(near, road, out=near)
     # argwhere's row-major cells, from the flat indices
     cells = np.stack(np.divmod(np.flatnonzero(near), road.shape[1]), axis=1)
     return scipy.spatial.cKDTree(cells)

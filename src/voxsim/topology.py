@@ -66,25 +66,37 @@ def zhang_suen_thin(mask: np.ndarray) -> np.ndarray:
 
     A uint8 code image over the padded mask holds each foreground pixel's
     8-neighbour code (bit i is P(i+2), the ``_KILL`` index), computed once
-    and kept across sub-iterations. A kill needs A == 1, so a background
-    neighbour: each sub-iteration looks up only the border, the foreground
-    pixels whose code is not 255, all against its starting state. It then
-    clears the killed pixels' bit in each of their neighbours' codes; a
-    neighbour whose code read 255 just before joins the border, so the next
-    border is the survivors plus those pixels and the work follows the kills,
-    not the image size."""
+    and kept across sub-iterations. It is built in place over the flat
+    padded plane, one shifted view per neighbour from P9 down to P2
+    (double, then or in the neighbour), and multiplied by the plane, which
+    clears the background and the padding cells that a row's wrap-around
+    wrote; so the build holds no per-pixel index, only the plane, the code
+    image and one bool plane for the border. A kill needs A == 1, so a
+    background neighbour: each sub-iteration looks up only the border, the
+    foreground pixels whose code is not 255, all against its starting
+    state. It then clears the killed pixels' bit in each of their
+    neighbours' codes; a neighbour whose code read 255 just before joins the
+    border, so the next border is the survivors plus those pixels and the
+    work follows the kills, not the image size. The code image is freed
+    before the skeleton is copied out."""
+    if not np.size(mask):
+        return np.zeros(np.shape(mask), dtype=bool)
     padded = np.zeros(np.add(np.shape(mask), 2), dtype=bool)
     padded[1:-1, 1:-1] = mask
     img = padded.reshape(-1)  # writes through: padded is C-contiguous
     w = padded.shape[1]
     offsets = np.array([1, w + 1, w, w - 1, -1, -w - 1, -w, 1 - w])  # P2..P9
-    fg = np.flatnonzero(img)
-    fg_code = np.zeros(fg.size, dtype=np.uint8)
-    for i, o in enumerate(offsets):
-        fg_code |= img[fg + o].view(np.uint8) << i
+    lo, hi = w + 1, img.size - w - 1  # every neighbour view stays on the plane
+    img8 = img.view(np.uint8)
     code = np.zeros(img.shape, dtype=np.uint8)
-    code[fg] = fg_code
-    border = fg[fg_code != 255]
+    inner = code[lo:hi]
+    for o in offsets[::-1]:
+        inner += inner  # a shift by one; numpy's uint8 <<= is many times slower
+        inner |= img8[lo + o:hi + o]
+    inner *= img8[lo:hi]
+    border = code != 255
+    border &= img
+    border = np.flatnonzero(border)
     # a neighbour at offset i sees the pixel at offset i + 4 (mod 8)
     opposite = [np.uint8(~(1 << ((i + 4) % 8)) & 0xFF) for i in range(8)]
     changed = True
@@ -107,14 +119,19 @@ def zhang_suen_thin(mask: np.ndarray) -> np.ndarray:
                 next_border.append(near[c == 255])
                 code[near] = c & clear
             border = np.concatenate(next_border)
+    del code, inner
     return padded[1:-1, 1:-1].copy()
 
 
 def skeletonize(mask: np.ndarray) -> np.ndarray:
     """Thin a road mask, then clear the (x+1, y+1) pixel of every fully-filled
-    2x2 block so the skeleton is strictly single-pixel under 8-connectivity."""
+    2x2 block so the skeleton is strictly single-pixel under 8-connectivity.
+    The blocks are found in one plane, built in place."""
     skel = zhang_suen_thin(mask)
-    full = skel[:-1, :-1] & skel[1:, :-1] & skel[:-1, 1:] & skel[1:, 1:]
+    full = skel[:-1, :-1].copy()
+    full &= skel[1:, :-1]
+    full &= skel[:-1, 1:]
+    full &= skel[1:, 1:]
     skel[1:, 1:][full] = False
     return skel
 
@@ -390,7 +407,8 @@ def build_graph(skeleton: np.ndarray) -> SegmentGraph:
     block, where its diagonal is the unique longest edge, so a diagonal is
     left out exactly when a pixel beside both of its ends is set. A step's
     target is found by ``searchsorted`` over the sorted flat indices of the
-    skeleton pixels, so no map-sized index image is made.
+    skeleton pixels, so no map-sized index image is made, and the padded
+    bool copy of the skeleton is dropped once the neighbour flags are read.
 
     The chains are traced over half-edges, an edge in one direction: the
     half-edge into a pixel of degree 2 points at the one out of it, and
@@ -406,6 +424,7 @@ def build_graph(skeleton: np.ndarray) -> SegmentGraph:
     right, up, down = img[pixels + stride], img[pixels + 1], img[pixels - 1]
     keep = np.stack([right, up, img[pixels + stride + 1] & ~(right | up),
                      img[pixels + stride - 1] & ~(right | down)], axis=1)
+    del sk, img  # the padded copy is read only for these flags
     src, k = np.divmod(np.flatnonzero(keep), len(_STEPS))
     steps = np.array([dx * stride + dy for dx, dy in _STEPS])
     dst = np.searchsorted(pixels, pixels[src] + steps[k])
@@ -552,8 +571,7 @@ def extract_topology(gmap: GlobalMap, params: TopologyParams = None):
         params = TopologyParams()
     vox = gmap.voxel_size
     road = gmap.labels[:, :, 0] == gmap.table.road_id
-    skel = skeletonize(road)
-    g = build_graph(skel)
+    g = build_graph(skeletonize(road))
     g = clean_graph(g, params.tau_prune / vox, params.w_lane / vox)
     valid = filter_endpoints(g, gmap, params, road)
     return g, valid

@@ -643,6 +643,31 @@ class TestVoteInpaint:
         out = vote_inpaint(gmap, frames, poses, list(range(len(frames))), 3)
         assert out.labels[3, 3, 0] == table.road_id
 
+    def test_frames_with_and_without_labels_outside_the_table(self, table):
+        # a frame whose labels are all the table's votes with every voter; a
+        # frame that also holds values no category has (7, 200) drops those
+        # voters first; alone and mixed, both match the dense reference
+        rng = np.random.default_rng(3)
+        labels = rng.choice(np.array(table.ids, dtype=np.uint8), size=(20, 20, 4))
+        labels[rng.random(labels.shape) < 0.5] = table.unassigned_id
+        gmap = GlobalMap(labels, 0.4, Pose2(), table)
+        known = np.array((table.unassigned_id,) + table.ids, dtype=np.uint8)
+        outside = np.array([7, 200], dtype=np.uint8)
+        assert not np.isin(outside, known).any()
+        poses = [Pose2(4.0, 4.0, 0.3), Pose2(4.2, 3.8, -0.5), Pose2(3.9, 4.1, 1.1)]
+        in_table = [OccupancyGrid(rng.choice(known, size=(12, 12, 4)), 0.4, p, table)
+                    for p in poses]
+        mixed = [OccupancyGrid(rng.choice(np.concatenate([known, outside]), size=(12, 12, 4)),
+                               0.4, p, table) for p in poses]
+        assert all(np.isin(f.labels, outside).any() for f in mixed)
+        for frames in (in_table, mixed, in_table + mixed):
+            non_keys = list(range(len(frames)))
+            frame_poses = (poses * 2)[:len(frames)]
+            out = vote_inpaint(gmap, frames, frame_poses, non_keys, 1)
+            ref = dense_vote_inpaint(gmap, frames, frame_poses, non_keys, 1)
+            assert np.array_equal(out.labels, ref.labels)
+            assert (out.labels != labels).any()
+
 
 def dense_vote_inpaint(gmap, frames, poses, non_keys, tau_vote):
     """Reference: the dense (X, Y, Z, C) tally filled with np.add.at."""

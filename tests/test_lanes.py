@@ -499,7 +499,8 @@ class TestExtractLanes:
         # 3x3 grid at 400 m (10^6 ground cells): a dense float64 distance
         # map and its transients peaked at 34 bytes a cell, a full feature
         # transform sampled under the centerlines at 11, and the border
-        # KD-tree peaks at 3 (the road mask, the border mask and ~road)
+        # KD-tree at 3 while it built ~road; with the border mask formed in
+        # place, the road mask and the border mask peak at 2.44
         world = generate_world(WorldSpec(recipe="grid", extent=400.0, blocks=(3, 3)))
         g, _ = extract_topology(world)
         cells = world.dims[0] * world.dims[1]
@@ -510,7 +511,7 @@ class TestExtractLanes:
         finally:
             tracemalloc.stop()
         assert len(lanes) > 0
-        assert peak < 5 * cells, peak / cells
+        assert peak < 2.8 * cells, peak / cells
 
     def test_save_load_round_trip(self, tmp_path):
         ax = np.arange(0.0, 10.0, 0.5)

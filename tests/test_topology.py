@@ -329,6 +329,13 @@ class TestThinning:
     def test_empty_mask(self):
         assert not skeletonize(np.zeros((10, 10), dtype=bool)).any()
 
+    @pytest.mark.parametrize("shape", [(0, 7), (7, 0)])
+    def test_zero_size_mask_gives_an_empty_skeleton(self, shape):
+        # the code image's shifted views would start past their end here
+        for thin in (zhang_suen_thin, skeletonize):
+            skel = thin(np.zeros(shape, dtype=bool))
+            assert skel.shape == shape and skel.dtype == bool
+
     def test_thick_strip_reduces_to_one_pixel_width(self):
         mask = np.zeros((40, 30), dtype=bool)
         mask[5:35, 10:20] = True
@@ -371,6 +378,22 @@ class TestThinning:
         skel = skeletonize(road)
         assert int(skel.sum()) == 14705
         assert_pinned("skeleton/city-5x5", [np.packbits(skel)])
+
+    def test_peak_memory_stays_near_three_bytes_a_cell(self):
+        # 3x3 grid at 400 m (10^6 cells): the padded plane, the code image
+        # and the border mask, built in place, take 3 bytes a cell. An int64
+        # index per road pixel and an int64 temporary per neighbour gather
+        # peaked at 4.5
+        road = generate_world(WorldSpec(recipe="grid", extent=400.0, blocks=(3, 3)))
+        road = road.labels[:, :, 0] == road.table.road_id
+        tracemalloc.start()
+        try:
+            skel = zhang_suen_thin(road)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert skel.any() and not (skel & ~road).any()
+        assert peak < 3.5 * road.size, peak / road.size
 
 
 def _steps(points):
@@ -438,6 +461,25 @@ class TestBuildGraph:
         assert g.number_of_nodes() == 4
         assert sorted(len(s.points) for s in g.segments) == [300, 300]
         assert peak < 2 * skel.size, peak / skel.size
+
+
+class TestExtractTopology:
+    def test_peak_memory_follows_the_road_plane(self):
+        # the 600 m, 5x5-block city (2.25 M cells): the road plane beside
+        # thinning's padded plane, code image and border mask, 4 bytes a
+        # cell; the untraced first call imports scipy.spatial for junction
+        # contraction. Thinning's per-pixel int64 gathers peaked at 5.7
+        world = generate_world(WorldSpec(recipe="grid", extent=600.0, blocks=(5, 5)))
+        cells = world.dims[0] * world.dims[1]
+        g, valid = extract_topology(world)
+        tracemalloc.start()
+        try:
+            again = extract_topology(world)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert again[1] == valid and len(again[0].segments) == len(g.segments) > 0
+        assert peak < 4.8 * cells, peak / cells
 
 
 class TestCleanGraph:
